@@ -30,7 +30,6 @@ from .chord import (
 )
 from .floatgeom import (
     DerivedCurveSample,
-    HomothetyConstants,
     buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,

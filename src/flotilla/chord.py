@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curve import det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
@@ -49,10 +48,6 @@ class ChordMap:
     norm_c: float
     affine_norm_c: float
     curve: object = field(repr=False, default=None)
-
-    @property
-    def affine_norm_c_cubed(self):
-        return self.affine_norm_c**3
 
 
 def body_area(curve):
@@ -215,21 +210,12 @@ def antipodal_tangent_param(curve, s):
     def v(t):
         return det2(d1, curve.derivative(t, 1))
 
+    def dv(t):
+        return det2(d1, curve.derivative(t, 2))
+
+    # the tangent turns monotonically: v > 0 until it has turned by pi, then v < 0
     period = curve.period
-    grid = s + period * np.linspace(0.02, 0.98, 193)
-    vals = det2(d1, curve.derivative(grid, 1))
-    # bracket between strictly signed samples: exact zeros at grid points are
-    # rounding artifacts that would break the sign-change precondition
-    scale = float(np.max(np.abs(vals)))
-    neg = np.nonzero(vals < -1e-12 * scale)[0]
-    if len(neg) == 0:
-        raise SolverError("no antipodal tangent parameter found")
-    j = neg[0]
-    pos = np.nonzero(vals[:j] > 1e-12 * scale)[0]
-    if len(pos) == 0:
-        raise SolverError("no antipodal tangent parameter found")
-    i = pos[-1]
-    return brentq(v, grid[i], grid[j], xtol=1e-14)
+    return bracketed_newton(v, dv, s + 0.02 * period, s + 0.98 * period, s + 0.5 * period, f_tol=0.0)
 
 
 def solve_silhouette_chord(curve, s, delta_hat, hint=None, bracket_width=None):
@@ -302,11 +288,3 @@ def sweep(curve, kind, delta, n_samples, s0=0.0):
         hint = cm.t + h
     return chords
 
-
-def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
-    """Signed defect t(s0 + period) - t(s0) - period after one continuation loop."""
-    chords = sweep(curve, kind, delta, n_samples, s0=s0)
-    solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
-    h = curve.period / n_samples
-    final = solve(curve, s0 + curve.period, delta, hint=chords[-1].t + h, bracket_width=h)
-    return final.t - chords[0].t - curve.period

@@ -246,13 +246,9 @@ def _check_duality(curve, bundle, tol):
     tol = tol if tol is not None else 1e-6
     if not bundle.homothetic or bundle.delta_hat is None or bundle.illum_chords is None:
         return "duality_not_in_homothetic_regime", 0.0, tol, True
-    worst = 0.0
-    skipped = 0
-    for cm_f, cm_i in zip(bundle.chords, bundle.illum_chords):
-        if cm_f.z is None or cm_i.z is None:
-            skipped += 1
-            continue
-        worst = max(worst, float(norm2(cm_f.z - cm_i.z)))
+    worst, _ = homothety.duality_pointwise_check(
+        curve, bundle.delta, chords=bundle.chords, illum_chords=bundle.illum_chords
+    )
     pts = np.array([s.point for s in bundle.flotation])
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     value = worst / diameter
@@ -304,8 +300,6 @@ def run_checks(curve, label, bundles, checks, overrides):
     """One record per requested check, aggregated worst-case over deltas."""
     records = []
     for name in checks:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r} (available: {sorted(CHECKS)})")
         tol = overrides.get(name)
         worst = None
         for bundle in bundles:
@@ -440,17 +434,10 @@ def write_figure(path, curve, bundles, chord_stride):
 # commands
 
 
-def _max_workers():
-    env = os.environ.get("FLOTILLA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FLOTILLA_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
-
-
 def cmd_run(config: RunConfig, do_checks=True):
+    unknown = [name for name in config.checks if name not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
     curve = curve_from_json(config.curve_spec)
     label = curve_label(config.curve_spec)
     total = chord.body_area(curve)
@@ -458,7 +445,8 @@ def cmd_run(config: RunConfig, do_checks=True):
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    # one thread per delta, at most one per core
+    with ThreadPoolExecutor(max_workers=min(len(deltas), os.cpu_count() or 1)) as pool:
         bundles = list(
             pool.map(
                 lambda d: compute_bundle(curve, d, config.n_samples, config.delta_hat),

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import (
-    AccuracyError,
     DegenerateCurveError,
     DomainError,
     ParallelElementsError,
@@ -72,10 +70,6 @@ class AffineFrame:
     def determinant(self):
         return float(np.linalg.det(self.matrix))
 
-    @property
-    def unimodular(self):
-        return abs(self.determinant - 1.0) < 1e-12
-
     def apply(self, points):
         points = np.asarray(points, dtype=float)
         return points @ self.matrix.T + self.translation
@@ -102,8 +96,10 @@ class ClosedConvexCurve:
         grid = np.arange(n) * (self.period / n)
         d1 = self.derivative(grid, 1)
         d2 = self.derivative(grid, 2)
+        if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+            raise DomainError("curve parameters must be finite")
         speed = norm2(d1)
-        if np.any(speed <= 0.0) or not np.all(np.isfinite(speed)):
+        if np.any(speed <= 0.0):
             raise SingularParametrizationError("curve has a singular point on the sample grid")
         convexity = det2(d1, d2)
         # tolerate roundoff at isolated flat points; reject genuine overshoot
@@ -269,11 +265,10 @@ def area(curve, rel_tol=1e-12):
 def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
     """Integral of det(g', g'')^(1/3) over [s0, s1].
 
-    Uses uniform Gauss panels, falling back to locally adaptive quadrature
-    when they stall: curves with isolated flat points give the integrand
-    cube-root cusps that uniform refinement resolves only algebraically.
-    Raises DegenerateCurveError if the convexity determinant is negative
-    somewhere on the arc.
+    Curves with isolated flat points give the integrand cube-root cusps,
+    which the adaptive panel quadrature resolves by splitting the panels
+    next to them. Raises DegenerateCurveError if the convexity determinant
+    is negative somewhere on the arc.
     """
     if not (s0 <= s1 <= s0 + curve.period + 1e-9):
         raise DomainError("require s0 <= s1 <= s0 + period")
@@ -288,13 +283,7 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
             raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
 
-    try:
-        return float(panel_quadrature(integrand, s0, s1, rel_tol=rel_tol, abs_tol=abs_tol))
-    except AccuracyError:
-        value, _ = quad_vec(
-            integrand, s0, s1, epsabs=abs_tol, epsrel=rel_tol, limit=2000, quadrature="gk21"
-        )
-        return float(value[0])
+    return float(panel_quadrature(integrand, s0, s1, rel_tol=rel_tol, abs_tol=abs_tol))
 
 
 def affine_curvature(curve, s):
@@ -360,21 +349,26 @@ def curve_from_json(spec):
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise DomainError("curve spec must be an object with a 'kind' field")
-    if kind == "ellipse":
-        return Ellipse(
-            a=float(spec["a"]),
-            b=float(spec["b"]),
-            center=np.asarray(spec.get("center", (0.0, 0.0)), dtype=float),
-            rotation=float(spec.get("rotation", 0.0)),
-        )
-    if kind == "fourier_radial":
-        return FourierRadial(
-            r0=float(spec["r0"]),
-            cos_coeffs=tuple(spec.get("cos", ())),
-            sin_coeffs=tuple(spec.get("sin", ())),
-        )
-    if kind == "samples":
-        return SampledPeriodic(points=np.asarray(spec["points"], dtype=float))
+    try:
+        if kind == "ellipse":
+            return Ellipse(
+                a=float(spec["a"]),
+                b=float(spec["b"]),
+                center=np.asarray(spec.get("center", (0.0, 0.0)), dtype=float),
+                rotation=float(spec.get("rotation", 0.0)),
+            )
+        if kind == "fourier_radial":
+            return FourierRadial(
+                r0=float(spec["r0"]),
+                cos_coeffs=tuple(spec.get("cos", ())),
+                sin_coeffs=tuple(spec.get("sin", ())),
+            )
+        if kind == "samples":
+            return SampledPeriodic(points=np.asarray(spec["points"], dtype=float))
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind!r} curve spec: {exc!r}")
     raise DomainError(f"unknown curve kind {kind!r}")
 
 

@@ -45,18 +45,6 @@ class DerivedCurveSample:
     chord: ChordMap | None = None
 
 
-@dataclass(frozen=True)
-class HomothetyConstants:
-    """delta and the 3/2-scaled variant that most closed forms use."""
-
-    delta: float
-    lam: float | None = None
-
-    @property
-    def delta_bar(self):
-        return 1.5 * self.delta
-
-
 def _require_kind(cm, kind):
     if cm.kind != kind:
         raise DomainError(f"expected a {kind} chord, got {cm.kind}")
@@ -80,14 +68,6 @@ def flotation_point(cm: ChordMap) -> DerivedCurveSample:
     tangent = cm.c * (v / (2.0 * q))
     kappa = cm.affine_norm_c**3 / cm.norm_c**3
     return DerivedCurveSample(FLOTATION_BOUNDARY, cm.s, point, tangent, float(kappa), chord=cm)
-
-
-def flotation_kappa_cot_form(cm: ChordMap) -> float:
-    """Equivalent curvature 4 / (|c| (cot a + cot b)); NaN when degenerate."""
-    denom = 1.0 / math.tan(cm.alpha) + 1.0 / math.tan(cm.beta)
-    if denom == 0.0:
-        return math.nan
-    return 4.0 / (cm.norm_c * denom)
 
 
 def buoyancy_point(cm: ChordMap, delta: float) -> DerivedCurveSample:
@@ -197,7 +177,7 @@ def buoyancy_affine_normal_check(cm: ChordMap, delta: float):
     r1 = 0.5 * (cm.x + cm.y)
     w = r1 - cm.z
     angle = math.atan2(abs(det2(normal, w)), float(np.dot(normal, w)))
-    delta_bar = HomothetyConstants(delta).delta_bar
+    delta_bar = 1.5 * delta
     expected = 8.0 * delta_bar ** (1.0 / 3.0) / cm.affine_norm_c**3 * norm2(w)
     magnitude_err = abs(norm2(normal) - expected) / expected
     return angle, float(magnitude_err)
@@ -243,7 +223,7 @@ def omega_identity_residual(curve, delta, n_samples, chords=None):
     """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2."""
     if chords is None:
         chords = sweep(curve, FLOTATION, delta, n_samples)
-    delta_bar = HomothetyConstants(delta).delta_bar
+    delta_bar = 1.5 * delta
     lhs = (body_area(curve) - flotation_body_area(curve, delta, n_samples, chords=chords)) / (
         delta_bar ** (2.0 / 3.0)
     )

@@ -7,17 +7,17 @@ can threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial.distance import directed_hausdorff
 
 from .chord import (
     FLOTATION,
     ILLUMINATION,
+    _cap_area_dt,
     body_area,
     solve_flotation_chord,
     sweep,
@@ -31,7 +31,7 @@ from .curve import (
     norm2,
 )
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
-from .numerics import signed_cbrt
+from .numerics import bracketed_newton, signed_cbrt
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ class Carousel:
     s0: float
     vertices: list
     closure_defect: float
+    defect_slope: float  # d(closure_defect)/d(delta), accumulated along the chain
     centroid_track: list = field(default_factory=list)
     lambdas: list = field(default_factory=list)
 
@@ -157,21 +158,23 @@ def duality_parameters(delta, lam):
     return delta_hat, lam_hat
 
 
-def duality_pointwise_check(curve, delta, n_samples=256, lam=None):
+def duality_pointwise_check(curve, delta, n_samples=256, lam=None, chords=None, illum_chords=None):
     """Max distance between flotation-chord poles and the illumination boundary.
 
     Matched parametrically: the pole of the flotation chord at s is compared
-    with the silhouette apex at the same s, at the dual cone area. Returns
-    (max_error, skipped) where skipped counts poles at infinity.
+    with the silhouette apex at the same s, at the dual cone area. Sweeps
+    that are not passed in as ``chords`` / ``illum_chords`` are solved here.
+    Returns (max_error, skipped) where skipped counts poles at infinity.
     """
-    flot = sweep(curve, FLOTATION, delta, n_samples)
-    if lam is None:
-        _, lam = chord_cube_report(curve, delta, FLOTATION, chords=flot)
-    delta_hat, _ = duality_parameters(delta, lam)
-    illum = sweep(curve, ILLUMINATION, delta_hat, n_samples)
+    flot = chords if chords is not None else sweep(curve, FLOTATION, delta, n_samples)
+    if illum_chords is None:
+        if lam is None:
+            _, lam = chord_cube_report(curve, delta, FLOTATION, chords=flot)
+        delta_hat, _ = duality_parameters(delta, lam)
+        illum_chords = sweep(curve, ILLUMINATION, delta_hat, n_samples)
     max_err = 0.0
     skipped = 0
-    for cm_f, cm_i in zip(flot, illum):
+    for cm_f, cm_i in zip(flot, illum_chords):
         if cm_f.z is None or cm_i.z is None:
             skipped += 1
             continue
@@ -328,10 +331,11 @@ def radon_check(curve, n_samples=256) -> float:
         def f(u):
             return det2(curve.derivative(u, 0), d1)
 
+        def df(u):
+            return det2(curve.derivative(u, 1), d1)
+
         lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
-        if f(lo) * f(hi) > 0.0:
-            raise SolverError("failed to isolate the tangent-parallel radius")
-        t = brentq(f, lo, hi, xtol=1e-14)
+        t = bracketed_newton(f, df, lo, hi, 0.5 * (lo + hi), f_tol=0.0)
         g_s = curve.derivative(s, 0)
         d1_t = curve.derivative(t, 1)
         worst = max(worst, abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s)))
@@ -353,8 +357,11 @@ def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
     period = curve.period
     ts = [float(s0)]
     step_hint = p * period / q
+    dt_ddelta = 0.0  # the chain start s0 does not move with delta
     for i in range(q):
         cm = solve_flotation_chord(curve, ts[-1], delta, hint=ts[-1] + step_hint, bracket_width=period / 8.0)
+        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain
+        dt_ddelta = 1.0 / _cap_area_dt(curve, cm.s, cm.t) + cm.dt_ds * dt_ddelta
         ts.append(cm.t)
         if ts[-1] - ts[0] > (p + 1) * period:
             raise SolverError("carousel chaining overflowed the expected winding")
@@ -382,6 +389,7 @@ def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
         s0=float(s0),
         vertices=ts,
         closure_defect=float(defect),
+        defect_slope=float(dt_ddelta),
         lambdas=lambdas,
     )
     if mu is not None:
@@ -395,13 +403,20 @@ def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
         raise DomainError("carousel needs at least 2 chairs")
     total = body_area(curve)
 
-    def defect(d):
-        return build_carousel(curve, p, q, d, s0=s0).closure_defect
+    # Newton asks for the defect and its slope at the same delta: one chain serves both
+    @functools.lru_cache(maxsize=1)
+    def chain(d):
+        return build_carousel(curve, p, q, d, s0=s0)
 
+    def defect(d):
+        return chain(d).closure_defect
+
+    def slope(d):
+        return chain(d).defect_slope
+
+    # raises SolverError when the defect does not change sign on the bracket
     lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
-    if defect(lo) * defect(hi) > 0.0:
-        raise SolverError(f"carousel defect does not change sign for p/q = {p}/{q}")
-    delta_star = brentq(defect, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    delta_star = bracketed_newton(defect, slope, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
     residual = defect(delta_star)
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
@@ -465,4 +480,11 @@ def hausdorff_distance(samples_a, samples_b) -> float:
     b = _points(samples_b)
     if len(a) == 0 or len(b) == 0:
         raise DomainError("sample sets must be non-empty")
-    return float(max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0]))
+    # squared distances in row blocks bound the temporary to 256 x len(b) pairs
+    worst_a = 0.0
+    nearest_b = np.full(len(b), math.inf)
+    for block in np.array_split(a, -(-len(a) // 256)):
+        d2 = np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        worst_a = max(worst_a, float(d2.min(axis=1).max()))
+        nearest_b = np.minimum(nearest_b, d2.min(axis=0))
+    return math.sqrt(max(worst_a, float(nearest_b.max())))

@@ -12,13 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chord import ILLUMINATION, PARALLEL_TOL, ChordMap, tangent_intersection
 from .curve import det2, euclidean_curvature, norm2
 from .errors import DomainError, SolverError
 from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurveSample, _require_kind
-from .numerics import panel_quadrature
+from .numerics import bracketed_newton, panel_quadrature
 
 
 @dataclass(frozen=True)
@@ -50,20 +49,6 @@ def illumination_point(cm: ChordMap) -> DerivedCurveSample:
     kt = float(euclidean_curvature(curve, cm.t))
     kappa = 4.0 * (math.sin(cm.alpha) ** 3 / ks + math.sin(cm.beta) ** 3 / kt) / cm.affine_norm_c**3
     return DerivedCurveSample(ILLUMINATION_BOUNDARY, cm.s, cm.z, tangent, float(kappa), chord=cm)
-
-
-def illumination_kappa_raw(cm: ChordMap) -> float:
-    """Curvature of the illumination boundary straight from the determinants."""
-    curve = cm.curve
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    p = det2(cm.c, d1)
-    q = det2(cm.c, d2)
-    v = det2(d1, d2)
-    w_s = det2(d1, curve.derivative(cm.s, 2))
-    w_t = det2(d2, curve.derivative(cm.t, 2))
-    num = -v * (q**3 * w_s - p**3 * w_t)
-    return float(num / (cm.norm_c**3 * p * q * w_s * w_t))
 
 
 def illumination_centroid_point(cm: ChordMap, delta_hat: float) -> DerivedCurveSample:
@@ -126,6 +111,9 @@ def polar_of_point(curve, p) -> PolarityResult:
     def f(u):
         return det2(curve.derivative(u, 0) - p, curve.derivative(u, 1))
 
+    def df(u):
+        return det2(curve.derivative(u, 0) - p, curve.derivative(u, 2))
+
     n = 4 * max(curve.resolution, 128)
     grid = np.arange(n + 1) * (curve.period / n)
     vals = f(grid)
@@ -134,6 +122,6 @@ def polar_of_point(curve, p) -> PolarityResult:
         if len(crossings) < 2:
             raise DomainError("point is not strictly outside the curve (no polar chord)")
         raise SolverError(f"expected 2 tangency roots, found {len(crossings)}")
-    roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-14) for i in crossings]
+    roots = [bracketed_newton(f, df, grid[i], grid[i + 1], grid[i], f_tol=0.0) for i in crossings]
     a, b = sorted(roots)
     return PolarityResult(pole=tangent_intersection(curve, a, b), chord_params=(float(a), float(b)))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AccuracyError, SolverError
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_EPS = np.finfo(float).eps
 
 MAX_PANELS = 8192
 
@@ -19,9 +22,13 @@ def signed_cbrt(x):
 def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
     """Integrate a (possibly vector-valued) function over [a, b].
 
-    Composite Gauss-Legendre of order 8 on a uniform panel grid; the panel
-    count is doubled until two successive estimates agree to ``rel_tol``
-    relative (or ``abs_tol`` absolute, whichever is laxer).
+    Locally adaptive Gauss-Legendre of order 8 with a global error budget
+    (Gander & Gautschi, BIT 40, 2000). A panel's value is the sum over its
+    halves, its error the change from the one-panel value. Each round splits
+    the panels above an equal share of the budget, in one call of ``f``, and
+    stops when the summed errors are within ``rel_tol`` relative or
+    ``abs_tol`` absolute, whichever is laxer, and never below rounding level.
+    Smooth integrands take one round; a cube-root cusp a few dozen.
 
     ``f`` must accept an array of abscissae and return an array whose leading
     axis matches it; trailing axes are integrated componentwise.
@@ -29,33 +36,53 @@ def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
     if a == b:
         probe = np.asarray(f(np.array([a])))
         return np.zeros(probe.shape[1:])
-    n = initial_panels
-    previous = _fixed_gauss(f, a, b, n)
-    while n <= MAX_PANELS:
-        n *= 2
-        current = _fixed_gauss(f, a, b, n)
-        err = np.max(np.abs(current - previous))
-        scale = np.max(np.abs(current))
-        if err <= max(rel_tol * scale, abs_tol):
-            return current
-        previous = current
-    raise AccuracyError(
-        f"quadrature on [{a}, {b}] did not converge below rel_tol={rel_tol} "
-        f"within {MAX_PANELS} panels (last error {err:.3e})"
-    )
+    edges = np.linspace(a, b, initial_panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    value, err = _halved_panels(f, lo, hi)
+    while True:
+        total = value.sum(axis=0)
+        err_sum = err.sum()
+        if not math.isfinite(err_sum):
+            raise AccuracyError(f"quadrature on [{a}, {b}]: the integrand is not finite")
+        rounding = 50.0 * _EPS * np.abs(value).sum(axis=0).max()
+        tol = max(rel_tol * np.abs(total).max(), abs_tol, rounding)
+        if err_sum <= tol:
+            return total
+        if len(lo) >= MAX_PANELS:
+            raise AccuracyError(
+                f"quadrature on [{a}, {b}] did not converge below rel_tol={rel_tol} "
+                f"within {MAX_PANELS} panels (error estimate {err_sum:.3e})"
+            )
+        split = err > tol / len(err)
+        keep = ~split
+        mid = 0.5 * (lo + hi)
+        new_lo = np.concatenate([lo[split], mid[split]])
+        new_hi = np.concatenate([mid[split], hi[split]])
+        new_value, new_err = _halved_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])
 
 
-def _fixed_gauss(f, a, b, n_panels):
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes: (n_panels, 8) flattened so f is called once
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel()
-    values = np.asarray(f(nodes), dtype=float)
-    values = values.reshape(n_panels, len(_GAUSS_NODES), *values.shape[1:])
-    weights = (half[:, None] * _GAUSS_WEIGHTS[None, :])
-    weights = weights.reshape(n_panels, len(_GAUSS_NODES), *([1] * (values.ndim - 2)))
-    return np.sum(values * weights, axis=(0, 1))
+def _halved_panels(f, lo, hi):
+    """Two-half value of every panel and its largest componentwise change from the one-panel value."""
+    n = len(lo)
+    mid = 0.5 * (lo + hi)
+    sums = _gauss_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = sums.reshape(3, n, *sums.shape[1:])
+    value = left + right
+    return value, np.abs(value - whole).reshape(n, -1).max(axis=1)
+
+
+def _gauss_panels(f, lo, hi):
+    """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i], from one call of f."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GAUSS_NODES
+    values = np.asarray(f(nodes.ravel()), dtype=float)
+    # contract the node axis, with the components of a vector integrand kept last
+    per_panel = values.reshape(len(lo), len(_GAUSS_NODES), -1).swapaxes(1, 2) @ _GAUSS_WEIGHTS
+    return (per_panel * half[:, None]).reshape(len(lo), *values.shape[1:])
 
 
 def periodic_trapezoid(samples, period):
@@ -139,13 +166,13 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
         else:
             hi, fhi = x, fx
         d = dfdx(x)
-        step_ok = d != 0.0 and np.isfinite(d)
-        if step_ok:
-            x_new = x - fx / d
-            step_ok = lo < x_new < hi
-        if not step_ok:
+        tol = x_tol * max(1.0, abs(x))
+        x_new = x - fx / d if d != 0.0 and np.isfinite(d) else math.nan
+        # a converged Newton step is taken even when it ends on or just past a
+        # bracket end: an earlier iterate at the root may have become that end
+        if not (lo < x_new < hi or abs(x_new - x) <= tol):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= x_tol * max(1.0, abs(x)):
+        if abs(x_new - x) <= tol:
             return x_new
         x = x_new
     raise SolverError(f"Newton iteration did not converge (residual {fx:.3e})")

@@ -3,12 +3,17 @@
 Everything here is computed from first principles (closed-form circle
 geometry, dense Riemann sums, plain finite differences of position samples)
 and deliberately avoids the package's own quadrature and derivative paths.
+The alternate closed forms at the end are the exception: they recompute a
+solved chord's curvatures and closure by a second route through the package.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import brentq
+
+from flotilla.chord import FLOTATION, solve_flotation_chord, solve_silhouette_chord, sweep
+from flotilla.curve import det2
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,3 +157,37 @@ def convex_polygon_contains(vertices, points, tol=0.0):
     rel = points[None, :, :] - vertices[:, None, :]
     cross = edges[:, None, 0] * rel[:, :, 1] - edges[:, None, 1] * rel[:, :, 0]
     return bool(np.all(cross >= -tol))
+
+
+# -- alternate closed forms of package quantities ----------------------------
+
+
+def flotation_kappa_cot_form(cm):
+    """Flotation-boundary curvature as 4 / (|c| (cot a + cot b)); NaN when degenerate."""
+    denom = 1.0 / math.tan(cm.alpha) + 1.0 / math.tan(cm.beta)
+    if denom == 0.0:
+        return math.nan
+    return 4.0 / (cm.norm_c * denom)
+
+
+def illumination_kappa_raw(cm):
+    """Curvature of the illumination boundary straight from the determinants."""
+    curve = cm.curve
+    d1 = curve.derivative(cm.s, 1)
+    d2 = curve.derivative(cm.t, 1)
+    p = det2(cm.c, d1)
+    q = det2(cm.c, d2)
+    v = det2(d1, d2)
+    w_s = det2(d1, curve.derivative(cm.s, 2))
+    w_t = det2(d2, curve.derivative(cm.t, 2))
+    num = -v * (q**3 * w_s - p**3 * w_t)
+    return float(num / (cm.norm_c**3 * p * q * w_s * w_t))
+
+
+def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
+    """Signed defect t(s0 + period) - t(s0) - period after one continuation loop."""
+    chords = sweep(curve, kind, delta, n_samples, s0=s0)
+    solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
+    h = curve.period / n_samples
+    final = solve(curve, s0 + curve.period, delta, hint=chords[-1].t + h, bracket_width=h)
+    return final.t - chords[0].t - curve.period

@@ -15,7 +15,6 @@ from flotilla.chord import (
     solve_flotation_chord,
     solve_silhouette_chord,
     sweep,
-    sweep_closure_defect,
     tangent_intersection,
 )
 from flotilla.curve import apply_affine, det2
@@ -25,6 +24,7 @@ from oracles import (
     circle_cone_area,
     circle_segment_area,
     random_unimodular_frame,
+    sweep_closure_defect,
     triangle_area,
 )
 

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flotilla
 from flotilla.cli import (
     CHECKS,
     CSV_COLUMNS,
@@ -64,6 +69,23 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", deltas=[10.0])
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
+    def test_curve_spec_missing_key(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_nan_semi_axis(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        write_config(cfg, curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
+        cfg.write_text(cfg.read_text().replace('"a": 2.0', '"a": NaN'))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_unknown_check_rejected_before_any_output(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", checks=["chord_cube", "nonsense"])
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        out = tmp_path / "out"
+        assert not (out / "curves.csv").exists()
+        assert not (out / "figure.svg").exists()
+
 
 class TestRun:
     def test_ellipse_passes_core_checks(self, tmp_path):
@@ -118,12 +140,12 @@ class TestRun:
         report = json.loads((out2 / "report.json").read_text())
         assert [r["check"] for r in report["records"]] == ["omega"]
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLOTILLA_THREADS", "2")
+    def test_threads_env(self, tmp_path):
+        # two deltas: one pool thread each
         cfg = write_config(tmp_path / "c.json", deltas=[0.4, 0.9], checks=["chord_cube"])
         assert main(["run", str(cfg)]) == EXIT_OK
-        monkeypatch.setenv("FLOTILLA_THREADS", "not-a-number")
-        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["deltas"] == [0.4, 0.9]
 
     def test_samples_curve_kind_uses_sampled_threshold(self, tmp_path):
         s = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
@@ -273,3 +295,11 @@ class TestSubcommands:
     def test_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG
         assert main(["bogus-subcommand"]) == EXIT_CONFIG
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(flotilla.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, flotilla.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -6,11 +6,9 @@ import pytest
 from flotilla.chord import FLOTATION, body_area, solve_flotation_chord, sweep
 from flotilla.curve import AffineFrame, apply_affine, det2, norm2
 from flotilla.floatgeom import (
-    HomothetyConstants,
     buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,
-    flotation_kappa_cot_form,
     flotation_point,
     kappa_prime_buoyancy,
     kappa_prime_flotation,
@@ -24,6 +22,7 @@ from oracles import (
     circle_theta_from_segment,
     convex_polygon_contains,
     fd4_derivative,
+    flotation_kappa_cot_form,
     random_unimodular_frame,
     spectral_fd,
 )
@@ -187,7 +186,7 @@ class TestFlotationBodyArea:
 
 class TestOmegaIdentity:
     def test_circle_analytic_sides(self, unit_circle):
-        delta_bar = HomothetyConstants(DELTA).delta_bar
+        delta_bar = 1.5 * DELTA
         lhs_expected = math.pi * math.sin(THETA) ** 2 / delta_bar ** (2.0 / 3.0)
         chords = sweep(unit_circle, FLOTATION, DELTA, 128)
         lhs = (body_area(unit_circle) - flotation_body_area(unit_circle, DELTA, 128, chords=chords)) / (

@@ -409,6 +409,15 @@ class TestCarousel:
         product = car.lambdas[0] * car.lambdas[1] * car.lambdas[2]
         assert abs(product - 1.0) > 0.1
 
+    @pytest.mark.parametrize("body, s0, delta", [("ellipse21", 0.0, 1.2), ("bump3", 0.3, 0.6)])
+    def test_defect_slope_matches_central_difference(self, request, body, s0, delta):
+        curve = request.getfixturevalue(body)
+        car = build_carousel(curve, 1, 3, delta, s0=s0)
+        h = 1e-5
+        plus = build_carousel(curve, 1, 3, delta + h, s0=s0).closure_defect
+        minus = build_carousel(curve, 1, 3, delta - h, s0=s0).closure_defect
+        assert car.defect_slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-8)
+
     def test_wrong_delta_does_not_close(self, unit_circle):
         car = build_carousel(unit_circle, 1, 3, 0.5)
         assert car.closure_defect < -1e-3

@@ -8,7 +8,6 @@ from flotilla.curve import det2, norm2
 from flotilla.errors import DomainError
 from flotilla.illumgeom import (
     illumination_centroid_point,
-    illumination_kappa_raw,
     illumination_point,
     polar_of_point,
     pole_of_chord,
@@ -19,6 +18,7 @@ from oracles import (
     circle_cone_centroid_distance,
     circle_illumination_centroid_kappa,
     convex_polygon_contains,
+    illumination_kappa_raw,
     random_unimodular_frame,
     spectral_fd,
 )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flotilla.errors import SolverError
+from flotilla.curve import Ellipse, det2
+from flotilla.chord import FLOTATION, sweep
+from flotilla.errors import AccuracyError, SolverError
 from flotilla.numerics import (
     TrigInterpolant,
     bracketed_newton,
@@ -30,6 +32,34 @@ def test_panel_quadrature_vector_valued():
 
 def test_panel_quadrature_empty_interval():
     assert panel_quadrature(np.sin, 1.0, 1.0) == 0.0
+
+
+def test_panel_quadrature_cube_root_cusp():
+    exact = 0.75 * ((2.0 / 3.0) ** (4.0 / 3.0) + (1.0 / 3.0) ** (4.0 / 3.0))
+    val = panel_quadrature(lambda x: np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0), 0.0, 1.0)
+    assert abs(val - exact) < 1e-12
+
+
+def test_panel_quadrature_divergent_integrand_raises():
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(AccuracyError):
+            panel_quadrature(lambda x: 1.0 / x**2, -1.0, 1.0)
+
+
+def test_panel_quadrature_smooth_cap_takes_one_call():
+    # smooth integrands converge in the first round: panels and halves from one call
+    curve = Ellipse(2.0, 1.0)
+    chords = sweep(curve, FLOTATION, 1.0, 64)
+    calls = 0
+    for cm in chords:
+
+        def integrand(u, x=cm.x):
+            nonlocal calls
+            calls += 1
+            return det2(curve.derivative(u, 0) - x, curve.derivative(u, 1))
+
+        panel_quadrature(integrand, cm.s, cm.t, rel_tol=1e-13)
+    assert calls <= len(chords)
 
 
 def test_periodic_trapezoid_is_spectral():
@@ -65,6 +95,21 @@ def test_trig_interpolant_reproduces_samples_and_derivatives():
 def test_bracketed_newton_finds_root():
     root = bracketed_newton(lambda x: x**2 - 2.0, lambda x: 2 * x, 0.0, 2.0, 1.9, f_tol=1e-14)
     assert abs(root - math.sqrt(2)) < 1e-12
+
+
+def test_bracketed_newton_accepts_converged_step_at_bracket_end():
+    # sin(pi) rounds to +1.2e-16, so the start becomes the bracket's low end; its
+    # zero-length Newton step must end the iteration instead of falling back to bisection
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.sin(x)
+
+    root = bracketed_newton(f, math.cos, 0.1, 6.1, math.pi, f_tol=0.0)
+    assert root == pytest.approx(math.pi, abs=1e-15)
+    assert calls <= 4
 
 
 def test_bracketed_newton_requires_sign_change():
