@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flotilla.chord import body_area
-from flotilla.curve import curve_from_json
+from flotilla.curve import area, curve_from_json
 from flotilla.homothety import build_carousel, solve_carousel_delta
 
 DEFAULT_CURVE = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
@@ -37,7 +36,7 @@ def main():
     else:
         spec = DEFAULT_CURVE
     curve = curve_from_json(spec)
-    total = body_area(curve)
+    total = area(curve)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

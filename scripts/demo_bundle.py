@@ -8,9 +8,9 @@ Usage:
 import argparse
 from pathlib import Path
 
-from flotilla.chord import FLOTATION, body_area
+from flotilla.chord import FLOTATION
 from flotilla.cli import compute_bundle, sample_rows, write_curves_csv, write_figure
-from flotilla.curve import Ellipse
+from flotilla.curve import Ellipse, area
 from flotilla.floatgeom import omega_identity_residual
 from flotilla.homothety import chord_cube_report, duality_parameters
 
@@ -33,7 +33,7 @@ def main():
     write_figure(out / "figure.svg", curve, [bundle], chord_stride=args.samples // 24)
 
     report, lam = chord_cube_report(curve, args.delta, FLOTATION, chords=bundle.chords)
-    print(f"body area             : {body_area(curve):.12f}")
+    print(f"body area             : {area(curve):.12f}")
     print(f"cut-off area delta    : {args.delta}")
     print(f"mean ||c||^3          : {report.mean:.12f}  (CV {report.coefficient_of_variation:.3e})")
     print(f"homothety ratio       : {lam:.12f}")

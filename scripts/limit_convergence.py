@@ -14,8 +14,8 @@ import argparse
 
 import numpy as np
 
-from flotilla.chord import FLOTATION, body_area, sweep
-from flotilla.curve import Ellipse, FourierRadial
+from flotilla.chord import FLOTATION, sweep
+from flotilla.curve import Ellipse, FourierRadial, area
 from flotilla.homothety import hausdorff_distance, intersection_body_polar
 
 
@@ -34,7 +34,7 @@ def main():
     bodies = [("circle", Ellipse(1.0, 1.0)), ("fourier", FourierRadial(1.0, tuple(coeffs)))]
 
     for name, curve in bodies:
-        half = body_area(curve) / 2.0
+        half = area(curve) / 2.0
         dual = intersection_body_polar(curve, n_samples=args.samples)
         print(f"{name}:")
         for eps in args.eps:

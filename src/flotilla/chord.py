@@ -4,7 +4,8 @@ A chord is the pair (s, t) of boundary parameters with t kept unwrapped in
 (s, s + period). The implicit function t(s) is defined by holding the cap or
 cone area fixed and is solved by safeguarded Newton iteration with analytic
 area derivatives; sweeps continue the solution branch around the curve with
-warm starts.
+warm starts. By Green's theorem both areas are closed forms in the endpoints
+and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import det2, norm2
+from .curve import area, det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
-from .numerics import bracketed_newton, expand_bracket, panel_quadrature, signed_cbrt
+from .numerics import bracketed_newton, expand_bracket, signed_cbrt
 
 FLOTATION = "flotation"
 ILLUMINATION = "illumination"
@@ -50,29 +51,25 @@ class ChordMap:
     curve: object = field(repr=False, default=None)
 
 
-def body_area(curve):
-    """Enclosed area of the curve, cached on the curve object."""
-    cached = getattr(curve, "_flotilla_area", None)
-    if cached is None:
-        from .curve import area
+def arc_moments(curve, s, t):
+    """Moment origin o, endpoints gamma(s) - o and gamma(t) - o, and the moment increment over [s, t].
 
-        cached = area(curve)
-        curve._flotilla_area = cached
-    return cached
+    The increment is the integral over [s, t] of [w, (gamma - o) w] with
+    w = det(gamma - o, gamma'), from the curve's moment antiderivative.
+    """
+    origin, moments = curve.moments
+    params = np.array([s, t], dtype=float)
+    x, y = curve.derivative(params, 0) - origin
+    m_s, m_t = moments(params, -1)
+    return origin, x, y, m_t - m_s
 
 
-def cap_area(curve, s, t, rel_tol=1e-13, abs_tol=0.0):
+def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
     if t < s:
         raise DomainError("cap_area requires s <= t")
-    x = curve.derivative(s, 0)
-
-    def integrand(u):
-        return det2(curve.derivative(u, 0) - x, curve.derivative(u, 1))
-
-    if t == s:
-        return 0.0
-    return 0.5 * float(panel_quadrature(integrand, s, t, rel_tol=rel_tol, abs_tol=abs_tol))
+    _, x, y, dm = arc_moments(curve, s, t)
+    return 0.5 * float(dm[0] - det2(x, y))
 
 
 def tangent_intersection(curve, s, t):
@@ -87,16 +84,11 @@ def tangent_intersection(curve, s, t):
     return x + d1 * (det2(y - x, d2) / denom)
 
 
-def cone_area(curve, s, t, rel_tol=1e-13, abs_tol=0.0):
+def cone_area(curve, s, t):
     """Area of the silhouette region between the two tangent segments and the arc."""
     z = tangent_intersection(curve, s, t)
-
-    def integrand(u):
-        return det2(curve.derivative(u, 0) - z, curve.derivative(u, 1))
-
-    if t == s:
-        return 0.0
-    return -0.5 * float(panel_quadrature(integrand, s, t, rel_tol=rel_tol, abs_tol=abs_tol))
+    origin, x, y, dm = arc_moments(curve, s, t)
+    return -0.5 * float(dm[0] - det2(z - origin, y - x))
 
 
 def _cap_area_dt(curve, s, t):
@@ -178,14 +170,13 @@ def solve_flotation_chord(curve, s, delta, hint=None, bracket_width=None):
     The cap area is strictly increasing in t, so the root is unique; the
     solver is Newton with a maintained sign-change bracket.
     """
-    total = body_area(curve)
+    total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     f_tol = 1e-12 * total
-    quad_abs = 0.1 * f_tol
 
     def f(t):
-        return cap_area(curve, s, t, abs_tol=quad_abs) - delta
+        return cap_area(curve, s, t) - delta
 
     def df(t):
         return _cap_area_dt(curve, s, t)
@@ -226,15 +217,13 @@ def solve_silhouette_chord(curve, s, delta_hat, hint=None, bracket_width=None):
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
-    total = body_area(curve)
-    f_tol = 1e-12 * total
-    quad_abs = 0.1 * f_tol
+    f_tol = 1e-12 * area(curve)
     t_par = antipodal_tangent_param(curve, s)
 
     def f(t):
         # near t_par the apex escapes to infinity and so does the cone area
         try:
-            return cone_area(curve, s, t, abs_tol=quad_abs) - delta_hat
+            return cone_area(curve, s, t) - delta_hat
         except ParallelElementsError:
             return math.inf
 

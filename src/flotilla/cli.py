@@ -10,9 +10,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +20,7 @@ from . import chord, floatgeom, homothety, illumgeom
 from .curve import (
     SampledPeriodic,
     affine_normal,
+    area,
     curve_from_json,
     det2,
     norm2,
@@ -81,7 +80,10 @@ def load_config(path):
             n_samples=int(raw.get("nSamples", 512)),
             checks=list(raw.get("checks", [])),
             output_dir=raw.get("outputDir", "."),
-            tolerances_override=dict(raw.get("tolerancesOverride", {})),
+            tolerances_override={
+                name: _positive_number(tol, f"tolerancesOverride[{name!r}]")
+                for name, tol in dict(raw.get("tolerancesOverride", {})).items()
+            },
             delta_hat=raw.get("deltaHat"),
             chord_stride=int(raw.get("chordStride", 16)),
         )
@@ -89,7 +91,19 @@ def load_config(path):
         raise ConfigError(f"malformed config: {exc}")
     if cfg.n_samples < 64:
         raise ConfigError("nSamples must be at least 64")
+    if cfg.delta_hat is not None:
+        cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
     return cfg
+
+
+def _positive_number(value, name):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(number) and number > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return number
 
 
 def curve_label(spec):
@@ -106,13 +120,10 @@ def curve_label(spec):
 def resolve_deltas(raw_deltas, total_area):
     out = []
     for d in raw_deltas:
-        if isinstance(d, dict):
-            try:
-                value = float(d["fraction"]) * total_area
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"bad delta entry {d!r}")
-        else:
-            value = float(d)
+        try:
+            value = float(d["fraction"]) * total_area if isinstance(d, dict) else float(d)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"bad delta entry {d!r}")
         if not 0.0 < value < total_area:
             raise ConfigError(f"delta {value} outside (0, area={total_area})")
         out.append(value)
@@ -440,19 +451,12 @@ def cmd_run(config: RunConfig, do_checks=True):
         raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
     curve = curve_from_json(config.curve_spec)
     label = curve_label(config.curve_spec)
-    total = chord.body_area(curve)
+    total = area(curve)
     deltas = resolve_deltas(config.deltas, total)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # one thread per delta, at most one per core
-    with ThreadPoolExecutor(max_workers=min(len(deltas), os.cpu_count() or 1)) as pool:
-        bundles = list(
-            pool.map(
-                lambda d: compute_bundle(curve, d, config.n_samples, config.delta_hat),
-                deltas,
-            )
-        )
+    bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
 
     rows = []
     for bundle in bundles:

@@ -17,7 +17,7 @@ class SingularParametrizationError(FlotillaError):
     """The curve parametrization is singular (zero tangent) at the point."""
 
 
-class DegenerateCurveError(FlotillaError):
+class DegenerateCurveError(DomainError):
     """det(tangent, second derivative) is not strictly positive."""
 
 

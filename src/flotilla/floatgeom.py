@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import FLOTATION, ChordMap, body_area, sweep
-from .curve import det2, euclidean_curvature, norm2
+from .chord import FLOTATION, ChordMap, arc_moments, sweep
+from .curve import area, det2, euclidean_curvature, norm2
 from .errors import DomainError
-from .numerics import panel_quadrature, periodic_trapezoid, signed_cbrt
+from .numerics import periodic_trapezoid, signed_cbrt
 
 FLOTATION_BOUNDARY = "flotation_boundary"
 BUOYANCY_CURVE = "buoyancy_curve"
@@ -76,16 +76,10 @@ def buoyancy_point(cm: ChordMap, delta: float) -> DerivedCurveSample:
     if not math.isclose(delta, cm.delta, rel_tol=1e-9):
         raise DomainError("delta does not match the chord's cut-off area")
     curve = cm.curve
-    x = cm.x
-
-    def integrand(u):
-        g = curve.derivative(u, 0) - x
-        w = det2(g, curve.derivative(u, 1))
-        # share panels between the area re-check and the centroid components
-        return np.stack([w, g[..., 0] * w, g[..., 1] * w], axis=-1)
-
-    vals = panel_quadrature(integrand, cm.s, cm.t, rel_tol=1e-12, abs_tol=1e-13 * delta)
-    point = x + vals[1:] / (3.0 * delta)
+    origin, x, y, dm = arc_moments(curve, cm.s, cm.t)
+    # first moment about o: the arc's share plus the closing chord from y to x
+    moment = dm[1:] / 3.0 - det2(x, y) * (x + y) / 6.0
+    point = origin + moment / delta
     p = det2(cm.c, curve.derivative(cm.s, 1))
     tangent = cm.c * (-p / (6.0 * delta))
     kappa = 12.0 * delta / cm.norm_c**3
@@ -205,7 +199,7 @@ def flotation_body_area(curve, delta, n_samples, chords=None):
         )
     vals = np.array([det2(-cm.c, curve.derivative(cm.s, 1)) for cm in chords])
     deficit = 0.25 * periodic_trapezoid(vals, curve.period)
-    return body_area(curve) - float(deficit)
+    return area(curve) - float(deficit)
 
 
 def buoyancy_affine_perimeter(curve, delta, n_samples, chords=None):
@@ -224,7 +218,7 @@ def omega_identity_residual(curve, delta, n_samples, chords=None):
     if chords is None:
         chords = sweep(curve, FLOTATION, delta, n_samples)
     delta_bar = 1.5 * delta
-    lhs = (body_area(curve) - flotation_body_area(curve, delta, n_samples, chords=chords)) / (
+    lhs = (area(curve) - flotation_body_area(curve, delta, n_samples, chords=chords)) / (
         delta_bar ** (2.0 / 3.0)
     )
     rhs = 0.5 * buoyancy_affine_perimeter(curve, delta, n_samples, chords=chords)

@@ -18,7 +18,6 @@ from .chord import (
     FLOTATION,
     ILLUMINATION,
     _cap_area_dt,
-    body_area,
     solve_flotation_chord,
     sweep,
     tangent_intersection,
@@ -26,6 +25,7 @@ from .chord import (
 from .curve import (
     SampledPeriodic,
     affine_arclength,
+    area,
     det2,
     euclidean_curvature,
     norm2,
@@ -351,7 +351,7 @@ def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
     """
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
-    total = body_area(curve)
+    total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError("delta must lie in (0, area)")
     period = curve.period
@@ -401,7 +401,7 @@ def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
     """Cut-off area at which the p/q carousel from s0 closes."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
-    total = body_area(curve)
+    total = area(curve)
 
     # Newton asks for the defect and its slope at the same delta: one chain serves both
     @functools.lru_cache(maxsize=1)

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import ILLUMINATION, PARALLEL_TOL, ChordMap, tangent_intersection
+from .chord import ILLUMINATION, PARALLEL_TOL, ChordMap, arc_moments, tangent_intersection
 from .curve import det2, euclidean_curvature, norm2
 from .errors import DomainError, SolverError
 from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurveSample, _require_kind
-from .numerics import bracketed_newton, panel_quadrature
+from .numerics import bracketed_newton
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,11 @@ def illumination_centroid_point(cm: ChordMap, delta_hat: float) -> DerivedCurveS
     if not math.isclose(delta_hat, cm.delta, rel_tol=1e-9):
         raise DomainError("delta_hat does not match the chord's cone area")
     curve = cm.curve
-    z = cm.z
-
-    def integrand(u):
-        g = curve.derivative(u, 0) - z
-        w = det2(g, curve.derivative(u, 1))
-        return np.stack([w, g[..., 0] * w, g[..., 1] * w], axis=-1)
-
-    vals = panel_quadrature(integrand, cm.s, cm.t, rel_tol=1e-12, abs_tol=1e-13 * delta_hat)
-    point = z - vals[1:] / (3.0 * delta_hat)
+    origin, x, y, dm = arc_moments(curve, cm.s, cm.t)
+    z = cm.z - origin
+    # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
+    moment = -(dm[1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
+    point = origin + moment / delta_hat
     d1 = curve.derivative(cm.s, 1)
     d2 = curve.derivative(cm.t, 1)
     q = det2(cm.c, d2)
@@ -81,6 +77,11 @@ def illumination_centroid_point(cm: ChordMap, delta_hat: float) -> DerivedCurveS
         / cm.affine_norm_c**6
     )
     return DerivedCurveSample(ILLUMINATION_CENTROID, cm.s, point, tangent, float(kappa), chord=cm)
+
+
+def _segment_moment(a, b):
+    """Integral of p det(p, dp) along the segment from a to b."""
+    return det2(a, b) * (a + b) / 2.0
 
 
 def pole_of_chord(curve, s, t) -> PolarityResult:

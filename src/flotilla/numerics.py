@@ -1,4 +1,4 @@
-"""Shared numerical kernels: panel quadrature, spectral differentiation, root finding."""
+"""Shared numerical kernels: panel quadrature, trigonometric interpolation, root finding."""
 
 from __future__ import annotations
 
@@ -94,51 +94,42 @@ def periodic_trapezoid(samples, period):
     return samples.mean(axis=0) * period
 
 
-def spectral_derivative(samples, period, order=1):
-    """Differentiate uniform periodic samples via FFT.
-
-    ``samples`` has shape (N,) or (N, k); returns the order-th derivative
-    sampled on the same grid.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[-1] = 0.0  # odd derivative of the Nyquist mode has no real representative
-    coeffs = np.fft.rfft(samples, axis=0)
-    coeffs = coeffs * mult.reshape(-1, *([1] * (samples.ndim - 1)))
-    return np.fft.irfft(coeffs, n=n, axis=0)
-
-
 class TrigInterpolant:
     """Trigonometric interpolant of uniform periodic samples.
 
-    Evaluates the band-limited interpolant and its derivatives at arbitrary
-    parameter values. Samples may be scalar (N,) or vector (N, k).
+    Evaluates the band-limited interpolant, its derivatives and (``order=-1``)
+    its antiderivative at arbitrary parameter values. Samples may be scalar
+    (N,) or vector (N, k). Trailing modes at rounding level (below 64 eps
+    times the largest coefficient) are dropped, so a low-degree trigonometric
+    polynomial costs its own degree to evaluate, not the sample count.
     """
 
     def __init__(self, samples, period):
         samples = np.asarray(samples, dtype=float)
-        self.period = float(period)
-        self.n = samples.shape[0]
-        coeffs = np.fft.rfft(samples, axis=0) / self.n
+        n = samples.shape[0]
+        coeffs = np.fft.rfft(samples, axis=0) / n
         # real-series weights: DC and Nyquist once, interior modes twice
         weights = np.full(coeffs.shape[0], 2.0)
         weights[0] = 1.0
-        if self.n % 2 == 0:
+        if n % 2 == 0:
             weights[-1] = 1.0
-        self.coeffs = coeffs * weights.reshape(-1, *([1] * (samples.ndim - 1)))
-        self.modes = np.arange(coeffs.shape[0])
+        coeffs = coeffs * weights.reshape(-1, *([1] * (samples.ndim - 1)))
+        size = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
+        kept = np.nonzero(size > 64.0 * _EPS * size.max())[0]
+        self.coeffs = coeffs[: kept[-1] + 1 if len(kept) else 1]
+        self.modes = np.arange(self.coeffs.shape[0])
+        self.mean = self.coeffs[0].real
+        self.wave = 1j * (2.0 * np.pi / period) * self.modes
+        # antiderivative: c_k / (i k omega) for k >= 1; the mean term gives mean * s
+        self.integral = np.concatenate([[0.0], 1.0 / self.wave[1:]])
 
     def __call__(self, s, order=0):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        phi = np.atleast_1d(s) * (2.0 * np.pi / self.period)
-        factor = (1j * self.modes * 2.0 * np.pi / self.period) ** order
-        basis = np.exp(1j * np.outer(phi, self.modes)) * factor[None, :]
-        out = np.real(np.tensordot(basis, self.coeffs, axes=(1, 0)))
-        return out[0] if scalar else out
+        factor = self.integral if order == -1 else self.wave**order
+        out = (np.exp(np.multiply.outer(s, self.wave)) * factor) @ self.coeffs
+        if order == -1:
+            return out.real + np.multiply.outer(s, self.mean)
+        return out.real
 
 
 def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from first principles (closed-form circle
-geometry, dense Riemann sums, plain finite differences of position samples)
-and deliberately avoids the package's own quadrature and derivative paths.
+geometry, dense Riemann sums, a fixed Gauss-Legendre rule, plain finite
+differences of position samples) and deliberately avoids the package's own
+quadrature and derivative paths.
 The alternate closed forms at the end are the exception: they recompute a
 solved chord's curvatures and closure by a second route through the package.
 """
@@ -84,6 +85,46 @@ def shoelace(points):
 
 def triangle_area(a, b, c):
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+# -- quadrature reference for cap and cone areas and centroids ---------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def gauss_legendre(f, a, b, panels=8):
+    """Fixed composite Gauss-Legendre rule, 48 nodes per panel, of a vector integrand."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_NODES
+    values = np.asarray(f(nodes.ravel())).reshape(panels, len(_GL_NODES), -1)
+    return np.einsum("pnk,n,p->k", values, _GL_WEIGHTS, half)
+
+
+def _apex_moments(curve, apex, s, t):
+    """Integral over [s, t] of [w, (gamma - apex) w] with w = det(gamma - apex, gamma')."""
+
+    def integrand(u):
+        g = curve.derivative(u, 0) - apex
+        w = det2(g, curve.derivative(u, 1))
+        return np.stack([w, g[..., 0] * w, g[..., 1] * w], axis=-1)
+
+    return gauss_legendre(integrand, s, t)
+
+
+def quadrature_cap(curve, s, t):
+    """Area and centroid of the cap cut off by the chord [gamma(s), gamma(t)]."""
+    x = curve.derivative(s, 0)
+    vals = _apex_moments(curve, x, s, t)
+    area = 0.5 * vals[0]
+    return area, x + vals[1:] / (3.0 * area)
+
+
+def quadrature_cone(curve, s, t, apex):
+    """Area and centroid of the silhouette cone with the given apex over the arc [s, t]."""
+    vals = _apex_moments(curve, apex, s, t)
+    area = -0.5 * vals[0]
+    return area, apex - vals[1:] / (3.0 * area)
 
 
 # -- finite differences of uniform periodic position samples ----------------

@@ -370,9 +370,9 @@ def test_criterion_11_polar_dual_limits(unit_circle, sym_cos2):
     ok_decreasing = True
     detail = []
     for curve in (unit_circle, sym_cos2):
-        from flotilla.chord import body_area
+        from flotilla.curve import area
 
-        half = body_area(curve) / 2.0
+        half = area(curve) / 2.0
         dual = intersection_body_polar(curve, n_samples=512)
         dists = []
         for eps in (0.1, 0.05, 0.025):

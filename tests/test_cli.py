@@ -87,6 +87,28 @@ class TestConfig:
         assert not (out / "figure.svg").exists()
 
 
+    def test_non_numeric_delta(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", deltas=["abc"])
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_non_numeric_delta_hat(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", deltaHat="abc")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_non_finite_delta_hat(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", deltaHat=math.inf)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_non_numeric_tolerance_override(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", tolerancesOverride={"omega": "x"})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    def test_non_convex_curve_spec(self, tmp_path):
+        spec = {"kind": "fourier_radial", "r0": 1, "cos": [0, 0, 0.2]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
 class TestRun:
     def test_ellipse_passes_core_checks(self, tmp_path):
         cfg = write_config(
@@ -140,8 +162,7 @@ class TestRun:
         report = json.loads((out2 / "report.json").read_text())
         assert [r["check"] for r in report["records"]] == ["omega"]
 
-    def test_threads_env(self, tmp_path):
-        # two deltas: one pool thread each
+    def test_two_deltas_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltas=[0.4, 0.9], checks=["chord_cube"])
         assert main(["run", str(cfg)]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())

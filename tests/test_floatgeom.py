@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import FLOTATION, body_area, solve_flotation_chord, sweep
-from flotilla.curve import AffineFrame, apply_affine, det2, norm2
+from flotilla.chord import FLOTATION, solve_flotation_chord, sweep
+from flotilla.curve import AffineFrame, apply_affine, area, det2, norm2
 from flotilla.floatgeom import (
     buoyancy_affine_normal_check,
     buoyancy_point,
@@ -189,7 +189,7 @@ class TestOmegaIdentity:
         delta_bar = 1.5 * DELTA
         lhs_expected = math.pi * math.sin(THETA) ** 2 / delta_bar ** (2.0 / 3.0)
         chords = sweep(unit_circle, FLOTATION, DELTA, 128)
-        lhs = (body_area(unit_circle) - flotation_body_area(unit_circle, DELTA, 128, chords=chords)) / (
+        lhs = (area(unit_circle) - flotation_body_area(unit_circle, DELTA, 128, chords=chords)) / (
             delta_bar ** (2.0 / 3.0)
         )
         assert lhs == pytest.approx(lhs_expected, rel=1e-10)

@@ -15,7 +15,6 @@ from flotilla.numerics import (
     panel_quadrature,
     periodic_trapezoid,
     signed_cbrt,
-    spectral_derivative,
 )
 
 
@@ -76,7 +75,7 @@ def test_spectral_derivative_matches_analytic():
     n = 128
     s = np.arange(n) * (2 * np.pi / n)
     vals = np.sin(3 * s) + 0.5 * np.cos(5 * s)
-    d = spectral_derivative(vals, 2 * np.pi, 1)
+    d = TrigInterpolant(vals, 2 * np.pi)(s, 1)
     expected = 3 * np.cos(3 * s) - 2.5 * np.sin(5 * s)
     assert np.max(np.abs(d - expected)) < 1e-11
 
@@ -90,6 +89,27 @@ def test_trig_interpolant_reproduces_samples_and_derivatives():
     assert np.max(np.abs(interp(probe) - np.cos(2 * probe))) < 1e-12
     assert np.max(np.abs(interp(probe, order=1) + 2 * np.sin(2 * probe))) < 1e-11
     assert np.max(np.abs(interp(probe, order=3) - 8 * np.sin(2 * probe))) < 1e-10
+
+
+def test_trig_interpolant_antiderivative_matches_analytic():
+    n = 32
+    s = np.arange(n) * (2 * np.pi / n)
+    samples = np.stack([1.0 + np.cos(2 * s) + 0.5 * np.sin(3 * s), np.sin(s)], axis=-1)
+    interp = TrigInterpolant(samples, 2 * np.pi)
+    probe = np.array([0.0, 0.7, 2.9, 6.0, 9.5])
+    exact = np.stack(
+        [probe + 0.5 * np.sin(2 * probe) - np.cos(3 * probe) / 6.0, -np.cos(probe)], axis=-1
+    )
+    got = interp(probe, order=-1)
+    assert np.max(np.abs((got - got[0]) - (exact - exact[0]))) < 1e-13
+
+
+def test_trig_interpolant_drops_rounding_level_modes():
+    n = 256
+    s = np.arange(n) * (2 * np.pi / n)
+    interp = TrigInterpolant(np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1), 2 * np.pi)
+    assert len(interp.modes) == 3
+    assert np.max(np.abs(interp(s) - np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1))) < 1e-14
 
 
 def test_bracketed_newton_finds_root():

@@ -1,0 +1,42 @@
+"""The experiment scripts run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import flotilla
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(flotilla.__file__).resolve().parents[1])
+
+
+def run_script(name, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_demo_bundle(tmp_path):
+    out = tmp_path / "demo"
+    result = run_script("demo_bundle.py", "--samples", "64", "--out", str(out), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "body area             : 6.283185307" in result.stdout
+    assert (out / "curves.csv").exists() and (out / "figure.svg").exists()
+
+
+def test_carousel_scan(tmp_path):
+    out = tmp_path / "scan.csv"
+    result = run_script("carousel_scan.py", "--steps", "4", "--out", str(out), cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "delta* =" in result.stdout
+    assert len(out.read_text().splitlines()) == 5  # header and four deltas
+
+
+def test_limit_convergence(tmp_path):
+    result = run_script("limit_convergence.py", "--samples", "64", "--eps", "0.1", "0.05", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("Hausdorff distance") == 4  # two bodies, two eps
+
