@@ -3,21 +3,22 @@
 A chord is the pair (s, t) of boundary parameters with t kept unwrapped in
 (s, s + period). The implicit function t(s) is defined by holding the cap or
 cone area fixed and is solved by safeguarded Newton iteration with analytic
-area derivatives; sweeps continue the solution branch around the curve with
-warm starts. By Green's theorem both areas are closed forms in the endpoints
-and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
+area derivatives. Every function here takes arrays of lanes (s, t): a sweep
+solves all of its chords in one lane-wise iteration, each lane inside its own
+global bracket, and a single chord is the one-lane case. By Green's theorem
+both areas are closed forms in the endpoints and the curve's moment
+antiderivative (``ClosedConvexCurve.moments``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import area, det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
-from .numerics import bracketed_newton, expand_bracket, signed_cbrt
+from .numerics import bracketed_newton, signed_cbrt
 
 FLOTATION = "flotation"
 ILLUMINATION = "illumination"
@@ -51,6 +52,16 @@ class ChordMap:
     curve: object = field(repr=False, default=None)
 
 
+def _pair(s, t):
+    """Chord end parameters stacked on a leading axis of length 2."""
+    return np.stack(np.broadcast_arrays(np.asarray(s, dtype=float), t))
+
+
+def _ends(curve, s, t, order):
+    """Order-th derivative at both chord ends, shape (2, ..., 2), from one curve call."""
+    return curve.derivative(_pair(s, t), order)
+
+
 def arc_moments(curve, s, t):
     """Moment origin o, endpoints gamma(s) - o and gamma(t) - o, and the moment increment over [s, t].
 
@@ -58,7 +69,7 @@ def arc_moments(curve, s, t):
     w = det(gamma - o, gamma'), from the curve's moment antiderivative.
     """
     origin, moments = curve.moments
-    params = np.array([s, t], dtype=float)
+    params = _pair(s, t)
     x, y = curve.derivative(params, 0) - origin
     m_s, m_t = moments(params, -1)
     return origin, x, y, m_t - m_s
@@ -66,214 +77,192 @@ def arc_moments(curve, s, t):
 
 def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
-    if t < s:
+    if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
     _, x, y, dm = arc_moments(curve, s, t)
-    return 0.5 * float(dm[0] - det2(x, y))
+    return 0.5 * (dm[..., 0] - det2(x, y))
+
+
+def _apex(x, y, d1, d2):
+    """Tangent-line intersection of every lane and the mask of lanes whose tangents are parallel."""
+    v = det2(d1, d2)
+    parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x + d1 * (det2(y - x, d2) / v)[..., None], parallel
 
 
 def tangent_intersection(curve, s, t):
     """Intersection of the tangent lines at gamma(s) and gamma(t)."""
-    x = curve.derivative(s, 0)
-    y = curve.derivative(t, 0)
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(t, 1)
-    denom = det2(d1, d2)
-    if abs(denom) <= PARALLEL_TOL * norm2(d1) * norm2(d2):
+    z, parallel = _apex(*_ends(curve, s, t, 0), *_ends(curve, s, t, 1))
+    if np.any(parallel):
         raise ParallelElementsError("tangent lines are parallel; no apex")
-    return x + d1 * (det2(y - x, d2) / denom)
+    return z
+
+
+def _cone_area_lanes(curve, s, t):
+    """Cone area of every lane and the mask of lanes without an apex (area undefined there)."""
+    _, x, y, dm = arc_moments(curve, s, t)
+    z, parallel = _apex(x, y, *_ends(curve, s, t, 1))
+    return -0.5 * (dm[..., 0] - det2(z, y - x)), parallel
 
 
 def cone_area(curve, s, t):
     """Area of the silhouette region between the two tangent segments and the arc."""
-    z = tangent_intersection(curve, s, t)
-    origin, x, y, dm = arc_moments(curve, s, t)
-    return -0.5 * float(dm[0] - det2(z - origin, y - x))
+    cone, parallel = _cone_area_lanes(curve, s, t)
+    if np.any(parallel):
+        raise ParallelElementsError("tangent lines are parallel; no apex")
+    return cone
 
 
 def _cap_area_dt(curve, s, t):
-    x = curve.derivative(s, 0)
-    return 0.5 * det2(curve.derivative(t, 0) - x, curve.derivative(t, 1))
+    x, y = _ends(curve, s, t, 0)
+    return 0.5 * det2(y - x, curve.derivative(t, 1))
 
 
 def _cone_area_dt(curve, s, t):
-    x = curve.derivative(s, 0)
-    y = curve.derivative(t, 0)
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(t, 1)
+    x, y = _ends(curve, s, t, 0)
+    d1, d2 = _ends(curve, s, t, 1)
     dd2 = curve.derivative(t, 2)
     c = y - x
     v = det2(d1, d2)
     q = det2(c, d2)
-    dmu_dt = (det2(c, dd2) * v - q * det2(d1, dd2)) / v**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmu_dt = (det2(c, dd2) * v - q * det2(d1, dd2)) / v**2
     return -0.5 * det2(c, d1) * dmu_dt
 
 
 def _flotation_dt_ds(curve, s, t):
-    c = curve.derivative(t, 0) - curve.derivative(s, 0)
-    p = det2(c, curve.derivative(s, 1))
-    q = det2(c, curve.derivative(t, 1))
-    return -p / q
+    x, y = _ends(curve, s, t, 0)
+    d1, d2 = _ends(curve, s, t, 1)
+    return -det2(y - x, d1) / det2(y - x, d2)
 
 
-def _illumination_dt_ds(curve, s, t):
-    c = curve.derivative(t, 0) - curve.derivative(s, 0)
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(t, 1)
-    p = det2(c, d1)
-    q = det2(c, d2)
-    w_s = det2(d1, curve.derivative(s, 2))
-    w_t = det2(d2, curve.derivative(t, 2))
-    return q**2 * w_s / (p**2 * w_t)
-
-
-def _make_chord(curve, kind, delta, s, t, dt_ds):
-    x = curve.derivative(s, 0)
-    y = curve.derivative(t, 0)
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(t, 1)
+def _chords(curve, kind, delta, s, t):
+    """ChordMap rows of the lanes (s, t), from one pass over their frame arrays."""
+    x, y = _ends(curve, s, t, 0)
+    d1, d2 = _ends(curve, s, t, 1)
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
     v = det2(d1, d2)
-    alpha = math.atan2(-p, float(np.dot(c, d1)))
-    beta = math.atan2(q, float(np.dot(c, d2)))
-    if abs(v) > PARALLEL_TOL * norm2(d1) * norm2(d2):
-        z = x + d1 * (q / v)
+    alpha = np.arctan2(-p, np.sum(c * d1, axis=-1))
+    beta = np.arctan2(q, np.sum(c * d2, axis=-1))
+    z, parallel = _apex(x, y, d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
-        t_area = -0.5 * p * q / v
-        affine_norm = 2.0 * signed_cbrt(t_area)
-    else:
-        z = None
-        affine_norm = math.inf
-    return ChordMap(
-        kind=kind,
-        delta=delta,
-        s=float(s),
-        t=float(t),
-        x=x,
-        y=y,
-        c=c,
-        z=z,
-        alpha=alpha,
-        beta=beta,
-        dt_ds=float(dt_ds),
-        norm_c=float(norm2(c)),
-        affine_norm_c=float(affine_norm),
-        curve=curve,
+        affine_norm = np.where(parallel, np.inf, 2.0 * signed_cbrt(-0.5 * p * q / v))
+        if kind == FLOTATION:
+            dt_ds = -p / q
+        else:
+            dd1, dd2 = _ends(curve, s, t, 2)
+            dt_ds = q**2 * det2(d1, dd1) / (p**2 * det2(d2, dd2))
+    columns = zip(
+        s.tolist(), t.tolist(), x, y, c, z, parallel.tolist(), alpha.tolist(), beta.tolist(),
+        dt_ds.tolist(), norm2(c).tolist(), affine_norm.tolist(),
     )
+    return [
+        ChordMap(kind, delta, s_i, t_i, x_i, y_i, c_i, None if par else z_i, a, b, dts, nc, anc, curve)
+        for s_i, t_i, x_i, y_i, c_i, z_i, par, a, b, dts, nc, anc in columns
+    ]
 
 
-def solve_flotation_chord(curve, s, delta, hint=None, bracket_width=None):
-    """Find t with cap_area(s, t) = delta and assemble the chord frame.
+def _flotation_t(curve, s, delta):
+    """t in (s, s + period) with cap_area(s, t) = delta, for every lane of s.
 
-    The cap area is strictly increasing in t, so the root is unique; the
-    solver is Newton with a maintained sign-change bracket.
+    The cap area increases strictly from 0 to the body area on (s, s + period),
+    so that whole interval brackets every lane.
     """
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
-    f_tol = 1e-12 * total
-
-    def f(t):
-        return cap_area(curve, s, t) - delta
-
-    def df(t):
-        return _cap_area_dt(curve, s, t)
-
     period = curve.period
     tiny = 1e-12 * period
-    if hint is not None:
-        width = bracket_width if bracket_width is not None else period / 64.0
-        lo, hi = expand_bracket(f, hint, width, s + tiny, s + period - tiny)
-        t0 = min(max(hint, lo), hi)
-    else:
-        lo, hi = s + tiny, s + period - tiny
-        t0 = s + period * (delta / total)
-    t = bracketed_newton(f, df, lo, hi, t0, f_tol=f_tol)
-    return _make_chord(curve, FLOTATION, delta, s, t, _flotation_dt_ds(curve, s, t))
+    return bracketed_newton(
+        lambda t: cap_area(curve, s, t) - delta,
+        lambda t: _cap_area_dt(curve, s, t),
+        s + tiny,
+        s + period - tiny,
+        s + period * (delta / total),
+        f_tol=1e-12 * total,
+    )
+
+
+def solve_flotation_chord(curve, s, delta):
+    """Find t with cap_area(s, t) = delta and assemble the chord frame (one lane)."""
+    s = np.array([float(s)])
+    return _chords(curve, FLOTATION, delta, s, _flotation_t(curve, s, delta))[0]
 
 
 def antipodal_tangent_param(curve, s):
-    """First t > s at which the tangent is parallel to the tangent at s."""
+    """First t > s at which the tangent is parallel to the tangent at s, for every lane of s."""
     d1 = curve.derivative(s, 1)
-
-    def v(t):
-        return det2(d1, curve.derivative(t, 1))
-
-    def dv(t):
-        return det2(d1, curve.derivative(t, 2))
-
-    # the tangent turns monotonically: v > 0 until it has turned by pi, then v < 0
+    # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
     period = curve.period
-    return bracketed_newton(v, dv, s + 0.02 * period, s + 0.98 * period, s + 0.5 * period, f_tol=0.0)
+    return bracketed_newton(
+        lambda t: det2(d1, curve.derivative(t, 1)),
+        lambda t: det2(d1, curve.derivative(t, 2)),
+        s + 0.02 * period,
+        s + 0.98 * period,
+        s + 0.5 * period,
+        f_tol=0.0,
+    )
 
 
-def solve_silhouette_chord(curve, s, delta_hat, hint=None, bracket_width=None):
-    """Find t with cone_area(s, t) = delta_hat.
+def _silhouette_t(curve, s, delta_hat):
+    """t in (s, t_par) with cone_area(s, t) = delta_hat, for every lane of s.
+
+    The cone area increases on (s, t_par), from 0 next to s to infinity where
+    the end tangents turn parallel, so that interval brackets every lane.
+    """
+    if delta_hat <= 0.0:
+        raise DomainError("delta_hat must be positive")
+    t_par = antipodal_tangent_param(curve, s)
+
+    def f(t):
+        cone, parallel = _cone_area_lanes(curve, s, t)
+        # at a flat point s the tangents stay parallel for a while after s, where
+        # the cone area tends to 0; next to t_par the apex escapes to infinity
+        no_apex = np.where(t - s < t_par - t, -delta_hat, np.inf)
+        return np.where(parallel, no_apex, cone - delta_hat)
+
+    tiny = 1e-9 * curve.period
+    lo, hi = s + tiny, t_par - tiny
+    f_hi = f(hi)
+    if np.any(f_hi < 0.0):
+        i = int(np.argmin(f_hi))
+        raise SolverError(
+            f"delta_hat={delta_hat} not reachable at s={s[i]} before tangents turn parallel "
+            f"(max representable cone area {f_hi[i] + delta_hat:.6g})"
+        )
+    return bracketed_newton(
+        f, lambda t: _cone_area_dt(curve, s, t), lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve)
+    )
+
+
+def solve_silhouette_chord(curve, s, delta_hat):
+    """Find t with cone_area(s, t) = delta_hat (one lane).
 
     The admissible range for t is (s, t_par) where the endpoint tangents
     stop intersecting; the cone area grows without bound as t -> t_par.
     """
-    if delta_hat <= 0.0:
-        raise DomainError("delta_hat must be positive")
-    f_tol = 1e-12 * area(curve)
-    t_par = antipodal_tangent_param(curve, s)
-
-    def f(t):
-        # near t_par the apex escapes to infinity and so does the cone area
-        try:
-            return cone_area(curve, s, t) - delta_hat
-        except ParallelElementsError:
-            return math.inf
-
-    def df(t):
-        try:
-            return _cone_area_dt(curve, s, t)
-        except ParallelElementsError:
-            return math.nan
-
-    period = curve.period
-    tiny = 1e-9 * period
-    lo_limit, hi_limit = s + tiny, t_par - tiny
-    if f(hi_limit) < 0.0:
-        raise SolverError(
-            f"delta_hat={delta_hat} not reachable before tangents turn parallel "
-            f"(max representable cone area {f(hi_limit) + delta_hat:.6g})"
-        )
-    if hint is not None and lo_limit < hint < hi_limit:
-        width = bracket_width if bracket_width is not None else period / 64.0
-        lo, hi = expand_bracket(f, hint, width, lo_limit, hi_limit)
-        t0 = min(max(hint, lo), hi)
-    else:
-        lo, hi = lo_limit, hi_limit
-        t0 = 0.5 * (lo + hi)
-    t = bracketed_newton(f, df, lo, hi, t0, f_tol=f_tol)
-    return _make_chord(curve, ILLUMINATION, delta_hat, s, t, _illumination_dt_ds(curve, s, t))
+    s = np.array([float(s)])
+    return _chords(curve, ILLUMINATION, delta_hat, s, _silhouette_t(curve, s, delta_hat))[0]
 
 
 def sweep(curve, kind, delta, n_samples, s0=0.0):
-    """Solve the chord map on a uniform s grid, continuing t around the curve.
+    """Solve the chord map on a uniform s grid, all chords in one lane-wise solve.
 
-    Each solve warm-starts from the previous chord; the unwrapped t values
-    must be strictly increasing or a SolverError diagnostic is raised.
+    The unwrapped t values must be strictly increasing in s, or a SolverError
+    diagnostic is raised.
     """
     if n_samples < 16:
         raise DomainError("n_samples must be at least 16")
     if kind not in (FLOTATION, ILLUMINATION):
         raise DomainError(f"unknown chord kind {kind!r}")
-    solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
-    h = curve.period / n_samples
-    chords = []
-    hint = None
-    for i in range(n_samples):
-        s = s0 + i * h
-        cm = solve(curve, s, delta, hint=hint, bracket_width=h)
-        if chords and cm.t <= chords[-1].t:
-            raise SolverError(
-                f"chord continuation lost monotonicity at s={s} (t={cm.t} after {chords[-1].t})"
-            )
-        chords.append(cm)
-        hint = cm.t + h
-    return chords
-
+    s = s0 + np.arange(n_samples) * (curve.period / n_samples)
+    t = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta)
+    lost = np.nonzero(np.diff(t) <= 0.0)[0]
+    if len(lost):
+        i = lost[0] + 1
+        raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
+    return _chords(curve, kind, delta, s, t)

@@ -501,6 +501,7 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         payload["centroid_drift_max"] = diag.centroid_drift_max
         payload["lambda_product_max_dev"] = diag.lambda_product_max_dev
         payload["medial_residual_max"] = diag.medial_residual_max
+        payload["closure_defect_max"] = diag.closure_defect_max
     with open(out_dir / "carousel.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -508,6 +509,10 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         f"carousel p/q={p}/{q}: delta* = {delta_star:.12g}, "
         f"closure defect {car.closure_defect:.3e}"
     )
+    # closing from s0 but not from every start is a negative result, not bad input
+    if payload.get("closure_defect_max", 0.0) > 1e-8 * curve.period:
+        print(f"[FAIL] carousel does not close from every start: max |defect| = {payload['closure_defect_max']:.3e}")
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

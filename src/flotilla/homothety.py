@@ -18,7 +18,8 @@ from .chord import (
     FLOTATION,
     ILLUMINATION,
     _cap_area_dt,
-    solve_flotation_chord,
+    _flotation_dt_ds,
+    _flotation_t,
     sweep,
     tangent_intersection,
 )
@@ -182,25 +183,32 @@ def duality_pointwise_check(curve, delta, n_samples=256, lam=None, chords=None, 
     return max_err, skipped
 
 
-def endpoint_balance_residual(cm, curve=None) -> float:
-    """Difference of the two endpoint terms sin^3(angle)/curvature.
+def _normalised_difference(a, b):
+    scale = max(abs(a), abs(b))
+    return (a - b) / scale if scale > 0.0 else 0.0
 
-    Also evaluated through the translation-invariant normal-component form;
-    the two must agree to 1e-10 relative or an AccuracyError is raised.
+
+def endpoint_balance_residual(cm, curve=None) -> float:
+    """Endpoint balance sin^3(alpha) k(t) - sin^3(beta) k(s), divided by the larger term.
+
+    This is the condition sin^3(alpha)/k(s) = sin^3(beta)/k(t) multiplied by
+    k(s) k(t), so it stays finite where a curvature vanishes; the value lies
+    in [-2, 2]. Also evaluated through the translation-invariant
+    normal-component form; the two must agree to 1e-10 or an AccuracyError
+    is raised.
     """
     curve = curve if curve is not None else cm.curve
     ks = float(euclidean_curvature(curve, cm.s))
     kt = float(euclidean_curvature(curve, cm.t))
-    value = math.sin(cm.alpha) ** 3 / ks - math.sin(cm.beta) ** 3 / kt
+    value = _normalised_difference(math.sin(cm.alpha) ** 3 * kt, math.sin(cm.beta) ** 3 * ks)
     # independent form: cubed normal components of the chord at both endpoints
+    # (the common factor |c|^3 cancels in the ratio)
     d1 = curve.derivative(cm.s, 1)
     d2 = curve.derivative(cm.t, 1)
     n_s = np.array([-d1[1], d1[0]]) / norm2(d1)
     n_t = np.array([-d2[1], d2[0]]) / norm2(d2)
-    alt = float(np.dot(n_s, -cm.c)) ** 3 / ks - float(np.dot(n_t, cm.c)) ** 3 / kt
-    alt = -alt / cm.norm_c**3
-    scale = max(abs(value), abs(alt), math.sin(cm.alpha) ** 3 / ks, 1e-300)
-    if abs(value - alt) > 1e-10 * scale:
+    alt = _normalised_difference(float(np.dot(n_s, cm.c)) ** 3 * kt, -float(np.dot(n_t, cm.c)) ** 3 * ks)
+    if abs(value - alt) > 1e-10:
         raise AccuracyError("angle-form and normal-form residuals disagree")
     return value
 
@@ -323,23 +331,47 @@ def radon_check(curve, n_samples=256) -> float:
     intersection body).
     """
     _check_origin_symmetric(curve)
-    grid = np.arange(n_samples) * (curve.period / n_samples)
-    worst = 0.0
-    for s in grid:
-        d1 = curve.derivative(s, 1)
+    s = np.arange(n_samples) * (curve.period / n_samples)
+    d1 = curve.derivative(s, 1)
+    lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
+    t = bracketed_newton(
+        lambda u: det2(curve.derivative(u, 0), d1),
+        lambda u: det2(curve.derivative(u, 1), d1),
+        lo,
+        hi,
+        0.5 * (lo + hi),
+        f_tol=0.0,
+    )
+    g_s = curve.derivative(s, 0)
+    d1_t = curve.derivative(t, 1)
+    return float(np.max(np.abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s))))
 
-        def f(u):
-            return det2(curve.derivative(u, 0), d1)
 
-        def df(u):
-            return det2(curve.derivative(u, 1), d1)
+def _chains(curve, p, q, delta, starts):
+    """Vertices (q + 1, lanes) of the chord chains from every start, and d(last vertex)/d(delta)."""
+    ts = [starts]
+    dt_ddelta = np.zeros_like(starts)  # the starts do not move with delta
+    for _ in range(q):
+        s = ts[-1]
+        t = _flotation_t(curve, s, delta)
+        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain
+        dt_ddelta = 1.0 / _cap_area_dt(curve, s, t) + _flotation_dt_ds(curve, s, t) * dt_ddelta
+        ts.append(t)
+    if np.any(ts[-1] - starts > (p + 1) * curve.period):
+        raise SolverError("carousel chaining overflowed the expected winding")
+    return np.array(ts), dt_ddelta
 
-        lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
-        t = bracketed_newton(f, df, lo, hi, 0.5 * (lo + hi), f_tol=0.0)
-        g_s = curve.derivative(s, 0)
-        d1_t = curve.derivative(t, 1)
-        worst = max(worst, abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s)))
-    return float(worst)
+
+def _tangent_triangles(curve, ts):
+    """Tangent-triangle vertices after and before each chord vertex of 3-chair chains, each (3, lanes, 2).
+
+    The vertex opposite chain vertex i is the apex of the tangents at vertices
+    i + 1 and i + 2 (mod 3); the chain vertices ts have shape (4, lanes).
+    Raises ParallelElementsError if a tangent triangle degenerates.
+    """
+    wrap = np.array([[0.0], [curve.period], [0.0]])
+    apex = tangent_intersection(curve, ts[[1, 2, 0]], ts[[2, 0, 1]] + wrap)
+    return apex[[1, 2, 0]], apex[[2, 0, 1]]
 
 
 def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
@@ -354,46 +386,25 @@ def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError("delta must lie in (0, area)")
-    period = curve.period
-    ts = [float(s0)]
-    step_hint = p * period / q
-    dt_ddelta = 0.0  # the chain start s0 does not move with delta
-    for i in range(q):
-        cm = solve_flotation_chord(curve, ts[-1], delta, hint=ts[-1] + step_hint, bracket_width=period / 8.0)
-        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain
-        dt_ddelta = 1.0 / _cap_area_dt(curve, cm.s, cm.t) + cm.dt_ds * dt_ddelta
-        ts.append(cm.t)
-        if ts[-1] - ts[0] > (p + 1) * period:
-            raise SolverError("carousel chaining overflowed the expected winding")
-    defect = ts[q] - ts[0] - p * period
-    lambdas = []
-    mu = None
-    if q == 3:
-        vx, vy, vz = (curve.derivative(t, 0) for t in ts[:3])
-        try:
-            hat_x = tangent_intersection(curve, ts[1], ts[2])
-            hat_y = tangent_intersection(curve, ts[2], ts[0] + period)
-            hat_z = tangent_intersection(curve, ts[0], ts[1])
-            lambdas = [
-                float(norm2(hat_y - vx) / norm2(vx - hat_z)),
-                float(norm2(hat_z - vy) / norm2(vy - hat_x)),
-                float(norm2(hat_x - vz) / norm2(vz - hat_y)),
-            ]
-        except ParallelElementsError:
-            lambdas = []  # tangent triangle degenerates far from closure
-        mu = (vx + vy + vz) / 3.0
+    chain, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
+    ts = chain[:, 0]
     carousel = Carousel(
         p=p,
         q=q,
         delta=delta,
         s0=float(s0),
-        vertices=ts,
-        closure_defect=float(defect),
-        defect_slope=float(dt_ddelta),
-        lambdas=lambdas,
+        vertices=ts.tolist(),
+        closure_defect=float(ts[q] - ts[0] - p * curve.period),
+        defect_slope=float(dt_ddelta[0]),
     )
-    if mu is not None:
-        carousel.centroid_track.append((float(s0), mu))
+    if q == 3:
+        v = curve.derivative(chain[:3], 0)
+        try:
+            ahead, behind = _tangent_triangles(curve, chain)
+            carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
+        except ParallelElementsError:
+            pass  # tangent triangle degenerates far from closure
+        carousel.centroid_track.append((float(s0), v[:, 0].mean(axis=0)))
     return carousel
 
 
@@ -429,48 +440,31 @@ class CarouselDiagnostics:
     centroid_drift_max: float
     lambda_product_max_dev: float
     medial_residual_max: float
+    closure_defect_max: float
 
 
 def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:
     """Track the 3-chair carousel invariants over a grid of starting points.
 
-    Reports the spread of the tangent-triangle ratios, their product's
-    deviation from 1, the drift of the chord-triangle centroid, and how far
-    the chord vertices sit from the tangent-triangle side midpoints.
+    Chains every start at once (three lane-wise chord solves). Reports the
+    worst closure defect |t_3 - t_0 - period| over the starts, the spread of
+    the tangent-triangle ratios, their product's deviation from 1, the drift
+    of the chord-triangle centroid, and how far the chord vertices sit from
+    the tangent-triangle side midpoints.
     """
     period = curve.period
-    grid = np.arange(n_samples) * (period / n_samples)
-    lambdas = []
-    centroids = []
-    product_dev = 0.0
-    medial = 0.0
-    for s0 in grid:
-        car = build_carousel(curve, 1, 3, delta, s0=s0)
-        if abs(car.closure_defect) > 1e-8 * period:
-            raise DomainError(
-                f"carousel does not close at delta={delta} (defect {car.closure_defect:.3e})"
-            )
-        lambdas.extend(car.lambdas)
-        product_dev = max(product_dev, abs(car.lambdas[0] * car.lambdas[1] * car.lambdas[2] - 1.0))
-        centroids.append(car.centroid_track[0][1])
-        ts = car.vertices
-        vx, vy, vz = (curve.derivative(t, 0) for t in ts[:3])
-        hat_x = tangent_intersection(curve, ts[1], ts[2])
-        hat_y = tangent_intersection(curve, ts[2], ts[0] + period)
-        hat_z = tangent_intersection(curve, ts[0], ts[1])
-        medial = max(
-            medial,
-            float(norm2(vx - 0.5 * (hat_y + hat_z))),
-            float(norm2(vy - 0.5 * (hat_z + hat_x))),
-            float(norm2(vz - 0.5 * (hat_x + hat_y))),
-        )
-    centroids = np.asarray(centroids)
-    drift = float(np.max(norm2(centroids - centroids[0])))
+    starts = np.arange(n_samples) * (period / n_samples)
+    ts, _ = _chains(curve, 1, 3, delta, starts)
+    v = curve.derivative(ts[:3], 0)
+    ahead, behind = _tangent_triangles(curve, ts)
+    lambdas = norm2(ahead - v) / norm2(v - behind)
+    centroids = v.mean(axis=0)
     return CarouselDiagnostics(
-        lambda_report=ConstancyReport.from_values(lambdas),
-        centroid_drift_max=drift,
-        lambda_product_max_dev=float(product_dev),
-        medial_residual_max=medial,
+        lambda_report=ConstancyReport.from_values(lambdas.T.ravel()),
+        centroid_drift_max=float(np.max(norm2(centroids - centroids[0]))),
+        lambda_product_max_dev=float(np.max(np.abs(lambdas.prod(axis=0) - 1.0))),
+        medial_residual_max=float(np.max(norm2(v - 0.5 * (ahead + behind)))),
+        closure_defect_max=float(np.max(np.abs(ts[3] - ts[0] - period))),
     )
 
 

@@ -123,6 +123,5 @@ def polar_of_point(curve, p) -> PolarityResult:
         if len(crossings) < 2:
             raise DomainError("point is not strictly outside the curve (no polar chord)")
         raise SolverError(f"expected 2 tangency roots, found {len(crossings)}")
-    roots = [bracketed_newton(f, df, grid[i], grid[i + 1], grid[i], f_tol=0.0) for i in crossings]
-    a, b = sorted(roots)
+    a, b = np.sort(bracketed_newton(f, df, grid[crossings], grid[crossings + 1], grid[crossings], f_tol=0.0))
     return PolarityResult(pole=tangent_intersection(curve, a, b), chord_params=(float(a), float(b)))

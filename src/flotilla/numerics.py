@@ -20,7 +20,7 @@ def signed_cbrt(x):
 
 
 def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
-    """Integrate a (possibly vector-valued) function over [a, b].
+    """Integrate a scalar function over [a, b].
 
     Locally adaptive Gauss-Legendre of order 8 with a global error budget
     (Gander & Gautschi, BIT 40, 2000). A panel's value is the sum over its
@@ -30,24 +30,22 @@ def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
     ``abs_tol`` absolute, whichever is laxer, and never below rounding level.
     Smooth integrands take one round; a cube-root cusp a few dozen.
 
-    ``f`` must accept an array of abscissae and return an array whose leading
-    axis matches it; trailing axes are integrated componentwise.
+    ``f`` must map an array of abscissae to an array of values.
     """
     if a == b:
-        probe = np.asarray(f(np.array([a])))
-        return np.zeros(probe.shape[1:])
+        return 0.0
     edges = np.linspace(a, b, initial_panels + 1)
     lo, hi = edges[:-1], edges[1:]
     value, err = _halved_panels(f, lo, hi)
     while True:
-        total = value.sum(axis=0)
+        total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
             raise AccuracyError(f"quadrature on [{a}, {b}]: the integrand is not finite")
-        rounding = 50.0 * _EPS * np.abs(value).sum(axis=0).max()
-        tol = max(rel_tol * np.abs(total).max(), abs_tol, rounding)
+        rounding = 50.0 * _EPS * np.abs(value).sum()
+        tol = max(rel_tol * abs(total), abs_tol, rounding)
         if err_sum <= tol:
-            return total
+            return float(total)
         if len(lo) >= MAX_PANELS:
             raise AccuracyError(
                 f"quadrature on [{a}, {b}] did not converge below rel_tol={rel_tol} "
@@ -66,23 +64,19 @@ def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
 
 
 def _halved_panels(f, lo, hi):
-    """Two-half value of every panel and its largest componentwise change from the one-panel value."""
-    n = len(lo)
+    """Two-half value of every panel and its change from the one-panel value."""
     mid = 0.5 * (lo + hi)
-    sums = _gauss_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    whole, left, right = sums.reshape(3, n, *sums.shape[1:])
+    whole, left, right = _gauss_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])).reshape(3, -1)
     value = left + right
-    return value, np.abs(value - whole).reshape(n, -1).max(axis=1)
+    return value, np.abs(value - whole)
 
 
 def _gauss_panels(f, lo, hi):
     """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i], from one call of f."""
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GAUSS_NODES
-    values = np.asarray(f(nodes.ravel()), dtype=float)
-    # contract the node axis, with the components of a vector integrand kept last
-    per_panel = values.reshape(len(lo), len(_GAUSS_NODES), -1).swapaxes(1, 2) @ _GAUSS_WEIGHTS
-    return (per_panel * half[:, None]).reshape(len(lo), *values.shape[1:])
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return (values @ _GAUSS_WEIGHTS) * half
 
 
 def periodic_trapezoid(samples, period):
@@ -133,56 +127,55 @@ class TrigInterpolant:
 
 
 def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
-    """Safeguarded Newton iteration inside a sign-change bracket [lo, hi].
+    """Safeguarded Newton iteration on independent lanes, each inside its own sign-change bracket.
 
-    Falls back to bisection whenever the Newton step leaves the bracket or
-    fails to shrink the residual. ``f(lo)`` and ``f(hi)`` must have opposite
-    signs; convergence is declared on |f| <= f_tol.
+    ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``f`` and
+    ``dfdx`` map the array of per-lane abscissae to per-lane values. Each lane
+    keeps its own bracket and falls back to bisection whenever its Newton step
+    leaves the bracket; a lane freezes once |f| <= f_tol or its step is below
+    ``x_tol``, and the loop ends when every lane has. A 0-d ``x0`` is one lane:
+    ``f`` then receives and returns plain floats, and so does the call.
     """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise SolverError(f"no sign change on bracket [{lo}, {hi}]")
-    x = np.clip(x0, lo, hi)
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
+    scalar = shape == ()
+
+    def lanes(g, u):
+        if scalar:
+            return np.array([g(float(u[0]))], dtype=float)
+        return np.asarray(g(u.reshape(shape)), dtype=float).ravel()
+
+    lo, hi, x0 = (np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0))
+    flo = lanes(f, lo)
+    fhi = lanes(f, hi)
+    no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)
+    if np.any(no_change):
+        i = int(np.argmax(no_change))
+        raise SolverError(f"no sign change on bracket [{lo[i]}, {hi[i]}]")
+    done = (flo == 0.0) | (fhi == 0.0)
+    x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.clip(x0, lo, hi)))
     for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) <= f_tol:
-            return x
-        if np.sign(fx) == np.sign(flo):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        d = dfdx(x)
-        tol = x_tol * max(1.0, abs(x))
-        x_new = x - fx / d if d != 0.0 and np.isfinite(d) else math.nan
+        fx = lanes(f, x)
+        done |= np.abs(fx) <= f_tol
+        if done.all():
+            break
+        active = ~done
+        to_lo = active & (np.sign(fx) == np.sign(flo))
+        to_hi = active & ~to_lo
+        lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
+        hi, fhi = np.where(to_hi, x, hi), np.where(to_hi, fx, fhi)
+        d = lanes(dfdx, x)
+        tol = x_tol * np.maximum(1.0, np.abs(x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = np.where((d != 0.0) & np.isfinite(d), x - fx / d, np.nan)
         # a converged Newton step is taken even when it ends on or just past a
         # bracket end: an earlier iterate at the root may have become that end
-        if not (lo < x_new < hi or abs(x_new - x) <= tol):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol:
-            return x_new
-        x = x_new
-    raise SolverError(f"Newton iteration did not converge (residual {fx:.3e})")
-
-
-def expand_bracket(g, center, width, lo_limit, hi_limit, max_expansions=64):
-    """Grow [center-width, center+width] geometrically until g changes sign.
-
-    The bracket is clipped to (lo_limit, hi_limit); raises SolverError if no
-    sign change is found before the limits are exhausted.
-    """
-    for _ in range(max_expansions):
-        lo = max(center - width, lo_limit)
-        hi = min(center + width, hi_limit)
-        if g(lo) * g(hi) <= 0.0:
-            return lo, hi
-        if lo == lo_limit and hi == hi_limit:
+        step_ok = ((lo < x_new) & (x_new < hi)) | (np.abs(x_new - x) <= tol)
+        x_new = np.where(step_ok, x_new, 0.5 * (lo + hi))
+        done |= active & (np.abs(x_new - x) <= tol)
+        x = np.where(active, x_new, x)
+        if done.all():
             break
-        width *= 2.0
-    raise SolverError(
-        f"no sign change in ({lo_limit}, {hi_limit}) around {center}"
-    )
+    else:
+        worst = float(np.max(np.abs(fx[~done])))
+        raise SolverError(f"Newton iteration did not converge (residual {worst:.3e})")
+    return float(x[0]) if scalar else x.reshape(shape)

@@ -229,6 +229,5 @@ def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
     """Signed defect t(s0 + period) - t(s0) - period after one continuation loop."""
     chords = sweep(curve, kind, delta, n_samples, s0=s0)
     solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
-    h = curve.period / n_samples
-    final = solve(curve, s0 + curve.period, delta, hint=chords[-1].t + h, bracket_width=h)
+    final = solve(curve, s0 + curve.period, delta)
     return final.t - chords[0].t - curve.period

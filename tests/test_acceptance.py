@@ -67,7 +67,9 @@ DELTA_HAT = circle_cone_area(THETA)
 # frozen regression values (first verified run, bump3 = 1 + 0.1 cos 3s at delta = 0.8)
 FROZEN_BUMP3_THM1_CV = 0.4072766058632894
 FROZEN_BUMP3_FIT_RESIDUAL_OVER_DIAMETER = 0.08942784114353963
-FROZEN_BUMP3_BALANCE_PROBE_MAX = 20.2554337665353
+# normalised endpoint balance; the earlier unnormalised form gave 20.2554337665353,
+# which rescaled by k(s) k(t) / (larger term) per probe gives this same value
+FROZEN_BUMP3_BALANCE_PROBE_MAX = 0.9332652899078068
 FROZEN_BUMP3_CUT_CV = 0.04801038862786794
 FROZEN_SYM4_RADON = 0.36128701327095314
 

@@ -16,7 +16,7 @@ from flotilla.chord import (
     sweep,
     tangent_intersection,
 )
-from flotilla.curve import apply_affine, area, det2
+from flotilla.curve import Ellipse, FourierRadial, apply_affine, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
 
 from oracles import (
@@ -223,6 +223,58 @@ class TestSweep:
         chords = sweep(unit_circle, FLOTATION, math.pi / 2, 32)
         assert all(cm.z is None for cm in chords)
         assert all(math.isinf(cm.affine_norm_c) for cm in chords)
+
+
+class TestLaneSweep:
+    """A sweep solves all of its chords in one lane-wise Newton iteration."""
+
+    @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
+    def test_derivative_calls_per_sweep(self, monkeypatch, kind):
+        # deterministic work counter: one chord at a time took about 3.3k
+        # (flotation) and 11.5k (illumination) curve calls for this sweep
+        calls = 0
+        derivative = Ellipse.derivative
+
+        def counting(curve, s, order):
+            nonlocal calls
+            calls += 1
+            return derivative(curve, s, order)
+
+        monkeypatch.setattr(Ellipse, "derivative", counting)
+        chords = sweep(Ellipse(2.0, 1.0), kind, 1.0, 256)
+        assert len(chords) == 256
+        assert calls <= 150
+
+    def test_flat_point_lanes_match_one_lane_solves(self, bump3):
+        # lanes whose tangent is still parallel at s + 1e-9 period: next to the
+        # flat points the cone residual must read -delta_hat, not +inf
+        period = bump3.period
+        chords = sweep(bump3, ILLUMINATION, 0.8, 256)
+        s = np.array([cm.s for cm in chords])
+        d1, d2 = bump3.derivative(s, 1), bump3.derivative(s + 1e-9 * period, 1)
+        flat = np.nonzero(np.abs(det2(d1, d2)) <= 1e-10 * norm2(d1) * norm2(d2))[0]
+        assert len(flat) >= 3
+        for i in flat:
+            assert abs(chords[i].t - solve_silhouette_chord(bump3, s[i], 0.8).t) < 1e-12
+
+    def test_unreachable_lane_raises(self):
+        # the largest cone area below t_par differs by lane on a non-conic body;
+        # a delta_hat between the smallest and the largest is out of reach in some lanes only
+        body = FourierRadial(1.0, (0.0, 0.1))
+        period = body.period
+        s = np.arange(16) * (period / 16)
+        top = cone_area(body, s, antipodal_tangent_param(body, s) - 1e-9 * period)
+        assert top.max() > 1.2 * top.min()
+        assert len(sweep(body, ILLUMINATION, 0.5 * top.min(), 16)) == 16
+        with pytest.raises(SolverError, match="not reachable"):
+            sweep(body, ILLUMINATION, math.sqrt(top.min() * top.max()), 16)
+
+    def test_lanes_match_one_lane_solves(self, ellipse21):
+        chords = sweep(ellipse21, FLOTATION, 1.0, 32)
+        for cm in chords[::5]:
+            one = solve_flotation_chord(ellipse21, cm.s, 1.0)
+            assert one.t == pytest.approx(cm.t, abs=1e-12)
+            assert one.affine_norm_c == pytest.approx(cm.affine_norm_c, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

@@ -305,6 +305,23 @@ class TestSubcommands:
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["lambda_product_max_dev"] < 1e-8
 
+    def test_carousel_closure_defect_reported(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "car"
+        assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "carousel.json").read_text())
+        assert payload["closure_defect_max"] < 1e-8 * 2 * math.pi
+
+    def test_carousel_not_closing_everywhere_fails_check(self, tmp_path):
+        # bump3 closes from s0 = 0 only: a negative result (exit 1), not a config error
+        spec = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        out = tmp_path / "car"
+        assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_CHECK_FAILED
+        payload = json.loads((out / "carousel.json").read_text())
+        assert abs(payload["closure_defect"]) < 1e-10
+        assert payload["closure_defect_max"] > 1e-8 * 2 * math.pi
+
     def test_export_command(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "exp"

@@ -216,7 +216,15 @@ class TestEndpointBalance:
         probes = [0.3, 0.6, 1.5, 1.9, 2.5, 2.9, 3.6, 4.0, 4.6, 5.0, 5.7, 6.1]
         worst = max(abs(endpoint_balance_residual(solve_flotation_chord(bump3, s, 0.8))) for s in probes)
         assert worst > 1e-3
-        assert worst == pytest.approx(20.2554337665353, rel=1e-6)  # frozen regression
+        # frozen regression of the normalised form (20.2554337665353 before normalisation)
+        assert worst == pytest.approx(0.9332652899078068, rel=1e-6)
+
+
+    def test_normalised_on_flat_points(self, bump3, ellipse21):
+        # sin^3/k blew up at bump3's flat points (9.9e31); the normalised form lies in [-2, 2]
+        worst = max(abs(endpoint_balance_residual(cm)) for cm in sweep(bump3, FLOTATION, 0.8, 256))
+        assert math.isfinite(worst) and 1e-3 < worst <= 2.0
+        assert max(abs(endpoint_balance_residual(cm)) for cm in sweep(ellipse21, FLOTATION, 1.0, 256)) < 1e-8
 
 
 class TestCutLength:
@@ -418,11 +426,23 @@ class TestCarousel:
         minus = build_carousel(curve, 1, 3, delta - h, s0=s0).closure_defect
         assert car.defect_slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-8)
 
+    def test_diagnostics_lanes_match_single_chains(self, bump3):
+        # the carousel closes from s0 = 0 but not from other starts
+        delta_star = solve_carousel_delta(bump3, 1, 3)
+        diag = carousel_diagnostics(bump3, delta_star, n_samples=8)
+        chains = [build_carousel(bump3, 1, 3, delta_star, s0=s0) for s0 in np.arange(8) * (TWO_PI / 8)]
+        assert diag.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)
+        assert diag.closure_defect_max > 1e-2
+        lambdas = [lam for c in chains for lam in c.lambdas]
+        assert diag.lambda_report.mean == pytest.approx(np.mean(lambdas), rel=1e-12)
+        assert diag.lambda_report.coefficient_of_variation == pytest.approx(np.std(lambdas) / np.mean(lambdas), rel=1e-9)
+
     def test_wrong_delta_does_not_close(self, unit_circle):
         car = build_carousel(unit_circle, 1, 3, 0.5)
         assert car.closure_defect < -1e-3
-        with pytest.raises(DomainError):
-            carousel_diagnostics(unit_circle, 0.5, n_samples=16)
+        # a carousel that does not close is a measured defect, not an error
+        diag = carousel_diagnostics(unit_circle, 0.5, n_samples=16)
+        assert diag.closure_defect_max == pytest.approx(abs(car.closure_defect), rel=1e-9)
 
 
 class TestHausdorff:

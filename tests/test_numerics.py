@@ -11,7 +11,6 @@ from flotilla.errors import AccuracyError, SolverError
 from flotilla.numerics import (
     TrigInterpolant,
     bracketed_newton,
-    expand_bracket,
     panel_quadrature,
     periodic_trapezoid,
     signed_cbrt,
@@ -21,12 +20,6 @@ from flotilla.numerics import (
 def test_panel_quadrature_polynomial():
     val = panel_quadrature(lambda x: x**3 - 2 * x, 0.0, 2.0)
     assert abs(val - 0.0) < 1e-14
-
-
-def test_panel_quadrature_vector_valued():
-    val = panel_quadrature(lambda x: np.stack([np.sin(x), np.cos(x)], axis=-1), 0.0, np.pi)
-    assert abs(val[0] - 2.0) < 1e-13
-    assert abs(val[1]) < 1e-13
 
 
 def test_panel_quadrature_empty_interval():
@@ -137,11 +130,49 @@ def test_bracketed_newton_requires_sign_change():
         bracketed_newton(lambda x: x**2 + 1, lambda x: 2 * x, -1.0, 1.0, 0.5, f_tol=1e-12)
 
 
-def test_expand_bracket_grows_geometrically():
-    lo, hi = expand_bracket(lambda x: x - 5.0, 0.0, 0.5, -100.0, 100.0)
-    assert lo <= 5.0 <= hi
-    with pytest.raises(SolverError):
-        expand_bracket(lambda x: x + 200.0, 0.0, 0.5, -100.0, 100.0)
+def test_bracketed_newton_solves_independent_lanes():
+    k = np.array([1.0, 2.0, 3.0, 50.0])
+    roots = bracketed_newton(lambda x: x**2 - k, lambda x: 2 * x, np.zeros(4), k + 1.0, 0.5 * (k + 1.0), f_tol=0.0)
+    assert roots.shape == (4,)
+    assert np.max(np.abs(roots - np.sqrt(k))) < 1e-14
+
+
+def test_bracketed_newton_lanes_bisect_on_their_own():
+    # lane 1 has a useless derivative and must bisect; lane 0 converges by Newton and freezes
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.array([x[0] - 0.25, math.atan(x[1] - 0.7)])
+
+    def df(x):
+        return np.array([1.0, 0.0])
+
+    roots = bracketed_newton(f, df, np.zeros(2), np.ones(2), np.array([0.9, 0.9]), f_tol=1e-14)
+    assert roots[0] == 0.25
+    assert abs(roots[1] - 0.7) < 1e-13
+    # after converging, lane 0 stays at its root while lane 1 keeps bisecting
+    assert all(x[0] == 0.25 for x in seen[3:])
+    assert len(seen) > 10
+
+
+def test_bracketed_newton_reports_the_lane_without_sign_change():
+    with pytest.raises(SolverError, match=r"\[2\.0, 3\.0\]"):
+        bracketed_newton(lambda x: x - 1.5, lambda x: np.ones_like(x), np.array([0.0, 2.0]), np.array([3.0, 3.0]),
+                         np.array([1.0, 2.5]), f_tol=1e-14)
+
+
+def test_bracketed_newton_scalar_lane_passes_floats():
+    # a 0-d start is one lane: f sees plain floats (hashable), the result is a float
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return x**3 - 8.0
+
+    root = bracketed_newton(f, lambda x: 3 * x**2, 0.0, 5.0, np.float64(1.0), f_tol=1e-13)
+    assert isinstance(root, float) and abs(root - 2.0) < 1e-14
+    assert set(seen) == {float}
 
 
 @settings(deadline=None, max_examples=100)
