@@ -160,9 +160,8 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
             break
         active = ~done
         to_lo = active & (np.sign(fx) == np.sign(flo))
-        to_hi = active & ~to_lo
         lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
-        hi, fhi = np.where(to_hi, x, hi), np.where(to_hi, fx, fhi)
+        hi = np.where(active & ~to_lo, x, hi)
         d = lanes(dfdx, x)
         tol = x_tol * np.maximum(1.0, np.abs(x))
         with np.errstate(divide="ignore", invalid="ignore"):
