@@ -12,11 +12,13 @@ antiderivative (``ClosedConvexCurve.moments``).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import area, det2, norm2
+from .curve import area, curvature, det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton, signed_cbrt
 
@@ -25,6 +27,8 @@ ILLUMINATION = "illumination"
 
 # tangents at the endpoints are treated as parallel below this relative determinant
 PARALLEL_TOL = 1e-10
+# rounding level of det(u, v) relative to |u| |v|
+_ROUNDING_DET = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -50,6 +54,82 @@ class ChordMap:
     norm_c: float
     affine_norm_c: float
     curve: object = field(repr=False, default=None)
+
+
+def _column(name):
+    """Lazily stacked ChordMap field, one entry per lane."""
+    return functools.cached_property(lambda lanes: np.array([getattr(cm, name) for cm in lanes.rows], dtype=float))
+
+
+class ChordLanes:
+    """The chords of one sweep stacked into arrays, one lane per chord.
+
+    ``apex`` marks the lanes whose end tangents meet; ``z`` is NaN in the
+    others. ``ends(k)`` is the k-th curve derivative at both chord ends,
+    shape (2, lanes, 2), from one curve call per order.
+    """
+
+    def __init__(self, chords):
+        self.rows = [chords] if isinstance(chords, ChordMap) else list(chords)
+        if not self.rows:
+            raise DomainError("no chords given")
+        first = self.rows[0]
+        self.curve, self.kind, self.delta = first.curve, first.kind, first.delta
+        if any(cm.curve is not self.curve or cm.kind != self.kind or cm.delta != self.delta for cm in self.rows):
+            raise DomainError("chords of one sweep expected (same curve, kind and area)")
+        self._ends = {}
+
+    s = _column("s")
+    t = _column("t")
+    x = _column("x")
+    y = _column("y")
+    c = _column("c")
+    alpha = _column("alpha")
+    beta = _column("beta")
+    norm_c = _column("norm_c")
+    affine_norm_c = _column("affine_norm_c")
+
+    @functools.cached_property
+    def apex(self):
+        return np.array([cm.z is not None for cm in self.rows])
+
+    @functools.cached_property
+    def z(self):
+        return np.array([(math.nan, math.nan) if cm.z is None else cm.z for cm in self.rows], dtype=float)
+
+    def ends(self, order):
+        if order not in self._ends:
+            self._ends[order] = _ends(self.curve, self.s, self.t, order)
+        return self._ends[order]
+
+    def curvatures(self):
+        """Euclidean curvature at both chord ends, shape (2, lanes)."""
+        return curvature(self.ends(1), self.ends(2))
+
+
+def lanewise(fn):
+    """Let ``fn(lanes, ...)``, written for the stacked lanes of a sweep, take chords directly.
+
+    The wrapper stacks a list of ChordMaps into ChordLanes. Given a single
+    ChordMap it runs the one-lane case and returns that lane's entry of
+    every per-lane result (a list, an array, or a tuple of them).
+    """
+
+    @functools.wraps(fn)
+    def call(chords, *args, **kwargs):
+        lanes = chords if isinstance(chords, ChordLanes) else ChordLanes(chords)
+        out = fn(lanes, *args, **kwargs)
+        return _first_lane(out) if isinstance(chords, ChordMap) else out
+
+    return call
+
+
+def _first_lane(out):
+    if isinstance(out, tuple):
+        return tuple(_first_lane(v) for v in out)
+    if isinstance(out, np.ndarray) and out.ndim == 1:
+        return float(out[0])
+    return out[0]
 
 
 def _pair(s, t):
@@ -198,13 +278,18 @@ def antipodal_tangent_param(curve, s):
     d1 = curve.derivative(s, 1)
     # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
     period = curve.period
+    x0 = s + 0.5 * period
+    # stop at the rounding level of det: where the antipode is a flat point,
+    # det ~ (t - t_par)^3 fixes t_par only to about eps^(1/3) and Newton
+    # converges linearly toward it
+    f_tol = _ROUNDING_DET * norm2(d1) * norm2(curve.derivative(x0, 1))
     return bracketed_newton(
         lambda t: det2(d1, curve.derivative(t, 1)),
         lambda t: det2(d1, curve.derivative(t, 2)),
         s + 0.02 * period,
         s + 0.98 * period,
-        s + 0.5 * period,
-        f_tol=0.0,
+        x0,
+        f_tol=f_tol,
     )
 
 

@@ -157,14 +157,17 @@ class DeltaBundle:
     illum_centroid: list | None = None
 
 
+def _set_kappa_prime(samples, values):
+    for sample, value in zip(samples, values.tolist()):
+        sample.kappa_prime = value
+
+
 def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     chords_f = chord.sweep(curve, chord.FLOTATION, delta, n_samples)
-    flotation = [floatgeom.flotation_point(cm) for cm in chords_f]
-    buoyancy = [floatgeom.buoyancy_point(cm, delta) for cm in chords_f]
-    for sample, cm in zip(flotation, chords_f):
-        sample.kappa_prime = floatgeom.kappa_prime_flotation(cm)
-    for sample, cm in zip(buoyancy, chords_f):
-        sample.kappa_prime = floatgeom.kappa_prime_buoyancy(cm, delta)
+    flotation = floatgeom.flotation_point(chords_f)
+    buoyancy = floatgeom.buoyancy_point(chords_f, delta)
+    _set_kappa_prime(flotation, floatgeom.kappa_prime_flotation(chords_f))
+    _set_kappa_prime(buoyancy, floatgeom.kappa_prime_buoyancy(chords_f, delta))
     report, lam = homothety.chord_cube_report(curve, delta, chord.FLOTATION, chords=chords_f)
     homothetic = report.coefficient_of_variation < _constancy_threshold(curve)
     bundle = DeltaBundle(
@@ -182,38 +185,49 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     if delta_hat is not None:
         bundle.delta_hat = delta_hat
         bundle.illum_chords = chord.sweep(curve, chord.ILLUMINATION, delta_hat, n_samples)
-        bundle.illumination = [illumgeom.illumination_point(cm) for cm in bundle.illum_chords]
-        bundle.illum_centroid = [
-            illumgeom.illumination_centroid_point(cm, delta_hat) for cm in bundle.illum_chords
-        ]
+        bundle.illumination = illumgeom.illumination_point(bundle.illum_chords)
+        bundle.illum_centroid = illumgeom.illumination_centroid_point(bundle.illum_chords, delta_hat)
     return bundle
 
 
 # ---------------------------------------------------------------------------
 # verification checks
+#
+# Each check returns the statistic's name, its value and threshold, and a
+# status: "fail" when the value reaches the threshold, "skipped" (value None,
+# with a reason) when the check does not apply to the body or the run.
+
+PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
+
+
+def _measured(statistic, value, threshold):
+    status = PASS if value < threshold else FAIL
+    return {"statistic": statistic, "value": float(value), "threshold": float(threshold), "status": status}
+
+
+def _skipped(statistic, threshold, reason):
+    return {"statistic": statistic, "value": None, "threshold": float(threshold), "status": SKIPPED, "reason": reason}
 
 
 def _tangency_residual(samples):
-    worst = 0.0
-    for smp in samples:
-        cm = smp.chord
-        norm_t = norm2(smp.tangent)
-        if norm_t == 0.0:
-            continue  # vertex singularity: tangency is vacuous
-        worst = max(worst, abs(det2(smp.tangent, cm.c)) / (norm_t * cm.norm_c))
-    return worst
+    tangent = np.array([smp.tangent for smp in samples])
+    c = np.array([smp.chord.c for smp in samples])
+    norm_c = np.array([smp.chord.norm_c for smp in samples])
+    norm_t = norm2(tangent)
+    live = norm_t != 0.0  # vertex singularities: tangency is vacuous
+    residual = np.abs(det2(tangent[live], c[live])) / (norm_t[live] * norm_c[live])
+    return float(residual.max(initial=0.0))
 
 
 def _check_chord_cube(curve, bundle, tol):
     tol = tol if tol is not None else _constancy_threshold(curve)
-    cv = bundle.chord_cube_stats.coefficient_of_variation
-    return "cv_affine_chord_cubed", cv, tol, cv < tol
+    return _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
 
 
 def _check_endpoint_balance(curve, bundle, tol):
     tol = tol if tol is not None else 1e-8
-    worst = max(abs(homothety.endpoint_balance_residual(cm)) for cm in bundle.chords)
-    return "max_abs_endpoint_balance_residual", worst, tol, worst < tol
+    worst = float(np.max(np.abs(homothety.endpoint_balance_residual(bundle.chords))))
+    return _measured("max_abs_endpoint_balance_residual", worst, tol)
 
 
 def _check_omega(curve, bundle, tol):
@@ -221,7 +235,7 @@ def _check_omega(curve, bundle, tol):
     res = floatgeom.omega_identity_residual(
         curve, bundle.delta, len(bundle.chords), chords=bundle.chords
     )
-    return "omega_identity_rel_residual", res, tol, res < tol
+    return _measured("omega_identity_rel_residual", res, tol)
 
 
 def _check_dupin(curve, bundle, tol):
@@ -230,18 +244,17 @@ def _check_dupin(curve, bundle, tol):
     if bundle.illumination is not None:
         families += [bundle.illumination, bundle.illum_centroid]
     worst = max(_tangency_residual(f) for f in families)
-    return "max_tangency_residual", worst, tol, worst < tol
+    return _measured("max_tangency_residual", worst, tol)
 
 
 def _check_affine_normal(curve, bundle, tol):
     tol = tol if tol is not None else 1.0
-    worst = 0.0
-    for cm in bundle.chords:
-        angle, mag = floatgeom.buoyancy_affine_normal_check(cm, bundle.delta)
-        if math.isnan(angle):
-            continue
-        worst = max(worst, angle / 1e-6, mag / 1e-5)
-    return "worst_affine_normal_ratio", worst, tol, worst < tol
+    angle, mag = floatgeom.buoyancy_affine_normal_check(bundle.chords, bundle.delta)
+    live = ~np.isnan(angle)
+    if not live.any():
+        return _skipped("worst_affine_normal_ratio", tol, "no chord has intersecting end tangents")
+    worst = float(np.max(np.maximum(angle[live] / 1e-6, mag[live] / 1e-5)))
+    return _measured("worst_affine_normal_ratio", worst, tol)
 
 
 def _check_cut_length(curve, bundle, tol):
@@ -249,36 +262,38 @@ def _check_cut_length(curve, bundle, tol):
     rep = homothety.affine_cut_length_report(
         curve, bundle.delta, chords=bundle.chords
     )
-    cv = rep.coefficient_of_variation
-    return "cv_affine_cut_length", cv, tol, cv < tol
+    return _measured("cv_affine_cut_length", rep.coefficient_of_variation, tol)
 
 
 def _check_duality(curve, bundle, tol):
     tol = tol if tol is not None else 1e-6
-    if not bundle.homothetic or bundle.delta_hat is None or bundle.illum_chords is None:
-        return "duality_not_in_homothetic_regime", 0.0, tol, True
+    if not bundle.homothetic:
+        return _skipped("duality_not_in_homothetic_regime", tol, "the cubed affine chord length is not constant")
+    if bundle.illum_chords is None:
+        return _skipped(
+            "duality_not_in_homothetic_regime", tol,
+            f"the implied ratio {bundle.implied_lambda:.6g} is at most 2/3, so there is no dual cone area",
+        )
     worst, _ = homothety.duality_pointwise_check(
         curve, bundle.delta, chords=bundle.chords, illum_chords=bundle.illum_chords
     )
     pts = np.array([s.point for s in bundle.flotation])
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
-    value = worst / diameter
-    return "max_pole_mismatch_over_diameter", value, tol, value < tol
+    return _measured("max_pole_mismatch_over_diameter", worst / diameter, tol)
 
 
 def _check_petty(curve, bundle, tol):
     tol = tol if tol is not None else _constancy_threshold(curve)
-    cv = homothety.petty_condition_report(curve).coefficient_of_variation
-    return "cv_petty_condition", cv, tol, cv < tol
+    return _measured("cv_petty_condition", homothety.petty_condition_report(curve).coefficient_of_variation, tol)
 
 
 def _check_radon(curve, bundle, tol):
     tol = tol if tol is not None else 1e-9
     try:
         worst = homothety.radon_check(curve, n_samples=128)
-    except DomainError:
-        return "radon_requires_origin_symmetry", -1.0, tol, False
-    return "max_radon_residual", worst, tol, worst < tol
+    except DomainError as exc:
+        return _skipped("radon_requires_origin_symmetry", tol, str(exc))
+    return _measured("max_radon_residual", worst, tol)
 
 
 def _check_affine_sphere(curve, bundle, tol):
@@ -289,8 +304,7 @@ def _check_affine_sphere(curve, bundle, tol):
     normals = affine_normal(curve, grid)
     fit = homothety.proper_affine_sphere_residual(pts, normals)
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
-    value = fit.rms_distance / diameter
-    return "affine_normal_concurrency_rms_over_diameter", value, tol, value < tol
+    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / diameter, tol)
 
 
 CHECKS = {
@@ -306,29 +320,29 @@ CHECKS = {
     "affine_sphere": _check_affine_sphere,
 }
 
+_SEVERITY = {SKIPPED: 0, PASS: 1, FAIL: 2}
+
+
+def _severity(entry):
+    """Order of records across deltas: a failure over a pass over a skip, then value over threshold."""
+    if entry["status"] == SKIPPED:
+        return (0, 0.0)
+    return (_SEVERITY[entry["status"]], entry["value"] / max(entry["threshold"], 1e-300))
+
 
 def run_checks(curve, label, bundles, checks, overrides):
-    """One record per requested check, aggregated worst-case over deltas."""
+    """One record per requested check, aggregated worst-case over deltas.
+
+    ``pass`` is false only for a failed check; a skipped record says why in
+    ``reason``.
+    """
     records = []
     for name in checks:
-        tol = overrides.get(name)
-        worst = None
+        entries = []
         for bundle in bundles:
-            statistic, value, threshold, ok = CHECKS[name](curve, bundle, tol)
-            entry = {
-                "check": name,
-                "curve": label,
-                "delta": bundle.delta,
-                "statistic": statistic,
-                "value": float(value),
-                "threshold": float(threshold),
-                "pass": bool(ok),
-            }
-            if worst is None or (not ok and worst["pass"]) or (
-                ok == worst["pass"] and value / max(threshold, 1e-300) > worst["value"] / max(worst["threshold"], 1e-300)
-            ):
-                worst = entry
-        records.append(worst)
+            result = CHECKS[name](curve, bundle, overrides.get(name))
+            entries.append({"check": name, "curve": label, "delta": bundle.delta, **result, "pass": result["status"] != FAIL})
+        records.append(max(entries, key=_severity))
     return records
 
 
@@ -402,16 +416,14 @@ def report_schema():
 
 
 def write_report(path, label, deltas, n_samples, records):
-    import jsonschema
-
+    """Write report.json (shape in report_schema.json); skipped records do not count against ``passed``."""
     payload = {
         "curve": label,
         "deltas": [float(d) for d in deltas],
         "n_samples": int(n_samples),
-        "passed": all(r["pass"] for r in records),
+        "passed": all(r["status"] != FAIL for r in records),
         "records": records,
     }
-    jsonschema.validate(payload, report_schema())
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -471,9 +483,11 @@ def cmd_run(config: RunConfig, do_checks=True):
     records = run_checks(curve, label, bundles, config.checks, config.tolerances_override)
     payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records)
     for rec in records:
-        status = "PASS" if rec["pass"] else "FAIL"
+        if rec["status"] == SKIPPED:
+            print(f"[SKIP] {rec['check']}: {rec['reason']} (delta {rec['delta']:.6g})")
+            continue
         print(
-            f"[{status}] {rec['check']}: {rec['statistic']} = {rec['value']:.6g} "
+            f"[{rec['status'].upper()}] {rec['check']}: {rec['statistic']} = {rec['value']:.6g} "
             f"(threshold {rec['threshold']:.3g}, delta {rec['delta']:.6g})"
         )
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED

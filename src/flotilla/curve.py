@@ -263,8 +263,11 @@ def evaluate(curve, s, order=0):
 
 def euclidean_curvature(curve, s):
     """Oriented curvature det(g', g'')/|g'|^3; positive on accepted curves."""
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
+    return curvature(curve.derivative(s, 1), curve.derivative(s, 2))
+
+
+def curvature(d1, d2):
+    """Oriented curvature from the first and second parameter derivatives."""
     speed = norm2(d1)
     if np.any(speed == 0.0):
         raise SingularParametrizationError("zero tangent vector")
@@ -288,16 +291,26 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
         raise DomainError("require s0 <= s1 <= s0 + period")
     if s0 == s1:
         return 0.0
-    coarse = np.linspace(s0, s1, 17)
+    return float(affine_arclengths(curve, np.linspace(s0, s1, 5), rel_tol=rel_tol, abs_tol=abs_tol).sum())
+
+
+def affine_arclengths(curve, edges, rel_tol=1e-12, abs_tol=0.0):
+    """Affine arc length of every interval between consecutive increasing edges, in one adaptive pass.
+
+    The error budget is global: ``rel_tol`` is relative to the affine
+    length of the whole range.
+    """
+    edges = np.asarray(edges, dtype=float)
+    coarse = np.linspace(edges[0], edges[-1], 17)
     scale = float(det2(curve.derivative(coarse, 1), curve.derivative(coarse, 2)).max())
 
     def integrand(u):
-        d = det2(curve.derivative(np.atleast_1d(u), 1), curve.derivative(np.atleast_1d(u), 2))
+        d = det2(curve.derivative(u, 1), curve.derivative(u, 2))
         if np.any(d < -1e-12 * max(scale, 0.0)):
             raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
 
-    return float(panel_quadrature(integrand, s0, s1, rel_tol=rel_tol, abs_tol=abs_tol))
+    return panel_quadrature(integrand, edges, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 def affine_curvature(curve, s):

@@ -1,8 +1,10 @@
 """Flotation boundary and buoyancy (cap-centroid) curve of a convex body.
 
-Every construction here is a pointwise transform of a solved ChordMap; the
+Every construction here is a pointwise transform of solved chords; the
 tangents and curvatures are closed forms in the endpoint data, so a sweep of
 chords yields a sweep of derived-curve samples with no extra differentiation.
+Each transform runs on all lanes of a sweep at once (one curve call per
+derivative order at both chord ends); a single ChordMap is the one-lane case.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import FLOTATION, ChordMap, arc_moments, sweep
-from .curve import area, det2, euclidean_curvature, norm2
+from .chord import FLOTATION, ChordLanes, ChordMap, arc_moments, lanewise, sweep
+from .curve import area, det2, norm2
 from .errors import DomainError
 from .numerics import periodic_trapezoid, signed_cbrt
 
@@ -45,92 +47,107 @@ class DerivedCurveSample:
     chord: ChordMap | None = None
 
 
-def _require_kind(cm, kind):
-    if cm.kind != kind:
-        raise DomainError(f"expected a {kind} chord, got {cm.kind}")
+def _require_kind(lanes, kind):
+    if lanes.kind != kind:
+        raise DomainError(f"expected a {kind} chord, got {lanes.kind}")
 
 
-def flotation_point(cm: ChordMap) -> DerivedCurveSample:
+def _require_delta(lanes, delta, name):
+    if not math.isclose(delta, lanes.delta, rel_tol=1e-9):
+        raise DomainError(f"{name} does not match the chord's area")
+
+
+def _samples(family, lanes, points, tangents, kappas):
+    """DerivedCurveSample rows of the lanes from their stacked columns."""
+    return [
+        DerivedCurveSample(family, cm.s, point, tangent, kappa, chord=cm)
+        for cm, point, tangent, kappa in zip(lanes.rows, points, tangents, kappas.tolist())
+    ]
+
+
+@lanewise
+def flotation_point(lanes):
     """Midpoint parametrization of the flotation boundary with its curvature.
 
     At vertex singularities (parallel endpoint tangents) the tangent vector
     vanishes and the curvature is reported as NaN.
     """
-    _require_kind(cm, FLOTATION)
-    point = 0.5 * (cm.x + cm.y)
-    if cm.z is None:
-        return DerivedCurveSample(FLOTATION_BOUNDARY, cm.s, point, np.zeros(2), math.nan, chord=cm)
-    curve = cm.curve
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    v = det2(d1, d2)
-    q = det2(cm.c, d2)
-    tangent = cm.c * (v / (2.0 * q))
-    kappa = cm.affine_norm_c**3 / cm.norm_c**3
-    return DerivedCurveSample(FLOTATION_BOUNDARY, cm.s, point, tangent, float(kappa), chord=cm)
+    _require_kind(lanes, FLOTATION)
+    c = lanes.c
+    d1, d2 = lanes.ends(1)
+    tangent = c * (det2(d1, d2) / (2.0 * det2(c, d2)))[:, None]
+    kappa = lanes.affine_norm_c**3 / lanes.norm_c**3
+    apex = lanes.apex
+    return _samples(
+        FLOTATION_BOUNDARY,
+        lanes,
+        0.5 * (lanes.x + lanes.y),
+        np.where(apex[:, None], tangent, 0.0),
+        np.where(apex, kappa, math.nan),
+    )
 
 
-def buoyancy_point(cm: ChordMap, delta: float) -> DerivedCurveSample:
-    """Centroid of the cut-off cap with tangent and curvature closed forms."""
-    _require_kind(cm, FLOTATION)
-    if not math.isclose(delta, cm.delta, rel_tol=1e-9):
-        raise DomainError("delta does not match the chord's cut-off area")
-    curve = cm.curve
-    origin, x, y, dm = arc_moments(curve, cm.s, cm.t)
+def _buoyancy_frame(lanes, delta):
+    """Cap centroid, tangent and curvature of every lane."""
+    origin, x, y, dm = arc_moments(lanes.curve, lanes.s, lanes.t)
     # first moment about o: the arc's share plus the closing chord from y to x
-    moment = dm[1:] / 3.0 - det2(x, y) * (x + y) / 6.0
-    point = origin + moment / delta
-    p = det2(cm.c, curve.derivative(cm.s, 1))
-    tangent = cm.c * (-p / (6.0 * delta))
-    kappa = 12.0 * delta / cm.norm_c**3
-    return DerivedCurveSample(BUOYANCY_CURVE, cm.s, point, tangent, float(kappa), chord=cm)
+    moment = dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
+    p = det2(lanes.c, lanes.ends(1)[0])
+    tangent = lanes.c * (-p / (6.0 * delta))[:, None]
+    return origin + moment / delta, tangent, 12.0 * delta / lanes.norm_c**3
 
 
-def kappa_prime_flotation(cm: ChordMap, curve=None) -> float:
-    """Arc-length derivative of the flotation-boundary curvature.
+@lanewise
+def buoyancy_point(lanes, delta):
+    """Centroid of the cut-off cap with tangent and curvature closed forms."""
+    _require_kind(lanes, FLOTATION)
+    _require_delta(lanes, delta, "delta")
+    return _samples(BUOYANCY_CURVE, lanes, *_buoyancy_frame(lanes, delta))
+
+
+@lanewise
+def kappa_prime_flotation(lanes):
+    """Arc-length derivative of the flotation-boundary curvature; NaN without an apex.
 
     Note: the second term uses k(s)/sin^3(a) - k(t)/sin^3(b); the often-quoted
     form with the reciprocal fractions fails the finite-difference oracle on
     non-homothetic bodies (both forms vanish together in the homothetic case).
     """
-    curve = curve if curve is not None else cm.curve
-    if cm.z is None:
-        return math.nan
-    cot_a = 1.0 / math.tan(cm.alpha)
-    cot_b = 1.0 / math.tan(cm.beta)
-    u = cot_a + cot_b
-    v = cot_a - cot_b
-    ks = float(euclidean_curvature(curve, cm.s))
-    kt = float(euclidean_curvature(curve, cm.t))
-    sa = math.sin(cm.alpha)
-    sb = math.sin(cm.beta)
-    return 24.0 * v / (u**2 * cm.norm_c**2) - 8.0 * (ks / sa**3 - kt / sb**3) / (
-        u**3 * cm.norm_c
-    )
+    alpha, beta, norm_c = lanes.alpha, lanes.beta, lanes.norm_c
+    ks, kt = lanes.curvatures()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot_a = 1.0 / np.tan(alpha)
+        cot_b = 1.0 / np.tan(beta)
+        u = cot_a + cot_b
+        v = cot_a - cot_b
+        value = 24.0 * v / (u**2 * norm_c**2) - 8.0 * (ks / np.sin(alpha) ** 3 - kt / np.sin(beta) ** 3) / (
+            u**3 * norm_c
+        )
+    return np.where(lanes.apex, value, math.nan)
 
 
-def kappa_prime_buoyancy(cm: ChordMap, delta: float) -> float:
+@lanewise
+def kappa_prime_buoyancy(lanes, delta):
     """Arc-length derivative of the buoyancy-curve curvature."""
-    cot_a = 1.0 / math.tan(cm.alpha)
-    cot_b = 1.0 / math.tan(cm.beta)
-    return 216.0 * delta**2 * (cot_a - cot_b) / cm.norm_c**6
+    with np.errstate(divide="ignore"):
+        cot_a = 1.0 / np.tan(lanes.alpha)
+        cot_b = 1.0 / np.tan(lanes.beta)
+    return 216.0 * delta**2 * (cot_a - cot_b) / lanes.norm_c**6
 
 
-def _chord_chain(cm: ChordMap):
-    """First and second s-derivatives of the chord frame (t', t'', c-dot, ...)."""
-    curve = cm.curve
-    s, t = cm.s, cm.t
-    xd1, xd2, xd3 = (curve.derivative(s, k) for k in (1, 2, 3))
-    yd1, yd2 = curve.derivative(t, 1), curve.derivative(t, 2)
-    c = cm.c
+def _chord_chain(lanes):
+    """First and second s-derivatives of the chord frame (t', t'', c-dot, ...) of every lane."""
+    (xd1, yd1), (xd2, yd2) = lanes.ends(1), lanes.ends(2)
+    xd3 = lanes.curve.derivative(lanes.s, 3)
+    c = lanes.c
     p = det2(c, xd1)
     q = det2(c, yd1)
     t1 = -p / q
-    cd1 = yd1 * t1 - xd1
+    cd1 = yd1 * t1[:, None] - xd1
     p_dot = det2(cd1, xd1) + det2(c, xd2)
     q_dot = det2(cd1, yd1) + t1 * det2(c, yd2)
     t2 = -(p_dot * q - p * q_dot) / q**2
-    cd2 = yd2 * t1**2 + yd1 * t2 - xd2
+    cd2 = yd2 * (t1**2)[:, None] + yd1 * t2[:, None] - xd2
     p_ddot = det2(cd2, xd1) + 2.0 * det2(cd1, xd2) + det2(c, xd3)
     return {
         "p": p, "q": q, "t1": t1, "t2": t2,
@@ -139,47 +156,49 @@ def _chord_chain(cm: ChordMap):
     }
 
 
-def buoyancy_derivatives(cm: ChordMap, delta: float):
+@lanewise
+def buoyancy_derivatives(lanes, delta):
     """Exact first, second and third s-derivatives of the buoyancy curve point."""
-    ch = _chord_chain(cm)
-    g = -ch["p"] / (6.0 * delta)
-    g_dot = -ch["p_dot"] / (6.0 * delta)
-    g_ddot = -ch["p_ddot"] / (6.0 * delta)
-    r2d1 = cm.c * g
-    r2d2 = ch["cd1"] * g + cm.c * g_dot
-    r2d3 = ch["cd2"] * g + 2.0 * ch["cd1"] * g_dot + cm.c * g_ddot
+    ch = _chord_chain(lanes)
+    g = (-ch["p"] / (6.0 * delta))[:, None]
+    g_dot = (-ch["p_dot"] / (6.0 * delta))[:, None]
+    g_ddot = (-ch["p_ddot"] / (6.0 * delta))[:, None]
+    c = lanes.c
+    r2d1 = c * g
+    r2d2 = ch["cd1"] * g + c * g_dot
+    r2d3 = ch["cd2"] * g + 2.0 * ch["cd1"] * g_dot + c * g_ddot
     return r2d1, r2d2, r2d3
 
 
-def buoyancy_affine_normal(cm: ChordMap, delta: float):
-    """Affine normal vector of the buoyancy curve at this chord's sample."""
-    r2d1, r2d2, r2d3 = buoyancy_derivatives(cm, delta)
-    d = det2(r2d1, r2d2)
-    d_dot = det2(r2d1, r2d3)
+@lanewise
+def buoyancy_affine_normal(lanes, delta):
+    """Affine normal vector of the buoyancy curve at every lane's sample."""
+    r2d1, r2d2, r2d3 = buoyancy_derivatives(lanes, delta)
+    d = det2(r2d1, r2d2)[:, None]
+    d_dot = det2(r2d1, r2d3)[:, None]
     return r2d2 * d ** (-2.0 / 3.0) - r2d1 * (d_dot / 3.0) * d ** (-5.0 / 3.0)
 
 
-def buoyancy_affine_normal_check(cm: ChordMap, delta: float):
+@lanewise
+def buoyancy_affine_normal_check(lanes, delta):
     """Angle and relative magnitude error against (8 dbar^(1/3) / ||c||^3)(r1 - z).
 
-    Returns (nan, nan) when the endpoint tangents are parallel and the apex z
-    does not exist (the check is skipped).
+    Both are NaN in the lanes whose endpoint tangents are parallel, where
+    the apex z does not exist (the check is skipped there).
     """
-    if cm.z is None:
-        return math.nan, math.nan
-    normal = buoyancy_affine_normal(cm, delta)
-    r1 = 0.5 * (cm.x + cm.y)
-    w = r1 - cm.z
-    angle = math.atan2(abs(det2(normal, w)), float(np.dot(normal, w)))
+    normal = buoyancy_affine_normal(lanes, delta)
+    w = 0.5 * (lanes.x + lanes.y) - lanes.z
+    angle = np.arctan2(np.abs(det2(normal, w)), np.sum(normal * w, axis=-1))
     delta_bar = 1.5 * delta
-    expected = 8.0 * delta_bar ** (1.0 / 3.0) / cm.affine_norm_c**3 * norm2(w)
-    magnitude_err = abs(norm2(normal) - expected) / expected
-    return angle, float(magnitude_err)
+    expected = 8.0 * delta_bar ** (1.0 / 3.0) / lanes.affine_norm_c**3 * norm2(w)
+    magnitude_err = np.abs(norm2(normal) - expected) / expected
+    apex = lanes.apex
+    return np.where(apex, angle, math.nan), np.where(apex, magnitude_err, math.nan)
 
 
-def _chord_turning_is_monotone(chords):
-    angles = np.unwrap([math.atan2(cm.c[1], cm.c[0]) for cm in chords])
-    return np.all(np.diff(angles) > 0.0)
+def _chord_turning_is_monotone(lanes):
+    c = lanes.c
+    return np.all(np.diff(np.unwrap(np.arctan2(c[:, 1], c[:, 0]))) > 0.0)
 
 
 def flotation_body_area(curve, delta, n_samples, chords=None):
@@ -189,28 +208,22 @@ def flotation_body_area(curve, delta, n_samples, chords=None):
     one period of the chord sweep. A non-simple envelope only warns; the
     formula's value is still returned.
     """
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
-    if not _chord_turning_is_monotone(chords):
+    lanes = ChordLanes(chords if chords is not None else sweep(curve, FLOTATION, delta, n_samples))
+    if not _chord_turning_is_monotone(lanes):
         warnings.warn(
             "flotation envelope tangent turning is not monotone; "
             "the envelope self-intersects and the area is a signed value",
             EnvelopeWarning,
         )
-    vals = np.array([det2(-cm.c, curve.derivative(cm.s, 1)) for cm in chords])
-    deficit = 0.25 * periodic_trapezoid(vals, curve.period)
+    deficit = 0.25 * periodic_trapezoid(det2(-lanes.c, lanes.ends(1)[0]), curve.period)
     return area(curve) - float(deficit)
 
 
 def buoyancy_affine_perimeter(curve, delta, n_samples, chords=None):
     """Affine arc length of the buoyancy curve from its curvature samples."""
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
-    vals = []
-    for cm in chords:
-        sample = buoyancy_point(cm, delta)
-        vals.append(signed_cbrt(sample.kappa) * norm2(sample.tangent))
-    return float(periodic_trapezoid(np.array(vals), curve.period))
+    lanes = ChordLanes(chords if chords is not None else sweep(curve, FLOTATION, delta, n_samples))
+    _, tangent, kappa = _buoyancy_frame(lanes, delta)
+    return float(periodic_trapezoid(signed_cbrt(kappa) * norm2(tangent), curve.period))
 
 
 def omega_identity_residual(curve, delta, n_samples, chords=None):

@@ -17,18 +17,19 @@ import numpy as np
 from .chord import (
     FLOTATION,
     ILLUMINATION,
+    ChordLanes,
     _cap_area_dt,
     _flotation_dt_ds,
     _flotation_t,
+    lanewise,
     sweep,
     tangent_intersection,
 )
 from .curve import (
     SampledPeriodic,
-    affine_arclength,
+    affine_arclengths,
     area,
     det2,
-    euclidean_curvature,
     norm2,
 )
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
@@ -173,76 +174,81 @@ def duality_pointwise_check(curve, delta, n_samples=256, lam=None, chords=None, 
             _, lam = chord_cube_report(curve, delta, FLOTATION, chords=flot)
         delta_hat, _ = duality_parameters(delta, lam)
         illum_chords = sweep(curve, ILLUMINATION, delta_hat, n_samples)
-    max_err = 0.0
-    skipped = 0
-    for cm_f, cm_i in zip(flot, illum_chords):
-        if cm_f.z is None or cm_i.z is None:
-            skipped += 1
-            continue
-        max_err = max(max_err, float(norm2(cm_f.z - cm_i.z)))
-    return max_err, skipped
+    flot, illum = ChordLanes(flot), ChordLanes(illum_chords)
+    both = flot.apex & illum.apex
+    err = norm2(flot.z[both] - illum.z[both])
+    return float(err.max(initial=0.0)), int(np.count_nonzero(~both))
 
 
 def _normalised_difference(a, b):
-    scale = max(abs(a), abs(b))
-    return (a - b) / scale if scale > 0.0 else 0.0
+    scale = np.maximum(np.abs(a), np.abs(b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(scale > 0.0, (a - b) / scale, 0.0)
 
 
-def endpoint_balance_residual(cm, curve=None) -> float:
+@lanewise
+def endpoint_balance_residual(lanes):
     """Endpoint balance sin^3(alpha) k(t) - sin^3(beta) k(s), divided by the larger term.
 
     This is the condition sin^3(alpha)/k(s) = sin^3(beta)/k(t) multiplied by
     k(s) k(t), so it stays finite where a curvature vanishes; the value lies
     in [-2, 2]. Also evaluated through the translation-invariant
-    normal-component form; the two must agree to 1e-10 or an AccuracyError
-    is raised.
+    normal-component form; the two must agree to 1e-10 in every lane or an
+    AccuracyError is raised.
     """
-    curve = curve if curve is not None else cm.curve
-    ks = float(euclidean_curvature(curve, cm.s))
-    kt = float(euclidean_curvature(curve, cm.t))
-    value = _normalised_difference(math.sin(cm.alpha) ** 3 * kt, math.sin(cm.beta) ** 3 * ks)
+    ks, kt = lanes.curvatures()
+    value = _normalised_difference(np.sin(lanes.alpha) ** 3 * kt, np.sin(lanes.beta) ** 3 * ks)
     # independent form: cubed normal components of the chord at both endpoints
     # (the common factor |c|^3 cancels in the ratio)
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    n_s = np.array([-d1[1], d1[0]]) / norm2(d1)
-    n_t = np.array([-d2[1], d2[0]]) / norm2(d2)
-    alt = _normalised_difference(float(np.dot(n_s, cm.c)) ** 3 * kt, -float(np.dot(n_t, cm.c)) ** 3 * ks)
-    if abs(value - alt) > 1e-10:
+    d1, d2 = lanes.ends(1)
+    c = lanes.c
+    alt = _normalised_difference((det2(d1, c) / norm2(d1)) ** 3 * kt, -((det2(d2, c) / norm2(d2)) ** 3) * ks)
+    if np.any(np.abs(value - alt) > 1e-10):
         raise AccuracyError("angle-form and normal-form residuals disagree")
     return value
 
 
-def affine_cut_rate(cm, curve=None) -> float:
+@lanewise
+def affine_cut_rate(lanes):
     """Closed-form s-derivative of the affine arc length cut off by the chord."""
-    curve = curve if curve is not None else cm.curve
-    ks = float(euclidean_curvature(curve, cm.s))
-    kt = float(euclidean_curvature(curve, cm.t))
-    speed = float(norm2(curve.derivative(cm.s, 1)))
-    sa = math.sin(cm.alpha)
-    sb = math.sin(cm.beta)
+    ks, kt = lanes.curvatures()
+    speed = norm2(lanes.ends(1)[0])
+    sa = np.sin(lanes.alpha)
+    sb = np.sin(lanes.beta)
     return speed * sa * (signed_cbrt(kt) / sb - signed_cbrt(ks) / sa)
 
 
-def affine_cut_length_report(curve, delta, n_samples=256, chords=None, rel_tol=1e-9) -> ConstancyReport:
-    """Constancy of the affine arc length of the boundary cut off by the sweep.
+def affine_cut_lengths(curve, chords, rel_tol=1e-12):
+    """Affine arc length of the boundary cut off by every chord of a sweep, in one pass.
 
-    Computed incrementally along the sweep: one full integral for the first
-    chord, then small endpoint increments, so only a handful of sub-integrals
-    straddle any flat-point cusp of the integrand.
+    The chord ends, reduced to one period from the smallest s, are merged into
+    one breakpoint array; one adaptive quadrature gives the affine length
+    between consecutive breakpoints, and the cumulative sums give every
+    chord's arc [s, t]. Only the few intervals next to a flat-point cusp of
+    the integrand need splitting. The error budget is global (``rel_tol`` of
+    the affine perimeter).
     """
+    lanes = ChordLanes(chords)
+    s, t = lanes.s, lanes.t
+    start, period = s.min(), curve.period
+    if s.max() >= start + period:
+        raise DomainError("chord starts must lie within one period")
+    wraps = t >= start + period
+    t_reduced = np.where(wraps, t - period, t)
+    breaks = np.unique(np.concatenate([s, t_reduced, [start + period]]))
+    # extended precision keeps the rounding of the running sum below that of the pieces
+    pieces = affine_arclengths(curve, breaks, rel_tol=rel_tol)
+    cumulative = np.concatenate([[0.0], np.cumsum(pieces, dtype=np.longdouble)])
+    at_s = cumulative[np.searchsorted(breaks, s)]
+    at_t = cumulative[np.searchsorted(breaks, t_reduced)] + np.where(wraps, cumulative[-1], 0.0)
+    return (at_t - at_s).astype(float)
+
+
+def affine_cut_length_report(curve, delta, n_samples=256, chords=None, rel_tol=1e-12) -> ConstancyReport:
+    """Constancy of the affine arc length of the boundary cut off by the sweep."""
     if chords is None:
         chords = sweep(curve, FLOTATION, delta, n_samples)
-    base = affine_arclength(curve, chords[0].s, chords[0].t, rel_tol=rel_tol)
-    abs_tol = 1e-12 * abs(base)
-    values = [base]
-    for prev, cur in zip(chords, chords[1:]):
-        values.append(
-            values[-1]
-            - affine_arclength(curve, prev.s, cur.s, rel_tol=rel_tol, abs_tol=abs_tol)
-            + affine_arclength(curve, prev.t, cur.t, rel_tol=rel_tol, abs_tol=abs_tol)
-        )
-    return ConstancyReport.from_values(values)
+    return ConstancyReport.from_values(affine_cut_lengths(curve, chords, rel_tol=rel_tol))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import ILLUMINATION, PARALLEL_TOL, ChordMap, arc_moments, tangent_intersection
-from .curve import det2, euclidean_curvature, norm2
+from .chord import ILLUMINATION, PARALLEL_TOL, arc_moments, lanewise, tangent_intersection
+from .curve import det2, norm2
 from .errors import DomainError, SolverError
-from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurveSample, _require_kind
+from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, _require_delta, _require_kind, _samples
 from .numerics import bracketed_newton
 
 
@@ -34,54 +34,45 @@ class PolarityResult:
     direction: np.ndarray | None = None
 
 
-def illumination_point(cm: ChordMap) -> DerivedCurveSample:
+def _silhouette_frame(lanes):
+    """Determinants p, q, v and w_s and the sum sin^3(a)/k(s) + sin^3(b)/k(t) of every lane."""
+    (d1, d2), dd1 = lanes.ends(1), lanes.ends(2)[0]
+    c = lanes.c
+    ks, kt = lanes.curvatures()
+    with np.errstate(divide="ignore"):  # infinite at a flat end point
+        sines = np.sin(lanes.alpha) ** 3 / ks + np.sin(lanes.beta) ** 3 / kt
+    return det2(c, d1), det2(c, d2), det2(d1, d2), det2(d1, dd1), sines
+
+
+@lanewise
+def illumination_point(lanes):
     """Apex parametrization of the illumination boundary with its curvature."""
-    _require_kind(cm, ILLUMINATION)
-    curve = cm.curve
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    p = det2(cm.c, d1)
-    q = det2(cm.c, d2)
-    v = det2(d1, d2)
-    w_s = det2(d1, curve.derivative(cm.s, 2))
-    tangent = cm.c * (-q * w_s / (p * v))
-    ks = float(euclidean_curvature(curve, cm.s))
-    kt = float(euclidean_curvature(curve, cm.t))
-    kappa = 4.0 * (math.sin(cm.alpha) ** 3 / ks + math.sin(cm.beta) ** 3 / kt) / cm.affine_norm_c**3
-    return DerivedCurveSample(ILLUMINATION_BOUNDARY, cm.s, cm.z, tangent, float(kappa), chord=cm)
+    _require_kind(lanes, ILLUMINATION)
+    p, q, v, w_s, sines = _silhouette_frame(lanes)
+    tangent = lanes.c * (-q * w_s / (p * v))[:, None]
+    kappa = 4.0 * sines / lanes.affine_norm_c**3
+    apexes = [z if a else None for z, a in zip(lanes.z, lanes.apex.tolist())]
+    return _samples(ILLUMINATION_BOUNDARY, lanes, apexes, tangent, kappa)
 
 
-def illumination_centroid_point(cm: ChordMap, delta_hat: float) -> DerivedCurveSample:
+@lanewise
+def illumination_centroid_point(lanes, delta_hat):
     """Centroid of the silhouette cone with tangent and curvature closed forms."""
-    _require_kind(cm, ILLUMINATION)
-    if not math.isclose(delta_hat, cm.delta, rel_tol=1e-9):
-        raise DomainError("delta_hat does not match the chord's cone area")
-    curve = cm.curve
-    origin, x, y, dm = arc_moments(curve, cm.s, cm.t)
-    z = cm.z - origin
+    _require_kind(lanes, ILLUMINATION)
+    _require_delta(lanes, delta_hat, "delta_hat")
+    origin, x, y, dm = arc_moments(lanes.curve, lanes.s, lanes.t)
+    z = lanes.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
-    moment = -(dm[1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
-    point = origin + moment / delta_hat
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    q = det2(cm.c, d2)
-    v = det2(d1, d2)
-    w_s = det2(d1, curve.derivative(cm.s, 2))
-    tangent = cm.c * (q**2 * w_s / (6.0 * delta_hat * v**2))
-    ks = float(euclidean_curvature(curve, cm.s))
-    kt = float(euclidean_curvature(curve, cm.t))
-    kappa = (
-        96.0
-        * delta_hat
-        * (math.sin(cm.alpha) ** 3 / ks + math.sin(cm.beta) ** 3 / kt)
-        / cm.affine_norm_c**6
-    )
-    return DerivedCurveSample(ILLUMINATION_CENTROID, cm.s, point, tangent, float(kappa), chord=cm)
+    moment = -(dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
+    _, q, v, w_s, sines = _silhouette_frame(lanes)
+    tangent = lanes.c * (q**2 * w_s / (6.0 * delta_hat * v**2))[:, None]
+    kappa = 96.0 * delta_hat * sines / lanes.affine_norm_c**6
+    return _samples(ILLUMINATION_CENTROID, lanes, origin + moment / delta_hat, tangent, kappa)
 
 
 def _segment_moment(a, b):
     """Integral of p det(p, dp) along the segment from a to b."""
-    return det2(a, b) * (a + b) / 2.0
+    return det2(a, b)[..., None] * (a + b) / 2.0
 
 
 def pole_of_chord(curve, s, t) -> PolarityResult:

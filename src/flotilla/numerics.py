@@ -12,6 +12,8 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _EPS = np.finfo(float).eps
 
 MAX_PANELS = 8192
+# bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
+MAX_NODES_PER_CALL = 2048
 
 
 def signed_cbrt(x):
@@ -19,37 +21,40 @@ def signed_cbrt(x):
     return np.sign(x) * np.abs(x) ** (1.0 / 3.0)
 
 
-def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
-    """Integrate a scalar function over [a, b].
+def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
+    """Integrate a scalar function over every interval between consecutive edges.
 
-    Locally adaptive Gauss-Legendre of order 8 with a global error budget
-    (Gander & Gautschi, BIT 40, 2000). A panel's value is the sum over its
+    Locally adaptive Gauss-Legendre of order 8 with one global error budget
+    for the whole range (Gander & Gautschi, BIT 40, 2000); the given
+    intervals are the first panels. A panel's value is the sum over its
     halves, its error the change from the one-panel value. Each round splits
-    the panels above an equal share of the budget, in one call of ``f``, and
-    stops when the summed errors are within ``rel_tol`` relative or
+    the panels above an equal share of the budget and stops when the summed
+    errors are within ``rel_tol`` relative to the whole integral or
     ``abs_tol`` absolute, whichever is laxer, and never below rounding level.
     Smooth integrands take one round; a cube-root cusp a few dozen.
 
-    ``f`` must map an array of abscissae to an array of values.
+    ``f`` must map an array of abscissae to an array of values; it sees at
+    most MAX_NODES_PER_CALL of them at a time. Returns one integral per
+    interval.
     """
-    if a == b:
-        return 0.0
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.asarray(edges, dtype=float)
+    n_intervals = len(edges) - 1
     lo, hi = edges[:-1], edges[1:]
+    owner = np.arange(n_intervals)
     value, err = _halved_panels(f, lo, hi)
     while True:
         total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
-            raise AccuracyError(f"quadrature on [{a}, {b}]: the integrand is not finite")
+            raise AccuracyError(f"quadrature on [{edges[0]}, {edges[-1]}]: the integrand is not finite")
         rounding = 50.0 * _EPS * np.abs(value).sum()
         tol = max(rel_tol * abs(total), abs_tol, rounding)
         if err_sum <= tol:
-            return float(total)
-        if len(lo) >= MAX_PANELS:
+            return np.bincount(owner, weights=value, minlength=n_intervals)
+        if len(lo) >= n_intervals + MAX_PANELS:
             raise AccuracyError(
-                f"quadrature on [{a}, {b}] did not converge below rel_tol={rel_tol} "
-                f"within {MAX_PANELS} panels (error estimate {err_sum:.3e})"
+                f"quadrature on [{edges[0]}, {edges[-1]}] did not converge below rel_tol={rel_tol} "
+                f"within {MAX_PANELS} panel splits (error estimate {err_sum:.3e})"
             )
         split = err > tol / len(err)
         keep = ~split
@@ -59,6 +64,7 @@ def panel_quadrature(f, a, b, rel_tol=1e-12, abs_tol=0.0, initial_panels=4):
         new_value, new_err = _halved_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
+        owner = np.concatenate([owner[keep], owner[split], owner[split]])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
 
@@ -72,10 +78,13 @@ def _halved_panels(f, lo, hi):
 
 
 def _gauss_panels(f, lo, hi):
-    """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i], from one call of f."""
+    """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i], in blocks of f calls."""
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GAUSS_NODES
-    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    block = MAX_NODES_PER_CALL // len(_GAUSS_NODES)
+    values = np.concatenate(
+        [np.asarray(f(nodes[i : i + block].ravel()), dtype=float) for i in range(0, len(nodes), block)]
+    ).reshape(nodes.shape)
     return (values @ _GAUSS_WEIGHTS) * half
 
 
@@ -132,9 +141,10 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
     ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``f`` and
     ``dfdx`` map the array of per-lane abscissae to per-lane values. Each lane
     keeps its own bracket and falls back to bisection whenever its Newton step
-    leaves the bracket; a lane freezes once |f| <= f_tol or its step is below
-    ``x_tol``, and the loop ends when every lane has. A 0-d ``x0`` is one lane:
-    ``f`` then receives and returns plain floats, and so does the call.
+    leaves the bracket; a lane freezes once |f| <= f_tol (a scalar or one value
+    per lane) or its step is below ``x_tol``, and the loop ends when every lane
+    has. A 0-d ``x0`` is one lane: ``f`` then receives and returns plain floats,
+    and so does the call.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     scalar = shape == ()
@@ -144,7 +154,9 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
             return np.array([g(float(u[0]))], dtype=float)
         return np.asarray(g(u.reshape(shape)), dtype=float).ravel()
 
-    lo, hi, x0 = (np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0))
+    lo, hi, x0, f_tol = (
+        np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0, f_tol)
+    )
     flo = lanes(f, lo)
     fhi = lanes(f, hi)
     no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)

@@ -5,7 +5,8 @@ geometry, dense Riemann sums, a fixed Gauss-Legendre rule, plain finite
 differences of position samples) and deliberately avoids the package's own
 quadrature and derivative paths.
 The alternate closed forms at the end are the exception: they recompute a
-solved chord's curvatures and closure by a second route through the package.
+solved chord's curvatures, closure and cut lengths by a second route through
+the package.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from flotilla.chord import FLOTATION, solve_flotation_chord, solve_silhouette_chord, sweep
-from flotilla.curve import det2
+from flotilla.curve import affine_arclength, det2
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,3 +232,23 @@ def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
     solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
     final = solve(curve, s0 + curve.period, delta)
     return final.t - chords[0].t - curve.period
+
+
+def incremental_cut_lengths(curve, chords, rel_tol=1e-12):
+    """Affine cut length of every chord of a sweep from 2n - 1 separate adaptive integrals.
+
+    One full integral for the first chord, then the endpoint increments
+    between consecutive chords, each within rel_tol of itself. The first
+    integral's error carries into every value: at rel_tol = 1e-9 it is
+    5.4e-9 relative on bump3 at a quarter of the area.
+    """
+    base = affine_arclength(curve, chords[0].s, chords[0].t, rel_tol=rel_tol)
+    abs_tol = 1e-12 * abs(base)
+    values = [base]
+    for prev, cur in zip(chords, chords[1:]):
+        values.append(
+            values[-1]
+            - affine_arclength(curve, prev.s, cur.s, rel_tol=rel_tol, abs_tol=abs_tol)
+            + affine_arclength(curve, prev.t, cur.t, rel_tol=rel_tol, abs_tol=abs_tol)
+        )
+    return np.array(values)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flotilla.chord as chord_module
 from flotilla.chord import (
     FLOTATION,
     ILLUMINATION,
@@ -18,6 +19,7 @@ from flotilla.chord import (
 )
 from flotilla.curve import Ellipse, FourierRadial, apply_affine, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
+from flotilla.numerics import bracketed_newton
 
 from oracles import (
     circle_cone_area,
@@ -268,6 +270,32 @@ class TestLaneSweep:
         assert len(sweep(body, ILLUMINATION, 0.5 * top.min(), 16)) == 16
         with pytest.raises(SolverError, match="not reachable"):
             sweep(body, ILLUMINATION, math.sqrt(top.min() * top.max()), 16)
+
+    @pytest.mark.parametrize("body, max_rounds", [("bump3", 12), ("ellipse21", 4)])
+    def test_antipode_rounds(self, request, monkeypatch, body, max_rounds):
+        # t_par stops at the rounding level of det(g'(s), g'(t)); with f_tol = 0
+        # the lanes whose antipode is a flat point of bump3 took 63 rounds
+        curve = request.getfixturevalue(body)
+        evaluations = 0
+
+        def counting(f, *args, **kwargs):
+            def counted(t):
+                nonlocal evaluations
+                evaluations += 1
+                return f(t)
+
+            return bracketed_newton(counted, *args, **kwargs)
+
+        monkeypatch.setattr(chord_module, "bracketed_newton", counting)
+        antipodal_tangent_param(curve, np.arange(256) * (curve.period / 256))
+        # two evaluations are the bracket ends, each round is one more
+        assert evaluations - 2 <= max_rounds
+
+    def test_illumination_sweep_matches_one_lane_solves(self, bump3):
+        chords = sweep(bump3, ILLUMINATION, 0.8, 256)
+        t = np.array([cm.t for cm in chords])
+        one = np.array([solve_silhouette_chord(bump3, cm.s, 0.8).t for cm in chords])
+        assert np.max(np.abs(t - one)) < 1e-12
 
     def test_lanes_match_one_lane_solves(self, ellipse21):
         chords = sweep(ellipse21, FLOTATION, 1.0, 32)

@@ -7,6 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from flotilla.cli import (
     compute_bundle,
     main,
     read_curves_csv,
+    report_schema,
     sample_rows,
     write_curves_csv,
 )
@@ -29,6 +31,15 @@ from flotilla.svg import export_svg
 from oracles import circle_segment_area
 
 DELTA = circle_segment_area(math.pi / 3)
+
+
+@pytest.fixture(autouse=True)
+def reports_match_schema(tmp_path):
+    """Every report.json a test here writes must validate against report_schema.json."""
+    yield
+    schema = report_schema()
+    for path in tmp_path.rglob("report.json"):
+        jsonschema.validate(json.loads(path.read_text()), schema)
 
 
 def write_config(path, **overrides):
@@ -147,13 +158,27 @@ class TestRun:
         assert code == EXIT_OK
 
     def test_report_validates_against_schema(self, tmp_path):
-        import jsonschema
-        from flotilla.cli import report_schema
-
-        cfg = write_config(tmp_path / "c.json", checks=["chord_cube", "omega"])
-        main(["run", str(cfg)])
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        jsonschema.validate(report, report_schema())
+        # the CLI does not validate its own report; the tests do, on a pass,
+        # a fail, a two-delta and a skipped run
+        bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}
+        runs = {
+            "pass": ({"checks": ["chord_cube", "omega"]}, EXIT_OK),
+            "fail": ({"curveSpec": bump3, "deltas": [0.8], "checks": ["chord_cube"]}, EXIT_CHECK_FAILED),
+            "two_deltas": ({"deltas": [0.4, 0.9], "checks": ["chord_cube", "cut_length"]}, EXIT_OK),
+            "skipped": ({"curveSpec": bump3, "deltas": [0.8], "checks": ["radon", "omega"]}, EXIT_OK),
+        }
+        schema = report_schema()
+        for name, (overrides, code) in runs.items():
+            cfg = write_config(tmp_path / f"{name}.json", outputDir=str(tmp_path / name), **overrides)
+            assert main(["run", str(cfg)]) == code
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            jsonschema.validate(report, schema)
+            assert report["passed"] == (code == EXIT_OK)
+        # a skipped record carries no value, so no sentinel either
+        assert report["records"][0]["status"] == "skipped"
+        report["records"][0]["value"] = -1.0
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
 
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", checks=["chord_cube"])
@@ -181,6 +206,43 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["records"][0]["threshold"] == 1e-4
 
+    def test_inapplicable_checks_are_skipped(self, tmp_path):
+        bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}
+        ellipse = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+        circle = {"kind": "ellipse", "a": 1.0, "b": 1.0}
+        cases = {
+            # not origin-symmetric: no radon value, no -1 sentinel
+            "radon": (bump3, [0.8]),
+            # implied ratio at most 2/3: there is no dual cone area
+            "duality": (ellipse, [{"fraction": 0.999}]),
+            # every half-area chord of a circle is a diameter: no lane has an apex
+            "affine_normal": (circle, [{"fraction": 0.5}]),
+        }
+        for check, (spec, deltas) in cases.items():
+            out = tmp_path / check
+            cfg = write_config(
+                tmp_path / f"{check}.json", curveSpec=spec, deltas=deltas, checks=[check], outputDir=str(out)
+            )
+            assert main(["run", str(cfg)]) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            (rec,) = report["records"]
+            assert rec["status"] == "skipped" and rec["value"] is None and rec["reason"]
+            assert report["passed"]
+
+    def test_skipped_records_do_not_mask_a_failure(self, tmp_path):
+        bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=bump3, deltas=[0.8], checks=["radon", "chord_cube"])
+        assert main(["run", str(cfg)]) == EXIT_CHECK_FAILED
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["status"] for r in report["records"]] == ["skipped", "fail"]
+        assert not report["passed"]
+
+    def test_measured_records_carry_their_status(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", checks=["chord_cube", "omega"])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(r["status"] == "pass" and r["pass"] and "reason" not in r for r in report["records"])
+
     def test_duality_check_is_informative_out_of_regime(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -193,6 +255,7 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         rec = report["records"][0]
         assert rec["pass"] and rec["statistic"] == "duality_not_in_homothetic_regime"
+        assert rec["status"] == "skipped" and rec["value"] is None
 
     def test_tolerances_override(self, tmp_path):
         # force a failure by making the ellipse threshold absurdly tight
@@ -341,3 +404,17 @@ def test_cli_import_does_not_load_scipy():
     probe = "import sys, flotilla.cli; print('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_run_does_not_load_jsonschema(tmp_path):
+    # report.json is not validated at run time; jsonschema is a test dependency
+    root = Path(flotilla.__file__).resolve().parents[2]
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys; from flotilla.cli import main; "
+        f"code = main(['run', {str(root / 'configs' / 'ellipse.json')!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, 'jsonschema' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"

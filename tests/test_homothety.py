@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
-from flotilla.curve import Ellipse, affine_normal, det2
+from flotilla.curve import Ellipse, SampledPeriodic, affine_normal, area, det2
 from flotilla.errors import DomainError
 from flotilla.floatgeom import buoyancy_point, flotation_point
 from flotilla.homothety import (
     ConstancyReport,
     affine_cut_length_report,
+    affine_cut_lengths,
     affine_cut_rate,
     build_carousel,
     chord_cube_report,
@@ -33,6 +34,7 @@ from oracles import (
     circle_segment_area,
     circle_segment_centroid_distance,
     circle_tangent_triangle_area,
+    incremental_cut_lengths,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -237,6 +239,19 @@ class TestCutLength:
         rep = affine_cut_length_report(ellipse21, 2 * DELTA, n_samples=64)
         assert rep.mean == pytest.approx(2.0 * THETA * 2.0 ** (1.0 / 3.0), rel=1e-10)
         assert rep.coefficient_of_variation < 1e-10
+
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled"])
+    def test_one_pass_matches_incremental_integrals(self, request, body):
+        if body == "sampled":
+            u = np.arange(64) * (TWO_PI / 64)
+            r = 1.0 + 0.02 * np.cos(2 * u) + 0.01 * np.sin(3 * u)
+            curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        else:
+            curve = request.getfixturevalue(body)
+        chords = sweep(curve, FLOTATION, 0.25 * area(curve), 256)
+        one_pass = affine_cut_lengths(curve, chords)
+        reference = incremental_cut_lengths(curve, chords)
+        assert np.max(np.abs(one_pass - reference) / np.abs(reference)) < 1e-10
 
     def test_rate_identity_against_fresh_solve_fd(self, ellipse21, bump3):
         from flotilla.curve import affine_arclength

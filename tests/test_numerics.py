@@ -9,6 +9,7 @@ from flotilla.curve import Ellipse, det2
 from flotilla.chord import FLOTATION, sweep
 from flotilla.errors import AccuracyError, SolverError
 from flotilla.numerics import (
+    MAX_NODES_PER_CALL,
     TrigInterpolant,
     bracketed_newton,
     panel_quadrature,
@@ -18,24 +19,55 @@ from flotilla.numerics import (
 
 
 def test_panel_quadrature_polynomial():
-    val = panel_quadrature(lambda x: x**3 - 2 * x, 0.0, 2.0)
+    val = panel_quadrature(lambda x: x**3 - 2 * x, [0.0, 2.0])[0]
     assert abs(val - 0.0) < 1e-14
 
 
 def test_panel_quadrature_empty_interval():
-    assert panel_quadrature(np.sin, 1.0, 1.0) == 0.0
+    assert panel_quadrature(np.sin, [1.0, 1.0])[0] == 0.0
 
 
 def test_panel_quadrature_cube_root_cusp():
     exact = 0.75 * ((2.0 / 3.0) ** (4.0 / 3.0) + (1.0 / 3.0) ** (4.0 / 3.0))
-    val = panel_quadrature(lambda x: np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0), 0.0, 1.0)
+    val = panel_quadrature(lambda x: np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0), [0.0, 1.0])[0]
     assert abs(val - exact) < 1e-12
+
+
+def test_panel_quadrature_per_interval_values():
+    # one global budget over all intervals; one of them ends on the cusp
+    def primitive(x):
+        return 0.75 * np.sign(x - 1.0 / 3.0) * np.abs(x - 1.0 / 3.0) ** (4.0 / 3.0)
+
+    edges = np.array([0.0, 0.1, 1.0 / 3.0, 0.4, 0.9, 1.0])
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0)
+
+    values = panel_quadrature(f, edges)
+    assert values.shape == (5,)
+    assert np.max(np.abs(values - np.diff(primitive(edges)))) < 1e-12
+    assert max(sizes) <= MAX_NODES_PER_CALL
+
+
+def test_panel_quadrature_node_blocks():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.cos(x)
+
+    values = panel_quadrature(f, np.linspace(0.0, 3.0, 513))
+    assert abs(values.sum() - math.sin(3.0)) < 1e-13
+    # 512 panels, each whole and in halves: 12,288 abscissae in blocks
+    assert sum(sizes) == 512 * 3 * 8 and max(sizes) <= MAX_NODES_PER_CALL
 
 
 def test_panel_quadrature_divergent_integrand_raises():
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(AccuracyError):
-            panel_quadrature(lambda x: 1.0 / x**2, -1.0, 1.0)
+            panel_quadrature(lambda x: 1.0 / x**2, [-1.0, 1.0])
 
 
 def test_panel_quadrature_smooth_cap_takes_one_call():
@@ -50,7 +82,7 @@ def test_panel_quadrature_smooth_cap_takes_one_call():
             calls += 1
             return det2(curve.derivative(u, 0) - x, curve.derivative(u, 1))
 
-        panel_quadrature(integrand, cm.s, cm.t, rel_tol=1e-13)
+        panel_quadrature(integrand, [cm.s, cm.t], rel_tol=1e-13)
     assert calls <= len(chords)
 
 
