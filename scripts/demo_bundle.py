@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from flotilla.chord import FLOTATION
-from flotilla.cli import compute_bundle, sample_rows, write_curves_csv, write_figure
+from flotilla.cli import compute_bundle, write_curves_csv, write_figure
 from flotilla.curve import Ellipse, area
 from flotilla.floatgeom import omega_identity_residual
 from flotilla.homothety import chord_cube_report, duality_parameters
@@ -29,7 +29,7 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     bundle = compute_bundle(curve, args.delta, args.samples)
-    write_curves_csv(out / "curves.csv", sample_rows(bundle))
+    write_curves_csv(out / "curves.csv", [bundle])
     write_figure(out / "figure.svg", curve, [bundle], chord_stride=args.samples // 24)
 
     report, lam = chord_cube_report(curve, args.delta, FLOTATION, chords=bundle.chords)

@@ -12,8 +12,6 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from flotilla.chord import FLOTATION, sweep
 from flotilla.curve import Ellipse, FourierRadial, area
 from flotilla.homothety import hausdorff_distance, intersection_body_polar
@@ -39,7 +37,7 @@ def main():
         print(f"{name}:")
         for eps in args.eps:
             chords = sweep(curve, FLOTATION, half - eps, args.samples)
-            pts = np.array([0.5 * (cm.x + cm.y) for cm in chords]) / eps
+            pts = 0.5 * (chords.x + chords.y) / eps
             d = hausdorff_distance(pts, dual.points)
             print(f"  eps = {eps:<8g} Hausdorff distance = {d:.6e}")
 

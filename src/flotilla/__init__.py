@@ -20,7 +20,7 @@ from .curve import (
     evaluate,
 )
 from .chord import (
-    ChordMap,
+    Chords,
     cap_area,
     cone_area,
     solve_flotation_chord,
@@ -29,7 +29,7 @@ from .chord import (
     tangent_intersection,
 )
 from .floatgeom import (
-    DerivedCurveSample,
+    DerivedCurve,
     buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,

@@ -12,9 +12,7 @@ antiderivative (``ClosedConvexCurve.moments``).
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,71 +29,49 @@ PARALLEL_TOL = 1e-10
 _ROUNDING_DET = 8.0 * np.finfo(float).eps
 
 
-@dataclass
-class ChordMap:
-    """A solved chord with its endpoint frame data.
+# the fields of Chords with one entry per lane
+_LANES = ("s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "dt_ds", "norm_c", "affine_norm_c")
 
-    ``z`` is the intersection of the endpoint tangent lines (None when they
-    are parallel); ``alpha`` and ``beta`` are the interior angles between the
-    chord and the tangents at x and y.
+
+@dataclass(eq=False)
+class Chords:
+    """The chords of one sweep as arrays, one lane per chord.
+
+    ``s`` and ``t`` are the end parameters, ``x`` and ``y`` the end points
+    and ``c = y - x``. ``z`` is the intersection of the end tangents, NaN in
+    the lanes where they are parallel (``apex`` False there). ``alpha`` and
+    ``beta`` are the interior angles between the chord and the tangents at
+    x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
+    chord lengths. Indexing or slicing gives the chords of those lanes, and
+    ``chords[i]`` is the one-lane case. ``ends(k)`` is the k-th curve
+    derivative at both chord ends, shape (2, lanes, 2), from one curve call
+    per order.
     """
 
+    curve: object = field(repr=False)
     kind: str
     delta: float
-    s: float
-    t: float
+    s: np.ndarray
+    t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     c: np.ndarray
-    z: np.ndarray | None
-    alpha: float
-    beta: float
-    dt_ds: float
-    norm_c: float
-    affine_norm_c: float
-    curve: object = field(repr=False, default=None)
+    z: np.ndarray
+    apex: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    dt_ds: np.ndarray
+    norm_c: np.ndarray
+    affine_norm_c: np.ndarray
+    _ends: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __len__(self):
+        return len(self.s)
 
-def _column(name):
-    """Lazily stacked ChordMap field, one entry per lane."""
-    return functools.cached_property(lambda lanes: np.array([getattr(cm, name) for cm in lanes.rows], dtype=float))
-
-
-class ChordLanes:
-    """The chords of one sweep stacked into arrays, one lane per chord.
-
-    ``apex`` marks the lanes whose end tangents meet; ``z`` is NaN in the
-    others. ``ends(k)`` is the k-th curve derivative at both chord ends,
-    shape (2, lanes, 2), from one curve call per order.
-    """
-
-    def __init__(self, chords):
-        self.rows = [chords] if isinstance(chords, ChordMap) else list(chords)
-        if not self.rows:
-            raise DomainError("no chords given")
-        first = self.rows[0]
-        self.curve, self.kind, self.delta = first.curve, first.kind, first.delta
-        if any(cm.curve is not self.curve or cm.kind != self.kind or cm.delta != self.delta for cm in self.rows):
-            raise DomainError("chords of one sweep expected (same curve, kind and area)")
-        self._ends = {}
-
-    s = _column("s")
-    t = _column("t")
-    x = _column("x")
-    y = _column("y")
-    c = _column("c")
-    alpha = _column("alpha")
-    beta = _column("beta")
-    norm_c = _column("norm_c")
-    affine_norm_c = _column("affine_norm_c")
-
-    @functools.cached_property
-    def apex(self):
-        return np.array([cm.z is not None for cm in self.rows])
-
-    @functools.cached_property
-    def z(self):
-        return np.array([(math.nan, math.nan) if cm.z is None else cm.z for cm in self.rows], dtype=float)
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            index = [index]
+        return replace(self, **{name: getattr(self, name)[index] for name in _LANES})
 
     def ends(self, order):
         if order not in self._ends:
@@ -105,31 +81,6 @@ class ChordLanes:
     def curvatures(self):
         """Euclidean curvature at both chord ends, shape (2, lanes)."""
         return curvature(self.ends(1), self.ends(2))
-
-
-def lanewise(fn):
-    """Let ``fn(lanes, ...)``, written for the stacked lanes of a sweep, take chords directly.
-
-    The wrapper stacks a list of ChordMaps into ChordLanes. Given a single
-    ChordMap it runs the one-lane case and returns that lane's entry of
-    every per-lane result (a list, an array, or a tuple of them).
-    """
-
-    @functools.wraps(fn)
-    def call(chords, *args, **kwargs):
-        lanes = chords if isinstance(chords, ChordLanes) else ChordLanes(chords)
-        out = fn(lanes, *args, **kwargs)
-        return _first_lane(out) if isinstance(chords, ChordMap) else out
-
-    return call
-
-
-def _first_lane(out):
-    if isinstance(out, tuple):
-        return tuple(_first_lane(v) for v in out)
-    if isinstance(out, np.ndarray) and out.ndim == 1:
-        return float(out[0])
-    return out[0]
 
 
 def _pair(s, t):
@@ -218,9 +169,9 @@ def _flotation_dt_ds(curve, s, t):
 
 
 def _chords(curve, kind, delta, s, t):
-    """ChordMap rows of the lanes (s, t), from one pass over their frame arrays."""
-    x, y = _ends(curve, s, t, 0)
-    d1, d2 = _ends(curve, s, t, 1)
+    """Chords of the lanes (s, t), from one pass over their frame arrays."""
+    ends = {order: _ends(curve, s, t, order) for order in ((0, 1) if kind == FLOTATION else (0, 1, 2))}
+    (x, y), (d1, d2) = ends[0], ends[1]
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
@@ -234,16 +185,12 @@ def _chords(curve, kind, delta, s, t):
         if kind == FLOTATION:
             dt_ds = -p / q
         else:
-            dd1, dd2 = _ends(curve, s, t, 2)
+            dd1, dd2 = ends[2]
             dt_ds = q**2 * det2(d1, dd1) / (p**2 * det2(d2, dd2))
-    columns = zip(
-        s.tolist(), t.tolist(), x, y, c, z, parallel.tolist(), alpha.tolist(), beta.tolist(),
-        dt_ds.tolist(), norm2(c).tolist(), affine_norm.tolist(),
-    )
-    return [
-        ChordMap(kind, delta, s_i, t_i, x_i, y_i, c_i, None if par else z_i, a, b, dts, nc, anc, curve)
-        for s_i, t_i, x_i, y_i, c_i, z_i, par, a, b, dts, nc, anc in columns
-    ]
+    z = np.where(parallel[:, None], np.nan, z)
+    chords = Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, dt_ds, norm2(c), affine_norm)
+    chords._ends.update(ends)
+    return chords
 
 
 def _flotation_t(curve, s, delta):
@@ -268,9 +215,9 @@ def _flotation_t(curve, s, delta):
 
 
 def solve_flotation_chord(curve, s, delta):
-    """Find t with cap_area(s, t) = delta and assemble the chord frame (one lane)."""
+    """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
     s = np.array([float(s)])
-    return _chords(curve, FLOTATION, delta, s, _flotation_t(curve, s, delta))[0]
+    return _chords(curve, FLOTATION, delta, s, _flotation_t(curve, s, delta))
 
 
 def antipodal_tangent_param(curve, s):
@@ -325,13 +272,13 @@ def _silhouette_t(curve, s, delta_hat):
 
 
 def solve_silhouette_chord(curve, s, delta_hat):
-    """Find t with cone_area(s, t) = delta_hat (one lane).
+    """Find t with cone_area(s, t) = delta_hat, as one-lane Chords.
 
     The admissible range for t is (s, t_par) where the endpoint tangents
     stop intersecting; the cone area grows without bound as t -> t_par.
     """
     s = np.array([float(s)])
-    return _chords(curve, ILLUMINATION, delta_hat, s, _silhouette_t(curve, s, delta_hat))[0]
+    return _chords(curve, ILLUMINATION, delta_hat, s, _silhouette_t(curve, s, delta_hat))
 
 
 def sweep(curve, kind, delta, n_samples, s0=0.0):

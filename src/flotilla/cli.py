@@ -142,39 +142,48 @@ def _constancy_threshold(curve):
 # per-delta computation
 
 
+# why the chord cube (and so the homothety regime) is undefined for a sweep
+NO_APEX_REASON = "some flotation chords have parallel end tangents, where the affine chord length is infinite"
+
+
 @dataclass
 class DeltaBundle:
+    """The sweeps and derived curves of one cut-off area.
+
+    ``chord_cube_stats`` and ``implied_lambda`` are None when some flotation
+    chord has no apex; the body is then not in the homothetic regime.
+    """
+
     delta: float
-    chords: list
-    flotation: list
-    buoyancy: list
-    chord_cube_stats: homothety.ConstancyReport
-    implied_lambda: float
+    chords: chord.Chords
+    flotation: floatgeom.DerivedCurve
+    buoyancy: floatgeom.DerivedCurve
+    chord_cube_stats: homothety.ConstancyReport | None
+    implied_lambda: float | None
     homothetic: bool
-    delta_hat: float | None = None
-    illum_chords: list | None = None
-    illumination: list | None = None
-    illum_centroid: list | None = None
+    illum_chords: chord.Chords | None = None
+    illumination: floatgeom.DerivedCurve | None = None
+    illum_centroid: floatgeom.DerivedCurve | None = None
 
-
-def _set_kappa_prime(samples, values):
-    for sample, value in zip(samples, values.tolist()):
-        sample.kappa_prime = value
+    def families(self):
+        """(derived curve, the chords it is sampled at) of every family, in output order."""
+        pairs = [(self.flotation, self.chords), (self.buoyancy, self.chords)]
+        if self.illumination is not None:
+            pairs += [(self.illumination, self.illum_chords), (self.illum_centroid, self.illum_chords)]
+        return pairs
 
 
 def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     chords_f = chord.sweep(curve, chord.FLOTATION, delta, n_samples)
-    flotation = floatgeom.flotation_point(chords_f)
-    buoyancy = floatgeom.buoyancy_point(chords_f, delta)
-    _set_kappa_prime(flotation, floatgeom.kappa_prime_flotation(chords_f))
-    _set_kappa_prime(buoyancy, floatgeom.kappa_prime_buoyancy(chords_f, delta))
-    report, lam = homothety.chord_cube_report(curve, delta, chord.FLOTATION, chords=chords_f)
-    homothetic = report.coefficient_of_variation < _constancy_threshold(curve)
+    report = lam = None
+    if chords_f.apex.all():
+        report, lam = homothety.chord_cube_report(curve, delta, chord.FLOTATION, chords=chords_f)
+    homothetic = report is not None and report.coefficient_of_variation < _constancy_threshold(curve)
     bundle = DeltaBundle(
         delta=delta,
         chords=chords_f,
-        flotation=flotation,
-        buoyancy=buoyancy,
+        flotation=floatgeom.flotation_point(chords_f),
+        buoyancy=floatgeom.buoyancy_point(chords_f, delta),
         chord_cube_stats=report,
         implied_lambda=lam,
         homothetic=homothetic,
@@ -183,7 +192,6 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     if delta_hat is None and homothetic and lam > 2.0 / 3.0:
         delta_hat, _ = homothety.duality_parameters(delta, lam)
     if delta_hat is not None:
-        bundle.delta_hat = delta_hat
         bundle.illum_chords = chord.sweep(curve, chord.ILLUMINATION, delta_hat, n_samples)
         bundle.illumination = illumgeom.illumination_point(bundle.illum_chords)
         bundle.illum_centroid = illumgeom.illumination_centroid_point(bundle.illum_chords, delta_hat)
@@ -209,18 +217,17 @@ def _skipped(statistic, threshold, reason):
     return {"statistic": statistic, "value": None, "threshold": float(threshold), "status": SKIPPED, "reason": reason}
 
 
-def _tangency_residual(samples):
-    tangent = np.array([smp.tangent for smp in samples])
-    c = np.array([smp.chord.c for smp in samples])
-    norm_c = np.array([smp.chord.norm_c for smp in samples])
-    norm_t = norm2(tangent)
+def _tangency_residual(family, chords):
+    norm_t = norm2(family.tangents)
     live = norm_t != 0.0  # vertex singularities: tangency is vacuous
-    residual = np.abs(det2(tangent[live], c[live])) / (norm_t[live] * norm_c[live])
+    residual = np.abs(det2(family.tangents[live], chords.c[live])) / (norm_t[live] * chords.norm_c[live])
     return float(residual.max(initial=0.0))
 
 
 def _check_chord_cube(curve, bundle, tol):
     tol = tol if tol is not None else _constancy_threshold(curve)
+    if bundle.chord_cube_stats is None:
+        return _skipped("cv_affine_chord_cubed", tol, NO_APEX_REASON)
     return _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
 
 
@@ -232,18 +239,13 @@ def _check_endpoint_balance(curve, bundle, tol):
 
 def _check_omega(curve, bundle, tol):
     tol = tol if tol is not None else 1e-6
-    res = floatgeom.omega_identity_residual(
-        curve, bundle.delta, len(bundle.chords), chords=bundle.chords
-    )
+    res = floatgeom.omega_identity_residual(curve, bundle.delta, len(bundle.chords), chords=bundle.chords)
     return _measured("omega_identity_rel_residual", res, tol)
 
 
 def _check_dupin(curve, bundle, tol):
     tol = tol if tol is not None else 1e-9
-    families = [bundle.flotation, bundle.buoyancy]
-    if bundle.illumination is not None:
-        families += [bundle.illumination, bundle.illum_centroid]
-    worst = max(_tangency_residual(f) for f in families)
+    worst = max(_tangency_residual(family, chords) for family, chords in bundle.families())
     return _measured("max_tangency_residual", worst, tol)
 
 
@@ -268,7 +270,8 @@ def _check_cut_length(curve, bundle, tol):
 def _check_duality(curve, bundle, tol):
     tol = tol if tol is not None else 1e-6
     if not bundle.homothetic:
-        return _skipped("duality_not_in_homothetic_regime", tol, "the cubed affine chord length is not constant")
+        reason = NO_APEX_REASON if bundle.chord_cube_stats is None else "the cubed affine chord length is not constant"
+        return _skipped("duality_not_in_homothetic_regime", tol, reason)
     if bundle.illum_chords is None:
         return _skipped(
             "duality_not_in_homothetic_regime", tol,
@@ -277,7 +280,7 @@ def _check_duality(curve, bundle, tol):
     worst, _ = homothety.duality_pointwise_check(
         curve, bundle.delta, chords=bundle.chords, illum_chords=bundle.illum_chords
     )
-    pts = np.array([s.point for s in bundle.flotation])
+    pts = bundle.flotation.points
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     return _measured("max_pole_mismatch_over_diameter", worst / diameter, tol)
 
@@ -350,49 +353,26 @@ def run_checks(curve, label, bundles, checks, overrides):
 # serialization
 
 
-def _fmt_float(x):
-    if x is None:
-        return ""
-    return f"{x:.17g}"
+def _csv_rows(family, chords):
+    """The rows of one derived family, one per chord, each float as %.17g."""
+    columns = [
+        chords.s, family.points, family.tangents, family.kappa, family.kappa_prime,
+        chords.s, chords.t, chords.alpha, chords.beta, chords.norm_c, chords.affine_norm_c,
+    ]
+    # a family without kappa' leaves its cell empty
+    kappa_prime = "" if family.kappa_prime is None else "%.17g"
+    row = ",".join([family.family, *["%.17g"] * 6, kappa_prime, *["%.17g"] * 6]) + "\r\n"
+    block = np.column_stack([col for col in columns if col is not None])
+    return (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def sample_rows(bundle):
-    rows = []
-    families = [bundle.flotation, bundle.buoyancy]
-    if bundle.illumination is not None:
-        families += [bundle.illumination, bundle.illum_centroid]
-    for family in families:
-        for smp in family:
-            cm = smp.chord
-            rows.append(
-                {
-                    "family": smp.family,
-                    "s": smp.s,
-                    "point_x": smp.point[0],
-                    "point_y": smp.point[1],
-                    "tangent_x": smp.tangent[0],
-                    "tangent_y": smp.tangent[1],
-                    "kappa": smp.kappa,
-                    "kappa_prime": smp.kappa_prime,
-                    "chord_s": cm.s,
-                    "chord_t": cm.t,
-                    "alpha": cm.alpha,
-                    "beta": cm.beta,
-                    "norm_c": cm.norm_c,
-                    "affine_norm_c": cm.affine_norm_c,
-                }
-            )
-    return rows
-
-
-def write_curves_csv(path, rows):
+def write_curves_csv(path, bundles):
+    """Write every derived family of the bundles to curves.csv, with csv.writer's CRLF row ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["family"]] + [_fmt_float(row[col]) for col in CSV_COLUMNS[1:]]
-            )
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for bundle in bundles:
+            for family, chords in bundle.families():
+                fh.write(_csv_rows(family, chords))
 
 
 def read_curves_csv(path):
@@ -425,7 +405,7 @@ def write_report(path, label, deltas, n_samples, records):
         "records": records,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return payload
 
@@ -434,23 +414,9 @@ def write_figure(path, curve, bundles, chord_stride):
     n = max(len(b.chords) for b in bundles)
     grid = np.arange(n) * (curve.period / n)
     curves = [{"label": "body", "points": curve.derivative(grid, 0)}]
-    chords = []
     for bundle in bundles:
-        curves.append(
-            {"label": "flotation_boundary", "points": np.array([s.point for s in bundle.flotation])}
-        )
-        curves.append(
-            {"label": "buoyancy_curve", "points": np.array([s.point for s in bundle.buoyancy])}
-        )
-        if bundle.illumination is not None:
-            curves.append(
-                {"label": "illumination_boundary", "points": np.array([s.point for s in bundle.illumination])}
-            )
-            curves.append(
-                {"label": "illumination_centroid", "points": np.array([s.point for s in bundle.illum_centroid])}
-            )
-        chords.extend(bundle.chords)
-    export_svg(curves, path, chords=chords, chord_stride=chord_stride)
+        curves += [{"label": family.family, "points": family.points} for family, _ in bundle.families()]
+    export_svg(curves, path, chords=[b.chords for b in bundles], chord_stride=chord_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +436,7 @@ def cmd_run(config: RunConfig, do_checks=True):
 
     bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
 
-    rows = []
-    for bundle in bundles:
-        rows.extend(sample_rows(bundle))
-    write_curves_csv(out_dir / "curves.csv", rows)
+    write_curves_csv(out_dir / "curves.csv", bundles)
     write_figure(out_dir / "figure.svg", curve, bundles, config.chord_stride)
 
     if not do_checks or not config.checks:

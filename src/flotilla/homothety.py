@@ -17,11 +17,9 @@ import numpy as np
 from .chord import (
     FLOTATION,
     ILLUMINATION,
-    ChordLanes,
     _cap_area_dt,
     _flotation_dt_ds,
     _flotation_t,
-    lanewise,
     sweep,
     tangent_intersection,
 )
@@ -88,8 +86,8 @@ class Carousel:
 
 
 def _points(samples):
-    pts = [getattr(s, "point", s) for s in samples]
-    return np.asarray(pts, dtype=float)
+    """The points of a derived curve, or the given (N, 2) points."""
+    return np.asarray(getattr(samples, "points", samples), dtype=float)
 
 
 def _diameter(points):
@@ -137,7 +135,8 @@ def chord_cube_report(curve, delta, kind, n_samples=512, chords=None):
     """
     if chords is None:
         chords = sweep(curve, kind, delta, n_samples)
-    values = np.array([cm.affine_norm_c**3 for cm in chords])
+    # Python's pow, not numpy's vectorised one, which rounds differently in the last bit
+    values = np.array([a**3 for a in chords.affine_norm_c.tolist()])
     report = ConstancyReport.from_values(values)
     divisor = 12.0 * delta if kind == FLOTATION else 24.0 * delta
     return report, report.mean / divisor
@@ -174,9 +173,8 @@ def duality_pointwise_check(curve, delta, n_samples=256, lam=None, chords=None, 
             _, lam = chord_cube_report(curve, delta, FLOTATION, chords=flot)
         delta_hat, _ = duality_parameters(delta, lam)
         illum_chords = sweep(curve, ILLUMINATION, delta_hat, n_samples)
-    flot, illum = ChordLanes(flot), ChordLanes(illum_chords)
-    both = flot.apex & illum.apex
-    err = norm2(flot.z[both] - illum.z[both])
+    both = flot.apex & illum_chords.apex
+    err = norm2(flot.z[both] - illum_chords.z[both])
     return float(err.max(initial=0.0)), int(np.count_nonzero(~both))
 
 
@@ -186,8 +184,7 @@ def _normalised_difference(a, b):
         return np.where(scale > 0.0, (a - b) / scale, 0.0)
 
 
-@lanewise
-def endpoint_balance_residual(lanes):
+def endpoint_balance_residual(chords):
     """Endpoint balance sin^3(alpha) k(t) - sin^3(beta) k(s), divided by the larger term.
 
     This is the condition sin^3(alpha)/k(s) = sin^3(beta)/k(t) multiplied by
@@ -196,25 +193,24 @@ def endpoint_balance_residual(lanes):
     normal-component form; the two must agree to 1e-10 in every lane or an
     AccuracyError is raised.
     """
-    ks, kt = lanes.curvatures()
-    value = _normalised_difference(np.sin(lanes.alpha) ** 3 * kt, np.sin(lanes.beta) ** 3 * ks)
+    ks, kt = chords.curvatures()
+    value = _normalised_difference(np.sin(chords.alpha) ** 3 * kt, np.sin(chords.beta) ** 3 * ks)
     # independent form: cubed normal components of the chord at both endpoints
     # (the common factor |c|^3 cancels in the ratio)
-    d1, d2 = lanes.ends(1)
-    c = lanes.c
+    d1, d2 = chords.ends(1)
+    c = chords.c
     alt = _normalised_difference((det2(d1, c) / norm2(d1)) ** 3 * kt, -((det2(d2, c) / norm2(d2)) ** 3) * ks)
     if np.any(np.abs(value - alt) > 1e-10):
         raise AccuracyError("angle-form and normal-form residuals disagree")
     return value
 
 
-@lanewise
-def affine_cut_rate(lanes):
+def affine_cut_rate(chords):
     """Closed-form s-derivative of the affine arc length cut off by the chord."""
-    ks, kt = lanes.curvatures()
-    speed = norm2(lanes.ends(1)[0])
-    sa = np.sin(lanes.alpha)
-    sb = np.sin(lanes.beta)
+    ks, kt = chords.curvatures()
+    speed = norm2(chords.ends(1)[0])
+    sa = np.sin(chords.alpha)
+    sb = np.sin(chords.beta)
     return speed * sa * (signed_cbrt(kt) / sb - signed_cbrt(ks) / sa)
 
 
@@ -228,8 +224,7 @@ def affine_cut_lengths(curve, chords, rel_tol=1e-12):
     the integrand need splitting. The error budget is global (``rel_tol`` of
     the affine perimeter).
     """
-    lanes = ChordLanes(chords)
-    s, t = lanes.s, lanes.t
+    s, t = chords.s, chords.t
     start, period = s.min(), curve.period
     if s.max() >= start + period:
         raise DomainError("chord starts must lie within one period")

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import ILLUMINATION, PARALLEL_TOL, arc_moments, lanewise, tangent_intersection
+from .chord import ILLUMINATION, PARALLEL_TOL, arc_moments, tangent_intersection
 from .curve import det2, norm2
 from .errors import DomainError, SolverError
-from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, _require_delta, _require_kind, _samples
+from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurve, _require_delta, _require_kind
 from .numerics import bracketed_newton
 
 
@@ -34,40 +34,37 @@ class PolarityResult:
     direction: np.ndarray | None = None
 
 
-def _silhouette_frame(lanes):
+def _silhouette_frame(chords):
     """Determinants p, q, v and w_s and the sum sin^3(a)/k(s) + sin^3(b)/k(t) of every lane."""
-    (d1, d2), dd1 = lanes.ends(1), lanes.ends(2)[0]
-    c = lanes.c
-    ks, kt = lanes.curvatures()
+    (d1, d2), dd1 = chords.ends(1), chords.ends(2)[0]
+    c = chords.c
+    ks, kt = chords.curvatures()
     with np.errstate(divide="ignore"):  # infinite at a flat end point
-        sines = np.sin(lanes.alpha) ** 3 / ks + np.sin(lanes.beta) ** 3 / kt
+        sines = np.sin(chords.alpha) ** 3 / ks + np.sin(chords.beta) ** 3 / kt
     return det2(c, d1), det2(c, d2), det2(d1, d2), det2(d1, dd1), sines
 
 
-@lanewise
-def illumination_point(lanes):
+def illumination_point(chords):
     """Apex parametrization of the illumination boundary with its curvature."""
-    _require_kind(lanes, ILLUMINATION)
-    p, q, v, w_s, sines = _silhouette_frame(lanes)
-    tangent = lanes.c * (-q * w_s / (p * v))[:, None]
-    kappa = 4.0 * sines / lanes.affine_norm_c**3
-    apexes = [z if a else None for z, a in zip(lanes.z, lanes.apex.tolist())]
-    return _samples(ILLUMINATION_BOUNDARY, lanes, apexes, tangent, kappa)
+    _require_kind(chords, ILLUMINATION)
+    p, q, v, w_s, sines = _silhouette_frame(chords)
+    tangent = chords.c * (-q * w_s / (p * v))[:, None]
+    kappa = 4.0 * sines / chords.affine_norm_c**3
+    return DerivedCurve(ILLUMINATION_BOUNDARY, chords.z, tangent, kappa)
 
 
-@lanewise
-def illumination_centroid_point(lanes, delta_hat):
+def illumination_centroid_point(chords, delta_hat):
     """Centroid of the silhouette cone with tangent and curvature closed forms."""
-    _require_kind(lanes, ILLUMINATION)
-    _require_delta(lanes, delta_hat, "delta_hat")
-    origin, x, y, dm = arc_moments(lanes.curve, lanes.s, lanes.t)
-    z = lanes.z - origin
+    _require_kind(chords, ILLUMINATION)
+    _require_delta(chords, delta_hat, "delta_hat")
+    origin, x, y, dm = arc_moments(chords.curve, chords.s, chords.t)
+    z = chords.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
     moment = -(dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
-    _, q, v, w_s, sines = _silhouette_frame(lanes)
-    tangent = lanes.c * (q**2 * w_s / (6.0 * delta_hat * v**2))[:, None]
-    kappa = 96.0 * delta_hat * sines / lanes.affine_norm_c**6
-    return _samples(ILLUMINATION_CENTROID, lanes, origin + moment / delta_hat, tangent, kappa)
+    _, q, v, w_s, sines = _silhouette_frame(chords)
+    tangent = chords.c * (q**2 * w_s / (6.0 * delta_hat * v**2))[:, None]
+    kappa = 96.0 * delta_hat * sines / chords.affine_norm_c**6
+    return DerivedCurve(ILLUMINATION_CENTROID, origin + moment / delta_hat, tangent, kappa)
 
 
 def _segment_moment(a, b):

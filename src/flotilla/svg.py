@@ -27,13 +27,17 @@ def _flip(points):
     return points * np.array([1.0, -1.0])
 
 
+def _chord_ends(chords):
+    """End points x and y of the chords of every sweep, concatenated in order."""
+    if not chords:
+        return np.empty((0, 2)), np.empty((0, 2))
+    return np.concatenate([ch.x for ch in chords]), np.concatenate([ch.y for ch in chords])
+
+
 def figure_bounds(curves, chords=None):
     """Data bounds (min_x, min_y, max_x, max_y) over all drawn geometry."""
     pts = [np.asarray(c["points"], dtype=float) for c in curves]
-    if chords:
-        pts.append(np.asarray([cm.x for cm in chords], dtype=float))
-        pts.append(np.asarray([cm.y for cm in chords], dtype=float))
-    allpts = np.concatenate(pts, axis=0)
+    allpts = np.concatenate([*pts, *_chord_ends(chords)], axis=0)
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
@@ -42,14 +46,14 @@ def figure_bounds(curves, chords=None):
 def export_svg(curves, path, chords=None, chord_stride=0, size=640):
     """Write the curve families to a single SVG file.
 
-    ``curves`` is a list of {"label": str, "points": (N, 2) array}; optional
-    chords are drawn as segments every ``chord_stride`` samples (0 = omit).
+    ``curves`` is a list of {"label": str, "points": (N, 2) array}; the
+    chords of the optional sweeps (a list of Chords) are drawn as segments
+    every ``chord_stride`` chords of their concatenation (0 = omit).
     The viewBox is the data bounding box plus a 5% margin, equal aspect
     (y axis flipped into screen coordinates).
     """
     if not curves or any(len(c["points"]) == 0 for c in curves):
         raise DomainError("export_svg requires non-empty sample lists")
-    chords = list(chords) if chords else []
     x0, y0, x1, y1 = figure_bounds(curves, chords)
     span = max(x1 - x0, y1 - y0)
     margin = MARGIN_FRACTION * span
@@ -64,8 +68,8 @@ def export_svg(curves, path, chords=None, chord_stride=0, size=640):
         'preserveAspectRatio="xMidYMid meet">',
     ]
     if chord_stride > 0:
-        for cm in chords[::chord_stride]:
-            a, b = _flip(cm.x), _flip(cm.y)
+        starts, ends = _chord_ends(chords)
+        for a, b in zip(_flip(starts[::chord_stride]), _flip(ends[::chord_stride])):
             lines.append(
                 f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
                 f'stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>'

@@ -204,26 +204,25 @@ def convex_polygon_contains(vertices, points, tol=0.0):
 # -- alternate closed forms of package quantities ----------------------------
 
 
-def flotation_kappa_cot_form(cm):
-    """Flotation-boundary curvature as 4 / (|c| (cot a + cot b)); NaN when degenerate."""
-    denom = 1.0 / math.tan(cm.alpha) + 1.0 / math.tan(cm.beta)
-    if denom == 0.0:
-        return math.nan
-    return 4.0 / (cm.norm_c * denom)
+def flotation_kappa_cot_form(chords):
+    """Flotation-boundary curvature as 4 / (|c| (cot a + cot b)) of every chord; NaN when degenerate."""
+    denom = 1.0 / np.tan(chords.alpha) + 1.0 / np.tan(chords.beta)
+    with np.errstate(divide="ignore"):
+        return np.where(denom == 0.0, math.nan, 4.0 / (chords.norm_c * denom))
 
 
-def illumination_kappa_raw(cm):
-    """Curvature of the illumination boundary straight from the determinants."""
-    curve = cm.curve
-    d1 = curve.derivative(cm.s, 1)
-    d2 = curve.derivative(cm.t, 1)
-    p = det2(cm.c, d1)
-    q = det2(cm.c, d2)
+def illumination_kappa_raw(chords):
+    """Curvature of the illumination boundary of every chord straight from the determinants."""
+    curve = chords.curve
+    d1 = curve.derivative(chords.s, 1)
+    d2 = curve.derivative(chords.t, 1)
+    p = det2(chords.c, d1)
+    q = det2(chords.c, d2)
     v = det2(d1, d2)
-    w_s = det2(d1, curve.derivative(cm.s, 2))
-    w_t = det2(d2, curve.derivative(cm.t, 2))
+    w_s = det2(d1, curve.derivative(chords.s, 2))
+    w_t = det2(d2, curve.derivative(chords.t, 2))
     num = -v * (q**3 * w_s - p**3 * w_t)
-    return float(num / (cm.norm_c**3 * p * q * w_s * w_t))
+    return num / (chords.norm_c**3 * p * q * w_s * w_t)
 
 
 def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
@@ -231,7 +230,7 @@ def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
     chords = sweep(curve, kind, delta, n_samples, s0=s0)
     solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
     final = solve(curve, s0 + curve.period, delta)
-    return final.t - chords[0].t - curve.period
+    return final.t[0] - chords.t[0] - curve.period
 
 
 def incremental_cut_lengths(curve, chords, rel_tol=1e-12):
@@ -242,13 +241,14 @@ def incremental_cut_lengths(curve, chords, rel_tol=1e-12):
     integral's error carries into every value: at rel_tol = 1e-9 it is
     5.4e-9 relative on bump3 at a quarter of the area.
     """
-    base = affine_arclength(curve, chords[0].s, chords[0].t, rel_tol=rel_tol)
+    s, t = chords.s.tolist(), chords.t.tolist()
+    base = affine_arclength(curve, s[0], t[0], rel_tol=rel_tol)
     abs_tol = 1e-12 * abs(base)
     values = [base]
-    for prev, cur in zip(chords, chords[1:]):
+    for i in range(1, len(s)):
         values.append(
             values[-1]
-            - affine_arclength(curve, prev.s, cur.s, rel_tol=rel_tol, abs_tol=abs_tol)
-            + affine_arclength(curve, prev.t, cur.t, rel_tol=rel_tol, abs_tol=abs_tol)
+            - affine_arclength(curve, s[i - 1], s[i], rel_tol=rel_tol, abs_tol=abs_tol)
+            + affine_arclength(curve, t[i - 1], t[i], rel_tol=rel_tol, abs_tol=abs_tol)
         )
     return np.array(values)

@@ -126,11 +126,11 @@ def test_criterion_01_circle_closed_form_curvatures(unit_circle):
 
     cm_i = solve_silhouette_chord(unit_circle, 0.35, DELTA_HAT)
     values = {
-        "kappa1": (flotation_point(cm_f).kappa, circle_flotation_kappa(THETA)),
-        "kappa2": (buoyancy_point(cm_f, DELTA).kappa, circle_buoyancy_kappa(THETA)),
-        "kappa3": (illumination_point(cm_i).kappa, circle_illumination_kappa(THETA)),
+        "kappa1": (flotation_point(cm_f).kappa[0], circle_flotation_kappa(THETA)),
+        "kappa2": (buoyancy_point(cm_f, DELTA).kappa[0], circle_buoyancy_kappa(THETA)),
+        "kappa3": (illumination_point(cm_i).kappa[0], circle_illumination_kappa(THETA)),
         "kappa4": (
-            illumination_centroid_point(cm_i, DELTA_HAT).kappa,
+            illumination_centroid_point(cm_i, DELTA_HAT).kappa[0],
             circle_illumination_centroid_kappa(THETA),
         ),
     }
@@ -147,12 +147,9 @@ def test_criterion_01_circle_closed_form_curvatures(unit_circle):
 def test_criterion_02_half_disk_buoyancy(unit_circle):
     chords = sweep(unit_circle, FLOTATION, math.pi / 2.0, 128)
     radius_expect = 4.0 / (3.0 * math.pi)
-    worst_r = 0.0
-    worst_k = 0.0
-    for cm in chords:
-        sample = buoyancy_point(cm, math.pi / 2.0)
-        worst_r = max(worst_r, abs(np.linalg.norm(sample.point) - radius_expect))
-        worst_k = max(worst_k, abs(sample.kappa - 3.0 * math.pi / 4.0))
+    buoyancy = buoyancy_point(chords, math.pi / 2.0)
+    worst_r = float(np.max(np.abs(np.linalg.norm(buoyancy.points, axis=1) - radius_expect)))
+    worst_k = float(np.max(np.abs(buoyancy.kappa - 3.0 * math.pi / 4.0)))
     ok = worst_r < 1e-8 and worst_k < 1e-8
     _report(2, ok, f"half-disk centroid circle: radius err {worst_r:.3e}, kappa err {worst_k:.3e}")
 
@@ -160,23 +157,20 @@ def test_criterion_02_half_disk_buoyancy(unit_circle):
 def test_criterion_03_dupin_tangency_suite(
     circle_flot, circle_illum, ellipse_flot, ellipse_illum, bump3_flot, bump3_illum
 ):
-    def tangency(samples):
-        worst = 0.0
-        for smp in samples:
-            nt = norm2(smp.tangent)
-            if nt == 0.0:
-                continue
-            worst = max(worst, abs(det2(smp.tangent, smp.chord.c)) / (nt * smp.chord.norm_c))
-        return worst
+    def tangency(family, chords):
+        nt = norm2(family.tangents)
+        live = nt != 0.0
+        residual = np.abs(det2(family.tangents[live], chords.c[live])) / (nt[live] * chords.norm_c[live])
+        return float(residual.max(initial=0.0))
 
     worst = 0.0
     for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
-        worst = max(worst, tangency([flotation_point(cm) for cm in chords]))
-        worst = max(worst, tangency([buoyancy_point(cm, delta) for cm in chords]))
+        worst = max(worst, tangency(flotation_point(chords), chords))
+        worst = max(worst, tangency(buoyancy_point(chords, delta), chords))
     for chords in (circle_illum, ellipse_illum, bump3_illum):
-        dh = chords[0].delta
-        worst = max(worst, tangency([illumination_point(cm) for cm in chords]))
-        worst = max(worst, tangency([illumination_centroid_point(cm, dh) for cm in chords]))
+        dh = chords.delta
+        worst = max(worst, tangency(illumination_point(chords), chords))
+        worst = max(worst, tangency(illumination_centroid_point(chords, dh), chords))
     _report(3, worst < 1e-9, f"tangent-parallel-to-chord residual over 4 families x 3 bodies: {worst:.3e}")
 
 
@@ -185,17 +179,15 @@ def test_criterion_04_fd_cross_checks(
 ):
     h = TWO_PI / N
 
-    def fd_kappa_err(samples):
-        pts = np.array([s.point for s in samples])
-        kap = np.array([s.kappa for s in samples])
+    def fd_kappa_err(family):
+        pts, kap = family.points, family.kappa
         d1 = fd4_derivative(pts, h, 1)
         d2 = fd4_derivative(pts, h, 2)
         fd = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.sum(d1**2, axis=1) ** 1.5
         return float(np.max(np.abs(fd / kap - 1.0)))
 
-    def fd_kprime_err(samples, closed):
-        pts = np.array([s.point for s in samples])
-        kap = np.array([s.kappa for s in samples])
+    def fd_kprime_err(family, closed):
+        pts, kap = family.points, family.kappa
         dk = fd4_derivative(kap, h, 1)
         speed = np.linalg.norm(fd4_derivative(pts, h, 1), axis=1)
         fd = dk / speed
@@ -204,19 +196,19 @@ def test_criterion_04_fd_cross_checks(
 
     worst_k = 0.0
     for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
-        worst_k = max(worst_k, fd_kappa_err([flotation_point(cm) for cm in chords]))
-        worst_k = max(worst_k, fd_kappa_err([buoyancy_point(cm, delta) for cm in chords]))
+        worst_k = max(worst_k, fd_kappa_err(flotation_point(chords)))
+        worst_k = max(worst_k, fd_kappa_err(buoyancy_point(chords, delta)))
     for chords in (circle_illum, ellipse_illum):
-        dh = chords[0].delta
-        worst_k = max(worst_k, fd_kappa_err([illumination_point(cm) for cm in chords]))
-        worst_k = max(worst_k, fd_kappa_err([illumination_centroid_point(cm, dh) for cm in chords]))
+        dh = chords.delta
+        worst_k = max(worst_k, fd_kappa_err(illumination_point(chords)))
+        worst_k = max(worst_k, fd_kappa_err(illumination_centroid_point(chords, dh)))
 
     worst_kp = 0.0
     for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
-        kp1 = np.array([kappa_prime_flotation(cm) for cm in chords])
-        kp2 = np.array([kappa_prime_buoyancy(cm, delta) for cm in chords])
-        worst_kp = max(worst_kp, fd_kprime_err([flotation_point(cm) for cm in chords], kp1))
-        worst_kp = max(worst_kp, fd_kprime_err([buoyancy_point(cm, delta) for cm in chords], kp2))
+        kp1 = kappa_prime_flotation(chords)
+        kp2 = kappa_prime_buoyancy(chords, delta)
+        worst_kp = max(worst_kp, fd_kprime_err(flotation_point(chords), kp1))
+        worst_kp = max(worst_kp, fd_kprime_err(buoyancy_point(chords, delta), kp2))
 
     ok = worst_k < 1e-4 and worst_kp < 1e-3
     _report(4, ok, f"FD cross-checks: kappa rel err {worst_k:.3e} (<1e-4), kappa' err {worst_kp:.3e} (<1e-3)")
@@ -234,23 +226,18 @@ def test_criterion_06_affine_normal_proposition(unit_circle, ellipse21, bump3_sm
     worst_angle = 0.0
     worst_mag = 0.0
     for curve, delta in ((unit_circle, DELTA), (ellipse21, 1.0), (bump3_small, 0.8)):
-        for cm in sweep(curve, FLOTATION, delta, 64):
-            angle, mag = buoyancy_affine_normal_check(cm, delta)
-            if math.isnan(angle):
-                continue
-            worst_angle = max(worst_angle, angle)
-            worst_mag = max(worst_mag, mag)
+        angle, mag = buoyancy_affine_normal_check(sweep(curve, FLOTATION, delta, 64), delta)
+        live = ~np.isnan(angle)
+        worst_angle = max(worst_angle, float(angle[live].max(initial=0.0)))
+        worst_mag = max(worst_mag, float(mag[live].max(initial=0.0)))
     ok = worst_angle < 1e-6 and worst_mag < 1e-5
     _report(6, ok, f"buoyancy affine normal: angle err {worst_angle:.3e} rad, magnitude err {worst_mag:.3e}")
 
 
 def test_criterion_07_homothety_biconditional(ellipse21, ellipse_flot, bump3, bump3_flot):
     rep_e, lam_e = chord_cube_report(ellipse21, 1.0, FLOTATION, chords=ellipse_flot)
-    fit_e = fit_homothety(
-        [flotation_point(cm) for cm in ellipse_flot],
-        [buoyancy_point(cm, 1.0) for cm in ellipse_flot],
-    )
-    pts = np.array([flotation_point(cm).point for cm in ellipse_flot])
+    fit_e = fit_homothety(flotation_point(ellipse_flot), buoyancy_point(ellipse_flot, 1.0))
+    pts = flotation_point(ellipse_flot).points
     diam_e = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     ok_pass = (
         rep_e.coefficient_of_variation < 1e-8
@@ -259,11 +246,8 @@ def test_criterion_07_homothety_biconditional(ellipse21, ellipse_flot, bump3, bu
     )
 
     rep_b, _ = chord_cube_report(bump3, 0.8, FLOTATION, chords=bump3_flot)
-    fit_b = fit_homothety(
-        [flotation_point(cm) for cm in bump3_flot],
-        [buoyancy_point(cm, 0.8) for cm in bump3_flot],
-    )
-    pts_b = np.array([flotation_point(cm).point for cm in bump3_flot])
+    fit_b = fit_homothety(flotation_point(bump3_flot), buoyancy_point(bump3_flot, 0.8))
+    pts_b = flotation_point(bump3_flot).points
     diam_b = float(norm2(pts_b.max(axis=0) - pts_b.min(axis=0)))
     resid_ratio = fit_b.rms_residual / diam_b
     ok_fail = (
@@ -283,10 +267,8 @@ def test_criterion_07_homothety_biconditional(ellipse21, ellipse_flot, bump3, bu
 
 def test_criterion_08_duality(ellipse21, ellipse_flot, ellipse_lambda, ellipse_illum):
     delta_hat, lam_hat = duality_parameters(1.0, ellipse_lambda)
-    worst = 0.0
-    for cm_f, cm_i in zip(ellipse_flot, ellipse_illum):
-        worst = max(worst, float(norm2(cm_f.z - cm_i.z)))
-    pts = np.array([cm.z for cm in ellipse_illum])
+    worst = float(np.max(norm2(ellipse_flot.z - ellipse_illum.z)))
+    pts = ellipse_illum.z
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     pointwise_ok = worst < 1e-6 * diameter
     # scalar relations, with the illumination ratio measured from its own sweep
@@ -303,12 +285,12 @@ def test_criterion_08_duality(ellipse21, ellipse_flot, ellipse_lambda, ellipse_i
 
 
 def test_criterion_09_cut_length_equivalence(ellipse21, ellipse_flot, bump3, bump3_flot):
-    worst_balance_e = max(abs(endpoint_balance_residual(cm)) for cm in ellipse_flot)
+    worst_balance_e = float(np.max(np.abs(endpoint_balance_residual(ellipse_flot))))
     rep_e = affine_cut_length_report(ellipse21, 1.0, chords=ellipse_flot)
     ok_e = worst_balance_e < 1e-8 and rep_e.coefficient_of_variation < 1e-8
 
     worst_balance_b = max(
-        abs(endpoint_balance_residual(solve_flotation_chord(bump3, s, 0.8))) for s in BUMP3_PROBES
+        abs(endpoint_balance_residual(solve_flotation_chord(bump3, s, 0.8))[0]) for s in BUMP3_PROBES
     )
     rep_b = affine_cut_length_report(bump3, 0.8, chords=bump3_flot)
     ok_b = (
@@ -328,10 +310,10 @@ def test_criterion_09_cut_length_equivalence(ellipse21, ellipse_flot, bump3, bum
             cp = solve_flotation_chord(curve, s + h, delta)
             cmm = solve_flotation_chord(curve, s - h, delta)
             fd = (
-                affine_arclength(curve, cp.s, cp.t, rel_tol=1e-11)
-                - affine_arclength(curve, cmm.s, cmm.t, rel_tol=1e-11)
+                affine_arclength(curve, cp.s[0], cp.t[0], rel_tol=1e-11)
+                - affine_arclength(curve, cmm.s[0], cmm.t[0], rel_tol=1e-11)
             ) / (2 * h)
-            rate = affine_cut_rate(cm)
+            rate = affine_cut_rate(cm)[0]
             worst_link = max(worst_link, abs(fd - rate) / max(1.0, abs(rate)))
     ok_link = worst_link < 1e-6
     _report(
@@ -379,7 +361,7 @@ def test_criterion_11_polar_dual_limits(unit_circle, sym_cos2):
         dists = []
         for eps in (0.1, 0.05, 0.025):
             chords = sweep(curve, FLOTATION, half - eps, 512)
-            pts = np.array([0.5 * (cm.x + cm.y) for cm in chords]) / eps
+            pts = 0.5 * (chords.x + chords.y) / eps
             dists.append(hausdorff_distance(pts, dual.points))
         ok_decreasing = ok_decreasing and dists[0] > dists[1] > dists[2]
         detail.append("[" + ", ".join(f"{d:.2e}" for d in dists) + "]")
@@ -422,14 +404,14 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
         cm_f = solve_flotation_chord(ellipse21, s, delta)
         cm_i = solve_silhouette_chord(ellipse21, s, delta_hat)
         base[s] = {
-            "r1": flotation_point(cm_f).point,
-            "r2": buoyancy_point(cm_f, delta).point,
-            "r3": illumination_point(cm_i).point,
-            "r4": illumination_centroid_point(cm_i, delta_hat).point,
-            "chord_affine_len": cm_f.affine_norm_c,
-            "cut_arc": affine_arclength(ellipse21, cm_f.s, cm_f.t),
+            "r1": flotation_point(cm_f).points[0],
+            "r2": buoyancy_point(cm_f, delta).points[0],
+            "r3": illumination_point(cm_i).points[0],
+            "r4": illumination_centroid_point(cm_i, delta_hat).points[0],
+            "chord_affine_len": cm_f.affine_norm_c[0],
+            "cut_arc": affine_arclength(ellipse21, cm_f.s[0], cm_f.t[0]),
             "affine_curv": float(affine_curvature(ellipse21, s)),
-            "endpoint_balance": endpoint_balance_residual(cm_f),
+            "endpoint_balance": endpoint_balance_residual(cm_f)[0],
         }
     pts = np.array([v["r3"] for v in base.values()])
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
@@ -443,19 +425,19 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
             cm_f = solve_flotation_chord(image, s, delta)
             cm_i = solve_silhouette_chord(image, s, delta_hat)
             got = {
-                "r1": flotation_point(cm_f).point,
-                "r2": buoyancy_point(cm_f, delta).point,
-                "r3": illumination_point(cm_i).point,
-                "r4": illumination_centroid_point(cm_i, delta_hat).point,
+                "r1": flotation_point(cm_f).points[0],
+                "r2": buoyancy_point(cm_f, delta).points[0],
+                "r3": illumination_point(cm_i).points[0],
+                "r4": illumination_centroid_point(cm_i, delta_hat).points[0],
             }
             for key in got:
                 err = float(norm2(got[key] - frame.apply(base[s][key])))
                 worst_point = max(worst_point, err)
             scalars = {
-                "chord_affine_len": cm_f.affine_norm_c,
-                "cut_arc": affine_arclength(image, cm_f.s, cm_f.t),
+                "chord_affine_len": cm_f.affine_norm_c[0],
+                "cut_arc": affine_arclength(image, cm_f.s[0], cm_f.t[0]),
                 "affine_curv": float(affine_curvature(image, s)),
-                "endpoint_balance": endpoint_balance_residual(cm_f),
+                "endpoint_balance": endpoint_balance_residual(cm_f)[0],
             }
             for key, val in scalars.items():
                 # the balance residual is a difference of O(1) terms vanishing on conics;

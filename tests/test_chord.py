@@ -89,30 +89,27 @@ class TestTangentIntersection:
 class TestSolveFlotation:
     def test_circle_known_delta(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.77, DELTA)
-        assert cm.t - cm.s == pytest.approx(2 * THETA, abs=1e-12)
+        assert cm.t[0] - cm.s[0] == pytest.approx(2 * THETA, abs=1e-12)
 
     def test_half_disk_by_symmetry(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.3, math.pi / 2)
-        assert cm.t - cm.s == pytest.approx(math.pi, abs=1e-12)
+        assert cm.t[0] - cm.s[0] == pytest.approx(math.pi, abs=1e-12)
 
     def test_dt_ds_constant_on_circle(self, unit_circle):
         for s in (0.0, 1.3, 5.1):
             cm = solve_flotation_chord(unit_circle, s, DELTA)
-            assert cm.dt_ds == pytest.approx(1.0, abs=1e-12)
+            assert cm.dt_ds[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_angles_match_sign_conventions(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.5, DELTA)
-        assert cm.alpha == pytest.approx(THETA, abs=1e-10)
-        assert cm.beta == pytest.approx(THETA, abs=1e-10)
-        d1 = unit_circle.derivative(cm.s, 1)
-        d2 = unit_circle.derivative(cm.t, 1)
-        assert math.sin(cm.alpha) == pytest.approx(
-            -det2(cm.c, d1) / (cm.norm_c * np.linalg.norm(d1)), abs=1e-12
-        )
-        assert math.sin(cm.beta) == pytest.approx(
-            det2(cm.c, d2) / (cm.norm_c * np.linalg.norm(d2)), abs=1e-12
-        )
-        assert 0.0 < cm.alpha < math.pi and 0.0 < cm.beta < math.pi
+        alpha, beta, c, norm_c = cm.alpha[0], cm.beta[0], cm.c[0], cm.norm_c[0]
+        assert alpha == pytest.approx(THETA, abs=1e-10)
+        assert beta == pytest.approx(THETA, abs=1e-10)
+        d1 = unit_circle.derivative(cm.s[0], 1)
+        d2 = unit_circle.derivative(cm.t[0], 1)
+        assert math.sin(alpha) == pytest.approx(-det2(c, d1) / (norm_c * np.linalg.norm(d1)), abs=1e-12)
+        assert math.sin(beta) == pytest.approx(det2(c, d2) / (norm_c * np.linalg.norm(d2)), abs=1e-12)
+        assert 0.0 < alpha < math.pi and 0.0 < beta < math.pi
 
     def test_delta_out_of_range(self, unit_circle):
         with pytest.raises(DomainError):
@@ -122,42 +119,42 @@ class TestSolveFlotation:
 
     def test_area_residual_tolerance(self, bump3):
         cm = solve_flotation_chord(bump3, 2.2, 0.8)
-        residual = abs(cap_area(bump3, cm.s, cm.t) - 0.8)
+        residual = abs(cap_area(bump3, cm.s[0], cm.t[0]) - 0.8)
         assert residual < 1e-12 * area(bump3)
 
     def test_dt_ds_matches_fresh_solve_fd(self, bump3):
         h = 1e-5
         for s in (0.4, 2.0, 4.5):
             cm = solve_flotation_chord(bump3, s, 0.8)
-            tp = solve_flotation_chord(bump3, s + h, 0.8).t
-            tm = solve_flotation_chord(bump3, s - h, 0.8).t
-            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds, rel=1e-6)
+            tp = solve_flotation_chord(bump3, s + h, 0.8).t[0]
+            tm = solve_flotation_chord(bump3, s - h, 0.8).t[0]
+            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
 
 
 class TestSolveSilhouette:
     def test_circle_known_delta_hat(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.77, DELTA_HAT)
-        assert cm.t - cm.s == pytest.approx(2 * THETA, abs=1e-11)
-        assert cm.dt_ds == pytest.approx(1.0, abs=1e-10)
+        assert cm.t[0] - cm.s[0] == pytest.approx(2 * THETA, abs=1e-11)
+        assert cm.dt_ds[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_apex_distance(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.0, DELTA_HAT)
-        assert np.linalg.norm(cm.z) == pytest.approx(1.0 / math.cos(THETA), abs=1e-11)
+        assert np.linalg.norm(cm.z[0]) == pytest.approx(1.0 / math.cos(THETA), abs=1e-11)
 
     def test_dt_ds_matches_fresh_solve_fd(self, bump3):
         h = 1e-5
         for s in (0.4, 2.0, 4.5):
             cm = solve_silhouette_chord(bump3, s, 0.8)
-            tp = solve_silhouette_chord(bump3, s + h, 0.8).t
-            tm = solve_silhouette_chord(bump3, s - h, 0.8).t
-            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds, rel=1e-6)
+            tp = solve_silhouette_chord(bump3, s + h, 0.8).t[0]
+            tm = solve_silhouette_chord(bump3, s - h, 0.8).t[0]
+            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
 
     def test_dt_ds_fd_on_ellipse(self, ellipse21):
         h = 1e-5
         cm = solve_silhouette_chord(ellipse21, 0.4, 1.0)
-        tp = solve_silhouette_chord(ellipse21, 0.4 + h, 1.0).t
-        tm = solve_silhouette_chord(ellipse21, 0.4 - h, 1.0).t
-        assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds, rel=1e-6)
+        tp = solve_silhouette_chord(ellipse21, 0.4 + h, 1.0).t[0]
+        tm = solve_silhouette_chord(ellipse21, 0.4 - h, 1.0).t[0]
+        assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
 
     def test_antipodal_limit(self, unit_circle):
         assert antipodal_tangent_param(unit_circle, 0.4) == pytest.approx(0.4 + math.pi, abs=1e-10)
@@ -170,15 +167,14 @@ class TestSolveSilhouette:
 class TestSweep:
     def test_circle_offset_constant(self, unit_circle):
         chords = sweep(unit_circle, FLOTATION, DELTA, 64)
-        offsets = np.array([cm.t - cm.s for cm in chords])
+        offsets = chords.t - chords.s
         assert np.max(np.abs(offsets - 2 * THETA)) < 1e-11
 
     def test_half_area_chords_pass_through_center(self, ellipse21):
         chords = sweep(ellipse21, FLOTATION, math.pi, 64)
-        for cm in chords:
-            assert cm.t - cm.s == pytest.approx(math.pi, abs=1e-9)
-            dist = abs(det2(cm.c, -cm.x)) / cm.norm_c
-            assert dist < 1e-9
+        assert np.all(np.abs(chords.t - chords.s - math.pi) <= 1e-9)
+        dist = np.abs(det2(chords.c, -chords.x)) / chords.norm_c
+        assert np.all(dist < 1e-9)
 
     def test_closure(self, bump3):
         assert abs(sweep_closure_defect(bump3, FLOTATION, 0.8, 64)) < 1e-9
@@ -188,22 +184,20 @@ class TestSweep:
 
     def test_unwrapped_t_strictly_increasing(self, bump3):
         chords = sweep(bump3, FLOTATION, 0.8, 64)
-        ts = np.array([cm.t for cm in chords])
-        assert np.all(np.diff(ts) > 0.0)
+        assert np.all(np.diff(chords.t) > 0.0)
 
     def test_cap_area_monotone_via_endpoint_determinant(self, bump3):
         # d(cap area)/dt = det(c, gamma'(t))/2 stays positive along the sweep
-        for cm in sweep(bump3, FLOTATION, 0.8, 64):
-            assert det2(cm.c, bump3.derivative(cm.t, 1)) > 0.0
+        chords = sweep(bump3, FLOTATION, 0.8, 64)
+        assert np.all(det2(chords.c, bump3.derivative(chords.t, 1)) > 0.0)
 
     def test_eccentric_rotated_translated_ellipse(self):
         from flotilla.curve import Ellipse
 
         ell = Ellipse(5.0, 1.0, rotation=0.7, center=(3.0, -2.0))
         chords = sweep(ell, FLOTATION, 2.0, 64)
-        ts = np.array([cm.t for cm in chords])
-        assert np.all(np.diff(ts) > 0.0)
-        assert all(0.0 < cm.alpha < math.pi and 0.0 < cm.beta < math.pi for cm in chords)
+        assert np.all(np.diff(chords.t) > 0.0)
+        assert np.all((0.0 < chords.alpha) & (chords.alpha < math.pi) & (0.0 < chords.beta) & (chords.beta < math.pi))
 
     def test_minimum_sample_count(self, unit_circle):
         with pytest.raises(DomainError):
@@ -217,14 +211,13 @@ class TestSweep:
             image = apply_affine(unit_circle, frame)
             # unimodular: same delta cuts the same chords
             image_chords = sweep(image, FLOTATION, DELTA, 32)
-            for cm, icm in zip(chords, image_chords):
-                assert np.allclose(icm.x, frame.apply(cm.x), atol=1e-8)
-                assert np.allclose(icm.y, frame.apply(cm.y), atol=1e-8)
+            assert np.allclose(image_chords.x, frame.apply(chords.x), atol=1e-8)
+            assert np.allclose(image_chords.y, frame.apply(chords.y), atol=1e-8)
 
     def test_degenerate_half_area_sweep_succeeds(self, unit_circle):
         chords = sweep(unit_circle, FLOTATION, math.pi / 2, 32)
-        assert all(cm.z is None for cm in chords)
-        assert all(math.isinf(cm.affine_norm_c) for cm in chords)
+        assert not chords.apex.any() and np.all(np.isnan(chords.z))
+        assert np.all(np.isinf(chords.affine_norm_c))
 
 
 class TestLaneSweep:
@@ -252,12 +245,12 @@ class TestLaneSweep:
         # flat points the cone residual must read -delta_hat, not +inf
         period = bump3.period
         chords = sweep(bump3, ILLUMINATION, 0.8, 256)
-        s = np.array([cm.s for cm in chords])
+        s = chords.s
         d1, d2 = bump3.derivative(s, 1), bump3.derivative(s + 1e-9 * period, 1)
         flat = np.nonzero(np.abs(det2(d1, d2)) <= 1e-10 * norm2(d1) * norm2(d2))[0]
         assert len(flat) >= 3
         for i in flat:
-            assert abs(chords[i].t - solve_silhouette_chord(bump3, s[i], 0.8).t) < 1e-12
+            assert abs(chords.t[i] - solve_silhouette_chord(bump3, s[i], 0.8).t[0]) < 1e-12
 
     def test_unreachable_lane_raises(self):
         # the largest cone area below t_par differs by lane on a non-conic body;
@@ -293,16 +286,15 @@ class TestLaneSweep:
 
     def test_illumination_sweep_matches_one_lane_solves(self, bump3):
         chords = sweep(bump3, ILLUMINATION, 0.8, 256)
-        t = np.array([cm.t for cm in chords])
-        one = np.array([solve_silhouette_chord(bump3, cm.s, 0.8).t for cm in chords])
-        assert np.max(np.abs(t - one)) < 1e-12
+        one = np.concatenate([solve_silhouette_chord(bump3, s, 0.8).t for s in chords.s])
+        assert np.max(np.abs(chords.t - one)) < 1e-12
 
     def test_lanes_match_one_lane_solves(self, ellipse21):
         chords = sweep(ellipse21, FLOTATION, 1.0, 32)
         for cm in chords[::5]:
-            one = solve_flotation_chord(ellipse21, cm.s, 1.0)
-            assert one.t == pytest.approx(cm.t, abs=1e-12)
-            assert one.affine_norm_c == pytest.approx(cm.affine_norm_c, rel=1e-12)
+            one = solve_flotation_chord(ellipse21, cm.s[0], 1.0)
+            assert one.t[0] == pytest.approx(cm.t[0], abs=1e-12)
+            assert one.affine_norm_c[0] == pytest.approx(cm.affine_norm_c[0], rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

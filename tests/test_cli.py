@@ -22,7 +22,6 @@ from flotilla.cli import (
     main,
     read_curves_csv,
     report_schema,
-    sample_rows,
     write_curves_csv,
 )
 from flotilla.curve import Ellipse
@@ -40,6 +39,15 @@ def reports_match_schema(tmp_path):
     schema = report_schema()
     for path in tmp_path.rglob("report.json"):
         jsonschema.validate(json.loads(path.read_text()), schema)
+
+
+def strict_json(text):
+    """Parse JSON that must hold no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(path, **overrides):
@@ -212,22 +220,28 @@ class TestRun:
         circle = {"kind": "ellipse", "a": 1.0, "b": 1.0}
         cases = {
             # not origin-symmetric: no radon value, no -1 sentinel
-            "radon": (bump3, [0.8]),
+            "radon": ("radon", bump3, [0.8]),
             # implied ratio at most 2/3: there is no dual cone area
-            "duality": (ellipse, [{"fraction": 0.999}]),
+            "duality": ("duality", ellipse, [{"fraction": 0.999}]),
             # every half-area chord of a circle is a diameter: no lane has an apex
-            "affine_normal": (circle, [{"fraction": 0.5}]),
+            "affine_normal": ("affine_normal", circle, [{"fraction": 0.5}]),
+            # ... so the affine chord length is infinite, with no NaN in the report
+            "chord_cube": ("chord_cube", circle, [{"fraction": 0.5}]),
+            # ... and the homothetic regime is undefined, not "not constant"
+            "duality_no_apex": ("duality", circle, [{"fraction": 0.5}]),
         }
-        for check, (spec, deltas) in cases.items():
-            out = tmp_path / check
+        for name, (check, spec, deltas) in cases.items():
+            out = tmp_path / name
             cfg = write_config(
-                tmp_path / f"{check}.json", curveSpec=spec, deltas=deltas, checks=[check], outputDir=str(out)
+                tmp_path / f"{name}.json", curveSpec=spec, deltas=deltas, checks=[check], outputDir=str(out)
             )
             assert main(["run", str(cfg)]) == EXIT_OK
-            report = json.loads((out / "report.json").read_text())
+            report = strict_json((out / "report.json").read_text())
             (rec,) = report["records"]
             assert rec["status"] == "skipped" and rec["value"] is None and rec["reason"]
             assert report["passed"]
+            if spec is circle and check != "affine_normal":
+                assert "parallel end tangents" in rec["reason"]
 
     def test_skipped_records_do_not_mask_a_failure(self, tmp_path):
         bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}
@@ -269,13 +283,40 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_CHECK_FAILED
 
 
+def expected_rows(bundles):
+    """The CSV rows of the bundles, one dict per chord and family, read off the arrays."""
+    rows = []
+    for bundle in bundles:
+        for family, chords in bundle.families():
+            for i in range(len(chords)):
+                rows.append(
+                    {
+                        "family": family.family,
+                        "s": chords.s[i],
+                        "point_x": family.points[i, 0],
+                        "point_y": family.points[i, 1],
+                        "tangent_x": family.tangents[i, 0],
+                        "tangent_y": family.tangents[i, 1],
+                        "kappa": family.kappa[i],
+                        "kappa_prime": None if family.kappa_prime is None else family.kappa_prime[i],
+                        "chord_s": chords.s[i],
+                        "chord_t": chords.t[i],
+                        "alpha": chords.alpha[i],
+                        "beta": chords.beta[i],
+                        "norm_c": chords.norm_c[i],
+                        "affine_norm_c": chords.affine_norm_c[i],
+                    }
+                )
+    return rows
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         curve = Ellipse(2.0, 1.0)
         bundle = compute_bundle(curve, 1.0, 64)
-        rows = sample_rows(bundle)
+        rows = expected_rows([bundle])
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, rows)
+        write_curves_csv(path, [bundle])
         back = read_curves_csv(path)
         assert len(back) == len(rows)
         for orig, parsed in zip(rows, back):
@@ -287,17 +328,39 @@ class TestCsv:
                 else:
                     assert float(a) == b  # 17 significant digits: exact round trip
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # at half the area of the 2:1 ellipse no chord has an apex, so the
+        # flotation kappa and kappa' cells are NaN; the illumination pair
+        # (forced by delta_hat) has empty kappa' cells
+        curve = Ellipse(2.0, 1.0)
+        half = compute_bundle(curve, math.pi, 64, delta_hat_override=1.0)
+        assert np.all(np.isnan(half.flotation.kappa)) and np.all(np.isnan(half.flotation.kappa_prime))
+        assert half.illumination.kappa_prime is None and half.illum_centroid.kappa_prime is None
+        bundles = [compute_bundle(curve, 1.0, 64), half]
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, bundles)
+        # reference: one f-string per value, rows joined by csv.writer's \r\n
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join([row["family"]] + ["" if row[col] is None else f"{row[col]:.17g}" for col in CSV_COLUMNS[1:]])
+            for row in expected_rows(bundles)
+        ]
+        written = path.read_bytes()
+        assert written == ("\r\n".join(lines) + "\r\n").encode()
+        assert b",nan," in written and b",," in written
+
     def test_header_and_column_order(self, tmp_path):
         curve = Ellipse(1.0, 1.0)
         bundle = compute_bundle(curve, DELTA, 64)
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, sample_rows(bundle))
+        write_curves_csv(path, [bundle])
         header = path.read_text().splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
 
     def test_all_four_families_present_for_homothetic_body(self, tmp_path):
         bundle = compute_bundle(Ellipse(1.0, 1.0), DELTA, 64)
-        families = {row["family"] for row in sample_rows(bundle)}
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, [bundle])
+        families = {row["family"] for row in read_curves_csv(path)}
         assert families == {
             "flotation_boundary",
             "buoyancy_curve",
@@ -318,8 +381,8 @@ class TestSvg:
             ("illumination_boundary", bundle.illumination),
             ("illumination_centroid", bundle.illum_centroid),
         ):
-            curves.append({"label": label, "points": np.array([s.point for s in samples])})
-        return curves, bundle.chords
+            curves.append({"label": label, "points": samples.points})
+        return curves, [bundle.chords]
 
     def test_circle_bundle_renders_five_closed_curves(self, tmp_path):
         curves, chords = self._bundle_curves()

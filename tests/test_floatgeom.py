@@ -36,50 +36,49 @@ class TestFlotationPoint:
     def test_circle_point_and_curvature(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.9, DELTA)
         sample = flotation_point(cm)
-        assert np.linalg.norm(sample.point) == pytest.approx(math.cos(THETA), abs=1e-12)
-        assert sample.kappa == pytest.approx(circle_flotation_kappa(THETA), rel=1e-12)
+        assert np.linalg.norm(sample.points[0]) == pytest.approx(math.cos(THETA), abs=1e-12)
+        assert sample.kappa[0] == pytest.approx(circle_flotation_kappa(THETA), rel=1e-12)
 
     def test_degenerate_half_area_chord(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.2, math.pi / 2)
         sample = flotation_point(cm)
-        assert np.allclose(sample.tangent, 0.0)
-        assert math.isnan(sample.kappa)
+        assert np.allclose(sample.tangents, 0.0)
+        assert math.isnan(sample.kappa[0])
 
     def test_cot_form_matches_affine_form(self, ellipse21):
         for s in np.linspace(0, TWO_PI, 16, endpoint=False):
             cm = solve_flotation_chord(ellipse21, s, 1.0)
             sample = flotation_point(cm)
-            assert flotation_kappa_cot_form(cm) == pytest.approx(sample.kappa, rel=1e-10)
+            assert flotation_kappa_cot_form(cm)[0] == pytest.approx(sample.kappa[0], rel=1e-10)
 
     def test_tangent_is_parallel_to_chord(self, bump3):
-        for cm in sweep(bump3, FLOTATION, 0.8, 32):
-            sample = flotation_point(cm)
-            resid = abs(det2(sample.tangent, cm.c)) / (norm2(sample.tangent) * cm.norm_c)
-            assert resid < 1e-14
+        chords = sweep(bump3, FLOTATION, 0.8, 32)
+        sample = flotation_point(chords)
+        resid = np.abs(det2(sample.tangents, chords.c)) / (norm2(sample.tangents) * chords.norm_c)
+        assert np.all(resid < 1e-14)
 
 
 class TestBuoyancyPoint:
     def test_half_disk_centroid(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.4, math.pi / 2)
         sample = buoyancy_point(cm, math.pi / 2)
-        assert np.linalg.norm(sample.point) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
-        assert sample.kappa == pytest.approx(3.0 * math.pi / 4.0, abs=1e-10)
+        assert np.linalg.norm(sample.points[0]) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
+        assert sample.kappa[0] == pytest.approx(3.0 * math.pi / 4.0, abs=1e-10)
 
     def test_circle_third_chord_kappa(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 1.7, DELTA)
-        sample = buoyancy_point(cm, DELTA)
-        assert sample.kappa == pytest.approx(12.0 * DELTA / (2 * math.sin(THETA)) ** 3, rel=1e-12)
-        assert sample.kappa == pytest.approx(circle_buoyancy_kappa(THETA), rel=1e-12)
+        kappa = buoyancy_point(cm, DELTA).kappa[0]
+        assert kappa == pytest.approx(12.0 * DELTA / (2 * math.sin(THETA)) ** 3, rel=1e-12)
+        assert kappa == pytest.approx(circle_buoyancy_kappa(THETA), rel=1e-12)
 
     def test_centroid_strictly_inside_cap(self, ellipse21):
-        for cm in sweep(ellipse21, FLOTATION, 1.0, 16):
-            sample = buoyancy_point(cm, 1.0)
-            # strictly on the cap side of the chord and inside the body
-            side = det2(sample.point - cm.x, cm.c)
-            assert side > 0.0
-            arc = np.linspace(cm.s, cm.t, 64)
-            cap_poly = np.concatenate([ellipse21.derivative(arc, 0)])
-            assert convex_polygon_contains(cap_poly, sample.point[None, :], tol=1e-12)
+        chords = sweep(ellipse21, FLOTATION, 1.0, 16)
+        centroids = buoyancy_point(chords, 1.0).points
+        # strictly on the cap side of the chord and inside the body
+        assert np.all(det2(centroids - chords.x, chords.c) > 0.0)
+        for s, t, centroid in zip(chords.s, chords.t, centroids):
+            cap_poly = ellipse21.derivative(np.linspace(s, t, 64), 0)
+            assert convex_polygon_contains(cap_poly, centroid[None, :], tol=1e-12)
 
     def test_mismatched_delta_rejected(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.0, DELTA)
@@ -91,53 +90,45 @@ class TestDupinTangency:
     def test_fd_tangent_parallel_to_chord(self, unit_circle, ellipse21):
         for curve, delta in ((unit_circle, DELTA), (ellipse21, 1.0)):
             chords = sweep(curve, FLOTATION, delta, 128)
-            r1 = np.array([flotation_point(cm).point for cm in chords])
-            r2 = np.array([buoyancy_point(cm, delta).point for cm in chords])
+            r1 = flotation_point(chords).points
+            r2 = buoyancy_point(chords, delta).points
             for pts in (r1, r2):
                 d1 = spectral_fd(pts, order=1)
-                for k, cm in enumerate(chords):
-                    resid = abs(det2(d1[k], cm.c)) / (np.linalg.norm(d1[k]) * cm.norm_c)
-                    assert resid < 1e-10
+                resid = np.abs(det2(d1, chords.c)) / (np.linalg.norm(d1, axis=1) * chords.norm_c)
+                assert np.all(resid < 1e-10)
 
     def test_tangent_vectors_match_fd_including_magnitude(self, ellipse21):
         # validates the scalar factors of the closed-form tangents, not just
         # their direction
         chords = sweep(ellipse21, FLOTATION, 1.0, 256)
-        for maker in (flotation_point, lambda cm: buoyancy_point(cm, 1.0)):
-            samples = [maker(cm) for cm in chords]
-            pts = np.array([s.point for s in samples])
-            tans = np.array([s.tangent for s in samples])
+        for family in (flotation_point(chords), buoyancy_point(chords, 1.0)):
+            pts, tans = family.points, family.tangents
             fd = spectral_fd(pts, 1)
             err = np.max(np.linalg.norm(fd - tans, axis=1))
             assert err < 1e-10 * np.max(np.linalg.norm(tans, axis=1))
 
     def test_flotation_touches_chord_midpoint(self, bump3):
-        for cm in sweep(bump3, FLOTATION, 0.8, 16):
-            sample = flotation_point(cm)
-            assert np.allclose(sample.point, 0.5 * (cm.x + cm.y), atol=1e-14)
+        chords = sweep(bump3, FLOTATION, 0.8, 16)
+        assert np.allclose(flotation_point(chords).points, 0.5 * (chords.x + chords.y), atol=1e-14)
 
 
 class TestKappaPrime:
     def test_circle_vanishes(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.3, DELTA)
-        assert kappa_prime_flotation(cm) == pytest.approx(0.0, abs=1e-9)
-        assert kappa_prime_buoyancy(cm, DELTA) == pytest.approx(0.0, abs=1e-9)
+        assert kappa_prime_flotation(cm)[0] == pytest.approx(0.0, abs=1e-9)
+        assert kappa_prime_buoyancy(cm, DELTA)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_fd_along_own_arc_on_ellipse(self, ellipse21):
         n = 512
         h = TWO_PI / n
         chords = sweep(ellipse21, FLOTATION, 1.0, n)
-        for maker, kp_func in (
-            (flotation_point, lambda cm: kappa_prime_flotation(cm)),
-            (lambda cm: buoyancy_point(cm, 1.0), lambda cm: kappa_prime_buoyancy(cm, 1.0)),
+        for family, closed in (
+            (flotation_point(chords), kappa_prime_flotation(chords)),
+            (buoyancy_point(chords, 1.0), kappa_prime_buoyancy(chords, 1.0)),
         ):
-            samples = [maker(cm) for cm in chords]
-            pts = np.array([smp.point for smp in samples])
-            kappas = np.array([smp.kappa for smp in samples])
-            dk = fd4_derivative(kappas, h, 1)
-            speed = np.linalg.norm(fd4_derivative(pts, h, 1), axis=1)
+            dk = fd4_derivative(family.kappa, h, 1)
+            speed = np.linalg.norm(fd4_derivative(family.points, h, 1), axis=1)
             fd = dk / speed
-            closed = np.array([kp_func(cm) for cm in chords])
             assert np.max(np.abs(fd - closed)) < 1e-4 * np.max(np.abs(closed))
 
     def test_sign_flips_under_reflection(self, ellipse21):
@@ -145,17 +136,17 @@ class TestKappaPrime:
         mirrored = apply_affine(ellipse21, AffineFrame([[1.0, 0.0], [0.0, -1.0]]))
         cm = solve_flotation_chord(ellipse21, 0.7, 1.0)
         # the mirrored curve is reparametrized s -> period - s
-        cm_m = solve_flotation_chord(mirrored, TWO_PI - cm.t, 1.0)
-        assert cm_m.t == pytest.approx(TWO_PI - cm.s + TWO_PI * 0, abs=1e-9)
-        assert cm_m.alpha == pytest.approx(cm.beta, abs=1e-9)
-        assert kappa_prime_flotation(cm_m) == pytest.approx(-kappa_prime_flotation(cm), rel=1e-7)
-        assert kappa_prime_buoyancy(cm_m, 1.0) == pytest.approx(
-            -kappa_prime_buoyancy(cm, 1.0), rel=1e-7
+        cm_m = solve_flotation_chord(mirrored, TWO_PI - cm.t[0], 1.0)
+        assert cm_m.t[0] == pytest.approx(TWO_PI - cm.s[0] + TWO_PI * 0, abs=1e-9)
+        assert cm_m.alpha[0] == pytest.approx(cm.beta[0], abs=1e-9)
+        assert kappa_prime_flotation(cm_m)[0] == pytest.approx(-kappa_prime_flotation(cm)[0], rel=1e-7)
+        assert kappa_prime_buoyancy(cm_m, 1.0)[0] == pytest.approx(
+            -kappa_prime_buoyancy(cm, 1.0)[0], rel=1e-7
         )
 
     def test_vertex_singularity_is_nan(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.0, math.pi / 2)
-        assert math.isnan(kappa_prime_flotation(cm))
+        assert math.isnan(kappa_prime_flotation(cm)[0])
 
 
 class TestFlotationBodyArea:
@@ -176,7 +167,7 @@ class TestFlotationBodyArea:
     def test_area_against_shoelace_of_envelope(self, bump3):
         chords = sweep(bump3, FLOTATION, 0.8, 256)
         value = flotation_body_area(bump3, 0.8, 256, chords=chords)
-        pts = np.array([flotation_point(cm).point for cm in chords])
+        pts = flotation_point(chords).points
         shoelace = 0.5 * float(
             np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
         )
@@ -206,53 +197,47 @@ class TestAffineNormalProposition:
     def test_circle_points_toward_center(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 1.1, DELTA)
         angle, mag = buoyancy_affine_normal_check(cm, DELTA)
-        assert angle < 1e-7
-        assert mag < 1e-7
+        assert angle[0] < 1e-7
+        assert mag[0] < 1e-7
 
     def test_ellipse(self, ellipse21):
-        for cm in sweep(ellipse21, FLOTATION, 1.0, 64):
-            angle, mag = buoyancy_affine_normal_check(cm, 1.0)
-            assert angle < 1e-6
-            assert mag < 1e-6
+        angle, mag = buoyancy_affine_normal_check(sweep(ellipse21, FLOTATION, 1.0, 64), 1.0)
+        assert np.all(angle < 1e-6)
+        assert np.all(mag < 1e-6)
 
     def test_perturbed_circle(self, bump3_small):
-        for cm in sweep(bump3_small, FLOTATION, 0.8, 32):
-            angle, mag = buoyancy_affine_normal_check(cm, 0.8)
-            assert angle < 1e-5
-            assert mag < 1e-5
+        angle, mag = buoyancy_affine_normal_check(sweep(bump3_small, FLOTATION, 0.8, 32), 0.8)
+        assert np.all(angle < 1e-5)
+        assert np.all(mag < 1e-5)
 
     def test_parallel_tangents_skipped(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.0, math.pi / 2)
         angle, mag = buoyancy_affine_normal_check(cm, math.pi / 2)
-        assert math.isnan(angle) and math.isnan(mag)
+        assert math.isnan(angle[0]) and math.isnan(mag[0])
 
 
 class TestEquivariance:
     def test_buoyancy_curve_commutes_with_affine_maps(self, unit_circle):
         rng = np.random.default_rng(31)
         chords = sweep(unit_circle, FLOTATION, DELTA, 32)
-        base = [buoyancy_point(cm, DELTA).point for cm in chords]
+        base = buoyancy_point(chords, DELTA).points
         for _ in range(5):
             frame = random_unimodular_frame(rng)
             image = apply_affine(unit_circle, frame)
-            image_chords = sweep(image, FLOTATION, DELTA, 32)
-            for cm, pt in zip(image_chords, base):
-                expect = frame.apply(pt)
-                got = buoyancy_point(cm, DELTA).point
-                assert np.allclose(got, expect, atol=1e-8)
+            got = buoyancy_point(sweep(image, FLOTATION, DELTA, 32), DELTA).points
+            assert np.allclose(got, frame.apply(base), atol=1e-8)
 
     def test_buoyancy_delta_scales_with_determinant(self, unit_circle):
         frame = AffineFrame([[2.0, 0.0], [0.0, 1.0]])
         image = apply_affine(unit_circle, frame)
         cm = solve_flotation_chord(unit_circle, 0.5, DELTA)
         cm_img = solve_flotation_chord(image, 0.5, 2 * DELTA)
-        expect = frame.apply(buoyancy_point(cm, DELTA).point)
-        got = buoyancy_point(cm_img, 2 * DELTA).point
+        expect = frame.apply(buoyancy_point(cm, DELTA).points)
+        got = buoyancy_point(cm_img, 2 * DELTA).points
         assert np.allclose(got, expect, atol=1e-9)
 
 
 def test_kappa2_positive_and_finite_everywhere(bump3):
-    for cm in sweep(bump3, FLOTATION, 0.8, 64):
-        sample = buoyancy_point(cm, 0.8)
-        assert math.isfinite(sample.kappa)
-        assert sample.kappa > 0.0
+    kappa = buoyancy_point(sweep(bump3, FLOTATION, 0.8, 64), 0.8).kappa
+    assert np.all(np.isfinite(kappa))
+    assert np.all(kappa > 0.0)

@@ -32,13 +32,12 @@ class TestIlluminationPoint:
     def test_circle_apex_and_curvature(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 1.4, DELTA_HAT)
         sample = illumination_point(cm)
-        assert np.linalg.norm(sample.point) == pytest.approx(1.0 / math.cos(THETA), abs=1e-10)
-        assert sample.kappa == pytest.approx(math.cos(THETA), rel=1e-10)
+        assert np.linalg.norm(sample.points[0]) == pytest.approx(1.0 / math.cos(THETA), abs=1e-10)
+        assert sample.kappa[0] == pytest.approx(math.cos(THETA), rel=1e-10)
 
     def test_formula_matches_raw_determinant_form(self, ellipse21):
-        for cm in sweep(ellipse21, ILLUMINATION, 1.0, 32):
-            sample = illumination_point(cm)
-            assert illumination_kappa_raw(cm) == pytest.approx(sample.kappa, rel=1e-10)
+        chords = sweep(ellipse21, ILLUMINATION, 1.0, 32)
+        np.testing.assert_allclose(illumination_kappa_raw(chords), illumination_point(chords).kappa, rtol=1e-10)
 
     def test_equivariance_under_unimodular_frames(self, ellipse21):
         from flotilla.curve import apply_affine
@@ -51,59 +50,58 @@ class TestIlluminationPoint:
             image = apply_affine(ellipse21, frame)
             cm_img = solve_silhouette_chord(image, 0.8, 1.0)
             got = illumination_point(cm_img)
-            assert np.allclose(got.point, frame.apply(base.point), atol=1e-8)
-            expect_tangent = frame.apply_vector(base.tangent)
-            cross = abs(det2(got.tangent, expect_tangent))
-            assert cross < 1e-8 * norm2(got.tangent) * norm2(expect_tangent)
+            assert np.allclose(got.points, frame.apply(base.points), atol=1e-8)
+            expect_tangent = frame.apply_vector(base.tangents)
+            cross = np.abs(det2(got.tangents, expect_tangent))
+            assert np.all(cross < 1e-8 * norm2(got.tangents) * norm2(expect_tangent))
             # the affine chord length is the unimodular invariant here
-            assert cm_img.affine_norm_c == pytest.approx(cm.affine_norm_c, rel=1e-9)
+            assert cm_img.affine_norm_c[0] == pytest.approx(cm.affine_norm_c[0], rel=1e-9)
 
     def test_tangent_parallel_to_chord(self, bump3):
-        for cm in sweep(bump3, ILLUMINATION, 0.8, 32):
-            sample = illumination_point(cm)
-            resid = abs(det2(sample.tangent, cm.c)) / (norm2(sample.tangent) * cm.norm_c)
-            assert resid < 1e-12
+        chords = sweep(bump3, ILLUMINATION, 0.8, 32)
+        tangents = illumination_point(chords).tangents
+        resid = np.abs(det2(tangents, chords.c)) / (norm2(tangents) * chords.norm_c)
+        assert np.all(resid < 1e-12)
 
 
 class TestIlluminationCentroid:
     def test_circle_kappa(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.2, DELTA_HAT)
-        sample = illumination_centroid_point(cm, DELTA_HAT)
+        kappa = illumination_centroid_point(cm, DELTA_HAT).kappa[0]
         expected = 3.0 * DELTA_HAT * math.cos(THETA) ** 2 / math.sin(THETA) ** 3
-        assert sample.kappa == pytest.approx(expected, rel=1e-10)
-        assert sample.kappa == pytest.approx(circle_illumination_centroid_kappa(THETA), rel=1e-10)
+        assert kappa == pytest.approx(expected, rel=1e-10)
+        assert kappa == pytest.approx(circle_illumination_centroid_kappa(THETA), rel=1e-10)
 
     def test_circle_centroid_distance(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.2, DELTA_HAT)
         sample = illumination_centroid_point(cm, DELTA_HAT)
-        assert np.linalg.norm(sample.point) == pytest.approx(
+        assert np.linalg.norm(sample.points[0]) == pytest.approx(
             circle_cone_centroid_distance(THETA), abs=1e-10
         )
 
     def test_centroid_inside_triangle_outside_body(self, ellipse21):
-        for cm in sweep(ellipse21, ILLUMINATION, 1.0, 16):
-            sample = illumination_centroid_point(cm, 1.0)
-            tri = np.array([cm.x, cm.y, cm.z])
+        chords = sweep(ellipse21, ILLUMINATION, 1.0, 16)
+        centroids = illumination_centroid_point(chords, 1.0).points
+        boundary = np.array([ellipse21.derivative(s, 0) for s in np.linspace(0, TWO_PI, 256, endpoint=False)])
+        for x, y, z, centroid in zip(chords.x, chords.y, chords.z, centroids):
+            tri = np.array([x, y, z])
             if det2(tri[1] - tri[0], tri[2] - tri[0]) < 0:
                 tri = tri[::-1]
-            assert convex_polygon_contains(tri, sample.point[None, :], tol=1e-12)
+            assert convex_polygon_contains(tri, centroid[None, :], tol=1e-12)
             # outside the body: radius beyond the boundary in that direction
-            boundary = np.array(
-                [ellipse21.derivative(s, 0) for s in np.linspace(0, TWO_PI, 256, endpoint=False)]
-            )
-            assert not convex_polygon_contains(boundary, sample.point[None, :], tol=0.0)
+            assert not convex_polygon_contains(boundary, centroid[None, :], tol=0.0)
 
     def test_tangent_parallel_to_chord(self, ellipse21):
-        for cm in sweep(ellipse21, ILLUMINATION, 1.0, 16):
-            sample = illumination_centroid_point(cm, 1.0)
-            resid = abs(det2(sample.tangent, cm.c)) / (norm2(sample.tangent) * cm.norm_c)
-            assert resid < 1e-10
+        chords = sweep(ellipse21, ILLUMINATION, 1.0, 16)
+        tangents = illumination_centroid_point(chords, 1.0).tangents
+        resid = np.abs(det2(tangents, chords.c)) / (norm2(tangents) * chords.norm_c)
+        assert np.all(resid < 1e-10)
 
 
 class TestEnclosure:
     def test_illumination_boundary_encloses_body(self, bump3):
         chords = sweep(bump3, ILLUMINATION, 0.8, 128)
-        hull = np.array([illumination_point(cm).point for cm in chords])
+        hull = illumination_point(chords).points
         boundary = bump3.derivative(np.linspace(0, TWO_PI, 128, endpoint=False), 0)
         assert convex_polygon_contains(hull, boundary, tol=1e-9)
 
@@ -111,10 +109,8 @@ class TestEnclosure:
 class TestTangentVectors:
     def test_match_fd_including_magnitude(self, ellipse21):
         chords = sweep(ellipse21, ILLUMINATION, 1.0, 256)
-        for maker in (illumination_point, lambda cm: illumination_centroid_point(cm, 1.0)):
-            samples = [maker(cm) for cm in chords]
-            pts = np.array([s.point for s in samples])
-            tans = np.array([s.tangent for s in samples])
+        for family in (illumination_point(chords), illumination_centroid_point(chords, 1.0)):
+            pts, tans = family.points, family.tangents
             fd = spectral_fd(pts, 1)
             err = np.max(np.linalg.norm(fd - tans, axis=1))
             assert err < 1e-10 * np.max(np.linalg.norm(tans, axis=1))
@@ -124,10 +120,8 @@ class TestFdCurvature:
     def test_kappa3_kappa4_match_fd(self, ellipse21):
         n = 256
         chords = sweep(ellipse21, ILLUMINATION, 1.0, n)
-        for maker in (illumination_point, lambda cm: illumination_centroid_point(cm, 1.0)):
-            samples = [maker(cm) for cm in chords]
-            pts = np.array([smp.point for smp in samples])
-            kap = np.array([smp.kappa for smp in samples])
+        for family in (illumination_point(chords), illumination_centroid_point(chords, 1.0)):
+            pts, kap = family.points, family.kappa
             d1 = spectral_fd(pts, 1)
             d2 = spectral_fd(pts, 2)
             fd = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / np.sum(d1**2, axis=1) ** 1.5

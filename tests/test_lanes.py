@@ -1,12 +1,13 @@
 """Every lane-wise transform equals its one-lane call.
 
 The derived-curve transforms and chord checks run on all chords of a sweep
-at once; a single ChordMap is the one-lane case of the same code. Each
-transform is compared lane by lane on four curve kinds, including sweeps
-whose chords have parallel end tangents (no apex).
+at once; one chord, ``chords[i]``, is the one-lane case of the same code.
+Each transform is compared lane by lane on four curve kinds, including
+sweeps whose chords have parallel end tangents (no apex).
 """
 
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -14,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flotilla.chord import FLOTATION, ILLUMINATION, ChordLanes, sweep
+from flotilla.chord import FLOTATION, ILLUMINATION, sweep
 from flotilla.cli import CHECKS, compute_bundle, resolve_deltas
 from flotilla.curve import AffineFrame, Ellipse, FourierRadial, SampledPeriodic, apply_affine, area, curve_from_json
 from flotilla.errors import AccuracyError, DomainError
 from flotilla.floatgeom import (
+    DerivedCurve,
     buoyancy_affine_normal,
     buoyancy_affine_normal_check,
     buoyancy_derivatives,
@@ -79,38 +81,45 @@ def _assert_lanes(lane, one, unit=None):
     np.testing.assert_allclose(lane, one, rtol=REL, atol=REL * unit, equal_nan=True)
 
 
+CURVE_FIELDS = ("points", "tangents", "kappa", "kappa_prime")
+
+
 def _assert_samples(lane, one):
-    assert [s.family for s in lane] == [s.family for s in one]
-    assert all(a.chord is b.chord for a, b in zip(lane, one))
-    for field in ("point", "tangent", "kappa"):
-        _assert_lanes([getattr(s, field) for s in lane], [getattr(s, field) for s in one])
-
-
-def _delta(chords):
-    """The cut-off area of one chord or of a sweep."""
-    return chords.delta if hasattr(chords, "delta") else chords[0].delta
+    assert lane.family == one.family
+    for field in CURVE_FIELDS:
+        if getattr(one, field) is None:
+            assert getattr(lane, field) is None
+        else:
+            _assert_lanes(getattr(lane, field), getattr(one, field))
 
 
 FLOTATION_SAMPLES = {
     "flotation_point": flotation_point,
-    "buoyancy_point": lambda chords: buoyancy_point(chords, _delta(chords)),
+    "buoyancy_point": lambda chords: buoyancy_point(chords, chords.delta),
 }
 FLOTATION_VALUES = {
     "kappa_prime_flotation": kappa_prime_flotation,
-    "kappa_prime_buoyancy": lambda chords: kappa_prime_buoyancy(chords, _delta(chords)),
-    "buoyancy_derivatives": lambda chords: buoyancy_derivatives(chords, _delta(chords)),
-    "buoyancy_affine_normal": lambda chords: buoyancy_affine_normal(chords, _delta(chords)),
-    "buoyancy_affine_normal_check": lambda chords: buoyancy_affine_normal_check(chords, _delta(chords)),
+    "kappa_prime_buoyancy": lambda chords: kappa_prime_buoyancy(chords, chords.delta),
+    "buoyancy_derivatives": lambda chords: buoyancy_derivatives(chords, chords.delta),
+    "buoyancy_affine_normal": lambda chords: buoyancy_affine_normal(chords, chords.delta),
+    "buoyancy_affine_normal_check": lambda chords: buoyancy_affine_normal_check(chords, chords.delta),
     "endpoint_balance_residual": endpoint_balance_residual,
     "affine_cut_rate": affine_cut_rate,
 }
 
 
-def _one_lane_values(transform, chords):
-    rows = [transform(cm) for cm in chords]
+def _stack(rows):
+    return None if rows[0] is None else np.concatenate(rows)
+
+
+def _one_lane(transform, chords):
+    """The transform of every chord on its own, one lane at a time, stacked."""
+    rows = [transform(chords[i]) for i in range(len(chords))]
+    if isinstance(rows[0], DerivedCurve):
+        return DerivedCurve(rows[0].family, *(_stack([getattr(r, f) for r in rows]) for f in CURVE_FIELDS))
     if isinstance(rows[0], tuple):
-        return tuple(np.array(column) for column in zip(*rows))
-    return np.array(rows)
+        return tuple(_stack(column) for column in zip(*rows))
+    return _stack(rows)
 
 
 # residuals near zero on these bodies: an angle in radians, a relative error
@@ -132,7 +141,7 @@ def test_flotation_samples_match_one_lane(sweeps, name):
     _, quarter, half, _ = sweeps
     transform = FLOTATION_SAMPLES[name]
     for chords in (quarter, half):
-        _assert_samples(transform(chords), [transform(cm) for cm in chords])
+        _assert_samples(transform(chords), _one_lane(transform, chords))
 
 
 @pytest.mark.parametrize("name", sorted(FLOTATION_VALUES))
@@ -140,40 +149,33 @@ def test_flotation_values_match_one_lane(sweeps, name):
     _, quarter, half, _ = sweeps
     transform = FLOTATION_VALUES[name]
     for chords in (quarter, half):
-        _compare_values(transform(chords), _one_lane_values(transform, chords), UNITS.get(name))
+        _compare_values(transform(chords), _one_lane(transform, chords), UNITS.get(name))
 
 
 def test_half_area_sweeps_have_parallel_lanes(sweeps):
     body, quarter, half, _ = sweeps
-    apex = ChordLanes(half).apex
+    apex = half.apex
     assert not apex.all()
     if body == "ellipse21":
         assert not apex.any()
     # no apex: zero flotation tangent and NaN curvatures, as for one chord
-    samples = flotation_point(half)
-    for sample, has_apex in zip(samples, apex):
-        if not has_apex:
-            assert not np.any(sample.tangent) and math.isnan(sample.kappa)
+    flotation = flotation_point(half)
+    assert not np.any(flotation.tangents[~apex]) and np.all(np.isnan(flotation.kappa[~apex]))
     kp = kappa_prime_flotation(half)
     assert np.all(np.isnan(kp[~apex])) and np.all(np.isfinite(kp[apex]))
-    angle, mag = buoyancy_affine_normal_check(half, _delta(half))
+    angle, mag = buoyancy_affine_normal_check(half, half.delta)
     assert np.all(np.isnan(angle[~apex])) and np.all(np.isnan(mag[~apex]))
 
 
 def test_illumination_samples_match_one_lane(sweeps):
     _, _, _, illum = sweeps
-    delta_hat = illum[0].delta
-    _assert_samples(illumination_point(illum), [illumination_point(cm) for cm in illum])
-    _assert_samples(
-        illumination_centroid_point(illum, delta_hat), [illumination_centroid_point(cm, delta_hat) for cm in illum]
-    )
+    delta_hat = illum.delta
+    _assert_samples(illumination_point(illum), _one_lane(illumination_point, illum))
+    centroid = functools.partial(illumination_centroid_point, delta_hat=delta_hat)
+    _assert_samples(centroid(illum), _one_lane(centroid, illum))
 
 
 def test_mixed_chords_rejected(ellipse21):
-    quarter = sweep(ellipse21, FLOTATION, 1.0, 16)
-    other = sweep(ellipse21, FLOTATION, 1.5, 16)
-    with pytest.raises(DomainError):
-        flotation_point(quarter[:8] + other[8:])
     with pytest.raises(DomainError):
         flotation_point(sweep(ellipse21, ILLUMINATION, 1.0, 16))
 
@@ -182,7 +184,7 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
     # deterministic work counter on configs/ellipse.json at n = 256. One chord
     # at a time took 5,952 curve calls per bundle, and 2,044 (cut_length),
     # 1,536 (endpoint_balance), 1,280 (affine_normal) and 768 (omega) per check;
-    # lane-wise it takes 75 per bundle and at most 14 per check
+    # lane-wise it takes 68 per bundle and at most 14 per check
     config = json.loads((Path(__file__).parents[1] / "configs" / "ellipse.json").read_text())
     curve = curve_from_json(config["curveSpec"])
     calls = 0
@@ -210,6 +212,20 @@ def test_endpoint_balance_forms_checked_in_every_lane(bump3):
     # normal-component form disagree there, and the whole call raises
     chords = sweep(bump3, FLOTATION, 0.8, 64)
     assert np.all(np.isfinite(endpoint_balance_residual(chords)))
-    chords[40] = dataclasses.replace(chords[40], alpha=chords[40].alpha + 0.1)
+    alpha = chords.alpha.copy()
+    alpha[40] += 0.1
     with pytest.raises(AccuracyError):
-        endpoint_balance_residual(chords)
+        endpoint_balance_residual(dataclasses.replace(chords, alpha=alpha))
+
+
+def test_indexing_gives_sub_lane_chords(ellipse21):
+    chords = sweep(ellipse21, FLOTATION, 1.0, 32)
+    for index, lanes in ((5, [5]), (-1, [31]), (slice(None, None, 8), [0, 8, 16, 24])):
+        sub = chords[index]
+        assert len(sub) == len(lanes) and sub.curve is chords.curve and sub.delta == chords.delta
+        np.testing.assert_array_equal(sub.t, chords.t[lanes])
+        np.testing.assert_array_equal(sub.z, chords.z[lanes])
+        np.testing.assert_array_equal(sub.affine_norm_c, chords.affine_norm_c[lanes])
+    assert len(list(chords)) == 32
+    with pytest.raises(IndexError):
+        chords[32]

@@ -77,16 +77,16 @@ def test_cone_area_matches_quadrature(body, s, t):
 def test_buoyancy_point_matches_quadrature_centroid(body, s):
     delta = 0.15 * area(body)
     cm = solve_flotation_chord(body, s, delta)
-    _, centroid = quadrature_cap(body, cm.s, cm.t)
-    assert np.max(np.abs(buoyancy_point(cm, delta).point - centroid)) < CENTROID_TOL
+    _, centroid = quadrature_cap(body, cm.s[0], cm.t[0])
+    assert np.max(np.abs(buoyancy_point(cm, delta).points[0] - centroid)) < CENTROID_TOL
 
 
 @pytest.mark.parametrize("s", [0.3, 2.0, 4.4])
 def test_illumination_centroid_matches_quadrature_centroid(body, s):
     delta_hat = 0.1 * area(body)
     cm = solve_silhouette_chord(body, s, delta_hat)
-    _, centroid = quadrature_cone(body, cm.s, cm.t, cm.z)
-    assert np.max(np.abs(illumination_centroid_point(cm, delta_hat).point - centroid)) < CENTROID_TOL
+    _, centroid = quadrature_cone(body, cm.s[0], cm.t[0], cm.z[0])
+    assert np.max(np.abs(illumination_centroid_point(cm, delta_hat).points[0] - centroid)) < CENTROID_TOL
 
 
 def test_translated_ellipse_caps_match_closed_forms():

@@ -75,14 +75,14 @@ def test_panel_quadrature_smooth_cap_takes_one_call():
     curve = Ellipse(2.0, 1.0)
     chords = sweep(curve, FLOTATION, 1.0, 64)
     calls = 0
-    for cm in chords:
+    for s, t, x in zip(chords.s, chords.t, chords.x):
 
-        def integrand(u, x=cm.x):
+        def integrand(u, x=x):
             nonlocal calls
             calls += 1
             return det2(curve.derivative(u, 0) - x, curve.derivative(u, 1))
 
-        panel_quadrature(integrand, [cm.s, cm.t], rel_tol=1e-13)
+        panel_quadrature(integrand, [s, t], rel_tol=1e-13)
     assert calls <= len(chords)
 
 
