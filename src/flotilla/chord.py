@@ -106,12 +106,46 @@ def arc_moments(curve, s, t):
     return origin, x, y, m_t - m_s
 
 
+def _area_fdf(curve, kind, s):
+    """The cap (flotation) or cone (illumination) area of the lanes (s, t) as a function of t.
+
+    The returned callable maps t to the area, its t-derivative and the mask
+    of lanes whose end tangents are parallel (False for a cap, which always
+    exists; the cone area is undefined there). Everything that depends on s
+    alone, gamma(s), gamma'(s) and the moment antiderivative at s, is
+    evaluated here once, so a call evaluates the curve and its moments at t
+    only: orders 0 and 1 for a cap, 0 to 2 for a cone.
+    """
+    origin, moments = curve.moments
+    x = curve.derivative(s, 0) - origin
+    m_s = moments(s, -1)[..., 0]
+    d1 = curve.derivative(s, 1) if kind == ILLUMINATION else None
+
+    def fdf(t):
+        y = curve.derivative(t, 0) - origin
+        d2 = curve.derivative(t, 1)
+        dm = moments(t, -1)[..., 0] - m_s
+        c = y - x
+        q = det2(c, d2)
+        if kind == FLOTATION:
+            return 0.5 * (dm - det2(x, y)), 0.5 * q, False
+        z, parallel = _apex(x, y, d1, d2)
+        dd2 = curve.derivative(t, 2)
+        v = det2(d1, d2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the apex is x + mu d1 with mu = q / v
+            dmu_dt = (det2(c, dd2) * v - q * det2(d1, dd2)) / v**2
+            slope = -0.5 * det2(c, d1) * dmu_dt
+        return -0.5 * (dm - det2(z, c)), slope, parallel
+
+    return fdf
+
+
 def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
     if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
-    _, x, y, dm = arc_moments(curve, s, t)
-    return 0.5 * (dm[..., 0] - det2(x, y))
+    return _area_fdf(curve, FLOTATION, s)(t)[0]
 
 
 def _apex(x, y, d1, d2):
@@ -130,42 +164,12 @@ def tangent_intersection(curve, s, t):
     return z
 
 
-def _cone_area_lanes(curve, s, t):
-    """Cone area of every lane and the mask of lanes without an apex (area undefined there)."""
-    _, x, y, dm = arc_moments(curve, s, t)
-    z, parallel = _apex(x, y, *_ends(curve, s, t, 1))
-    return -0.5 * (dm[..., 0] - det2(z, y - x)), parallel
-
-
 def cone_area(curve, s, t):
     """Area of the silhouette region between the two tangent segments and the arc."""
-    cone, parallel = _cone_area_lanes(curve, s, t)
+    cone, _, parallel = _area_fdf(curve, ILLUMINATION, s)(t)
     if np.any(parallel):
         raise ParallelElementsError("tangent lines are parallel; no apex")
     return cone
-
-
-def _cap_area_dt(curve, s, t):
-    x, y = _ends(curve, s, t, 0)
-    return 0.5 * det2(y - x, curve.derivative(t, 1))
-
-
-def _cone_area_dt(curve, s, t):
-    x, y = _ends(curve, s, t, 0)
-    d1, d2 = _ends(curve, s, t, 1)
-    dd2 = curve.derivative(t, 2)
-    c = y - x
-    v = det2(d1, d2)
-    q = det2(c, d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dmu_dt = (det2(c, dd2) * v - q * det2(d1, dd2)) / v**2
-    return -0.5 * det2(c, d1) * dmu_dt
-
-
-def _flotation_dt_ds(curve, s, t):
-    x, y = _ends(curve, s, t, 0)
-    d1, d2 = _ends(curve, s, t, 1)
-    return -det2(y - x, d1) / det2(y - x, d2)
 
 
 def _chords(curve, kind, delta, s, t):
@@ -204,9 +208,14 @@ def _flotation_t(curve, s, delta):
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     period = curve.period
     tiny = 1e-12 * period
+    cap = _area_fdf(curve, FLOTATION, s)
+
+    def fdf(t):
+        value, slope, _ = cap(t)
+        return value - delta, slope
+
     return bracketed_newton(
-        lambda t: cap_area(curve, s, t) - delta,
-        lambda t: _cap_area_dt(curve, s, t),
+        fdf,
         s + tiny,
         s + period - tiny,
         s + period * (delta / total),
@@ -231,8 +240,7 @@ def antipodal_tangent_param(curve, s):
     # converges linearly toward it
     f_tol = _ROUNDING_DET * norm2(d1) * norm2(curve.derivative(x0, 1))
     return bracketed_newton(
-        lambda t: det2(d1, curve.derivative(t, 1)),
-        lambda t: det2(d1, curve.derivative(t, 2)),
+        lambda t: (det2(d1, curve.derivative(t, 1)), det2(d1, curve.derivative(t, 2))),
         s + 0.02 * period,
         s + 0.98 * period,
         x0,
@@ -249,26 +257,25 @@ def _silhouette_t(curve, s, delta_hat):
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
     t_par = antipodal_tangent_param(curve, s)
+    cone = _area_fdf(curve, ILLUMINATION, s)
 
-    def f(t):
-        cone, parallel = _cone_area_lanes(curve, s, t)
+    def fdf(t):
+        value, slope, parallel = cone(t)
         # at a flat point s the tangents stay parallel for a while after s, where
         # the cone area tends to 0; next to t_par the apex escapes to infinity
         no_apex = np.where(t - s < t_par - t, -delta_hat, np.inf)
-        return np.where(parallel, no_apex, cone - delta_hat)
+        return np.where(parallel, no_apex, value - delta_hat), slope
 
     tiny = 1e-9 * curve.period
     lo, hi = s + tiny, t_par - tiny
-    f_hi = f(hi)
+    f_hi, _ = fdf(hi)
     if np.any(f_hi < 0.0):
         i = int(np.argmin(f_hi))
         raise SolverError(
             f"delta_hat={delta_hat} not reachable at s={s[i]} before tangents turn parallel "
             f"(max representable cone area {f_hi[i] + delta_hat:.6g})"
         )
-    return bracketed_newton(
-        f, lambda t: _cone_area_dt(curve, s, t), lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve)
-    )
+    return bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve))
 
 
 def solve_silhouette_chord(curve, s, delta_hat):

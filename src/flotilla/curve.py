@@ -167,6 +167,11 @@ class FourierRadial(ClosedConvexCurve):
         self.sin_coeffs = tuple(float(c) for c in self.sin_coeffs)
         if self.r0 <= 0.0:
             raise DomainError("base radius must be positive")
+        # adding a zero term is exact, so only the nonzero ones are evaluated;
+        # non-finite coefficients stay, for _validate to reject
+        self._terms = [(k, a, np.cos) for k, a in enumerate(self.cos_coeffs, start=1) if a != 0.0] + [
+            (k, b, np.sin) for k, b in enumerate(self.sin_coeffs, start=1) if b != 0.0
+        ]
         self._validate()
 
     @property
@@ -176,10 +181,8 @@ class FourierRadial(ClosedConvexCurve):
 
     def _radial(self, s, order):
         r = np.full_like(s, self.r0 if order == 0 else 0.0)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            r = r + a * float(k) ** order * np.cos(k * s + order * math.pi / 2.0)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            r = r + b * float(k) ** order * np.sin(k * s + order * math.pi / 2.0)
+        for k, a, wave in self._terms:
+            r = r + a * float(k) ** order * wave(k * s + order * math.pi / 2.0)
         return r
 
     def derivative(self, s, order):

@@ -170,14 +170,18 @@ def buoyancy_affine_normal(chords, delta):
 def buoyancy_affine_normal_check(chords, delta):
     """Angle and relative magnitude error against (8 dbar^(1/3) / ||c||^3)(r1 - z).
 
-    Both are NaN in the lanes whose endpoint tangents are parallel, where
-    the apex z does not exist (the check is skipped there).
+    Here r1 is the chord midpoint. Both are NaN in the lanes whose endpoint
+    tangents are parallel, where the apex z does not exist (the check is
+    skipped there). A cap larger than half the body has a negative tangent
+    triangle: the end tangents meet on the far side of the chord, so r1 - z
+    turns by pi and the proposition holds with z - r1 and |c|_aff^3.
     """
     normal = buoyancy_affine_normal(chords, delta)
-    w = 0.5 * (chords.x + chords.y) - chords.z
+    affine_norm_c = chords.affine_norm_c
+    w = np.sign(affine_norm_c)[:, None] * (0.5 * (chords.x + chords.y) - chords.z)
     angle = np.arctan2(np.abs(det2(normal, w)), np.sum(normal * w, axis=-1))
     delta_bar = 1.5 * delta
-    expected = 8.0 * delta_bar ** (1.0 / 3.0) / chords.affine_norm_c**3 * norm2(w)
+    expected = 8.0 * delta_bar ** (1.0 / 3.0) / np.abs(affine_norm_c) ** 3 * norm2(w)
     magnitude_err = np.abs(norm2(normal) - expected) / expected
     apex = chords.apex
     return np.where(apex, angle, math.nan), np.where(apex, magnitude_err, math.nan)

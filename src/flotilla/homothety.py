@@ -7,22 +7,13 @@ can threshold.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chord import (
-    FLOTATION,
-    ILLUMINATION,
-    _cap_area_dt,
-    _flotation_dt_ds,
-    _flotation_t,
-    sweep,
-    tangent_intersection,
-)
+from .chord import FLOTATION, ILLUMINATION, _ends, _flotation_t, sweep, tangent_intersection
 from .curve import (
     SampledPeriodic,
     affine_arclengths,
@@ -131,10 +122,13 @@ def chord_cube_report(curve, delta, kind, n_samples=512, chords=None):
     """Constancy report of the cubed affine chord length, with the implied ratio.
 
     The implied homothety ratio is mean(||c||^3) / (12 delta) for flotation
-    and mean(||c||^3) / (24 delta_hat) for illumination.
+    and mean(||c||^3) / (24 delta_hat) for illumination. Raises
+    ParallelElementsError if a chord has parallel end tangents.
     """
     if chords is None:
         chords = sweep(curve, kind, delta, n_samples)
+    if not chords.apex.all():
+        raise ParallelElementsError("a chord has parallel end tangents, so its affine length is infinite")
     # Python's pow, not numpy's vectorised one, which rounds differently in the last bit
     values = np.array([a**3 for a in chords.affine_norm_c.tolist()])
     report = ConstancyReport.from_values(values)
@@ -230,7 +224,9 @@ def affine_cut_lengths(curve, chords, rel_tol=1e-12):
         raise DomainError("chord starts must lie within one period")
     wraps = t >= start + period
     t_reduced = np.where(wraps, t - period, t)
-    breaks = np.unique(np.concatenate([s, t_reduced, [start + period]]))
+    # sorted and deduplicated without np.unique, which imports numpy.ma
+    merged = np.sort(np.concatenate([s, t_reduced, [start + period]]))
+    breaks = merged[np.concatenate([[True], np.diff(merged) > 0.0])]
     # extended precision keeps the rounding of the running sum below that of the pieces
     pieces = affine_arclengths(curve, breaks, rel_tol=rel_tol)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces, dtype=np.longdouble)])
@@ -336,8 +332,7 @@ def radon_check(curve, n_samples=256) -> float:
     d1 = curve.derivative(s, 1)
     lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
     t = bracketed_newton(
-        lambda u: det2(curve.derivative(u, 0), d1),
-        lambda u: det2(curve.derivative(u, 1), d1),
+        lambda u: (det2(curve.derivative(u, 0), d1), det2(curve.derivative(u, 1), d1)),
         lo,
         hi,
         0.5 * (lo + hi),
@@ -355,8 +350,11 @@ def _chains(curve, p, q, delta, starts):
     for _ in range(q):
         s = ts[-1]
         t = _flotation_t(curve, s, delta)
-        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain
-        dt_ddelta = 1.0 / _cap_area_dt(curve, s, t) + _flotation_dt_ds(curve, s, t) * dt_ddelta
+        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
+        # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
+        (x, y), (d1, d2) = _ends(curve, s, t, 0), _ends(curve, s, t, 1)
+        c = y - x
+        dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)
     if np.any(ts[-1] - starts > (p + 1) * curve.period):
         raise SolverError("carousel chaining overflowed the expected winding")
@@ -413,23 +411,20 @@ def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
     """Cut-off area at which the p/q carousel from s0 closes."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
+    if not 0 < p < q:
+        raise DomainError("require 0 < p < q")
     total = area(curve)
+    start = np.array([float(s0)])
 
-    # Newton asks for the defect and its slope at the same delta: one chain serves both
-    @functools.lru_cache(maxsize=1)
-    def chain(d):
-        return build_carousel(curve, p, q, d, s0=s0)
-
-    def defect(d):
-        return chain(d).closure_defect
-
-    def slope(d):
-        return chain(d).defect_slope
+    def fdf(d):
+        # the closure defect of the chain from s0 and its slope in delta
+        ts, slope = _chains(curve, p, q, d, start)
+        return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
 
     # raises SolverError when the defect does not change sign on the bracket
     lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
-    delta_star = bracketed_newton(defect, slope, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
-    residual = defect(delta_star)
+    delta_star = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
+    residual, _ = fdf(delta_star)
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star)

@@ -97,19 +97,17 @@ def polar_of_point(curve, p) -> PolarityResult:
     """
     p = np.asarray(p, dtype=float)
 
-    def f(u):
-        return det2(curve.derivative(u, 0) - p, curve.derivative(u, 1))
-
-    def df(u):
-        return det2(curve.derivative(u, 0) - p, curve.derivative(u, 2))
+    def fdf(u):
+        g = curve.derivative(u, 0) - p
+        return det2(g, curve.derivative(u, 1)), det2(g, curve.derivative(u, 2))
 
     n = 4 * max(curve.resolution, 128)
     grid = np.arange(n + 1) * (curve.period / n)
-    vals = f(grid)
+    vals = det2(curve.derivative(grid, 0) - p, curve.derivative(grid, 1))
     crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(vals[np.abs(vals) == 0.0]) or len(crossings) != 2:
         if len(crossings) < 2:
             raise DomainError("point is not strictly outside the curve (no polar chord)")
         raise SolverError(f"expected 2 tangency roots, found {len(crossings)}")
-    a, b = np.sort(bracketed_newton(f, df, grid[crossings], grid[crossings + 1], grid[crossings], f_tol=0.0))
+    a, b = np.sort(bracketed_newton(fdf, grid[crossings], grid[crossings + 1], grid[crossings], f_tol=0.0))
     return PolarityResult(pole=tangent_intersection(curve, a, b), chord_params=(float(a), float(b)))

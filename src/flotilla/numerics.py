@@ -135,30 +135,31 @@ class TrigInterpolant:
         return out.real
 
 
-def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
+def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
     """Safeguarded Newton iteration on independent lanes, each inside its own sign-change bracket.
 
-    ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``f`` and
-    ``dfdx`` map the array of per-lane abscissae to per-lane values. Each lane
-    keeps its own bracket and falls back to bisection whenever its Newton step
-    leaves the bracket; a lane freezes once |f| <= f_tol (a scalar or one value
-    per lane) or its step is below ``x_tol``, and the loop ends when every lane
-    has. A 0-d ``x0`` is one lane: ``f`` then receives and returns plain floats,
-    and so does the call.
+    ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``fdf`` maps
+    the array of per-lane abscissae to the per-lane values and slopes
+    ``(f, f')`` at them, so one call per round serves both (the ``funcd`` of
+    Numerical Recipes' rtsafe). Each lane keeps its own bracket and falls
+    back to bisection whenever its Newton step leaves the bracket; a lane
+    freezes once |f| <= f_tol (a scalar or one value per lane) or its step is
+    below ``x_tol``, and the loop ends when every lane has. A 0-d ``x0`` is
+    one lane: ``fdf`` then receives and returns plain floats, and so does the
+    call.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     scalar = shape == ()
 
-    def lanes(g, u):
-        if scalar:
-            return np.array([g(float(u[0]))], dtype=float)
-        return np.asarray(g(u.reshape(shape)), dtype=float).ravel()
+    def lanes(u):
+        value, slope = fdf(float(u[0]) if scalar else u.reshape(shape))
+        return np.asarray(value, dtype=float).ravel(), np.asarray(slope, dtype=float).ravel()
 
     lo, hi, x0, f_tol = (
         np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0, f_tol)
     )
-    flo = lanes(f, lo)
-    fhi = lanes(f, hi)
+    flo, _ = lanes(lo)
+    fhi, _ = lanes(hi)
     no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)
     if np.any(no_change):
         i = int(np.argmax(no_change))
@@ -166,7 +167,7 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
     done = (flo == 0.0) | (fhi == 0.0)
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.clip(x0, lo, hi)))
     for _ in range(max_iter):
-        fx = lanes(f, x)
+        fx, d = lanes(x)
         done |= np.abs(fx) <= f_tol
         if done.all():
             break
@@ -174,7 +175,6 @@ def bracketed_newton(f, dfdx, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
         to_lo = active & (np.sign(fx) == np.sign(flo))
         lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
         hi = np.where(active & ~to_lo, x, hi)
-        d = lanes(dfdx, x)
         tol = x_tol * np.maximum(1.0, np.abs(x))
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = np.where((d != 0.0) & np.isfinite(d), x - fx / d, np.nan)

@@ -252,3 +252,32 @@ def incremental_cut_lengths(curve, chords, rel_tol=1e-12):
             + affine_arclength(curve, t[i - 1], t[i], rel_tol=rel_tol, abs_tol=abs_tol)
         )
     return np.array(values)
+
+
+# -- Fourier radial curve, every harmonic evaluated --------------------------
+
+
+def fourier_radial_derivative(r0, cos_coeffs, sin_coeffs, s, order):
+    """Order-th derivative of r(s) (cos s, sin s), r = r0 + sum_k (a_k cos ks + b_k sin ks).
+
+    The Leibniz loop of FourierRadial as it was when every harmonic, zero
+    coefficients included, was evaluated; FourierRadial must agree with it
+    bit for bit.
+    """
+
+    def radial(s, order):
+        r = np.full_like(s, r0 if order == 0 else 0.0)
+        for k, a in enumerate(cos_coeffs, start=1):
+            r = r + a * float(k) ** order * np.cos(k * s + order * math.pi / 2.0)
+        for k, b in enumerate(sin_coeffs, start=1):
+            r = r + b * float(k) ** order * np.sin(k * s + order * math.pi / 2.0)
+        return r
+
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape + (2,))
+    for j in range(order + 1):
+        rj = radial(s, j)
+        phase = s + (order - j) * (math.pi / 2.0)
+        u = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
+        out += math.comb(order, j) * rj[..., None] * u
+    return out

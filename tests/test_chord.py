@@ -240,6 +240,40 @@ class TestLaneSweep:
         assert len(chords) == 256
         assert calls <= 150
 
+    @pytest.mark.parametrize(
+        "body, kind, delta, curve_points, moment_points",
+        [
+            ("ellipse21", FLOTATION, 1.0, 10_240, 4_608),
+            ("ellipse21", ILLUMINATION, 1.0, 20_992, 5_120),
+            ("bump3", ILLUMINATION, 0.8, 39_680, 8_192),
+        ],
+    )
+    def test_curve_points_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, moment_points):
+        # deterministic work counter: the points at which the curve and its
+        # moment antiderivative are evaluated. The bounds are 0.65 of the
+        # counts when the value and the slope were separate callables that
+        # each evaluated both chord ends
+        curve = request.getfixturevalue(body)
+        _, moments = curve.moments
+        counts = {"curve": 0, "moments": 0}
+        derivative = type(curve).derivative
+        interpolant = type(moments).__call__
+
+        def counting_derivative(self, s, order):
+            counts["curve"] += np.size(s)
+            return derivative(self, s, order)
+
+        def counting_moments(self, s, order=0):
+            if self is moments:
+                counts["moments"] += np.size(s)
+            return interpolant(self, s, order)
+
+        monkeypatch.setattr(type(curve), "derivative", counting_derivative)
+        monkeypatch.setattr(type(moments), "__call__", counting_moments)
+        assert len(sweep(curve, kind, delta, 256)) == 256
+        assert counts["curve"] <= 0.65 * curve_points
+        assert counts["moments"] <= 0.65 * moment_points
+
     def test_flat_point_lanes_match_one_lane_solves(self, bump3):
         # lanes whose tangent is still parallel at s + 1e-9 period: next to the
         # flat points the cone residual must read -delta_hat, not +inf

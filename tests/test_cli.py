@@ -243,6 +243,16 @@ class TestRun:
             if spec is circle and check != "affine_normal":
                 assert "parallel end tangents" in rec["reason"]
 
+    def test_affine_normal_passes_on_caps_larger_than_half_the_body(self, tmp_path):
+        ellipse = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+        deltas = [{"fraction": 0.7}, {"fraction": 0.999}]
+        cfg = write_config(tmp_path / "c.json", curveSpec=ellipse, deltas=deltas, checks=["affine_normal"])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        # the record is the worse of the two deltas; an unoriented r1 - z reads an angle of pi at both
+        (rec,) = report["records"]
+        assert rec["status"] == "pass" and rec["value"] < 1e-6 * rec["threshold"]
+
     def test_skipped_records_do_not_mask_a_failure(self, tmp_path):
         bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}
         cfg = write_config(tmp_path / "c.json", curveSpec=bump3, deltas=[0.8], checks=["radon", "chord_cube"])
@@ -481,3 +491,18 @@ def test_run_does_not_load_jsonschema(tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("config, code", [("ellipse.json", EXIT_OK), ("perturbed_circle.json", EXIT_CHECK_FAILED)])
+def test_run_does_not_load_numpy_ma(tmp_path, config, code):
+    # np.unique imports numpy.ma on first use (10 ms or more in a cold run);
+    # nothing on the run path may call it
+    root = Path(flotilla.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = (
+        "import sys; from flotilla.cli import main; "
+        f"code = main(['run', {str(root / 'configs' / config)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == f"{code} False"

@@ -31,7 +31,7 @@ from flotilla.errors import (
     UnsupportedOrderError,
 )
 
-from oracles import random_unimodular_frame, riemann_area, triangle_area
+from oracles import fourier_radial_derivative, random_unimodular_frame, riemann_area, triangle_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -262,11 +262,31 @@ class TestValidation:
         with pytest.raises(DegenerateCurveError):
             SampledPeriodic(np.stack([np.cos(-s), np.sin(-s)], axis=-1))
 
+    def test_nonfinite_zero_padded_coefficient_rejected(self):
+        with pytest.raises(DomainError):
+            FourierRadial(1.0, (0.0, math.nan, 0.0))
+
     def test_closedness_of_derivatives(self, bump3):
         for order in range(4):
             a = bump3.derivative(0.0, order)
             b = bump3.derivative(TWO_PI, order)
             assert np.allclose(a, b, atol=1e-12)
+
+
+class TestFourierRadialTerms:
+    """Only the nonzero harmonics are evaluated; adding a zero term is exact."""
+
+    @pytest.mark.parametrize(
+        "r0, cos_coeffs, sin_coeffs",
+        [(1.0, (0.0, 0.0, 0.1), ()), (1.0, (0.0, 0.02, 0.0, 0.01), (0.03, 0.0, -0.015))],
+        ids=["bump3", "mixed"],
+    )
+    def test_derivatives_equal_every_harmonic_loop(self, r0, cos_coeffs, sin_coeffs):
+        curve = FourierRadial(r0, cos_coeffs, sin_coeffs)
+        s = np.concatenate([np.arange(257) * (TWO_PI / 256), [-1.3, 7.9, math.pi]])
+        for order in range(5):
+            expected = fourier_radial_derivative(r0, cos_coeffs, sin_coeffs, s, order)
+            assert np.array_equal(curve.derivative(s, order), expected)
 
 
 class TestJson:

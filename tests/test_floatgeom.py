@@ -210,6 +210,17 @@ class TestAffineNormalProposition:
         assert np.all(angle < 1e-5)
         assert np.all(mag < 1e-5)
 
+    @pytest.mark.parametrize("fraction", [0.7, 0.999])
+    def test_caps_larger_than_half_the_body(self, ellipse21, fraction):
+        # the end tangents meet on the far side of the chord: the tangent
+        # triangle, and so the affine chord length, is negative
+        delta = fraction * area(ellipse21)
+        chords = sweep(ellipse21, FLOTATION, delta, 64)
+        assert np.all(chords.affine_norm_c < 0.0)
+        angle, mag = buoyancy_affine_normal_check(chords, delta)
+        assert np.all(angle < 1e-12)
+        assert np.all(mag < 1e-12)
+
     def test_parallel_tangents_skipped(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.0, math.pi / 2)
         angle, mag = buoyancy_affine_normal_check(cm, math.pi / 2)

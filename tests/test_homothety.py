@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
 from flotilla.curve import Ellipse, SampledPeriodic, affine_normal, area, det2
-from flotilla.errors import DomainError
+from flotilla.errors import DomainError, ParallelElementsError
 from flotilla.floatgeom import buoyancy_point, flotation_point
 from flotilla.homothety import (
     ConstancyReport,
@@ -187,6 +187,14 @@ class TestDuality:
     def test_pointwise_ellipse(self, ellipse21):
         err, skipped = duality_pointwise_check(ellipse21, 1.0, n_samples=64)
         assert err < 1e-7
+
+    def test_no_apex_lanes_raise(self, unit_circle):
+        # every half-area chord of a circle is a diameter: the affine chord
+        # length is infinite, so there is no mean and no implied ratio
+        with pytest.raises(ParallelElementsError):
+            chord_cube_report(unit_circle, math.pi / 2, FLOTATION, n_samples=64)
+        with pytest.raises(ParallelElementsError):
+            duality_pointwise_check(unit_circle, math.pi / 2, n_samples=64)
 
     def test_pointwise_out_of_regime_is_informative(self, bump3):
         # non-homothetic body: the mismatch is reported, not asserted against

@@ -138,7 +138,7 @@ def test_trig_interpolant_drops_rounding_level_modes():
 
 
 def test_bracketed_newton_finds_root():
-    root = bracketed_newton(lambda x: x**2 - 2.0, lambda x: 2 * x, 0.0, 2.0, 1.9, f_tol=1e-14)
+    root = bracketed_newton(lambda x: (x**2 - 2.0, 2 * x), 0.0, 2.0, 1.9, f_tol=1e-14)
     assert abs(root - math.sqrt(2)) < 1e-12
 
 
@@ -147,24 +147,24 @@ def test_bracketed_newton_accepts_converged_step_at_bracket_end():
     # zero-length Newton step must end the iteration instead of falling back to bisection
     calls = 0
 
-    def f(x):
+    def fdf(x):
         nonlocal calls
         calls += 1
-        return math.sin(x)
+        return math.sin(x), math.cos(x)
 
-    root = bracketed_newton(f, math.cos, 0.1, 6.1, math.pi, f_tol=0.0)
+    root = bracketed_newton(fdf, 0.1, 6.1, math.pi, f_tol=0.0)
     assert root == pytest.approx(math.pi, abs=1e-15)
     assert calls <= 4
 
 
 def test_bracketed_newton_requires_sign_change():
     with pytest.raises(SolverError):
-        bracketed_newton(lambda x: x**2 + 1, lambda x: 2 * x, -1.0, 1.0, 0.5, f_tol=1e-12)
+        bracketed_newton(lambda x: (x**2 + 1, 2 * x), -1.0, 1.0, 0.5, f_tol=1e-12)
 
 
 def test_bracketed_newton_solves_independent_lanes():
     k = np.array([1.0, 2.0, 3.0, 50.0])
-    roots = bracketed_newton(lambda x: x**2 - k, lambda x: 2 * x, np.zeros(4), k + 1.0, 0.5 * (k + 1.0), f_tol=0.0)
+    roots = bracketed_newton(lambda x: (x**2 - k, 2 * x), np.zeros(4), k + 1.0, 0.5 * (k + 1.0), f_tol=0.0)
     assert roots.shape == (4,)
     assert np.max(np.abs(roots - np.sqrt(k))) < 1e-14
 
@@ -173,14 +173,11 @@ def test_bracketed_newton_lanes_bisect_on_their_own():
     # lane 1 has a useless derivative and must bisect; lane 0 converges by Newton and freezes
     seen = []
 
-    def f(x):
+    def fdf(x):
         seen.append(x.copy())
-        return np.array([x[0] - 0.25, math.atan(x[1] - 0.7)])
+        return np.array([x[0] - 0.25, math.atan(x[1] - 0.7)]), np.array([1.0, 0.0])
 
-    def df(x):
-        return np.array([1.0, 0.0])
-
-    roots = bracketed_newton(f, df, np.zeros(2), np.ones(2), np.array([0.9, 0.9]), f_tol=1e-14)
+    roots = bracketed_newton(fdf, np.zeros(2), np.ones(2), np.array([0.9, 0.9]), f_tol=1e-14)
     assert roots[0] == 0.25
     assert abs(roots[1] - 0.7) < 1e-13
     # after converging, lane 0 stays at its root while lane 1 keeps bisecting
@@ -190,19 +187,19 @@ def test_bracketed_newton_lanes_bisect_on_their_own():
 
 def test_bracketed_newton_reports_the_lane_without_sign_change():
     with pytest.raises(SolverError, match=r"\[2\.0, 3\.0\]"):
-        bracketed_newton(lambda x: x - 1.5, lambda x: np.ones_like(x), np.array([0.0, 2.0]), np.array([3.0, 3.0]),
+        bracketed_newton(lambda x: (x - 1.5, np.ones_like(x)), np.array([0.0, 2.0]), np.array([3.0, 3.0]),
                          np.array([1.0, 2.5]), f_tol=1e-14)
 
 
 def test_bracketed_newton_scalar_lane_passes_floats():
-    # a 0-d start is one lane: f sees plain floats (hashable), the result is a float
+    # a 0-d start is one lane: fdf sees plain floats, the result is a float
     seen = []
 
-    def f(x):
+    def fdf(x):
         seen.append(type(x))
-        return x**3 - 8.0
+        return x**3 - 8.0, 3 * x**2
 
-    root = bracketed_newton(f, lambda x: 3 * x**2, 0.0, 5.0, np.float64(1.0), f_tol=1e-13)
+    root = bracketed_newton(fdf, 0.0, 5.0, np.float64(1.0), f_tol=1e-13)
     assert isinstance(root, float) and abs(root - 2.0) < 1e-14
     assert set(seen) == {float}
 
