@@ -44,8 +44,8 @@ class Chords:
     x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
     chord lengths. Indexing or slicing gives the chords of those lanes, and
     ``chords[i]`` is the one-lane case. ``ends(k)`` is the k-th curve
-    derivative at both chord ends, shape (2, lanes, 2), from one curve call
-    per order.
+    derivative at both chord ends, shape (2, lanes, 2); orders 0 to 2 come
+    from the one curve evaluation that built the chords.
     """
 
     curve: object = field(repr=False)
@@ -75,7 +75,7 @@ class Chords:
 
     def ends(self, order):
         if order not in self._ends:
-            self._ends[order] = _ends(self.curve, self.s, self.t, order)
+            self._ends[order] = self.curve.derivative(_pair(self.s, self.t), order)
         return self._ends[order]
 
     def curvatures(self):
@@ -88,22 +88,15 @@ def _pair(s, t):
     return np.stack(np.broadcast_arrays(np.asarray(s, dtype=float), t))
 
 
-def _ends(curve, s, t, order):
-    """Order-th derivative at both chord ends, shape (2, ..., 2), from one curve call."""
-    return curve.derivative(_pair(s, t), order)
-
-
-def arc_moments(curve, s, t):
-    """Moment origin o, endpoints gamma(s) - o and gamma(t) - o, and the moment increment over [s, t].
+def arc_moments(chords):
+    """Moment origin o, chord ends x - o and y - o, and the moment increment over every arc [s, t].
 
     The increment is the integral over [s, t] of [w, (gamma - o) w] with
     w = det(gamma - o, gamma'), from the curve's moment antiderivative.
     """
-    origin, moments = curve.moments
-    params = _pair(s, t)
-    x, y = curve.derivative(params, 0) - origin
-    m_s, m_t = moments(params, -1)
-    return origin, x, y, m_t - m_s
+    origin, moments = chords.curve.moments
+    m_s, m_t = moments(_pair(chords.s, chords.t), -1)
+    return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
 def _area_fdf(curve, kind, s):
@@ -113,28 +106,27 @@ def _area_fdf(curve, kind, s):
     of lanes whose end tangents are parallel (False for a cap, which always
     exists; the cone area is undefined there). Everything that depends on s
     alone, gamma(s), gamma'(s) and the moment antiderivative at s, is
-    evaluated here once, so a call evaluates the curve and its moments at t
-    only: orders 0 and 1 for a cap, 0 to 2 for a cone.
+    evaluated here once, so a call makes one curve evaluation at t (orders 0
+    and 1 for a cap, 0 to 2 for a cone) and one moment evaluation.
     """
     origin, moments = curve.moments
-    x = curve.derivative(s, 0) - origin
+    x, d1 = curve.derivatives(s, (0, 1))
+    x = x - origin
     m_s = moments(s, -1)[..., 0]
-    d1 = curve.derivative(s, 1) if kind == ILLUMINATION else None
 
     def fdf(t):
-        y = curve.derivative(t, 0) - origin
-        d2 = curve.derivative(t, 1)
+        y, d2, *dd2 = curve.derivatives(t, (0, 1) if kind == FLOTATION else (0, 1, 2))
+        y = y - origin
         dm = moments(t, -1)[..., 0] - m_s
         c = y - x
         q = det2(c, d2)
         if kind == FLOTATION:
             return 0.5 * (dm - det2(x, y)), 0.5 * q, False
         z, parallel = _apex(x, y, d1, d2)
-        dd2 = curve.derivative(t, 2)
         v = det2(d1, d2)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the apex is x + mu d1 with mu = q / v
-            dmu_dt = (det2(c, dd2) * v - q * det2(d1, dd2)) / v**2
+            dmu_dt = (det2(c, dd2[0]) * v - q * det2(d1, dd2[0])) / v**2
             slope = -0.5 * det2(c, d1) * dmu_dt
         return -0.5 * (dm - det2(z, c)), slope, parallel
 
@@ -158,7 +150,8 @@ def _apex(x, y, d1, d2):
 
 def tangent_intersection(curve, s, t):
     """Intersection of the tangent lines at gamma(s) and gamma(t)."""
-    z, parallel = _apex(*_ends(curve, s, t, 0), *_ends(curve, s, t, 1))
+    (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
+    z, parallel = _apex(x, y, d1, d2)
     if np.any(parallel):
         raise ParallelElementsError("tangent lines are parallel; no apex")
     return z
@@ -173,9 +166,9 @@ def cone_area(curve, s, t):
 
 
 def _chords(curve, kind, delta, s, t):
-    """Chords of the lanes (s, t), from one pass over their frame arrays."""
-    ends = {order: _ends(curve, s, t, order) for order in ((0, 1) if kind == FLOTATION else (0, 1, 2))}
-    (x, y), (d1, d2) = ends[0], ends[1]
+    """Chords of the lanes (s, t), from one curve evaluation of orders 0 to 2 at both ends."""
+    ends = dict(enumerate(curve.derivatives(_pair(s, t), (0, 1, 2))))
+    (x, y), (d1, d2), (dd1, dd2) = ends.values()
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
@@ -189,7 +182,6 @@ def _chords(curve, kind, delta, s, t):
         if kind == FLOTATION:
             dt_ds = -p / q
         else:
-            dd1, dd2 = ends[2]
             dt_ds = q**2 * det2(d1, dd1) / (p**2 * det2(d2, dd2))
     z = np.where(parallel[:, None], np.nan, z)
     chords = Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, dt_ds, norm2(c), affine_norm)
@@ -231,16 +223,16 @@ def solve_flotation_chord(curve, s, delta):
 
 def antipodal_tangent_param(curve, s):
     """First t > s at which the tangent is parallel to the tangent at s, for every lane of s."""
-    d1 = curve.derivative(s, 1)
     # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
     period = curve.period
     x0 = s + 0.5 * period
+    d1, d1_x0 = curve.derivative(_pair(s, x0), 1)
     # stop at the rounding level of det: where the antipode is a flat point,
     # det ~ (t - t_par)^3 fixes t_par only to about eps^(1/3) and Newton
     # converges linearly toward it
-    f_tol = _ROUNDING_DET * norm2(d1) * norm2(curve.derivative(x0, 1))
+    f_tol = _ROUNDING_DET * norm2(d1) * norm2(d1_x0)
     return bracketed_newton(
-        lambda t: (det2(d1, curve.derivative(t, 1)), det2(d1, curve.derivative(t, 2))),
+        lambda t: tuple(det2(d1, d) for d in curve.derivatives(t, (1, 2))),
         s + 0.02 * period,
         s + 0.98 * period,
         x0,
@@ -268,14 +260,18 @@ def _silhouette_t(curve, s, delta_hat):
 
     tiny = 1e-9 * curve.period
     lo, hi = s + tiny, t_par - tiny
-    f_hi, _ = fdf(hi)
-    if np.any(f_hi < 0.0):
-        i = int(np.argmin(f_hi))
-        raise SolverError(
-            f"delta_hat={delta_hat} not reachable at s={s[i]} before tangents turn parallel "
-            f"(max representable cone area {f_hi[i] + delta_hat:.6g})"
-        )
-    return bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve))
+    try:
+        return bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve))
+    except SolverError:
+        # the residual at lo is -delta_hat, so a bracket without a sign change has f(hi) < 0
+        f_hi, _ = fdf(hi)
+        if not np.any(f_hi < 0.0):
+            raise
+    i = int(np.argmin(f_hi))
+    raise SolverError(
+        f"delta_hat={delta_hat} not reachable at s={s[i]} before tangents turn parallel "
+        f"(max representable cone area {f_hi[i] + delta_hat:.6g})"
+    )
 
 
 def solve_silhouette_chord(curve, s, delta_hat):

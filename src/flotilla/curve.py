@@ -88,9 +88,13 @@ class ClosedConvexCurve:
     def resolution(self):
         return 128
 
-    def derivative(self, s, order):
-        """Order-th parameter derivative; kinds implement orders 0..4."""
+    def derivatives(self, s, orders):
+        """Parameter derivatives of orders 0..4 at s, one array per order; each kind shares its work across them."""
         raise NotImplementedError
+
+    def derivative(self, s, order):
+        """The one-order case of ``derivatives``."""
+        return self.derivatives(s, (order,))[0]
 
     @functools.cached_property
     def moments(self):
@@ -103,17 +107,16 @@ class ClosedConvexCurve:
         """
         n = 4 * self.resolution
         grid = np.arange(n) * (self.period / n)
-        points = self.derivative(grid, 0)
+        points, d1 = self.derivatives(grid, (0, 1))
         origin = points.mean(axis=0)
         g = points - origin
-        w = det2(g, self.derivative(grid, 1))
+        w = det2(g, d1)
         return origin, TrigInterpolant(np.column_stack([w, g * w[:, None]]), self.period)
 
     def _validate(self):
         n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
         grid = np.arange(n) * (self.period / n)
-        d1 = self.derivative(grid, 1)
-        d2 = self.derivative(grid, 2)
+        d1, d2 = self.derivatives(grid, (1, 2))
         if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise DomainError("curve parameters must be finite")
         speed = norm2(d1)
@@ -141,17 +144,16 @@ class Ellipse(ClosedConvexCurve):
         if self.a <= 0.0 or self.b <= 0.0:
             raise DomainError("ellipse semi-axes must be positive")
         c, s = math.cos(self.rotation), math.sin(self.rotation)
-        self._rot = np.array([[c, -s], [s, c]])
+        axes = np.array([[c, -s], [s, c]]) * [self.a, self.b]
+        # d/ds (cos s, sin s) is the quarter turn [[0, -1], [1, 0]] of it: order k maps
+        # (cos s, sin s) by axes times the k-th power of the turn (exact sign swaps)
+        self._jets = [axes, axes[:, ::-1] * [1.0, -1.0], -axes, axes[:, ::-1] * [-1.0, 1.0]]
         self._validate()
 
-    def derivative(self, s, order):
-        s = np.asarray(s, dtype=float)
-        phase = s + order * (math.pi / 2.0)
-        xy = np.stack([self.a * np.cos(phase), self.b * np.sin(phase)], axis=-1)
-        out = xy @ self._rot.T
-        if order == 0:
-            out = out + self.center
-        return out
+    def derivatives(self, s, orders):
+        unit = np.stack([np.cos(s), np.sin(s)], axis=-1)
+        out = [unit @ self._jets[order % 4].T for order in orders]
+        return [d + self.center if k == 0 else d for d, k in zip(out, orders)]
 
 
 @dataclass
@@ -185,16 +187,15 @@ class FourierRadial(ClosedConvexCurve):
             r = r + a * float(k) ** order * wave(k * s + order * math.pi / 2.0)
         return r
 
-    def derivative(self, s, order):
+    def derivatives(self, s, orders):
         s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape + (2,))
-        # Leibniz rule on r(s) * (cos s, sin s)
-        for j in range(order + 1):
-            rj = self._radial(s, j)
-            phase = s + (order - j) * (math.pi / 2.0)
-            u = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
-            out += math.comb(order, j) * rj[..., None] * u
-        return out
+        top = range(max(orders) + 1)
+        # r^(j) and the unit vector turned by j quarter turns, once for every order
+        radial = [self._radial(s, j)[..., None] for j in top]
+        units = [np.stack([np.cos(s + j * (math.pi / 2.0)), np.sin(s + j * (math.pi / 2.0))], axis=-1) for j in top]
+        # Leibniz rule on r(s) * (cos s, sin s), summed from zero in the order of j
+        zero = np.zeros(s.shape + (2,))
+        return [sum((math.comb(k, j) * radial[j] * units[k - j] for j in range(k + 1)), zero) for k in orders]
 
 
 @dataclass
@@ -214,8 +215,8 @@ class SampledPeriodic(ClosedConvexCurve):
     def resolution(self):
         return self.points.shape[0]
 
-    def derivative(self, s, order):
-        return self._interp(s, order)
+    def derivatives(self, s, orders):
+        return self._interp.derivatives(s, orders)
 
 
 @dataclass
@@ -239,16 +240,11 @@ class AffineImage(ClosedConvexCurve):
     def resolution(self):
         return self.base.resolution
 
-    def derivative(self, s, order):
+    def derivatives(self, s, orders):
         s = np.asarray(s, dtype=float)
-        s_base = (self.period - s) if self._reversed else s
-        d = self.base.derivative(s_base, order)
-        out = self.frame.apply_vector(d)
-        if self._reversed and order % 2 == 1:
-            out = -out
-        if order == 0:
-            out = out + self.frame.translation
-        return out
+        base = self.base.derivatives((self.period - s) if self._reversed else s, orders)
+        out = [self.frame.apply_vector(-d if self._reversed and k % 2 == 1 else d) for d, k in zip(base, orders)]
+        return [d + self.frame.translation if k == 0 else d for d, k in zip(out, orders)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def evaluate(curve, s, order=0):
 
 def euclidean_curvature(curve, s):
     """Oriented curvature det(g', g'')/|g'|^3; positive on accepted curves."""
-    return curvature(curve.derivative(s, 1), curve.derivative(s, 2))
+    return curvature(*curve.derivatives(s, (1, 2)))
 
 
 def curvature(d1, d2):
@@ -305,10 +301,10 @@ def affine_arclengths(curve, edges, rel_tol=1e-12, abs_tol=0.0):
     """
     edges = np.asarray(edges, dtype=float)
     coarse = np.linspace(edges[0], edges[-1], 17)
-    scale = float(det2(curve.derivative(coarse, 1), curve.derivative(coarse, 2)).max())
+    scale = float(det2(*curve.derivatives(coarse, (1, 2))).max())
 
     def integrand(u):
-        d = det2(curve.derivative(u, 1), curve.derivative(u, 2))
+        d = det2(*curve.derivatives(u, (1, 2)))
         if np.any(d < -1e-12 * max(scale, 0.0)):
             raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
@@ -322,10 +318,7 @@ def affine_curvature(curve, s):
     Uses the fourth parameter derivative internally (spectral for sampled
     curves), since the chain rule to affine arc length needs it.
     """
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
-    d3 = curve.derivative(s, 3)
-    d4 = curve.derivative(s, 4)
+    d1, d2, d3, d4 = curve.derivatives(s, (1, 2, 3, 4))
     d = det2(d1, d2)
     if np.any(d <= 0.0):
         raise DegenerateCurveError("affine curvature requires det(g', g'') > 0")
@@ -336,9 +329,7 @@ def affine_curvature(curve, s):
 
 def affine_normal(curve, s):
     """Second derivative with respect to affine arc length."""
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(s, 2)
-    d3 = curve.derivative(s, 3)
+    d1, d2, d3 = curve.derivatives(s, (1, 2, 3))
     d = det2(d1, d2)
     if np.any(d <= 0.0):
         raise DegenerateCurveError("affine normal requires det(g', g'') > 0")

@@ -4,8 +4,8 @@ Every construction here is a pointwise transform of solved chords; the
 tangents and curvatures are closed forms in the endpoint data, so a sweep of
 chords yields each derived curve as one array record with no extra
 differentiation. Each transform runs on all chords of a sweep at once (one
-curve call per derivative order at both chord ends); one-lane Chords are the
-single-chord case.
+curve evaluation at both chord ends); one-lane Chords are the single-chord
+case.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def flotation_point(chords):
 
 def _buoyancy_frame(chords, delta):
     """Cap centroid, tangent and curvature of every lane."""
-    origin, x, y, dm = arc_moments(chords.curve, chords.s, chords.t)
+    origin, x, y, dm = arc_moments(chords)
     # first moment about o: the arc's share plus the closing chord from y to x
     moment = dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
     p = det2(chords.c, chords.ends(1)[0])

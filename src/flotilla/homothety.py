@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chord import FLOTATION, ILLUMINATION, _ends, _flotation_t, sweep, tangent_intersection
+from .chord import FLOTATION, ILLUMINATION, _flotation_t, _pair, sweep, tangent_intersection
 from .curve import (
     SampledPeriodic,
     affine_arclengths,
@@ -280,9 +280,7 @@ def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
     not see the curve with positive orientation (origin outside).
     """
     grid = np.arange(n_samples) * (curve.period / n_samples)
-    g = curve.derivative(grid, 0)
-    d1 = curve.derivative(grid, 1)
-    d2 = curve.derivative(grid, 2)
+    g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
     radial = det2(g, d1)
     if np.any(radial <= 0.0):
         warnings.warn("origin is not interior to the curve; report is origin-sensitive")
@@ -293,8 +291,7 @@ def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
 def _check_origin_symmetric(curve, tol=1e-9):
     n = max(4 * curve.resolution, 512)
     grid = np.arange(n) * (curve.period / n)
-    pts = curve.derivative(grid, 0)
-    opposite = curve.derivative(grid + curve.period / 2.0, 0)
+    pts, opposite = curve.derivative(_pair(grid, grid + curve.period / 2.0), 0)
     scale = float(np.max(norm2(pts)))
     defect = float(np.max(norm2(pts + opposite)))
     if defect > tol * scale:
@@ -311,8 +308,7 @@ def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
     _check_origin_symmetric(curve)
     n = n_samples if n_samples is not None else max(2 * curve.resolution, 256)
     grid = np.arange(n) * (curve.period / n)
-    g = curve.derivative(grid, 0)
-    d1 = curve.derivative(grid, 1)
+    g, d1 = curve.derivatives(grid, (0, 1))
     radial = det2(g, d1)
     if np.any(radial <= 0.0):
         raise DomainError("origin must be strictly inside the curve")
@@ -329,16 +325,15 @@ def radon_check(curve, n_samples=256) -> float:
     """
     _check_origin_symmetric(curve)
     s = np.arange(n_samples) * (curve.period / n_samples)
-    d1 = curve.derivative(s, 1)
+    g_s, d1 = curve.derivatives(s, (0, 1))
     lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
     t = bracketed_newton(
-        lambda u: (det2(curve.derivative(u, 0), d1), det2(curve.derivative(u, 1), d1)),
+        lambda u: tuple(det2(d, d1) for d in curve.derivatives(u, (0, 1))),
         lo,
         hi,
         0.5 * (lo + hi),
         f_tol=0.0,
     )
-    g_s = curve.derivative(s, 0)
     d1_t = curve.derivative(t, 1)
     return float(np.max(np.abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s))))
 
@@ -352,7 +347,7 @@ def _chains(curve, p, q, delta, starts):
         t = _flotation_t(curve, s, delta)
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        (x, y), (d1, d2) = _ends(curve, s, t, 0), _ends(curve, s, t, 1)
+        (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
         c = y - x
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)
@@ -415,16 +410,18 @@ def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
         raise DomainError("require 0 < p < q")
     total = area(curve)
     start = np.array([float(s0)])
+    residuals = {}
 
     def fdf(d):
         # the closure defect of the chain from s0 and its slope in delta
         ts, slope = _chains(curve, p, q, d, start)
-        return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
+        residuals[d] = float(ts[q, 0] - ts[0, 0] - p * curve.period)
+        return residuals[d], float(slope[0])
 
     # raises SolverError when the defect does not change sign on the bracket
     lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
     delta_star = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
-    residual, _ = fdf(delta_star)
+    residual = residuals[delta_star] if delta_star in residuals else fdf(delta_star)[0]
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star)

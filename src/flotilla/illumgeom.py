@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import ILLUMINATION, PARALLEL_TOL, arc_moments, tangent_intersection
+from .chord import ILLUMINATION, PARALLEL_TOL, _pair, arc_moments, tangent_intersection
 from .curve import det2, norm2
 from .errors import DomainError, SolverError
 from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurve, _require_delta, _require_kind
@@ -57,7 +57,7 @@ def illumination_centroid_point(chords, delta_hat):
     """Centroid of the silhouette cone with tangent and curvature closed forms."""
     _require_kind(chords, ILLUMINATION)
     _require_delta(chords, delta_hat, "delta_hat")
-    origin, x, y, dm = arc_moments(chords.curve, chords.s, chords.t)
+    origin, x, y, dm = arc_moments(chords)
     z = chords.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
     moment = -(dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
@@ -76,8 +76,7 @@ def pole_of_chord(curve, s, t) -> PolarityResult:
     """Pole of the chord through gamma(s), gamma(t) under the tangential polarity."""
     if math.isclose((t - s) % curve.period, 0.0, abs_tol=1e-12):
         raise DomainError("chord endpoints coincide")
-    d1 = curve.derivative(s, 1)
-    d2 = curve.derivative(t, 1)
+    d1, d2 = curve.derivative(_pair(s, t), 1)
     if abs(det2(d1, d2)) <= PARALLEL_TOL * norm2(d1) * norm2(d2):
         return PolarityResult(
             pole=None,
@@ -98,12 +97,13 @@ def polar_of_point(curve, p) -> PolarityResult:
     p = np.asarray(p, dtype=float)
 
     def fdf(u):
-        g = curve.derivative(u, 0) - p
-        return det2(g, curve.derivative(u, 1)), det2(g, curve.derivative(u, 2))
+        g, d1, d2 = curve.derivatives(u, (0, 1, 2))
+        return det2(g - p, d1), det2(g - p, d2)
 
     n = 4 * max(curve.resolution, 128)
     grid = np.arange(n + 1) * (curve.period / n)
-    vals = det2(curve.derivative(grid, 0) - p, curve.derivative(grid, 1))
+    g, d1 = curve.derivatives(grid, (0, 1))
+    vals = det2(g - p, d1)
     crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if len(vals[np.abs(vals) == 0.0]) or len(crossings) != 2:
         if len(crossings) < 2:

@@ -8,8 +8,15 @@ import numpy as np
 
 from .errors import AccuracyError, SolverError
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the order-8 Gauss-Legendre rule on [-1, 1] as numpy.polynomial.legendre.leggauss(8) gives it,
+# without importing numpy.polynomial: the upper-half nodes (row 0) and weights (row 1), mirrored
+_GAUSS_HALF = np.array([[0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+                        [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.concatenate([_GAUSS_HALF[:, ::-1] * [[-1.0], [1.0]], _GAUSS_HALF], axis=1)
 _EPS = np.finfo(float).eps
+# up to this many entries (lanes x modes) one exp of the whole trigonometric table is
+# cheaper than the cumulative product, which costs a few microseconds at any size
+_SMALL_TABLE = 64
 
 MAX_PANELS = 8192
 # bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
@@ -122,17 +129,38 @@ class TrigInterpolant:
         self.coeffs = coeffs[: kept[-1] + 1 if len(kept) else 1]
         self.modes = np.arange(self.coeffs.shape[0])
         self.mean = self.coeffs[0].real
-        self.wave = 1j * (2.0 * np.pi / period) * self.modes
-        # antiderivative: c_k / (i k omega) for k >= 1; the mean term gives mean * s
-        self.integral = np.concatenate([[0.0], 1.0 / self.wave[1:]])
+        self.omega = 2.0 * np.pi / period
+        self._wave = 1j * self.omega * self.modes
+        self._real = {}
+
+    def _coefficients(self, order):
+        """Re(f_k c_k) and -Im(f_k c_k) interleaved by mode, f the order's factor: the table's float view times them."""
+        if order not in self._real:
+            # antiderivative: c_k / (i k omega) for k >= 1; the mean term gives mean * s
+            f = np.concatenate([[0.0], 1.0 / self._wave[1:]]) if order == -1 else self._wave**order
+            c = f.reshape(-1, *([1] * (self.coeffs.ndim - 1))) * self.coeffs
+            self._real[order] = np.stack([c.real, -c.imag], axis=1).reshape(2 * len(c), *c.shape[1:])
+        return self._real[order]
+
+    def derivatives(self, s, orders):
+        """The order-th derivatives (-1: antiderivative) at s, one array per order, from one table.
+
+        The table e^(ik omega s) is one exp and a cumulative product along
+        the mode axis, and each order costs one real matrix product with it.
+        """
+        s = np.asarray(s, dtype=float)
+        if s.size * len(self.modes) <= _SMALL_TABLE:
+            table = np.exp(np.multiply.outer(s, self._wave))
+        else:
+            table = np.empty(s.shape + self.modes.shape, dtype=complex)
+            table[..., 0] = 1.0
+            table[..., 1:] = np.exp(1j * self.omega * s)[..., None]
+            np.cumprod(table, axis=-1, out=table)
+        out = [table.view(float) @ self._coefficients(order) for order in orders]
+        return [v + np.multiply.outer(s, self.mean) if k == -1 else v for v, k in zip(out, orders)]
 
     def __call__(self, s, order=0):
-        s = np.asarray(s, dtype=float)
-        factor = self.integral if order == -1 else self.wave**order
-        out = (np.exp(np.multiply.outer(s, self.wave)) * factor) @ self.coeffs
-        if order == -1:
-            return out.real + np.multiply.outer(s, self.mean)
-        return out.real
+        return self.derivatives(s, (order,))[0]
 
 
 def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):

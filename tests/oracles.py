@@ -281,3 +281,20 @@ def fourier_radial_derivative(r0, cos_coeffs, sin_coeffs, s, order):
         u = np.stack([np.cos(phase), np.sin(phase)], axis=-1)
         out += math.comb(order, j) * rj[..., None] * u
     return out
+
+
+# -- trigonometric interpolant, one exp per table entry ------------------------
+
+
+def trig_interpolant_exp_outer(interpolant, s, order):
+    """TrigInterpolant's value at s as it was evaluated before the shared table.
+
+    Every order took exp of the whole outer product s x (i k omega) and
+    scaled it by the order's factor: (i k omega)^order, or for order -1 the
+    antiderivative 1 / (i k omega) with the mean term mean * s.
+    """
+    s = np.asarray(s, dtype=float)
+    wave = 1j * interpolant.omega * np.arange(interpolant.coeffs.shape[0])
+    factor = np.concatenate([[0.0], 1.0 / wave[1:]]) if order == -1 else wave**order
+    out = ((np.exp(np.multiply.outer(s, wave)) * factor) @ interpolant.coeffs).real
+    return out + np.multiply.outer(s, interpolant.mean) if order == -1 else out

@@ -17,9 +17,9 @@ from flotilla.chord import (
     sweep,
     tangent_intersection,
 )
-from flotilla.curve import Ellipse, FourierRadial, apply_affine, area, det2, norm2
+from flotilla.curve import Ellipse, FourierRadial, SampledPeriodic, apply_affine, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
-from flotilla.numerics import bracketed_newton
+from flotilla.numerics import TrigInterpolant, bracketed_newton
 
 from oracles import (
     circle_cone_area,
@@ -220,22 +220,42 @@ class TestSweep:
         assert np.all(np.isinf(chords.affine_norm_c))
 
 
+def _count_evaluations(monkeypatch, curve, counts):
+    """Count into ``counts`` the points of every curve and every moment evaluation of ``curve``."""
+    _, moments = curve.moments
+    derivatives = type(curve).derivatives
+    interpolant = TrigInterpolant.derivatives
+
+    def counting_curve(self, s, orders):
+        counts["curve"] += np.size(s)
+        return derivatives(self, s, orders)
+
+    def counting_moments(self, s, orders):
+        if self is moments:
+            counts["moments"] += np.size(s)
+        return interpolant(self, s, orders)
+
+    monkeypatch.setattr(type(curve), "derivatives", counting_curve)
+    monkeypatch.setattr(TrigInterpolant, "derivatives", counting_moments)
+
+
 class TestLaneSweep:
     """A sweep solves all of its chords in one lane-wise Newton iteration."""
 
     @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
     def test_derivative_calls_per_sweep(self, monkeypatch, kind):
-        # deterministic work counter: one chord at a time took about 3.3k
-        # (flotation) and 11.5k (illumination) curve calls for this sweep
+        # deterministic work counter of curve evaluations (one derivatives
+        # call, of one or more orders): one chord at a time took about 3.3k
+        # (flotation) and 11.5k (illumination) one-order calls for this sweep
         calls = 0
-        derivative = Ellipse.derivative
+        derivatives = Ellipse.derivatives
 
-        def counting(curve, s, order):
+        def counting(curve, s, orders):
             nonlocal calls
             calls += 1
-            return derivative(curve, s, order)
+            return derivatives(curve, s, orders)
 
-        monkeypatch.setattr(Ellipse, "derivative", counting)
+        monkeypatch.setattr(Ellipse, "derivatives", counting)
         chords = sweep(Ellipse(2.0, 1.0), kind, 1.0, 256)
         assert len(chords) == 256
         assert calls <= 150
@@ -250,29 +270,60 @@ class TestLaneSweep:
     )
     def test_curve_points_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, moment_points):
         # deterministic work counter: the points at which the curve and its
-        # moment antiderivative are evaluated. The bounds are 0.65 of the
-        # counts when the value and the slope were separate callables that
-        # each evaluated both chord ends
+        # moment antiderivative are evaluated, each evaluation counted once
+        # whatever its orders. The bounds are 0.65 of the counts when the
+        # value and the slope were separate callables that each evaluated
+        # both chord ends, one order per call
         curve = request.getfixturevalue(body)
         _, moments = curve.moments
         counts = {"curve": 0, "moments": 0}
-        derivative = type(curve).derivative
-        interpolant = type(moments).__call__
-
-        def counting_derivative(self, s, order):
-            counts["curve"] += np.size(s)
-            return derivative(self, s, order)
-
-        def counting_moments(self, s, order=0):
-            if self is moments:
-                counts["moments"] += np.size(s)
-            return interpolant(self, s, order)
-
-        monkeypatch.setattr(type(curve), "derivative", counting_derivative)
-        monkeypatch.setattr(type(moments), "__call__", counting_moments)
+        _count_evaluations(monkeypatch, curve, counts)
         assert len(sweep(curve, kind, delta, 256)) == 256
         assert counts["curve"] <= 0.65 * curve_points
         assert counts["moments"] <= 0.65 * moment_points
+
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_bump3"])
+    @pytest.mark.parametrize("solver", ["flotation", "t_par", "cone"])
+    def test_one_curve_and_one_moment_evaluation_per_round(self, request, monkeypatch, body, solver):
+        # every Newton round of a sweep evaluates the curve once at the lanes'
+        # t, all orders it needs together, and the moment antiderivative once;
+        # the t_par residual det(gamma'(s), gamma'(t)) needs no moments
+        if body == "sampled_bump3":
+            u = np.arange(64) * (2.0 * math.pi / 64)
+            r = 1.0 + 0.1 * np.cos(3 * u)
+            curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        else:
+            curve = request.getfixturevalue(body)
+        counts = {"curve": 0, "moments": 0}
+        _count_evaluations(monkeypatch, curve, counts)
+        solves = []
+
+        def counting_newton(fdf, *args, **kwargs):
+            rounds = []
+            solves.append(rounds)
+
+            def counted(t):
+                before = dict(counts)
+                out = fdf(t)
+                rounds.append(tuple(counts[k] - before[k] for k in ("curve", "moments")))
+                return out
+
+            return bracketed_newton(counted, *args, **kwargs)
+
+        monkeypatch.setattr(chord_module, "bracketed_newton", counting_newton)
+        s = np.arange(256) * (curve.period / 256)
+        if solver == "flotation":
+            chord_module._flotation_t(curve, s, 0.8)
+        elif solver == "t_par":
+            antipodal_tangent_param(curve, s)
+        else:
+            chord_module._silhouette_t(curve, s, 0.8)
+        # the cone solve brackets by t_par first, then solves the cone area
+        rounds = solves[-1]
+        assert len(solves) == (2 if solver == "cone" else 1) and len(rounds) >= 3
+        assert set(rounds) == {(256, 0) if solver == "t_par" else (256, 256)}
+        # outside the rounds the moments are evaluated at s only, once
+        assert counts["moments"] == (0 if solver == "t_par" else 256 * (1 + len(rounds)))
 
     def test_flat_point_lanes_match_one_lane_solves(self, bump3):
         # lanes whose tangent is still parallel at s + 1e-9 period: next to the

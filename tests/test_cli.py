@@ -506,3 +506,17 @@ def test_run_does_not_load_numpy_ma(tmp_path, config, code):
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == f"{code} False"
+
+
+def test_run_does_not_load_numpy_polynomial(tmp_path):
+    # numpy.polynomial costs about 3.5 ms to import; the quadrature rule is a literal
+    root = Path(flotilla.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = (
+        "import sys; import flotilla; loaded = 'numpy.polynomial' in sys.modules; "
+        "from flotilla.cli import main; "
+        f"code = main(['run', {str(root / 'configs' / 'ellipse.json')!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, loaded, 'numpy.polynomial' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == f"{EXIT_OK} False False"

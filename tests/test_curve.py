@@ -289,6 +289,48 @@ class TestFourierRadialTerms:
             assert np.array_equal(curve.derivative(s, order), expected)
 
 
+class TestOneEvaluator:
+    """Each kind has one evaluator, derivatives(s, orders); derivative(s, k) is its one-order case."""
+
+    @staticmethod
+    def kinds():
+        u = np.arange(48) * (TWO_PI / 48)
+        samples = np.stack([(1.0 + 0.03 * np.cos(2 * u)) * np.cos(u), (1.0 + 0.03 * np.cos(2 * u)) * np.sin(u)], axis=-1)
+        reflect = AffineFrame(np.array([[1.2, 0.3], [0.4, -0.9]]), np.array([0.5, -1.5]))
+        assert reflect.determinant < 0.0
+        return {
+            "ellipse": Ellipse(2.0, 1.0),
+            "rotated_translated_ellipse": Ellipse(1.5, 0.7, center=np.array([0.3, -2.0]), rotation=0.9),
+            "fourier_radial": FourierRadial(1.0, (0.0, 0.02, 0.0, 0.01), (0.03, 0.0, -0.015)),
+            "sampled": SampledPeriodic(samples),
+            "reversing_affine_image": apply_affine(FourierRadial(1.0, (0.0, 0.0, 0.1)), reflect),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["ellipse", "rotated_translated_ellipse", "fourier_radial", "sampled", "reversing_affine_image"]
+    )
+    def test_each_order_equals_its_one_order_call(self, kind):
+        curve = self.kinds()[kind]
+        s = np.concatenate([np.arange(97) * (TWO_PI / 96), [-1.3, 7.9, math.pi]])
+        for orders in ((0, 1, 2, 3, 4), (2, 0), (4, 1, 3), (1,)):
+            for shape in (s, s.reshape(2, -1), s[:1], float(s[5])):
+                values = curve.derivatives(shape, orders)
+                assert len(values) == len(orders)
+                for order, value in zip(orders, values):
+                    assert np.array_equal(value, curve.derivative(shape, order)), (orders, order)
+
+    def test_ellipse_quarter_turns_match_the_phase_form(self):
+        # order k is (a cos, b sin) at s + k pi/2, rotated and, for k = 0, translated
+        curve = self.kinds()["rotated_translated_ellipse"]
+        s = np.linspace(-4.0, 10.0, 301)
+        c, r = math.cos(curve.rotation), math.sin(curve.rotation)
+        for order, value in enumerate(curve.derivatives(s, range(5))):
+            phase = s + order * (math.pi / 2.0)
+            xy = np.stack([curve.a * np.cos(phase), curve.b * np.sin(phase)], axis=-1) @ np.array([[c, -r], [r, c]]).T
+            expected = xy + curve.center if order == 0 else xy
+            assert np.max(np.abs(value - expected)) < 1e-14
+
+
 class TestJson:
     def test_round_trip_ellipse(self):
         spec = {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.1, 0.2], "rotation": 0.4}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flotilla.homothety as homothety_module
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
 from flotilla.curve import Ellipse, SampledPeriodic, affine_normal, area, det2
 from flotilla.errors import DomainError, ParallelElementsError
@@ -401,6 +402,24 @@ class TestCarousel:
     def test_ellipse_delta_scales_with_area(self, ellipse21):
         delta_star = solve_carousel_delta(ellipse21, 1, 3)
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
+
+    @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
+    def test_closing_residual_reused(self, monkeypatch, ellipse21, s0):
+        # the solve ends on an abscissa whose chain it has built, so the
+        # final residual check builds no further chain: the two bracket ends
+        # and five Newton rounds (it took one more chain per solve before)
+        calls = 0
+        chains = homothety_module._chains
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return chains(*args, **kwargs)
+
+        monkeypatch.setattr(homothety_module, "_chains", counting)
+        delta_star = solve_carousel_delta(ellipse21, 1, 3, s0=s0)
+        assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
+        assert calls == 7
 
     def test_pentagram_density(self, unit_circle):
         # density 2/5: the chain winds twice before closing

@@ -181,21 +181,23 @@ def test_mixed_chords_rejected(ellipse21):
 
 
 def test_curve_calls_per_bundle_and_check(monkeypatch):
-    # deterministic work counter on configs/ellipse.json at n = 256. One chord
-    # at a time took 5,952 curve calls per bundle, and 2,044 (cut_length),
-    # 1,536 (endpoint_balance), 1,280 (affine_normal) and 768 (omega) per check;
-    # lane-wise it takes 68 per bundle and at most 14 per check
+    # deterministic work counter on configs/ellipse.json at n = 256: curve
+    # evaluations, each of one or more derivative orders at the same points
+    # (derivative(s, k) is the one-order case of derivatives). One chord at a
+    # time took 5,952 one-order calls per bundle, and 2,044 (cut_length),
+    # 1,536 (endpoint_balance), 1,280 (affine_normal) and 768 (omega) per
+    # check; lane-wise it took 68 per bundle and at most 14 per check
     config = json.loads((Path(__file__).parents[1] / "configs" / "ellipse.json").read_text())
     curve = curve_from_json(config["curveSpec"])
     calls = 0
-    derivative = Ellipse.derivative
+    derivatives = Ellipse.derivatives
 
-    def counting(body, s, order):
+    def counting(body, s, orders):
         nonlocal calls
         calls += 1
-        return derivative(body, s, order)
+        return derivatives(body, s, orders)
 
-    monkeypatch.setattr(Ellipse, "derivative", counting)
+    monkeypatch.setattr(Ellipse, "derivatives", counting)
     for delta in resolve_deltas(config["deltas"], area(curve)):
         calls = 0
         bundle = compute_bundle(curve, delta, 256)

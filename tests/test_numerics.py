@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flotilla.curve import Ellipse, det2
 from flotilla.chord import FLOTATION, sweep
 from flotilla.errors import AccuracyError, SolverError
+from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
     TrigInterpolant,
@@ -16,6 +17,8 @@ from flotilla.numerics import (
     periodic_trapezoid,
     signed_cbrt,
 )
+
+from oracles import trig_interpolant_exp_outer
 
 
 def test_panel_quadrature_polynomial():
@@ -135,6 +138,37 @@ def test_trig_interpolant_drops_rounding_level_modes():
     interp = TrigInterpolant(np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1), 2 * np.pi)
     assert len(interp.modes) == 3
     assert np.max(np.abs(interp(s) - np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1))) < 1e-14
+
+
+def test_gauss_rule_equals_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(numerics._GAUSS_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(numerics._GAUSS_WEIGHTS - weights)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "n_samples, n_points",
+    [(256, 1001), (32, 3), (32, 5)],
+    ids=["129-modes", "17-modes-one-exp", "17-modes-product"],
+)
+def test_trig_table_matches_exp_of_outer_product(n_samples, n_points):
+    # the table e^(ik omega s) is one exp and a cumulative product (or, up to
+    # _SMALL_TABLE entries, one exp of the outer product); both must match
+    # the old per-entry exp to its own argument-rounding level, about
+    # 2.7e-13 at |k omega s| = 2400, relative to sum_k |f_k c_k|
+    rng = np.random.default_rng(81)
+    period = 2.0 * math.pi
+    interp = TrigInterpolant(rng.standard_normal((n_samples, 2)), period)
+    modes = len(interp.modes)
+    assert modes == n_samples // 2 + 1
+    s = np.linspace(-2.0 * period, 3.0 * period, n_points)
+    assert (n_points * modes <= numerics._SMALL_TABLE) == (n_points == 3)
+    wave = interp.omega * np.arange(modes)
+    for order in range(-1, 5):
+        factor = np.concatenate([[0.0], 1.0 / wave[1:]]) if order == -1 else wave**order
+        scale = factor @ np.abs(interp.coeffs)
+        err = np.abs(interp(s, order) - trig_interpolant_exp_outer(interp, s, order))
+        assert np.all(err <= 1e-12 * scale), order
 
 
 def test_bracketed_newton_finds_root():
