@@ -165,11 +165,11 @@ class DeltaBundle:
     illumination: floatgeom.DerivedCurve | None = None
     illum_centroid: floatgeom.DerivedCurve | None = None
 
-    def families(self):
-        """(derived curve, the chords it is sampled at) of every family, in output order."""
-        pairs = [(self.flotation, self.chords), (self.buoyancy, self.chords)]
+    def sweeps(self):
+        """(chords, the derived curves sampled at them) of every sweep, in output order."""
+        pairs = [(self.chords, [self.flotation, self.buoyancy])]
         if self.illumination is not None:
-            pairs += [(self.illumination, self.illum_chords), (self.illum_centroid, self.illum_chords)]
+            pairs.append((self.illum_chords, [self.illumination, self.illum_centroid]))
         return pairs
 
 
@@ -245,7 +245,7 @@ def _check_omega(curve, bundle, tol):
 
 def _check_dupin(curve, bundle, tol):
     tol = tol if tol is not None else 1e-9
-    worst = max(_tangency_residual(family, chords) for family, chords in bundle.families())
+    worst = max(_tangency_residual(family, chords) for chords, families in bundle.sweeps() for family in families)
     return _measured("max_tangency_residual", worst, tol)
 
 
@@ -323,6 +323,9 @@ CHECKS = {
     "affine_sphere": _check_affine_sphere,
 }
 
+# properties of the body alone, the same at every delta: evaluated once, at the first
+BODY_CHECKS = ("petty", "radon", "affine_sphere")
+
 _SEVERITY = {SKIPPED: 0, PASS: 1, FAIL: 2}
 
 
@@ -337,12 +340,12 @@ def run_checks(curve, label, bundles, checks, overrides):
     """One record per requested check, aggregated worst-case over deltas.
 
     ``pass`` is false only for a failed check; a skipped record says why in
-    ``reason``.
+    ``reason``. A check in BODY_CHECKS runs on the first bundle only.
     """
     records = []
     for name in checks:
         entries = []
-        for bundle in bundles:
+        for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
             result = CHECKS[name](curve, bundle, overrides.get(name))
             entries.append({"check": name, "curve": label, "delta": bundle.delta, **result, "pass": result["status"] != FAIL})
         records.append(max(entries, key=_severity))
@@ -353,17 +356,29 @@ def run_checks(curve, label, bundles, checks, overrides):
 # serialization
 
 
-def _csv_rows(family, chords):
-    """The rows of one derived family, one per chord, each float as %.17g."""
-    columns = [
-        chords.s, family.points, family.tangents, family.kappa, family.kappa_prime,
-        chords.s, chords.t, chords.alpha, chords.beta, chords.norm_c, chords.affine_norm_c,
-    ]
-    # a family without kappa' leaves its cell empty
-    kappa_prime = "" if family.kappa_prime is None else "%.17g"
-    row = ",".join([family.family, *["%.17g"] * 6, kappa_prime, *["%.17g"] * 6]) + "\r\n"
-    block = np.column_stack([col for col in columns if col is not None])
-    return (row * len(block)) % tuple(block.ravel().tolist())
+def _cells(columns):
+    """One string per row of the columns: every value as %.17g, cells joined by commas."""
+    block = np.column_stack(columns)
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).split("\n")[:-1]
+
+
+def _sweep_rows(chords, families):
+    """The rows of the families sampled at one sweep, whose chord cells are formatted once for all of them."""
+    s = _cells([chords.s])  # both the s and the chord_s cell
+    tail = _cells([chords.t, chords.alpha, chords.beta, chords.norm_c, chords.affine_norm_c])
+    blocks = []
+    for family in families:
+        columns = [c for c in (family.points, family.tangents, family.kappa, family.kappa_prime) if c is not None]
+        own = np.column_stack(columns)
+        cells = np.empty((len(own), own.shape[1] + 3), dtype=object)
+        cells[:, 0] = cells[:, -2] = s
+        cells[:, 1:-2] = own
+        cells[:, -1] = tail
+        # a family without kappa' leaves its cell empty
+        row = f"{family.family},%s" + ",%.17g" * own.shape[1] + "," * (family.kappa_prime is None) + ",%s,%s\r\n"
+        blocks.append((row * len(own)) % tuple(cells.ravel().tolist()))
+    return "".join(blocks)
 
 
 def write_curves_csv(path, bundles):
@@ -371,8 +386,8 @@ def write_curves_csv(path, bundles):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for bundle in bundles:
-            for family, chords in bundle.families():
-                fh.write(_csv_rows(family, chords))
+            for chords, families in bundle.sweeps():
+                fh.write(_sweep_rows(chords, families))
 
 
 def read_curves_csv(path):
@@ -415,7 +430,7 @@ def write_figure(path, curve, bundles, chord_stride):
     grid = np.arange(n) * (curve.period / n)
     curves = [{"label": "body", "points": curve.derivative(grid, 0)}]
     for bundle in bundles:
-        curves += [{"label": family.family, "points": family.points} for family, _ in bundle.families()]
+        curves += [{"label": f.family, "points": f.points} for _, families in bundle.sweeps() for f in families]
     export_svg(curves, path, chords=[b.chords for b in bundles], chord_stride=chord_stride)
 
 
@@ -461,8 +476,9 @@ def cmd_carousel(config: RunConfig, q, p, s0):
     label = curve_label(config.curve_spec)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    delta_star = homothety.solve_carousel_delta(curve, p, q, s0=s0)
-    car = homothety.build_carousel(curve, p, q, delta_star, s0=s0)
+    chains = {}
+    delta_star = homothety.solve_carousel_delta(curve, p, q, s0=s0, chains=chains)
+    car = homothety.build_carousel(curve, p, q, delta_star, s0=s0, chain=chains.get(delta_star))
     payload = {
         "curve": label,
         "p": p,

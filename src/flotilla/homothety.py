@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chord import FLOTATION, ILLUMINATION, _flotation_t, _pair, sweep, tangent_intersection
+from .chord import FLOTATION, ILLUMINATION, _apex, _flotation_t, _pair, sweep
 from .curve import (
     SampledPeriodic,
     affine_arclengths,
@@ -357,30 +357,31 @@ def _chains(curve, p, q, delta, starts):
 
 
 def _tangent_triangles(curve, ts):
-    """Tangent-triangle vertices after and before each chord vertex of 3-chair chains, each (3, lanes, 2).
+    """Chord vertices of 3-chair chains and the tangent-triangle vertices after and before each.
 
     The vertex opposite chain vertex i is the apex of the tangents at vertices
     i + 1 and i + 2 (mod 3); the chain vertices ts have shape (4, lanes).
-    Raises ParallelElementsError if a tangent triangle degenerates.
+    Returns the three (3, lanes, 2) point arrays, from one curve evaluation at
+    ts[:3] and ts[0] + period, and the mask of lanes whose triangle degenerates.
     """
-    wrap = np.array([[0.0], [curve.period], [0.0]])
-    apex = tangent_intersection(curve, ts[[1, 2, 0]], ts[[2, 0, 1]] + wrap)
-    return apex[[1, 2, 0]], apex[[2, 0, 1]]
+    x, d = curve.derivatives(np.concatenate([ts[:3], ts[:1] + curve.period]), (0, 1))
+    apex, parallel = _apex(x[[1, 2, 0]], x[[2, 3, 1]], d[[1, 2, 0]], d[[2, 3, 1]])
+    return x[:3], apex[[1, 2, 0]], apex[[2, 0, 1]], parallel.any(axis=0)
 
 
-def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
+def build_carousel(curve, p, q, delta, s0=0.0, chain=None) -> Carousel:
     """Chain q equal-area chords from s0; the closure defect measures periodicity.
 
     For q = 3 the side ratios of the circumscribed tangent triangle are
     reported (all equal to 1 exactly when the chain is a closing carousel of
-    an ellipse-like configuration).
+    an ellipse-like configuration). ``chain`` is this chain if already solved.
     """
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError("delta must lie in (0, area)")
-    chain, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
+    chain, dt_ddelta = chain if chain is not None else _chains(curve, p, q, delta, np.array([float(s0)]))
     ts = chain[:, 0]
     carousel = Carousel(
         p=p,
@@ -392,36 +393,34 @@ def build_carousel(curve, p, q, delta, s0=0.0) -> Carousel:
         defect_slope=float(dt_ddelta[0]),
     )
     if q == 3:
-        v = curve.derivative(chain[:3], 0)
-        try:
-            ahead, behind = _tangent_triangles(curve, chain)
+        v, ahead, behind, degenerate = _tangent_triangles(curve, chain)
+        if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
             carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
-        except ParallelElementsError:
-            pass  # tangent triangle degenerates far from closure
         carousel.centroid_track.append((float(s0), v[:, 0].mean(axis=0)))
     return carousel
 
 
-def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
-    """Cut-off area at which the p/q carousel from s0 closes."""
+def solve_carousel_delta(curve, p, q, s0=0.0, chains=None) -> float:
+    """Cut-off area at which the p/q carousel from s0 closes; ``chains`` receives its chain at each delta tried."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
     total = area(curve)
     start = np.array([float(s0)])
-    residuals = {}
+    chains = {} if chains is None else chains
 
     def fdf(d):
         # the closure defect of the chain from s0 and its slope in delta
-        ts, slope = _chains(curve, p, q, d, start)
-        residuals[d] = float(ts[q, 0] - ts[0, 0] - p * curve.period)
-        return residuals[d], float(slope[0])
+        if d not in chains:
+            chains[d] = _chains(curve, p, q, d, start)
+        ts, slope = chains[d]
+        return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
 
     # raises SolverError when the defect does not change sign on the bracket
     lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
     delta_star = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
-    residual = residuals[delta_star] if delta_star in residuals else fdf(delta_star)[0]
+    residual = fdf(delta_star)[0]
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star)
@@ -448,8 +447,9 @@ def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:
     period = curve.period
     starts = np.arange(n_samples) * (period / n_samples)
     ts, _ = _chains(curve, 1, 3, delta, starts)
-    v = curve.derivative(ts[:3], 0)
-    ahead, behind = _tangent_triangles(curve, ts)
+    v, ahead, behind, degenerate = _tangent_triangles(curve, ts)
+    if degenerate.any():
+        raise ParallelElementsError("tangent lines are parallel; no apex")
     lambdas = norm2(ahead - v) / norm2(v - behind)
     centroids = v.mean(axis=0)
     return CarouselDiagnostics(

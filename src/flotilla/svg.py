@@ -22,9 +22,10 @@ def _fmt(x):
     return f"{x:.8g}"
 
 
-def _flip(points):
-    points = np.asarray(points, dtype=float)
-    return points * np.array([1.0, -1.0])
+def _screen_block(row, points):
+    """``row`` once per leading index of the (N, ..., 2) points, filled by one %-format with y negated."""
+    flipped = np.asarray(points, dtype=float) * np.array([1.0, -1.0])
+    return (row * len(flipped)) % tuple(flipped.ravel().tolist())
 
 
 def _chord_ends(chords):
@@ -61,34 +62,32 @@ def export_svg(curves, path, chords=None, chord_stride=0, size=640):
     vx, vy = x0 - margin, -y1 - margin
     vw, vh = (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin
     stroke = span / 300.0
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}" '
-        'preserveAspectRatio="xMidYMid meet">',
+        'preserveAspectRatio="xMidYMid meet">\n'
     ]
     if chord_stride > 0:
         starts, ends = _chord_ends(chords)
-        for a, b in zip(_flip(starts[::chord_stride]), _flip(ends[::chord_stride])):
-            lines.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
-                f'stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>'
-            )
+        line = (
+            '<line x1="%.8g" y1="%.8g" x2="%.8g" y2="%.8g" '
+            f'stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>\n'
+        )
+        parts.append(_screen_block(line, np.stack([starts[::chord_stride], ends[::chord_stride]], axis=1)))
     fallback = iter(_FALLBACK_COLORS * 8)
     legend = []
     for c in curves:
         color = _PALETTE.get(c["label"]) or next(fallback)
-        pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in _flip(c["points"]))
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(stroke)}"/>'
-        )
+        pts = _screen_block("%.8g,%.8g ", c["points"])[:-1]
+        parts.append(f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="{_fmt(stroke)}"/>\n')
         legend.append((c["label"], color))
     font = 0.04 * span
     for i, (label, color) in enumerate(legend):
-        lines.append(
+        parts.append(
             f'<text x="{_fmt(vx + font)}" y="{_fmt(vy + (1.5 + i) * font)}" '
-            f'font-size="{_fmt(font)}" fill="{color}">{label}</text>'
+            f'font-size="{_fmt(font)}" fill="{color}">{label}</text>\n'
         )
-    lines.append("</svg>")
+    parts.append("</svg>\n")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

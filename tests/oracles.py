@@ -298,3 +298,57 @@ def trig_interpolant_exp_outer(interpolant, s, order):
     factor = np.concatenate([[0.0], 1.0 / wave[1:]]) if order == -1 else wave**order
     out = ((np.exp(np.multiply.outer(s, wave)) * factor) @ interpolant.coeffs).real
     return out + np.multiply.outer(s, interpolant.mean) if order == -1 else out
+
+
+# -- SVG writer, one format call per value ------------------------------------
+
+
+def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
+    """flotilla.svg.export_svg as it was written before the block formatting.
+
+    Every coordinate went through its own f"{x:.8g}" on a numpy scalar, and
+    the lines were joined with "\n" at the end.
+    """
+    from flotilla.svg import _FALLBACK_COLORS, _PALETTE, MARGIN_FRACTION, _chord_ends, figure_bounds
+
+    def fmt(x):
+        return f"{x:.8g}"
+
+    def flip(points):
+        return np.asarray(points, dtype=float) * np.array([1.0, -1.0])
+
+    x0, y0, x1, y1 = figure_bounds(curves, chords)
+    span = max(x1 - x0, y1 - y0)
+    margin = MARGIN_FRACTION * span
+    vx, vy = x0 - margin, -y1 - margin
+    vw, vh = (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin
+    stroke = span / 300.0
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{fmt(vx)} {fmt(vy)} {fmt(vw)} {fmt(vh)}" '
+        'preserveAspectRatio="xMidYMid meet">',
+    ]
+    if chord_stride > 0:
+        starts, ends = _chord_ends(chords)
+        for a, b in zip(flip(starts[::chord_stride]), flip(ends[::chord_stride])):
+            lines.append(
+                f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" x2="{fmt(b[0])}" y2="{fmt(b[1])}" '
+                f'stroke="#bbbbbb" stroke-width="{fmt(0.5 * stroke)}"/>'
+            )
+    fallback = iter(_FALLBACK_COLORS * 8)
+    legend = []
+    for c in curves:
+        color = _PALETTE.get(c["label"]) or next(fallback)
+        pts = " ".join(f"{fmt(p[0])},{fmt(p[1])}" for p in flip(c["points"]))
+        lines.append(f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="{fmt(stroke)}"/>')
+        legend.append((c["label"], color))
+    font = 0.04 * span
+    for i, (label, color) in enumerate(legend):
+        lines.append(
+            f'<text x="{fmt(vx + font)}" y="{fmt(vy + (1.5 + i) * font)}" '
+            f'font-size="{fmt(font)}" fill="{color}">{label}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

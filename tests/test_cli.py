@@ -4,15 +4,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import flotilla
+from flotilla import cli as cli_module
+from flotilla import homothety as homothety_module
 from flotilla.cli import (
+    BODY_CHECKS,
     CHECKS,
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
@@ -22,12 +28,14 @@ from flotilla.cli import (
     main,
     read_curves_csv,
     report_schema,
+    run_checks,
     write_curves_csv,
 )
 from flotilla.curve import Ellipse
+from flotilla.homothety import build_carousel
 from flotilla.svg import export_svg
 
-from oracles import circle_segment_area
+from oracles import circle_segment_area, export_svg_per_value
 
 DELTA = circle_segment_area(math.pi / 3)
 
@@ -293,11 +301,62 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_CHECK_FAILED
 
 
+class TestBodyChecks:
+    def test_run_once_per_run(self, monkeypatch):
+        # petty, radon and affine_sphere read the body only: with two deltas
+        # each runs once, and the records equal the per-delta aggregation
+        curve = Ellipse(2.0, 1.0)
+        bundles = [compute_bundle(curve, d, 64) for d in (1.0, 0.6)]
+        names = list(CHECKS)
+        with monkeypatch.context() as m:
+            m.setattr(cli_module, "BODY_CHECKS", ())
+            per_delta = run_checks(curve, "e", bundles, names, {})
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+
+            def counting(*args, _name=name, _check=CHECKS[name]):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setitem(CHECKS, name, counting)
+        records = run_checks(curve, "e", bundles, names, {})
+        assert records == per_delta
+        assert calls == {name: 1 if name in BODY_CHECKS else 2 for name in names}
+        assert set(BODY_CHECKS) == {"petty", "radon", "affine_sphere"}
+        assert all(rec["delta"] == 1.0 for rec in records if rec["check"] in BODY_CHECKS)
+
+
+CIRCLE = {"kind": "ellipse", "a": 1.0, "b": 1.0}
+BUMP3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
+
+
+@settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    spec=st.one_of(
+        st.builds(lambda a, b: {"kind": "ellipse", "a": a, "b": b}, st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        st.just(BUMP3),
+    ),
+    fractions=st.lists(st.one_of(st.sampled_from([0.5, 0.999]), st.floats(0.01, 0.999)), min_size=1, max_size=2),
+)
+@example(spec=CIRCLE, fractions=[0.5])  # no chord has an apex
+@example(spec={"kind": "ellipse", "a": 2.0, "b": 1.0}, fractions=[0.999])
+@example(spec=BUMP3, fractions=[0.5, 0.999])
+def test_no_input_writes_non_finite_report_values(tmp_path, spec, fractions):
+    out = Path(tempfile.mkdtemp(dir=tmp_path))  # one directory per example
+    cfg = write_config(
+        out / "c.json", curveSpec=spec, deltas=[{"fraction": f} for f in fractions],
+        checks=list(CHECKS), outputDir=str(out),
+    )
+    assert main(["run", str(cfg)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    report = strict_json((out / "report.json").read_text())
+    assert [rec["check"] for rec in report["records"]] == list(CHECKS)
+
+
 def expected_rows(bundles):
     """The CSV rows of the bundles, one dict per chord and family, read off the arrays."""
     rows = []
     for bundle in bundles:
-        for family, chords in bundle.families():
+        for family, chords in ((f, c) for c, fams in bundle.sweeps() for f in fams):
             for i in range(len(chords)):
                 rows.append(
                     {
@@ -406,6 +465,20 @@ class TestSvg:
         assert len(lines) == 8  # 64 chords at stride 8
         assert len(texts) == 5  # legend entry per curve
 
+    @pytest.mark.parametrize("chord_stride", [8, 0])
+    def test_bytes_match_per_value_formatting(self, tmp_path, chord_stride):
+        # the body sample at s = 0 lies on y = 0, so "-0" appears after the
+        # flip; a curve with a NaN point gives "nan" coordinates throughout
+        curves, chords = self._bundle_curves()
+        assert curves[0]["points"][0, 1] == 0.0
+        for extra in ([], [{"label": "extra", "points": [[0.5, np.nan], [0.25, -0.5]]}]):
+            export_svg(curves + extra, tmp_path / "fig.svg", chords=chords, chord_stride=chord_stride)
+            export_svg_per_value(curves + extra, tmp_path / "ref.svg", chords=chords, chord_stride=chord_stride)
+            written = (tmp_path / "fig.svg").read_bytes()
+            assert written == (tmp_path / "ref.svg").read_bytes()
+            assert b",-0 " in written
+            assert (b"nan" in written) == bool(extra)
+
     def test_zero_stride_omits_chords(self, tmp_path):
         curves, chords = self._bundle_curves()
         path = tmp_path / "fig.svg"
@@ -440,6 +513,27 @@ class TestSubcommands:
         assert payload["delta_star"] == pytest.approx(DELTA, abs=1e-9)
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["lambda_product_max_dev"] < 1e-8
+
+    def test_carousel_reuses_the_solved_chain(self, tmp_path, monkeypatch):
+        # build_carousel takes the chain from s0 that solve_carousel_delta
+        # solved at delta*: 7 chains of 3 single-lane solves, none after
+        # (24 when build_carousel solved the chain again)
+        solves = 0
+        flotation_t = homothety_module._flotation_t
+
+        def counting(curve, s, delta):
+            nonlocal solves
+            solves += np.size(s) == 1
+            return flotation_t(curve, s, delta)
+
+        monkeypatch.setattr(homothety_module, "_flotation_t", counting)
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
+        out = tmp_path / "car"
+        assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK
+        assert solves == 21
+        payload = json.loads((out / "carousel.json").read_text())
+        car = build_carousel(Ellipse(2.0, 1.0), 1, 3, payload["delta_star"])  # the chain solved afresh
+        assert (car.vertices, car.lambdas) == (payload["vertices"], payload["lambdas"])
 
     def test_carousel_closure_defect_reported(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

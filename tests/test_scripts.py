@@ -40,3 +40,17 @@ def test_limit_convergence(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("Hausdorff distance") == 4  # two bodies, two eps
 
+
+
+def test_stage_times(tmp_path):
+    result = run_script("stage_times.py", str(ROOT / "configs" / "ellipse.json"), "--repeat", "2", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    checks = ["chord_cube", "endpoint_balance", "omega", "dupin", "affine_normal", "cut_length", "duality"]
+    checks += ["petty", "radon", "affine_sphere"]
+    assert stages == [
+        "config", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
+        *["check"] * len(checks), "write_report", "total",
+    ]
+    assert [line.split()[1] for line in result.stdout.splitlines() if line.startswith("check ")] == checks
+    assert not list(tmp_path.iterdir())  # the outputs go to a temporary directory
