@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from flotilla.curve import area, curve_from_json
-from flotilla.homothety import build_carousel, solve_carousel_delta
+from flotilla.homothety import build_carousel
 
 DEFAULT_CURVE = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
 
@@ -48,8 +48,8 @@ def main():
             car = build_carousel(curve, args.p, args.q, float(d), s0=args.s0)
             writer.writerow([f"{d:.17g}", f"{car.closure_defect:.17g}"])
 
-    delta_star = solve_carousel_delta(curve, args.p, args.q, s0=args.s0)
-    car = build_carousel(curve, args.p, args.q, delta_star, s0=args.s0)
+    car = build_carousel(curve, args.p, args.q, s0=args.s0)
+    delta_star = car.delta
     print(f"curve: {spec}")
     print(f"p/q = {args.p}/{args.q}: delta* = {delta_star:.12g} (fraction {delta_star/total:.6f})")
     if car.lambdas:

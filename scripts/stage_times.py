@@ -4,23 +4,37 @@
 Usage:
     python scripts/stage_times.py CONFIG [--repeat 7]
 
-Runs the stages of `cli.cmd_run` in its order, K times over, into a temporary
-directory: reading the config, building the curve (with its area and the
-deltas), each `compute_bundle`, `write_curves_csv`, `write_figure`, each
-requested check and `write_report`. A check's time is the sum over its calls
-in `run_checks`, so a check that runs once per delta counts every delta.
-Each stage is timed with time.perf_counter only; the first repeat includes
-any one-time cache fill, which the median over K repeats discounts.
+Calls `cli.cmd_run` itself, K times over, into a temporary directory, with
+its stages wrapped in timers: reading the config, building the curve (with
+its area and the deltas), each `compute_bundle`, `write_curves_csv`,
+`write_figure`, each requested check and `write_report`. A check's time is
+the sum over its calls in `run_checks`, so a check that runs once per delta
+counts every delta. Each stage is timed with time.perf_counter only; the
+first repeat includes any one-time cache fill, which the median over K
+repeats discounts.
 """
 
 import argparse
+import contextlib
+import dataclasses
+import io
+import itertools
 import statistics
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 from flotilla import cli
-from flotilla.curve import area, curve_from_json
+
+# the stages cmd_run calls through module globals of cli, and the stage each is timed under
+STAGES = {
+    "curve_from_json": "curve",
+    "area": "curve",
+    "resolve_deltas": "curve",
+    "write_curves_csv": "write_curves_csv",
+    "write_figure": "write_figure",
+    "write_report": "write_report",
+}
 
 
 def _timed(fn, name, times):
@@ -34,35 +48,34 @@ def _timed(fn, name, times):
     return wrapper
 
 
+@contextlib.contextmanager
+def _wrapped_stages(times):
+    """Wrap the stages cmd_run calls in timers that add to ``times``; restore them on exit."""
+    saved = {name: getattr(cli, name) for name in (*STAGES, "compute_bundle")}
+    saved_checks = dict(cli.CHECKS)
+    calls = itertools.count()
+
+    def compute_bundle(*args, **kwargs):
+        return _timed(saved["compute_bundle"], f"compute_bundle[{next(calls)}]", times)(*args, **kwargs)
+
+    try:
+        for name, stage in STAGES.items():
+            setattr(cli, name, _timed(saved[name], stage, times))
+        cli.compute_bundle = compute_bundle
+        cli.CHECKS.update({name: _timed(fn, f"check {name}", times) for name, fn in saved_checks.items()})
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+        cli.CHECKS.update(saved_checks)
+
+
 def stage_times(config_path, out_dir):
-    """Seconds spent in each stage of one run, in stage order."""
+    """Seconds spent in each stage of one `cmd_run`, in the order the stages first ran."""
     times = {}
-    cfg = _timed(cli.load_config, "config", times)(config_path)
-    unknown = [name for name in cfg.checks if name not in cli.CHECKS]
-    if unknown:
-        raise SystemExit(f"unknown check {unknown[0]!r}")
-
-    def build_curve():
-        curve = curve_from_json(cfg.curve_spec)
-        return curve, cli.resolve_deltas(cfg.deltas, area(curve))
-
-    curve, deltas = _timed(build_curve, "curve", times)()
-    bundles = [
-        _timed(cli.compute_bundle, f"compute_bundle[{i}]", times)(curve, d, cfg.n_samples, cfg.delta_hat)
-        for i, d in enumerate(deltas)
-    ]
-    _timed(cli.write_curves_csv, "write_curves_csv", times)(out_dir / "curves.csv", bundles)
-    _timed(cli.write_figure, "write_figure", times)(out_dir / "figure.svg", curve, bundles, cfg.chord_stride)
-    if cfg.checks:
-        checks = dict(cli.CHECKS)
-        try:
-            for name in cfg.checks:
-                cli.CHECKS[name] = _timed(checks[name], f"check {name}", times)
-            label = cli.curve_label(cfg.curve_spec)
-            records = cli.run_checks(curve, label, bundles, cfg.checks, cfg.tolerances_override)
-        finally:
-            cli.CHECKS.update(checks)
-        _timed(cli.write_report, "write_report", times)(out_dir / "report.json", label, deltas, cfg.n_samples, records)
+    config = dataclasses.replace(_timed(cli.load_config, "config", times)(config_path), output_dir=str(out_dir))
+    with _wrapped_stages(times), contextlib.redirect_stdout(io.StringIO()):
+        cli.cmd_run(config)
     return times
 
 

@@ -357,10 +357,10 @@ def run_checks(curve, label, bundles, checks, overrides):
 
 
 def _cells(columns):
-    """One string per row of the columns: every value as %.17g, cells joined by commas."""
+    """One string per row of the columns, as an object array: every value as %.17g, cells joined by commas."""
     block = np.column_stack(columns)
     row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return ((row * len(block)) % tuple(block.ravel().tolist())).split("\n")[:-1]
+    return np.array(((row * len(block)) % tuple(block.ravel().tolist())).split("\n")[:-1], dtype=object)
 
 
 def _sweep_rows(chords, families):
@@ -371,10 +371,7 @@ def _sweep_rows(chords, families):
     for family in families:
         columns = [c for c in (family.points, family.tangents, family.kappa, family.kappa_prime) if c is not None]
         own = np.column_stack(columns)
-        cells = np.empty((len(own), own.shape[1] + 3), dtype=object)
-        cells[:, 0] = cells[:, -2] = s
-        cells[:, 1:-2] = own
-        cells[:, -1] = tail
+        cells = np.column_stack([s, own.astype(object), s, tail])
         # a family without kappa' leaves its cell empty
         row = f"{family.family},%s" + ",%.17g" * own.shape[1] + "," * (family.kappa_prime is None) + ",%s,%s\r\n"
         blocks.append((row * len(own)) % tuple(cells.ravel().tolist()))
@@ -476,20 +473,18 @@ def cmd_carousel(config: RunConfig, q, p, s0):
     label = curve_label(config.curve_spec)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    chains = {}
-    delta_star = homothety.solve_carousel_delta(curve, p, q, s0=s0, chains=chains)
-    car = homothety.build_carousel(curve, p, q, delta_star, s0=s0, chain=chains.get(delta_star))
+    car = homothety.build_carousel(curve, p, q, s0=s0)  # at the delta* where it closes
     payload = {
         "curve": label,
         "p": p,
         "q": q,
-        "delta_star": delta_star,
+        "delta_star": car.delta,
         "closure_defect": car.closure_defect,
         "vertices": car.vertices,
         "lambdas": car.lambdas,
     }
     if q == 3:
-        diag = homothety.carousel_diagnostics(curve, delta_star, n_samples=32)
+        diag = homothety.carousel_diagnostics(curve, car.delta, n_samples=32)
         payload["lambda_cv"] = diag.lambda_report.coefficient_of_variation
         payload["centroid_drift_max"] = diag.centroid_drift_max
         payload["lambda_product_max_dev"] = diag.lambda_product_max_dev
@@ -499,7 +494,7 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(
-        f"carousel p/q={p}/{q}: delta* = {delta_star:.12g}, "
+        f"carousel p/q={p}/{q}: delta* = {car.delta:.12g}, "
         f"closure defect {car.closure_defect:.3e}"
     )
     # closing from s0 but not from every start is a negative result, not bad input

@@ -369,19 +369,22 @@ def _tangent_triangles(curve, ts):
     return x[:3], apex[[1, 2, 0]], apex[[2, 0, 1]], parallel.any(axis=0)
 
 
-def build_carousel(curve, p, q, delta, s0=0.0, chain=None) -> Carousel:
+def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     """Chain q equal-area chords from s0; the closure defect measures periodicity.
 
     For q = 3 the side ratios of the circumscribed tangent triangle are
     reported (all equal to 1 exactly when the chain is a closing carousel of
-    an ellipse-like configuration). ``chain`` is this chain if already solved.
+    an ellipse-like configuration). With no ``delta``, the chain is the one
+    the root finder solved at the delta where the carousel from s0 closes.
     """
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
-    total = area(curve)
-    if not 0.0 < delta < total:
+    if delta is None:
+        delta, (chain, dt_ddelta) = _closing_chain(curve, p, q, s0)
+    elif not 0.0 < delta < area(curve):
         raise DomainError("delta must lie in (0, area)")
-    chain, dt_ddelta = chain if chain is not None else _chains(curve, p, q, delta, np.array([float(s0)]))
+    else:
+        chain, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
     ts = chain[:, 0]
     carousel = Carousel(
         p=p,
@@ -400,15 +403,15 @@ def build_carousel(curve, p, q, delta, s0=0.0, chain=None) -> Carousel:
     return carousel
 
 
-def solve_carousel_delta(curve, p, q, s0=0.0, chains=None) -> float:
-    """Cut-off area at which the p/q carousel from s0 closes; ``chains`` receives its chain at each delta tried."""
+def _closing_chain(curve, p, q, s0):
+    """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
     total = area(curve)
     start = np.array([float(s0)])
-    chains = {} if chains is None else chains
+    chains = {}  # the chain at every delta tried, so the one at delta* is not solved again
 
     def fdf(d):
         # the closure defect of the chain from s0 and its slope in delta
@@ -423,7 +426,12 @@ def solve_carousel_delta(curve, p, q, s0=0.0, chains=None) -> float:
     residual = fdf(delta_star)[0]
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
-    return float(delta_star)
+    return float(delta_star), chains[delta_star]
+
+
+def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
+    """Cut-off area at which the p/q carousel from s0 closes."""
+    return _closing_chain(curve, p, q, s0)[0]
 
 
 @dataclass(frozen=True)

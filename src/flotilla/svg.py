@@ -70,10 +70,7 @@ def export_svg(curves, path, chords=None, chord_stride=0, size=640):
     ]
     if chord_stride > 0:
         starts, ends = _chord_ends(chords)
-        line = (
-            '<line x1="%.8g" y1="%.8g" x2="%.8g" y2="%.8g" '
-            f'stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>\n'
-        )
+        line = f'<line x1="%.8g" y1="%.8g" x2="%.8g" y2="%.8g" stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>\n'
         parts.append(_screen_block(line, np.stack([starts[::chord_stride], ends[::chord_stride]], axis=1)))
     fallback = iter(_FALLBACK_COLORS * 8)
     legend = []

@@ -515,7 +515,7 @@ class TestSubcommands:
         assert payload["lambda_product_max_dev"] < 1e-8
 
     def test_carousel_reuses_the_solved_chain(self, tmp_path, monkeypatch):
-        # build_carousel takes the chain from s0 that solve_carousel_delta
+        # build_carousel takes the chain from s0 that its root finder
         # solved at delta*: 7 chains of 3 single-lane solves, none after
         # (24 when build_carousel solved the chain again)
         solves = 0

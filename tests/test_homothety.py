@@ -421,6 +421,23 @@ class TestCarousel:
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
         assert calls == 7
 
+    @pytest.mark.parametrize("body, p, q", [("bump3", 1, 3), ("ellipse21", 1, 3), ("unit_circle", 2, 5)])
+    def test_closing_chain_matches_solve_then_build(self, request, body, p, q):
+        # each start is solved with its own chains: the carousel from the
+        # second start does not take the chain solved for the first
+        curve = request.getfixturevalue(body)
+        cars = [build_carousel(curve, p, q, s0=s0) for s0 in (0.3, 1.7)]
+        for car in cars:
+            expected = build_carousel(curve, p, q, solve_carousel_delta(curve, p, q, s0=car.s0), s0=car.s0)
+            fields = ("p", "q", "delta", "s0", "vertices", "closure_defect", "defect_slope", "lambdas")
+            assert [getattr(car, f) for f in fields] == [getattr(expected, f) for f in fields]
+            assert len(car.centroid_track) == len(expected.centroid_track)
+            for (s_a, c_a), (s_b, c_b) in zip(car.centroid_track, expected.centroid_track):
+                assert s_a == s_b and np.array_equal(c_a, c_b)
+        assert cars[0].vertices[0] != cars[1].vertices[0]
+        if body == "bump3":
+            assert abs(cars[0].delta - cars[1].delta) > 1e-6  # delta* depends on the start here
+
     def test_pentagram_density(self, unit_circle):
         # density 2/5: the chain winds twice before closing
         theta = 2.0 * math.pi / 5.0
