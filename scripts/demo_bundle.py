@@ -8,7 +8,6 @@ Usage:
 import argparse
 from pathlib import Path
 
-from flotilla.chord import FLOTATION
 from flotilla.cli import compute_bundle, write_curves_csv, write_figure
 from flotilla.curve import Ellipse, area
 from flotilla.floatgeom import omega_identity_residual
@@ -32,7 +31,7 @@ def main():
     write_curves_csv(out / "curves.csv", [bundle])
     write_figure(out / "figure.svg", curve, [bundle], chord_stride=args.samples // 24)
 
-    report, lam = chord_cube_report(curve, args.delta, FLOTATION, chords=bundle.chords)
+    report, lam = chord_cube_report(bundle.chords)
     print(f"body area             : {area(curve):.12f}")
     print(f"cut-off area delta    : {args.delta}")
     print(f"mean ||c||^3          : {report.mean:.12f}  (CV {report.coefficient_of_variation:.3e})")
@@ -41,7 +40,7 @@ def main():
         delta_hat, lam_hat = duality_parameters(args.delta, lam)
         print(f"dual cone area        : {delta_hat:.12f}")
         print(f"dual ratio            : {lam_hat:.12f}")
-    omega = omega_identity_residual(curve, args.delta, args.samples, chords=bundle.chords)
+    omega = omega_identity_residual(bundle.chords)
     print(f"area-deficit identity : residual {omega:.3e}")
     print(f"wrote {out/'curves.csv'} and {out/'figure.svg'}")
 

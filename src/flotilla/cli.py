@@ -67,7 +67,8 @@ class RunConfig:
     chord_stride: int = 16
 
 
-def load_config(path):
+def load_config(path, n_samples=None):
+    """Read and validate a run config; ``n_samples`` overrides its nSamples and is checked the same way."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -77,7 +78,7 @@ def load_config(path):
         cfg = RunConfig(
             curve_spec=raw["curveSpec"],
             deltas=list(raw.get("deltas", [])),
-            n_samples=int(raw.get("nSamples", 512)),
+            n_samples=int(raw.get("nSamples", 512)) if n_samples is None else n_samples,
             checks=list(raw.get("checks", [])),
             output_dir=raw.get("outputDir", "."),
             tolerances_override={
@@ -90,7 +91,7 @@ def load_config(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}")
     if cfg.n_samples < 64:
-        raise ConfigError("nSamples must be at least 64")
+        raise ConfigError(f"the sample count (nSamples or --samples) must be at least 64, got {cfg.n_samples}")
     if cfg.delta_hat is not None:
         cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
     return cfg
@@ -148,13 +149,12 @@ NO_APEX_REASON = "some flotation chords have parallel end tangents, where the af
 
 @dataclass
 class DeltaBundle:
-    """The sweeps and derived curves of one cut-off area.
+    """The sweeps and derived curves of one cut-off area, ``chords.delta``.
 
     ``chord_cube_stats`` and ``implied_lambda`` are None when some flotation
     chord has no apex; the body is then not in the homothetic regime.
     """
 
-    delta: float
     chords: chord.Chords
     flotation: floatgeom.DerivedCurve
     buoyancy: floatgeom.DerivedCurve
@@ -177,13 +177,12 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     chords_f = chord.sweep(curve, chord.FLOTATION, delta, n_samples)
     report = lam = None
     if chords_f.apex.all():
-        report, lam = homothety.chord_cube_report(curve, delta, chord.FLOTATION, chords=chords_f)
+        report, lam = homothety.chord_cube_report(chords_f)
     homothetic = report is not None and report.coefficient_of_variation < _constancy_threshold(curve)
     bundle = DeltaBundle(
-        delta=delta,
         chords=chords_f,
         flotation=floatgeom.flotation_point(chords_f),
-        buoyancy=floatgeom.buoyancy_point(chords_f, delta),
+        buoyancy=floatgeom.buoyancy_point(chords_f),
         chord_cube_stats=report,
         implied_lambda=lam,
         homothetic=homothetic,
@@ -194,7 +193,7 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
     if delta_hat is not None:
         bundle.illum_chords = chord.sweep(curve, chord.ILLUMINATION, delta_hat, n_samples)
         bundle.illumination = illumgeom.illumination_point(bundle.illum_chords)
-        bundle.illum_centroid = illumgeom.illumination_centroid_point(bundle.illum_chords, delta_hat)
+        bundle.illum_centroid = illumgeom.illumination_centroid_point(bundle.illum_chords)
     return bundle
 
 
@@ -239,7 +238,7 @@ def _check_endpoint_balance(curve, bundle, tol):
 
 def _check_omega(curve, bundle, tol):
     tol = tol if tol is not None else 1e-6
-    res = floatgeom.omega_identity_residual(curve, bundle.delta, len(bundle.chords), chords=bundle.chords)
+    res = floatgeom.omega_identity_residual(bundle.chords)
     return _measured("omega_identity_rel_residual", res, tol)
 
 
@@ -251,7 +250,7 @@ def _check_dupin(curve, bundle, tol):
 
 def _check_affine_normal(curve, bundle, tol):
     tol = tol if tol is not None else 1.0
-    angle, mag = floatgeom.buoyancy_affine_normal_check(bundle.chords, bundle.delta)
+    angle, mag = floatgeom.buoyancy_affine_normal_check(bundle.chords)
     live = ~np.isnan(angle)
     if not live.any():
         return _skipped("worst_affine_normal_ratio", tol, "no chord has intersecting end tangents")
@@ -261,9 +260,7 @@ def _check_affine_normal(curve, bundle, tol):
 
 def _check_cut_length(curve, bundle, tol):
     tol = tol if tol is not None else _constancy_threshold(curve)
-    rep = homothety.affine_cut_length_report(
-        curve, bundle.delta, chords=bundle.chords
-    )
+    rep = homothety.affine_cut_length_report(bundle.chords)
     return _measured("cv_affine_cut_length", rep.coefficient_of_variation, tol)
 
 
@@ -277,9 +274,7 @@ def _check_duality(curve, bundle, tol):
             "duality_not_in_homothetic_regime", tol,
             f"the implied ratio {bundle.implied_lambda:.6g} is at most 2/3, so there is no dual cone area",
         )
-    worst, _ = homothety.duality_pointwise_check(
-        curve, bundle.delta, chords=bundle.chords, illum_chords=bundle.illum_chords
-    )
+    worst, _ = homothety.duality_pointwise_check(bundle.chords, bundle.illum_chords)
     pts = bundle.flotation.points
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     return _measured("max_pole_mismatch_over_diameter", worst / diameter, tol)
@@ -347,7 +342,8 @@ def run_checks(curve, label, bundles, checks, overrides):
         entries = []
         for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
             result = CHECKS[name](curve, bundle, overrides.get(name))
-            entries.append({"check": name, "curve": label, "delta": bundle.delta, **result, "pass": result["status"] != FAIL})
+            record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
+            entries.append({**record, "pass": result["status"] != FAIL})
         records.append(max(entries, key=_severity))
     return records
 
@@ -435,7 +431,7 @@ def write_figure(path, curve, bundles, chord_stride):
 # commands
 
 
-def cmd_run(config: RunConfig, do_checks=True):
+def cmd_run(config: RunConfig):
     unknown = [name for name in config.checks if name not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
@@ -451,7 +447,7 @@ def cmd_run(config: RunConfig, do_checks=True):
     write_curves_csv(out_dir / "curves.csv", bundles)
     write_figure(out_dir / "figure.svg", curve, bundles, config.chord_stride)
 
-    if not do_checks or not config.checks:
+    if not config.checks:
         print(f"wrote {out_dir/'curves.csv'} and {out_dir/'figure.svg'}")
         return EXIT_OK
 
@@ -471,8 +467,6 @@ def cmd_run(config: RunConfig, do_checks=True):
 def cmd_carousel(config: RunConfig, q, p, s0):
     curve = curve_from_json(config.curve_spec)
     label = curve_label(config.curve_spec)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     car = homothety.build_carousel(curve, p, q, s0=s0)  # at the delta* where it closes
     payload = {
         "curve": label,
@@ -490,6 +484,8 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         payload["lambda_product_max_dev"] = diag.lambda_product_max_dev
         payload["medial_residual_max"] = diag.medial_residual_max
         payload["closure_defect_max"] = diag.closure_defect_max
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "carousel.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -538,11 +534,9 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, getattr(args, "samples", None))
         if getattr(args, "out", None):
             config.output_dir = args.out
-        if getattr(args, "samples", None):
-            config.n_samples = args.samples
         if getattr(args, "checks", None):
             config.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if args.command == "run":
@@ -551,7 +545,7 @@ def main(argv=None):
             return cmd_carousel(config, q=args.q, p=args.p, s0=args.s0)
         if args.command == "export":
             config.checks = []
-            return cmd_run(config, do_checks=False)
+            return cmd_run(config)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chord import FLOTATION, arc_moments, sweep
+from .chord import FLOTATION, arc_moments
 from .curve import area, det2, norm2
 from .errors import DomainError
 from .numerics import periodic_trapezoid, signed_cbrt
@@ -54,11 +54,6 @@ def _require_kind(chords, kind):
         raise DomainError(f"expected a {kind} chord, got {chords.kind}")
 
 
-def _require_delta(chords, delta, name):
-    if not math.isclose(delta, chords.delta, rel_tol=1e-9):
-        raise DomainError(f"{name} does not match the chord's area")
-
-
 def flotation_point(chords):
     """Midpoint parametrization of the flotation boundary with its curvature and kappa'.
 
@@ -80,8 +75,10 @@ def flotation_point(chords):
     )
 
 
-def _buoyancy_frame(chords, delta):
+def _buoyancy_frame(chords):
     """Cap centroid, tangent and curvature of every lane."""
+    _require_kind(chords, FLOTATION)
+    delta = chords.delta
     origin, x, y, dm = arc_moments(chords)
     # first moment about o: the arc's share plus the closing chord from y to x
     moment = dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
@@ -90,11 +87,9 @@ def _buoyancy_frame(chords, delta):
     return origin + moment / delta, tangent, 12.0 * delta / chords.norm_c**3
 
 
-def buoyancy_point(chords, delta):
+def buoyancy_point(chords):
     """Centroid of the cut-off cap with tangent, curvature and kappa' closed forms."""
-    _require_kind(chords, FLOTATION)
-    _require_delta(chords, delta, "delta")
-    return DerivedCurve(BUOYANCY_CURVE, *_buoyancy_frame(chords, delta), kappa_prime_buoyancy(chords, delta))
+    return DerivedCurve(BUOYANCY_CURVE, *_buoyancy_frame(chords), kappa_prime_buoyancy(chords))
 
 
 def kappa_prime_flotation(chords):
@@ -117,12 +112,12 @@ def kappa_prime_flotation(chords):
     return np.where(chords.apex, value, math.nan)
 
 
-def kappa_prime_buoyancy(chords, delta):
+def kappa_prime_buoyancy(chords):
     """Arc-length derivative of the buoyancy-curve curvature."""
     with np.errstate(divide="ignore"):
         cot_a = 1.0 / np.tan(chords.alpha)
         cot_b = 1.0 / np.tan(chords.beta)
-    return 216.0 * delta**2 * (cot_a - cot_b) / chords.norm_c**6
+    return 216.0 * chords.delta**2 * (cot_a - cot_b) / chords.norm_c**6
 
 
 def _chord_chain(chords):
@@ -146,9 +141,10 @@ def _chord_chain(chords):
     }
 
 
-def buoyancy_derivatives(chords, delta):
+def buoyancy_derivatives(chords):
     """Exact first, second and third s-derivatives of the buoyancy curve point."""
     ch = _chord_chain(chords)
+    delta = chords.delta
     g = (-ch["p"] / (6.0 * delta))[:, None]
     g_dot = (-ch["p_dot"] / (6.0 * delta))[:, None]
     g_ddot = (-ch["p_ddot"] / (6.0 * delta))[:, None]
@@ -159,15 +155,15 @@ def buoyancy_derivatives(chords, delta):
     return r2d1, r2d2, r2d3
 
 
-def buoyancy_affine_normal(chords, delta):
+def buoyancy_affine_normal(chords):
     """Affine normal vector of the buoyancy curve at every lane's sample."""
-    r2d1, r2d2, r2d3 = buoyancy_derivatives(chords, delta)
+    r2d1, r2d2, r2d3 = buoyancy_derivatives(chords)
     d = det2(r2d1, r2d2)[:, None]
     d_dot = det2(r2d1, r2d3)[:, None]
     return r2d2 * d ** (-2.0 / 3.0) - r2d1 * (d_dot / 3.0) * d ** (-5.0 / 3.0)
 
 
-def buoyancy_affine_normal_check(chords, delta):
+def buoyancy_affine_normal_check(chords):
     """Angle and relative magnitude error against (8 dbar^(1/3) / ||c||^3)(r1 - z).
 
     Here r1 is the chord midpoint. Both are NaN in the lanes whose endpoint
@@ -176,11 +172,11 @@ def buoyancy_affine_normal_check(chords, delta):
     triangle: the end tangents meet on the far side of the chord, so r1 - z
     turns by pi and the proposition holds with z - r1 and |c|_aff^3.
     """
-    normal = buoyancy_affine_normal(chords, delta)
+    normal = buoyancy_affine_normal(chords)
     affine_norm_c = chords.affine_norm_c
     w = np.sign(affine_norm_c)[:, None] * (0.5 * (chords.x + chords.y) - chords.z)
     angle = np.arctan2(np.abs(det2(normal, w)), np.sum(normal * w, axis=-1))
-    delta_bar = 1.5 * delta
+    delta_bar = 1.5 * chords.delta
     expected = 8.0 * delta_bar ** (1.0 / 3.0) / np.abs(affine_norm_c) ** 3 * norm2(w)
     magnitude_err = np.abs(norm2(normal) - expected) / expected
     apex = chords.apex
@@ -192,40 +188,33 @@ def _chord_turning_is_monotone(chords):
     return np.all(np.diff(np.unwrap(np.arctan2(c[:, 1], c[:, 0]))) > 0.0)
 
 
-def flotation_body_area(curve, delta, n_samples, chords=None):
-    """Area enclosed by the flotation envelope.
+def flotation_body_area(chords):
+    """Area enclosed by the flotation envelope of a flotation sweep.
 
     Computed as Vol(K) - (1/4) * closed integral of det(-c, gamma'(s)) over
     one period of the chord sweep. A non-simple envelope only warns; the
     formula's value is still returned.
     """
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
+    _require_kind(chords, FLOTATION)
     if not _chord_turning_is_monotone(chords):
         warnings.warn(
             "flotation envelope tangent turning is not monotone; "
             "the envelope self-intersects and the area is a signed value",
             EnvelopeWarning,
         )
-    deficit = 0.25 * periodic_trapezoid(det2(-chords.c, chords.ends(1)[0]), curve.period)
-    return area(curve) - float(deficit)
+    deficit = 0.25 * periodic_trapezoid(det2(-chords.c, chords.ends(1)[0]), chords.curve.period)
+    return area(chords.curve) - float(deficit)
 
 
-def buoyancy_affine_perimeter(curve, delta, n_samples, chords=None):
+def buoyancy_affine_perimeter(chords):
     """Affine arc length of the buoyancy curve from its curvature samples."""
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
-    _, tangent, kappa = _buoyancy_frame(chords, delta)
-    return float(periodic_trapezoid(signed_cbrt(kappa) * norm2(tangent), curve.period))
+    _, tangent, kappa = _buoyancy_frame(chords)
+    return float(periodic_trapezoid(signed_cbrt(kappa) * norm2(tangent), chords.curve.period))
 
 
-def omega_identity_residual(curve, delta, n_samples, chords=None):
-    """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2."""
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
-    delta_bar = 1.5 * delta
-    lhs = (area(curve) - flotation_body_area(curve, delta, n_samples, chords=chords)) / (
-        delta_bar ** (2.0 / 3.0)
-    )
-    rhs = 0.5 * buoyancy_affine_perimeter(curve, delta, n_samples, chords=chords)
+def omega_identity_residual(chords):
+    """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2 on a flotation sweep."""
+    delta_bar = 1.5 * chords.delta
+    lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
+    rhs = 0.5 * buoyancy_affine_perimeter(chords)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

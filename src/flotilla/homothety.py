@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chord import FLOTATION, ILLUMINATION, _apex, _flotation_t, _pair, sweep
+from .chord import FLOTATION, _apex, _flotation_t, _pair
 from .curve import (
     SampledPeriodic,
     affine_arclengths,
@@ -76,21 +76,16 @@ class Carousel:
     lambdas: list = field(default_factory=list)
 
 
-def _points(samples):
-    """The points of a derived curve, or the given (N, 2) points."""
-    return np.asarray(getattr(samples, "points", samples), dtype=float)
-
-
 def _diameter(points):
     hull_min = points.min(axis=0)
     hull_max = points.max(axis=0)
     return float(norm2(hull_max - hull_min))
 
 
-def fit_homothety(samples_a, samples_b) -> HomothetyFit:
-    """Fit center and ratio minimizing sum |B_i - center - ratio (A_i - center)|^2."""
-    a = _points(samples_a)
-    b = _points(samples_b)
+def fit_homothety(points_a, points_b) -> HomothetyFit:
+    """Fit center and ratio minimizing sum |B_i - center - ratio (A_i - center)|^2 over (N, 2) points."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
     if len(a) != len(b):
         raise DomainError("sample lists must be matched by parameter (equal counts)")
     if len(a) < 3:
@@ -118,21 +113,19 @@ def fit_homothety(samples_a, samples_b) -> HomothetyFit:
     return HomothetyFit(center=center, ratio=ratio, rms_residual=rms, matched=matched)
 
 
-def chord_cube_report(curve, delta, kind, n_samples=512, chords=None):
-    """Constancy report of the cubed affine chord length, with the implied ratio.
+def chord_cube_report(chords):
+    """Constancy report of the cubed affine chord length of a sweep, with the implied ratio.
 
     The implied homothety ratio is mean(||c||^3) / (12 delta) for flotation
     and mean(||c||^3) / (24 delta_hat) for illumination. Raises
     ParallelElementsError if a chord has parallel end tangents.
     """
-    if chords is None:
-        chords = sweep(curve, kind, delta, n_samples)
     if not chords.apex.all():
         raise ParallelElementsError("a chord has parallel end tangents, so its affine length is infinite")
     # Python's pow, not numpy's vectorised one, which rounds differently in the last bit
     values = np.array([a**3 for a in chords.affine_norm_c.tolist()])
     report = ConstancyReport.from_values(values)
-    divisor = 12.0 * delta if kind == FLOTATION else 24.0 * delta
+    divisor = (12.0 if chords.kind == FLOTATION else 24.0) * chords.delta
     return report, report.mean / divisor
 
 
@@ -153,22 +146,16 @@ def duality_parameters(delta, lam):
     return delta_hat, lam_hat
 
 
-def duality_pointwise_check(curve, delta, n_samples=256, lam=None, chords=None, illum_chords=None):
+def duality_pointwise_check(chords, illum_chords):
     """Max distance between flotation-chord poles and the illumination boundary.
 
     Matched parametrically: the pole of the flotation chord at s is compared
-    with the silhouette apex at the same s, at the dual cone area. Sweeps
-    that are not passed in as ``chords`` / ``illum_chords`` are solved here.
+    with the silhouette apex at the same s; ``illum_chords`` is the
+    illumination sweep at the dual cone area on the same s grid.
     Returns (max_error, skipped) where skipped counts poles at infinity.
     """
-    flot = chords if chords is not None else sweep(curve, FLOTATION, delta, n_samples)
-    if illum_chords is None:
-        if lam is None:
-            _, lam = chord_cube_report(curve, delta, FLOTATION, chords=flot)
-        delta_hat, _ = duality_parameters(delta, lam)
-        illum_chords = sweep(curve, ILLUMINATION, delta_hat, n_samples)
-    both = flot.apex & illum_chords.apex
-    err = norm2(flot.z[both] - illum_chords.z[both])
+    both = chords.apex & illum_chords.apex
+    err = norm2(chords.z[both] - illum_chords.z[both])
     return float(err.max(initial=0.0)), int(np.count_nonzero(~both))
 
 
@@ -208,17 +195,17 @@ def affine_cut_rate(chords):
     return speed * sa * (signed_cbrt(kt) / sb - signed_cbrt(ks) / sa)
 
 
-def affine_cut_lengths(curve, chords, rel_tol=1e-12):
+def affine_cut_lengths(chords):
     """Affine arc length of the boundary cut off by every chord of a sweep, in one pass.
 
     The chord ends, reduced to one period from the smallest s, are merged into
     one breakpoint array; one adaptive quadrature gives the affine length
     between consecutive breakpoints, and the cumulative sums give every
     chord's arc [s, t]. Only the few intervals next to a flat-point cusp of
-    the integrand need splitting. The error budget is global (``rel_tol`` of
-    the affine perimeter).
+    the integrand need splitting. The error budget is global (1e-12 of the
+    affine perimeter).
     """
-    s, t = chords.s, chords.t
+    curve, s, t = chords.curve, chords.s, chords.t
     start, period = s.min(), curve.period
     if s.max() >= start + period:
         raise DomainError("chord starts must lie within one period")
@@ -228,18 +215,16 @@ def affine_cut_lengths(curve, chords, rel_tol=1e-12):
     merged = np.sort(np.concatenate([s, t_reduced, [start + period]]))
     breaks = merged[np.concatenate([[True], np.diff(merged) > 0.0])]
     # extended precision keeps the rounding of the running sum below that of the pieces
-    pieces = affine_arclengths(curve, breaks, rel_tol=rel_tol)
+    pieces = affine_arclengths(curve, breaks, rel_tol=1e-12)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces, dtype=np.longdouble)])
     at_s = cumulative[np.searchsorted(breaks, s)]
     at_t = cumulative[np.searchsorted(breaks, t_reduced)] + np.where(wraps, cumulative[-1], 0.0)
     return (at_t - at_s).astype(float)
 
 
-def affine_cut_length_report(curve, delta, n_samples=256, chords=None, rel_tol=1e-12) -> ConstancyReport:
+def affine_cut_length_report(chords) -> ConstancyReport:
     """Constancy of the affine arc length of the boundary cut off by the sweep."""
-    if chords is None:
-        chords = sweep(curve, FLOTATION, delta, n_samples)
-    return ConstancyReport.from_values(affine_cut_lengths(curve, chords, rel_tol=rel_tol))
+    return ConstancyReport.from_values(affine_cut_lengths(chords))
 
 
 @dataclass(frozen=True)
@@ -377,13 +362,10 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     an ellipse-like configuration). With no ``delta``, the chain is the one
     the root finder solved at the delta where the carousel from s0 closes.
     """
-    if not 0 < p < q:
-        raise DomainError("require 0 < p < q")
+    _require_carousel(p, q, s0)
     if delta is None:
         delta, (chain, dt_ddelta) = _closing_chain(curve, p, q, s0)
-    elif not 0.0 < delta < area(curve):
-        raise DomainError("delta must lie in (0, area)")
-    else:
+    else:  # the chord solve rejects a delta outside (0, area)
         chain, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
     ts = chain[:, 0]
     carousel = Carousel(
@@ -403,12 +385,18 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     return carousel
 
 
-def _closing_chain(curve, p, q, s0):
-    """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
+def _require_carousel(p, q, s0):
+    """Reject a chair count q, winding p or start s0 that no carousel has."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
+    if not math.isfinite(s0):
+        raise DomainError(f"the start s0 must be finite, got {s0}")
+
+
+def _closing_chain(curve, p, q, s0):
+    """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
     total = area(curve)
     start = np.array([float(s0)])
     chains = {}  # the chain at every delta tried, so the one at delta* is not solved again
@@ -431,6 +419,7 @@ def _closing_chain(curve, p, q, s0):
 
 def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
     """Cut-off area at which the p/q carousel from s0 closes."""
+    _require_carousel(p, q, s0)
     return _closing_chain(curve, p, q, s0)[0]
 
 
@@ -469,10 +458,10 @@ def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:
     )
 
 
-def hausdorff_distance(samples_a, samples_b) -> float:
-    """Symmetric Hausdorff distance between two point samples."""
-    a = _points(samples_a)
-    b = _points(samples_b)
+def hausdorff_distance(points_a, points_b) -> float:
+    """Symmetric Hausdorff distance between two (N, 2) point samples."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise DomainError("sample sets must be non-empty")
     # squared distances in row blocks bound the temporary to 256 x len(b) pairs

@@ -16,7 +16,7 @@ import numpy as np
 from .chord import ILLUMINATION, PARALLEL_TOL, _pair, arc_moments, tangent_intersection
 from .curve import det2, norm2
 from .errors import DomainError, SolverError
-from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurve, _require_delta, _require_kind
+from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurve, _require_kind
 from .numerics import bracketed_newton
 
 
@@ -53,10 +53,10 @@ def illumination_point(chords):
     return DerivedCurve(ILLUMINATION_BOUNDARY, chords.z, tangent, kappa)
 
 
-def illumination_centroid_point(chords, delta_hat):
+def illumination_centroid_point(chords):
     """Centroid of the silhouette cone with tangent and curvature closed forms."""
     _require_kind(chords, ILLUMINATION)
-    _require_delta(chords, delta_hat, "delta_hat")
+    delta_hat = chords.delta
     origin, x, y, dm = arc_moments(chords)
     z = chords.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y

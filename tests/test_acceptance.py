@@ -100,7 +100,7 @@ def ellipse_flot(ellipse21):
 
 @pytest.fixture(scope="module")
 def ellipse_lambda(ellipse21, ellipse_flot):
-    _, lam = chord_cube_report(ellipse21, 1.0, FLOTATION, chords=ellipse_flot)
+    _, lam = chord_cube_report(ellipse_flot)
     return lam
 
 
@@ -127,10 +127,10 @@ def test_criterion_01_circle_closed_form_curvatures(unit_circle):
     cm_i = solve_silhouette_chord(unit_circle, 0.35, DELTA_HAT)
     values = {
         "kappa1": (flotation_point(cm_f).kappa[0], circle_flotation_kappa(THETA)),
-        "kappa2": (buoyancy_point(cm_f, DELTA).kappa[0], circle_buoyancy_kappa(THETA)),
+        "kappa2": (buoyancy_point(cm_f).kappa[0], circle_buoyancy_kappa(THETA)),
         "kappa3": (illumination_point(cm_i).kappa[0], circle_illumination_kappa(THETA)),
         "kappa4": (
-            illumination_centroid_point(cm_i, DELTA_HAT).kappa[0],
+            illumination_centroid_point(cm_i).kappa[0],
             circle_illumination_centroid_kappa(THETA),
         ),
     }
@@ -147,7 +147,7 @@ def test_criterion_01_circle_closed_form_curvatures(unit_circle):
 def test_criterion_02_half_disk_buoyancy(unit_circle):
     chords = sweep(unit_circle, FLOTATION, math.pi / 2.0, 128)
     radius_expect = 4.0 / (3.0 * math.pi)
-    buoyancy = buoyancy_point(chords, math.pi / 2.0)
+    buoyancy = buoyancy_point(chords)
     worst_r = float(np.max(np.abs(np.linalg.norm(buoyancy.points, axis=1) - radius_expect)))
     worst_k = float(np.max(np.abs(buoyancy.kappa - 3.0 * math.pi / 4.0)))
     ok = worst_r < 1e-8 and worst_k < 1e-8
@@ -164,13 +164,12 @@ def test_criterion_03_dupin_tangency_suite(
         return float(residual.max(initial=0.0))
 
     worst = 0.0
-    for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
+    for chords in (circle_flot, ellipse_flot, bump3_flot):
         worst = max(worst, tangency(flotation_point(chords), chords))
-        worst = max(worst, tangency(buoyancy_point(chords, delta), chords))
+        worst = max(worst, tangency(buoyancy_point(chords), chords))
     for chords in (circle_illum, ellipse_illum, bump3_illum):
-        dh = chords.delta
         worst = max(worst, tangency(illumination_point(chords), chords))
-        worst = max(worst, tangency(illumination_centroid_point(chords, dh), chords))
+        worst = max(worst, tangency(illumination_centroid_point(chords), chords))
     _report(3, worst < 1e-9, f"tangent-parallel-to-chord residual over 4 families x 3 bodies: {worst:.3e}")
 
 
@@ -195,20 +194,19 @@ def test_criterion_04_fd_cross_checks(
         return float(np.max(np.abs(fd - closed)) / scale)
 
     worst_k = 0.0
-    for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
+    for chords in (circle_flot, ellipse_flot, bump3_flot):
         worst_k = max(worst_k, fd_kappa_err(flotation_point(chords)))
-        worst_k = max(worst_k, fd_kappa_err(buoyancy_point(chords, delta)))
+        worst_k = max(worst_k, fd_kappa_err(buoyancy_point(chords)))
     for chords in (circle_illum, ellipse_illum):
-        dh = chords.delta
         worst_k = max(worst_k, fd_kappa_err(illumination_point(chords)))
-        worst_k = max(worst_k, fd_kappa_err(illumination_centroid_point(chords, dh)))
+        worst_k = max(worst_k, fd_kappa_err(illumination_centroid_point(chords)))
 
     worst_kp = 0.0
-    for chords, delta in ((circle_flot, DELTA), (ellipse_flot, 1.0), (bump3_flot, 0.8)):
+    for chords in (circle_flot, ellipse_flot, bump3_flot):
         kp1 = kappa_prime_flotation(chords)
-        kp2 = kappa_prime_buoyancy(chords, delta)
+        kp2 = kappa_prime_buoyancy(chords)
         worst_kp = max(worst_kp, fd_kprime_err(flotation_point(chords), kp1))
-        worst_kp = max(worst_kp, fd_kprime_err(buoyancy_point(chords, delta), kp2))
+        worst_kp = max(worst_kp, fd_kprime_err(buoyancy_point(chords), kp2))
 
     ok = worst_k < 1e-4 and worst_kp < 1e-3
     _report(4, ok, f"FD cross-checks: kappa rel err {worst_k:.3e} (<1e-4), kappa' err {worst_kp:.3e} (<1e-3)")
@@ -218,7 +216,7 @@ def test_criterion_05_omega_identity(unit_circle, ellipse21, bump3_small):
     worst = 0.0
     for curve in (unit_circle, ellipse21, bump3_small):
         for delta in (0.3, 0.8):
-            worst = max(worst, omega_identity_residual(curve, delta, 256))
+            worst = max(worst, omega_identity_residual(sweep(curve, FLOTATION, delta, 256)))
     _report(5, worst < 1e-6, f"flotation-deficit / buoyancy-affine-length identity residual {worst:.3e}")
 
 
@@ -226,7 +224,7 @@ def test_criterion_06_affine_normal_proposition(unit_circle, ellipse21, bump3_sm
     worst_angle = 0.0
     worst_mag = 0.0
     for curve, delta in ((unit_circle, DELTA), (ellipse21, 1.0), (bump3_small, 0.8)):
-        angle, mag = buoyancy_affine_normal_check(sweep(curve, FLOTATION, delta, 64), delta)
+        angle, mag = buoyancy_affine_normal_check(sweep(curve, FLOTATION, delta, 64))
         live = ~np.isnan(angle)
         worst_angle = max(worst_angle, float(angle[live].max(initial=0.0)))
         worst_mag = max(worst_mag, float(mag[live].max(initial=0.0)))
@@ -235,8 +233,8 @@ def test_criterion_06_affine_normal_proposition(unit_circle, ellipse21, bump3_sm
 
 
 def test_criterion_07_homothety_biconditional(ellipse21, ellipse_flot, bump3, bump3_flot):
-    rep_e, lam_e = chord_cube_report(ellipse21, 1.0, FLOTATION, chords=ellipse_flot)
-    fit_e = fit_homothety(flotation_point(ellipse_flot), buoyancy_point(ellipse_flot, 1.0))
+    rep_e, lam_e = chord_cube_report(ellipse_flot)
+    fit_e = fit_homothety(flotation_point(ellipse_flot).points, buoyancy_point(ellipse_flot).points)
     pts = flotation_point(ellipse_flot).points
     diam_e = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     ok_pass = (
@@ -245,8 +243,8 @@ def test_criterion_07_homothety_biconditional(ellipse21, ellipse_flot, bump3, bu
         and abs(fit_e.ratio - lam_e) < 1e-6
     )
 
-    rep_b, _ = chord_cube_report(bump3, 0.8, FLOTATION, chords=bump3_flot)
-    fit_b = fit_homothety(flotation_point(bump3_flot), buoyancy_point(bump3_flot, 0.8))
+    rep_b, _ = chord_cube_report(bump3_flot)
+    fit_b = fit_homothety(flotation_point(bump3_flot).points, buoyancy_point(bump3_flot).points)
     pts_b = flotation_point(bump3_flot).points
     diam_b = float(norm2(pts_b.max(axis=0) - pts_b.min(axis=0)))
     resid_ratio = fit_b.rms_residual / diam_b
@@ -272,7 +270,7 @@ def test_criterion_08_duality(ellipse21, ellipse_flot, ellipse_lambda, ellipse_i
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
     pointwise_ok = worst < 1e-6 * diameter
     # scalar relations, with the illumination ratio measured from its own sweep
-    rep_i, lam_hat_swept = chord_cube_report(ellipse21, delta_hat, ILLUMINATION, chords=ellipse_illum)
+    rep_i, lam_hat_swept = chord_cube_report(ellipse_illum)
     rel1 = abs(1.0 / lam_hat_swept + 2.0 / ellipse_lambda - 3.0)
     rel2 = abs(1.0 / (delta_hat * lam_hat_swept) - 2.0 / (1.0 * ellipse_lambda))
     scalars_ok = rel1 < 1e-9 and rel2 < 1e-9 * abs(2.0 / ellipse_lambda)
@@ -286,13 +284,13 @@ def test_criterion_08_duality(ellipse21, ellipse_flot, ellipse_lambda, ellipse_i
 
 def test_criterion_09_cut_length_equivalence(ellipse21, ellipse_flot, bump3, bump3_flot):
     worst_balance_e = float(np.max(np.abs(endpoint_balance_residual(ellipse_flot))))
-    rep_e = affine_cut_length_report(ellipse21, 1.0, chords=ellipse_flot)
+    rep_e = affine_cut_length_report(ellipse_flot)
     ok_e = worst_balance_e < 1e-8 and rep_e.coefficient_of_variation < 1e-8
 
     worst_balance_b = max(
         abs(endpoint_balance_residual(solve_flotation_chord(bump3, s, 0.8))[0]) for s in BUMP3_PROBES
     )
-    rep_b = affine_cut_length_report(bump3, 0.8, chords=bump3_flot)
+    rep_b = affine_cut_length_report(bump3_flot)
     ok_b = (
         worst_balance_b == pytest.approx(FROZEN_BUMP3_BALANCE_PROBE_MAX, rel=1e-6)
         and rep_b.coefficient_of_variation == pytest.approx(FROZEN_BUMP3_CUT_CV, rel=1e-6)
@@ -393,7 +391,7 @@ def test_criterion_12_radon_petty(ellipse21, sym_cos4):
 def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
     rng = np.random.default_rng(2024)
     delta = 1.0
-    _, lam = chord_cube_report(ellipse21, delta, FLOTATION, n_samples=128)
+    _, lam = chord_cube_report(sweep(ellipse21, FLOTATION, delta, 128))
     delta_hat, _ = duality_parameters(delta, lam)
     probes = np.linspace(0.1, TWO_PI, 8, endpoint=False)
 
@@ -405,9 +403,9 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
         cm_i = solve_silhouette_chord(ellipse21, s, delta_hat)
         base[s] = {
             "r1": flotation_point(cm_f).points[0],
-            "r2": buoyancy_point(cm_f, delta).points[0],
+            "r2": buoyancy_point(cm_f).points[0],
             "r3": illumination_point(cm_i).points[0],
-            "r4": illumination_centroid_point(cm_i, delta_hat).points[0],
+            "r4": illumination_centroid_point(cm_i).points[0],
             "chord_affine_len": cm_f.affine_norm_c[0],
             "cut_arc": affine_arclength(ellipse21, cm_f.s[0], cm_f.t[0]),
             "affine_curv": float(affine_curvature(ellipse21, s)),
@@ -426,9 +424,9 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
             cm_i = solve_silhouette_chord(image, s, delta_hat)
             got = {
                 "r1": flotation_point(cm_f).points[0],
-                "r2": buoyancy_point(cm_f, delta).points[0],
+                "r2": buoyancy_point(cm_f).points[0],
                 "r3": illumination_point(cm_i).points[0],
-                "r4": illumination_centroid_point(cm_i, delta_hat).points[0],
+                "r4": illumination_centroid_point(cm_i).points[0],
             }
             for key in got:
                 err = float(norm2(got[key] - frame.apply(base[s][key])))

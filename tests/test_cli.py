@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -75,6 +74,15 @@ class TestConfig:
     def test_minimum_samples_enforced(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", nSamples=32)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "export"])
+    @pytest.mark.parametrize("samples", ["20", "0"])
+    def test_samples_override_validated_like_nsamples(self, tmp_path, command, samples):
+        # --samples 20 used to run and --samples 0 to be ignored
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out), "--samples", samples]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -551,6 +559,14 @@ class TestSubcommands:
         payload = json.loads((out / "carousel.json").read_text())
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["closure_defect_max"] > 1e-8 * 2 * math.pi
+
+    @pytest.mark.parametrize("s0", ["nan", "inf", "-inf"])
+    def test_carousel_non_finite_start_is_bad_input(self, tmp_path, s0):
+        # a bad start used to surface as a Newton failure (exit 3)
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "car"
+        assert main(["carousel", str(cfg), "--q", "3", "--s0", s0, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_export_command(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -61,29 +61,24 @@ class TestFlotationPoint:
 class TestBuoyancyPoint:
     def test_half_disk_centroid(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.4, math.pi / 2)
-        sample = buoyancy_point(cm, math.pi / 2)
+        sample = buoyancy_point(cm)
         assert np.linalg.norm(sample.points[0]) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
         assert sample.kappa[0] == pytest.approx(3.0 * math.pi / 4.0, abs=1e-10)
 
     def test_circle_third_chord_kappa(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 1.7, DELTA)
-        kappa = buoyancy_point(cm, DELTA).kappa[0]
+        kappa = buoyancy_point(cm).kappa[0]
         assert kappa == pytest.approx(12.0 * DELTA / (2 * math.sin(THETA)) ** 3, rel=1e-12)
         assert kappa == pytest.approx(circle_buoyancy_kappa(THETA), rel=1e-12)
 
     def test_centroid_strictly_inside_cap(self, ellipse21):
         chords = sweep(ellipse21, FLOTATION, 1.0, 16)
-        centroids = buoyancy_point(chords, 1.0).points
+        centroids = buoyancy_point(chords).points
         # strictly on the cap side of the chord and inside the body
         assert np.all(det2(centroids - chords.x, chords.c) > 0.0)
         for s, t, centroid in zip(chords.s, chords.t, centroids):
             cap_poly = ellipse21.derivative(np.linspace(s, t, 64), 0)
             assert convex_polygon_contains(cap_poly, centroid[None, :], tol=1e-12)
-
-    def test_mismatched_delta_rejected(self, unit_circle):
-        cm = solve_flotation_chord(unit_circle, 0.0, DELTA)
-        with pytest.raises(Exception):
-            buoyancy_point(cm, 2 * DELTA)
 
 
 class TestDupinTangency:
@@ -91,7 +86,7 @@ class TestDupinTangency:
         for curve, delta in ((unit_circle, DELTA), (ellipse21, 1.0)):
             chords = sweep(curve, FLOTATION, delta, 128)
             r1 = flotation_point(chords).points
-            r2 = buoyancy_point(chords, delta).points
+            r2 = buoyancy_point(chords).points
             for pts in (r1, r2):
                 d1 = spectral_fd(pts, order=1)
                 resid = np.abs(det2(d1, chords.c)) / (np.linalg.norm(d1, axis=1) * chords.norm_c)
@@ -101,7 +96,7 @@ class TestDupinTangency:
         # validates the scalar factors of the closed-form tangents, not just
         # their direction
         chords = sweep(ellipse21, FLOTATION, 1.0, 256)
-        for family in (flotation_point(chords), buoyancy_point(chords, 1.0)):
+        for family in (flotation_point(chords), buoyancy_point(chords)):
             pts, tans = family.points, family.tangents
             fd = spectral_fd(pts, 1)
             err = np.max(np.linalg.norm(fd - tans, axis=1))
@@ -116,7 +111,7 @@ class TestKappaPrime:
     def test_circle_vanishes(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.3, DELTA)
         assert kappa_prime_flotation(cm)[0] == pytest.approx(0.0, abs=1e-9)
-        assert kappa_prime_buoyancy(cm, DELTA)[0] == pytest.approx(0.0, abs=1e-9)
+        assert kappa_prime_buoyancy(cm)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_fd_along_own_arc_on_ellipse(self, ellipse21):
         n = 512
@@ -124,7 +119,7 @@ class TestKappaPrime:
         chords = sweep(ellipse21, FLOTATION, 1.0, n)
         for family, closed in (
             (flotation_point(chords), kappa_prime_flotation(chords)),
-            (buoyancy_point(chords, 1.0), kappa_prime_buoyancy(chords, 1.0)),
+            (buoyancy_point(chords), kappa_prime_buoyancy(chords)),
         ):
             dk = fd4_derivative(family.kappa, h, 1)
             speed = np.linalg.norm(fd4_derivative(family.points, h, 1), axis=1)
@@ -140,8 +135,8 @@ class TestKappaPrime:
         assert cm_m.t[0] == pytest.approx(TWO_PI - cm.s[0] + TWO_PI * 0, abs=1e-9)
         assert cm_m.alpha[0] == pytest.approx(cm.beta[0], abs=1e-9)
         assert kappa_prime_flotation(cm_m)[0] == pytest.approx(-kappa_prime_flotation(cm)[0], rel=1e-7)
-        assert kappa_prime_buoyancy(cm_m, 1.0)[0] == pytest.approx(
-            -kappa_prime_buoyancy(cm, 1.0)[0], rel=1e-7
+        assert kappa_prime_buoyancy(cm_m)[0] == pytest.approx(
+            -kappa_prime_buoyancy(cm)[0], rel=1e-7
         )
 
     def test_vertex_singularity_is_nan(self, unit_circle):
@@ -151,22 +146,22 @@ class TestKappaPrime:
 
 class TestFlotationBodyArea:
     def test_circle_concentric_disk(self, unit_circle):
-        value = flotation_body_area(unit_circle, DELTA, 128)
+        value = flotation_body_area(sweep(unit_circle, FLOTATION, DELTA, 128))
         assert value == pytest.approx(math.pi * math.cos(THETA) ** 2, rel=1e-10)
 
     def test_small_delta_limit(self, unit_circle):
-        value = flotation_body_area(unit_circle, 1e-3, 128)
+        value = flotation_body_area(sweep(unit_circle, FLOTATION, 1e-3, 128))
         theta = circle_theta_from_segment(1e-3)
         assert value == pytest.approx(math.pi * math.cos(theta) ** 2, rel=1e-8)
         assert value == pytest.approx(math.pi, rel=2e-2)
 
     def test_ellipse_affine_image_of_circle_case(self, ellipse21):
-        value = flotation_body_area(ellipse21, 2 * DELTA, 128)
+        value = flotation_body_area(sweep(ellipse21, FLOTATION, 2 * DELTA, 128))
         assert value == pytest.approx(2 * math.pi * math.cos(THETA) ** 2, rel=1e-10)
 
     def test_area_against_shoelace_of_envelope(self, bump3):
         chords = sweep(bump3, FLOTATION, 0.8, 256)
-        value = flotation_body_area(bump3, 0.8, 256, chords=chords)
+        value = flotation_body_area(chords)
         pts = flotation_point(chords).points
         shoelace = 0.5 * float(
             np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1])
@@ -180,33 +175,33 @@ class TestOmegaIdentity:
         delta_bar = 1.5 * DELTA
         lhs_expected = math.pi * math.sin(THETA) ** 2 / delta_bar ** (2.0 / 3.0)
         chords = sweep(unit_circle, FLOTATION, DELTA, 128)
-        lhs = (area(unit_circle) - flotation_body_area(unit_circle, DELTA, 128, chords=chords)) / (
+        lhs = (area(unit_circle) - flotation_body_area(chords)) / (
             delta_bar ** (2.0 / 3.0)
         )
         assert lhs == pytest.approx(lhs_expected, rel=1e-10)
-        assert omega_identity_residual(unit_circle, DELTA, 128, chords=chords) < 1e-8
+        assert omega_identity_residual(chords) < 1e-8
 
     def test_ellipse(self, ellipse21):
-        assert omega_identity_residual(ellipse21, 1.0, 128) < 1e-8
+        assert omega_identity_residual(sweep(ellipse21, FLOTATION, 1.0, 128)) < 1e-8
 
     def test_fourier_small(self, bump3_small):
-        assert omega_identity_residual(bump3_small, 0.8, 256) < 1e-6
+        assert omega_identity_residual(sweep(bump3_small, FLOTATION, 0.8, 256)) < 1e-6
 
 
 class TestAffineNormalProposition:
     def test_circle_points_toward_center(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 1.1, DELTA)
-        angle, mag = buoyancy_affine_normal_check(cm, DELTA)
+        angle, mag = buoyancy_affine_normal_check(cm)
         assert angle[0] < 1e-7
         assert mag[0] < 1e-7
 
     def test_ellipse(self, ellipse21):
-        angle, mag = buoyancy_affine_normal_check(sweep(ellipse21, FLOTATION, 1.0, 64), 1.0)
+        angle, mag = buoyancy_affine_normal_check(sweep(ellipse21, FLOTATION, 1.0, 64))
         assert np.all(angle < 1e-6)
         assert np.all(mag < 1e-6)
 
     def test_perturbed_circle(self, bump3_small):
-        angle, mag = buoyancy_affine_normal_check(sweep(bump3_small, FLOTATION, 0.8, 32), 0.8)
+        angle, mag = buoyancy_affine_normal_check(sweep(bump3_small, FLOTATION, 0.8, 32))
         assert np.all(angle < 1e-5)
         assert np.all(mag < 1e-5)
 
@@ -217,13 +212,13 @@ class TestAffineNormalProposition:
         delta = fraction * area(ellipse21)
         chords = sweep(ellipse21, FLOTATION, delta, 64)
         assert np.all(chords.affine_norm_c < 0.0)
-        angle, mag = buoyancy_affine_normal_check(chords, delta)
+        angle, mag = buoyancy_affine_normal_check(chords)
         assert np.all(angle < 1e-12)
         assert np.all(mag < 1e-12)
 
     def test_parallel_tangents_skipped(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.0, math.pi / 2)
-        angle, mag = buoyancy_affine_normal_check(cm, math.pi / 2)
+        angle, mag = buoyancy_affine_normal_check(cm)
         assert math.isnan(angle[0]) and math.isnan(mag[0])
 
 
@@ -231,11 +226,11 @@ class TestEquivariance:
     def test_buoyancy_curve_commutes_with_affine_maps(self, unit_circle):
         rng = np.random.default_rng(31)
         chords = sweep(unit_circle, FLOTATION, DELTA, 32)
-        base = buoyancy_point(chords, DELTA).points
+        base = buoyancy_point(chords).points
         for _ in range(5):
             frame = random_unimodular_frame(rng)
             image = apply_affine(unit_circle, frame)
-            got = buoyancy_point(sweep(image, FLOTATION, DELTA, 32), DELTA).points
+            got = buoyancy_point(sweep(image, FLOTATION, DELTA, 32)).points
             assert np.allclose(got, frame.apply(base), atol=1e-8)
 
     def test_buoyancy_delta_scales_with_determinant(self, unit_circle):
@@ -243,12 +238,12 @@ class TestEquivariance:
         image = apply_affine(unit_circle, frame)
         cm = solve_flotation_chord(unit_circle, 0.5, DELTA)
         cm_img = solve_flotation_chord(image, 0.5, 2 * DELTA)
-        expect = frame.apply(buoyancy_point(cm, DELTA).points)
-        got = buoyancy_point(cm_img, 2 * DELTA).points
+        expect = frame.apply(buoyancy_point(cm).points)
+        got = buoyancy_point(cm_img).points
         assert np.allclose(got, expect, atol=1e-9)
 
 
 def test_kappa2_positive_and_finite_everywhere(bump3):
-    kappa = buoyancy_point(sweep(bump3, FLOTATION, 0.8, 64), 0.8).kappa
+    kappa = buoyancy_point(sweep(bump3, FLOTATION, 0.8, 64)).kappa
     assert np.all(np.isfinite(kappa))
     assert np.all(kappa > 0.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flotilla.homothety as homothety_module
+from flotilla.cli import compute_bundle
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
 from flotilla.curve import Ellipse, SampledPeriodic, affine_normal, area, det2
 from flotilla.errors import DomainError, ParallelElementsError
@@ -43,6 +44,20 @@ THETA = math.pi / 3
 DELTA = circle_segment_area(THETA)
 # oracle: ratio of the cap-centroid circle to the chord-midpoint circle
 LAMBDA_CIRCLE = circle_segment_centroid_distance(THETA) / math.cos(THETA)
+
+
+def dual_sweeps(curve, delta, n_samples):
+    """The flotation sweep and the illumination sweep at its dual cone area, from cli.compute_bundle.
+
+    Out of the homothetic regime the bundle has no illumination sweep; the
+    dual cone area then comes from the mean implied ratio, and the chord cube
+    raises ParallelElementsError where a chord has no apex.
+    """
+    bundle = compute_bundle(curve, delta, n_samples)
+    if bundle.illum_chords is None:
+        _, lam = chord_cube_report(bundle.chords)
+        bundle = compute_bundle(curve, delta, n_samples, duality_parameters(delta, lam)[0])
+    return bundle.chords, bundle.illum_chords
 
 
 def circle_points(radius, n=128, center=(0.0, 0.0)):
@@ -99,7 +114,7 @@ class TestFitHomothety:
         # a genuinely non-homothetic pair so the residual is nonzero
         chords = sweep(bump3, FLOTATION, 0.8, 64)
         a = flotation_point(chords).points
-        b = buoyancy_point(chords, 0.8).points
+        b = buoyancy_point(chords).points
         base = fit_homothety(a, b).rms_residual
         phi, scale = 0.83, 1.7
         rot = scale * np.array(
@@ -113,23 +128,23 @@ class TestFitHomothety:
 
 class TestChordCube:
     def test_circle_constancy_and_lambda(self, unit_circle):
-        report, lam = chord_cube_report(unit_circle, DELTA, FLOTATION, n_samples=128)
+        report, lam = chord_cube_report(sweep(unit_circle, FLOTATION, DELTA, 128))
         assert report.mean == pytest.approx(8.0 * circle_tangent_triangle_area(THETA), rel=1e-11)
         assert report.coefficient_of_variation < 1e-10
         assert lam == pytest.approx(LAMBDA_CIRCLE, rel=1e-10)
 
     def test_lambda_matches_homothety_fit(self, unit_circle):
         chords = sweep(unit_circle, FLOTATION, DELTA, 128)
-        _, lam = chord_cube_report(unit_circle, DELTA, FLOTATION, chords=chords)
-        fit = fit_homothety(flotation_point(chords), buoyancy_point(chords, DELTA))
+        _, lam = chord_cube_report(chords)
+        fit = fit_homothety(flotation_point(chords).points, buoyancy_point(chords).points)
         assert fit.ratio == pytest.approx(lam, abs=1e-6)
 
     def test_ellipse_affine_invariance(self, ellipse21):
-        report, _ = chord_cube_report(ellipse21, 1.3, FLOTATION, n_samples=128)
+        report, _ = chord_cube_report(sweep(ellipse21, FLOTATION, 1.3, 128))
         assert report.coefficient_of_variation < 1e-8
 
     def test_perturbed_circle_fails(self, bump3):
-        report, _ = chord_cube_report(bump3, 0.8, FLOTATION, n_samples=512)
+        report, _ = chord_cube_report(sweep(bump3, FLOTATION, 0.8, 512))
         assert report.coefficient_of_variation > 1e-3
         # frozen regression from the first verified run
         assert report.coefficient_of_variation == pytest.approx(0.4072766058632894, rel=1e-6)
@@ -141,7 +156,7 @@ class TestChordCube:
         from flotilla.curve import SampledPeriodic
 
         sampled = SampledPeriodic(pts)
-        report, lam = chord_cube_report(sampled, DELTA, FLOTATION, n_samples=64)
+        report, lam = chord_cube_report(sweep(sampled, FLOTATION, DELTA, 64))
         assert report.coefficient_of_variation < 1e-4  # sampled-kind threshold
         assert lam == pytest.approx(LAMBDA_CIRCLE, rel=1e-6)
         chords = sweep(sampled, FLOTATION, DELTA, 64)
@@ -150,7 +165,7 @@ class TestChordCube:
 
     def test_illumination_ratio_less_than_one(self, unit_circle):
         delta_hat = circle_cone_area(THETA)
-        report, lam_hat = chord_cube_report(unit_circle, delta_hat, ILLUMINATION, n_samples=128)
+        report, lam_hat = chord_cube_report(sweep(unit_circle, ILLUMINATION, delta_hat, 128))
         assert report.coefficient_of_variation < 1e-9
         assert lam_hat == pytest.approx(LAMBDA_CIRCLE / (3 * LAMBDA_CIRCLE - 2), rel=1e-9)
         assert lam_hat < 1.0
@@ -175,31 +190,31 @@ class TestDuality:
             duality_parameters(0.5, 0.6)
 
     def test_round_trip_through_illumination_sweep(self, unit_circle):
-        _, lam = chord_cube_report(unit_circle, DELTA, FLOTATION, n_samples=128)
+        _, lam = chord_cube_report(sweep(unit_circle, FLOTATION, DELTA, 128))
         delta_hat, lam_hat = duality_parameters(DELTA, lam)
-        _, lam_hat_swept = chord_cube_report(unit_circle, delta_hat, ILLUMINATION, n_samples=128)
+        _, lam_hat_swept = chord_cube_report(sweep(unit_circle, ILLUMINATION, delta_hat, 128))
         assert lam_hat_swept == pytest.approx(lam_hat, abs=1e-8)
 
     def test_pointwise_circle(self, unit_circle):
-        err, skipped = duality_pointwise_check(unit_circle, DELTA, n_samples=64)
+        err, skipped = duality_pointwise_check(*dual_sweeps(unit_circle, DELTA, 64))
         assert err < 1e-8
         assert skipped == 0
 
     def test_pointwise_ellipse(self, ellipse21):
-        err, skipped = duality_pointwise_check(ellipse21, 1.0, n_samples=64)
+        err, skipped = duality_pointwise_check(*dual_sweeps(ellipse21, 1.0, 64))
         assert err < 1e-7
 
     def test_no_apex_lanes_raise(self, unit_circle):
         # every half-area chord of a circle is a diameter: the affine chord
         # length is infinite, so there is no mean and no implied ratio
         with pytest.raises(ParallelElementsError):
-            chord_cube_report(unit_circle, math.pi / 2, FLOTATION, n_samples=64)
+            chord_cube_report(sweep(unit_circle, FLOTATION, math.pi / 2, 64))
         with pytest.raises(ParallelElementsError):
-            duality_pointwise_check(unit_circle, math.pi / 2, n_samples=64)
+            duality_pointwise_check(*dual_sweeps(unit_circle, math.pi / 2, 64))
 
     def test_pointwise_out_of_regime_is_informative(self, bump3):
         # non-homothetic body: the mismatch is reported, not asserted against
-        err, skipped = duality_pointwise_check(bump3, 0.8, n_samples=32)
+        err, skipped = duality_pointwise_check(*dual_sweeps(bump3, 0.8, 32))
         assert err > 1e-3
         assert skipped == 0
 
@@ -236,12 +251,12 @@ class TestEndpointBalance:
 
 class TestCutLength:
     def test_circle_third(self, unit_circle):
-        rep = affine_cut_length_report(unit_circle, DELTA, n_samples=64)
+        rep = affine_cut_length_report(sweep(unit_circle, FLOTATION, DELTA, 64))
         assert rep.mean == pytest.approx(2.0 * THETA, rel=1e-10)
         assert rep.coefficient_of_variation < 1e-10
 
     def test_ellipse_covariant_value(self, ellipse21):
-        rep = affine_cut_length_report(ellipse21, 2 * DELTA, n_samples=64)
+        rep = affine_cut_length_report(sweep(ellipse21, FLOTATION, 2 * DELTA, 64))
         assert rep.mean == pytest.approx(2.0 * THETA * 2.0 ** (1.0 / 3.0), rel=1e-10)
         assert rep.coefficient_of_variation < 1e-10
 
@@ -254,7 +269,7 @@ class TestCutLength:
         else:
             curve = request.getfixturevalue(body)
         chords = sweep(curve, FLOTATION, 0.25 * area(curve), 256)
-        one_pass = affine_cut_lengths(curve, chords)
+        one_pass = affine_cut_lengths(chords)
         reference = incremental_cut_lengths(curve, chords)
         assert np.max(np.abs(one_pass - reference) / np.abs(reference)) < 1e-10
 
@@ -300,8 +315,8 @@ class TestAffineSphere:
         from flotilla.floatgeom import buoyancy_affine_normal
 
         chords = sweep(unit_circle, FLOTATION, DELTA, 32)
-        pts = buoyancy_point(chords, DELTA).points
-        normals = buoyancy_affine_normal(chords, DELTA)
+        pts = buoyancy_point(chords).points
+        normals = buoyancy_affine_normal(chords)
         fit = proper_affine_sphere_residual(pts, normals)
         assert np.allclose(fit.point, 0.0, atol=1e-9)
         assert fit.rms_distance < 1e-9
@@ -450,6 +465,13 @@ class TestCarousel:
     def test_invalid_pq(self, unit_circle):
         with pytest.raises(DomainError):
             build_carousel(unit_circle, 3, 3, DELTA)
+
+    @pytest.mark.parametrize("s0", [math.nan, math.inf])
+    def test_non_finite_start_rejected(self, unit_circle, s0):
+        with pytest.raises(DomainError):
+            build_carousel(unit_circle, 1, 3, DELTA, s0=s0)
+        with pytest.raises(DomainError):
+            solve_carousel_delta(unit_circle, 1, 3, s0=s0)
 
     def test_carousel_diag_circle(self, unit_circle):
         diag = carousel_diagnostics(unit_circle, DELTA, n_samples=16)

@@ -67,21 +67,21 @@ class TestIlluminationPoint:
 class TestIlluminationCentroid:
     def test_circle_kappa(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.2, DELTA_HAT)
-        kappa = illumination_centroid_point(cm, DELTA_HAT).kappa[0]
+        kappa = illumination_centroid_point(cm).kappa[0]
         expected = 3.0 * DELTA_HAT * math.cos(THETA) ** 2 / math.sin(THETA) ** 3
         assert kappa == pytest.approx(expected, rel=1e-10)
         assert kappa == pytest.approx(circle_illumination_centroid_kappa(THETA), rel=1e-10)
 
     def test_circle_centroid_distance(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.2, DELTA_HAT)
-        sample = illumination_centroid_point(cm, DELTA_HAT)
+        sample = illumination_centroid_point(cm)
         assert np.linalg.norm(sample.points[0]) == pytest.approx(
             circle_cone_centroid_distance(THETA), abs=1e-10
         )
 
     def test_centroid_inside_triangle_outside_body(self, ellipse21):
         chords = sweep(ellipse21, ILLUMINATION, 1.0, 16)
-        centroids = illumination_centroid_point(chords, 1.0).points
+        centroids = illumination_centroid_point(chords).points
         boundary = np.array([ellipse21.derivative(s, 0) for s in np.linspace(0, TWO_PI, 256, endpoint=False)])
         for x, y, z, centroid in zip(chords.x, chords.y, chords.z, centroids):
             tri = np.array([x, y, z])
@@ -93,7 +93,7 @@ class TestIlluminationCentroid:
 
     def test_tangent_parallel_to_chord(self, ellipse21):
         chords = sweep(ellipse21, ILLUMINATION, 1.0, 16)
-        tangents = illumination_centroid_point(chords, 1.0).tangents
+        tangents = illumination_centroid_point(chords).tangents
         resid = np.abs(det2(tangents, chords.c)) / (norm2(tangents) * chords.norm_c)
         assert np.all(resid < 1e-10)
 
@@ -109,7 +109,7 @@ class TestEnclosure:
 class TestTangentVectors:
     def test_match_fd_including_magnitude(self, ellipse21):
         chords = sweep(ellipse21, ILLUMINATION, 1.0, 256)
-        for family in (illumination_point(chords), illumination_centroid_point(chords, 1.0)):
+        for family in (illumination_point(chords), illumination_centroid_point(chords)):
             pts, tans = family.points, family.tangents
             fd = spectral_fd(pts, 1)
             err = np.max(np.linalg.norm(fd - tans, axis=1))
@@ -120,7 +120,7 @@ class TestFdCurvature:
     def test_kappa3_kappa4_match_fd(self, ellipse21):
         n = 256
         chords = sweep(ellipse21, ILLUMINATION, 1.0, n)
-        for family in (illumination_point(chords), illumination_centroid_point(chords, 1.0)):
+        for family in (illumination_point(chords), illumination_centroid_point(chords)):
             pts, kap = family.points, family.kappa
             d1 = spectral_fd(pts, 1)
             d2 = spectral_fd(pts, 2)

@@ -7,7 +7,6 @@ sweeps whose chords have parallel end tangents (no apex).
 """
 
 import dataclasses
-import functools
 import json
 import math
 from pathlib import Path
@@ -25,9 +24,11 @@ from flotilla.floatgeom import (
     buoyancy_affine_normal_check,
     buoyancy_derivatives,
     buoyancy_point,
+    flotation_body_area,
     flotation_point,
     kappa_prime_buoyancy,
     kappa_prime_flotation,
+    omega_identity_residual,
 )
 from flotilla.homothety import affine_cut_rate, endpoint_balance_residual
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
@@ -95,14 +96,14 @@ def _assert_samples(lane, one):
 
 FLOTATION_SAMPLES = {
     "flotation_point": flotation_point,
-    "buoyancy_point": lambda chords: buoyancy_point(chords, chords.delta),
+    "buoyancy_point": buoyancy_point,
 }
 FLOTATION_VALUES = {
     "kappa_prime_flotation": kappa_prime_flotation,
-    "kappa_prime_buoyancy": lambda chords: kappa_prime_buoyancy(chords, chords.delta),
-    "buoyancy_derivatives": lambda chords: buoyancy_derivatives(chords, chords.delta),
-    "buoyancy_affine_normal": lambda chords: buoyancy_affine_normal(chords, chords.delta),
-    "buoyancy_affine_normal_check": lambda chords: buoyancy_affine_normal_check(chords, chords.delta),
+    "kappa_prime_buoyancy": kappa_prime_buoyancy,
+    "buoyancy_derivatives": buoyancy_derivatives,
+    "buoyancy_affine_normal": buoyancy_affine_normal,
+    "buoyancy_affine_normal_check": buoyancy_affine_normal_check,
     "endpoint_balance_residual": endpoint_balance_residual,
     "affine_cut_rate": affine_cut_rate,
 }
@@ -163,21 +164,22 @@ def test_half_area_sweeps_have_parallel_lanes(sweeps):
     assert not np.any(flotation.tangents[~apex]) and np.all(np.isnan(flotation.kappa[~apex]))
     kp = kappa_prime_flotation(half)
     assert np.all(np.isnan(kp[~apex])) and np.all(np.isfinite(kp[apex]))
-    angle, mag = buoyancy_affine_normal_check(half, half.delta)
+    angle, mag = buoyancy_affine_normal_check(half)
     assert np.all(np.isnan(angle[~apex])) and np.all(np.isnan(mag[~apex]))
 
 
 def test_illumination_samples_match_one_lane(sweeps):
     _, _, _, illum = sweeps
-    delta_hat = illum.delta
     _assert_samples(illumination_point(illum), _one_lane(illumination_point, illum))
-    centroid = functools.partial(illumination_centroid_point, delta_hat=delta_hat)
-    _assert_samples(centroid(illum), _one_lane(centroid, illum))
+    _assert_samples(illumination_centroid_point(illum), _one_lane(illumination_centroid_point, illum))
 
 
 def test_mixed_chords_rejected(ellipse21):
-    with pytest.raises(DomainError):
-        flotation_point(sweep(ellipse21, ILLUMINATION, 1.0, 16))
+    # a flotation transform reads delta as a cap area; an illumination sweep's delta is a cone area
+    illum = sweep(ellipse21, ILLUMINATION, 1.0, 16)
+    for transform in (flotation_point, buoyancy_point, flotation_body_area, omega_identity_residual):
+        with pytest.raises(DomainError):
+            transform(illum)
 
 
 def test_curve_calls_per_bundle_and_check(monkeypatch):
