@@ -6,18 +6,12 @@ from .curve import (
     ClosedConvexCurve,
     Ellipse,
     FourierRadial,
-    LinearElement,
     SampledPeriodic,
     affine_arclength,
     affine_curvature,
-    affine_distance,
     affine_normal,
-    apply_affine,
     area,
     curve_from_json,
-    curve_to_json,
-    euclidean_curvature,
-    evaluate,
 )
 from .chord import (
     Chords,
@@ -39,11 +33,8 @@ from .floatgeom import (
     omega_identity_residual,
 )
 from .illumgeom import (
-    PolarityResult,
     illumination_centroid_point,
     illumination_point,
-    polar_of_point,
-    pole_of_chord,
 )
 from .homothety import (
     Carousel,
@@ -61,7 +52,6 @@ from .homothety import (
     petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
-    solve_carousel_delta,
     carousel_diagnostics,
 )
 

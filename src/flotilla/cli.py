@@ -7,7 +7,6 @@ error, 3 numerical failure (solver or quadrature did not converge).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -78,7 +77,7 @@ def load_config(path, n_samples=None):
         cfg = RunConfig(
             curve_spec=raw["curveSpec"],
             deltas=list(raw.get("deltas", [])),
-            n_samples=int(raw.get("nSamples", 512)) if n_samples is None else n_samples,
+            n_samples=_integer(raw.get("nSamples", 512), "nSamples") if n_samples is None else n_samples,
             checks=list(raw.get("checks", [])),
             output_dir=raw.get("outputDir", "."),
             tolerances_override={
@@ -86,15 +85,24 @@ def load_config(path, n_samples=None):
                 for name, tol in dict(raw.get("tolerancesOverride", {})).items()
             },
             delta_hat=raw.get("deltaHat"),
-            chord_stride=int(raw.get("chordStride", 16)),
+            chord_stride=_integer(raw.get("chordStride", 16), "chordStride"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}")
     if cfg.n_samples < 64:
         raise ConfigError(f"the sample count (nSamples or --samples) must be at least 64, got {cfg.n_samples}")
+    if cfg.chord_stride < 0:
+        raise ConfigError(f"chordStride must be at least 0 (0 draws no chords), got {cfg.chord_stride}")
     if cfg.delta_hat is not None:
         cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
     return cfg
+
+
+def _integer(value, name):
+    """An int, or a float with an integral value such as 64.0; any other value is a ConfigError, never truncated."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _positive_number(value, name):
@@ -269,10 +277,18 @@ def _check_duality(curve, bundle, tol):
     if not bundle.homothetic:
         reason = NO_APEX_REASON if bundle.chord_cube_stats is None else "the cubed affine chord length is not constant"
         return _skipped("duality_not_in_homothetic_regime", tol, reason)
-    if bundle.illum_chords is None:
+    if bundle.implied_lambda <= 2.0 / 3.0:
         return _skipped(
             "duality_not_in_homothetic_regime", tol,
             f"the implied ratio {bundle.implied_lambda:.6g} is at most 2/3, so there is no dual cone area",
+        )
+    # an explicit deltaHat gives an illumination sweep that need not be at the dual cone area
+    dual, _ = homothety.duality_parameters(bundle.chords.delta, bundle.implied_lambda)
+    if not math.isclose(bundle.illum_chords.delta, dual, rel_tol=1e-9):
+        return _skipped(
+            "duality_not_at_dual_cone_area", tol,
+            f"the illumination sweep has cone area {bundle.illum_chords.delta:.6g}, "
+            f"not the dual cone area {dual:.6g}",
         )
     worst, _ = homothety.duality_pointwise_check(bundle.chords, bundle.illum_chords)
     pts = bundle.flotation.points
@@ -381,26 +397,6 @@ def write_curves_csv(path, bundles):
         for bundle in bundles:
             for chords, families in bundle.sweeps():
                 fh.write(_sweep_rows(chords, families))
-
-
-def read_curves_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise DomainError(f"unexpected CSV header {header}")
-        for raw in reader:
-            row = {"family": raw[0]}
-            for col, val in zip(CSV_COLUMNS[1:], raw[1:]):
-                row[col] = float(val) if val != "" else None
-            rows.append(row)
-    return rows
-
-
-def report_schema():
-    with open(Path(__file__).parent / "report_schema.json") as fh:
-        return json.load(fh)
 
 
 def write_report(path, label, deltas, n_samples, records):

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateCurveError,
-    DomainError,
-    ParallelElementsError,
-    SingularFrameError,
-    SingularParametrizationError,
-    UnsupportedOrderError,
-)
-from .numerics import TrigInterpolant, panel_quadrature, signed_cbrt
+from .errors import DegenerateCurveError, DomainError, SingularFrameError, SingularParametrizationError
+from .numerics import TrigInterpolant, panel_quadrature
 
 PERIOD = 2.0 * math.pi
 
@@ -38,22 +31,6 @@ def det2(u, v):
 
 def norm2(u):
     return np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-1))
-
-
-@dataclass(frozen=True)
-class LinearElement:
-    """A point with an attached direction (a tangent line germ)."""
-
-    point: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=float))
-        if not np.all(np.isfinite(self.point)) or not np.all(np.isfinite(self.direction)):
-            raise DomainError("linear element components must be finite")
-        if norm2(self.direction) == 0.0:
-            raise DomainError("linear element direction must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -251,20 +228,6 @@ class AffineImage(ClosedConvexCurve):
 # operations
 
 
-def evaluate(curve, s, order=0):
-    """Derivative of the parametrization at s (mod period), orders 0..3."""
-    if order not in (0, 1, 2, 3):
-        raise UnsupportedOrderError(f"order must be in 0..3, got {order}")
-    if not np.all(np.isfinite(np.asarray(s, dtype=float))):
-        raise DomainError("parameter value must be finite")
-    return curve.derivative(s, order)
-
-
-def euclidean_curvature(curve, s):
-    """Oriented curvature det(g', g'')/|g'|^3; positive on accepted curves."""
-    return curvature(*curve.derivatives(s, (1, 2)))
-
-
 def curvature(d1, d2):
     """Oriented curvature from the first and second parameter derivatives."""
     speed = norm2(d1)
@@ -338,28 +301,6 @@ def affine_normal(curve, s):
     return d2 * d ** (-2.0 / 3.0) - (d1 * dd) * d ** (-5.0 / 3.0) / 3.0
 
 
-def affine_distance(e1: LinearElement, e2: LinearElement):
-    """Signed affine distance 2 T^(1/3) of two linear elements.
-
-    T is the signed area of the triangle cut by the two tangent lines and the
-    connecting segment; the cube root keeps T's sign.
-    """
-    d1, d2 = e1.direction, e2.direction
-    denom = det2(d1, d2)
-    if abs(denom) <= 1e-14 * norm2(d1) * norm2(d2):
-        raise ParallelElementsError("affine distance undefined for parallel directions")
-    c = e2.point - e1.point
-    t_area = 0.5 * det2(d1, c) * det2(c, d2) / denom
-    return 2.0 * signed_cbrt(t_area)
-
-
-def apply_affine(curve, frame: AffineFrame):
-    """Image curve with derivatives transformed by the frame matrix."""
-    if frame.determinant == 0.0:
-        raise SingularFrameError("affine frame must be invertible")
-    return AffineImage(curve, frame)
-
-
 # ---------------------------------------------------------------------------
 # JSON curve specs
 
@@ -391,26 +332,3 @@ def curve_from_json(spec):
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed {kind!r} curve spec: {exc!r}")
     raise DomainError(f"unknown curve kind {kind!r}")
-
-
-def curve_to_json(curve):
-    if isinstance(curve, Ellipse):
-        return {
-            "kind": "ellipse",
-            "a": curve.a,
-            "b": curve.b,
-            "center": list(curve.center),
-            "rotation": curve.rotation,
-        }
-    if isinstance(curve, FourierRadial):
-        return {
-            "kind": "fourier_radial",
-            "r0": curve.r0,
-            "cos": list(curve.cos_coeffs),
-            "sin": list(curve.sin_coeffs),
-        }
-    if isinstance(curve, SampledPeriodic):
-        return {"kind": "samples", "points": curve.points.tolist()}
-    n = max(_MIN_CONVEXITY_SAMPLES, 4 * curve.resolution)
-    grid = np.arange(n) * (curve.period / n)
-    return {"kind": "samples", "points": curve.derivative(grid, 0).tolist()}

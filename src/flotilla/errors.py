@@ -9,10 +9,6 @@ class DomainError(FlotillaError, ValueError):
     """An argument lies outside the operation's mathematical domain."""
 
 
-class UnsupportedOrderError(DomainError):
-    """Derivative order outside the supported range."""
-
-
 class SingularParametrizationError(FlotillaError):
     """The curve parametrization is singular (zero tangent) at the point."""
 

@@ -72,7 +72,6 @@ class Carousel:
     vertices: list
     closure_defect: float
     defect_slope: float  # d(closure_defect)/d(delta), accumulated along the chain
-    centroid_track: list = field(default_factory=list)
     lambdas: list = field(default_factory=list)
 
 
@@ -381,7 +380,6 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
         v, ahead, behind, degenerate = _tangent_triangles(curve, chain)
         if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
             carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
-        carousel.centroid_track.append((float(s0), v[:, 0].mean(axis=0)))
     return carousel
 
 
@@ -415,12 +413,6 @@ def _closing_chain(curve, p, q, s0):
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star), chains[delta_star]
-
-
-def solve_carousel_delta(curve, p, q, s0=0.0) -> float:
-    """Cut-off area at which the p/q carousel from s0 closes."""
-    _require_carousel(p, q, s0)
-    return _closing_chain(curve, p, q, s0)[0]
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,18 @@
-"""Illumination boundary, its centroid curve, and the tangential polarity.
+"""Illumination boundary and its centroid curve.
 
-The illumination boundary is traced by the apex of the silhouette cone; the
-polarity maps exterior points to the chords joining their tangency points and
-back. Poles of chords with parallel endpoint tangents live at infinity and
-are reported with an explicit flag plus direction, never as huge coordinates.
+The illumination boundary is traced by the apex of the silhouette cone, and
+its centroid curve by the cone's centroid. Both are lane-wise over an
+illumination sweep; the apex of a chord (its pole under the tangential
+polarity) is the sweep's ``Chords.z``, NaN where the end tangents are parallel.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chord import ILLUMINATION, PARALLEL_TOL, _pair, arc_moments, tangent_intersection
-from .curve import det2, norm2
-from .errors import DomainError, SolverError
+from .chord import ILLUMINATION, arc_moments
+from .curve import det2
 from .floatgeom import ILLUMINATION_BOUNDARY, ILLUMINATION_CENTROID, DerivedCurve, _require_kind
-from .numerics import bracketed_newton
-
-
-@dataclass(frozen=True)
-class PolarityResult:
-    """Pole point and the parameters (s, t) of its polar chord.
-
-    ``at_infinity`` marks diametral-type chords; ``direction`` then carries
-    the common tangent direction instead of a pole point.
-    """
-
-    pole: np.ndarray | None
-    chord_params: tuple
-    at_infinity: bool = False
-    direction: np.ndarray | None = None
 
 
 def _silhouette_frame(chords):
@@ -70,44 +51,3 @@ def illumination_centroid_point(chords):
 def _segment_moment(a, b):
     """Integral of p det(p, dp) along the segment from a to b."""
     return det2(a, b)[..., None] * (a + b) / 2.0
-
-
-def pole_of_chord(curve, s, t) -> PolarityResult:
-    """Pole of the chord through gamma(s), gamma(t) under the tangential polarity."""
-    if math.isclose((t - s) % curve.period, 0.0, abs_tol=1e-12):
-        raise DomainError("chord endpoints coincide")
-    d1, d2 = curve.derivative(_pair(s, t), 1)
-    if abs(det2(d1, d2)) <= PARALLEL_TOL * norm2(d1) * norm2(d2):
-        return PolarityResult(
-            pole=None,
-            chord_params=(float(s), float(t)),
-            at_infinity=True,
-            direction=d1 / norm2(d1),
-        )
-    return PolarityResult(pole=tangent_intersection(curve, s, t), chord_params=(float(s), float(t)))
-
-
-def polar_of_point(curve, p) -> PolarityResult:
-    """Polar chord of an exterior point: the two tangency parameters.
-
-    Tangency parameters solve det(gamma(u) - p, gamma'(u)) = 0; they are
-    isolated by a sign scan on a 4N grid and refined by bracketed iteration.
-    Exactly two roots must exist, otherwise p is not strictly exterior.
-    """
-    p = np.asarray(p, dtype=float)
-
-    def fdf(u):
-        g, d1, d2 = curve.derivatives(u, (0, 1, 2))
-        return det2(g - p, d1), det2(g - p, d2)
-
-    n = 4 * max(curve.resolution, 128)
-    grid = np.arange(n + 1) * (curve.period / n)
-    g, d1 = curve.derivatives(grid, (0, 1))
-    vals = det2(g - p, d1)
-    crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(vals[np.abs(vals) == 0.0]) or len(crossings) != 2:
-        if len(crossings) < 2:
-            raise DomainError("point is not strictly outside the curve (no polar chord)")
-        raise SolverError(f"expected 2 tangency roots, found {len(crossings)}")
-    a, b = np.sort(bracketed_newton(fdf, grid[crossings], grid[crossings + 1], grid[crossings], f_tol=0.0))
-    return PolarityResult(pole=tangent_intersection(curve, a, b), chord_params=(float(a), float(b)))

@@ -22,6 +22,10 @@ MAX_PANELS = 8192
 # bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
 MAX_NODES_PER_CALL = 2048
 
+# bracketed_newton: a lane whose step is below this, relative to max(1, |x|), has converged
+NEWTON_X_TOL = 1e-15
+NEWTON_MAX_ITER = 100
+
 
 def signed_cbrt(x):
     """Cube root with sign(x)|x|^(1/3) convention, elementwise."""
@@ -163,7 +167,7 @@ class TrigInterpolant:
         return self.derivatives(s, (order,))[0]
 
 
-def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
+def bracketed_newton(fdf, lo, hi, x0, f_tol):
     """Safeguarded Newton iteration on independent lanes, each inside its own sign-change bracket.
 
     ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``fdf`` maps
@@ -172,9 +176,10 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
     Numerical Recipes' rtsafe). Each lane keeps its own bracket and falls
     back to bisection whenever its Newton step leaves the bracket; a lane
     freezes once |f| <= f_tol (a scalar or one value per lane) or its step is
-    below ``x_tol``, and the loop ends when every lane has. A 0-d ``x0`` is
-    one lane: ``fdf`` then receives and returns plain floats, and so does the
-    call.
+    below NEWTON_X_TOL relative to max(1, |x|), and the loop ends when every
+    lane has; after NEWTON_MAX_ITER rounds it raises SolverError. A 0-d
+    ``x0`` is one lane: ``fdf`` then receives and returns plain floats, and
+    so does the call.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     scalar = shape == ()
@@ -194,7 +199,7 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
         raise SolverError(f"no sign change on bracket [{lo[i]}, {hi[i]}]")
     done = (flo == 0.0) | (fhi == 0.0)
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.clip(x0, lo, hi)))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fx, d = lanes(x)
         done |= np.abs(fx) <= f_tol
         if done.all():
@@ -203,7 +208,7 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol, x_tol=1e-15, max_iter=100):
         to_lo = active & (np.sign(fx) == np.sign(flo))
         lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
         hi = np.where(active & ~to_lo, x, hi)
-        tol = x_tol * np.maximum(1.0, np.abs(x))
+        tol = NEWTON_X_TOL * np.maximum(1.0, np.abs(x))
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = np.where((d != 0.0) & np.isfinite(d), x - fx / d, np.nan)
         # a converged Newton step is taken even when it ends on or just past a

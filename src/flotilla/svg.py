@@ -16,6 +16,8 @@ _PALETTE = {
 _FALLBACK_COLORS = ["#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22"]
 
 MARGIN_FRACTION = 0.05
+# width and height of the drawing in pixels
+SIZE = 640
 
 
 def _fmt(x):
@@ -44,7 +46,7 @@ def figure_bounds(curves, chords=None):
     return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
-def export_svg(curves, path, chords=None, chord_stride=0, size=640):
+def export_svg(curves, path, chords=None, chord_stride=0):
     """Write the curve families to a single SVG file.
 
     ``curves`` is a list of {"label": str, "points": (N, 2) array}; the
@@ -64,7 +66,7 @@ def export_svg(curves, path, chords=None, chord_stride=0, size=640):
     stroke = span / 300.0
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}" '
         'preserveAspectRatio="xMidYMid meet">\n'
     ]

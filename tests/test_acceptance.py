@@ -17,9 +17,9 @@ from flotilla.chord import (
     sweep,
 )
 from flotilla.curve import (
+    AffineImage,
     affine_arclength,
     affine_curvature,
-    apply_affine,
     det2,
     norm2,
 )
@@ -42,7 +42,7 @@ from flotilla.homothety import (
     intersection_body_polar,
     petty_condition_report,
     radon_check,
-    solve_carousel_delta,
+    build_carousel,
     carousel_diagnostics,
 )
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
@@ -323,7 +323,7 @@ def test_criterion_09_cut_length_equivalence(ellipse21, ellipse_flot, bump3, bum
 
 
 def test_criterion_10_carousel(unit_circle, ellipse21):
-    delta_c = solve_carousel_delta(unit_circle, 1, 3)
+    delta_c = build_carousel(unit_circle, 1, 3).delta
     diag_c = carousel_diagnostics(unit_circle, delta_c, n_samples=16)
     ok_circle = (
         abs(delta_c - DELTA) < 1e-9
@@ -331,7 +331,7 @@ def test_criterion_10_carousel(unit_circle, ellipse21):
         and abs(diag_c.lambda_report.mean - 1.0) < 1e-8
         and diag_c.centroid_drift_max < 1e-9
     )
-    delta_e = solve_carousel_delta(ellipse21, 1, 3)
+    delta_e = build_carousel(ellipse21, 1, 3).delta
     diag_e = carousel_diagnostics(ellipse21, delta_e, n_samples=16)
     ok_ellipse = abs(delta_e - 2.0 * DELTA) < 1e-9 and diag_e.centroid_drift_max < 1e-8
     _report(
@@ -418,7 +418,7 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
     worst_scalar = 0.0
     for _ in range(20):
         frame = random_unimodular_frame(rng)
-        image = apply_affine(ellipse21, frame)
+        image = AffineImage(ellipse21, frame)
         for s in probes:
             cm_f = solve_flotation_chord(image, s, delta)
             cm_i = solve_silhouette_chord(image, s, delta_hat)

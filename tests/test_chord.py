@@ -17,7 +17,7 @@ from flotilla.chord import (
     sweep,
     tangent_intersection,
 )
-from flotilla.curve import Ellipse, FourierRadial, SampledPeriodic, apply_affine, area, det2, norm2
+from flotilla.curve import AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
 from flotilla.numerics import TrigInterpolant, bracketed_newton
 
@@ -82,7 +82,7 @@ class TestTangentIntersection:
         z = tangent_intersection(ellipse21, 0.2, 1.9)
         for _ in range(20):
             frame = random_unimodular_frame(rng)
-            image = apply_affine(ellipse21, frame)
+            image = AffineImage(ellipse21, frame)
             assert np.allclose(tangent_intersection(image, 0.2, 1.9), frame.apply(z), atol=1e-9)
 
 
@@ -208,7 +208,7 @@ class TestSweep:
         chords = sweep(unit_circle, FLOTATION, DELTA, 32)
         for _ in range(5):
             frame = random_unimodular_frame(rng)
-            image = apply_affine(unit_circle, frame)
+            image = AffineImage(unit_circle, frame)
             # unimodular: same delta cuts the same chords
             image_chords = sweep(image, FLOTATION, DELTA, 32)
             assert np.allclose(image_chords.x, frame.apply(chords.x), atol=1e-8)

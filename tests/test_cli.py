@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -25,8 +26,6 @@ from flotilla.cli import (
     EXIT_OK,
     compute_bundle,
     main,
-    read_curves_csv,
-    report_schema,
     run_checks,
     write_curves_csv,
 )
@@ -37,15 +36,15 @@ from flotilla.svg import export_svg
 from oracles import circle_segment_area, export_svg_per_value
 
 DELTA = circle_segment_area(math.pi / 3)
+REPORT_SCHEMA = json.loads((Path(flotilla.__file__).parent / "report_schema.json").read_text())
 
 
 @pytest.fixture(autouse=True)
 def reports_match_schema(tmp_path):
     """Every report.json a test here writes must validate against report_schema.json."""
     yield
-    schema = report_schema()
     for path in tmp_path.rglob("report.json"):
-        jsonschema.validate(json.loads(path.read_text()), schema)
+        jsonschema.validate(json.loads(path.read_text()), REPORT_SCHEMA)
 
 
 def strict_json(text):
@@ -83,6 +82,23 @@ class TestConfig:
         out = tmp_path / "out"
         assert main([command, str(cfg), "--out", str(out), "--samples", samples]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, code",
+        [
+            ("nSamples", 64.7, EXIT_CONFIG),
+            ("nSamples", "128", EXIT_CONFIG),
+            ("chordStride", -3, EXIT_CONFIG),
+            ("chordStride", 2.5, EXIT_CONFIG),
+            ("nSamples", 64.0, EXIT_OK),
+            ("chordStride", 0, EXIT_OK),
+        ],
+    )
+    def test_integer_fields_validated_before_any_output(self, tmp_path, field, value, code):
+        # nSamples 64.7 used to run as 64, and chordStride -3 or 2.5 to run silently
+        cfg = write_config(tmp_path / "c.json", **{field: value})
+        assert main(["run", str(cfg)]) == code
+        assert (tmp_path / "out").exists() == (code == EXIT_OK)
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -191,18 +207,17 @@ class TestRun:
             "two_deltas": ({"deltas": [0.4, 0.9], "checks": ["chord_cube", "cut_length"]}, EXIT_OK),
             "skipped": ({"curveSpec": bump3, "deltas": [0.8], "checks": ["radon", "omega"]}, EXIT_OK),
         }
-        schema = report_schema()
         for name, (overrides, code) in runs.items():
             cfg = write_config(tmp_path / f"{name}.json", outputDir=str(tmp_path / name), **overrides)
             assert main(["run", str(cfg)]) == code
             report = json.loads((tmp_path / name / "report.json").read_text())
-            jsonschema.validate(report, schema)
+            jsonschema.validate(report, REPORT_SCHEMA)
             assert report["passed"] == (code == EXIT_OK)
         # a skipped record carries no value, so no sentinel either
         assert report["records"][0]["status"] == "skipped"
         report["records"][0]["value"] = -1.0
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(report, schema)
+            jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", checks=["chord_cube"])
@@ -296,6 +311,25 @@ class TestRun:
         rec = report["records"][0]
         assert rec["pass"] and rec["statistic"] == "duality_not_in_homothetic_regime"
         assert rec["status"] == "skipped" and rec["value"] is None
+
+    def test_duality_skipped_when_delta_hat_is_not_the_dual_area(self, tmp_path):
+        # an explicit deltaHat of 0.5 on the 2:1 ellipse used to compare the
+        # poles with an illumination boundary at the wrong area, and fail
+        dual = compute_bundle(Ellipse(2.0, 1.0), 1.0, 64).illum_chords.delta
+        for name, delta_hat in (("other", 0.5), ("dual", dual)):
+            out = tmp_path / name
+            cfg = write_config(
+                tmp_path / f"{name}.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0},
+                deltas=[1.0], deltaHat=delta_hat, checks=["duality"], outputDir=str(out),
+            )
+            assert main(["run", str(cfg)]) == EXIT_OK
+            rec = json.loads((out / "report.json").read_text())["records"][0]
+            if name == "dual":
+                assert rec["status"] == "pass" and rec["statistic"] == "max_pole_mismatch_over_diameter"
+                continue
+            assert rec["status"] == "skipped" and rec["value"] is None and rec["pass"]
+            assert rec["statistic"] == "duality_not_at_dual_cone_area"
+            assert "0.5" in rec["reason"] and f"{dual:.6g}" in rec["reason"]
 
     def test_tolerances_override(self, tmp_path):
         # force a failure by making the ellipse threshold absurdly tight
@@ -394,16 +428,19 @@ class TestCsv:
         rows = expected_rows([bundle])
         path = tmp_path / "curves.csv"
         write_curves_csv(path, [bundle])
-        back = read_curves_csv(path)
+        with open(path, newline="") as fh:
+            header, *back = csv.reader(fh)
+        assert header == CSV_COLUMNS
         assert len(back) == len(rows)
         for orig, parsed in zip(rows, back):
-            assert parsed["family"] == orig["family"]
-            for col in CSV_COLUMNS[1:]:
-                a, b = orig[col], parsed[col]
+            assert len(parsed) == len(CSV_COLUMNS)
+            assert parsed[0] == orig["family"]
+            for col, cell in zip(CSV_COLUMNS[1:], parsed[1:]):
+                a = orig[col]
                 if a is None or (isinstance(a, float) and math.isnan(a)):
-                    assert b is None or math.isnan(b)
+                    assert cell == "" or math.isnan(float(cell))
                 else:
-                    assert float(a) == b  # 17 significant digits: exact round trip
+                    assert float(a) == float(cell)  # 17 significant digits: exact round trip
 
     def test_bytes_match_per_value_formatting(self, tmp_path):
         # at half the area of the 2:1 ellipse no chord has an apex, so the
@@ -437,7 +474,8 @@ class TestCsv:
         bundle = compute_bundle(Ellipse(1.0, 1.0), DELTA, 64)
         path = tmp_path / "curves.csv"
         write_curves_csv(path, [bundle])
-        families = {row["family"] for row in read_curves_csv(path)}
+        with open(path, newline="") as fh:
+            families = {row[0] for row in list(csv.reader(fh))[1:]}
         assert families == {
             "flotation_boundary",
             "buoyancy_curve",

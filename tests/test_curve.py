@@ -5,33 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flotilla.chord import FLOTATION, _chords
 from flotilla.curve import (
     AffineFrame,
+    AffineImage,
     Ellipse,
     FourierRadial,
-    LinearElement,
     SampledPeriodic,
     affine_arclength,
     affine_curvature,
-    affine_distance,
     affine_normal,
-    apply_affine,
     area,
+    curvature,
     curve_from_json,
-    curve_to_json,
     det2,
-    evaluate,
-    euclidean_curvature,
 )
-from flotilla.errors import (
-    DegenerateCurveError,
-    DomainError,
-    ParallelElementsError,
-    SingularFrameError,
-    UnsupportedOrderError,
-)
+from flotilla.errors import DegenerateCurveError, DomainError, SingularFrameError
 
-from oracles import fourier_radial_derivative, random_unimodular_frame, riemann_area, triangle_area
+from oracles import (
+    circle_segment_area,
+    fourier_radial_derivative,
+    random_unimodular_frame,
+    riemann_area,
+    triangle_area,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,47 +39,43 @@ def sampled_circle(n=256):
 
 
 class TestEvaluate:
+    """``curve.derivative(s, order)`` at single parameters."""
+
     def test_circle_point(self, unit_circle):
-        assert np.allclose(evaluate(unit_circle, 0.0, 0), [1.0, 0.0])
+        assert np.allclose(unit_circle.derivative(0.0, 0), [1.0, 0.0])
 
     def test_circle_second_derivative(self, unit_circle):
-        assert np.allclose(evaluate(unit_circle, 0.0, 2), [-1.0, 0.0])
+        assert np.allclose(unit_circle.derivative(0.0, 2), [-1.0, 0.0])
 
     def test_ellipse_first_derivative(self, ellipse21):
-        assert np.allclose(evaluate(ellipse21, math.pi / 2, 1), [-2.0, 0.0], atol=1e-15)
+        assert np.allclose(ellipse21.derivative(math.pi / 2, 1), [-2.0, 0.0], atol=1e-15)
 
     def test_periodicity(self, ellipse21):
         for order in range(4):
-            a = evaluate(ellipse21, 0.3, order)
-            b = evaluate(ellipse21, 0.3 + TWO_PI, order)
+            a = ellipse21.derivative(0.3, order)
+            b = ellipse21.derivative(0.3 + TWO_PI, order)
             assert np.allclose(a, b, atol=1e-12)
-
-    def test_order_out_of_range(self, unit_circle):
-        with pytest.raises(UnsupportedOrderError):
-            evaluate(unit_circle, 0.0, 4)
-
-    def test_non_finite_parameter(self, unit_circle):
-        with pytest.raises(DomainError):
-            evaluate(unit_circle, math.nan, 0)
 
     def test_sampled_kind_is_spectral(self):
         sp = sampled_circle()
         probe = 0.7231
-        assert np.allclose(evaluate(sp, probe, 1), [-math.sin(probe), math.cos(probe)], atol=1e-12)
-        assert np.allclose(evaluate(sp, probe, 3), [math.sin(probe), -math.cos(probe)], atol=1e-10)
+        assert np.allclose(sp.derivative(probe, 1), [-math.sin(probe), math.cos(probe)], atol=1e-12)
+        assert np.allclose(sp.derivative(probe, 3), [math.sin(probe), -math.cos(probe)], atol=1e-10)
 
 
 class TestEuclideanCurvature:
+    """``curvature`` of the first and second derivatives."""
+
     def test_unit_circle(self, unit_circle):
-        assert euclidean_curvature(unit_circle, 1.234) == pytest.approx(1.0, rel=1e-14)
+        assert curvature(*unit_circle.derivatives(1.234, (1, 2))) == pytest.approx(1.0, rel=1e-14)
 
     def test_scaling(self):
         big = Ellipse(3.0, 3.0)
-        assert euclidean_curvature(big, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert curvature(*big.derivatives(0.5, (1, 2))) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_ellipse_axis_point(self, ellipse21):
         # analytic: ab / (a^2 sin^2 + b^2 cos^2)^(3/2) at s = 0
-        assert euclidean_curvature(ellipse21, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert curvature(*ellipse21.derivatives(0.0, (1, 2))) == pytest.approx(2.0, rel=1e-14)
 
     def test_matches_position_finite_differences(self, ellipse21):
         h = 1e-4
@@ -91,7 +84,7 @@ class TestEuclideanCurvature:
             d1 = (pts[0] - 8 * pts[1] + 8 * pts[3] - pts[4]) / (12 * h)
             d2 = (-pts[0] + 16 * pts[1] - 30 * pts[2] + 16 * pts[3] - pts[4]) / (12 * h**2)
             fd = (d1[0] * d2[1] - d1[1] * d2[0]) / np.linalg.norm(d1) ** 3
-            assert fd == pytest.approx(euclidean_curvature(ellipse21, s), rel=1e-6)
+            assert fd == pytest.approx(curvature(*ellipse21.derivatives(s, (1, 2))), rel=1e-6)
 
 
 class TestArea:
@@ -121,7 +114,7 @@ class TestAffineArclength:
         base = affine_arclength(ellipse21, 0.2, 2.6)
         for _ in range(100):
             frame = random_unimodular_frame(rng)
-            image = apply_affine(ellipse21, frame)
+            image = AffineImage(ellipse21, frame)
             assert affine_arclength(image, 0.2, 2.6) == pytest.approx(base, rel=1e-8)
 
     def test_invariance_sampled_kind(self):
@@ -129,7 +122,7 @@ class TestAffineArclength:
         rng = np.random.default_rng(8)
         base = affine_arclength(sp, 0.1, 2.0)
         for _ in range(100):
-            image = apply_affine(sp, random_unimodular_frame(rng))
+            image = AffineImage(sp, random_unimodular_frame(rng))
             assert affine_arclength(image, 0.1, 2.0) == pytest.approx(base, rel=1e-6)
 
 
@@ -146,7 +139,7 @@ class TestAffineCurvature:
         rng = np.random.default_rng(11)
         base = affine_curvature(ellipse21, 1.3)
         for _ in range(100):
-            image = apply_affine(ellipse21, random_unimodular_frame(rng))
+            image = AffineImage(ellipse21, random_unimodular_frame(rng))
             assert affine_curvature(image, 1.3) == pytest.approx(base, rel=1e-8)
 
 
@@ -158,7 +151,7 @@ class TestAffineNormal:
         rng = np.random.default_rng(3)
         for _ in range(50):
             frame = random_unimodular_frame(rng, translate=False)
-            image = apply_affine(ellipse21, frame)
+            image = AffineImage(ellipse21, frame)
             expected = frame.apply_vector(affine_normal(ellipse21, 0.9))
             assert np.allclose(affine_normal(image, 0.9), expected, atol=1e-9)
 
@@ -172,68 +165,70 @@ class TestAffineNormal:
             assert miss < scale
 
 
+def circle_chord(theta, frame=None):
+    """The one-lane chord from gamma(-theta) to gamma(theta) of the unit circle, or of its image under frame."""
+    circle = Ellipse(1.0, 1.0)
+    curve = circle if frame is None else AffineImage(circle, frame)
+    return _chords(curve, FLOTATION, circle_segment_area(theta), np.array([-theta]), np.array([theta]))
+
+
 class TestAffineDistance:
-    def circle_elements(self, theta):
-        x = np.array([math.cos(theta), -math.sin(theta)])
-        y = np.array([math.cos(theta), math.sin(theta)])
-        dx = np.array([math.sin(theta), math.cos(theta)])
-        dy = np.array([-math.sin(theta), math.cos(theta)])
-        return LinearElement(x, dx), LinearElement(y, dy)
+    """The affine chord length ``Chords.affine_norm_c``: 2 T^(1/3), T the tangent-triangle area."""
 
     def test_circle_chord_value(self):
         theta = math.pi / 3
-        e1, e2 = self.circle_elements(theta)
         expected = 2.0 * (math.sin(theta) ** 3 / math.cos(theta)) ** (1.0 / 3.0)
-        assert affine_distance(e1, e2) == pytest.approx(expected, rel=1e-14)
+        assert circle_chord(theta).affine_norm_c[0] == pytest.approx(expected, rel=1e-14)
 
     def test_unimodular_invariance(self):
         rng = np.random.default_rng(5)
-        e1, e2 = self.circle_elements(0.9)
-        base = affine_distance(e1, e2)
+        base = circle_chord(0.9).affine_norm_c[0]
         for _ in range(100):
-            frame = random_unimodular_frame(rng)
-            f1 = LinearElement(frame.apply(e1.point), frame.apply_vector(e1.direction))
-            f2 = LinearElement(frame.apply(e2.point), frame.apply_vector(e2.direction))
-            assert affine_distance(f1, f2) == pytest.approx(base, rel=1e-8)
+            image = circle_chord(0.9, random_unimodular_frame(rng))
+            assert image.affine_norm_c[0] == pytest.approx(base, rel=1e-8)
 
     def test_cube_is_eight_tangent_triangle_areas(self):
         theta = 0.7
-        e1, e2 = self.circle_elements(theta)
+        chords = circle_chord(theta)
         # intersection of the two tangent lines
         apex = np.array([1.0 / math.cos(theta), 0.0])
-        expected = 8.0 * triangle_area(e1.point, e2.point, apex)
-        assert affine_distance(e1, e2) ** 3 == pytest.approx(expected, rel=1e-12)
+        assert np.allclose(chords.z[0], apex, rtol=0.0, atol=1e-15)
+        expected = 8.0 * triangle_area(chords.x[0], chords.y[0], apex)
+        assert chords.affine_norm_c[0] ** 3 == pytest.approx(expected, rel=1e-12)
 
-    def test_parallel_directions_rejected(self):
-        e1 = LinearElement((0.0, 0.0), (1.0, 0.0))
-        e2 = LinearElement((0.0, 1.0), (2.0, 0.0))
-        with pytest.raises(ParallelElementsError):
-            affine_distance(e1, e2)
+    def test_parallel_directions_rejected(self, unit_circle):
+        # a diameter: the end tangents are parallel, so there is no tangent triangle
+        chords = _chords(unit_circle, FLOTATION, math.pi / 2, np.array([0.0]), np.array([math.pi]))
+        assert not chords.apex[0]
+        assert np.all(np.isnan(chords.z[0]))
+        assert chords.affine_norm_c[0] == math.inf
 
 
 class TestApplyAffine:
+    """``AffineImage(curve, frame)``."""
+
     def test_identity(self, ellipse21):
-        image = apply_affine(ellipse21, AffineFrame(np.eye(2)))
+        image = AffineImage(ellipse21, AffineFrame(np.eye(2)))
         for s in (0.0, 1.0, 4.5):
             assert np.allclose(image.derivative(s, 0), ellipse21.derivative(s, 0))
 
     def test_circle_to_ellipse(self, unit_circle, ellipse21):
-        image = apply_affine(unit_circle, AffineFrame([[2.0, 0.0], [0.0, 1.0]]))
+        image = AffineImage(unit_circle, AffineFrame([[2.0, 0.0], [0.0, 1.0]]))
         for s in np.linspace(0, TWO_PI, 9):
             assert np.allclose(image.derivative(s, 0), ellipse21.derivative(s, 0))
 
     def test_area_scales_with_determinant(self, unit_circle):
         frame = AffineFrame([[2.0, 0.3], [0.1, 1.5]], (5.0, -2.0))
-        image = apply_affine(unit_circle, frame)
+        image = AffineImage(unit_circle, frame)
         assert area(image) == pytest.approx(abs(frame.determinant) * math.pi, rel=1e-12)
 
     def test_orientation_restored_for_negative_determinant(self, ellipse21):
-        image = apply_affine(ellipse21, AffineFrame([[1.0, 0.0], [0.0, -1.0]]))
+        image = AffineImage(ellipse21, AffineFrame([[1.0, 0.0], [0.0, -1.0]]))
         assert area(image) == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_singular_frame_rejected(self, unit_circle):
         with pytest.raises(SingularFrameError):
-            apply_affine(unit_circle, AffineFrame([[1.0, 1.0], [1.0, 1.0]]))
+            AffineImage(unit_circle, AffineFrame([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestValidation:
@@ -303,7 +298,7 @@ class TestOneEvaluator:
             "rotated_translated_ellipse": Ellipse(1.5, 0.7, center=np.array([0.3, -2.0]), rotation=0.9),
             "fourier_radial": FourierRadial(1.0, (0.0, 0.02, 0.0, 0.01), (0.03, 0.0, -0.015)),
             "sampled": SampledPeriodic(samples),
-            "reversing_affine_image": apply_affine(FourierRadial(1.0, (0.0, 0.0, 0.1)), reflect),
+            "reversing_affine_image": AffineImage(FourierRadial(1.0, (0.0, 0.0, 0.1)), reflect),
         }
 
     @pytest.mark.parametrize(
@@ -333,13 +328,15 @@ class TestOneEvaluator:
 
 class TestJson:
     def test_round_trip_ellipse(self):
-        spec = {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.1, 0.2], "rotation": 0.4}
-        curve = curve_from_json(spec)
-        assert curve_to_json(curve) == spec
+        # every field of the spec reaches the curve unchanged
+        curve = curve_from_json({"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.1, 0.2], "rotation": 0.4})
+        assert isinstance(curve, Ellipse)
+        assert (curve.a, curve.b, curve.center.tolist(), curve.rotation) == (2.0, 1.0, [0.1, 0.2], 0.4)
 
     def test_round_trip_fourier(self):
-        spec = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.05], "sin": [0.01]}
-        assert curve_to_json(curve_from_json(spec)) == spec
+        curve = curve_from_json({"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.05], "sin": [0.01]})
+        assert isinstance(curve, FourierRadial)
+        assert (curve.r0, curve.cos_coeffs, curve.sin_coeffs) == (1.0, (0.0, 0.0, 0.05), (0.01,))
 
     def test_samples_kind(self):
         s = np.arange(64) * (TWO_PI / 64)
@@ -362,13 +359,6 @@ def test_affine_distance_invariance_property(phi, m, theta):
     c, s = math.cos(phi), math.sin(phi)
     matrix = np.array([[c, -s], [s, c]]) @ np.diag([m, 1.0 / m])
     frame = AffineFrame(matrix, (0.3, -0.1))
-    x = np.array([math.cos(theta), -math.sin(theta)])
-    y = np.array([math.cos(theta), math.sin(theta)])
-    dx = np.array([math.sin(theta), math.cos(theta)])
-    dy = np.array([-math.sin(theta), math.cos(theta)])
-    base = affine_distance(LinearElement(x, dx), LinearElement(y, dy))
-    image = affine_distance(
-        LinearElement(frame.apply(x), frame.apply_vector(dx)),
-        LinearElement(frame.apply(y), frame.apply_vector(dy)),
-    )
-    assert image == pytest.approx(base, rel=1e-9)
+    base, image = circle_chord(theta), circle_chord(theta, frame)
+    assert np.allclose(image.x, frame.apply(base.x), rtol=0.0, atol=1e-14)  # the image of the same chord
+    assert image.affine_norm_c[0] == pytest.approx(base.affine_norm_c[0], rel=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flotilla.chord import FLOTATION, solve_flotation_chord, sweep
-from flotilla.curve import AffineFrame, apply_affine, area, det2, norm2
+from flotilla.curve import AffineFrame, AffineImage, area, det2, norm2
 from flotilla.floatgeom import (
     buoyancy_affine_normal_check,
     buoyancy_point,
@@ -128,7 +128,7 @@ class TestKappaPrime:
 
     def test_sign_flips_under_reflection(self, ellipse21):
         # mirroring the curve swaps the roles of the chord endpoints
-        mirrored = apply_affine(ellipse21, AffineFrame([[1.0, 0.0], [0.0, -1.0]]))
+        mirrored = AffineImage(ellipse21, AffineFrame([[1.0, 0.0], [0.0, -1.0]]))
         cm = solve_flotation_chord(ellipse21, 0.7, 1.0)
         # the mirrored curve is reparametrized s -> period - s
         cm_m = solve_flotation_chord(mirrored, TWO_PI - cm.t[0], 1.0)
@@ -229,13 +229,13 @@ class TestEquivariance:
         base = buoyancy_point(chords).points
         for _ in range(5):
             frame = random_unimodular_frame(rng)
-            image = apply_affine(unit_circle, frame)
+            image = AffineImage(unit_circle, frame)
             got = buoyancy_point(sweep(image, FLOTATION, DELTA, 32)).points
             assert np.allclose(got, frame.apply(base), atol=1e-8)
 
     def test_buoyancy_delta_scales_with_determinant(self, unit_circle):
         frame = AffineFrame([[2.0, 0.0], [0.0, 1.0]])
-        image = apply_affine(unit_circle, frame)
+        image = AffineImage(unit_circle, frame)
         cm = solve_flotation_chord(unit_circle, 0.5, DELTA)
         cm_img = solve_flotation_chord(image, 0.5, 2 * DELTA)
         expect = frame.apply(buoyancy_point(cm).points)

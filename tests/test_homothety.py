@@ -27,7 +27,6 @@ from flotilla.homothety import (
     petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
-    solve_carousel_delta,
     carousel_diagnostics,
 )
 
@@ -392,7 +391,7 @@ class TestRadon:
 
 class TestCarousel:
     def test_circle_three_chairs(self, unit_circle):
-        delta_star = solve_carousel_delta(unit_circle, 1, 3)
+        delta_star = build_carousel(unit_circle, 1, 3).delta
         assert delta_star == pytest.approx(DELTA, abs=1e-9)
         car = build_carousel(unit_circle, 1, 3, delta_star)
         assert abs(car.closure_defect) < 1e-10
@@ -401,7 +400,7 @@ class TestCarousel:
         assert np.max(np.abs(sides - math.sqrt(3.0))) < 1e-9  # equilateral
 
     def test_circle_four_chairs(self, unit_circle):
-        delta_star = solve_carousel_delta(unit_circle, 1, 4)
+        delta_star = build_carousel(unit_circle, 1, 4).delta
         assert delta_star == pytest.approx(math.pi / 4.0 - 0.5, abs=1e-9)
         car = build_carousel(unit_circle, 1, 4, delta_star)
         verts = np.array([unit_circle.derivative(t, 0) for t in car.vertices[:4]])
@@ -415,7 +414,7 @@ class TestCarousel:
         assert defects[0] < 0.0 < defects[-1]
 
     def test_ellipse_delta_scales_with_area(self, ellipse21):
-        delta_star = solve_carousel_delta(ellipse21, 1, 3)
+        delta_star = build_carousel(ellipse21, 1, 3).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
 
     @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
@@ -432,7 +431,7 @@ class TestCarousel:
             return chains(*args, **kwargs)
 
         monkeypatch.setattr(homothety_module, "_chains", counting)
-        delta_star = solve_carousel_delta(ellipse21, 1, 3, s0=s0)
+        delta_star = build_carousel(ellipse21, 1, 3, s0=s0).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
         assert calls == 7
 
@@ -443,12 +442,9 @@ class TestCarousel:
         curve = request.getfixturevalue(body)
         cars = [build_carousel(curve, p, q, s0=s0) for s0 in (0.3, 1.7)]
         for car in cars:
-            expected = build_carousel(curve, p, q, solve_carousel_delta(curve, p, q, s0=car.s0), s0=car.s0)
+            expected = build_carousel(curve, p, q, car.delta, s0=car.s0)
             fields = ("p", "q", "delta", "s0", "vertices", "closure_defect", "defect_slope", "lambdas")
             assert [getattr(car, f) for f in fields] == [getattr(expected, f) for f in fields]
-            assert len(car.centroid_track) == len(expected.centroid_track)
-            for (s_a, c_a), (s_b, c_b) in zip(car.centroid_track, expected.centroid_track):
-                assert s_a == s_b and np.array_equal(c_a, c_b)
         assert cars[0].vertices[0] != cars[1].vertices[0]
         if body == "bump3":
             assert abs(cars[0].delta - cars[1].delta) > 1e-6  # delta* depends on the start here
@@ -457,7 +453,7 @@ class TestCarousel:
         # density 2/5: the chain winds twice before closing
         theta = 2.0 * math.pi / 5.0
         expected = circle_segment_area(theta)
-        delta_star = solve_carousel_delta(unit_circle, 2, 5)
+        delta_star = build_carousel(unit_circle, 2, 5).delta
         assert delta_star == pytest.approx(expected, abs=1e-9)
         car = build_carousel(unit_circle, 2, 5, delta_star)
         assert car.vertices[-1] - car.vertices[0] == pytest.approx(2 * TWO_PI, abs=1e-10)
@@ -471,7 +467,7 @@ class TestCarousel:
         with pytest.raises(DomainError):
             build_carousel(unit_circle, 1, 3, DELTA, s0=s0)
         with pytest.raises(DomainError):
-            solve_carousel_delta(unit_circle, 1, 3, s0=s0)
+            build_carousel(unit_circle, 1, 3, s0=s0)
 
     def test_carousel_diag_circle(self, unit_circle):
         diag = carousel_diagnostics(unit_circle, DELTA, n_samples=16)
@@ -482,14 +478,14 @@ class TestCarousel:
         assert diag.medial_residual_max < 1e-8
 
     def test_carousel_diag_ellipse(self, ellipse21):
-        delta_star = solve_carousel_delta(ellipse21, 1, 3)
+        delta_star = build_carousel(ellipse21, 1, 3).delta
         diag = carousel_diagnostics(ellipse21, delta_star, n_samples=16)
         assert diag.lambda_report.max_abs_deviation < 1e-8
         assert diag.centroid_drift_max < 1e-8
 
     def test_lambda_product_breaks_without_endpoint_balance(self, bump3):
         # three-fold symmetric body: the chain closes but the ratios are not 1
-        delta_star = solve_carousel_delta(bump3, 1, 3, s0=0.3)
+        delta_star = build_carousel(bump3, 1, 3, s0=0.3).delta
         car = build_carousel(bump3, 1, 3, delta_star, s0=0.3)
         product = car.lambdas[0] * car.lambdas[1] * car.lambdas[2]
         assert abs(product - 1.0) > 0.1
@@ -505,7 +501,7 @@ class TestCarousel:
 
     def test_diagnostics_lanes_match_single_chains(self, bump3):
         # the carousel closes from s0 = 0 but not from other starts
-        delta_star = solve_carousel_delta(bump3, 1, 3)
+        delta_star = build_carousel(bump3, 1, 3).delta
         diag = carousel_diagnostics(bump3, delta_star, n_samples=8)
         chains = [build_carousel(bump3, 1, 3, delta_star, s0=s0) for s0 in np.arange(8) * (TWO_PI / 8)]
         assert diag.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)

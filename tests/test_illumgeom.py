@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import ILLUMINATION, solve_silhouette_chord, sweep
-from flotilla.curve import det2, norm2
-from flotilla.errors import DomainError
-from flotilla.illumgeom import (
-    illumination_centroid_point,
-    illumination_point,
-    polar_of_point,
-    pole_of_chord,
-)
+from flotilla.chord import ILLUMINATION, _chords, solve_silhouette_chord, sweep
+from flotilla.curve import AffineImage, det2, norm2
+from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
 from oracles import (
     circle_cone_area,
@@ -40,14 +34,12 @@ class TestIlluminationPoint:
         np.testing.assert_allclose(illumination_kappa_raw(chords), illumination_point(chords).kappa, rtol=1e-10)
 
     def test_equivariance_under_unimodular_frames(self, ellipse21):
-        from flotilla.curve import apply_affine
-
         rng = np.random.default_rng(41)
         cm = solve_silhouette_chord(ellipse21, 0.8, 1.0)
         base = illumination_point(cm)
         for _ in range(10):
             frame = random_unimodular_frame(rng)
-            image = apply_affine(ellipse21, frame)
+            image = AffineImage(ellipse21, frame)
             cm_img = solve_silhouette_chord(image, 0.8, 1.0)
             got = illumination_point(cm_img)
             assert np.allclose(got.points, frame.apply(base.points), atol=1e-8)
@@ -130,43 +122,16 @@ class TestFdCurvature:
 
 
 class TestPolarity:
+    """The pole of a chord under the tangential polarity is its ``Chords.z``."""
+
     def test_pole_of_symmetric_circle_chord(self, unit_circle):
-        res = pole_of_chord(unit_circle, -THETA, THETA)
-        assert np.allclose(res.pole, [1.0 / math.cos(THETA), 0.0], atol=1e-12)
-        assert not res.at_infinity
+        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, np.array([-THETA]), np.array([THETA]))
+        assert np.allclose(chords.z[0], [1.0 / math.cos(THETA), 0.0], atol=1e-12)
+        assert chords.apex[0]
 
     def test_diametral_chord_pole_at_infinity(self, unit_circle):
-        res = pole_of_chord(unit_circle, 0.0, math.pi)
-        assert res.at_infinity
-        assert res.pole is None
-        assert np.allclose(np.abs(res.direction), [0.0, 1.0], atol=1e-12)
-
-    def test_polar_of_exterior_point(self, unit_circle):
-        res = polar_of_point(unit_circle, np.array([2.0, 0.0]))
-        s, t = res.chord_params
-        assert s == pytest.approx(THETA, abs=1e-10)
-        assert t == pytest.approx(TWO_PI - THETA, abs=1e-10)
-
-    def test_involution_round_trip(self, ellipse21):
-        p = np.array([3.1, 0.8])
-        res = polar_of_point(ellipse21, p)
-        back = pole_of_chord(ellipse21, *res.chord_params)
-        assert np.allclose(back.pole, p, atol=1e-9)
-
-    def test_axis_point_gives_perpendicular_chord(self, ellipse21):
-        res = polar_of_point(ellipse21, np.array([3.0, 0.0]))
-        s, t = res.chord_params
-        chord = ellipse21.derivative(t, 0) - ellipse21.derivative(s, 0)
-        assert abs(chord[0]) < 1e-10  # vertical chord, perpendicular to the x axis
-
-    def test_interior_point_rejected(self, ellipse21):
-        with pytest.raises(DomainError):
-            polar_of_point(ellipse21, np.array([0.5, 0.2]))
-
-    def test_tangency_residual(self, bump3):
-        p = np.array([2.5, 1.0])
-        res = polar_of_point(bump3, p)
-        for u in res.chord_params:
-            g = bump3.derivative(u, 0)
-            d1 = bump3.derivative(u, 1)
-            assert abs(det2(g - p, d1)) < 1e-10 * norm2(g - p) * norm2(d1)
+        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, np.array([0.0]), np.array([math.pi]))
+        assert not chords.apex[0]
+        assert np.all(np.isnan(chords.z[0]))
+        # both end tangents are vertical
+        assert np.allclose(chords.ends(1)[:, 0, 0], 0.0, atol=1e-12)

@@ -16,7 +16,7 @@ import pytest
 
 from flotilla.chord import FLOTATION, ILLUMINATION, sweep
 from flotilla.cli import CHECKS, compute_bundle, resolve_deltas
-from flotilla.curve import AffineFrame, Ellipse, FourierRadial, SampledPeriodic, apply_affine, area, curve_from_json
+from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, curve_from_json
 from flotilla.errors import AccuracyError, DomainError
 from flotilla.floatgeom import (
     DerivedCurve,
@@ -46,7 +46,7 @@ def reversed_image():
     # orientation-reversing: the parameter is reflected, s -> period - s. The
     # base has no flat point: there the curvature is rounding noise, and so
     # are quantities that divide by it or take its cube root
-    return apply_affine(FourierRadial(1.0, (0.0, 0.0, 0.05)), AffineFrame([[1.2, 0.3], [0.1, -0.8]], [0.4, -0.2]))
+    return AffineImage(FourierRadial(1.0, (0.0, 0.0, 0.05)), AffineFrame([[1.2, 0.3], [0.1, -0.8]], [0.4, -0.2]))
 
 
 BODIES = {

@@ -20,7 +20,7 @@ from flotilla.chord import (
     tangent_intersection,
 )
 from flotilla.cli import compute_bundle
-from flotilla.curve import AffineFrame, Ellipse, FourierRadial, SampledPeriodic, apply_affine, area
+from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area
 from flotilla.floatgeom import buoyancy_point
 from flotilla.illumgeom import illumination_centroid_point
 
@@ -45,7 +45,7 @@ def sampled_conic():
 def reversed_bump3():
     # determinant -1.02: the image reverses orientation, so its parameter is reflected
     frame = AffineFrame([[1.2, 0.3], [0.2, -0.8]], [0.5, -0.3])
-    return apply_affine(FourierRadial(1.0, (0.0, 0.0, 0.1)), frame)
+    return AffineImage(FourierRadial(1.0, (0.0, 0.0, 0.1)), frame)
 
 
 BODIES = {
