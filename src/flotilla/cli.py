@@ -49,6 +49,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# the config keys load_config reads; any other key is a ConfigError
+CONFIG_KEYS = ("curveSpec", "deltas", "nSamples", "checks", "outputDir", "deltaHat")
+# figure.svg draws every CHORD_STRIDE-th chord of each flotation sweep
+CHORD_STRIDE = 16
+
 
 class ConfigError(Exception):
     pass
@@ -61,38 +66,34 @@ class RunConfig:
     n_samples: int = 512
     checks: list = field(default_factory=list)
     output_dir: str = "."
-    tolerances_override: dict = field(default_factory=dict)
     delta_hat: float | None = None
-    chord_stride: int = 16
 
 
-def load_config(path, n_samples=None):
-    """Read and validate a run config; ``n_samples`` overrides its nSamples and is checked the same way."""
+def load_config(path):
+    """Read and validate a run config; a key outside CONFIG_KEYS is an error, never ignored."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"malformed config: expected a JSON object, got {type(raw).__name__}")
+    unknown = [key for key in raw if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} (allowed: {', '.join(CONFIG_KEYS)})")
     try:
         cfg = RunConfig(
             curve_spec=raw["curveSpec"],
             deltas=list(raw.get("deltas", [])),
-            n_samples=_integer(raw.get("nSamples", 512), "nSamples") if n_samples is None else n_samples,
+            n_samples=_integer(raw.get("nSamples", 512), "nSamples"),
             checks=list(raw.get("checks", [])),
             output_dir=raw.get("outputDir", "."),
-            tolerances_override={
-                name: _positive_number(tol, f"tolerancesOverride[{name!r}]")
-                for name, tol in dict(raw.get("tolerancesOverride", {})).items()
-            },
             delta_hat=raw.get("deltaHat"),
-            chord_stride=_integer(raw.get("chordStride", 16), "chordStride"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config: {exc}")
     if cfg.n_samples < 64:
-        raise ConfigError(f"the sample count (nSamples or --samples) must be at least 64, got {cfg.n_samples}")
-    if cfg.chord_stride < 0:
-        raise ConfigError(f"chordStride must be at least 0 (0 draws no chords), got {cfg.chord_stride}")
+        raise ConfigError(f"nSamples must be at least 64, got {cfg.n_samples}")
     if cfg.delta_hat is not None:
         cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
     return cfg
@@ -231,33 +232,30 @@ def _tangency_residual(family, chords):
     return float(residual.max(initial=0.0))
 
 
-def _check_chord_cube(curve, bundle, tol):
-    tol = tol if tol is not None else _constancy_threshold(curve)
+def _check_chord_cube(curve, bundle):
+    tol = _constancy_threshold(curve)
     if bundle.chord_cube_stats is None:
         return _skipped("cv_affine_chord_cubed", tol, NO_APEX_REASON)
     return _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
 
 
-def _check_endpoint_balance(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-8
+def _check_endpoint_balance(curve, bundle):
     worst = float(np.max(np.abs(homothety.endpoint_balance_residual(bundle.chords))))
-    return _measured("max_abs_endpoint_balance_residual", worst, tol)
+    return _measured("max_abs_endpoint_balance_residual", worst, 1e-8)
 
 
-def _check_omega(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-6
+def _check_omega(curve, bundle):
     res = floatgeom.omega_identity_residual(bundle.chords)
-    return _measured("omega_identity_rel_residual", res, tol)
+    return _measured("omega_identity_rel_residual", res, 1e-6)
 
 
-def _check_dupin(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-9
+def _check_dupin(curve, bundle):
     worst = max(_tangency_residual(family, chords) for chords, families in bundle.sweeps() for family in families)
-    return _measured("max_tangency_residual", worst, tol)
+    return _measured("max_tangency_residual", worst, 1e-9)
 
 
-def _check_affine_normal(curve, bundle, tol):
-    tol = tol if tol is not None else 1.0
+def _check_affine_normal(curve, bundle):
+    tol = 1.0
     angle, mag = floatgeom.buoyancy_affine_normal_check(bundle.chords)
     live = ~np.isnan(angle)
     if not live.any():
@@ -266,14 +264,13 @@ def _check_affine_normal(curve, bundle, tol):
     return _measured("worst_affine_normal_ratio", worst, tol)
 
 
-def _check_cut_length(curve, bundle, tol):
-    tol = tol if tol is not None else _constancy_threshold(curve)
+def _check_cut_length(curve, bundle):
     rep = homothety.affine_cut_length_report(bundle.chords)
-    return _measured("cv_affine_cut_length", rep.coefficient_of_variation, tol)
+    return _measured("cv_affine_cut_length", rep.coefficient_of_variation, _constancy_threshold(curve))
 
 
-def _check_duality(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-6
+def _check_duality(curve, bundle):
+    tol = 1e-6
     if not bundle.homothetic:
         reason = NO_APEX_REASON if bundle.chord_cube_stats is None else "the cubed affine chord length is not constant"
         return _skipped("duality_not_in_homothetic_regime", tol, reason)
@@ -296,13 +293,13 @@ def _check_duality(curve, bundle, tol):
     return _measured("max_pole_mismatch_over_diameter", worst / diameter, tol)
 
 
-def _check_petty(curve, bundle, tol):
-    tol = tol if tol is not None else _constancy_threshold(curve)
-    return _measured("cv_petty_condition", homothety.petty_condition_report(curve).coefficient_of_variation, tol)
+def _check_petty(curve, bundle):
+    report = homothety.petty_condition_report(curve)
+    return _measured("cv_petty_condition", report.coefficient_of_variation, _constancy_threshold(curve))
 
 
-def _check_radon(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-9
+def _check_radon(curve, bundle):
+    tol = 1e-9
     try:
         worst = homothety.radon_check(curve, n_samples=128)
     except DomainError as exc:
@@ -310,15 +307,14 @@ def _check_radon(curve, bundle, tol):
     return _measured("max_radon_residual", worst, tol)
 
 
-def _check_affine_sphere(curve, bundle, tol):
-    tol = tol if tol is not None else 1e-8
+def _check_affine_sphere(curve, bundle):
     n = 128
     grid = (np.arange(n) + 0.5) * (curve.period / n)
     pts = curve.derivative(grid, 0)
     normals = affine_normal(curve, grid)
     fit = homothety.proper_affine_sphere_residual(pts, normals)
     diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
-    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / diameter, tol)
+    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / diameter, 1e-8)
 
 
 CHECKS = {
@@ -347,7 +343,7 @@ def _severity(entry):
     return (_SEVERITY[entry["status"]], entry["value"] / max(entry["threshold"], 1e-300))
 
 
-def run_checks(curve, label, bundles, checks, overrides):
+def run_checks(curve, label, bundles, checks):
     """One record per requested check, aggregated worst-case over deltas.
 
     ``pass`` is false only for a failed check; a skipped record says why in
@@ -357,7 +353,7 @@ def run_checks(curve, label, bundles, checks, overrides):
     for name in checks:
         entries = []
         for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
-            result = CHECKS[name](curve, bundle, overrides.get(name))
+            result = CHECKS[name](curve, bundle)
             record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
             entries.append({**record, "pass": result["status"] != FAIL})
         records.append(max(entries, key=_severity))
@@ -441,13 +437,13 @@ def cmd_run(config: RunConfig):
     bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
 
     write_curves_csv(out_dir / "curves.csv", bundles)
-    write_figure(out_dir / "figure.svg", curve, bundles, config.chord_stride)
+    write_figure(out_dir / "figure.svg", curve, bundles, CHORD_STRIDE)
 
     if not config.checks:
         print(f"wrote {out_dir/'curves.csv'} and {out_dir/'figure.svg'}")
         return EXIT_OK
 
-    records = run_checks(curve, label, bundles, config.checks, config.tolerances_override)
+    records = run_checks(curve, label, bundles, config.checks)
     payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records)
     for rec in records:
         if rec["status"] == SKIPPED:
@@ -506,8 +502,6 @@ def build_parser():
     p_run = sub.add_parser("run", help="run sweeps, checks and exporters")
     p_run.add_argument("config")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--samples", type=int, help="sweep sample count (overrides config)")
-    p_run.add_argument("--checks", help="comma-separated check names (overrides config)")
 
     p_car = sub.add_parser("carousel", help="solve and diagnose a p/q carousel")
     p_car.add_argument("config")
@@ -515,11 +509,6 @@ def build_parser():
     p_car.add_argument("--p", type=int, default=1)
     p_car.add_argument("--s0", type=float, default=0.0)
     p_car.add_argument("--out", help="output directory (overrides config)")
-
-    p_exp = sub.add_parser("export", help="write curves.csv and figure.svg only")
-    p_exp.add_argument("config")
-    p_exp.add_argument("--out", help="output directory (overrides config)")
-    p_exp.add_argument("--samples", type=int)
     return parser
 
 
@@ -530,19 +519,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        config = load_config(args.config, getattr(args, "samples", None))
-        if getattr(args, "out", None):
+        config = load_config(args.config)
+        if args.out:
             config.output_dir = args.out
-        if getattr(args, "checks", None):
-            config.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if args.command == "run":
             return cmd_run(config)
-        if args.command == "carousel":
-            return cmd_carousel(config, q=args.q, p=args.p, s0=args.s0)
-        if args.command == "export":
-            config.checks = []
-            return cmd_run(config)
-        return EXIT_CONFIG
+        return cmd_carousel(config, q=args.q, p=args.p, s0=args.s0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -305,12 +305,25 @@ def affine_normal(curve, s):
 # JSON curve specs
 
 
+# the keys each curve spec kind may set besides "kind"; any other key is a DomainError
+SPEC_KEYS = {
+    "ellipse": ("a", "b", "center", "rotation"),
+    "fourier_radial": ("r0", "cos", "sin"),
+    "samples": ("points",),
+}
+
+
 def curve_from_json(spec):
     """Build a curve from its JSON description (see README for the schema)."""
     try:
         kind = spec["kind"]
     except (TypeError, KeyError):
         raise DomainError("curve spec must be an object with a 'kind' field")
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
+        raise DomainError(f"unknown curve kind {kind!r}")
+    unknown = [key for key in spec if key != "kind" and key not in SPEC_KEYS[kind]]
+    if unknown:
+        raise DomainError(f"unknown key {unknown[0]!r} in {kind!r} curve spec (allowed: {', '.join(SPEC_KEYS[kind])})")
     try:
         if kind == "ellipse":
             return Ellipse(
@@ -325,10 +338,8 @@ def curve_from_json(spec):
                 cos_coeffs=tuple(spec.get("cos", ())),
                 sin_coeffs=tuple(spec.get("sin", ())),
             )
-        if kind == "samples":
-            return SampledPeriodic(points=np.asarray(spec["points"], dtype=float))
+        return SampledPeriodic(points=np.asarray(spec["points"], dtype=float))
     except DomainError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed {kind!r} curve spec: {exc!r}")
-    raise DomainError(f"unknown curve kind {kind!r}")

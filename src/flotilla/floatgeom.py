@@ -3,15 +3,16 @@
 Every construction here is a pointwise transform of solved chords; the
 tangents and curvatures are closed forms in the endpoint data, so a sweep of
 chords yields each derived curve as one array record with no extra
-differentiation. Each transform runs on all chords of a sweep at once (one
-curve evaluation at both chord ends); one-lane Chords are the single-chord
-case.
+differentiation. Only the omega identity differentiates sampled points (the
+flotation and buoyancy families, spectrally), so that neither of its sides
+is built from the other's chord data. Each transform runs on all chords of
+a sweep at once (one curve evaluation at both chord ends); one-lane Chords
+are the single-chord case.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +20,12 @@ import numpy as np
 from .chord import FLOTATION, arc_moments
 from .curve import area, det2, norm2
 from .errors import DomainError
-from .numerics import periodic_trapezoid, signed_cbrt
+from .numerics import TrigInterpolant, signed_cbrt
 
 FLOTATION_BOUNDARY = "flotation_boundary"
 BUOYANCY_CURVE = "buoyancy_curve"
 ILLUMINATION_BOUNDARY = "illumination_boundary"
 ILLUMINATION_CENTROID = "illumination_centroid"
-
-
-class EnvelopeWarning(UserWarning):
-    """The flotation envelope self-intersects (swallowtails)."""
 
 
 @dataclass(frozen=True)
@@ -183,38 +180,33 @@ def buoyancy_affine_normal_check(chords):
     return np.where(apex, angle, math.nan), np.where(apex, magnitude_err, math.nan)
 
 
-def _chord_turning_is_monotone(chords):
-    c = chords.c
-    return np.all(np.diff(np.unwrap(np.arctan2(c[:, 1], c[:, 0]))) > 0.0)
+def _spectral_derivatives(points, chords, orders):
+    """Derivatives in s of a family sampled on the sweep's uniform grid, from its trigonometric interpolant."""
+    return TrigInterpolant(points, chords.curve.period).derivatives(chords.s - chords.s[0], orders)
 
 
 def flotation_body_area(chords):
-    """Area enclosed by the flotation envelope of a flotation sweep.
+    """Area enclosed by the flotation boundary, 1/2 the closed integral of det(pi, pi').
 
-    Computed as Vol(K) - (1/4) * closed integral of det(-c, gamma'(s)) over
-    one period of the chord sweep. A non-simple envelope only warns; the
-    formula's value is still returned.
+    pi' is the derivative of the interpolant of the sampled midpoints pi, not
+    the closed-form tangent, so the area depends on the chords only through
+    the points they give.
     """
     _require_kind(chords, FLOTATION)
-    if not _chord_turning_is_monotone(chords):
-        warnings.warn(
-            "flotation envelope tangent turning is not monotone; "
-            "the envelope self-intersects and the area is a signed value",
-            EnvelopeWarning,
-        )
-    deficit = 0.25 * periodic_trapezoid(det2(-chords.c, chords.ends(1)[0]), chords.curve.period)
-    return area(chords.curve) - float(deficit)
-
-
-def buoyancy_affine_perimeter(chords):
-    """Affine arc length of the buoyancy curve from its curvature samples."""
-    _, tangent, kappa = _buoyancy_frame(chords)
-    return float(periodic_trapezoid(signed_cbrt(kappa) * norm2(tangent), chords.curve.period))
+    points = 0.5 * (chords.x + chords.y)
+    (d1,) = _spectral_derivatives(points, chords, (1,))
+    return 0.5 * chords.curve.period * float(np.mean(det2(points, d1)))
 
 
 def omega_identity_residual(chords):
-    """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2 on a flotation sweep."""
+    """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2 on a flotation sweep.
+
+    Omega, the affine perimeter of the buoyancy curve, is the closed integral
+    of det(beta', beta'')^(1/3), with both derivatives taken from the
+    interpolant of the sampled buoyancy points; neither side reads the other.
+    """
     delta_bar = 1.5 * chords.delta
     lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
-    rhs = 0.5 * buoyancy_affine_perimeter(chords)
+    d1, d2 = _spectral_derivatives(_buoyancy_frame(chords)[0], chords, (1, 2))
+    rhs = 0.5 * chords.curve.period * float(np.mean(signed_cbrt(det2(d1, d2))))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -99,15 +99,6 @@ def _gauss_panels(f, lo, hi):
     return (values @ _GAUSS_WEIGHTS) * half
 
 
-def periodic_trapezoid(samples, period):
-    """Integrate uniform samples of a smooth periodic function over one period.
-
-    Spectrally accurate for smooth periodic integrands.
-    """
-    samples = np.asarray(samples, dtype=float)
-    return samples.mean(axis=0) * period
-
-
 class TrigInterpolant:
     """Trigonometric interpolant of uniform periodic samples.
 

@@ -24,12 +24,13 @@ from flotilla.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    build_parser,
     compute_bundle,
     main,
     run_checks,
     write_curves_csv,
 )
-from flotilla.curve import Ellipse
+from flotilla.curve import SPEC_KEYS, Ellipse
 from flotilla.homothety import build_carousel
 from flotilla.svg import export_svg
 
@@ -77,10 +78,19 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["run", "export"])
     @pytest.mark.parametrize("samples", ["20", "0"])
     def test_samples_override_validated_like_nsamples(self, tmp_path, command, samples):
-        # --samples 20 used to run and --samples 0 to be ignored
+        # --samples and the export command are gone: the sample count is the
+        # config's nSamples, and any use of either is a usage error
         cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
         assert main([command, str(cfg), "--out", str(out), "--samples", samples]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, tail", [("run", ["--checks", "omega"]), ("export", [])], ids=["checks", "export"])
+    def test_removed_options_are_usage_errors(self, tmp_path, command, tail):
+        # the checks are the config's, and a config without checks is the old export
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out), *tail]) == EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -88,17 +98,46 @@ class TestConfig:
         [
             ("nSamples", 64.7, EXIT_CONFIG),
             ("nSamples", "128", EXIT_CONFIG),
-            ("chordStride", -3, EXIT_CONFIG),
-            ("chordStride", 2.5, EXIT_CONFIG),
             ("nSamples", 64.0, EXIT_OK),
-            ("chordStride", 0, EXIT_OK),
         ],
     )
     def test_integer_fields_validated_before_any_output(self, tmp_path, field, value, code):
-        # nSamples 64.7 used to run as 64, and chordStride -3 or 2.5 to run silently
+        # nSamples 64.7 used to run as 64
         cfg = write_config(tmp_path / "c.json", **{field: value})
         assert main(["run", str(cfg)]) == code
         assert (tmp_path / "out").exists() == (code == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # removed options: a config that still sets one fails instead of running at the defaults
+            ("tolerancesOverride", {"chord_cube": 1e-5}),
+            ("chordStride", 16),
+            # misspellings: "nsamples" used to run at 512 samples, "check" to run no check
+            ("nsamples", 64),
+            ("check", ["omega"]),
+        ],
+        ids=["tolerancesOverride", "chordStride", "nsamples", "check"],
+    )
+    def test_unknown_key_rejected_before_any_output(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_curve_spec_key_rejected_before_any_output(self, tmp_path, capsys):
+        # "rotaton" used to be dropped, and the unrotated ellipse to run
+        spec = {"kind": "ellipse", "a": 2, "b": 1, "rotaton": 0.4}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        for argv in (["run", str(cfg)], ["carousel", str(cfg), "--q", "3"]):
+            assert main(argv) == EXIT_CONFIG
+            assert "'rotaton'" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_config_must_be_an_object(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -148,10 +187,6 @@ class TestConfig:
 
     def test_non_finite_delta_hat(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltaHat=math.inf)
-        assert main(["run", str(cfg)]) == EXIT_CONFIG
-
-    def test_non_numeric_tolerance_override(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", tolerancesOverride={"omega": "x"})
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
     def test_non_convex_curve_spec(self, tmp_path):
@@ -220,11 +255,13 @@ class TestRun:
             jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_cli_overrides(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", checks=["chord_cube"])
+        # --out is the one run option: it replaces outputDir
+        cfg = write_config(tmp_path / "c.json", checks=["omega"])
         out2 = tmp_path / "alt"
-        assert main(["run", str(cfg), "--out", str(out2), "--samples", "64", "--checks", "omega"]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(out2)]) == EXIT_OK
         report = json.loads((out2 / "report.json").read_text())
         assert [r["check"] for r in report["records"]] == ["omega"]
+        assert not (tmp_path / "out").exists()
 
     def test_two_deltas_in_report(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltas=[0.4, 0.9], checks=["chord_cube"])
@@ -331,17 +368,6 @@ class TestRun:
             assert rec["statistic"] == "duality_not_at_dual_cone_area"
             assert "0.5" in rec["reason"] and f"{dual:.6g}" in rec["reason"]
 
-    def test_tolerances_override(self, tmp_path):
-        # force a failure by making the ellipse threshold absurdly tight
-        cfg = write_config(
-            tmp_path / "c.json",
-            curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0},
-            deltas=[1.0],
-            checks=["chord_cube"],
-            tolerancesOverride={"chord_cube": 1e-30},
-        )
-        assert main(["run", str(cfg)]) == EXIT_CHECK_FAILED
-
 
 class TestBodyChecks:
     def test_run_once_per_run(self, monkeypatch):
@@ -352,7 +378,7 @@ class TestBodyChecks:
         names = list(CHECKS)
         with monkeypatch.context() as m:
             m.setattr(cli_module, "BODY_CHECKS", ())
-            per_delta = run_checks(curve, "e", bundles, names, {})
+            per_delta = run_checks(curve, "e", bundles, names)
         calls = dict.fromkeys(names, 0)
         for name in names:
 
@@ -361,7 +387,7 @@ class TestBodyChecks:
                 return _check(*args)
 
             monkeypatch.setitem(CHECKS, name, counting)
-        records = run_checks(curve, "e", bundles, names, {})
+        records = run_checks(curve, "e", bundles, names)
         assert records == per_delta
         assert calls == {name: 1 if name in BODY_CHECKS else 2 for name in names}
         assert set(BODY_CHECKS) == {"petty", "radon", "affine_sphere"}
@@ -606,10 +632,11 @@ class TestSubcommands:
         assert main(["carousel", str(cfg), "--q", "3", "--s0", s0, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_export_command(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json")
+    def test_config_without_checks_writes_no_report(self, tmp_path):
+        # what the export command did: curves.csv and figure.svg, no report
+        cfg = write_config(tmp_path / "c.json", checks=[])
         out = tmp_path / "exp"
-        assert main(["export", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "curves.csv").exists()
         assert (out / "figure.svg").exists()
         assert not (out / "report.json").exists()
@@ -617,6 +644,34 @@ class TestSubcommands:
     def test_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG
         assert main(["bogus-subcommand"]) == EXIT_CONFIG
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first ```lang fenced block of README.md after the line ``heading``."""
+    text = README.read_text()
+    start = text.index(f"```{lang}\n", text.index(f"\n{heading}\n")) + len(lang) + 4
+    return text[start : text.index("```", start)]
+
+
+class TestReadme:
+    def test_config_example_holds_exactly_the_accepted_keys(self, tmp_path):
+        example = json.loads(readme_block("Config schema (JSON):", "json"))
+        assert list(example) == list(cli_module.CONFIG_KEYS)
+        assert set(example["curveSpec"]) == {"kind", *SPEC_KEYS[example["curveSpec"]["kind"]]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(example))
+        assert cli_module.load_config(path).checks == list(CHECKS)
+
+    def test_command_lines_parse(self):
+        lines = [line.split("#")[0].split() for line in readme_block("## Command line", "bash").splitlines()]
+        commands = [words[1:] for words in lines if words and words[0] == "flotilla"]
+        assert {args[0] for args in commands} == {"run", "carousel"}
+        parser = build_parser()
+        for args in commands:
+            assert parser.parse_args(args).command == args[0]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -348,6 +348,19 @@ class TestJson:
         with pytest.raises(DomainError):
             curve_from_json({"kind": "superellipse"})
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            # a misspelled rotation used to build the unrotated ellipse
+            ({"kind": "ellipse", "a": 2, "b": 1, "rotaton": 0.4}, "rotaton"),
+            ({"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.05], "sine": [0.01]}, "sine"),
+            ({"kind": "samples", "points": [[1.0, 0.0]] * 8, "period": 1.0}, "period"),
+        ],
+    )
+    def test_unknown_key_named(self, spec, key):
+        with pytest.raises(DomainError, match=repr(key)):
+            curve_from_json(spec)
+
 
 @settings(deadline=None, max_examples=30)
 @given(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import FLOTATION, solve_flotation_chord, sweep
+from flotilla.chord import FLOTATION, _chords, solve_flotation_chord, sweep
 from flotilla.curve import AffineFrame, AffineImage, area, det2, norm2
 from flotilla.floatgeom import (
     buoyancy_affine_normal_check,
@@ -186,6 +186,19 @@ class TestOmegaIdentity:
 
     def test_fourier_small(self, bump3_small):
         assert omega_identity_residual(sweep(bump3_small, FLOTATION, 0.8, 256)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "body, fraction",
+        [("ellipse21", 1.0 / (2.0 * TWO_PI)), ("ellipse21", 0.3), ("bump3", 0.8 / math.pi)],
+    )
+    def test_fails_on_shifted_chords(self, request, body, fraction):
+        # both sides used to be one per-chord sum, so shifted chords read 0;
+        # now each side comes from its own sampled family
+        curve = request.getfixturevalue(body)
+        chords = sweep(curve, FLOTATION, fraction * area(curve), 256)
+        assert omega_identity_residual(chords) < 1e-12
+        shifted = _chords(curve, FLOTATION, chords.delta, chords.s, chords.t + 1e-2 * np.sin(3.0 * chords.s))
+        assert omega_identity_residual(shifted) > 1e-6  # the check's threshold
 
 
 class TestAffineNormalProposition:

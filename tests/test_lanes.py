@@ -207,7 +207,7 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
         assert calls <= 200
         for name in config["checks"]:
             calls = 0
-            CHECKS[name](curve, bundle, None)
+            CHECKS[name](curve, bundle)
             assert calls <= 20, name
 
 

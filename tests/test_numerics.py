@@ -14,7 +14,6 @@ from flotilla.numerics import (
     TrigInterpolant,
     bracketed_newton,
     panel_quadrature,
-    periodic_trapezoid,
     signed_cbrt,
 )
 
@@ -87,16 +86,6 @@ def test_panel_quadrature_smooth_cap_takes_one_call():
 
         panel_quadrature(integrand, [s, t], rel_tol=1e-13)
     assert calls <= len(chords)
-
-
-def test_periodic_trapezoid_is_spectral():
-    n = 64
-    s = np.arange(n) * (2 * np.pi / n)
-    vals = np.exp(np.sin(s))
-    from scipy.integrate import quad
-
-    exact, _ = quad(lambda x: math.exp(math.sin(x)), 0, 2 * math.pi, epsabs=1e-14)
-    assert abs(periodic_trapezoid(vals, 2 * np.pi) - exact) < 1e-12
 
 
 def test_spectral_derivative_matches_analytic():
