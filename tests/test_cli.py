@@ -98,11 +98,14 @@ class TestConfig:
         [
             ("nSamples", 64.7, EXIT_CONFIG),
             ("nSamples", "128", EXIT_CONFIG),
+            ("chordStride", -3, EXIT_CONFIG),
+            ("chordStride", 2.5, EXIT_CONFIG),
             ("nSamples", 64.0, EXIT_OK),
         ],
     )
     def test_integer_fields_validated_before_any_output(self, tmp_path, field, value, code):
-        # nSamples 64.7 used to run as 64
+        # nSamples 64.7 used to run as 64; chordStride is no longer a key, so
+        # any value of it now fails as an unknown key, still before any output
         cfg = write_config(tmp_path / "c.json", **{field: value})
         assert main(["run", str(cfg)]) == code
         assert (tmp_path / "out").exists() == (code == EXIT_OK)
@@ -112,7 +115,8 @@ class TestConfig:
         [
             # removed options: a config that still sets one fails instead of running at the defaults
             ("tolerancesOverride", {"chord_cube": 1e-5}),
-            ("chordStride", 16),
+            # chordStride 0 used to draw no chords
+            ("chordStride", 0),
             # misspellings: "nsamples" used to run at 512 samples, "check" to run no check
             ("nsamples", 64),
             ("check", ["omega"]),
