@@ -12,13 +12,14 @@ antiderivative (``ClosedConvexCurve.moments``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curve import area, curvature, det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
-from .numerics import bracketed_newton, signed_cbrt
+from .numerics import bracketed_newton, convex_newton, signed_cbrt
 
 FLOTATION = "flotation"
 ILLUMINATION = "illumination"
@@ -99,18 +100,19 @@ def arc_moments(chords):
     return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
-def _area_fdf(curve, kind, s):
+def _area_fdf(curve, kind, s, at_s=None):
     """The cap (flotation) or cone (illumination) area of the lanes (s, t) as a function of t.
 
     The returned callable maps t to the area, its t-derivative and the mask
     of lanes whose end tangents are parallel (False for a cap, which always
     exists; the cone area is undefined there). Everything that depends on s
     alone, gamma(s), gamma'(s) and the moment antiderivative at s, is
-    evaluated here once, so a call makes one curve evaluation at t (orders 0
-    and 1 for a cap, 0 to 2 for a cone) and one moment evaluation.
+    evaluated here once (or taken from ``at_s``, gamma and gamma' at s), so a
+    call makes one curve evaluation at t (orders 0 and 1 for a cap, 0 to 2
+    for a cone) and one moment evaluation.
     """
     origin, moments = curve.moments
-    x, d1 = curve.derivatives(s, (0, 1))
+    x, d1 = curve.derivatives(s, (0, 1)) if at_s is None else at_s
     x = x - origin
     m_s = moments(s, -1)[..., 0]
 
@@ -189,18 +191,36 @@ def _chords(curve, kind, delta, s, t):
     return chords
 
 
-def _flotation_t(curve, s, delta):
+def _cap_angle(f):
+    """The eccentric chord angle of the cap that is the fraction f of an ellipse: theta - sin theta = 2 pi f."""
+    if f > 0.5:
+        return 2.0 * math.pi - _cap_angle(1.0 - f)
+    # theta - sin theta >= theta^3 / 12 on (0, pi], so the start is an upper bound
+    start = min(math.pi, (24.0 * math.pi * f) ** (1.0 / 3.0))
+    return convex_newton(lambda x: x - math.sin(x), lambda x: 2.0 * math.sin(0.5 * x) ** 2, 2.0 * math.pi * f, start)
+
+
+def _cone_angle(g):
+    """The eccentric chord angle of the cone that is g times an ellipse's area: tan(phi/2) - phi/2 = pi g."""
+    y = math.pi * g
+    # tan u - u >= u^3 / 3 and tan u = y + u < y + pi/2 bound phi = 2u from above
+    start = min((24.0 * y) ** (1.0 / 3.0), 2.0 * math.atan(y + 0.5 * math.pi))
+    return convex_newton(lambda x: math.tan(0.5 * x) - 0.5 * x, lambda x: 0.5 * math.tan(0.5 * x) ** 2, y, start)
+
+
+def _flotation_t(curve, s, delta, at_s=None):
     """t in (s, s + period) with cap_area(s, t) = delta, for every lane of s.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
-    so that whole interval brackets every lane.
+    so that whole interval brackets every lane. It starts at the root on every
+    ellipse, the chord of the cap angle.
     """
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     period = curve.period
     tiny = 1e-12 * period
-    cap = _area_fdf(curve, FLOTATION, s)
+    cap = _area_fdf(curve, FLOTATION, s, at_s)
 
     def fdf(t):
         value, slope, _ = cap(t)
@@ -210,7 +230,7 @@ def _flotation_t(curve, s, delta):
         fdf,
         s + tiny,
         s + period - tiny,
-        s + period * (delta / total),
+        s + period * (_cap_angle(delta / total) / (2.0 * math.pi)),
         f_tol=1e-12 * total,
     )
 
@@ -244,7 +264,8 @@ def _silhouette_t(curve, s, delta_hat):
     """t in (s, t_par) with cone_area(s, t) = delta_hat, for every lane of s.
 
     The cone area increases on (s, t_par), from 0 next to s to infinity where
-    the end tangents turn parallel, so that interval brackets every lane.
+    the end tangents turn parallel, so that interval brackets every lane. It
+    starts at the root on every ellipse, the cone angle's share of (s, t_par).
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
@@ -260,8 +281,9 @@ def _silhouette_t(curve, s, delta_hat):
 
     tiny = 1e-9 * curve.period
     lo, hi = s + tiny, t_par - tiny
+    start = s + (t_par - s) * (_cone_angle(delta_hat / area(curve)) / math.pi)
     try:
-        return bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-12 * area(curve))
+        return bracketed_newton(fdf, lo, hi, start, f_tol=1e-12 * area(curve))
     except SolverError:
         # the residual at lo is -delta_hat, so a bracket without a sign change has f(hi) < 0
         f_hi, _ = fdf(hi)

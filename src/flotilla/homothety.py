@@ -323,33 +323,35 @@ def radon_check(curve, n_samples=256) -> float:
 
 
 def _chains(curve, p, q, delta, starts):
-    """Vertices (q + 1, lanes) of the chord chains from every start, and d(last vertex)/d(delta)."""
+    """Vertices (q + 1, lanes) of the chord chains from every start, (gamma, gamma') there, and d(last vertex)/d(delta).
+
+    Each vertex is evaluated once, and handed to the chord solve that starts there.
+    """
     ts = [starts]
+    at_vertices = [curve.derivatives(starts, (0, 1))]
     dt_ddelta = np.zeros_like(starts)  # the starts do not move with delta
     for _ in range(q):
-        s = ts[-1]
-        t = _flotation_t(curve, s, delta)
+        t = _flotation_t(curve, ts[-1], delta, at_vertices[-1])
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
+        (x, d1), (y, d2) = at_vertices[-1], curve.derivatives(t, (0, 1))
         c = y - x
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)
+        at_vertices.append((y, d2))
     if np.any(ts[-1] - starts > (p + 1) * curve.period):
         raise SolverError("carousel chaining overflowed the expected winding")
-    return np.array(ts), dt_ddelta
+    return np.array(ts), tuple(np.array(v) for v in zip(*at_vertices)), dt_ddelta
 
 
-def _tangent_triangles(curve, ts):
+def _tangent_triangles(x, d):
     """Chord vertices of 3-chair chains and the tangent-triangle vertices after and before each.
 
     The vertex opposite chain vertex i is the apex of the tangents at vertices
-    i + 1 and i + 2 (mod 3); the chain vertices ts have shape (4, lanes).
-    Returns the three (3, lanes, 2) point arrays, from one curve evaluation at
-    ts[:3] and ts[0] + period, and the mask of lanes whose triangle degenerates.
+    i + 1 and i + 2 (mod 3), from gamma and gamma' at the vertices as ``_chains``
+    gives them. Returns three (3, lanes, 2) point arrays and the degenerate lanes.
     """
-    x, d = curve.derivatives(np.concatenate([ts[:3], ts[:1] + curve.period]), (0, 1))
-    apex, parallel = _apex(x[[1, 2, 0]], x[[2, 3, 1]], d[[1, 2, 0]], d[[2, 3, 1]])
+    apex, parallel = _apex(x[[1, 2, 0]], x[[2, 0, 1]], d[[1, 2, 0]], d[[2, 0, 1]])
     return x[:3], apex[[1, 2, 0]], apex[[2, 0, 1]], parallel.any(axis=0)
 
 
@@ -363,9 +365,9 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     """
     _require_carousel(p, q, s0)
     if delta is None:
-        delta, (chain, dt_ddelta) = _closing_chain(curve, p, q, s0)
+        delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
-        chain, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
+        chain, at_vertices, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
     ts = chain[:, 0]
     carousel = Carousel(
         p=p,
@@ -377,7 +379,7 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
         defect_slope=float(dt_ddelta[0]),
     )
     if q == 3:
-        v, ahead, behind, degenerate = _tangent_triangles(curve, chain)
+        v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
         if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
             carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
     return carousel
@@ -403,12 +405,15 @@ def _closing_chain(curve, p, q, s0):
         # the closure defect of the chain from s0 and its slope in delta
         if d not in chains:
             chains[d] = _chains(curve, p, q, d, start)
-        ts, slope = chains[d]
+        ts, _, slope = chains[d]
         return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
 
-    # raises SolverError when the defect does not change sign on the bracket
+    # every ellipse closes at the cap of chord angle 2 pi p / q, the start; raises
+    # SolverError when the defect does not change sign on the bracket
     lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
-    delta_star = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=1e-14 * curve.period)
+    theta = 2.0 * math.pi * p / q
+    delta0 = total * (theta - math.sin(theta)) / (2.0 * math.pi)
+    delta_star = bracketed_newton(fdf, lo, hi, delta0, f_tol=1e-14 * curve.period)
     residual = fdf(delta_star)[0]
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
@@ -435,8 +440,8 @@ def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:
     """
     period = curve.period
     starts = np.arange(n_samples) * (period / n_samples)
-    ts, _ = _chains(curve, 1, 3, delta, starts)
-    v, ahead, behind, degenerate = _tangent_triangles(curve, ts)
+    ts, at_vertices, _ = _chains(curve, 1, 3, delta, starts)
+    v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
     if degenerate.any():
         raise ParallelElementsError("tangent lines are parallel; no apex")
     lambdas = norm2(ahead - v) / norm2(v - behind)

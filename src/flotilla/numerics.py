@@ -168,9 +168,10 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
     back to bisection whenever its Newton step leaves the bracket; a lane
     freezes once |f| <= f_tol (a scalar or one value per lane) or its step is
     below NEWTON_X_TOL relative to max(1, |x|), and the loop ends when every
-    lane has; after NEWTON_MAX_ITER rounds it raises SolverError. A 0-d
-    ``x0`` is one lane: ``fdf`` then receives and returns plain floats, and
-    so does the call.
+    lane has; after NEWTON_MAX_ITER rounds it raises SolverError. The first
+    call is at the clipped start: if every lane meets f_tol there, the bracket
+    ends are neither evaluated nor checked for a sign change. A 0-d ``x0`` is
+    one lane: ``fdf`` then receives and returns plain floats, and so does the call.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     scalar = shape == ()
@@ -182,17 +183,19 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
     lo, hi, x0, f_tol = (
         np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0, f_tol)
     )
-    flo, _ = lanes(lo)
-    fhi, _ = lanes(hi)
-    no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)
-    if np.any(no_change):
-        i = int(np.argmax(no_change))
-        raise SolverError(f"no sign change on bracket [{lo[i]}, {hi[i]}]")
-    done = (flo == 0.0) | (fhi == 0.0)
-    x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.clip(x0, lo, hi)))
+    x = np.clip(x0, lo, hi)
+    fx, d = lanes(x)
+    done = np.abs(fx) <= f_tol
+    if not done.all():
+        flo, _ = lanes(lo)
+        fhi, _ = lanes(hi)
+        no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)
+        if np.any(no_change):
+            i = int(np.argmax(no_change))
+            raise SolverError(f"no sign change on bracket [{lo[i]}, {hi[i]}]")
+        done |= (flo == 0.0) | (fhi == 0.0)
+        x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
     for _ in range(NEWTON_MAX_ITER):
-        fx, d = lanes(x)
-        done |= np.abs(fx) <= f_tol
         if done.all():
             break
         active = ~done
@@ -210,7 +213,22 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
         x = np.where(active, x_new, x)
         if done.all():
             break
+        fx, d = lanes(x)
+        done |= np.abs(fx) <= f_tol
     else:
         worst = float(np.max(np.abs(fx[~done])))
         raise SolverError(f"Newton iteration did not converge (residual {worst:.3e})")
     return float(x[0]) if scalar else x.reshape(shape)
+
+
+def convex_newton(h, dh, y, x):
+    """Root of h = y > 0 for a scalar h increasing and convex on (0, x] with h(0) = 0, by Newton from x.
+
+    In plain floats; the iterates fall monotonically, so the loop ends when rounding stops them.
+    """
+    for _ in range(50):  # the chord angles take fewer than 10 steps
+        x_new = x - (h(x) - y) / dh(x)
+        if not 0.0 < x_new < x:
+            break
+        x = x_new
+    return x

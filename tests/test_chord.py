@@ -320,7 +320,9 @@ class TestLaneSweep:
             chord_module._silhouette_t(curve, s, 0.8)
         # the cone solve brackets by t_par first, then solves the cone area
         rounds = solves[-1]
-        assert len(solves) == (2 if solver == "cone" else 1) and len(rounds) >= 3
+        assert len(solves) == (2 if solver == "cone" else 1)
+        # on an ellipse the cap and cone starts are the roots: one round, no bracket ends
+        assert len(rounds) == 1 if body == "ellipse21" and solver != "t_par" else len(rounds) >= 3
         assert set(rounds) == {(256, 0) if solver == "t_par" else (256, 256)}
         # outside the rounds the moments are evaluated at s only, once
         assert counts["moments"] == (0 if solver == "t_par" else 256 * (1 + len(rounds)))
@@ -366,7 +368,8 @@ class TestLaneSweep:
 
         monkeypatch.setattr(chord_module, "bracketed_newton", counting)
         antipodal_tangent_param(curve, np.arange(256) * (curve.period / 256))
-        # two evaluations are the bracket ends, each round is one more
+        # two evaluations are the bracket ends, each round is one more (the
+        # first round is the start's evaluation, made before the ends)
         assert evaluations - 2 <= max_rounds
 
     def test_illumination_sweep_matches_one_lane_solves(self, bump3):
@@ -381,6 +384,97 @@ class TestLaneSweep:
             assert one.t[0] == pytest.approx(cm.t[0], abs=1e-12)
             assert one.affine_norm_c[0] == pytest.approx(cm.affine_norm_c[0], rel=1e-12)
 
+
+
+def _count_solves(monkeypatch, start=None):
+    """Count the fdf calls of every chord-module Newton solve; ``start`` replaces its start if given."""
+    solves = []
+
+    def counting(fdf, lo, hi, x0, f_tol):
+        calls = []
+        solves.append(calls)
+
+        def counted(t):
+            calls.append(t)
+            return fdf(t)
+
+        return bracketed_newton(counted, lo, hi, x0 if start is None else start(lo, hi), f_tol)
+
+    monkeypatch.setattr(chord_module, "bracketed_newton", counting)
+    return solves
+
+
+ROTATED_ELLIPSE = Ellipse(2.0, 1.0, center=np.array([0.7, -1.3]), rotation=0.6)
+
+
+class TestEllipseStarts:
+    """Every chord solve starts at the ellipse's answer, in the eccentric angle of any ellipse."""
+
+    @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
+    @pytest.mark.parametrize("fraction", [1e-6, 0.1955, 0.3, 0.5, 0.9])
+    def test_cap_start_is_the_root(self, monkeypatch, curve, fraction):
+        solves = _count_solves(monkeypatch)
+        total = area(curve)
+        s = 0.1 + np.arange(64) * (curve.period / 64)
+        t = chord_module._flotation_t(curve, s, fraction * total)
+        assert [len(calls) for calls in solves] == [1]
+        assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
+
+    @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.8, 5.0])
+    def test_cone_start_is_the_root(self, monkeypatch, curve, fraction):
+        solves = _count_solves(monkeypatch)
+        total = area(curve)
+        s = 0.1 + np.arange(64) * (curve.period / 64)
+        t = chord_module._silhouette_t(curve, s, fraction * total)
+        # t_par first, then the cone solve
+        assert len(solves) == 2 and len(solves[1]) == 1
+        assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
+
+    def test_cap_angle_round_trip(self):
+        # from both ends of the fraction to the angle and back, to rounding; f > 1/2 mirrors f < 1/2
+        fractions = [1e-12, 1e-6, *np.linspace(0.0, 1.0, 65)[1:-1].tolist(), 1.0 - 1e-6, 1.0 - 1e-12]
+        for f in fractions:
+            theta = chord_module._cap_angle(f)
+            assert 0.0 < theta < TWO_PI
+            assert abs((theta - math.sin(theta)) / TWO_PI - f) <= 1e-15
+        assert chord_module._cap_angle(0.5) == math.pi
+        assert chord_module._cap_angle(0.75) == TWO_PI - chord_module._cap_angle(0.25)
+
+    def test_cone_angle_round_trip(self):
+        # from a vanishing cone to one of a thousand body areas and back; near pi the
+        # cone area's rounding grows with its condition number phi h'(phi) / h(phi)
+        for g in np.geomspace(1e-12, 1e3, 61).tolist():
+            phi = chord_module._cone_angle(g)
+            assert 0.0 < phi < math.pi
+            h = math.tan(0.5 * phi) - 0.5 * phi
+            condition = phi * 0.5 * math.tan(0.5 * phi) ** 2 / h
+            assert abs(h / math.pi - g) <= 1e-15 * max(1.0, g) * max(1.0, condition)
+
+    @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
+    def test_bump3_matches_a_midpoint_started_solve(self, monkeypatch, bump3, kind):
+        # off the ellipse the start is only close: Newton still ends on the same
+        # chords, each area within 1e-12 of the body's of delta, so the two t
+        # differ by at most twice that over the area's slope
+        total = area(bump3)
+        s = np.arange(256) * (bump3.period / 256)
+        solve = chord_module._flotation_t if kind == FLOTATION else chord_module._silhouette_t
+        t = solve(bump3, s, 0.8)
+        _count_solves(monkeypatch, start=lambda lo, hi: 0.5 * (lo + hi))
+        t_mid = solve(bump3, s, 0.8)
+        for u in (t, t_mid):
+            value, slope, _ = chord_module._area_fdf(bump3, kind, s)(u)
+            assert np.max(np.abs(value - 0.8)) <= 1e-12 * total
+        assert np.all(np.abs(t - t_mid) * np.abs(slope) <= 2e-12 * total)
+
+    @pytest.mark.parametrize("body, calls", [("ellipse21", 3), ("bump3", 13)])
+    def test_antipode_calls_unchanged_when_the_start_misses(self, request, monkeypatch, body, calls):
+        # t_par starts half a period on, which misses in some lanes of both bodies: the
+        # start, the bracket ends, then one call per further round, as when the ends came first
+        curve = request.getfixturevalue(body)
+        solves = _count_solves(monkeypatch)
+        antipodal_tangent_param(curve, np.arange(256) * (curve.period / 256))
+        assert [len(c) for c in solves] == [calls]
 
 @settings(deadline=None, max_examples=25)
 @given(t1=st.floats(0.2, 2.8), t2=st.floats(0.2, 2.8))

@@ -592,24 +592,44 @@ class TestSubcommands:
 
     def test_carousel_reuses_the_solved_chain(self, tmp_path, monkeypatch):
         # build_carousel takes the chain from s0 that its root finder
-        # solved at delta*: 7 chains of 3 single-lane solves, none after
-        # (24 when build_carousel solved the chain again)
+        # solved at delta*: on the ellipse the closing start is delta*, so
+        # one chain of 3 single-lane solves, none after (6 when
+        # build_carousel solved the chain again)
         solves = 0
         flotation_t = homothety_module._flotation_t
 
-        def counting(curve, s, delta):
+        def counting(curve, s, delta, at_s):
             nonlocal solves
             solves += np.size(s) == 1
-            return flotation_t(curve, s, delta)
+            return flotation_t(curve, s, delta, at_s)
 
         monkeypatch.setattr(homothety_module, "_flotation_t", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         out = tmp_path / "car"
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK
-        assert solves == 21
+        assert solves == 3
         payload = json.loads((out / "carousel.json").read_text())
         car = build_carousel(Ellipse(2.0, 1.0), 1, 3, payload["delta_star"])  # the chain solved afresh
         assert (car.vertices, car.lambdas) == (payload["vertices"], payload["lambdas"])
+
+    def test_carousel_evaluates_each_chain_vertex_once(self, tmp_path, monkeypatch):
+        # each chain step hands gamma and gamma' at its end to the next step
+        # and to the tangent triangles: 1,024 points build the curve and its
+        # moments, the closing chain takes 1 + 3 x 2 (one Newton round and one
+        # evaluation per chord end) and the 32-start diagnostics 32 + 3 x 64.
+        # Evaluating every inner vertex again adds 99, the triangles again 132
+        points = 0
+        derivatives = Ellipse.derivatives
+
+        def counting(curve, s, orders):
+            nonlocal points
+            points += np.size(s)
+            return derivatives(curve, s, orders)
+
+        monkeypatch.setattr(Ellipse, "derivatives", counting)
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
+        assert main(["carousel", str(cfg), "--q", "3", "--out", str(tmp_path / "car")]) == EXIT_OK
+        assert points == 1024 + 7 + 224
 
     def test_carousel_closure_defect_reported(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -417,23 +417,38 @@ class TestCarousel:
         delta_star = build_carousel(ellipse21, 1, 3).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
 
-    @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
-    def test_closing_residual_reused(self, monkeypatch, ellipse21, s0):
-        # the solve ends on an abscissa whose chain it has built, so the
-        # final residual check builds no further chain: the two bracket ends
-        # and five Newton rounds (it took one more chain per solve before)
-        calls = 0
+    @staticmethod
+    def _count_chains(monkeypatch):
+        calls = []
         chains = homothety_module._chains
 
         def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
+            calls.append(args)
             return chains(*args, **kwargs)
 
         monkeypatch.setattr(homothety_module, "_chains", counting)
+        return calls
+
+    @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
+    def test_closing_residual_reused(self, monkeypatch, ellipse21, s0):
+        # the solve ends on an abscissa whose chain it has built, so the
+        # final residual check builds no further chain. On an ellipse the
+        # start, the cap of chord angle 2 pi / 3, closes: one chain (2 if the
+        # residual check built it again; 7 from the midpoint of the bracket)
+        calls = self._count_chains(monkeypatch)
         delta_star = build_carousel(ellipse21, 1, 3, s0=s0).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
-        assert calls == 7
+        assert len(calls) == 1
+
+    def test_closing_residual_reused_while_the_root_finder_iterates(self, monkeypatch, bump3):
+        # bump3 misses the ellipse start: the start, the two bracket ends and
+        # four Newton rounds, each chain built once (8 if the residual check
+        # built the last one again)
+        calls = self._count_chains(monkeypatch)
+        car = build_carousel(bump3, 1, 3, s0=2.2)
+        assert abs(car.closure_defect) < 1e-10
+        deltas = [args[3] for args in calls]
+        assert len(deltas) == len(set(deltas)) == 7
 
     @pytest.mark.parametrize("body, p, q", [("bump3", 1, 3), ("ellipse21", 1, 3), ("unit_circle", 2, 5)])
     def test_closing_chain_matches_solve_then_build(self, request, body, p, q):

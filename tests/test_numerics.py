@@ -214,6 +214,52 @@ def test_bracketed_newton_reports_the_lane_without_sign_change():
                          np.array([1.0, 2.5]), f_tol=1e-14)
 
 
+def test_bracketed_newton_start_on_a_root_is_one_call():
+    # every lane meets f_tol at its start: the bracket ends are neither evaluated
+    # nor checked, though (x - r)^2 changes sign on none of these brackets
+    seen = []
+    r = np.array([0.25, 0.5, 0.75])
+
+    def fdf(x):
+        seen.append(x.copy())
+        return (x - r) ** 2, 2.0 * (x - r)
+
+    roots = bracketed_newton(fdf, np.zeros(3), np.ones(3), r, f_tol=1e-14)
+    assert np.array_equal(roots, r)
+    assert len(seen) == 1
+
+
+def test_bracketed_newton_start_off_a_root_needs_a_sign_change():
+    # one lane off its root is enough to evaluate and check every bracket
+    r = np.array([0.25, 0.5])
+    with pytest.raises(SolverError, match="no sign change"):
+        bracketed_newton(lambda x: ((x - r) ** 2, 2.0 * (x - r)), np.zeros(2), np.ones(2), np.array([0.25, 0.3]),
+                         f_tol=1e-14)
+
+
+def test_bracketed_newton_missed_start_is_the_first_round():
+    # a start that misses is evaluated once, then the two bracket ends, then one
+    # call per Newton step from the start: the calls of a solve that evaluated the
+    # ends first and the start in its first round, in another order
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    root = bracketed_newton(fdf, 0.0, 2.0, 1.9, f_tol=1e-14)
+    steps = []
+    x = 1.9
+    while abs(x * x - 2.0) > 1e-14:
+        x_new = x - (x * x - 2.0) / (2.0 * x)
+        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+            break
+        x = x_new
+        steps.append(x)
+    assert seen == [1.9, 0.0, 2.0, *steps]
+    assert root == x and len(steps) >= 3
+
+
 def test_bracketed_newton_scalar_lane_passes_floats():
     # a 0-d start is one lane: fdf sees plain floats, the result is a float
     seen = []
