@@ -6,7 +6,6 @@ error, 3 numerical failure (solver or quadrature did not converge).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -492,39 +491,81 @@ def cmd_carousel(config: RunConfig, q, p, s0):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="flotilla",
-        description="flotation / buoyancy / illumination curves of convex plane bodies",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# every command's options and the type of their value; an option without a
+# default is required, and --out overrides the config's outputDir
+REQUIRED = object()
+COMMANDS = {
+    "run": {"--out": (str, None)},
+    "carousel": {"--q": (int, REQUIRED), "--p": (int, 1), "--s0": (float, 0.0), "--out": (str, None)},
+}
+SYNOPSIS = """usage: flotilla run CONFIG [--out DIR]
+       flotilla carousel CONFIG --q Q [--p P] [--s0 S0] [--out DIR]"""
+USAGE = f"""{SYNOPSIS}
 
-    p_run = sub.add_parser("run", help="run sweeps, checks and exporters")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", help="output directory (overrides config)")
+flotation / buoyancy / illumination curves of convex plane bodies
+  run       run sweeps, checks and exporters
+  carousel  solve and diagnose a p/q carousel (--q chairs, --p turns, from --s0)
 
-    p_car = sub.add_parser("carousel", help="solve and diagnose a p/q carousel")
-    p_car.add_argument("config")
-    p_car.add_argument("--q", type=int, required=True)
-    p_car.add_argument("--p", type=int, default=1)
-    p_car.add_argument("--s0", type=float, default=0.0)
-    p_car.add_argument("--out", help="output directory (overrides config)")
-    return parser
+Options take --opt VALUE or --opt=VALUE, before or after CONFIG; the last
+occurrence wins. --out DIR overrides the config's outputDir.
+Exit codes: 0 ok, 1 a check failed, 2 usage or config error, 3 numerical failure."""
+
+
+def parse_args(argv):
+    """(command, config path, {option name without dashes: value}) of a command line; bad usage is a ConfigError."""
+    if not argv:
+        raise ConfigError(f"missing command (one of {', '.join(COMMANDS)})")
+    command, words = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r} (one of {', '.join(COMMANDS)})")
+    spec = COMMANDS[command]
+    values = {name: default for name, (_, default) in spec.items()}
+    config_path = None
+    for word in words:
+        if not word.startswith("-"):
+            if config_path is not None:
+                raise ConfigError(f"{command}: unexpected argument {word!r} after CONFIG {config_path!r}")
+            config_path = word
+            continue
+        name, eq, value = word.partition("=")
+        if name not in spec:
+            raise ConfigError(f"{command}: unknown option {name!r} (options: {', '.join(spec)})")
+        if not eq:
+            value = next(words, None)
+            # a value may start with one dash, as a negative number does
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"{command}: option {name!r} needs a value")
+        kind = spec[name][0]
+        try:
+            values[name] = kind(value)
+        except ValueError:
+            raise ConfigError(f"{command}: option {name!r} takes {kind.__name__} values, got {value!r}")
+    if config_path is None:
+        raise ConfigError(f"{command}: missing CONFIG")
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ConfigError(f"{command}: missing option {missing[0]!r}")
+    return command, config_path, {name.lstrip("-"): value for name, value in values.items()}
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+        command, config_path, options = parse_args(argv)
+    except ConfigError as exc:
+        print(f"usage error: {exc}\n{SYNOPSIS}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        config = load_config(args.config)
-        if args.out:
-            config.output_dir = args.out
-        if args.command == "run":
+        config = load_config(config_path)
+        out = options.pop("out")
+        if out:
+            config.output_dir = out
+        if command == "run":
             return cmd_run(config)
-        return cmd_carousel(config, q=args.q, p=args.p, s0=args.s0)
+        return cmd_carousel(config, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

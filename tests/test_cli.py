@@ -24,9 +24,9 @@ from flotilla.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
-    build_parser,
     compute_bundle,
     main,
+    parse_args,
     run_checks,
     write_curves_csv,
 )
@@ -669,6 +669,51 @@ class TestSubcommands:
         assert main(["run"]) == EXIT_CONFIG
         assert main(["bogus-subcommand"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, code, word",
+        [
+            # usage errors: exit 2 with the word named on stderr, before anything is written
+            ([], EXIT_CONFIG, "command"),
+            (["bogus", "{cfg}"], EXIT_CONFIG, "'bogus'"),
+            (["--out", "{out}", "run", "{cfg}"], EXIT_CONFIG, "'--out'"),
+            (["run", "--out", "{out}"], EXIT_CONFIG, "CONFIG"),
+            (["carousel", "--q", "3"], EXIT_CONFIG, "CONFIG"),
+            (["run", "{cfg}", "extra.json"], EXIT_CONFIG, "'extra.json'"),
+            (["run", "{cfg}", "--samples", "64"], EXIT_CONFIG, "'--samples'"),
+            (["run", "{cfg}", "--checks=omega"], EXIT_CONFIG, "'--checks'"),
+            (["run", "{cfg}", "--q", "3"], EXIT_CONFIG, "'--q'"),
+            (["carousel", "{cfg}", "--q", "3", "--ou", "{out}"], EXIT_CONFIG, "'--ou'"),
+            (["run", "{cfg}", "--out"], EXIT_CONFIG, "'--out'"),
+            (["carousel", "{cfg}", "--q", "--p", "1"], EXIT_CONFIG, "'--q'"),
+            (["carousel", "{cfg}", "--q", "x"], EXIT_CONFIG, "'x'"),
+            (["carousel", "{cfg}", "--q", "3.0"], EXIT_CONFIG, "'3.0'"),
+            (["carousel", "{cfg}", "--s0", "zero", "--q", "3"], EXIT_CONFIG, "'zero'"),
+            (["carousel", "{cfg}", "--p", "1"], EXIT_CONFIG, "'--q'"),
+            # help: exit 0 with the usage on stdout
+            (["-h"], EXIT_OK, "usage: flotilla run CONFIG"),
+            (["--help"], EXIT_OK, "usage: flotilla run CONFIG"),
+            (["carousel", "{cfg}", "--q", "3", "-h"], EXIT_OK, "usage: flotilla run CONFIG"),
+            # accepted spellings: options before or after CONFIG, --opt=VALUE, a negative value
+            (["carousel", "--out={out}", "{cfg}", "--q", "3"], EXIT_OK, "carousel p/q=1/3"),
+            (["carousel", "{cfg}", "--s0", "-0.5", "--q=3", "--out", "{out}"], EXIT_OK, "carousel p/q=1/3"),
+        ],
+    )
+    def test_command_line_contract(self, tmp_path, capsys, argv, code, word):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"  # also the config's outputDir
+        assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == code
+        captured = capsys.readouterr()
+        assert word in (captured.err if code == EXIT_CONFIG else captured.out)
+        # only the rows that run the carousel write anything
+        assert out.exists() == word.startswith("carousel p/q")
+
+    def test_options_read_as_typed_values(self):
+        # the last occurrence of an option wins; unset options take their defaults
+        argv = ["carousel", "--q", "4", "c.json", "--s0", "-0.5", "--q=3", "--out=a", "--out", "b"]
+        assert parse_args(argv) == ("carousel", "c.json", {"q": 3, "p": 1, "s0": -0.5, "out": "b"})
+        assert parse_args(["run", "c.json"]) == ("run", "c.json", {"out": None})
+        assert all(name in cli_module.USAGE for options in cli_module.COMMANDS.values() for name in options)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -693,31 +738,35 @@ class TestReadme:
         lines = [line.split("#")[0].split() for line in readme_block("## Command line", "bash").splitlines()]
         commands = [words[1:] for words in lines if words and words[0] == "flotilla"]
         assert {args[0] for args in commands} == {"run", "carousel"}
-        parser = build_parser()
         for args in commands:
-            assert parser.parse_args(args).command == args[0]
+            assert parse_args(args)[0] == args[0]
 
 
-def test_cli_import_does_not_load_scipy():
+# argparse imports gettext, whose first message lookup imports locale: about 3 ms of every call
+@pytest.mark.parametrize("module", ["scipy", "argparse", "gettext", "locale"])
+def test_cli_import_does_not_load_scipy(module):
     src = str(Path(flotilla.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, flotilla.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, flotilla.cli; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
 
-def test_run_does_not_load_jsonschema(tmp_path):
+@pytest.mark.parametrize("module", ["jsonschema", "argparse", "gettext", "locale"])
+def test_run_does_not_load_jsonschema(tmp_path, module):
     # report.json is not validated at run time; jsonschema is a test dependency
     root = Path(flotilla.__file__).resolve().parents[2]
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": src}
+    config = str(root / "configs" / "ellipse.json")
     probe = (
         "import sys; from flotilla.cli import main; "
-        f"code = main(['run', {str(root / 'configs' / 'ellipse.json')!r}, '--out', {str(tmp_path)!r}]); "
-        "print(code, 'jsonschema' in sys.modules)"
+        f"run = main(['run', {config!r}, '--out', {str(tmp_path / 'run')!r}]); "
+        f"carousel = main(['carousel', {config!r}, '--q', '3', '--out', {str(tmp_path / 'car')!r}]); "
+        f"print(run, carousel, {module!r} in sys.modules)"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 0 False"
 
 
 @pytest.mark.parametrize("config, code", [("ellipse.json", EXIT_OK), ("perturbed_circle.json", EXIT_CHECK_FAILED)])
