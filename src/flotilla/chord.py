@@ -26,8 +26,9 @@ ILLUMINATION = "illumination"
 
 # tangents at the endpoints are treated as parallel below this relative determinant
 PARALLEL_TOL = 1e-10
+_EPS = np.finfo(float).eps
 # rounding level of det(u, v) relative to |u| |v|
-_ROUNDING_DET = 8.0 * np.finfo(float).eps
+_ROUNDING_DET = 8.0 * _EPS
 
 
 # the fields of Chords with one entry per lane
@@ -246,11 +247,13 @@ def antipodal_tangent_param(curve, s):
     # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
     period = curve.period
     x0 = s + 0.5 * period
-    d1, d1_x0 = curve.derivative(_pair(s, x0), 1)
+    (d1, d1_x0), (_, d2_x0) = curve.derivatives(_pair(s, x0), (1, 2))
     # stop at the rounding level of det: where the antipode is a flat point,
     # det ~ (t - t_par)^3 fixes t_par only to about eps^(1/3) and Newton
-    # converges linearly toward it
-    f_tol = _ROUNDING_DET * norm2(d1) * norm2(d1_x0)
+    # converges linearly toward it. The abscissa x0 is itself rounded, by up
+    # to about eps |x0|, which moves det by eps |x0| |gamma''(x0)| |gamma'(s)|:
+    # without that term an ellipse's exact antipode misses f_tol in some lanes
+    f_tol = norm2(d1) * (_ROUNDING_DET * norm2(d1_x0) + _EPS * np.abs(x0) * norm2(d2_x0))
     return bracketed_newton(
         lambda t: tuple(det2(d1, d) for d in curve.derivatives(t, (1, 2))),
         s + 0.02 * period,
