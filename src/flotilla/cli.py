@@ -491,8 +491,8 @@ def cmd_carousel(config: RunConfig, q, p, s0):
     return EXIT_OK
 
 
-# every command's options and the type of their value; an option without a
-# default is required, and --out overrides the config's outputDir
+# every command's options as {option: (value type, default)}; an option whose
+# default is REQUIRED must be given. --out overrides the config's outputDir
 REQUIRED = object()
 COMMANDS = {
     "run": {"--out": (str, None)},
