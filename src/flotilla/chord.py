@@ -32,7 +32,7 @@ _ROUNDING_DET = 8.0 * _EPS
 
 
 # the fields of Chords with one entry per lane
-_LANES = ("s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "dt_ds", "norm_c", "affine_norm_c")
+_LANES = ("s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c")
 
 
 @dataclass(eq=False)
@@ -44,10 +44,10 @@ class Chords:
     the lanes where they are parallel (``apex`` False there). ``alpha`` and
     ``beta`` are the interior angles between the chord and the tangents at
     x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
-    chord lengths. Indexing or slicing gives the chords of those lanes, and
-    ``chords[i]`` is the one-lane case. ``ends(k)`` is the k-th curve
-    derivative at both chord ends, shape (2, lanes, 2); orders 0 to 2 come
-    from the one curve evaluation that built the chords.
+    chord lengths. ``jets`` holds the curve derivatives of orders 0 to 2 at
+    both chord ends, from the solve that built the chords; ``ends(k)`` is
+    the k-th, shape (2, lanes, 2). Indexing or slicing gives the chords of
+    those lanes, jets included, and ``chords[i]`` is the one-lane case.
     """
 
     curve: object = field(repr=False)
@@ -62,10 +62,9 @@ class Chords:
     apex: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    dt_ds: np.ndarray
     norm_c: np.ndarray
     affine_norm_c: np.ndarray
-    _ends: dict = field(default_factory=dict, init=False, repr=False)
+    jets: tuple = field(repr=False)
 
     def __len__(self):
         return len(self.s)
@@ -73,12 +72,11 @@ class Chords:
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
             index = [index]
-        return replace(self, **{name: getattr(self, name)[index] for name in _LANES})
+        jets = tuple(jet[:, index] for jet in self.jets)
+        return replace(self, jets=jets, **{name: getattr(self, name)[index] for name in _LANES})
 
     def ends(self, order):
-        if order not in self._ends:
-            self._ends[order] = self.curve.derivative(_pair(self.s, self.t), order)
-        return self._ends[order]
+        return self.jets[order]
 
     def curvatures(self):
         """Euclidean curvature at both chord ends, shape (2, lanes)."""
@@ -101,20 +99,18 @@ def arc_moments(chords):
     return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
-def _area_fdf(curve, kind, s, at_s=None):
+def _area_fdf(curve, kind, s, at_s):
     """The cap (flotation) or cone (illumination) area of the lanes (s, t) as a function of t.
 
     The returned callable maps t to the area, its t-derivative and the mask
     of lanes whose end tangents are parallel (False for a cap, which always
-    exists; the cone area is undefined there). Everything that depends on s
-    alone, gamma(s), gamma'(s) and the moment antiderivative at s, is
-    evaluated here once (or taken from ``at_s``, gamma and gamma' at s), so a
-    call makes one curve evaluation at t (orders 0 and 1 for a cap, 0 to 2
+    exists; the cone area is undefined there). ``at_s`` starts with gamma(s)
+    and gamma'(s); the moment antiderivative at s is evaluated here once, so
+    a call makes one curve evaluation at t (orders 0 and 1 for a cap, 0 to 2
     for a cone) and one moment evaluation.
     """
     origin, moments = curve.moments
-    x, d1 = curve.derivatives(s, (0, 1)) if at_s is None else at_s
-    x = x - origin
+    x, d1 = at_s[0] - origin, at_s[1]
     m_s = moments(s, -1)[..., 0]
 
     def fdf(t):
@@ -140,7 +136,7 @@ def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
     if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
-    return _area_fdf(curve, FLOTATION, s)(t)[0]
+    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)))(t)[0]
 
 
 def _apex(x, y, d1, d2):
@@ -162,16 +158,16 @@ def tangent_intersection(curve, s, t):
 
 def cone_area(curve, s, t):
     """Area of the silhouette region between the two tangent segments and the arc."""
-    cone, _, parallel = _area_fdf(curve, ILLUMINATION, s)(t)
+    cone, _, parallel = _area_fdf(curve, ILLUMINATION, s, curve.derivatives(s, (0, 1)))(t)
     if np.any(parallel):
         raise ParallelElementsError("tangent lines are parallel; no apex")
     return cone
 
 
-def _chords(curve, kind, delta, s, t):
-    """Chords of the lanes (s, t), from one curve evaluation of orders 0 to 2 at both ends."""
-    ends = dict(enumerate(curve.derivatives(_pair(s, t), (0, 1, 2))))
-    (x, y), (d1, d2), (dd1, dd2) = ends.values()
+def _chords(curve, kind, delta, s, t, at_s):
+    """Chords of the lanes (s, t), from orders 0 to 2 at s (``at_s``) and one curve evaluation of them at t."""
+    jets = tuple(np.stack(pair) for pair in zip(at_s, curve.derivatives(t, (0, 1, 2))))
+    (x, y), (d1, d2) = jets[:2]
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
@@ -182,14 +178,8 @@ def _chords(curve, kind, delta, s, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
         affine_norm = np.where(parallel, np.inf, 2.0 * signed_cbrt(-0.5 * p * q / v))
-        if kind == FLOTATION:
-            dt_ds = -p / q
-        else:
-            dt_ds = q**2 * det2(d1, dd1) / (p**2 * det2(d2, dd2))
     z = np.where(parallel[:, None], np.nan, z)
-    chords = Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, dt_ds, norm2(c), affine_norm)
-    chords._ends.update(ends)
-    return chords
+    return Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, jets)
 
 
 def _cap_angle(f):
@@ -209,12 +199,12 @@ def _cone_angle(g):
     return convex_newton(lambda x: math.tan(0.5 * x) - 0.5 * x, lambda x: 0.5 * math.tan(0.5 * x) ** 2, y, start)
 
 
-def _flotation_t(curve, s, delta, at_s=None):
+def _flotation_t(curve, s, delta, at_s):
     """t in (s, s + period) with cap_area(s, t) = delta, for every lane of s.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
     so that whole interval brackets every lane. It starts at the root on every
-    ellipse, the chord of the cap angle.
+    ellipse, the chord of the cap angle. ``at_s`` starts with gamma(s) and gamma'(s).
     """
     total = area(curve)
     if not 0.0 < delta < total:
@@ -238,16 +228,15 @@ def _flotation_t(curve, s, delta, at_s=None):
 
 def solve_flotation_chord(curve, s, delta):
     """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
-    s = np.array([float(s)])
-    return _chords(curve, FLOTATION, delta, s, _flotation_t(curve, s, delta))
+    return _solve(curve, FLOTATION, delta, np.array([float(s)]))
 
 
-def antipodal_tangent_param(curve, s):
-    """First t > s at which the tangent is parallel to the tangent at s, for every lane of s."""
+def antipodal_tangent_param(curve, s, d1):
+    """First t > s at which the tangent is parallel to d1 = gamma'(s), for every lane of s."""
     # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
     period = curve.period
     x0 = s + 0.5 * period
-    (d1, d1_x0), (_, d2_x0) = curve.derivatives(_pair(s, x0), (1, 2))
+    d1_x0, d2_x0 = curve.derivatives(x0, (1, 2))
     # stop at the rounding level of det: where the antipode is a flat point,
     # det ~ (t - t_par)^3 fixes t_par only to about eps^(1/3) and Newton
     # converges linearly toward it. The abscissa x0 is itself rounded, by up
@@ -263,17 +252,18 @@ def antipodal_tangent_param(curve, s):
     )
 
 
-def _silhouette_t(curve, s, delta_hat):
+def _silhouette_t(curve, s, delta_hat, at_s):
     """t in (s, t_par) with cone_area(s, t) = delta_hat, for every lane of s.
 
     The cone area increases on (s, t_par), from 0 next to s to infinity where
     the end tangents turn parallel, so that interval brackets every lane. It
     starts at the root on every ellipse, the cone angle's share of (s, t_par).
+    ``at_s`` starts with gamma(s) and gamma'(s).
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
-    t_par = antipodal_tangent_param(curve, s)
-    cone = _area_fdf(curve, ILLUMINATION, s)
+    t_par = antipodal_tangent_param(curve, s, at_s[1])
+    cone = _area_fdf(curve, ILLUMINATION, s, at_s)
 
     def fdf(t):
         value, slope, parallel = cone(t)
@@ -305,8 +295,21 @@ def solve_silhouette_chord(curve, s, delta_hat):
     The admissible range for t is (s, t_par) where the endpoint tangents
     stop intersecting; the cone area grows without bound as t -> t_par.
     """
-    s = np.array([float(s)])
-    return _chords(curve, ILLUMINATION, delta_hat, s, _silhouette_t(curve, s, delta_hat))
+    return _solve(curve, ILLUMINATION, delta_hat, np.array([float(s)]))
+
+
+def _solve(curve, kind, delta, s):
+    """The chords of area delta from every lane of s, in one lane-wise solve.
+
+    Orders 0 to 2 at s are evaluated once, for the t solve and the chords.
+    """
+    at_s = curve.derivatives(s, (0, 1, 2))
+    t = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta, at_s)
+    lost = np.nonzero(np.diff(t) <= 0.0)[0]
+    if len(lost):
+        i = lost[0] + 1
+        raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
+    return _chords(curve, kind, delta, s, t, at_s)
 
 
 def sweep(curve, kind, delta, n_samples, s0=0.0):
@@ -319,10 +322,4 @@ def sweep(curve, kind, delta, n_samples, s0=0.0):
         raise DomainError("n_samples must be at least 16")
     if kind not in (FLOTATION, ILLUMINATION):
         raise DomainError(f"unknown chord kind {kind!r}")
-    s = s0 + np.arange(n_samples) * (curve.period / n_samples)
-    t = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta)
-    lost = np.nonzero(np.diff(t) <= 0.0)[0]
-    if len(lost):
-        i = lost[0] + 1
-        raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    return _chords(curve, kind, delta, s, t)
+    return _solve(curve, kind, delta, s0 + np.arange(n_samples) * (curve.period / n_samples))

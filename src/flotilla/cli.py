@@ -1,7 +1,8 @@
 """Command-line front end: config ingestion, sweeps, verification runner, exporters.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage/config
-error, 3 numerical failure (solver or quadrature did not converge).
+error or an output that cannot be written, 3 numerical failure (solver or
+quadrature did not converge).
 """
 
 from __future__ import annotations
@@ -287,9 +288,7 @@ def _check_duality(curve, bundle):
             f"not the dual cone area {dual:.6g}",
         )
     worst, _ = homothety.duality_pointwise_check(bundle.chords, bundle.illum_chords)
-    pts = bundle.flotation.points
-    diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
-    return _measured("max_pole_mismatch_over_diameter", worst / diameter, tol)
+    return _measured("max_pole_mismatch_over_diameter", worst / homothety._diameter(bundle.flotation.points), tol)
 
 
 def _check_petty(curve, bundle):
@@ -312,8 +311,7 @@ def _check_affine_sphere(curve, bundle):
     pts = curve.derivative(grid, 0)
     normals = affine_normal(curve, grid)
     fit = homothety.proper_affine_sphere_residual(pts, normals)
-    diameter = float(norm2(pts.max(axis=0) - pts.min(axis=0)))
-    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / diameter, 1e-8)
+    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / homothety._diameter(pts), 1e-8)
 
 
 CHECKS = {
@@ -571,6 +569,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the output directory or a file in it cannot be made
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FlotillaError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ def norm2(u):
     return np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFrame:
     """Affine map x -> matrix @ x + translation."""
 
@@ -109,7 +109,7 @@ class ClosedConvexCurve:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class Ellipse(ClosedConvexCurve):
     a: float
     b: float
@@ -175,7 +175,7 @@ class FourierRadial(ClosedConvexCurve):
         return [sum((math.comb(k, j) * radial[j] * units[k - j] for j in range(k + 1)), zero) for k in orders]
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledPeriodic(ClosedConvexCurve):
     """Curve given by N uniform samples; derivatives by trigonometric interpolation."""
 
@@ -196,7 +196,7 @@ class SampledPeriodic(ClosedConvexCurve):
         return self._interp.derivatives(s, orders)
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineImage(ClosedConvexCurve):
     """Pointwise affine image of a base curve, keeping its parametrization.
 

@@ -9,7 +9,7 @@ class DomainError(FlotillaError, ValueError):
     """An argument lies outside the operation's mathematical domain."""
 
 
-class SingularParametrizationError(FlotillaError):
+class SingularParametrizationError(DomainError):
     """The curve parametrization is singular (zero tangent) at the point."""
 
 

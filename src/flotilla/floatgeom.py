@@ -28,7 +28,7 @@ ILLUMINATION_BOUNDARY = "illumination_boundary"
 ILLUMINATION_CENTROID = "illumination_centroid"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedCurve:
     """A derived curve sampled at the chords of a sweep, one row per chord.
 

@@ -42,7 +42,7 @@ class ConstancyReport:
         return cls(mean, cv, float(np.max(np.abs(values - mean))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomothetyFit:
     """Least-squares dilation taking curve A onto curve B at matched parameters.
 
@@ -226,7 +226,7 @@ def affine_cut_length_report(chords) -> ConstancyReport:
     return ConstancyReport.from_values(affine_cut_lengths(chords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcurrencyFit:
     """Least-squares common point of a bundle of lines."""
 

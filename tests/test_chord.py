@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,11 +96,6 @@ class TestSolveFlotation:
         cm = solve_flotation_chord(unit_circle, 0.3, math.pi / 2)
         assert cm.t[0] - cm.s[0] == pytest.approx(math.pi, abs=1e-12)
 
-    def test_dt_ds_constant_on_circle(self, unit_circle):
-        for s in (0.0, 1.3, 5.1):
-            cm = solve_flotation_chord(unit_circle, s, DELTA)
-            assert cm.dt_ds[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_angles_match_sign_conventions(self, unit_circle):
         cm = solve_flotation_chord(unit_circle, 0.5, DELTA)
         alpha, beta, c, norm_c = cm.alpha[0], cm.beta[0], cm.c[0], cm.norm_c[0]
@@ -122,42 +118,19 @@ class TestSolveFlotation:
         residual = abs(cap_area(bump3, cm.s[0], cm.t[0]) - 0.8)
         assert residual < 1e-12 * area(bump3)
 
-    def test_dt_ds_matches_fresh_solve_fd(self, bump3):
-        h = 1e-5
-        for s in (0.4, 2.0, 4.5):
-            cm = solve_flotation_chord(bump3, s, 0.8)
-            tp = solve_flotation_chord(bump3, s + h, 0.8).t[0]
-            tm = solve_flotation_chord(bump3, s - h, 0.8).t[0]
-            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
-
 
 class TestSolveSilhouette:
     def test_circle_known_delta_hat(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.77, DELTA_HAT)
         assert cm.t[0] - cm.s[0] == pytest.approx(2 * THETA, abs=1e-11)
-        assert cm.dt_ds[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_apex_distance(self, unit_circle):
         cm = solve_silhouette_chord(unit_circle, 0.0, DELTA_HAT)
         assert np.linalg.norm(cm.z[0]) == pytest.approx(1.0 / math.cos(THETA), abs=1e-11)
 
-    def test_dt_ds_matches_fresh_solve_fd(self, bump3):
-        h = 1e-5
-        for s in (0.4, 2.0, 4.5):
-            cm = solve_silhouette_chord(bump3, s, 0.8)
-            tp = solve_silhouette_chord(bump3, s + h, 0.8).t[0]
-            tm = solve_silhouette_chord(bump3, s - h, 0.8).t[0]
-            assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
-
-    def test_dt_ds_fd_on_ellipse(self, ellipse21):
-        h = 1e-5
-        cm = solve_silhouette_chord(ellipse21, 0.4, 1.0)
-        tp = solve_silhouette_chord(ellipse21, 0.4 + h, 1.0).t[0]
-        tm = solve_silhouette_chord(ellipse21, 0.4 - h, 1.0).t[0]
-        assert (tp - tm) / (2 * h) == pytest.approx(cm.dt_ds[0], rel=1e-6)
-
     def test_antipodal_limit(self, unit_circle):
-        assert antipodal_tangent_param(unit_circle, 0.4) == pytest.approx(0.4 + math.pi, abs=1e-10)
+        t_par = antipodal_tangent_param(unit_circle, 0.4, unit_circle.derivative(0.4, 1))
+        assert t_par == pytest.approx(0.4 + math.pi, abs=1e-10)
 
     def test_unreachable_delta_hat(self, unit_circle):
         with pytest.raises((SolverError, DomainError)):
@@ -221,12 +194,16 @@ class TestSweep:
 
 
 def _count_evaluations(monkeypatch, curve, counts):
-    """Count into ``counts`` the points of every curve and every moment evaluation of ``curve``."""
+    """Count into ``counts`` the points of every curve and every moment evaluation of ``curve``.
+
+    ``counts["calls"]`` counts the curve evaluations themselves.
+    """
     _, moments = curve.moments
     derivatives = type(curve).derivatives
     interpolant = TrigInterpolant.derivatives
 
     def counting_curve(self, s, orders):
+        counts["calls"] += 1
         counts["curve"] += np.size(s)
         return derivatives(self, s, orders)
 
@@ -276,11 +253,46 @@ class TestLaneSweep:
         # both chord ends, one order per call
         curve = request.getfixturevalue(body)
         _, moments = curve.moments
-        counts = {"curve": 0, "moments": 0}
+        counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
         assert len(sweep(curve, kind, delta, 256)) == 256
         assert counts["curve"] <= 0.65 * curve_points
         assert counts["moments"] <= 0.65 * moment_points
+
+    @pytest.mark.parametrize(
+        "body, kind, delta, curve_points, calls",
+        [
+            ("ellipse21", FLOTATION, 1.0, 768, 3),
+            ("ellipse21", ILLUMINATION, 1.0, 1_280, 5),
+            ("bump3", FLOTATION, 0.8, 2_048, 8),
+            ("bump3", ILLUMINATION, 0.8, 7_936, 31),
+        ],
+    )
+    def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
+        # orders 0 to 2 at s are evaluated once, for the t solve, t_par and the
+        # chords: 1,024, 1,792, 2,304 and 8,448 points in as many calls when
+        # each of them evaluated the s side again
+        curve = request.getfixturevalue(body)
+        counts = {"calls": 0, "curve": 0, "moments": 0}
+        _count_evaluations(monkeypatch, curve, counts)
+        assert len(sweep(curve, kind, delta, 256)) == 256
+        assert (counts["curve"], counts["calls"]) == (curve_points, calls)
+
+    def test_sliced_and_replaced_chords_evaluate_nothing(self, monkeypatch, ellipse21):
+        # the end jets of orders 0 to 2 are lane data of the chords; sliced and
+        # replaced chords used to evaluate them again, one call for each
+        chords = sweep(ellipse21, FLOTATION, 1.0, 64)
+        ends = np.stack([chords.s, chords.t])
+        for k in range(3):
+            np.testing.assert_array_equal(chords.ends(k), ellipse21.derivative(ends, k))
+        counts = {"calls": 0, "curve": 0, "moments": 0}
+        _count_evaluations(monkeypatch, ellipse21, counts)
+        for k in range(3):
+            np.testing.assert_array_equal(chords[5].ends(k), chords.ends(k)[:, [5]])
+        np.testing.assert_array_equal(chords[::16].curvatures(), chords.curvatures()[:, ::16])
+        replaced = dataclasses.replace(chords, alpha=chords.alpha + 0.1)
+        np.testing.assert_array_equal(replaced.curvatures(), chords.curvatures())
+        assert counts["calls"] == 0
 
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_bump3"])
     @pytest.mark.parametrize("solver", ["flotation", "t_par", "cone"])
@@ -294,7 +306,7 @@ class TestLaneSweep:
             curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
         else:
             curve = request.getfixturevalue(body)
-        counts = {"curve": 0, "moments": 0}
+        counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
         solves = []
 
@@ -312,12 +324,13 @@ class TestLaneSweep:
 
         monkeypatch.setattr(chord_module, "bracketed_newton", counting_newton)
         s = np.arange(256) * (curve.period / 256)
+        at_s = curve.derivatives(s, (0, 1, 2))
         if solver == "flotation":
-            chord_module._flotation_t(curve, s, 0.8)
+            chord_module._flotation_t(curve, s, 0.8, at_s)
         elif solver == "t_par":
-            antipodal_tangent_param(curve, s)
+            antipodal_tangent_param(curve, s, at_s[1])
         else:
-            chord_module._silhouette_t(curve, s, 0.8)
+            chord_module._silhouette_t(curve, s, 0.8, at_s)
         # the cone solve brackets by t_par first, then solves the cone area
         rounds = solves[-1]
         assert len(solves) == (2 if solver == "cone" else 1)
@@ -345,7 +358,7 @@ class TestLaneSweep:
         body = FourierRadial(1.0, (0.0, 0.1))
         period = body.period
         s = np.arange(16) * (period / 16)
-        top = cone_area(body, s, antipodal_tangent_param(body, s) - 1e-9 * period)
+        top = cone_area(body, s, antipodal_tangent_param(body, s, body.derivative(s, 1)) - 1e-9 * period)
         assert top.max() > 1.2 * top.min()
         assert len(sweep(body, ILLUMINATION, 0.5 * top.min(), 16)) == 16
         with pytest.raises(SolverError, match="not reachable"):
@@ -366,7 +379,8 @@ class TestLaneSweep:
             return bracketed_newton(counted, lo, hi, x0, f_tol)
 
         monkeypatch.setattr(chord_module, "bracketed_newton", counting)
-        antipodal_tangent_param(curve, np.arange(256) * (curve.period / 256))
+        s = np.arange(256) * (curve.period / 256)
+        antipodal_tangent_param(curve, s, curve.derivative(s, 1))
         # the first round is the start's evaluation; the bracket ends are evaluated only
         # when it misses f_tol in some lane. On the ellipse the start is the exact
         # antipode, which meets f_tol in every lane: one evaluation
@@ -417,7 +431,7 @@ class TestEllipseStarts:
         solves = _count_solves(monkeypatch)
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t = chord_module._flotation_t(curve, s, fraction * total)
+        t = chord_module._flotation_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
         assert [len(calls) for calls in solves] == [1]
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -427,7 +441,7 @@ class TestEllipseStarts:
         solves = _count_solves(monkeypatch)
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t = chord_module._silhouette_t(curve, s, fraction * total)
+        t = chord_module._silhouette_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
         # t_par first, then the cone solve, each started at its root
         assert [len(calls) for calls in solves] == [1, 1]
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
@@ -460,11 +474,12 @@ class TestEllipseStarts:
         total = area(bump3)
         s = np.arange(256) * (bump3.period / 256)
         solve = chord_module._flotation_t if kind == FLOTATION else chord_module._silhouette_t
-        t = solve(bump3, s, 0.8)
+        at_s = bump3.derivatives(s, (0, 1))
+        t = solve(bump3, s, 0.8, at_s)
         _count_solves(monkeypatch, start=lambda lo, hi: 0.5 * (lo + hi))
-        t_mid = solve(bump3, s, 0.8)
+        t_mid = solve(bump3, s, 0.8, at_s)
         for u in (t, t_mid):
-            value, slope, _ = chord_module._area_fdf(bump3, kind, s)(u)
+            value, slope, _ = chord_module._area_fdf(bump3, kind, s, at_s)(u)
             assert np.max(np.abs(value - 0.8)) <= 1e-12 * total
         assert np.all(np.abs(t - t_mid) * np.abs(slope) <= 2e-12 * total)
 
@@ -474,7 +489,8 @@ class TestEllipseStarts:
         # the bracket ends, then one call per further round, as when the ends came first
         curve = request.getfixturevalue(body)
         solves = _count_solves(monkeypatch)
-        antipodal_tangent_param(curve, np.arange(256) * (curve.period / 256))
+        s = np.arange(256) * (curve.period / 256)
+        antipodal_tangent_param(curve, s, curve.derivative(s, 1))
         assert [len(c) for c in solves] == [calls]
 
 @settings(deadline=None, max_examples=25)

@@ -198,6 +198,13 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", curveSpec=spec)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
 
+    def test_singular_point_is_bad_input(self, tmp_path, capsys):
+        # a zero tangent on the sample grid used to exit 3, as a numerical failure
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "samples", "points": [[0.0, 0.0]] * 64})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "singular point" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_ellipse_passes_core_checks(self, tmp_path):
@@ -696,6 +703,9 @@ class TestSubcommands:
             # accepted spellings: options before or after CONFIG, --opt=VALUE, a negative value
             (["carousel", "--out={out}", "{cfg}", "--q", "3"], EXIT_OK, "carousel p/q=1/3"),
             (["carousel", "{cfg}", "--s0", "-0.5", "--q=3", "--out", "{out}"], EXIT_OK, "carousel p/q=1/3"),
+            # an output directory that cannot be made: exit 2 with the reason, no traceback
+            (["run", "{cfg}", "--out", "{cfg}"], EXIT_CONFIG, "cannot write output"),
+            (["carousel", "{cfg}", "--q", "3", "--out", "{cfg}/x"], EXIT_CONFIG, "cannot write output"),
         ],
     )
     def test_command_line_contract(self, tmp_path, capsys, argv, code, word):

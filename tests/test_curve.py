@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flotilla.chord import FLOTATION, _chords
+from flotilla.chord import FLOTATION, _chords, sweep
 from flotilla.curve import (
     AffineFrame,
     AffineImage,
@@ -21,6 +21,8 @@ from flotilla.curve import (
     det2,
 )
 from flotilla.errors import DegenerateCurveError, DomainError, SingularFrameError
+from flotilla.floatgeom import flotation_point
+from flotilla.homothety import fit_homothety, proper_affine_sphere_residual
 
 from oracles import (
     circle_segment_area,
@@ -169,7 +171,8 @@ def circle_chord(theta, frame=None):
     """The one-lane chord from gamma(-theta) to gamma(theta) of the unit circle, or of its image under frame."""
     circle = Ellipse(1.0, 1.0)
     curve = circle if frame is None else AffineImage(circle, frame)
-    return _chords(curve, FLOTATION, circle_segment_area(theta), np.array([-theta]), np.array([theta]))
+    s = np.array([-theta])
+    return _chords(curve, FLOTATION, circle_segment_area(theta), s, np.array([theta]), curve.derivatives(s, (0, 1, 2)))
 
 
 class TestAffineDistance:
@@ -198,7 +201,9 @@ class TestAffineDistance:
 
     def test_parallel_directions_rejected(self, unit_circle):
         # a diameter: the end tangents are parallel, so there is no tangent triangle
-        chords = _chords(unit_circle, FLOTATION, math.pi / 2, np.array([0.0]), np.array([math.pi]))
+        s = np.array([0.0])
+        at_s = unit_circle.derivatives(s, (0, 1, 2))
+        chords = _chords(unit_circle, FLOTATION, math.pi / 2, s, np.array([math.pi]), at_s)
         assert not chords.apex[0]
         assert np.all(np.isnan(chords.z[0]))
         assert chords.affine_norm_c[0] == math.inf
@@ -375,3 +380,26 @@ def test_affine_distance_invariance_property(phi, m, theta):
     base, image = circle_chord(theta), circle_chord(theta, frame)
     assert np.allclose(image.x, frame.apply(base.x), rtol=0.0, atol=1e-14)  # the image of the same chord
     assert image.affine_norm_c[0] == pytest.approx(base.affine_norm_c[0], rel=1e-9)
+
+
+SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+# one builder per record with an ndarray field, whose elementwise == made the generated __eq__ raise
+RECORDS = {
+    "AffineFrame": lambda: AffineFrame([[1.0, 0.2], [0.0, 1.0]]),
+    "Ellipse": lambda: Ellipse(2.0, 1.0),
+    "SampledPeriodic": lambda: SampledPeriodic(Ellipse(2.0, 1.0).derivative(np.arange(32) * (TWO_PI / 32), 0)),
+    "AffineImage": lambda: AffineImage(Ellipse(2.0, 1.0), AffineFrame(np.eye(2))),
+    "HomothetyFit": lambda: fit_homothety(SQUARE, 2.0 * SQUARE + 1.0),
+    "ConcurrencyFit": lambda: proper_affine_sphere_residual(SQUARE, -SQUARE),
+    "DerivedCurve": lambda: flotation_point(sweep(Ellipse(2.0, 1.0), FLOTATION, 1.0, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_by_identity(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) != hash(b)
+    assert {a: name}[a] == name

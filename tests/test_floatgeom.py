@@ -197,7 +197,9 @@ class TestOmegaIdentity:
         curve = request.getfixturevalue(body)
         chords = sweep(curve, FLOTATION, fraction * area(curve), 256)
         assert omega_identity_residual(chords) < 1e-12
-        shifted = _chords(curve, FLOTATION, chords.delta, chords.s, chords.t + 1e-2 * np.sin(3.0 * chords.s))
+        s = chords.s
+        at_s = curve.derivatives(s, (0, 1, 2))
+        shifted = _chords(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
         assert omega_identity_residual(shifted) > 1e-6  # the check's threshold
 
 

@@ -125,12 +125,16 @@ class TestPolarity:
     """The pole of a chord under the tangential polarity is its ``Chords.z``."""
 
     def test_pole_of_symmetric_circle_chord(self, unit_circle):
-        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, np.array([-THETA]), np.array([THETA]))
+        s = np.array([-THETA])
+        at_s = unit_circle.derivatives(s, (0, 1, 2))
+        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([THETA]), at_s)
         assert np.allclose(chords.z[0], [1.0 / math.cos(THETA), 0.0], atol=1e-12)
         assert chords.apex[0]
 
     def test_diametral_chord_pole_at_infinity(self, unit_circle):
-        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, np.array([0.0]), np.array([math.pi]))
+        s = np.array([0.0])
+        at_s = unit_circle.derivatives(s, (0, 1, 2))
+        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([math.pi]), at_s)
         assert not chords.apex[0]
         assert np.all(np.isnan(chords.z[0]))
         # both end tangents are vertical
