@@ -16,7 +16,6 @@ repeats discounts.
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import itertools
 import statistics
@@ -73,7 +72,8 @@ def _wrapped_stages(times):
 def stage_times(config_path, out_dir):
     """Seconds spent in each stage of one `cmd_run`, in the order the stages first ran."""
     times = {}
-    config = dataclasses.replace(_timed(cli.load_config, "config", times)(config_path), output_dir=str(out_dir))
+    config = _timed(cli.load_config, "config", times)(config_path)
+    config.output_dir = str(out_dir)
     with _wrapped_stages(times), contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_run(config)
     return times

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +58,12 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
-    curve_spec: dict
-    deltas: list
-    n_samples: int = 512
-    checks: list = field(default_factory=list)
-    output_dir: str = "."
-    delta_hat: float | None = None
+    """A run config as load_config reads it: one attribute per key of CONFIG_KEYS."""
+
+    def __init__(self, curve_spec, deltas, n_samples=512, checks=(), output_dir=".", delta_hat=None):
+        self.curve_spec, self.deltas, self.n_samples = curve_spec, deltas, n_samples
+        self.checks, self.output_dir, self.delta_hat = list(checks), output_dir, delta_hat
 
 
 def load_config(path):
@@ -156,23 +153,21 @@ def _constancy_threshold(curve):
 NO_APEX_REASON = "some flotation chords have parallel end tangents, where the affine chord length is infinite"
 
 
-@dataclass
 class DeltaBundle:
     """The sweeps and derived curves of one cut-off area, ``chords.delta``.
 
     ``chord_cube_stats`` and ``implied_lambda`` are None when some flotation
-    chord has no apex; the body is then not in the homothetic regime.
+    chord has no apex; the body is then not in the homothetic regime. The
+    three illumination fields are None when the run has no illumination sweep.
     """
 
-    chords: chord.Chords
-    flotation: floatgeom.DerivedCurve
-    buoyancy: floatgeom.DerivedCurve
-    chord_cube_stats: homothety.ConstancyReport | None
-    implied_lambda: float | None
-    homothetic: bool
-    illum_chords: chord.Chords | None = None
-    illumination: floatgeom.DerivedCurve | None = None
-    illum_centroid: floatgeom.DerivedCurve | None = None
+    def __init__(
+        self, chords, flotation, buoyancy, chord_cube_stats, implied_lambda, homothetic,
+        illum_chords=None, illumination=None, illum_centroid=None,
+    ):
+        self.chords, self.flotation, self.buoyancy = chords, flotation, buoyancy
+        self.chord_cube_stats, self.implied_lambda, self.homothetic = chord_cube_stats, implied_lambda, homothetic
+        self.illum_chords, self.illumination, self.illum_centroid = illum_chords, illumination, illum_centroid
 
     def sweeps(self):
         """(chords, the derived curves sampled at them) of every sweep, in output order."""
@@ -292,7 +287,8 @@ def _check_duality(curve, bundle):
 
 
 def _check_petty(curve, bundle):
-    report = homothety.petty_condition_report(curve)
+    # the reciprocal form, finite at flat points where the condition itself is infinite
+    report = homothety.ConstancyReport.from_values(homothety.petty_ratios(curve))
     return _measured("cv_petty_condition", report.coefficient_of_variation, _constancy_threshold(curve))
 
 
@@ -401,9 +397,10 @@ def write_report(path, label, deltas, n_samples, records):
         "passed": all(r["status"] != FAIL for r in records),
         "records": records,
     }
+    # serialised before the file is opened, so a non-finite value leaves no partial report
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     return payload
 
 

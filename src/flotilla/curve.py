@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from .numerics import TrigInterpolant, panel_quadrature
 PERIOD = 2.0 * math.pi
 
 _MIN_CONVEXITY_SAMPLES = 512
+
+# j quarter turns, the phase shift of the j-th derivative of cos and sin, for j = 0..4
+_QUARTER_TURNS = np.array([j * math.pi / 2.0 for j in range(5)])
 
 
 def det2(u, v):
@@ -33,16 +35,12 @@ def norm2(u):
     return np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-1))
 
 
-@dataclass(frozen=True, eq=False)
 class AffineFrame:
     """Affine map x -> matrix @ x + translation."""
 
-    matrix: np.ndarray
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float).reshape(2, 2))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(2))
+    def __init__(self, matrix, translation=(0.0, 0.0)):
+        self.matrix = np.asarray(matrix, dtype=float).reshape(2, 2)
+        self.translation = np.asarray(translation, dtype=float).reshape(2)
 
     @property
     def determinant(self):
@@ -109,15 +107,12 @@ class ClosedConvexCurve:
             )
 
 
-@dataclass(eq=False)
 class Ellipse(ClosedConvexCurve):
-    a: float
-    b: float
-    center: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    rotation: float = 0.0
+    """Ellipse with semi-axes a and b along its axes, turned by ``rotation`` about ``center``."""
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
+    def __init__(self, a, b, center=(0.0, 0.0), rotation=0.0):
+        self.a, self.b, self.rotation = a, b, rotation
+        self.center = np.asarray(center, dtype=float).reshape(2)
         if self.a <= 0.0 or self.b <= 0.0:
             raise DomainError("ellipse semi-axes must be positive")
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -133,23 +128,23 @@ class Ellipse(ClosedConvexCurve):
         return [d + self.center if k == 0 else d for d, k in zip(out, orders)]
 
 
-@dataclass
 class FourierRadial(ClosedConvexCurve):
     """Radial graph r(s) = r0 + sum_k (cos_k cos(ks) + sin_k sin(ks)) about the origin."""
 
-    r0: float
-    cos_coeffs: tuple = ()
-    sin_coeffs: tuple = ()
-
-    def __post_init__(self):
-        self.cos_coeffs = tuple(float(c) for c in self.cos_coeffs)
-        self.sin_coeffs = tuple(float(c) for c in self.sin_coeffs)
+    def __init__(self, r0, cos_coeffs=(), sin_coeffs=()):
+        self.r0 = r0
+        self.cos_coeffs = tuple(float(c) for c in cos_coeffs)
+        self.sin_coeffs = tuple(float(c) for c in sin_coeffs)
         if self.r0 <= 0.0:
             raise DomainError("base radius must be positive")
         # adding a zero term is exact, so only the nonzero ones are evaluated;
-        # non-finite coefficients stay, for _validate to reject
-        self._terms = [(k, a, np.cos) for k, a in enumerate(self.cos_coeffs, start=1) if a != 0.0] + [
-            (k, b, np.sin) for k, b in enumerate(self.sin_coeffs, start=1) if b != 0.0
+        # non-finite coefficients stay, for _validate to reject. Each term keeps its
+        # coefficient times k^j for every order j
+        self._terms = [
+            (k, np.array([a * float(k) ** j for j in range(5)]), wave)
+            for coeffs, wave in ((self.cos_coeffs, np.cos), (self.sin_coeffs, np.sin))
+            for k, a in enumerate(coeffs, start=1)
+            if a != 0.0
         ]
         self._validate()
 
@@ -158,31 +153,27 @@ class FourierRadial(ClosedConvexCurve):
         n_harmonics = max(len(self.cos_coeffs), len(self.sin_coeffs), 1)
         return max(128, 16 * n_harmonics)
 
-    def _radial(self, s, order):
-        r = np.full_like(s, self.r0 if order == 0 else 0.0)
-        for k, a, wave in self._terms:
-            r = r + a * float(k) ** order * wave(k * s + order * math.pi / 2.0)
-        return r
-
     def derivatives(self, s, orders):
         s = np.asarray(s, dtype=float)
-        top = range(max(orders) + 1)
-        # r^(j) and the unit vector turned by j quarter turns, once for every order
-        radial = [self._radial(s, j)[..., None] for j in top]
-        units = [np.stack([np.cos(s + j * (math.pi / 2.0)), np.sin(s + j * (math.pi / 2.0))], axis=-1) for j in top]
+        top = max(orders) + 1
+        # r^(j) and the unit vector turned by j quarter turns, for every order j on a leading axis
+        shift = _QUARTER_TURNS[:top].reshape((top,) + (1,) * s.ndim)
+        radial = np.zeros((top,) + s.shape)
+        radial[0] = self.r0
+        for k, scales, wave in self._terms:
+            radial = radial + scales[:top].reshape(shift.shape) * wave(k * s + shift)
+        radial = radial[..., None]
+        units = np.stack([np.cos(s + shift), np.sin(s + shift)], axis=-1)
         # Leibniz rule on r(s) * (cos s, sin s), summed from zero in the order of j
         zero = np.zeros(s.shape + (2,))
         return [sum((math.comb(k, j) * radial[j] * units[k - j] for j in range(k + 1)), zero) for k in orders]
 
 
-@dataclass(eq=False)
 class SampledPeriodic(ClosedConvexCurve):
     """Curve given by N uniform samples; derivatives by trigonometric interpolation."""
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 16:
             raise DomainError("expected at least 16 sample points of shape (N, 2)")
         self._interp = TrigInterpolant(self.points, PERIOD)
@@ -196,18 +187,15 @@ class SampledPeriodic(ClosedConvexCurve):
         return self._interp.derivatives(s, orders)
 
 
-@dataclass(eq=False)
 class AffineImage(ClosedConvexCurve):
-    """Pointwise affine image of a base curve, keeping its parametrization.
+    """Pointwise affine image of a base curve under an AffineFrame, keeping its parametrization.
 
     For orientation-reversing maps the parameter is reflected (s -> period - s)
     so the image stays positively oriented.
     """
 
-    base: ClosedConvexCurve
-    frame: AffineFrame
-
-    def __post_init__(self):
+    def __init__(self, base, frame):
+        self.base, self.frame = base, frame
         if self.frame.determinant == 0.0:
             raise SingularFrameError("affine frame must be invertible")
         self._reversed = self.frame.determinant < 0.0

@@ -13,7 +13,6 @@ are the single-chord case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ ILLUMINATION_BOUNDARY = "illumination_boundary"
 ILLUMINATION_CENTROID = "illumination_centroid"
 
 
-@dataclass(frozen=True, eq=False)
 class DerivedCurve:
     """A derived curve sampled at the chords of a sweep, one row per chord.
 
@@ -39,11 +37,9 @@ class DerivedCurve:
     illumination families.
     """
 
-    family: str
-    points: np.ndarray
-    tangents: np.ndarray
-    kappa: np.ndarray
-    kappa_prime: np.ndarray | None = None
+    def __init__(self, family, points, tangents, kappa, kappa_prime=None):
+        self.family, self.points, self.tangents = family, points, tangents
+        self.kappa, self.kappa_prime = kappa, kappa_prime
 
 
 def _require_kind(chords, kind):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +24,13 @@ from .errors import AccuracyError, DomainError, ParallelElementsError, SolverErr
 from .numerics import bracketed_newton, signed_cbrt
 
 
-@dataclass(frozen=True)
 class ConstancyReport:
     """Summary statistics for an 'is constant' claim over sweep samples."""
 
-    mean: float
-    coefficient_of_variation: float
-    max_abs_deviation: float
+    def __init__(self, mean, coefficient_of_variation, max_abs_deviation):
+        self.mean = mean
+        self.coefficient_of_variation = coefficient_of_variation
+        self.max_abs_deviation = max_abs_deviation
 
     @classmethod
     def from_values(cls, values):
@@ -42,7 +41,6 @@ class ConstancyReport:
         return cls(mean, cv, float(np.max(np.abs(values - mean))))
 
 
-@dataclass(frozen=True, eq=False)
 class HomothetyFit:
     """Least-squares dilation taking curve A onto curve B at matched parameters.
 
@@ -50,29 +48,25 @@ class HomothetyFit:
     fit then degrades to translation mode and ``translation`` holds the offset.
     """
 
-    center: np.ndarray
-    ratio: float
-    rms_residual: float
-    matched: bool
-    translation: np.ndarray | None = None
+    def __init__(self, center, ratio, rms_residual, matched, translation=None):
+        self.center, self.ratio, self.rms_residual = center, ratio, rms_residual
+        self.matched, self.translation = matched, translation
 
     @property
     def is_translation(self):
         return self.translation is not None
 
 
-@dataclass
 class Carousel:
-    """A closed chain of equal-area chords with q chairs."""
+    """A closed chain of equal-area chords with q chairs.
 
-    p: int
-    q: int
-    delta: float
-    s0: float
-    vertices: list
-    closure_defect: float
-    defect_slope: float  # d(closure_defect)/d(delta), accumulated along the chain
-    lambdas: list = field(default_factory=list)
+    ``defect_slope`` is d(closure_defect)/d(delta), accumulated along the chain.
+    """
+
+    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, lambdas=()):
+        self.p, self.q, self.delta, self.s0 = p, q, delta, s0
+        self.vertices, self.closure_defect, self.defect_slope = vertices, closure_defect, defect_slope
+        self.lambdas = list(lambdas)
 
 
 def _diameter(points):
@@ -226,13 +220,11 @@ def affine_cut_length_report(chords) -> ConstancyReport:
     return ConstancyReport.from_values(affine_cut_lengths(chords))
 
 
-@dataclass(frozen=True, eq=False)
 class ConcurrencyFit:
     """Least-squares common point of a bundle of lines."""
 
-    point: np.ndarray
-    rms_distance: float
-    well_conditioned: bool
+    def __init__(self, point, rms_distance, well_conditioned):
+        self.point, self.rms_distance, self.well_conditioned = point, rms_distance, well_conditioned
 
 
 def proper_affine_sphere_residual(points, normals) -> ConcurrencyFit:
@@ -257,19 +249,27 @@ def proper_affine_sphere_residual(points, normals) -> ConcurrencyFit:
     return ConcurrencyFit(point, float(np.sqrt(np.mean(dists**2))), bool(cond < 1e8))
 
 
-def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
-    """Constancy of det(g, g')^3 / det(g', g'') over uniform samples.
+def petty_ratios(curve, n_samples=512):
+    """det(g', g'') / det(g, g')^3 at uniform samples, the reciprocal of the Petty condition.
 
-    The value depends on the origin; a warning is emitted if the origin does
-    not see the curve with positive orientation (origin outside).
+    It is finite wherever the origin is inside, flat points (det(g', g'') = 0)
+    included. The value depends on the origin; a warning is emitted if the
+    origin does not see the curve with positive orientation (origin outside).
     """
     grid = np.arange(n_samples) * (curve.period / n_samples)
     g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
     radial = det2(g, d1)
     if np.any(radial <= 0.0):
         warnings.warn("origin is not interior to the curve; report is origin-sensitive")
-    values = radial**3 / det2(d1, d2)
-    return ConstancyReport.from_values(values)
+    return det2(d1, d2) / radial**3
+
+
+def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
+    """Constancy of det(g, g')^3 / det(g', g''), the conic value (ab)^2 on an ellipse about its centre.
+
+    It is infinite at flat points; ``petty_ratios`` is the form that stays finite.
+    """
+    return ConstancyReport.from_values(1.0 / petty_ratios(curve, n_samples))
 
 
 def _check_origin_symmetric(curve, tol=1e-9):
@@ -420,13 +420,15 @@ def _closing_chain(curve, p, q, s0):
     return float(delta_star), chains[delta_star]
 
 
-@dataclass(frozen=True)
 class CarouselDiagnostics:
-    lambda_report: ConstancyReport
-    centroid_drift_max: float
-    lambda_product_max_dev: float
-    medial_residual_max: float
-    closure_defect_max: float
+    """The 3-chair carousel invariants over a grid of starts (see carousel_diagnostics)."""
+
+    def __init__(
+        self, lambda_report, centroid_drift_max, lambda_product_max_dev, medial_residual_max, closure_defect_max
+    ):
+        self.lambda_report, self.centroid_drift_max = lambda_report, centroid_drift_max
+        self.lambda_product_max_dev, self.medial_residual_max = lambda_product_max_dev, medial_residual_max
+        self.closure_defect_max = closure_defect_max
 
 
 def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:

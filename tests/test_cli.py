@@ -655,6 +655,17 @@ class TestSubcommands:
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["closure_defect_max"] > 1e-8 * 2 * math.pi
 
+    def test_petty_on_flat_point_body_fails_with_a_valid_report(self, tmp_path, capsys):
+        # det(g', g'') is 0.0 at a grid point of petty's: the condition is infinite there and
+        # its CV was NaN, which left a truncated report.json behind a traceback
+        spec = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.0, 1.0 / 17.0]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec, checks=["petty"])
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILED
+        (record,) = strict_json((out / "report.json").read_text())["records"]
+        assert record["status"] == "fail" and math.isfinite(record["value"])
+        assert "[FAIL] petty" in capsys.readouterr().out
+
     @pytest.mark.parametrize("s0", ["nan", "inf", "-inf"])
     def test_carousel_non_finite_start_is_bad_input(self, tmp_path, s0):
         # a bad start used to surface as a Newton failure (exit 3)

@@ -1,11 +1,16 @@
+import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flotilla
 from flotilla.chord import FLOTATION, _chords, sweep
+from flotilla.cli import RunConfig, compute_bundle
 from flotilla.curve import (
     AffineFrame,
     AffineImage,
@@ -22,7 +27,13 @@ from flotilla.curve import (
 )
 from flotilla.errors import DegenerateCurveError, DomainError, SingularFrameError
 from flotilla.floatgeom import flotation_point
-from flotilla.homothety import fit_homothety, proper_affine_sphere_residual
+from flotilla.homothety import (
+    ConstancyReport,
+    build_carousel,
+    carousel_diagnostics,
+    fit_homothety,
+    proper_affine_sphere_residual,
+)
 
 from oracles import (
     circle_segment_area,
@@ -384,15 +395,22 @@ def test_affine_distance_invariance_property(phi, m, theta):
 
 SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
-# one builder per record with an ndarray field, whose elementwise == made the generated __eq__ raise
+# one builder per record class; a dataclass's generated __eq__ raised on ndarray fields, and
+# FourierRadial's made it unhashable
 RECORDS = {
     "AffineFrame": lambda: AffineFrame([[1.0, 0.2], [0.0, 1.0]]),
     "Ellipse": lambda: Ellipse(2.0, 1.0),
+    "FourierRadial": lambda: FourierRadial(1.0, (0.0, 0.0, 0.1)),
     "SampledPeriodic": lambda: SampledPeriodic(Ellipse(2.0, 1.0).derivative(np.arange(32) * (TWO_PI / 32), 0)),
     "AffineImage": lambda: AffineImage(Ellipse(2.0, 1.0), AffineFrame(np.eye(2))),
     "HomothetyFit": lambda: fit_homothety(SQUARE, 2.0 * SQUARE + 1.0),
     "ConcurrencyFit": lambda: proper_affine_sphere_residual(SQUARE, -SQUARE),
     "DerivedCurve": lambda: flotation_point(sweep(Ellipse(2.0, 1.0), FLOTATION, 1.0, 16)),
+    "ConstancyReport": lambda: ConstancyReport.from_values([1.0, 2.0]),
+    "Carousel": lambda: build_carousel(Ellipse(2.0, 1.0), 1, 3),
+    "CarouselDiagnostics": lambda: carousel_diagnostics(Ellipse(2.0, 1.0), 1.0, n_samples=8),
+    "RunConfig": lambda: RunConfig({"kind": "ellipse", "a": 2.0, "b": 1.0}, [1.0]),
+    "DeltaBundle": lambda: compute_bundle(Ellipse(2.0, 1.0), 1.0, 16),
 }
 
 
@@ -403,3 +421,11 @@ def test_records_compare_by_identity(name):
     assert a == a and a != b
     assert hash(a) == hash(a) != hash(b)
     assert {a: name}[a] == name
+
+
+def test_chords_is_the_only_dataclass():
+    # the other records are plain classes: each dataclass decoration generates and execs code at import
+    modules = [importlib.import_module(f"flotilla.{info.name}") for info in pkgutil.iter_modules(flotilla.__path__)]
+    classes = [obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__]
+    assert set(RECORDS) <= {c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == ["Chords"]
