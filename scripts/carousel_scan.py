@@ -40,7 +40,8 @@ def main():
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    deltas = np.linspace(0.05 * total, 0.45 * total, args.steps)
+    # the closing area of p/q >= 1/2 lies above half the body
+    deltas = np.linspace(0.05 * total, 0.95 * total, args.steps)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "closure_defect"])

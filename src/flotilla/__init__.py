@@ -52,7 +52,6 @@ from .homothety import (
     petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
-    carousel_diagnostics,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

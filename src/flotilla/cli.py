@@ -463,13 +463,12 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         "vertices": car.vertices,
         "lambdas": car.lambdas,
     }
-    if q == 3:
-        diag = homothety.carousel_diagnostics(curve, car.delta, n_samples=32)
-        payload["lambda_cv"] = diag.lambda_report.coefficient_of_variation
-        payload["centroid_drift_max"] = diag.centroid_drift_max
-        payload["lambda_product_max_dev"] = diag.lambda_product_max_dev
-        payload["medial_residual_max"] = diag.medial_residual_max
-        payload["closure_defect_max"] = diag.closure_defect_max
+    if car.lambda_report is not None:  # the tangent-triangle statistics of 3-chair chains
+        payload["lambda_cv"] = car.lambda_report.coefficient_of_variation
+        payload["centroid_drift_max"] = car.centroid_drift_max
+        payload["lambda_product_max_dev"] = car.lambda_product_max_dev
+        payload["medial_residual_max"] = car.medial_residual_max
+    payload["closure_defect_max"] = car.closure_defect_max
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "carousel.json", "w") as fh:
@@ -480,8 +479,8 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         f"closure defect {car.closure_defect:.3e}"
     )
     # closing from s0 but not from every start is a negative result, not bad input
-    if payload.get("closure_defect_max", 0.0) > 1e-8 * curve.period:
-        print(f"[FAIL] carousel does not close from every start: max |defect| = {payload['closure_defect_max']:.3e}")
+    if car.closure_defect_max > 1e-8 * curve.period:
+        print(f"[FAIL] carousel does not close from every start: max |defect| = {car.closure_defect_max:.3e}")
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

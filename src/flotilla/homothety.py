@@ -8,7 +8,6 @@ can threshold.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -58,15 +57,24 @@ class HomothetyFit:
 
 
 class Carousel:
-    """A closed chain of equal-area chords with q chairs.
+    """A chain of q equal-area chords from s0, and how the chains at its delta close from every start.
 
     ``defect_slope`` is d(closure_defect)/d(delta), accumulated along the chain.
+    ``closure_defect_max`` is the worst |t_q - t_0 - p period| of the chains
+    from the starts k period / CAROUSEL_STARTS. For q = 3 only, ``lambdas``
+    are the tangent-triangle side ratios of the chain from s0, and the
+    triangles from the starts give ``lambda_report``, ``centroid_drift_max``,
+    ``lambda_product_max_dev`` and ``medial_residual_max``; these stay empty
+    where a tangent triangle degenerates, far from closure.
     """
 
-    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, lambdas=()):
+    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max, lambdas=()):
         self.p, self.q, self.delta, self.s0 = p, q, delta, s0
         self.vertices, self.closure_defect, self.defect_slope = vertices, closure_defect, defect_slope
+        self.closure_defect_max = closure_defect_max
         self.lambdas = list(lambdas)
+        self.lambda_report = self.centroid_drift_max = None
+        self.lambda_product_max_dev = self.medial_residual_max = None
 
 
 def _diameter(points):
@@ -250,22 +258,21 @@ def proper_affine_sphere_residual(points, normals) -> ConcurrencyFit:
 
 
 def petty_ratios(curve, n_samples=512):
-    """det(g', g'') / det(g, g')^3 at uniform samples, the reciprocal of the Petty condition.
+    """det(g', g'') / det(g - c, g')^3 at uniform samples, the reciprocal of the Petty condition about the centroid c.
 
-    It is finite wherever the origin is inside, flat points (det(g', g'') = 0)
-    included. The value depends on the origin; a warning is emitted if the
-    origin does not see the curve with positive orientation (origin outside).
+    It is finite everywhere, flat points (det(g', g'') = 0) included, and
+    does not depend on where the body sits. The centroid is o + (2/3)
+    mean((g - o) w) / mean(w) from the curve's moments about o.
     """
+    origin, moments = curve.moments
+    centroid = origin + (2.0 / 3.0) * moments.mean[1:] / moments.mean[0]
     grid = np.arange(n_samples) * (curve.period / n_samples)
     g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
-    radial = det2(g, d1)
-    if np.any(radial <= 0.0):
-        warnings.warn("origin is not interior to the curve; report is origin-sensitive")
-    return det2(d1, d2) / radial**3
+    return det2(d1, d2) / det2(g - centroid, d1) ** 3
 
 
 def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
-    """Constancy of det(g, g')^3 / det(g', g''), the conic value (ab)^2 on an ellipse about its centre.
+    """Constancy of det(g - c, g')^3 / det(g', g'') about the centroid c, the conic value (ab)^2 on an ellipse.
 
     It is infinite at flat points; ``petty_ratios`` is the form that stays finite.
     """
@@ -322,7 +329,11 @@ def radon_check(curve, n_samples=256) -> float:
     return float(np.max(np.abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s))))
 
 
-def _chains(curve, p, q, delta, starts):
+# the closure of every carousel is checked from the starts k period / CAROUSEL_STARTS
+CAROUSEL_STARTS = 32
+
+
+def _chains(curve, q, delta, starts):
     """Vertices (q + 1, lanes) of the chord chains from every start, (gamma, gamma') there, and d(last vertex)/d(delta).
 
     Each vertex is evaluated once, and handed to the chord solve that starts there.
@@ -339,8 +350,6 @@ def _chains(curve, p, q, delta, starts):
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)
         at_vertices.append((y, d2))
-    if np.any(ts[-1] - starts > (p + 1) * curve.period):
-        raise SolverError("carousel chaining overflowed the expected winding")
     return np.array(ts), tuple(np.array(v) for v in zip(*at_vertices)), dt_ddelta
 
 
@@ -356,32 +365,46 @@ def _tangent_triangles(x, d):
 
 
 def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
-    """Chain q equal-area chords from s0; the closure defect measures periodicity.
+    """Chain q equal-area chords from s0, and from every one of CAROUSEL_STARTS starts at the same delta.
 
-    For q = 3 the side ratios of the circumscribed tangent triangle are
-    reported (all equal to 1 exactly when the chain is a closing carousel of
-    an ellipse-like configuration). With no ``delta``, the chain is the one
-    the root finder solved at the delta where the carousel from s0 closes.
+    The closure defects measure periodicity. For q = 3 the side ratios of
+    the circumscribed tangent triangles are reported (all equal to 1 exactly
+    when the chain is a closing carousel of an ellipse-like configuration),
+    with the drift of the chord-triangle centroid and how far the chord
+    vertices sit from the tangent-triangle side midpoints. With no
+    ``delta``, the chain from s0 is the one the root finder solved at the
+    delta where the carousel from s0 closes.
     """
     _require_carousel(p, q, s0)
     if delta is None:
         delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
-        chain, at_vertices, dt_ddelta = _chains(curve, p, q, delta, np.array([float(s0)]))
+        chain, at_vertices, dt_ddelta = _chains(curve, q, delta, np.array([float(s0)]))
+    period = curve.period
     ts = chain[:, 0]
+    lanes, at_lanes, _ = _chains(curve, q, delta, np.arange(CAROUSEL_STARTS) * (period / CAROUSEL_STARTS))
     carousel = Carousel(
         p=p,
         q=q,
         delta=delta,
         s0=float(s0),
         vertices=ts.tolist(),
-        closure_defect=float(ts[q] - ts[0] - p * curve.period),
+        closure_defect=float(ts[q] - ts[0] - p * period),
         defect_slope=float(dt_ddelta[0]),
+        closure_defect_max=float(np.max(np.abs(lanes[q] - lanes[0] - p * period))),
     )
     if q == 3:
         v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
         if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
             carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
+        v, ahead, behind, degenerate = _tangent_triangles(*at_lanes)
+        if not degenerate.any():
+            lambdas = norm2(ahead - v) / norm2(v - behind)
+            centroids = v.mean(axis=0)
+            carousel.lambda_report = ConstancyReport.from_values(lambdas.T.ravel())
+            carousel.centroid_drift_max = float(np.max(norm2(centroids - centroids[0])))
+            carousel.lambda_product_max_dev = float(np.max(np.abs(lambdas.prod(axis=0) - 1.0)))
+            carousel.medial_residual_max = float(np.max(norm2(v - 0.5 * (ahead + behind))))
     return carousel
 
 
@@ -391,6 +414,8 @@ def _require_carousel(p, q, s0):
         raise DomainError("carousel needs at least 2 chairs")
     if not 0 < p < q:
         raise DomainError("require 0 < p < q")
+    if math.gcd(p, q) > 1:
+        raise DomainError(f"p/q = {p}/{q} is not in lowest terms")
     if not math.isfinite(s0):
         raise DomainError(f"the start s0 must be finite, got {s0}")
 
@@ -404,13 +429,15 @@ def _closing_chain(curve, p, q, s0):
     def fdf(d):
         # the closure defect of the chain from s0 and its slope in delta
         if d not in chains:
-            chains[d] = _chains(curve, p, q, d, start)
+            chains[d] = _chains(curve, q, d, start)
         ts, _, slope = chains[d]
         return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
 
-    # every ellipse closes at the cap of chord angle 2 pi p / q, the start; raises
-    # SolverError when the defect does not change sign on the bracket
-    lo, hi = 1e-6 * total, 0.5 * total - 1e-9 * total
+    # the defect increases with delta, as every vertex does, so the whole range
+    # of cut-off areas brackets it. Every ellipse closes at the cap of chord
+    # angle 2 pi p / q, the start; raises SolverError when the defect does not
+    # change sign on the bracket
+    lo, hi = 1e-9 * total, (1.0 - 1e-9) * total
     theta = 2.0 * math.pi * p / q
     delta0 = total * (theta - math.sin(theta)) / (2.0 * math.pi)
     delta_star = bracketed_newton(fdf, lo, hi, delta0, f_tol=1e-14 * curve.period)
@@ -418,43 +445,6 @@ def _closing_chain(curve, p, q, s0):
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star), chains[delta_star]
-
-
-class CarouselDiagnostics:
-    """The 3-chair carousel invariants over a grid of starts (see carousel_diagnostics)."""
-
-    def __init__(
-        self, lambda_report, centroid_drift_max, lambda_product_max_dev, medial_residual_max, closure_defect_max
-    ):
-        self.lambda_report, self.centroid_drift_max = lambda_report, centroid_drift_max
-        self.lambda_product_max_dev, self.medial_residual_max = lambda_product_max_dev, medial_residual_max
-        self.closure_defect_max = closure_defect_max
-
-
-def carousel_diagnostics(curve, delta, n_samples=64) -> CarouselDiagnostics:
-    """Track the 3-chair carousel invariants over a grid of starting points.
-
-    Chains every start at once (three lane-wise chord solves). Reports the
-    worst closure defect |t_3 - t_0 - period| over the starts, the spread of
-    the tangent-triangle ratios, their product's deviation from 1, the drift
-    of the chord-triangle centroid, and how far the chord vertices sit from
-    the tangent-triangle side midpoints.
-    """
-    period = curve.period
-    starts = np.arange(n_samples) * (period / n_samples)
-    ts, at_vertices, _ = _chains(curve, 1, 3, delta, starts)
-    v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
-    if degenerate.any():
-        raise ParallelElementsError("tangent lines are parallel; no apex")
-    lambdas = norm2(ahead - v) / norm2(v - behind)
-    centroids = v.mean(axis=0)
-    return CarouselDiagnostics(
-        lambda_report=ConstancyReport.from_values(lambdas.T.ravel()),
-        centroid_drift_max=float(np.max(norm2(centroids - centroids[0]))),
-        lambda_product_max_dev=float(np.max(np.abs(lambdas.prod(axis=0) - 1.0))),
-        medial_residual_max=float(np.max(norm2(v - 0.5 * (ahead + behind)))),
-        closure_defect_max=float(np.max(np.abs(ts[3] - ts[0] - period))),
-    )
 
 
 def hausdorff_distance(points_a, points_b) -> float:

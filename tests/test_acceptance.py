@@ -43,7 +43,6 @@ from flotilla.homothety import (
     petty_condition_report,
     radon_check,
     build_carousel,
-    carousel_diagnostics,
 )
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
@@ -323,22 +322,20 @@ def test_criterion_09_cut_length_equivalence(ellipse21, ellipse_flot, bump3, bum
 
 
 def test_criterion_10_carousel(unit_circle, ellipse21):
-    delta_c = build_carousel(unit_circle, 1, 3).delta
-    diag_c = carousel_diagnostics(unit_circle, delta_c, n_samples=16)
+    car_c = build_carousel(unit_circle, 1, 3)
     ok_circle = (
-        abs(delta_c - DELTA) < 1e-9
-        and diag_c.lambda_report.max_abs_deviation < 1e-8
-        and abs(diag_c.lambda_report.mean - 1.0) < 1e-8
-        and diag_c.centroid_drift_max < 1e-9
+        abs(car_c.delta - DELTA) < 1e-9
+        and car_c.lambda_report.max_abs_deviation < 1e-8
+        and abs(car_c.lambda_report.mean - 1.0) < 1e-8
+        and car_c.centroid_drift_max < 1e-9
     )
-    delta_e = build_carousel(ellipse21, 1, 3).delta
-    diag_e = carousel_diagnostics(ellipse21, delta_e, n_samples=16)
-    ok_ellipse = abs(delta_e - 2.0 * DELTA) < 1e-9 and diag_e.centroid_drift_max < 1e-8
+    car_e = build_carousel(ellipse21, 1, 3)
+    ok_ellipse = abs(car_e.delta - 2.0 * DELTA) < 1e-9 and car_e.centroid_drift_max < 1e-8
     _report(
         10,
         ok_circle and ok_ellipse,
-        f"3-chair carousel: circle delta* {delta_c:.12f} (analytic {DELTA:.12f}), drift {diag_c.centroid_drift_max:.2e}; "
-        f"ellipse delta* {delta_e:.12f} (2x circle), drift {diag_e.centroid_drift_max:.2e}",
+        f"3-chair carousel: circle delta* {car_c.delta:.12f} (analytic {DELTA:.12f}), drift {car_c.centroid_drift_max:.2e}; "
+        f"ellipse delta* {car_e.delta:.12f} (2x circle), drift {car_e.centroid_drift_max:.2e}",
     )
 
 

@@ -37,6 +37,8 @@ from flotilla.svg import export_svg
 from oracles import circle_segment_area, export_svg_per_value
 
 DELTA = circle_segment_area(math.pi / 3)
+# every p/q in lowest terms with q <= 8
+LOWEST_TERMS = [(p, q) for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
 REPORT_SCHEMA = json.loads((Path(flotilla.__file__).parent / "report_schema.json").read_text())
 
 
@@ -655,6 +657,42 @@ class TestSubcommands:
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["closure_defect_max"] > 1e-8 * 2 * math.pi
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "ellipse", "a": 2.0, "b": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.2, -0.1], "rotation": 0.4}],
+    )
+    def test_every_carousel_of_an_ellipse_closes_from_every_start(self, tmp_path, spec):
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        for p, q in LOWEST_TERMS:
+            out = tmp_path / f"car{p}_{q}"
+            assert main(["carousel", str(cfg), "--q", str(q), "--p", str(p), "--out", str(out)]) == EXIT_OK, (p, q)
+            payload = json.loads((out / "carousel.json").read_text())
+            assert payload["closure_defect_max"] <= 1e-8 * 2 * math.pi
+            assert ("lambda_cv" in payload) == (q == 3)
+
+    @pytest.mark.parametrize("eps, failing", [(0.1, {(1, 4), (1, 5)}), (0.01, {(1, 3), (1, 4)})])
+    def test_carousels_of_a_non_ellipse_are_solved(self, tmp_path, eps, failing):
+        # every valid p/q is solved (no exit 3); those that do not close from
+        # every start are failed checks
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, eps]})
+        codes = {}
+        for p, q in LOWEST_TERMS:
+            codes[p, q] = main(["carousel", str(cfg), "--q", str(q), "--p", str(p), "--out", str(tmp_path / "car")])
+        assert set(codes.values()) <= {EXIT_OK, EXIT_CHECK_FAILED}
+        assert {pq for pq, code in codes.items() if code == EXIT_CHECK_FAILED} >= failing
+        assert codes[1, 2] == EXIT_OK  # every body's 1/2 chain closes at half the area
+
+    def test_petty_of_a_moved_ellipse_passes(self, tmp_path, capsys):
+        # measured about the coordinate origin, petty read 0.30 here
+        spec = {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.2, -0.1]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec, deltas=[1.0, {"fraction": 0.3}], nSamples=256, checks=list(CHECKS))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        records = {r["check"]: r for r in strict_json((out / "report.json").read_text())["records"]}
+        assert records["petty"]["status"] == "pass" and records["petty"]["value"] < 1e-12
+        assert records["radon"]["status"] == "skipped"
+        assert "[SKIP] radon" in capsys.readouterr().out
+
     def test_petty_on_flat_point_body_fails_with_a_valid_report(self, tmp_path, capsys):
         # det(g', g'') is 0.0 at a grid point of petty's: the condition is infinite there and
         # its CV was NaN, which left a truncated report.json behind a traceback
@@ -717,6 +755,10 @@ class TestSubcommands:
             # an output directory that cannot be made: exit 2 with the reason, no traceback
             (["run", "{cfg}", "--out", "{cfg}"], EXIT_CONFIG, "cannot write output"),
             (["carousel", "{cfg}", "--q", "3", "--out", "{cfg}/x"], EXIT_CONFIG, "cannot write output"),
+            # a p/q not in lowest terms repeats a shorter chain: bad input; q = 2 is valid
+            (["carousel", "{cfg}", "--q", "6", "--p", "2"], EXIT_CONFIG, "2/6"),
+            (["carousel", "{cfg}", "--p", "2", "--q", "4"], EXIT_CONFIG, "2/4"),
+            (["carousel", "{cfg}", "--q", "2", "--out", "{out}"], EXIT_OK, "carousel p/q=1/2"),
         ],
     )
     def test_command_line_contract(self, tmp_path, capsys, argv, code, word):

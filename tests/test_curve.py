@@ -30,7 +30,6 @@ from flotilla.floatgeom import flotation_point
 from flotilla.homothety import (
     ConstancyReport,
     build_carousel,
-    carousel_diagnostics,
     fit_homothety,
     proper_affine_sphere_residual,
 )
@@ -408,7 +407,6 @@ RECORDS = {
     "DerivedCurve": lambda: flotation_point(sweep(Ellipse(2.0, 1.0), FLOTATION, 1.0, 16)),
     "ConstancyReport": lambda: ConstancyReport.from_values([1.0, 2.0]),
     "Carousel": lambda: build_carousel(Ellipse(2.0, 1.0), 1, 3),
-    "CarouselDiagnostics": lambda: carousel_diagnostics(Ellipse(2.0, 1.0), 1.0, n_samples=8),
     "RunConfig": lambda: RunConfig({"kind": "ellipse", "a": 2.0, "b": 1.0}, [1.0]),
     "DeltaBundle": lambda: compute_bundle(Ellipse(2.0, 1.0), 1.0, 16),
 }

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import flotilla.homothety as homothety_module
 from flotilla.cli import compute_bundle
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
-from flotilla.curve import Ellipse, SampledPeriodic, affine_normal, area, det2
+from flotilla.curve import AffineFrame, AffineImage, Ellipse, SampledPeriodic, affine_normal, area, det2
 from flotilla.errors import DomainError, ParallelElementsError
 from flotilla.floatgeom import buoyancy_point, flotation_point
 from flotilla.homothety import (
@@ -27,7 +27,6 @@ from flotilla.homothety import (
     petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
-    carousel_diagnostics,
 )
 
 from oracles import (
@@ -39,6 +38,9 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * math.pi
+# every p/q in lowest terms with q <= 8
+LOWEST_TERMS = [(p, q) for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
+AFFINE_ELLIPSE = AffineImage(Ellipse(2.0, 1.0), AffineFrame([[1.3, 0.4], [-0.2, 0.9]], (0.5, -0.3)))
 THETA = math.pi / 3
 DELTA = circle_segment_area(THETA)
 # oracle: ratio of the cap-centroid circle to the chord-midpoint circle
@@ -340,10 +342,14 @@ class TestPetty:
         assert rep.mean == pytest.approx(4.0, rel=1e-12)  # (ab)^2
         assert rep.coefficient_of_variation < 1e-10
 
-    def test_translated_circle_is_origin_sensitive(self):
+    def test_translated_ellipse_is_measured_about_its_centroid(self):
+        # about the coordinate origin the translated circle's CV was 0.579
         rep = petty_condition_report(Ellipse(1.0, 1.0, center=(0.3, 0.0)))
-        assert rep.coefficient_of_variation > 1e-2
-        assert rep.coefficient_of_variation == pytest.approx(0.5794687014960402, rel=1e-6)
+        assert rep.mean == pytest.approx(1.0, rel=1e-12)
+        assert rep.coefficient_of_variation < 1e-12
+        rep = petty_condition_report(Ellipse(2.0, 1.0, center=(0.2, -0.1), rotation=0.4))
+        assert rep.mean == pytest.approx(4.0, rel=1e-12)
+        assert rep.coefficient_of_variation < 1e-10
 
 
 class TestIntersectionBodyPolar:
@@ -419,12 +425,13 @@ class TestCarousel:
 
     @staticmethod
     def _count_chains(monkeypatch):
+        """(delta, number of starts) of every chain build_carousel makes."""
         calls = []
         chains = homothety_module._chains
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return chains(*args, **kwargs)
+        def counting(curve, q, delta, starts):
+            calls.append((delta, len(starts)))
+            return chains(curve, q, delta, starts)
 
         monkeypatch.setattr(homothety_module, "_chains", counting)
         return calls
@@ -434,21 +441,23 @@ class TestCarousel:
         # the solve ends on an abscissa whose chain it has built, so the
         # final residual check builds no further chain. On an ellipse the
         # start, the cap of chord angle 2 pi / 3, closes: one chain (2 if the
-        # residual check built it again; 7 from the midpoint of the bracket)
+        # residual check built it again; 7 from the midpoint of the bracket),
+        # then the chains from every start at delta*
         calls = self._count_chains(monkeypatch)
         delta_star = build_carousel(ellipse21, 1, 3, s0=s0).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
-        assert len(calls) == 1
+        assert calls == [(delta_star, 1), (delta_star, homothety_module.CAROUSEL_STARTS)]
 
     def test_closing_residual_reused_while_the_root_finder_iterates(self, monkeypatch, bump3):
         # bump3 misses the ellipse start: the start, the two bracket ends and
         # four Newton rounds, each chain built once (8 if the residual check
-        # built the last one again)
+        # built the last one again), then the chains from every start at delta*
         calls = self._count_chains(monkeypatch)
         car = build_carousel(bump3, 1, 3, s0=2.2)
         assert abs(car.closure_defect) < 1e-10
-        deltas = [args[3] for args in calls]
+        deltas = [delta for delta, lanes in calls if lanes == 1]
         assert len(deltas) == len(set(deltas)) == 7
+        assert calls[7:] == [(car.delta, homothety_module.CAROUSEL_STARTS)]
 
     @pytest.mark.parametrize("body, p, q", [("bump3", 1, 3), ("ellipse21", 1, 3), ("unit_circle", 2, 5)])
     def test_closing_chain_matches_solve_then_build(self, request, body, p, q):
@@ -458,7 +467,7 @@ class TestCarousel:
         cars = [build_carousel(curve, p, q, s0=s0) for s0 in (0.3, 1.7)]
         for car in cars:
             expected = build_carousel(curve, p, q, car.delta, s0=car.s0)
-            fields = ("p", "q", "delta", "s0", "vertices", "closure_defect", "defect_slope", "lambdas")
+            fields = ("p", "q", "delta", "s0", "vertices", "closure_defect", "defect_slope", "closure_defect_max", "lambdas")
             assert [getattr(car, f) for f in fields] == [getattr(expected, f) for f in fields]
         assert cars[0].vertices[0] != cars[1].vertices[0]
         if body == "bump3":
@@ -476,6 +485,11 @@ class TestCarousel:
     def test_invalid_pq(self, unit_circle):
         with pytest.raises(DomainError):
             build_carousel(unit_circle, 3, 3, DELTA)
+        # a p/q not in lowest terms repeats the chain of the reduced fraction
+        with pytest.raises(DomainError, match="2/6"):
+            build_carousel(unit_circle, 2, 6)
+        with pytest.raises(DomainError, match="2/4"):
+            build_carousel(unit_circle, 2, 4, DELTA)
 
     @pytest.mark.parametrize("s0", [math.nan, math.inf])
     def test_non_finite_start_rejected(self, unit_circle, s0):
@@ -485,18 +499,17 @@ class TestCarousel:
             build_carousel(unit_circle, 1, 3, s0=s0)
 
     def test_carousel_diag_circle(self, unit_circle):
-        diag = carousel_diagnostics(unit_circle, DELTA, n_samples=16)
-        assert diag.lambda_report.max_abs_deviation < 1e-8
-        assert abs(diag.lambda_report.mean - 1.0) < 1e-9
-        assert diag.centroid_drift_max < 1e-9
-        assert diag.lambda_product_max_dev < 1e-8
-        assert diag.medial_residual_max < 1e-8
+        car = build_carousel(unit_circle, 1, 3, DELTA)
+        assert car.lambda_report.max_abs_deviation < 1e-8
+        assert abs(car.lambda_report.mean - 1.0) < 1e-9
+        assert car.centroid_drift_max < 1e-9
+        assert car.lambda_product_max_dev < 1e-8
+        assert car.medial_residual_max < 1e-8
 
     def test_carousel_diag_ellipse(self, ellipse21):
-        delta_star = build_carousel(ellipse21, 1, 3).delta
-        diag = carousel_diagnostics(ellipse21, delta_star, n_samples=16)
-        assert diag.lambda_report.max_abs_deviation < 1e-8
-        assert diag.centroid_drift_max < 1e-8
+        car = build_carousel(ellipse21, 1, 3)
+        assert car.lambda_report.max_abs_deviation < 1e-8
+        assert car.centroid_drift_max < 1e-8
 
     def test_lambda_product_breaks_without_endpoint_balance(self, bump3):
         # three-fold symmetric body: the chain closes but the ratios are not 1
@@ -516,21 +529,38 @@ class TestCarousel:
 
     def test_diagnostics_lanes_match_single_chains(self, bump3):
         # the carousel closes from s0 = 0 but not from other starts
-        delta_star = build_carousel(bump3, 1, 3).delta
-        diag = carousel_diagnostics(bump3, delta_star, n_samples=8)
-        chains = [build_carousel(bump3, 1, 3, delta_star, s0=s0) for s0 in np.arange(8) * (TWO_PI / 8)]
-        assert diag.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)
-        assert diag.closure_defect_max > 1e-2
+        car = build_carousel(bump3, 1, 3)
+        n = homothety_module.CAROUSEL_STARTS
+        chains = [build_carousel(bump3, 1, 3, car.delta, s0=s0) for s0 in np.arange(n) * (TWO_PI / n)]
+        assert car.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)
+        assert car.closure_defect_max > 1e-2
         lambdas = [lam for c in chains for lam in c.lambdas]
-        assert diag.lambda_report.mean == pytest.approx(np.mean(lambdas), rel=1e-12)
-        assert diag.lambda_report.coefficient_of_variation == pytest.approx(np.std(lambdas) / np.mean(lambdas), rel=1e-9)
+        assert car.lambda_report.mean == pytest.approx(np.mean(lambdas), rel=1e-12)
+        assert car.lambda_report.coefficient_of_variation == pytest.approx(np.std(lambdas) / np.mean(lambdas), rel=1e-9)
 
     def test_wrong_delta_does_not_close(self, unit_circle):
         car = build_carousel(unit_circle, 1, 3, 0.5)
         assert car.closure_defect < -1e-3
         # a carousel that does not close is a measured defect, not an error
-        diag = carousel_diagnostics(unit_circle, 0.5, n_samples=16)
-        assert diag.closure_defect_max == pytest.approx(abs(car.closure_defect), rel=1e-9)
+        assert car.closure_defect_max == pytest.approx(abs(car.closure_defect), rel=1e-9)
+
+    @pytest.mark.parametrize("p, q", LOWEST_TERMS)
+    @pytest.mark.parametrize("body", ["ellipse21", "affine_ellipse"])
+    def test_ellipse_closes_from_every_start(self, request, body, p, q):
+        # every ellipse is a p/q carousel at the cap of chord angle 2 pi p / q,
+        # 1/2 and p/q >= 1/2 included
+        curve = AFFINE_ELLIPSE if body == "affine_ellipse" else request.getfixturevalue(body)
+        car = build_carousel(curve, p, q, s0=0.7)
+        theta = TWO_PI * p / q
+        assert car.delta == pytest.approx(area(curve) * (theta - math.sin(theta)) / TWO_PI, rel=1e-12)
+        assert car.closure_defect_max <= 1e-8 * curve.period
+        assert (car.lambda_report is not None) == (q == 3)
+
+    def test_two_chairs_close_at_half_the_area_from_every_start(self, bump3):
+        car = build_carousel(bump3, 1, 2, s0=0.4)
+        assert car.delta == pytest.approx(0.5 * area(bump3), rel=1e-12)
+        assert car.closure_defect_max < 1e-10
+        assert car.lambdas == [] and car.lambda_report is None
 
 
 class TestHausdorff:

@@ -28,11 +28,15 @@ def test_demo_bundle(tmp_path):
 
 
 def test_carousel_scan(tmp_path):
+    # 2/3 closes above half the area: the scan's defect changes sign there
     out = tmp_path / "scan.csv"
-    result = run_script("carousel_scan.py", "--steps", "4", "--out", str(out), cwd=tmp_path)
+    result = run_script("carousel_scan.py", "--p", "2", "--q", "3", "--steps", "4", "--out", str(out), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert "delta* =" in result.stdout
-    assert len(out.read_text().splitlines()) == 5  # header and four deltas
+    assert "p/q = 2/3: delta* =" in result.stdout
+    rows = out.read_text().splitlines()
+    assert len(rows) == 5  # header and four deltas
+    defects = [float(row.split(",")[1]) for row in rows[1:]]
+    assert defects[0] < 0.0 < defects[-1]
 
 
 def test_limit_convergence(tmp_path):
