@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from flotilla.curve import area, curve_from_json
-from flotilla.homothety import build_carousel
+from flotilla.homothety import _chains, build_carousel
 
 DEFAULT_CURVE = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
 
@@ -38,18 +38,23 @@ def main():
     curve = curve_from_json(spec)
     total = area(curve)
 
+    # validates p/q and s0 before the scan, and solves delta*
+    car = build_carousel(curve, args.p, args.q, s0=args.s0)
+
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the closing area of p/q >= 1/2 lies above half the body
     deltas = np.linspace(0.05 * total, 0.95 * total, args.steps)
+    start = np.array([args.s0])
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "closure_defect"])
         for d in deltas:
-            car = build_carousel(curve, args.p, args.q, float(d), s0=args.s0)
-            writer.writerow([f"{d:.17g}", f"{car.closure_defect:.17g}"])
+            # the one chain from s0 is all the defect needs, not build_carousel's 32 starts
+            ts, _, _ = _chains(curve, args.q, float(d), start)
+            defect = float(ts[args.q, 0] - ts[0, 0] - args.p * curve.period)
+            writer.writerow([f"{d:.17g}", f"{defect:.17g}"])
 
-    car = build_carousel(curve, args.p, args.q, s0=args.s0)
     delta_star = car.delta
     print(f"curve: {spec}")
     print(f"p/q = {args.p}/{args.q}: delta* = {delta_star:.12g} (fraction {delta_star/total:.6f})")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -113,14 +114,32 @@ class Ellipse(ClosedConvexCurve):
     def __init__(self, a, b, center=(0.0, 0.0), rotation=0.0):
         self.a, self.b, self.rotation = a, b, rotation
         self.center = np.asarray(center, dtype=float).reshape(2)
+        # exact convexity: det(gamma', gamma'') = ab > 0 and |gamma'| >= min(a, b) everywhere. Rounded,
+        # det is ab up to a few eps max(a, b)^2 and |gamma'|^2 at least min(a, b)^2, so both stay positive
+        # while min(a, b) exceeds 64 eps max(a, b) and min(a, b)^2 is a normal float
+        if not all(map(math.isfinite, (a, b, rotation, *self.center))):
+            raise DomainError("curve parameters must be finite")
         if self.a <= 0.0 or self.b <= 0.0:
             raise DomainError("ellipse semi-axes must be positive")
+        if math.pi * self.a * self.b == math.inf:
+            raise DomainError(f"ellipse area overflows: pi a b is not finite for a, b = {a}, {b}")
+        minor, major = sorted((self.a, self.b))
+        if minor * minor < sys.float_info.min or minor <= 64.0 * sys.float_info.epsilon * major:
+            raise DomainError(f"ellipse semi-axes {a}, {b} are too small or too unequal to evaluate in floating point")
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         axes = np.array([[c, -s], [s, c]]) * [self.a, self.b]
         # d/ds (cos s, sin s) is the quarter turn [[0, -1], [1, 0]] of it: order k maps
         # (cos s, sin s) by axes times the k-th power of the turn (exact sign swaps)
         self._jets = [axes, axes[:, ::-1] * [1.0, -1.0], -axes, axes[:, ::-1] * [-1.0, 1.0]]
-        self._validate()
+
+    @functools.cached_property
+    def moments(self):
+        """The two modes in closed form: about the center, gamma - center = A u with A the axes and
+        u = (cos s, sin s), so w = det(A u, A u') = ab and (gamma - center) w = ab A u."""
+        ab = self.a * self.b
+        (a00, a01), (a10, a11) = self._jets[0] * ab
+        modes = [[ab, 0.0, 0.0], [0.0, complex(a00, -a01), complex(a10, -a11)]]
+        return self.center, TrigInterpolant.from_coefficients(modes, self.period)
 
     def derivatives(self, s, orders):
         unit = np.stack([np.cos(s), np.sin(s)], axis=-1)

@@ -107,6 +107,7 @@ class TrigInterpolant:
     (N,) or vector (N, k). Trailing modes at rounding level (below 64 eps
     times the largest coefficient) are dropped, so a low-degree trigonometric
     polynomial costs its own degree to evaluate, not the sample count.
+    ``from_coefficients`` builds it from a series already known in closed form.
     """
 
     def __init__(self, samples, period):
@@ -121,7 +122,17 @@ class TrigInterpolant:
         coeffs = coeffs * weights.reshape(-1, *([1] * (samples.ndim - 1)))
         size = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
         kept = np.nonzero(size > 64.0 * _EPS * size.max())[0]
-        self.coeffs = coeffs[: kept[-1] + 1 if len(kept) else 1]
+        self._setup(coeffs[: kept[-1] + 1 if len(kept) else 1], period)
+
+    @classmethod
+    def from_coefficients(cls, coeffs, period):
+        """The series Re sum_k coeffs[k] e^(ik omega s) itself, with coeffs[0] real: no samples, no FFT."""
+        self = cls.__new__(cls)
+        self._setup(np.asarray(coeffs, dtype=complex), period)
+        return self
+
+    def _setup(self, coeffs, period):
+        self.coeffs = coeffs
         self.modes = np.arange(self.coeffs.shape[0])
         self.mean = self.coeffs[0].real
         self.omega = 2.0 * np.pi / period

@@ -131,6 +131,24 @@ class TestConfig:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "ellipse", "a": 1.0, "b": 1.0, "center": [math.nan, 0.0]}, "curve parameters must be finite"),
+            ({"kind": "ellipse", "a": 1e200, "b": 1e200}, "area overflows"),
+            ({"kind": "ellipse", "a": 1.0, "b": 1.0, "rotation": math.inf}, "curve parameters must be finite"),
+        ],
+        ids=["nan_center", "overflowing_area", "infinite_rotation"],
+    )
+    def test_bad_ellipse_names_the_curve(self, tmp_path, capsys, spec, message):
+        # these used to blame delta (a NaN area) or leak "math domain error"
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        for argv in (["run", str(cfg)], ["carousel", str(cfg), "--q", "3"]):
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert message in err and "delta" not in err and "malformed" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_curve_spec_key_rejected_before_any_output(self, tmp_path, capsys):
         # "rotaton" used to be dropped, and the unrotated ellipse to run
         spec = {"kind": "ellipse", "a": 2, "b": 1, "rotaton": 0.4}
@@ -623,9 +641,10 @@ class TestSubcommands:
 
     def test_carousel_evaluates_each_chain_vertex_once(self, tmp_path, monkeypatch):
         # each chain step hands gamma and gamma' at its end to the next step
-        # and to the tangent triangles: 1,024 points build the curve and its
-        # moments, the closing chain takes 1 + 3 x 2 (one Newton round and one
-        # evaluation per chord end) and the 32-start diagnostics 32 + 3 x 64.
+        # and to the tangent triangles: the ellipse's convexity and moments are
+        # closed forms and sample no points, the closing chain takes 1 + 3 x 2
+        # (one Newton round and one evaluation per chord end) and the 32-start
+        # diagnostics 32 + 3 x 64.
         # Evaluating every inner vertex again adds 99, the triangles again 132
         points = 0
         derivatives = Ellipse.derivatives
@@ -638,7 +657,7 @@ class TestSubcommands:
         monkeypatch.setattr(Ellipse, "derivatives", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(tmp_path / "car")]) == EXIT_OK
-        assert points == 1024 + 7 + 224
+        assert points == 7 + 224
 
     def test_carousel_closure_defect_reported(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -834,6 +853,21 @@ def test_run_does_not_load_jsonschema(tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.splitlines()[-1] == "0 0 []"
+
+
+def test_ellipse_carousel_does_not_load_numpy_fft(tmp_path):
+    # the ellipse's moments and convexity are closed forms, so nothing on the
+    # carousel path samples the curve or builds an FFT interpolant
+    root = Path(flotilla.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    config = str(root / "configs" / "ellipse.json")
+    probe = (
+        "import sys; from flotilla.cli import main; "
+        f"code = main(['carousel', {config!r}, '--q', '3', '--out', {str(tmp_path)!r}]); "
+        "print(code, 'numpy.fft' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("config, code", [("ellipse.json", EXIT_OK), ("perturbed_circle.json", EXIT_CHECK_FAILED)])

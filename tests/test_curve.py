@@ -276,6 +276,20 @@ class TestValidation:
         with pytest.raises(DomainError):
             FourierRadial(1.0, (0.0, math.nan, 0.0))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"a": -1.0}, "must be positive"),
+            # rounding swamps det(gamma', gamma'') = ab, or |gamma'|^2 underflows
+            ({"a": 1.0, "b": 1e-17, "rotation": 0.3}, "too small or too unequal"),
+            ({"a": 1e-162, "b": 1e-162}, "too small or too unequal"),
+        ],
+        ids=["negative_axis", "eccentric", "tiny"],
+    )
+    def test_ellipse_rejected_without_sampling(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            Ellipse(**{"a": 1.0, "b": 1.0, **kwargs})
+
     def test_closedness_of_derivatives(self, bump3):
         for order in range(4):
             a = bump3.derivative(0.0, order)

@@ -20,7 +20,7 @@ from flotilla.chord import (
     tangent_intersection,
 )
 from flotilla.cli import compute_bundle
-from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area
+from flotilla.curve import AffineFrame, AffineImage, ClosedConvexCurve, Ellipse, FourierRadial, SampledPeriodic, area
 from flotilla.floatgeom import buoyancy_point
 from flotilla.illumgeom import illumination_centroid_point
 
@@ -107,6 +107,33 @@ def test_moment_interpolants_keep_only_their_degree():
     assert len(Ellipse(2.0, 1.0).moments[1].modes) <= 3
     assert len(translated_ellipse().moments[1].modes) <= 3
     assert len(FourierRadial(1.0, (0.0, 0.0, 0.1)).moments[1].modes) <= 11
+
+
+ELLIPSES = {
+    "two_to_one": lambda: Ellipse(2.0, 1.0),
+    "rotated_translated": lambda: Ellipse(1.5, 0.7, center=(0.3, -2.0), rotation=0.9),
+    "fifty_to_one": lambda: Ellipse(50.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPSES))
+def test_ellipse_moments_are_the_sampled_ones_in_closed_form(name):
+    curve = ELLIPSES[name]()
+    origin, exact = curve.moments
+    sampled_origin, sampled = ClosedConvexCurve.moments.func(curve)
+    scale = max(curve.a, curve.b, *np.abs(curve.center))
+    assert np.max(np.abs(origin - sampled_origin)) <= 1e-13 * scale
+    s = np.random.default_rng(18).uniform(0.0, TWO_PI, 1000)
+    for order in (-1, 0):
+        want = sampled(s, order)
+        assert np.all(np.abs(exact(s, order) - want) <= 1e-13 * np.max(np.abs(want), axis=0)), order
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.5, 0.7), (50.0, 1.0), (1e-3, 7e5)])
+def test_ellipse_area_is_pi_ab(a, b):
+    exact = math.pi * a * b
+    for curve in (Ellipse(a, b), Ellipse(a, b, center=(1000.0, -500.0), rotation=2.3)):
+        assert abs(area(curve) - exact) <= 2.0 * math.ulp(exact)
 
 
 def test_compute_bundle_uses_no_quadrature(monkeypatch):

@@ -129,6 +129,16 @@ def test_trig_interpolant_drops_rounding_level_modes():
     assert np.max(np.abs(interp(s) - np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1))) < 1e-14
 
 
+def test_trig_interpolant_from_its_coefficients_is_the_same_series():
+    n = 64
+    s = np.arange(n) * (2 * np.pi / n)
+    interp = TrigInterpolant(np.stack([np.cos(3 * s) + 0.5 * np.sin(s), np.exp(np.sin(s))], axis=-1), 2 * np.pi)
+    again = TrigInterpolant.from_coefficients(interp.coeffs, 2 * np.pi)
+    probe = np.linspace(-1.0, 8.0, 37)
+    for got, want in zip(again.derivatives(probe, (-1, 0, 1, 2)), interp.derivatives(probe, (-1, 0, 1, 2))):
+        assert np.array_equal(got, want)
+
+
 def test_gauss_rule_equals_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(8)
     assert np.max(np.abs(numerics._GAUSS_NODES - nodes)) <= 1e-15
