@@ -5,9 +5,11 @@ A chord is the pair (s, t) of boundary parameters with t kept unwrapped in
 cone area fixed and is solved by safeguarded Newton iteration with analytic
 area derivatives. Every function here takes arrays of lanes (s, t): a sweep
 solves all of its chords in one lane-wise iteration, each lane inside its own
-global bracket, and a single chord is the one-lane case. By Green's theorem
-both areas are closed forms in the endpoints and the curve's moment
-antiderivative (``ClosedConvexCurve.moments``).
+global bracket, and a single chord is the one-lane case. A cone chord takes
+one such solve too, on the cone area times det(gamma'(s), gamma'(t)), which
+stays smooth where the end tangents turn parallel, so no antipode is solved
+for first. By Green's theorem both areas are closed forms in the endpoints
+and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ ILLUMINATION = "illumination"
 
 # tangents at the endpoints are treated as parallel below this relative determinant
 PARALLEL_TOL = 1e-10
-_EPS = np.finfo(float).eps
-# rounding level of det(u, v) relative to |u| |v|
-_ROUNDING_DET = 8.0 * _EPS
 
 
 # the fields of Chords with one entry per lane
@@ -99,35 +98,51 @@ def arc_moments(chords):
     return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
-def _area_fdf(curve, kind, s, at_s):
+def _area_fdf(curve, kind, s, at_s, delta_hat=None):
     """The cap (flotation) or cone (illumination) area of the lanes (s, t) as a function of t.
 
     The returned callable maps t to the area, its t-derivative and the mask
     of lanes whose end tangents are parallel (False for a cap, which always
-    exists; the cone area is undefined there). ``at_s`` starts with gamma(s)
-    and gamma'(s); the moment antiderivative at s is evaluated here once, so
-    a call makes one curve evaluation at t (orders 0 and 1 for a cap, 0 to 2
-    for a cone) and one moment evaluation.
+    exists; the cone area is undefined there). Given ``delta_hat``, a cone's
+    callable maps t instead to the residual and slope of the cone solve
+    (``_silhouette_t``). ``at_s`` starts with gamma(s) and gamma'(s); the
+    moment antiderivative at s is evaluated here once, so a call makes one
+    curve evaluation at t (orders 0 and 1 for a cap, 0 to 2 for a cone) and
+    one moment evaluation.
     """
     origin, moments = curve.moments
     x, d1 = at_s[0] - origin, at_s[1]
     m_s = moments(s, -1)[..., 0]
+    total = area(curve)
 
     def fdf(t):
         y, d2, *dd2 = curve.derivatives(t, (0, 1) if kind == FLOTATION else (0, 1, 2))
         y = y - origin
-        dm = moments(t, -1)[..., 0] - m_s
         c = y - x
         q = det2(c, d2)
+        cap = 0.5 * (moments(t, -1)[..., 0] - m_s - det2(x, y))
         if kind == FLOTATION:
-            return 0.5 * (dm - det2(x, y)), 0.5 * q, False
-        z, parallel = _apex(x, y, d1, d2)
-        v = det2(d1, d2)
+            return cap, 0.5 * q, False
+        p, v, dv = det2(d1, c), det2(d1, d2), det2(d1, dd2[0])
+        parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
+        # the cone is the tangent triangle pq / 2v less the cap: f = v (cone - delta_hat),
+        # with delta_hat 0 for the area, and its t-derivative, with p' = v and q' = det(c, gamma''(t))
+        rest = cap if delta_hat is None else cap + delta_hat
+        f, df = 0.5 * p * q - v * rest, 0.5 * p * det2(c, dd2[0]) - dv * rest
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the apex is x + mu d1 with mu = q / v
-            dmu_dt = (det2(c, dd2[0]) * v - q * det2(d1, dd2[0])) / v**2
-            slope = -0.5 * det2(c, d1) * dmu_dt
-        return -0.5 * (dm - det2(z, c)), slope, parallel
+            if delta_hat is None:
+                cone = f / v
+                return cone, (df - dv * cone) / v, parallel
+            # f / v is cone - delta_hat near the root, where the triangle is below
+            # area + delta_hat. Once it exceeds twice that, on to the antipode and past
+            # it, where v <= 0, f is divided by |pq| / 4 (area + delta_hat) instead, a
+            # positive scale that keeps f's sign and Newton step (p and q may read
+            # negative to rounding next to s)
+            scale = np.maximum(v, np.abs(p * q) / (4.0 * (total + delta_hat)))
+            # at a flat point s the tangents stay parallel to rounding for a while
+            # after s, less than a quarter turn on, where the cone tends to 0
+            flat = parallel & (np.sum(d1 * d2, axis=-1) > 0.0)
+            return np.where(flat, -delta_hat, f / scale), df / scale
 
     return fdf
 
@@ -231,69 +246,39 @@ def solve_flotation_chord(curve, s, delta):
     return _solve(curve, FLOTATION, delta, np.array([float(s)]))
 
 
-def antipodal_tangent_param(curve, s, d1):
-    """First t > s at which the tangent is parallel to d1 = gamma'(s), for every lane of s."""
-    # the tangent turns monotonically: det > 0 until it has turned by pi, then det < 0
-    period = curve.period
-    x0 = s + 0.5 * period
-    d1_x0, d2_x0 = curve.derivatives(x0, (1, 2))
-    # stop at the rounding level of det: where the antipode is a flat point,
-    # det ~ (t - t_par)^3 fixes t_par only to about eps^(1/3) and Newton
-    # converges linearly toward it. The abscissa x0 is itself rounded, by up
-    # to about eps |x0|, which moves det by eps |x0| |gamma''(x0)| |gamma'(s)|:
-    # without that term an ellipse's exact antipode misses f_tol in some lanes
-    f_tol = norm2(d1) * (_ROUNDING_DET * norm2(d1_x0) + _EPS * np.abs(x0) * norm2(d2_x0))
-    return bracketed_newton(
-        lambda t: tuple(det2(d1, d) for d in curve.derivatives(t, (1, 2))),
-        s + 0.02 * period,
-        s + 0.98 * period,
-        x0,
-        f_tol=f_tol,
-    )
-
-
 def _silhouette_t(curve, s, delta_hat, at_s):
-    """t in (s, t_par) with cone_area(s, t) = delta_hat, for every lane of s.
+    """t in (s, s + period) with cone_area(s, t) = delta_hat, for every lane of s.
 
-    The cone area increases on (s, t_par), from 0 next to s to infinity where
-    the end tangents turn parallel, so that interval brackets every lane. It
-    starts at the root on every ellipse, the cone angle's share of (s, t_par).
-    ``at_s`` starts with gamma(s) and gamma'(s).
+    Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
+    with v = det(gamma'(s), gamma'(t)), p = det(gamma'(s), c) and
+    q = det(c, gamma'(t)). F < 0 before the root and F > 0 after it, up to
+    s + period: the cone exceeds delta_hat up to the antipode, and past it
+    v < 0 while p, q > 0. So (s, s + 0.98 period) brackets every lane. The
+    residual is F over a positive scale that is v near the root, where it
+    reads cone - delta_hat, so a lane that stops on f_tol has
+    |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
+    ellipse, the cone angle's share of the period. ``at_s`` starts with
+    gamma(s) and gamma'(s).
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
-    t_par = antipodal_tangent_param(curve, s, at_s[1])
-    cone = _area_fdf(curve, ILLUMINATION, s, at_s)
-
-    def fdf(t):
-        value, slope, parallel = cone(t)
-        # at a flat point s the tangents stay parallel for a while after s, where
-        # the cone area tends to 0; next to t_par the apex escapes to infinity
-        no_apex = np.where(t - s < t_par - t, -delta_hat, np.inf)
-        return np.where(parallel, no_apex, value - delta_hat), slope
-
-    tiny = 1e-9 * curve.period
-    lo, hi = s + tiny, t_par - tiny
-    start = s + (t_par - s) * (_cone_angle(delta_hat / area(curve)) / math.pi)
-    try:
-        return bracketed_newton(fdf, lo, hi, start, f_tol=1e-12 * area(curve))
-    except SolverError:
-        # the residual at lo is -delta_hat, so a bracket without a sign change has f(hi) < 0
-        f_hi, _ = fdf(hi)
-        if not np.any(f_hi < 0.0):
-            raise
-    i = int(np.argmin(f_hi))
-    raise SolverError(
-        f"delta_hat={delta_hat} not reachable at s={s[i]} before tangents turn parallel "
-        f"(max representable cone area {f_hi[i] + delta_hat:.6g})"
+    total = area(curve)
+    period = curve.period
+    return bracketed_newton(
+        _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat),
+        s + 1e-9 * period,
+        s + 0.98 * period,
+        s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi)),
+        f_tol=1e-12 * total,
     )
 
 
 def solve_silhouette_chord(curve, s, delta_hat):
     """Find t with cone_area(s, t) = delta_hat, as one-lane Chords.
 
-    The admissible range for t is (s, t_par) where the endpoint tangents
-    stop intersecting; the cone area grows without bound as t -> t_par.
+    The cone area grows without bound as t nears the antipode of s, where
+    the end tangents turn parallel; a delta_hat whose chord has no apex to
+    rounding (PARALLEL_TOL) is out of reach and raises SolverError.
     """
     return _solve(curve, ILLUMINATION, delta_hat, np.array([float(s)]))
 
@@ -309,7 +294,11 @@ def _solve(curve, kind, delta, s):
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    return _chords(curve, kind, delta, s, t, at_s)
+    chords = _chords(curve, kind, delta, s, t, at_s)
+    if kind == ILLUMINATION and not chords.apex.all():
+        i = int(np.argmin(chords.apex))
+        raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")
+    return chords
 
 
 def sweep(curve, kind, delta, n_samples, s0=0.0):

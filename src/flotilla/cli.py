@@ -2,7 +2,7 @@
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage/config
 error or an output that cannot be written, 3 numerical failure (solver or
-quadrature did not converge).
+quadrature did not converge, or a float overflowed).
 """
 
 from __future__ import annotations
@@ -425,10 +425,10 @@ def cmd_run(config: RunConfig):
     label = curve_label(config.curve_spec)
     total = area(curve)
     deltas = resolve_deltas(config.deltas, total)
+    bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
+
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
 
     write_curves_csv(out_dir / "curves.csv", bundles)
     write_figure(out_dir / "figure.svg", curve, bundles, CHORD_STRIDE)
@@ -557,9 +557,11 @@ def main(argv=None):
         out = options.pop("out")
         if out:
             config.output_dir = out
-        if command == "run":
-            return cmd_run(config)
-        return cmd_carousel(config, **options)
+        # a float overflow is a numerical failure, not a warning and an inf in the outputs
+        with np.errstate(over="raise"):
+            if command == "run":
+                return cmd_run(config)
+            return cmd_carousel(config, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -569,7 +571,7 @@ def main(argv=None):
     except OSError as exc:  # the output directory or a file in it cannot be made
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FlotillaError as exc:
+    except (FlotillaError, ArithmeticError) as exc:  # FloatingPointError, OverflowError of a float power
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -10,7 +10,7 @@ import flotilla.chord as chord_module
 from flotilla.chord import (
     FLOTATION,
     ILLUMINATION,
-    antipodal_tangent_param,
+    PARALLEL_TOL,
     cap_area,
     cone_area,
     solve_flotation_chord,
@@ -128,13 +128,17 @@ class TestSolveSilhouette:
         cm = solve_silhouette_chord(unit_circle, 0.0, DELTA_HAT)
         assert np.linalg.norm(cm.z[0]) == pytest.approx(1.0 / math.cos(THETA), abs=1e-11)
 
-    def test_antipodal_limit(self, unit_circle):
-        t_par = antipodal_tangent_param(unit_circle, 0.4, unit_circle.derivative(0.4, 1))
-        assert t_par == pytest.approx(0.4 + math.pi, abs=1e-10)
-
     def test_unreachable_delta_hat(self, unit_circle):
         with pytest.raises((SolverError, DomainError)):
             solve_silhouette_chord(unit_circle, 0.0, -1.0)
+
+    @pytest.mark.parametrize("fraction", [1e10, 1e11])
+    def test_beyond_reach_at_a_flat_antipode_raises(self, bump3, fraction):
+        # the antipode pi of s = 0 is a flat point of bump3; a bracket that ended
+        # just before it returned a chord without an apex (1e10) or with a cone
+        # of 2.0e10 where 3.2e11 was asked (1e11)
+        with pytest.raises(SolverError, match="not reachable"):
+            solve_silhouette_chord(bump3, 0.0, fraction * area(bump3))
 
 
 class TestSweep:
@@ -263,15 +267,16 @@ class TestLaneSweep:
         "body, kind, delta, curve_points, calls",
         [
             ("ellipse21", FLOTATION, 1.0, 768, 3),
-            ("ellipse21", ILLUMINATION, 1.0, 1_280, 5),
+            ("ellipse21", ILLUMINATION, 1.0, 768, 3),
             ("bump3", FLOTATION, 0.8, 2_048, 8),
-            ("bump3", ILLUMINATION, 0.8, 7_936, 31),
+            ("bump3", ILLUMINATION, 0.8, 4_608, 18),
         ],
     )
     def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
-        # orders 0 to 2 at s are evaluated once, for the t solve, t_par and the
-        # chords: 1,024, 1,792, 2,304 and 8,448 points in as many calls when
-        # each of them evaluated the s side again
+        # orders 0 to 2 at s are evaluated once, for the t solve and the chords:
+        # 1,024 and 2,304 flotation points in as many calls when each of them
+        # evaluated the s side again. The illumination sweeps took 1,280 points
+        # in 5 calls and 7,936 in 31 when a Newton solve for the antipode came first
         curve = request.getfixturevalue(body)
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
@@ -295,11 +300,10 @@ class TestLaneSweep:
         assert counts["calls"] == 0
 
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_bump3"])
-    @pytest.mark.parametrize("solver", ["flotation", "t_par", "cone"])
+    @pytest.mark.parametrize("solver", ["flotation", "cone"])
     def test_one_curve_and_one_moment_evaluation_per_round(self, request, monkeypatch, body, solver):
         # every Newton round of a sweep evaluates the curve once at the lanes'
-        # t, all orders it needs together, and the moment antiderivative once;
-        # the t_par residual det(gamma'(s), gamma'(t)) needs no moments
+        # t, all orders it needs together, and the moment antiderivative once
         if body == "sampled_bump3":
             u = np.arange(64) * (2.0 * math.pi / 64)
             r = 1.0 + 0.1 * np.cos(3 * u)
@@ -327,18 +331,16 @@ class TestLaneSweep:
         at_s = curve.derivatives(s, (0, 1, 2))
         if solver == "flotation":
             chord_module._flotation_t(curve, s, 0.8, at_s)
-        elif solver == "t_par":
-            antipodal_tangent_param(curve, s, at_s[1])
         else:
             chord_module._silhouette_t(curve, s, 0.8, at_s)
-        # the cone solve brackets by t_par first, then solves the cone area
+        # one Newton solve for either area
         rounds = solves[-1]
-        assert len(solves) == (2 if solver == "cone" else 1)
-        # on an ellipse the cap, cone and antipode starts are the roots: one round, no bracket ends
+        assert len(solves) == 1
+        # on an ellipse the cap and cone starts are the roots: one round, no bracket ends
         assert len(rounds) == 1 if body == "ellipse21" else len(rounds) >= 3
-        assert set(rounds) == {(256, 0) if solver == "t_par" else (256, 256)}
+        assert set(rounds) == {(256, 256)}
         # outside the rounds the moments are evaluated at s only, once
-        assert counts["moments"] == (0 if solver == "t_par" else 256 * (1 + len(rounds)))
+        assert counts["moments"] == 256 * (1 + len(rounds))
 
     def test_flat_point_lanes_match_one_lane_solves(self, bump3):
         # lanes whose tangent is still parallel at s + 1e-9 period: next to the
@@ -352,40 +354,19 @@ class TestLaneSweep:
         for i in flat:
             assert abs(chords.t[i] - solve_silhouette_chord(bump3, s[i], 0.8).t[0]) < 1e-12
 
-    def test_unreachable_lane_raises(self):
-        # the largest cone area below t_par differs by lane on a non-conic body;
-        # a delta_hat between the smallest and the largest is out of reach in some lanes only
-        body = FourierRadial(1.0, (0.0, 0.1))
-        period = body.period
-        s = np.arange(16) * (period / 16)
-        top = cone_area(body, s, antipodal_tangent_param(body, s, body.derivative(s, 1)) - 1e-9 * period)
+    def test_unreachable_lane_raises(self, ellipse21):
+        # a lane reaches the cones whose end tangents are not parallel to
+        # PARALLEL_TOL. On the 2:1 ellipse (ab = 2) the largest has cone angle
+        # phi with 2 sin(phi) = PARALLEL_TOL |g'(s)|^2 to first order, and
+        # area (tan(phi/2) - phi/2) / pi; it differs by lane, so a delta_hat
+        # between the smallest and the largest is out of reach in some lanes only
+        s = np.arange(16) * (ellipse21.period / 16)
+        phi = math.pi - 0.5 * PARALLEL_TOL * norm2(ellipse21.derivative(s, 1)) ** 2
+        top = area(ellipse21) * (np.tan(0.5 * phi) - 0.5 * phi) / math.pi
         assert top.max() > 1.2 * top.min()
-        assert len(sweep(body, ILLUMINATION, 0.5 * top.min(), 16)) == 16
+        assert len(sweep(ellipse21, ILLUMINATION, 0.5 * top.min(), 16)) == 16
         with pytest.raises(SolverError, match="not reachable"):
-            sweep(body, ILLUMINATION, math.sqrt(top.min() * top.max()), 16)
-
-    @pytest.mark.parametrize("body, max_rounds", [("bump3", 12), ("ellipse21", 1)])
-    def test_antipode_rounds(self, request, monkeypatch, body, max_rounds):
-        # t_par stops at the rounding level of det(g'(s), g'(t)); with f_tol = 0
-        # the lanes whose antipode is a flat point of bump3 took 63 rounds
-        curve = request.getfixturevalue(body)
-        calls = []
-
-        def counting(f, lo, hi, x0, f_tol):
-            def counted(t):
-                calls.append("end" if np.array_equal(t, lo) or np.array_equal(t, hi) else "round")
-                return f(t)
-
-            return bracketed_newton(counted, lo, hi, x0, f_tol)
-
-        monkeypatch.setattr(chord_module, "bracketed_newton", counting)
-        s = np.arange(256) * (curve.period / 256)
-        antipodal_tangent_param(curve, s, curve.derivative(s, 1))
-        # the first round is the start's evaluation; the bracket ends are evaluated only
-        # when it misses f_tol in some lane. On the ellipse the start is the exact
-        # antipode, which meets f_tol in every lane: one evaluation
-        assert calls.count("round") <= max_rounds
-        assert calls.count("end") == (0 if body == "ellipse21" else 2)
+            sweep(ellipse21, ILLUMINATION, math.sqrt(top.min() * top.max()), 16)
 
     def test_illumination_sweep_matches_one_lane_solves(self, bump3):
         chords = sweep(bump3, ILLUMINATION, 0.8, 256)
@@ -442,9 +423,21 @@ class TestEllipseStarts:
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
         t = chord_module._silhouette_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
-        # t_par first, then the cone solve, each started at its root
-        assert [len(calls) for calls in solves] == [1, 1]
+        assert [len(calls) for calls in solves] == [1]
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
+
+    @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
+    @pytest.mark.parametrize("fraction", [1e-6, 1e-2, 1.0, 1e3, 1e6, 1e9])
+    def test_cone_chord_is_the_closed_form(self, curve, fraction):
+        # in the eccentric angle every cone chord spans the cone angle, up to a
+        # cone of a billion body areas, whose angle is 6e-10 short of pi
+        chords = sweep(curve, ILLUMINATION, fraction * area(curve), 64, s0=0.1)
+        assert np.max(np.abs(chords.t - (chords.s + chord_module._cone_angle(fraction)))) <= 4e-15
+
+    @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
+    def test_cone_beyond_reach_raises(self, curve):
+        with pytest.raises(SolverError, match="not reachable"):
+            sweep(curve, ILLUMINATION, 1e10 * area(curve), 64, s0=0.1)
 
     def test_cap_angle_round_trip(self):
         # from both ends of the fraction to the angle and back, to rounding; f > 1/2 mirrors f < 1/2
@@ -483,15 +476,6 @@ class TestEllipseStarts:
             assert np.max(np.abs(value - 0.8)) <= 1e-12 * total
         assert np.all(np.abs(t - t_mid) * np.abs(slope) <= 2e-12 * total)
 
-    @pytest.mark.parametrize("body, calls", [("bump3", 13)])
-    def test_antipode_calls_unchanged_when_the_start_misses(self, request, monkeypatch, body, calls):
-        # t_par starts half a period on, which misses in some lanes of bump3: the start,
-        # the bracket ends, then one call per further round, as when the ends came first
-        curve = request.getfixturevalue(body)
-        solves = _count_solves(monkeypatch)
-        s = np.arange(256) * (curve.period / 256)
-        antipodal_tangent_param(curve, s, curve.derivative(s, 1))
-        assert [len(c) for c in solves] == [calls]
 
 @settings(deadline=None, max_examples=25)
 @given(t1=st.floats(0.2, 2.8), t2=st.floats(0.2, 2.8))

@@ -23,6 +23,7 @@ from flotilla.cli import (
     CSV_COLUMNS,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     compute_bundle,
     main,
@@ -778,14 +779,29 @@ class TestSubcommands:
             (["carousel", "{cfg}", "--q", "6", "--p", "2"], EXIT_CONFIG, "2/6"),
             (["carousel", "{cfg}", "--p", "2", "--q", "4"], EXIT_CONFIG, "2/4"),
             (["carousel", "{cfg}", "--q", "2", "--out", "{out}"], EXIT_OK, "carousel p/q=1/2"),
+            # valid ellipses whose lengths overflow at the sixth power: exit 3 in one line, nothing written
+            (["run", "{e60}", "--out", "{out}"], EXIT_NUMERICAL, "numerical failure: overflow"),
+            (["run", "{e150}", "--out", "{out}"], EXIT_NUMERICAL, "numerical failure: overflow"),
         ],
     )
     def test_command_line_contract(self, tmp_path, capsys, argv, code, word):
         cfg = write_config(tmp_path / "c.json")
+        # semi-axes 10^k and 10^(k - 1), cut at 0.3 of the area, with every check
+        big = {
+            f"e{k}": write_config(
+                tmp_path / f"e{k}.json",
+                curveSpec={"kind": "ellipse", "a": 10.0**k, "b": 10.0 ** (k - 1)},
+                deltas=[{"fraction": 0.3}],
+                checks=list(CHECKS),
+            )
+            for k in (60, 150)
+        }
         out = tmp_path / "out"  # also the config's outputDir
-        assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == code
+        assert main([arg.format(cfg=cfg, out=out, **big) for arg in argv]) == code
         captured = capsys.readouterr()
-        assert word in (captured.err if code == EXIT_CONFIG else captured.out)
+        stream = captured.out if code == EXIT_OK else captured.err
+        assert word in stream
+        assert code != EXIT_NUMERICAL or stream.count("\n") == 1
         # only the rows that run the carousel write anything
         assert out.exists() == word.startswith("carousel p/q")
 
