@@ -29,7 +29,7 @@ def main():
 
     bundle = compute_bundle(curve, args.delta, args.samples)
     write_curves_csv(out / "curves.csv", [bundle])
-    write_figure(out / "figure.svg", curve, [bundle], chord_stride=args.samples // 24)
+    write_figure(out / "figure.svg", [bundle], chord_stride=args.samples // 24)
 
     report, lam = chord_cube_report(bundle.chords)
     print(f"body area             : {area(curve):.12f}")

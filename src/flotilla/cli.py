@@ -161,13 +161,10 @@ class DeltaBundle:
     three illumination fields are None when the run has no illumination sweep.
     """
 
-    def __init__(
-        self, chords, flotation, buoyancy, chord_cube_stats, implied_lambda, homothetic,
-        illum_chords=None, illumination=None, illum_centroid=None,
-    ):
+    def __init__(self, chords, flotation, buoyancy, chord_cube_stats, implied_lambda, homothetic):
         self.chords, self.flotation, self.buoyancy = chords, flotation, buoyancy
         self.chord_cube_stats, self.implied_lambda, self.homothetic = chord_cube_stats, implied_lambda, homothetic
-        self.illum_chords, self.illumination, self.illum_centroid = illum_chords, illumination, illum_centroid
+        self.illum_chords = self.illumination = self.illum_centroid = None
 
     def sweeps(self):
         """(chords, the derived curves sampled at them) of every sweep, in output order."""
@@ -304,9 +301,10 @@ def _check_radon(curve, bundle):
 def _check_affine_sphere(curve, bundle):
     n = 128
     grid = (np.arange(n) + 0.5) * (curve.period / n)
-    pts = curve.derivative(grid, 0)
-    normals = affine_normal(curve, grid)
-    fit = homothety.proper_affine_sphere_residual(pts, normals)
+    pts, d1, d2 = curve.derivatives(grid, (0, 1, 2))
+    # a flat point of the body (det(g', g'') = 0 up to rounding) has no affine normal line
+    live = det2(d1, d2) > 0.0
+    fit = homothety.proper_affine_sphere_residual(pts[live], affine_normal(curve, grid[live]))
     return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / homothety._diameter(pts), 1e-8)
 
 
@@ -397,17 +395,20 @@ def write_report(path, label, deltas, n_samples, records):
         "passed": all(r["status"] != FAIL for r in records),
         "records": records,
     }
-    # serialised before the file is opened, so a non-finite value leaves no partial report
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json(path, payload)
     return payload
 
 
-def write_figure(path, curve, bundles, chord_stride):
-    n = max(len(b.chords) for b in bundles)
-    grid = np.arange(n) * (curve.period / n)
-    curves = [{"label": "body", "points": curve.derivative(grid, 0)}]
+def write_json(path, payload):
+    """Write payload as strict indented JSON, serialised first: a NaN or infinity raises and leaves no file."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def write_figure(path, bundles, chord_stride):
+    # the body is drawn through gamma at the first sweep's chord starts, its uniform grid
+    curves = [{"label": "body", "points": bundles[0].chords.x}]
     for bundle in bundles:
         curves += [{"label": f.family, "points": f.points} for _, families in bundle.sweeps() for f in families]
     export_svg(curves, path, chords=[b.chords for b in bundles], chord_stride=chord_stride)
@@ -431,7 +432,7 @@ def cmd_run(config: RunConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     write_curves_csv(out_dir / "curves.csv", bundles)
-    write_figure(out_dir / "figure.svg", curve, bundles, CHORD_STRIDE)
+    write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE)
 
     if not config.checks:
         print(f"wrote {out_dir/'curves.csv'} and {out_dir/'figure.svg'}")
@@ -471,9 +472,7 @@ def cmd_carousel(config: RunConfig, q, p, s0):
     payload["closure_defect_max"] = car.closure_defect_max
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "carousel.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "carousel.json", payload)
     print(
         f"carousel p/q={p}/{q}: delta* = {car.delta:.12g}, "
         f"closure defect {car.closure_defect:.3e}"

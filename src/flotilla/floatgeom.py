@@ -113,47 +113,20 @@ def kappa_prime_buoyancy(chords):
     return 216.0 * chords.delta**2 * (cot_a - cot_b) / chords.norm_c**6
 
 
-def _chord_chain(chords):
-    """First and second s-derivatives of the chord frame (t', t'', c-dot, ...) of every lane."""
-    (xd1, yd1), (xd2, yd2) = chords.ends(1), chords.ends(2)
-    xd3 = chords.curve.derivative(chords.s, 3)
-    c = chords.c
-    p = det2(c, xd1)
-    q = det2(c, yd1)
-    t1 = -p / q
-    cd1 = yd1 * t1[:, None] - xd1
-    p_dot = det2(cd1, xd1) + det2(c, xd2)
-    q_dot = det2(cd1, yd1) + t1 * det2(c, yd2)
-    t2 = -(p_dot * q - p * q_dot) / q**2
-    cd2 = yd2 * (t1**2)[:, None] + yd1 * t2[:, None] - xd2
-    p_ddot = det2(cd2, xd1) + 2.0 * det2(cd1, xd2) + det2(c, xd3)
-    return {
-        "p": p, "q": q, "t1": t1, "t2": t2,
-        "cd1": cd1, "cd2": cd2,
-        "p_dot": p_dot, "p_ddot": p_ddot,
-    }
-
-
-def buoyancy_derivatives(chords):
-    """Exact first, second and third s-derivatives of the buoyancy curve point."""
-    ch = _chord_chain(chords)
-    delta = chords.delta
-    g = (-ch["p"] / (6.0 * delta))[:, None]
-    g_dot = (-ch["p_dot"] / (6.0 * delta))[:, None]
-    g_ddot = (-ch["p_ddot"] / (6.0 * delta))[:, None]
-    c = chords.c
-    r2d1 = c * g
-    r2d2 = ch["cd1"] * g + c * g_dot
-    r2d3 = ch["cd2"] * g + 2.0 * ch["cd1"] * g_dot + c * g_ddot
-    return r2d1, r2d2, r2d3
-
-
 def buoyancy_affine_normal(chords):
-    """Affine normal vector of the buoyancy curve at every lane's sample."""
-    r2d1, r2d2, r2d3 = buoyancy_derivatives(chords)
-    d = det2(r2d1, r2d2)[:, None]
-    d_dot = det2(r2d1, r2d3)[:, None]
-    return r2d2 * d ** (-2.0 / 3.0) - r2d1 * (d_dot / 3.0) * d ** (-5.0 / 3.0)
+    """Affine normal vector of the buoyancy curve at every lane's sample, in closed form.
+
+    With p = det(c, g'(s)), q = det(c, g'(t)) and the flotation condition
+    t' = -p/q, the buoyancy tangent is -p c / (6 delta) and
+    det(beta', beta'') = -p^3 / (18 delta^2). Its s-derivative cancels every
+    p' term of the affine normal, which leaves dbar^(1/3) (g'(s)/p + g'(t)/q)
+    with dbar = 3 delta / 2.
+    """
+    _require_kind(chords, FLOTATION)
+    d1, d2 = chords.ends(1)
+    p = det2(chords.c, d1)[:, None]
+    q = det2(chords.c, d2)[:, None]
+    return (1.5 * chords.delta) ** (1.0 / 3.0) * (d1 / p + d2 / q)
 
 
 def buoyancy_affine_normal_check(chords):
@@ -164,6 +137,9 @@ def buoyancy_affine_normal_check(chords):
     skipped there). A cap larger than half the body has a negative tangent
     triangle: the end tangents meet on the far side of the chord, so r1 - z
     turns by pi and the proposition holds with z - r1 and |c|_aff^3.
+    With the closed-form normal both sides are functions of the chord frame
+    alone, so the check is an identity there: it holds at rounding level for
+    any (s, t, delta), a shifted t or a relabelled delta included.
     """
     normal = buoyancy_affine_normal(chords)
     affine_norm_c = chords.affine_norm_c

@@ -68,11 +68,11 @@ class Carousel:
     where a tangent triangle degenerates, far from closure.
     """
 
-    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max, lambdas=()):
+    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max):
         self.p, self.q, self.delta, self.s0 = p, q, delta, s0
         self.vertices, self.closure_defect, self.defect_slope = vertices, closure_defect, defect_slope
         self.closure_defect_max = closure_defect_max
-        self.lambdas = list(lambdas)
+        self.lambdas = []
         self.lambda_report = self.centroid_drift_max = None
         self.lambda_product_max_dev = self.medial_residual_max = None
 
@@ -257,8 +257,8 @@ def proper_affine_sphere_residual(points, normals) -> ConcurrencyFit:
     return ConcurrencyFit(point, float(np.sqrt(np.mean(dists**2))), bool(cond < 1e8))
 
 
-def petty_ratios(curve, n_samples=512):
-    """det(g', g'') / det(g - c, g')^3 at uniform samples, the reciprocal of the Petty condition about the centroid c.
+def petty_ratios(curve):
+    """det(g', g'') / det(g - c, g')^3 at 512 uniform samples: the reciprocal Petty condition about the centroid c.
 
     It is finite everywhere, flat points (det(g', g'') = 0) included, and
     does not depend on where the body sits. The centroid is o + (2/3)
@@ -266,26 +266,26 @@ def petty_ratios(curve, n_samples=512):
     """
     origin, moments = curve.moments
     centroid = origin + (2.0 / 3.0) * moments.mean[1:] / moments.mean[0]
-    grid = np.arange(n_samples) * (curve.period / n_samples)
+    grid = np.arange(512) * (curve.period / 512)
     g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
     return det2(d1, d2) / det2(g - centroid, d1) ** 3
 
 
-def petty_condition_report(curve, n_samples=512) -> ConstancyReport:
+def petty_condition_report(curve) -> ConstancyReport:
     """Constancy of det(g - c, g')^3 / det(g', g'') about the centroid c, the conic value (ab)^2 on an ellipse.
 
     It is infinite at flat points; ``petty_ratios`` is the form that stays finite.
     """
-    return ConstancyReport.from_values(1.0 / petty_ratios(curve, n_samples))
+    return ConstancyReport.from_values(1.0 / petty_ratios(curve))
 
 
-def _check_origin_symmetric(curve, tol=1e-9):
+def _check_origin_symmetric(curve):
     n = max(4 * curve.resolution, 512)
     grid = np.arange(n) * (curve.period / n)
     pts, opposite = curve.derivative(_pair(grid, grid + curve.period / 2.0), 0)
     scale = float(np.max(norm2(pts)))
     defect = float(np.max(norm2(pts + opposite)))
-    if defect > tol * scale:
+    if defect > 1e-9 * scale:
         raise DomainError(f"curve is not origin-symmetric (defect {defect:.3e})")
 
 

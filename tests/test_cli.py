@@ -31,7 +31,7 @@ from flotilla.cli import (
     run_checks,
     write_curves_csv,
 )
-from flotilla.curve import SPEC_KEYS, Ellipse
+from flotilla.curve import SPEC_KEYS, Ellipse, det2
 from flotilla.homothety import build_carousel
 from flotilla.svg import export_svg
 
@@ -723,6 +723,26 @@ class TestSubcommands:
         (record,) = strict_json((out / "report.json").read_text())["records"]
         assert record["status"] == "fail" and math.isfinite(record["value"])
         assert "[FAIL] petty" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 32], ids=["flat_off_grid", "flat_on_grid"])
+    def test_affine_sphere_on_flat_point_body_fails_with_a_valid_report(self, tmp_path, capsys, phase):
+        # turned by pi/32, a flat point sits on the check's half-offset 128-point grid with
+        # det(g', g'') = -2.5e-18, where the affine normal is undefined: that line used to
+        # make the run exit 2 as bad input
+        spec = {
+            "kind": "fourier_radial", "r0": 1.0,
+            "cos": [0.0, 0.0, 0.0, math.cos(phase) / 17.0], "sin": [0.0, 0.0, 0.0, math.sin(phase) / 17.0],
+        }
+        if phase:
+            grid = (np.arange(128) + 0.5) * (2 * math.pi / 128)
+            d1, d2 = flotilla.curve_from_json(spec).derivatives(grid, (1, 2))
+            assert det2(d1, d2).min() <= 0.0
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec, checks=["affine_sphere"])
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILED
+        (record,) = strict_json((out / "report.json").read_text())["records"]
+        assert record["status"] == "fail" and math.isfinite(record["value"])
+        assert "[FAIL] affine_sphere" in capsys.readouterr().out
 
     @pytest.mark.parametrize("s0", ["nan", "inf", "-inf"])
     def test_carousel_non_finite_start_is_bad_input(self, tmp_path, s0):

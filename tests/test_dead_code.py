@@ -1,10 +1,16 @@
-"""Every module-level function and class in src/flotilla and scripts/ has a caller.
+"""Every module-level function and class in src/flotilla and scripts/ has a caller, and every knob a setter.
 
 A definition counts as used when code in the package or a script refers to
 it outside the definition's own body: by name in its module, through an
 import, or as an attribute of an imported module. Imports alone (such as the
 re-exports in ``__init__``) and the tests do not count. The definitions that
 stay without a caller are listed in KEPT, each with the reason.
+
+A knob is a parameter with a default. It counts as set when some call in the
+package or a script, matched by the called name (a constructor by its class
+name), passes it by keyword or by position, or passes *args or **kwargs. A
+knob that no call sets has one value in use and should be a constant; the
+ones that stay are listed in KEPT_KNOBS, each with the reason.
 """
 
 import ast
@@ -28,6 +34,16 @@ KEPT = {
     "homothety.petty_condition_report": "the Petty condition itself, whose conic value (ab)^2 criterion 12 checks; "
     "the run checks its reciprocal, petty_ratios, which stays finite at flat points",
     "homothety.affine_cut_rate": "the closed-form rate of the affine cut length, checked against its finite difference",
+}
+
+KEPT_KNOBS = {
+    "chord.sweep.s0": "the tests sweep from shifted starts, where the chord grid misses the body's symmetry axes",
+    "cli.main.argv": "the tests and the benchmark call main in process; the console script reads sys.argv",
+    "curve.AffineFrame.translation": "the tests build linear frames as well as moved ones",
+    "curve.affine_arclength.rel_tol": "the cut-length oracle of the tests runs at its own tolerance",
+    "curve.affine_arclength.abs_tol": "the cut-length oracle of the tests runs at its own tolerance",
+    "homothety.build_carousel.delta": "the tests chain at a given delta, to differentiate the closure defect in it",
+    "numerics.TrigInterpolant.__call__.order": "the tests read the interpolant's derivatives and antiderivative",
 }
 
 
@@ -115,3 +131,69 @@ def test_kept_entries_are_current():
     keys = {_key(*d): d for d in defined}
     assert sorted(k for k in KEPT if k not in keys) == []
     assert sorted(k for k in KEPT if keys[k] in referenced) == []
+
+
+def _knobs(trees):
+    """knob key -> (called name, positional parameter names after self, parameter) of every defaulted parameter."""
+    knobs = {}
+
+    def visit(node, module, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, prefix + [child.name], child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                bound = positional[1:] if cls and not static else positional
+                init = cls and child.name == "__init__"
+                name = ".".join(prefix + ([] if init else [child.name]))
+                for param in defaulted:
+                    knobs[_key(module, f"{name}.{param}")] = (cls if init else child.name, bound, param)
+                visit(child, module, prefix + [child.name], None)
+
+    for module, tree in trees.items():
+        visit(tree, module, [], None)
+    return knobs
+
+
+def _calls_by_name(trees):
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, positional, param):
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return param in positional and positional.index(param) < len(call.args)
+
+
+def unset_knobs():
+    trees = {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
+    calls = _calls_by_name(trees)
+    knobs = _knobs(trees)
+    unset = {key for key, (name, positional, param) in knobs.items()
+             if not any(_sets(call, positional, param) for call in calls.get(name, []))}
+    return knobs, unset
+
+
+def test_every_knob_is_set_somewhere():
+    _, unset = unset_knobs()
+    assert sorted(unset - set(KEPT_KNOBS)) == [], (
+        "a defaulted parameter that no call in src/flotilla or scripts/ sets; make it a constant or add to KEPT_KNOBS"
+    )
+
+
+def test_kept_knobs_are_current():
+    # an entry whose parameter gains a setter, or is gone, leaves the list
+    knobs, unset = unset_knobs()
+    assert sorted(k for k in KEPT_KNOBS if k not in knobs) == []
+    assert sorted(k for k in KEPT_KNOBS if k not in unset) == []

@@ -22,7 +22,6 @@ from flotilla.floatgeom import (
     DerivedCurve,
     buoyancy_affine_normal,
     buoyancy_affine_normal_check,
-    buoyancy_derivatives,
     buoyancy_point,
     flotation_body_area,
     flotation_point,
@@ -101,7 +100,6 @@ FLOTATION_SAMPLES = {
 FLOTATION_VALUES = {
     "kappa_prime_flotation": kappa_prime_flotation,
     "kappa_prime_buoyancy": kappa_prime_buoyancy,
-    "buoyancy_derivatives": buoyancy_derivatives,
     "buoyancy_affine_normal": buoyancy_affine_normal,
     "buoyancy_affine_normal_check": buoyancy_affine_normal_check,
     "endpoint_balance_residual": endpoint_balance_residual,
@@ -177,7 +175,8 @@ def test_illumination_samples_match_one_lane(sweeps):
 def test_mixed_chords_rejected(ellipse21):
     # a flotation transform reads delta as a cap area; an illumination sweep's delta is a cone area
     illum = sweep(ellipse21, ILLUMINATION, 1.0, 16)
-    for transform in (flotation_point, buoyancy_point, flotation_body_area, omega_identity_residual):
+    transforms = (flotation_point, buoyancy_point, buoyancy_affine_normal, flotation_body_area, omega_identity_residual)
+    for transform in transforms:
         with pytest.raises(DomainError):
             transform(illum)
 
