@@ -108,7 +108,7 @@ def _area_fdf(curve, kind, s, at_s, delta_hat=None):
     (``_silhouette_t``). ``at_s`` starts with gamma(s) and gamma'(s); the
     moment antiderivative at s is evaluated here once, so a call makes one
     curve evaluation at t (orders 0 and 1 for a cap, 0 to 2 for a cone) and
-    one moment evaluation.
+    one moment evaluation, kept with t as the callable's ``last``.
     """
     origin, moments = curve.moments
     x, d1 = at_s[0] - origin, at_s[1]
@@ -116,7 +116,8 @@ def _area_fdf(curve, kind, s, at_s, delta_hat=None):
     total = area(curve)
 
     def fdf(t):
-        y, d2, *dd2 = curve.derivatives(t, (0, 1) if kind == FLOTATION else (0, 1, 2))
+        fdf.last = t, curve.derivatives(t, (0, 1) if kind == FLOTATION else (0, 1, 2))
+        y, d2, *dd2 = fdf.last[1]
         y = y - origin
         c = y - x
         q = det2(c, d2)
@@ -179,9 +180,18 @@ def cone_area(curve, s, t):
     return cone
 
 
-def _chords(curve, kind, delta, s, t, at_s):
-    """Chords of the lanes (s, t), from orders 0 to 2 at s (``at_s``) and one curve evaluation of them at t."""
-    jets = tuple(np.stack(pair) for pair in zip(at_s, curve.derivatives(t, (0, 1, 2))))
+def _chords(curve, kind, delta, s, t, at_s, last=None):
+    """Chords of the lanes (s, t), from orders 0 to 2 at s (``at_s``) and at t.
+
+    ``last``, a solve's latest abscissae u and orders 0 to 2 there, serves
+    the lanes where u = t; the curve is evaluated at t in the others only.
+    """
+    u, at_t = last or (t, curve.derivatives(t, (0, 1, 2)))
+    fresh = t != u
+    if fresh.any():
+        for d, new in zip(at_t, curve.derivatives(t[fresh], (0, 1, 2))):
+            d[fresh] = new
+    jets = tuple(np.stack(pair) for pair in zip(at_s, at_t))
     (x, y), (d1, d2) = jets[:2]
     c = y - x
     p = det2(c, d1)
@@ -246,7 +256,7 @@ def solve_flotation_chord(curve, s, delta):
     return _solve(curve, FLOTATION, delta, np.array([float(s)]))
 
 
-def _silhouette_t(curve, s, delta_hat, at_s):
+def _silhouette_t(curve, s, delta_hat, at_s, fdf=None):
     """t in (s, s + period) with cone_area(s, t) = delta_hat, for every lane of s.
 
     Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
@@ -258,14 +268,14 @@ def _silhouette_t(curve, s, delta_hat, at_s):
     reads cone - delta_hat, so a lane that stops on f_tol has
     |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
     ellipse, the cone angle's share of the period. ``at_s`` starts with
-    gamma(s) and gamma'(s).
+    gamma(s) and gamma'(s); ``fdf`` is its ``_area_fdf`` if given.
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
     total = area(curve)
     period = curve.period
     return bracketed_newton(
-        _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat),
+        fdf or _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat),
         s + 1e-9 * period,
         s + 0.98 * period,
         s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi)),
@@ -286,15 +296,17 @@ def solve_silhouette_chord(curve, s, delta_hat):
 def _solve(curve, kind, delta, s):
     """The chords of area delta from every lane of s, in one lane-wise solve.
 
-    Orders 0 to 2 at s are evaluated once, for the t solve and the chords.
+    Orders 0 to 2 at s are evaluated once, for the t solve and the chords,
+    and a cone solve's latest evaluation at t serves the chords.
     """
     at_s = curve.derivatives(s, (0, 1, 2))
-    t = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta, at_s)
+    cone = None if kind == FLOTATION else _area_fdf(curve, ILLUMINATION, s, at_s, delta)
+    t = _flotation_t(curve, s, delta, at_s) if cone is None else _silhouette_t(curve, s, delta, at_s, cone)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    chords = _chords(curve, kind, delta, s, t, at_s)
+    chords = _chords(curve, kind, delta, s, t, at_s, None if cone is None else cone.last)
     if kind == ILLUMINATION and not chords.apex.all():
         i = int(np.argmin(chords.apex))
         raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")

@@ -258,7 +258,9 @@ def _check_affine_normal(curve, bundle):
 
 def _check_cut_length(curve, bundle):
     rep = homothety.affine_cut_length_report(bundle.chords)
-    return _measured("cv_affine_cut_length", rep.coefficient_of_variation, _constancy_threshold(curve))
+    record = _measured("cv_affine_cut_length", rep.coefficient_of_variation, _constancy_threshold(curve))
+    # the paper's one-third hypothesis: the mean cut over the affine perimeter
+    return {**record, "mean_cut_fraction": rep.mean / curve.affine_arc.total}
 
 
 def _check_duality(curve, bundle):

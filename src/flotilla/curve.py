@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, SingularFrameError, SingularParametrizationError
-from .numerics import TrigInterpolant, panel_quadrature
+from .numerics import PeriodicAntiderivative, TrigInterpolant, panel_quadrature
 
 PERIOD = 2.0 * math.pi
 
@@ -88,6 +88,14 @@ class ClosedConvexCurve:
         g = points - origin
         w = det2(g, d1)
         return origin, TrigInterpolant(np.column_stack([w, g * w[:, None]]), self.period)
+
+    @functools.cached_property
+    def affine_arc(self):
+        """Affine arc length L(s) from 0, a table to 1e-12 of the perimeter ``total``; a query evaluates no curve point.
+
+        L(t) - L(s) is the affine length of the arc [s, t].
+        """
+        return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period, 1e-12)
 
     def _validate(self):
         n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
@@ -249,29 +257,24 @@ def area(curve):
 
 
 def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
-    """Integral of det(g', g'')^(1/3) over [s0, s1].
+    """Integral of det(g', g'')^(1/3) over [s0, s1], by its own adaptive quadrature.
 
     Curves with isolated flat points give the integrand cube-root cusps,
     which the adaptive panel quadrature resolves by splitting the panels
     next to them. Raises DegenerateCurveError if the convexity determinant
-    is negative somewhere on the arc.
+    is negative somewhere on the arc. It never reads ``affine_arc``.
     """
     if not (s0 <= s1 <= s0 + curve.period + 1e-9):
         raise DomainError("require s0 <= s1 <= s0 + period")
     if s0 == s1:
         return 0.0
-    return float(affine_arclengths(curve, np.linspace(s0, s1, 5), rel_tol=rel_tol, abs_tol=abs_tol).sum())
+    edges = np.linspace(s0, s1, 5)
+    return float(panel_quadrature(_affine_integrand(curve, s0, s1), edges, rel_tol=rel_tol, abs_tol=abs_tol).sum())
 
 
-def affine_arclengths(curve, edges, rel_tol=1e-12, abs_tol=0.0):
-    """Affine arc length of every interval between consecutive increasing edges, in one adaptive pass.
-
-    The error budget is global: ``rel_tol`` is relative to the affine
-    length of the whole range.
-    """
-    edges = np.asarray(edges, dtype=float)
-    coarse = np.linspace(edges[0], edges[-1], 17)
-    scale = float(det2(*curve.derivatives(coarse, (1, 2))).max())
+def _affine_integrand(curve, s0, s1):
+    """det(g', g'')^(1/3) on [s0, s1], raising DegenerateCurveError where the determinant is below rounding of its scale."""
+    scale = float(det2(*curve.derivatives(np.linspace(s0, s1, 17), (1, 2))).max())
 
     def integrand(u):
         d = det2(*curve.derivatives(u, (1, 2)))
@@ -279,7 +282,7 @@ def affine_arclengths(curve, edges, rel_tol=1e-12, abs_tol=0.0):
             raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
 
-    return panel_quadrature(integrand, edges, rel_tol=rel_tol, abs_tol=abs_tol)
+    return integrand
 
 
 def affine_curvature(curve, s):

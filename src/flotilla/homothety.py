@@ -12,13 +12,7 @@ import math
 import numpy as np
 
 from .chord import FLOTATION, _apex, _flotation_t, _pair
-from .curve import (
-    SampledPeriodic,
-    affine_arclengths,
-    area,
-    det2,
-    norm2,
-)
+from .curve import SampledPeriodic, area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton, signed_cbrt
 
@@ -197,30 +191,13 @@ def affine_cut_rate(chords):
 
 
 def affine_cut_lengths(chords):
-    """Affine arc length of the boundary cut off by every chord of a sweep, in one pass.
+    """Affine arc length of the boundary cut off by every chord of a sweep.
 
-    The chord ends, reduced to one period from the smallest s, are merged into
-    one breakpoint array; one adaptive quadrature gives the affine length
-    between consecutive breakpoints, and the cumulative sums give every
-    chord's arc [s, t]. Only the few intervals next to a flat-point cusp of
-    the integrand need splitting. The error budget is global (1e-12 of the
-    affine perimeter).
+    It is L(t) - L(s) in the curve's affine arc table (``affine_arc``),
+    built once per curve, so a sweep evaluates no curve point here.
     """
-    curve, s, t = chords.curve, chords.s, chords.t
-    start, period = s.min(), curve.period
-    if s.max() >= start + period:
-        raise DomainError("chord starts must lie within one period")
-    wraps = t >= start + period
-    t_reduced = np.where(wraps, t - period, t)
-    # sorted and deduplicated without np.unique, which imports numpy.ma
-    merged = np.sort(np.concatenate([s, t_reduced, [start + period]]))
-    breaks = merged[np.concatenate([[True], np.diff(merged) > 0.0])]
-    # extended precision keeps the rounding of the running sum below that of the pieces
-    pieces = affine_arclengths(curve, breaks, rel_tol=1e-12)
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces, dtype=np.longdouble)])
-    at_s = cumulative[np.searchsorted(breaks, s)]
-    at_t = cumulative[np.searchsorted(breaks, t_reduced)] + np.where(wraps, cumulative[-1], 0.0)
-    return (at_t - at_s).astype(float)
+    at_s, at_t = chords.curve.affine_arc(np.stack([chords.s, chords.t]))
+    return at_t - at_s
 
 
 def affine_cut_length_report(chords) -> ConstancyReport:

@@ -21,6 +21,9 @@ _SMALL_TABLE = 64
 MAX_PANELS = 8192
 # bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
 MAX_NODES_PER_CALL = 2048
+# PeriodicAntiderivative: the uniform panels of its first round, and the pieces it cuts a panel into
+TABLE_FIRST_PANELS = 32
+TABLE_SPLIT = 8
 
 # bracketed_newton: a lane whose step is below this, relative to max(1, |x|), has converged
 NEWTON_X_TOL = 1e-15
@@ -37,66 +40,125 @@ def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
 
     Locally adaptive Gauss-Legendre of order 8 with one global error budget
     for the whole range (Gander & Gautschi, BIT 40, 2000); the given
-    intervals are the first panels. A panel's value is the sum over its
-    halves, its error the change from the one-panel value. Each round splits
-    the panels above an equal share of the budget and stops when the summed
-    errors are within ``rel_tol`` relative to the whole integral or
-    ``abs_tol`` absolute, whichever is laxer, and never below rounding level.
-    Smooth integrands take one round; a cube-root cusp a few dozen.
+    intervals are the first panels, and each round halves the panels above
+    an equal share of the budget (``_adaptive_panels``). Smooth integrands
+    take one round; a cube-root cusp a few dozen.
 
     ``f`` must map an array of abscissae to an array of values; it sees at
     most MAX_NODES_PER_CALL of them at a time. Returns one integral per
     interval.
     """
     edges = np.asarray(edges, dtype=float)
-    n_intervals = len(edges) - 1
-    lo, hi = edges[:-1], edges[1:]
-    owner = np.arange(n_intervals)
-    value, err = _halved_panels(f, lo, hi)
+    _, _, owner, value, _, _ = _adaptive_panels(f, edges[:-1], edges[1:], 2, rel_tol, abs_tol)
+    return np.bincount(owner, weights=value, minlength=len(edges) - 1)
+
+
+def _adaptive_panels(f, lo, hi, pieces, rel_tol, abs_tol):
+    """The converged panels from the first panels [lo_i, hi_i]: ends, first panel, value, f at the 16 half-panel nodes, rounds.
+
+    A panel's value is the sum over its halves, its error the change from
+    the one-panel value. Each round cuts the panels above an equal share of
+    the budget in ``pieces`` until the summed errors are within ``rel_tol``
+    of the whole or ``abs_tol``, whichever is laxer, and never below rounding.
+    """
+    start, end, n_first = lo[0], hi[-1], len(lo)
+    owner = np.arange(n_first)
+    value, err, nodes = _halved_panels(f, lo, hi)
+    rounds = 1
     while True:
         total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
-            raise AccuracyError(f"quadrature on [{edges[0]}, {edges[-1]}]: the integrand is not finite")
+            raise AccuracyError(f"quadrature on [{start}, {end}]: the integrand is not finite")
         rounding = 50.0 * _EPS * np.abs(value).sum()
         tol = max(rel_tol * abs(total), abs_tol, rounding)
         if err_sum <= tol:
-            return np.bincount(owner, weights=value, minlength=n_intervals)
-        if len(lo) >= n_intervals + MAX_PANELS:
+            return lo, hi, owner, value, nodes, rounds
+        if len(lo) >= n_first + MAX_PANELS:
             raise AccuracyError(
-                f"quadrature on [{edges[0]}, {edges[-1]}] did not converge below rel_tol={rel_tol} "
+                f"quadrature on [{start}, {end}] did not converge below rel_tol={rel_tol} "
                 f"within {MAX_PANELS} panel splits (error estimate {err_sum:.3e})"
             )
         split = err > tol / len(err)
         keep = ~split
-        mid = 0.5 * (lo + hi)
-        new_lo = np.concatenate([lo[split], mid[split]])
-        new_hi = np.concatenate([mid[split], hi[split]])
-        new_value, new_err = _halved_panels(f, new_lo, new_hi)
+        cuts = lo[split, None] + (hi - lo)[split, None] * (np.arange(pieces + 1) / pieces)
+        cuts[:, -1] = hi[split]
+        new_lo, new_hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        new_value, new_err, new_nodes = _halved_panels(f, new_lo, new_hi)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
-        owner = np.concatenate([owner[keep], owner[split], owner[split]])
+        owner = np.concatenate([owner[keep], np.repeat(owner[split], pieces)])
         value = np.concatenate([value[keep], new_value])
         err = np.concatenate([err[keep], new_err])
+        nodes = np.concatenate([nodes[keep], new_nodes])
+        rounds += 1
 
 
 def _halved_panels(f, lo, hi):
-    """Two-half value of every panel and its change from the one-panel value."""
+    """Two-half value of every panel, its change from the one-panel value, and f at the nodes of the halves."""
     mid = 0.5 * (lo + hi)
-    whole, left, right = _gauss_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])).reshape(3, -1)
+    sums, nodes = _gauss_panels(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = sums.reshape(3, -1)
     value = left + right
-    return value, np.abs(value - whole)
+    return value, np.abs(value - whole), np.hstack(nodes.reshape(3, len(lo), -1)[1:])
 
 
 def _gauss_panels(f, lo, hi):
-    """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i], in blocks of f calls."""
+    """Order-8 Gauss-Legendre value of every panel [lo_i, hi_i] and f at its nodes, in blocks of f calls."""
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GAUSS_NODES
     block = MAX_NODES_PER_CALL // len(_GAUSS_NODES)
     values = np.concatenate(
         [np.asarray(f(nodes[i : i + block].ravel()), dtype=float) for i in range(0, len(nodes), block)]
     ).reshape(nodes.shape)
-    return (values @ _GAUSS_WEIGHTS) * half
+    return (values @ _GAUSS_WEIGHTS) * half, values
+
+
+def _legendre(x):
+    """The Legendre polynomials P_0..P_8 at x on a leading axis, by Bonnet's recurrence."""
+    p = [np.ones_like(x), x]
+    for n in range(1, 8):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    return np.stack(p)
+
+
+# f at the nodes to the P_0..P_8 coefficients of the integral from -1 of its interpolant sum_k a_k P_k: the
+# integral of P_k is (P_(k+1) - P_(k-1)) / (2k + 1) (P_0 + P_1 for k = 0), so with g_k = a_k / (2k + 1) =
+# sum_j w_j P_k(x_j) f_j / 2 the P_0 coefficient is g_0 - g_1 and the P_m one g_(m-1) - g_(m+1)
+_G = np.vstack([0.5 * _legendre(_GAUSS_NODES)[:8] * _GAUSS_WEIGHTS, np.zeros((2, 8))])
+_ANTIDERIVATIVE = np.vstack([_G[0] - _G[1], _G[:8] - _G[2:]])
+
+
+class PeriodicAntiderivative:
+    """F(u), the integral over [0, u] of a periodic f, as a table from one adaptive pass over one period.
+
+    ``panel_quadrature``'s rule from TABLE_FIRST_PANELS uniform panels, each
+    panel above its share of the budget cut in TABLE_SPLIT, so a cube-root
+    cusp takes a few rounds, not dozens. F(u) is the extended-precision sum
+    of the half-panels below u plus the integral of the degree-7 interpolant
+    of f on the one that holds u; F(u + period) = F(u) + ``total``.
+    """
+
+    def __init__(self, f, period, rel_tol):
+        first = np.linspace(0.0, period, TABLE_FIRST_PANELS + 1)
+        lo, hi, _, _, nodes, self.rounds = _adaptive_panels(f, first[:-1], first[1:], TABLE_SPLIT, rel_tol, 0.0)
+        # the panels tile the period, so the sorted half-panel ends are their lower ends, mid-points and the period
+        order = np.argsort(lo)
+        edges = np.append(np.stack([lo, 0.5 * (lo + hi)], axis=1)[order].ravel(), period)
+        self.period, self._lo, values = period, edges[:-1], nodes[order].reshape(-1, 8)
+        self._center, self._half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        self._coeffs = (values @ _ANTIDERIVATIVE.T) * self._half[:, None]
+        self._below = np.concatenate([[0.0], np.cumsum((values @ _GAUSS_WEIGHTS) * self._half, dtype=np.longdouble)])
+        self.total = float(self._below[-1])
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        turns = np.floor(u / self.period)
+        r = u - turns * self.period
+        i = np.clip(np.searchsorted(self._lo, r, side="right") - 1, 0, len(self._lo) - 1)
+        x = np.clip((r - self._center[i]) / self._half[i], -1.0, 1.0)
+        inside = np.einsum("...m,m...->...", self._coeffs[i], _legendre(x))
+        return (self._below[i] + inside + turns * self._below[-1]).astype(float)
 
 
 class TrigInterpolant:

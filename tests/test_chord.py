@@ -267,21 +267,42 @@ class TestLaneSweep:
         "body, kind, delta, curve_points, calls",
         [
             ("ellipse21", FLOTATION, 1.0, 768, 3),
-            ("ellipse21", ILLUMINATION, 1.0, 768, 3),
+            ("ellipse21", ILLUMINATION, 1.0, 512, 2),
             ("bump3", FLOTATION, 0.8, 2_048, 8),
-            ("bump3", ILLUMINATION, 0.8, 4_608, 18),
+            ("bump3", ILLUMINATION, 0.8, 4_352, 17),
         ],
     )
     def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
         # orders 0 to 2 at s are evaluated once, for the t solve and the chords:
         # 1,024 and 2,304 flotation points in as many calls when each of them
         # evaluated the s side again. The illumination sweeps took 1,280 points
-        # in 5 calls and 7,936 in 31 when a Newton solve for the antipode came first
+        # in 5 calls and 7,936 in 31 when a Newton solve for the antipode came first,
+        # and 768 in 3 and 4,608 in 18 when the chords evaluated every t once more
+        # after the cone solve, whose last round had already evaluated it
         curve = request.getfixturevalue(body)
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
         assert len(sweep(curve, kind, delta, 256)) == 256
         assert (counts["curve"], counts["calls"]) == (curve_points, calls)
+
+    def test_chords_reuse_the_last_evaluation_where_it_was_taken_at_t(self, monkeypatch, bump3):
+        # a cone solve's latest evaluation serves the lanes it was taken at; the
+        # others (here every third, as if stopped by the step tolerance) are
+        # evaluated again, and the chords are those of a fresh evaluation
+        s = np.arange(64) * (bump3.period / 64)
+        at_s = bump3.derivatives(s, (0, 1, 2))
+        t = sweep(bump3, ILLUMINATION, 0.8, 64).t
+        u = t.copy()
+        u[::3] += 1e-3
+        last = (u, bump3.derivatives(u, (0, 1, 2)))
+        fresh = chord_module._chords(bump3, ILLUMINATION, 0.8, s, t, at_s)
+        counts = {"calls": 0, "curve": 0, "moments": 0}
+        _count_evaluations(monkeypatch, bump3, counts)
+        reused = chord_module._chords(bump3, ILLUMINATION, 0.8, s, t, at_s, last)
+        assert (counts["calls"], counts["curve"]) == (1, 22)
+        for k in range(3):
+            np.testing.assert_array_equal(reused.ends(k), fresh.ends(k))
+        np.testing.assert_array_equal(reused.affine_norm_c, fresh.affine_norm_c)
 
     def test_sliced_and_replaced_chords_evaluate_nothing(self, monkeypatch, ellipse21):
         # the end jets of orders 0 to 2 are lane data of the chords; sliced and

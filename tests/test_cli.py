@@ -286,6 +286,19 @@ class TestRun:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, REPORT_SCHEMA)
 
+    def test_cut_length_record_states_the_one_third_hypothesis(self, tmp_path):
+        # at the 3-chair carousel's area every chord of the 2:1 ellipse spans an
+        # eccentric angle of 2 pi / 3, so it cuts off a third of the affine perimeter
+        f = (2.0 * math.pi / 3.0 - math.sin(2.0 * math.pi / 3.0)) / (2.0 * math.pi)
+        ellipse = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+        cfg = write_config(tmp_path / "c.json", curveSpec=ellipse, deltas=[{"fraction": f}], checks=["cut_length"])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert abs(report["records"][0]["mean_cut_fraction"] - 1.0 / 3.0) <= 1e-12
+        report["records"][0]["mean_cut_fraction"] = "1/3"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
+
     def test_cli_overrides(self, tmp_path):
         # --out is the one run option: it replaces outputDir
         cfg = write_config(tmp_path / "c.json", checks=["omega"])

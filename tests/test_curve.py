@@ -138,6 +138,43 @@ class TestAffineArclength:
             assert affine_arclength(image, 0.1, 2.0) == pytest.approx(base, rel=1e-6)
 
 
+class TestAffineArcTable:
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled"])
+    def test_arcs_match_the_direct_quadrature(self, body):
+        # L(t) - L(s) against affine_arclength, which never reads the table, on
+        # arcs that start and end anywhere, wrap past the period and cover it
+        if body == "sampled":
+            u = np.arange(64) * (TWO_PI / 64)
+            r = 1.0 + 0.02 * np.cos(2 * u) + 0.01 * np.sin(3 * u)
+            curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        else:
+            curve = Ellipse(2.0, 1.0) if body == "ellipse21" else FourierRadial(1.0, (0.0, 0.0, 0.1))
+        arcs = [(0.0, TWO_PI), (0.3, 2.9), (1.1, 1.1 + TWO_PI), (5.0, 8.5), (TWO_PI, 9.0), (-1.0, 0.7)]
+        reference = np.array([affine_arclength(curve, s, t) for s, t in arcs])
+        assert "affine_arc" not in vars(curve)
+        s, t = np.array(arcs).T
+        table = curve.affine_arc
+        assert table.total == pytest.approx(reference[0], rel=1e-12)
+        assert np.max(np.abs(table(t) - table(s) - reference)) <= 2e-12 * table.total
+
+    def test_flat_points_converge_in_few_rounds(self):
+        # the panels next to bump3's three cusps are cut in eighths: 7 rounds,
+        # where halving took 14
+        assert FourierRadial(1.0, (0.0, 0.0, 0.1)).affine_arc.rounds <= 8
+
+    def test_non_convex_arc_raises(self):
+        # r = 1 + 0.1 cos 4s is past critical convexity; built without the constructor's check
+        class Unchecked(FourierRadial):
+            def __init__(self):
+                self.r0, self.cos_coeffs, self.sin_coeffs = 1.0, (0.0, 0.0, 0.0, 0.1), ()
+                self._terms = [(4, np.array([0.1 * 4.0**j for j in range(5)]), np.cos)]
+
+        with pytest.raises(DegenerateCurveError):
+            Unchecked().affine_arc
+        with pytest.raises(DegenerateCurveError):
+            affine_arclength(Unchecked(), 0.0, TWO_PI)
+
+
 class TestAffineCurvature:
     def test_unit_circle(self, unit_circle):
         assert affine_curvature(unit_circle, 0.77) == pytest.approx(1.0, rel=1e-12)

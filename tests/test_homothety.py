@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flotilla.homothety as homothety_module
-from flotilla.cli import compute_bundle
+from flotilla.cli import CHECKS, compute_bundle
 from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
-from flotilla.curve import AffineFrame, AffineImage, Ellipse, SampledPeriodic, affine_normal, area, det2
+from flotilla.curve import (
+    AffineFrame,
+    AffineImage,
+    Ellipse,
+    FourierRadial,
+    SampledPeriodic,
+    affine_normal,
+    area,
+    det2,
+)
 from flotilla.errors import DomainError, ParallelElementsError
 from flotilla.floatgeom import buoyancy_point, flotation_point
 from flotilla.homothety import (
@@ -274,6 +284,17 @@ class TestCutLength:
         reference = incremental_cut_lengths(curve, chords)
         assert np.max(np.abs(one_pass - reference) / np.abs(reference)) < 1e-10
 
+    def test_mean_cut_fraction_on_bump3(self, bump3):
+        # the mean cut over the affine perimeter, both from the curve's table,
+        # against 2n - 1 separate integrals over one more for the perimeter
+        from flotilla.curve import affine_arclength
+
+        chords = sweep(bump3, FLOTATION, 0.8, 256)
+        record = CHECKS["cut_length"](bump3, SimpleNamespace(chords=chords))
+        reference = incremental_cut_lengths(bump3, chords).mean() / affine_arclength(bump3, 0.0, TWO_PI)
+        assert record["mean_cut_fraction"] == pytest.approx(0.3706, abs=1e-4)
+        assert abs(record["mean_cut_fraction"] - reference) <= 1e-10
+
     def test_rate_identity_against_fresh_solve_fd(self, ellipse21, bump3):
         from flotilla.curve import affine_arclength
 
@@ -299,6 +320,31 @@ class TestCutLength:
             if abs(resid) > 1e-10:
                 # both are odd in (sin(a)/k(s)^(1/3) - sin(b)/k(t)^(1/3))
                 assert rate * resid > 0.0
+
+
+def test_endpoint_balance_fails_wherever_cut_length_fails():
+    # the cut's s-derivative vanishes exactly where the endpoint balance does
+    # (affine_cut_rate), so a cut that is not constant has an unbalanced chord.
+    # On r = 1 + eps cos ks, bump3's flat points and an affine image, 15 of the
+    # 42 rows fail cut_length and 27 fail endpoint_balance
+    bodies = {
+        f"k={k}, eps={eps:g}": FourierRadial(1.0, [0.0] * (k - 2) + [eps])
+        for k in range(2, 6)
+        for eps in (1e-3, 1e-5, 1e-7)
+    }
+    bodies["bump3"] = FourierRadial(1.0, (0.0, 0.0, 0.1))
+    frame = AffineFrame([[1.3, 0.4], [0.1, 0.8]], (0.2, -0.5))
+    bodies["image of k=4, eps=1e-05"] = AffineImage(bodies["k=4, eps=1e-05"], frame)
+    cut_fails, missed = [], []
+    for name, curve in bodies.items():
+        for f in (0.1, 0.2795, 0.45):
+            bundle = SimpleNamespace(chords=sweep(curve, FLOTATION, f * area(curve), 256))
+            if CHECKS["cut_length"](curve, bundle)["status"] == "fail":
+                cut_fails.append((name, f))
+                if CHECKS["endpoint_balance"](curve, bundle)["status"] != "fail":
+                    missed.append((name, f))
+    assert ("bump3", 0.2795) in cut_fails and ("image of k=4, eps=1e-05", 0.1) in cut_fails
+    assert missed == []
 
 
 class TestAffineSphere:

@@ -11,6 +11,7 @@ from flotilla.errors import AccuracyError, SolverError
 from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
+    PeriodicAntiderivative,
     TrigInterpolant,
     bracketed_newton,
     panel_quadrature,
@@ -86,6 +87,26 @@ def test_panel_quadrature_smooth_cap_takes_one_call():
 
         panel_quadrature(integrand, [s, t], rel_tol=1e-13)
     assert calls <= len(chords)
+
+
+def test_periodic_antiderivative_across_a_cusp():
+    # |u - 1|^(1/3) has a cube-root cusp inside a panel of the first round; the
+    # table matches the closed form everywhere, inside panels too, and wraps
+    def primitive(u):
+        return 0.75 * (np.sign(u - 1.0) * np.abs(u - 1.0) ** (4.0 / 3.0) + 1.0)
+
+    table = PeriodicAntiderivative(lambda u: np.abs(u - 1.0) ** (1.0 / 3.0), 2.0 * math.pi, 1e-12)
+    assert table.total == pytest.approx(primitive(2.0 * math.pi), rel=1e-12)
+    u = np.linspace(0.0, 2.0 * math.pi, 1001)
+    assert np.max(np.abs(table(u) - primitive(u))) <= 1e-12 * table.total
+    np.testing.assert_allclose(table(u + 2.0 * math.pi), table(u) + table.total, rtol=0.0, atol=1e-14 * table.total)
+    assert abs(table(0.0)) <= 1e-15 * table.total
+
+
+def test_periodic_antiderivative_divergent_integrand_raises():
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(AccuracyError):
+            PeriodicAntiderivative(lambda x: 1.0 / (x - 1.0) ** 2, 2.0 * math.pi, 1e-12)
 
 
 def test_spectral_derivative_matches_analytic():
