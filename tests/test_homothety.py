@@ -325,7 +325,7 @@ class TestCutLength:
 def test_endpoint_balance_fails_wherever_cut_length_fails():
     # the cut's s-derivative vanishes exactly where the endpoint balance does
     # (affine_cut_rate), so a cut that is not constant has an unbalanced chord.
-    # On r = 1 + eps cos ks, bump3's flat points and an affine image, 15 of the
+    # On r = 1 + eps cos ks, bump3's flat points and an affine image, 18 of the
     # 42 rows fail cut_length and 27 fail endpoint_balance
     bodies = {
         f"k={k}, eps={eps:g}": FourierRadial(1.0, [0.0] * (k - 2) + [eps])

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import flotilla.curve as curve_module
 from flotilla.chord import FLOTATION, ILLUMINATION, sweep
 from flotilla.cli import CHECKS, compute_bundle, resolve_deltas
 from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, curve_from_json
@@ -31,7 +30,6 @@ from flotilla.floatgeom import (
     omega_identity_residual,
 )
 from flotilla.homothety import affine_cut_rate, endpoint_balance_residual
-from flotilla.numerics import PeriodicAntiderivative
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
 REL = 1e-13
@@ -204,6 +202,7 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
         return derivatives(body, s, orders)
 
     monkeypatch.setattr(Ellipse, "derivatives", counting)
+    cut_length_calls = []
     for delta in resolve_deltas(config["deltas"], area(curve)):
         calls = 0
         bundle = compute_bundle(curve, delta, 256)
@@ -213,35 +212,12 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
             calls = 0
             CHECKS[name](curve, bundle)
             assert calls <= 20, name
-
-
-def test_deltas_share_one_affine_arc_table(monkeypatch):
-    # the two deltas of configs/ellipse.json read one table of the affine arc
-    # length: the first cut_length builds it, and the second evaluates no curve point
-    config = json.loads((Path(__file__).parents[1] / "configs" / "ellipse.json").read_text())
-    curve = curve_from_json(config["curveSpec"])
-    tables = []
-
-    def counting_table(*args):
-        tables.append(PeriodicAntiderivative(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(curve_module, "PeriodicAntiderivative", counting_table)
-    bundles = [compute_bundle(curve, delta, 256) for delta in resolve_deltas(config["deltas"], area(curve))]
-    assert len(bundles) == 2
-    calls = []
-    derivatives = Ellipse.derivatives
-
-    def counting(body, s, orders):
-        calls[-1] += 1
-        return derivatives(body, s, orders)
-
-    monkeypatch.setattr(Ellipse, "derivatives", counting)
-    for bundle in bundles:
-        calls.append(0)
-        CHECKS["cut_length"](curve, bundle)
-    # the build: the convexity scale on 17 points, then one round of 32 panels
-    assert calls == [2, 0] and len(tables) == 1
+            if name == "cut_length":
+                cut_length_calls.append(calls)
+    # both deltas read one affine arc table: the first cut_length builds it (the
+    # convexity scale on 17 points, then one round of 32 panels), the second
+    # evaluates no curve point
+    assert cut_length_calls == [2, 0]
 
 
 def test_endpoint_balance_forms_checked_in_every_lane(bump3):
