@@ -181,11 +181,7 @@ def cone_area(curve, s, t):
 
 
 def _chords(curve, kind, delta, s, t, at_s, last=None):
-    """Chords of the lanes (s, t), from orders 0 to 2 at s (``at_s``) and at t.
-
-    ``last``, a solve's latest abscissae u and orders 0 to 2 there, serves
-    the lanes where u = t; the curve is evaluated at t in the others only.
-    """
+    """Chords of the lanes (s, t) from orders 0 to 2 at s (``at_s``) and at t, from ``last`` = (u, jets) where u = t."""
     u, at_t = last or (t, curve.derivatives(t, (0, 1, 2)))
     fresh = t != u
     if fresh.any():
@@ -256,8 +252,8 @@ def solve_flotation_chord(curve, s, delta):
     return _solve(curve, FLOTATION, delta, np.array([float(s)]))
 
 
-def _silhouette_t(curve, s, delta_hat, at_s, fdf=None):
-    """t in (s, s + period) with cone_area(s, t) = delta_hat, for every lane of s.
+def _silhouette_t(curve, s, delta_hat, at_s):
+    """t in (s, s + period) with cone_area(s, t) = delta_hat for every lane of s, and the solve's last evaluation.
 
     Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
     with v = det(gamma'(s), gamma'(t)), p = det(gamma'(s), c) and
@@ -268,19 +264,16 @@ def _silhouette_t(curve, s, delta_hat, at_s, fdf=None):
     reads cone - delta_hat, so a lane that stops on f_tol has
     |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
     ellipse, the cone angle's share of the period. ``at_s`` starts with
-    gamma(s) and gamma'(s); ``fdf`` is its ``_area_fdf`` if given.
+    gamma(s) and gamma'(s); the last evaluation is (u, orders 0 to 2 at u).
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
     total = area(curve)
     period = curve.period
-    return bracketed_newton(
-        fdf or _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat),
-        s + 1e-9 * period,
-        s + 0.98 * period,
-        s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi)),
-        f_tol=1e-12 * total,
-    )
+    fdf = _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat)
+    start = s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi))
+    t = bracketed_newton(fdf, s + 1e-9 * period, s + 0.98 * period, start, f_tol=1e-12 * total)
+    return t, fdf.last
 
 
 def solve_silhouette_chord(curve, s, delta_hat):
@@ -300,13 +293,12 @@ def _solve(curve, kind, delta, s):
     and a cone solve's latest evaluation at t serves the chords.
     """
     at_s = curve.derivatives(s, (0, 1, 2))
-    cone = None if kind == FLOTATION else _area_fdf(curve, ILLUMINATION, s, at_s, delta)
-    t = _flotation_t(curve, s, delta, at_s) if cone is None else _silhouette_t(curve, s, delta, at_s, cone)
+    t, last = (_flotation_t(curve, s, delta, at_s), None) if kind == FLOTATION else _silhouette_t(curve, s, delta, at_s)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    chords = _chords(curve, kind, delta, s, t, at_s, None if cone is None else cone.last)
+    chords = _chords(curve, kind, delta, s, t, at_s, last)
     if kind == ILLUMINATION and not chords.apex.all():
         i = int(np.argmin(chords.apex))
         raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")

@@ -91,11 +91,8 @@ class ClosedConvexCurve:
 
     @functools.cached_property
     def affine_arc(self):
-        """Affine arc length L(s) from 0, a table to 1e-12 of the perimeter ``total``; a query evaluates no curve point.
-
-        L(t) - L(s) is the affine length of the arc [s, t].
-        """
-        return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period, 1e-12)
+        """Affine arc length L(s) from 0 as a table: L(t) - L(s) is that of [s, t], and a query evaluates no curve."""
+        return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period)
 
     def _validate(self):
         n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
@@ -273,7 +270,7 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
 
 
 def _affine_integrand(curve, s0, s1):
-    """det(g', g'')^(1/3) on [s0, s1], raising DegenerateCurveError where the determinant is below rounding of its scale."""
+    """det(g', g'')^(1/3) on [s0, s1]; DegenerateCurveError where the determinant is below rounding of its scale."""
     scale = float(det2(*curve.derivatives(np.linspace(s0, s1, 17), (1, 2))).max())
 
     def integrand(u):

@@ -191,11 +191,7 @@ def affine_cut_rate(chords):
 
 
 def affine_cut_lengths(chords):
-    """Affine arc length of the boundary cut off by every chord of a sweep.
-
-    It is L(t) - L(s) in the curve's affine arc table (``affine_arc``),
-    built once per curve, so a sweep evaluates no curve point here.
-    """
+    """Affine arc length of the boundary cut off by every chord of a sweep, L(t) - L(s) in ``curve.affine_arc``."""
     at_s, at_t = chords.curve.affine_arc(np.stack([chords.s, chords.t]))
     return at_t - at_s
 

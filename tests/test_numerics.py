@@ -95,7 +95,7 @@ def test_periodic_antiderivative_across_a_cusp():
     def primitive(u):
         return 0.75 * (np.sign(u - 1.0) * np.abs(u - 1.0) ** (4.0 / 3.0) + 1.0)
 
-    table = PeriodicAntiderivative(lambda u: np.abs(u - 1.0) ** (1.0 / 3.0), 2.0 * math.pi, 1e-12)
+    table = PeriodicAntiderivative(lambda u: np.abs(u - 1.0) ** (1.0 / 3.0), 2.0 * math.pi)
     assert table.total == pytest.approx(primitive(2.0 * math.pi), rel=1e-12)
     u = np.linspace(0.0, 2.0 * math.pi, 1001)
     assert np.max(np.abs(table(u) - primitive(u))) <= 1e-12 * table.total
@@ -106,7 +106,7 @@ def test_periodic_antiderivative_across_a_cusp():
 def test_periodic_antiderivative_divergent_integrand_raises():
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(AccuracyError):
-            PeriodicAntiderivative(lambda x: 1.0 / (x - 1.0) ** 2, 2.0 * math.pi, 1e-12)
+            PeriodicAntiderivative(lambda x: 1.0 / (x - 1.0) ** 2, 2.0 * math.pi)
 
 
 def test_spectral_derivative_matches_analytic():
