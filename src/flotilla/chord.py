@@ -28,6 +28,8 @@ ILLUMINATION = "illumination"
 
 # tangents at the endpoints are treated as parallel below this relative determinant
 PARALLEL_TOL = 1e-10
+# a cap's chord (s, t) is solved for t in (s + m, s + period - m), with m = CAP_MARGIN period
+CAP_MARGIN = 1e-12
 
 
 # the fields of Chords with one entry per lane
@@ -231,7 +233,7 @@ def _flotation_t(curve, s, delta, at_s):
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     period = curve.period
-    tiny = 1e-12 * period
+    tiny = CAP_MARGIN * period
     cap = _area_fdf(curve, FLOTATION, s, at_s)
 
     def fdf(t):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .curve import (
     area,
     curve_from_json,
     det2,
+    is_number,
     norm2,
 )
 from .errors import DomainError, FlotillaError
@@ -78,17 +80,24 @@ def load_config(path):
     unknown = [key for key in raw if key not in CONFIG_KEYS]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} (allowed: {', '.join(CONFIG_KEYS)})")
-    try:
-        cfg = RunConfig(
-            curve_spec=raw["curveSpec"],
-            deltas=list(raw.get("deltas", [])),
-            n_samples=_integer(raw.get("nSamples", 512), "nSamples"),
-            checks=list(raw.get("checks", [])),
-            output_dir=raw.get("outputDir", "."),
-            delta_hat=raw.get("deltaHat"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config: {exc}")
+    deltas, checks, output_dir = raw.get("deltas", []), raw.get("checks", []), raw.get("outputDir", ".")
+    # a string is not read as a list of its characters
+    if not isinstance(deltas, list):
+        raise ConfigError(f"deltas must be a list, got {deltas!r}")
+    if not (isinstance(checks, list) and all(isinstance(name, str) for name in checks)):
+        raise ConfigError(f"checks must be a list of check names, got {checks!r}")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"outputDir must be a string, got {output_dir!r}")
+    if "curveSpec" not in raw:
+        raise ConfigError("malformed config: missing key 'curveSpec'")
+    cfg = RunConfig(
+        curve_spec=raw["curveSpec"],
+        deltas=deltas,
+        n_samples=_integer(raw.get("nSamples", 512), "nSamples"),
+        checks=checks,
+        output_dir=output_dir,
+        delta_hat=raw.get("deltaHat"),
+    )
     if cfg.n_samples < 64:
         raise ConfigError(f"nSamples must be at least 64, got {cfg.n_samples}")
     if cfg.delta_hat is not None:
@@ -104,10 +113,9 @@ def _integer(value, name):
 
 
 def _positive_number(value, name):
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
+    if not is_number(value):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    number = float(value)
     if not (math.isfinite(number) and number > 0.0):
         raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     return number
@@ -127,10 +135,10 @@ def curve_label(spec):
 def resolve_deltas(raw_deltas, total_area):
     out = []
     for d in raw_deltas:
-        try:
-            value = float(d["fraction"]) * total_area if isinstance(d, dict) else float(d)
-        except (KeyError, TypeError, ValueError):
+        number = d.get("fraction") if isinstance(d, dict) else d
+        if not is_number(number):
             raise ConfigError(f"bad delta entry {d!r}")
+        value = number * total_area if isinstance(d, dict) else float(number)
         if not 0.0 < value < total_area:
             raise ConfigError(f"delta {value} outside (0, area={total_area})")
         out.append(value)
@@ -296,7 +304,7 @@ def _check_radon(curve, bundle):
     try:
         worst = homothety.radon_check(curve, n_samples=128)
     except DomainError as exc:
-        return _skipped("radon_requires_origin_symmetry", tol, str(exc))
+        return _skipped("radon_requires_central_symmetry", tol, str(exc))
     return _measured("max_radon_residual", worst, tol)
 
 
@@ -388,7 +396,7 @@ def write_curves_csv(path, bundles):
                 fh.write(_sweep_rows(chords, families))
 
 
-def write_report(path, label, deltas, n_samples, records):
+def write_report(path, label, deltas, n_samples, records, stage_seconds):
     """Write report.json (shape in report_schema.json); skipped records do not count against ``passed``."""
     payload = {
         "curve": label,
@@ -396,6 +404,7 @@ def write_report(path, label, deltas, n_samples, records):
         "n_samples": int(n_samples),
         "passed": all(r["status"] != FAIL for r in records),
         "records": records,
+        "stage_seconds": stage_seconds,
     }
     write_json(path, payload)
     return payload
@@ -424,24 +433,38 @@ def cmd_run(config: RunConfig):
     unknown = [name for name in config.checks if name not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
-    curve = curve_from_json(config.curve_spec)
+    stage_seconds = {}  # wall time of each stage, in the order the stages ran
+
+    def timed(stage, call):
+        # each stage is called by its module name, so a wrapper set over that name sees the call
+        start = time.perf_counter()
+        result = call()
+        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + time.perf_counter() - start
+        return result
+
+    curve = timed("curve", lambda: curve_from_json(config.curve_spec))
     label = curve_label(config.curve_spec)
-    total = area(curve)
-    deltas = resolve_deltas(config.deltas, total)
-    bundles = [compute_bundle(curve, d, config.n_samples, config.delta_hat) for d in deltas]
+    total = timed("curve", lambda: area(curve))
+    deltas = timed("curve", lambda: resolve_deltas(config.deltas, total))
+    bundles = [
+        timed(f"compute_bundle[{i}]", lambda: compute_bundle(curve, d, config.n_samples, config.delta_hat))
+        for i, d in enumerate(deltas)
+    ]
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    write_curves_csv(out_dir / "curves.csv", bundles)
-    write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE)
+    timed("write_curves_csv", lambda: write_curves_csv(out_dir / "curves.csv", bundles))
+    timed("write_figure", lambda: write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE))
 
     if not config.checks:
         print(f"wrote {out_dir/'curves.csv'} and {out_dir/'figure.svg'}")
         return EXIT_OK
 
-    records = run_checks(curve, label, bundles, config.checks)
-    payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records)
+    records = []
+    for name in config.checks:  # one stage each, summed over the deltas the check runs at
+        records += timed(f"check {name}", lambda: run_checks(curve, label, bundles, [name]))
+    payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds)
     for rec in records:
         if rec["status"] == SKIPPED:
             print(f"[SKIP] {rec['check']}: {rec['reason']} (delta {rec['delta']:.6g})")

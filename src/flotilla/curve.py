@@ -320,6 +320,13 @@ SPEC_KEYS = {
 }
 
 
+def is_number(value):
+    """Whether a JSON value is a number: a float, or an int that a float holds, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def curve_from_json(spec):
     """Build a curve from its JSON description (see README for the schema)."""
     try:
@@ -332,6 +339,12 @@ def curve_from_json(spec):
     if unknown:
         raise DomainError(f"unknown key {unknown[0]!r} in {kind!r} curve spec (allowed: {', '.join(SPEC_KEYS[kind])})")
     try:
+        for key in SPEC_KEYS[kind]:
+            values = np.asarray(spec.get(key, ()), dtype=object).ravel()
+            # all floats, as a samples spec's points usually are, need no test one by one
+            bad = [] if set(map(type, values)) <= {float} else [v for v in values if not is_number(v)]
+            if bad:
+                raise DomainError(f"{key!r} in {kind!r} curve spec must hold only numbers, got {bad[0]!r}")
         if kind == "ellipse":
             return Ellipse(
                 a=float(spec["a"]),

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .chord import FLOTATION, _apex, _flotation_t, _pair
+from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _pair
 from .curve import SampledPeriodic, area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton, signed_cbrt
@@ -234,14 +234,17 @@ def petty_ratios(curve):
     """det(g', g'') / det(g - c, g')^3 at 512 uniform samples: the reciprocal Petty condition about the centroid c.
 
     It is finite everywhere, flat points (det(g', g'') = 0) included, and
-    does not depend on where the body sits. The centroid is o + (2/3)
-    mean((g - o) w) / mean(w) from the curve's moments about o.
+    does not depend on where the body sits.
     """
-    origin, moments = curve.moments
-    centroid = origin + (2.0 / 3.0) * moments.mean[1:] / moments.mean[0]
     grid = np.arange(512) * (curve.period / 512)
     g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
-    return det2(d1, d2) / det2(g - centroid, d1) ** 3
+    return det2(d1, d2) / det2(g - _centroid(curve), d1) ** 3
+
+
+def _centroid(curve):
+    """The body's centroid, o + (2/3) mean((g - o) w) / mean(w) from its moments about o."""
+    origin, moments = curve.moments
+    return origin + (2.0 / 3.0) * moments.mean[1:] / moments.mean[0]
 
 
 def petty_condition_report(curve) -> ConstancyReport:
@@ -252,14 +255,15 @@ def petty_condition_report(curve) -> ConstancyReport:
     return ConstancyReport.from_values(1.0 / petty_ratios(curve))
 
 
-def _check_origin_symmetric(curve):
+def _check_symmetric(curve, center, name):
+    """Reject a curve that is not symmetric about the point ``center``, called ``name`` in the error."""
     n = max(4 * curve.resolution, 512)
     grid = np.arange(n) * (curve.period / n)
-    pts, opposite = curve.derivative(_pair(grid, grid + curve.period / 2.0), 0)
+    pts, opposite = curve.derivative(_pair(grid, grid + curve.period / 2.0), 0) - center
     scale = float(np.max(norm2(pts)))
     defect = float(np.max(norm2(pts + opposite)))
     if defect > 1e-9 * scale:
-        raise DomainError(f"curve is not origin-symmetric (defect {defect:.3e})")
+        raise DomainError(f"curve is not symmetric about {name} (defect {defect:.3e})")
 
 
 def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
@@ -269,7 +273,7 @@ def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
     as a sampled curve whose tangent is parallel to the original position
     vector at matched parameters.
     """
-    _check_origin_symmetric(curve)
+    _check_symmetric(curve, np.zeros(2), "the origin")  # the polar is taken about the origin
     n = n_samples if n_samples is not None else max(2 * curve.resolution, 256)
     grid = np.arange(n) * (curve.period / n)
     g, d1 = curve.derivatives(grid, (0, 1))
@@ -280,26 +284,26 @@ def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
 
 
 def radon_check(curve, n_samples=256) -> float:
-    """Max angular defect of the tangent/radial involution.
+    """Max angular defect of the tangent/radial involution about the centroid c.
 
-    For each s the parameter t with gamma(t) parallel to gamma'(s) is found in
-    (s, s + period/2); the residual is |det(gamma'(t), gamma(s))| normalized.
-    Zero characterizes Radon curves (bodies homothetic to their polar
-    intersection body).
+    For each s the parameter t with gamma(t) - c parallel to gamma'(s) is
+    found in (s, s + period/2); the residual is |det(gamma'(t), gamma(s) - c)|
+    normalized. Zero characterizes Radon curves (bodies homothetic to their
+    polar intersection body), wherever the body sits.
     """
-    _check_origin_symmetric(curve)
+    center = _centroid(curve)
+    _check_symmetric(curve, center, "its centroid")
     s = np.arange(n_samples) * (curve.period / n_samples)
     g_s, d1 = curve.derivatives(s, (0, 1))
     lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
-    t = bracketed_newton(
-        lambda u: tuple(det2(d, d1) for d in curve.derivatives(u, (0, 1))),
-        lo,
-        hi,
-        0.5 * (lo + hi),
-        f_tol=0.0,
-    )
+
+    def fdf(u):
+        g, d = curve.derivatives(u, (0, 1))
+        return det2(g - center, d1), det2(d, d1)
+
+    t = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=0.0)
     d1_t = curve.derivative(t, 1)
-    return float(np.max(np.abs(det2(d1_t, g_s)) / (norm2(d1_t) * norm2(g_s))))
+    return float(np.max(np.abs(det2(d1_t, g_s - center)) / (norm2(d1_t) * norm2(g_s - center))))
 
 
 # the closure of every carousel is checked from the starts k period / CAROUSEL_STARTS
@@ -348,7 +352,7 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     ``delta``, the chain from s0 is the one the root finder solved at the
     delta where the carousel from s0 closes.
     """
-    _require_carousel(p, q, s0)
+    _require_carousel(p, q, s0, curve.period)
     if delta is None:
         delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
@@ -381,8 +385,8 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     return carousel
 
 
-def _require_carousel(p, q, s0):
-    """Reject a chair count q, winding p or start s0 that no carousel has."""
+def _require_carousel(p, q, s0, period):
+    """Reject a chair count q, winding p or start s0 that no carousel has, or whose chords cannot be solved."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
     if not 0 < p < q:
@@ -391,6 +395,8 @@ def _require_carousel(p, q, s0):
         raise DomainError(f"p/q = {p}/{q} is not in lowest terms")
     if not math.isfinite(s0):
         raise DomainError(f"the start s0 must be finite, got {s0}")
+    if s0 + CAP_MARGIN * period == s0:  # the first chord's bracket would start at s0 itself
+        raise DomainError(f"the start s0 = {s0:g} is too far from 0: s0 + {CAP_MARGIN:g} period rounds to s0")
 
 
 def _closing_chain(curve, p, q, s0):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from oracles import circle_segment_area, export_svg_per_value
 DELTA = circle_segment_area(math.pi / 3)
 # every p/q in lowest terms with q <= 8
 LOWEST_TERMS = [(p, q) for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
+ROOT = Path(__file__).resolve().parents[1]
 REPORT_SCHEMA = json.loads((Path(flotilla.__file__).parent / "report_schema.json").read_text())
 
 
@@ -285,6 +287,39 @@ class TestRun:
         report["records"][0]["value"] = -1.0
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("name", ["ellipse", "perturbed_circle"])
+    def test_report_times_each_stage_in_run_order(self, tmp_path, capsys, name):
+        config = cli_module.load_config(ROOT / "configs" / f"{name}.json")
+        config.output_dir = str(tmp_path)
+        start = time.perf_counter()
+        cli_module.cmd_run(config)
+        wall = time.perf_counter() - start
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, REPORT_SCHEMA)
+        stages = report["stage_seconds"]
+        bundles = [f"compute_bundle[{i}]" for i in range(len(config.deltas))]
+        checks = [f"check {check}" for check in config.checks]
+        assert list(stages) == ["curve", *bundles, "write_curves_csv", "write_figure", *checks]
+        assert all(math.isfinite(seconds) and seconds >= 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= wall
+
+    def test_stages_are_called_through_the_module(self, tmp_path, monkeypatch):
+        # a wrapper set over a stage's module name, or over CHECKS, sees every call of the run
+        calls = []
+
+        def wrap(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("curve_from_json", "area", "resolve_deltas", "compute_bundle", "write_curves_csv", "write_figure"):
+            monkeypatch.setattr(cli_module, name, wrap(name, getattr(cli_module, name)))
+        monkeypatch.setitem(CHECKS, "omega", wrap("omega", CHECKS["omega"]))
+        cfg = write_config(tmp_path / "c.json", deltas=[0.4, 0.9], checks=["omega"])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        assert calls == [
+            "curve_from_json", "area", "resolve_deltas", "compute_bundle", "compute_bundle",
+            "write_curves_csv", "write_figure", "omega", "omega",
+        ]
 
     def test_cut_length_record_states_the_one_third_hypothesis(self, tmp_path):
         # at the 3-chair carousel's area every chord of the 2:1 ellipse spans an
@@ -716,15 +751,16 @@ class TestSubcommands:
         assert codes[1, 2] == EXIT_OK  # every body's 1/2 chain closes at half the area
 
     def test_petty_of_a_moved_ellipse_passes(self, tmp_path, capsys):
-        # measured about the coordinate origin, petty read 0.30 here
+        # measured about the coordinate origin, petty read 0.30 here, and radon was
+        # skipped: "curve is not origin-symmetric (defect 4.472e-01)"
         spec = {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.2, -0.1]}
         cfg = write_config(tmp_path / "c.json", curveSpec=spec, deltas=[1.0, {"fraction": 0.3}], nSamples=256, checks=list(CHECKS))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         records = {r["check"]: r for r in strict_json((out / "report.json").read_text())["records"]}
         assert records["petty"]["status"] == "pass" and records["petty"]["value"] < 1e-12
-        assert records["radon"]["status"] == "skipped"
-        assert "[SKIP] radon" in capsys.readouterr().out
+        assert records["radon"]["status"] == "pass" and records["radon"]["value"] < 1e-9
+        assert "[PASS] radon" in capsys.readouterr().out
 
     def test_petty_on_flat_point_body_fails_with_a_valid_report(self, tmp_path, capsys):
         # det(g', g'') is 0.0 at a grid point of petty's: the condition is infinite there and
@@ -815,10 +851,44 @@ class TestSubcommands:
             # valid ellipses whose lengths overflow at the sixth power: exit 3 in one line, nothing written
             (["run", "{e60}", "--out", "{out}"], EXIT_NUMERICAL, "numerical failure: overflow"),
             (["run", "{e150}", "--out", "{out}"], EXIT_NUMERICAL, "numerical failure: overflow"),
+            # config values of the wrong JSON type: exit 2 in one line. Nested checks and an integer
+            # outputDir used to raise TypeError, a string was read one character at a time ("12"
+            # ran delta 1 and delta 2), and true counted as the number 1
+            (["run", "{checks_nested}"], EXIT_CONFIG, "checks must be a list of check names"),
+            (["run", "{checks_object}"], EXIT_CONFIG, "checks must be a list of check names"),
+            (["run", "{checks_string}"], EXIT_CONFIG, "checks must be a list of check names"),
+            (["run", "{output_dir_int}"], EXIT_CONFIG, "outputDir must be a string"),
+            (["run", "{deltas_string}"], EXIT_CONFIG, "deltas must be a list"),
+            (["run", "{deltas_bool}"], EXIT_CONFIG, "bad delta entry True"),
+            (["run", "{delta_hat_bool}"], EXIT_CONFIG, "deltaHat must be a number"),
+            (["run", "{a_bool}"], EXIT_CONFIG, "'a' in 'ellipse' curve spec must hold only numbers"),
+            (["carousel", "{a_bool}", "--q", "3"], EXIT_CONFIG, "'a' in 'ellipse' curve spec must hold only numbers"),
+            # an integer no float holds used to exit 3: "int too large to convert to float"
+            (["run", "{a_huge}"], EXIT_CONFIG, "'a' in 'ellipse' curve spec must hold only numbers"),
+            (["run", "{deltas_huge}"], EXIT_CONFIG, "bad delta entry"),
+            # a start where s0 + 1e-12 period rounds to s0 used to exit 3 with an empty bracket
+            (["carousel", "{cfg}", "--q", "3", "--s0", "1e300"], EXIT_CONFIG, "s0 = 1e+300"),
+            (["carousel", "{cfg}", "--q", "3", "--s0", "-1e17"], EXIT_CONFIG, "s0 = -1e+17"),
         ],
     )
-    def test_command_line_contract(self, tmp_path, capsys, argv, code, word):
+    def test_command_line_contract(self, tmp_path, capsys, monkeypatch, argv, code, word):
+        monkeypatch.chdir(tmp_path)  # a relative output directory lands here, if any is made
         cfg = write_config(tmp_path / "c.json")
+        bad = {
+            name: write_config(tmp_path / f"{name}.json", **overrides)
+            for name, overrides in {
+                "checks_nested": {"checks": [["omega"]]},
+                "checks_object": {"checks": [{"a": 1}]},
+                "checks_string": {"checks": "chord_cube"},
+                "output_dir_int": {"outputDir": 7},
+                "deltas_string": {"deltas": "12"},
+                "deltas_bool": {"deltas": [True]},
+                "delta_hat_bool": {"deltaHat": True},
+                "a_bool": {"curveSpec": {"kind": "ellipse", "a": True, "b": 0.5}},
+                "a_huge": {"curveSpec": {"kind": "ellipse", "a": 10**400, "b": 0.5}},
+                "deltas_huge": {"deltas": [{"fraction": 10**400}]},
+            }.items()
+        }
         # semi-axes 10^k and 10^(k - 1), cut at 0.3 of the area, with every check
         big = {
             f"e{k}": write_config(
@@ -830,13 +900,15 @@ class TestSubcommands:
             for k in (60, 150)
         }
         out = tmp_path / "out"  # also the config's outputDir
-        assert main([arg.format(cfg=cfg, out=out, **big) for arg in argv]) == code
+        assert main([arg.format(cfg=cfg, out=out, **big, **bad) for arg in argv]) == code
         captured = capsys.readouterr()
         stream = captured.out if code == EXIT_OK else captured.err
         assert word in stream
-        assert code != EXIT_NUMERICAL or stream.count("\n") == 1
+        # every error but a usage error is one line, never a traceback
+        assert code == EXIT_OK or stream.startswith("usage error") or stream.count("\n") == 1
         # only the rows that run the carousel write anything
         assert out.exists() == word.startswith("carousel p/q")
+        assert sorted(path.name for path in tmp_path.iterdir() if path.is_dir()) == ["out"] * out.exists()
 
     def test_options_read_as_typed_values(self):
         # the last occurrence of an option wins; unset options take their defaults
@@ -846,7 +918,7 @@ class TestSubcommands:
         assert all(name in cli_module.USAGE for options in cli_module.COMMANDS.values() for name in options)
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def readme_block(heading, lang):

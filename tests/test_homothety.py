@@ -440,6 +440,16 @@ class TestRadon:
         with pytest.raises(DomainError):
             radon_check(bump3, 32)
 
+    @pytest.mark.parametrize("rotation", [0.0, 0.7])
+    def test_moved_ellipse(self, rotation):
+        # symmetry and the residual are taken about the centroid; about the origin the
+        # moved ellipse read "not origin-symmetric (defect 4.472e-01)"
+        moved = Ellipse(2.0, 1.0, center=(0.2, -0.1), rotation=rotation)
+        assert radon_check(moved, 128) < 1e-9
+        # the polar intersection body is taken about the origin, so it still needs symmetry there
+        with pytest.raises(DomainError, match="about the origin"):
+            intersection_body_polar(moved)
+
 
 class TestCarousel:
     def test_circle_three_chairs(self, unit_circle):

@@ -54,7 +54,7 @@ def test_stage_times(tmp_path):
     checks += ["petty", "radon", "affine_sphere"]
     assert stages == [
         "config", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
-        *["check"] * len(checks), "write_report", "total",
+        *["check"] * len(checks), "rest", "total",
     ]
     assert [line.split()[1] for line in result.stdout.splitlines() if line.startswith("check ")] == checks
     assert not list(tmp_path.iterdir())  # the outputs go to a temporary directory
