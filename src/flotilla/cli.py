@@ -344,21 +344,18 @@ def _severity(entry):
     return (_SEVERITY[entry["status"]], entry["value"] / max(entry["threshold"], 1e-300))
 
 
-def run_checks(curve, label, bundles, checks):
-    """One record per requested check, aggregated worst-case over deltas.
+def run_checks(curve, label, bundles, name):
+    """The record of one check, aggregated worst-case over deltas.
 
     ``pass`` is false only for a failed check; a skipped record says why in
     ``reason``. A check in BODY_CHECKS runs on the first bundle only.
     """
-    records = []
-    for name in checks:
-        entries = []
-        for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
-            result = CHECKS[name](curve, bundle)
-            record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
-            entries.append({**record, "pass": result["status"] != FAIL})
-        records.append(max(entries, key=_severity))
-    return records
+    entries = []
+    for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
+        result = CHECKS[name](curve, bundle)
+        record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
+        entries.append({**record, "pass": result["status"] != FAIL})
+    return max(entries, key=_severity)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +454,8 @@ def cmd_run(config: RunConfig):
     timed("write_curves_csv", lambda: write_curves_csv(out_dir / "curves.csv", bundles))
     timed("write_figure", lambda: write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE))
 
-    if not config.checks:
-        print(f"wrote {out_dir/'curves.csv'} and {out_dir/'figure.svg'}")
-        return EXIT_OK
-
-    records = []
-    for name in config.checks:  # one stage each, summed over the deltas the check runs at
-        records += timed(f"check {name}", lambda: run_checks(curve, label, bundles, [name]))
+    # one stage per check, summed over the deltas it runs at
+    records = [timed(f"check {name}", lambda: run_checks(curve, label, bundles, name)) for name in config.checks]
     payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds)
     for rec in records:
         if rec["status"] == SKIPPED:

@@ -72,6 +72,10 @@ class ClosedConvexCurve:
         """The one-order case of ``derivatives``."""
         return self.derivatives(s, (order,))[0]
 
+    def on_grid(self, n, orders):
+        """``derivatives`` at the n-point grid s_j = j period / n, which a sampled kind serves by an inverse FFT."""
+        return self.derivatives(np.arange(n) * (self.period / n), orders)
+
     @functools.cached_property
     def moments(self):
         """Moment origin o and the interpolant of [w, (gamma - o) w], w = det(gamma - o, gamma').
@@ -81,9 +85,7 @@ class ClosedConvexCurve:
         its interpolant on 4 * resolution samples is exact. Taking moments
         about the sample mean keeps translated bodies free of cancellation.
         """
-        n = 4 * self.resolution
-        grid = np.arange(n) * (self.period / n)
-        points, d1 = self.derivatives(grid, (0, 1))
+        points, d1 = self.on_grid(4 * self.resolution, (0, 1))
         origin = points.mean(axis=0)
         g = points - origin
         w = det2(g, d1)
@@ -95,9 +97,7 @@ class ClosedConvexCurve:
         return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period)
 
     def _validate(self):
-        n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
-        grid = np.arange(n) * (self.period / n)
-        d1, d2 = self.derivatives(grid, (1, 2))
+        d1, d2 = self.on_grid(max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution), (1, 2))
         if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise DomainError("curve parameters must be finite")
         speed = norm2(d1)
@@ -111,6 +111,16 @@ class ClosedConvexCurve:
                 f"(min {convexity.min():.3e}); curve is not strongly convex "
                 "or not positively oriented"
             )
+
+
+class LinearArc:
+    """L(u) = rate u, the affine arc length of a curve whose det(g', g'') is constant; ``total`` is one period's."""
+
+    def __init__(self, rate, period):
+        self.rate, self.total = rate, rate * period
+
+    def __call__(self, u):
+        return self.rate * np.asarray(u, dtype=float)
 
 
 class Ellipse(ClosedConvexCurve):
@@ -145,6 +155,11 @@ class Ellipse(ClosedConvexCurve):
         (a00, a01), (a10, a11) = self._jets[0] * ab
         modes = [[ab, 0.0, 0.0], [0.0, complex(a00, -a01), complex(a10, -a11)]]
         return self.center, TrigInterpolant.from_coefficients(modes, self.period)
+
+    @functools.cached_property
+    def affine_arc(self):
+        """det(g', g'') = ab everywhere, so L(s) = (ab)^(1/3) s: a line, with no table and no curve evaluation."""
+        return LinearArc((self.a * self.b) ** (1.0 / 3.0), self.period)
 
     def derivatives(self, s, orders):
         unit = np.stack([np.cos(s), np.sin(s)], axis=-1)
@@ -209,6 +224,12 @@ class SampledPeriodic(ClosedConvexCurve):
 
     def derivatives(self, s, orders):
         return self._interp.derivatives(s, orders)
+
+    def on_grid(self, n, orders):
+        # a grid too coarse to hold the series evaluates it point by point
+        if len(self._interp.modes) > n // 2 + 1:
+            return super().on_grid(n, orders)
+        return self._interp.on_grid(n, orders)
 
 
 class AffineImage(ClosedConvexCurve):

@@ -154,7 +154,7 @@ def buoyancy_affine_normal_check(chords):
 
 def _spectral_derivatives(points, chords, orders):
     """Derivatives in s of a family sampled on the sweep's uniform grid, from its trigonometric interpolant."""
-    return TrigInterpolant(points, chords.curve.period).derivatives(chords.s - chords.s[0], orders)
+    return TrigInterpolant(points, chords.curve.period).on_grid(len(points), orders)
 
 
 def flotation_body_area(chords):

@@ -236,8 +236,7 @@ def petty_ratios(curve):
     It is finite everywhere, flat points (det(g', g'') = 0) included, and
     does not depend on where the body sits.
     """
-    grid = np.arange(512) * (curve.period / 512)
-    g, d1, d2 = curve.derivatives(grid, (0, 1, 2))
+    g, d1, d2 = curve.on_grid(512, (0, 1, 2))
     return det2(d1, d2) / det2(g - _centroid(curve), d1) ** 3
 
 
@@ -274,9 +273,7 @@ def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
     vector at matched parameters.
     """
     _check_symmetric(curve, np.zeros(2), "the origin")  # the polar is taken about the origin
-    n = n_samples if n_samples is not None else max(2 * curve.resolution, 256)
-    grid = np.arange(n) * (curve.period / n)
-    g, d1 = curve.derivatives(grid, (0, 1))
+    g, d1 = curve.on_grid(n_samples if n_samples is not None else max(2 * curve.resolution, 256), (0, 1))
     radial = det2(g, d1)
     if np.any(radial <= 0.0):
         raise DomainError("origin must be strictly inside the curve")
@@ -294,7 +291,7 @@ def radon_check(curve, n_samples=256) -> float:
     center = _centroid(curve)
     _check_symmetric(curve, center, "its centroid")
     s = np.arange(n_samples) * (curve.period / n_samples)
-    g_s, d1 = curve.derivatives(s, (0, 1))
+    g_s, d1 = curve.on_grid(n_samples, (0, 1))
     lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
 
     def fdf(u):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, SolverError
+from .errors import AccuracyError, DomainError, SolverError
 
 # the order-8 Gauss-Legendre rule on [-1, 1] as numpy.polynomial.legendre.leggauss(8) gives it,
 # without importing numpy.polynomial: the upper-half nodes (row 0) and weights (row 1), mirrored
@@ -225,6 +225,19 @@ class TrigInterpolant:
             np.cumprod(table, axis=-1, out=table)
         out = [table.view(float) @ self._coefficients(order) for order in orders]
         return [v + np.multiply.outer(s, self.mean) if k == -1 else v for v, k in zip(out, orders)]
+
+    def on_grid(self, n, orders):
+        """The order-th derivatives (orders >= 0) at s_j = j period / n, from one inverse FFT and no table.
+
+        irfft takes the half spectrum of a real signal: an interior mode is one
+        half of its Hermitian pair, the DC and Nyquist (k = n/2) ones whole.
+        """
+        if len(self.modes) > n // 2 + 1:
+            raise DomainError(f"a grid of {n} points cannot hold a series of {len(self.modes)} modes")
+        weight = np.where((self.modes == 0) | (2 * self.modes == n), n, 0.5 * n)
+        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
+        scaled = np.stack([(weight * self._wave**order).reshape(shape) * self.coeffs for order in orders])
+        return list(np.fft.irfft(scaled, n, axis=1))
 
     def __call__(self, s, order=0):
         return self.derivatives(s, (order,))[0]

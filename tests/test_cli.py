@@ -458,7 +458,7 @@ class TestBodyChecks:
         names = list(CHECKS)
         with monkeypatch.context() as m:
             m.setattr(cli_module, "BODY_CHECKS", ())
-            per_delta = run_checks(curve, "e", bundles, names)
+            per_delta = [run_checks(curve, "e", bundles, name) for name in names]
         calls = dict.fromkeys(names, 0)
         for name in names:
 
@@ -467,7 +467,7 @@ class TestBodyChecks:
                 return _check(*args)
 
             monkeypatch.setitem(CHECKS, name, counting)
-        records = run_checks(curve, "e", bundles, names)
+        records = [run_checks(curve, "e", bundles, name) for name in names]
         assert records == per_delta
         assert calls == {name: 1 if name in BODY_CHECKS else 2 for name in names}
         assert set(BODY_CHECKS) == {"petty", "radon", "affine_sphere"}
@@ -801,14 +801,16 @@ class TestSubcommands:
         assert main(["carousel", str(cfg), "--q", "3", "--s0", s0, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
-    def test_config_without_checks_writes_no_report(self, tmp_path):
-        # what the export command did: curves.csv and figure.svg, no report
+    def test_config_without_checks_writes_an_empty_report(self, tmp_path):
+        # curves.csv and figure.svg, and a report of no records that still times the stages
         cfg = write_config(tmp_path / "c.json", checks=[])
         out = tmp_path / "exp"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         assert (out / "curves.csv").exists()
         assert (out / "figure.svg").exists()
-        assert not (out / "report.json").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["records"] == [] and report["passed"] is True
+        assert list(report["stage_seconds"]) == ["curve", "compute_bundle[0]", "write_curves_csv", "write_figure"]
 
     def test_usage_error(self):
         assert main(["run"]) == EXIT_CONFIG

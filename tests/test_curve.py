@@ -75,6 +75,40 @@ class TestEvaluate:
         assert np.allclose(sp.derivative(probe, 3), [math.sin(probe), -math.cos(probe)], atol=1e-10)
 
 
+class TestOnGrid:
+    """``curve.on_grid(n, orders)``, the derivatives at s_j = j period / n."""
+
+    @pytest.mark.parametrize("kind", ["ellipse", "fourier_radial", "affine_image"])
+    def test_analytic_kinds_are_their_derivatives_bit_for_bit(self, kind):
+        # the analytic kinds keep their own evaluator on the grid, so their rounding, which the
+        # benchmark's run_bump3 reference pins at bump3's flat points, cannot move
+        bump3 = FourierRadial(1.0, (0.0, 0.0, 0.1))
+        curve = {
+            "ellipse": Ellipse(2.0, 1.0, center=(0.3, -0.7), rotation=0.4),
+            "fourier_radial": bump3,
+            "affine_image": AffineImage(bump3, AffineFrame([[1.0, 0.3], [0.0, -0.8]], (0.2, 0.1))),
+        }[kind]
+        orders = (0, 1, 2, 3, 4)
+        for n in (64, 512):
+            grid = np.arange(n) * (curve.period / n)
+            for got, want in zip(curve.on_grid(n, orders), curve.derivatives(grid, orders)):
+                assert np.array_equal(got, want)
+
+    def test_sampled_kind_matches_its_derivatives(self):
+        # 22 kept modes (r cos u reaches 21): the grids of 64 and 1,024 points take one inverse FFT, and the grid
+        # of 16 points, too coarse to hold the series, evaluates it point by point
+        u = np.arange(64) * (TWO_PI / 64)
+        r = 1.0 + 0.02 * np.cos(2 * u) + 0.01 * np.sin(3 * u) + 0.001 * np.cos(20 * u)
+        curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        assert len(curve._interp.modes) == 22
+        orders = (0, 1, 2)
+        for n in (16, 64, 1024):
+            grid = np.arange(n) * (curve.period / n)
+            for got, want in zip(curve.on_grid(n, orders), curve.derivatives(grid, orders)):
+                assert got.shape == want.shape == (n, 2)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestEuclideanCurvature:
     """``curvature`` of the first and second derivatives."""
 
@@ -156,6 +190,16 @@ class TestAffineArcTable:
         table = curve.affine_arc
         assert table.total == pytest.approx(reference[0], rel=1e-12)
         assert np.max(np.abs(table(t) - table(s) - reference)) <= 2e-12 * table.total
+
+    def test_ellipse_arc_is_a_line(self):
+        # det(g', g'') = ab for any center and rotation, so L(s) = (ab)^(1/3) s needs no table
+        curve = Ellipse(2.0, 1.0, center=(0.3, -0.7), rotation=0.4)
+        arcs = [(0.0, TWO_PI), (0.3, 2.9), (1.1, 1.1 + TWO_PI), (5.0, 8.5), (-1.0, 0.7)]
+        reference = np.array([affine_arclength(curve, s, t) for s, t in arcs])
+        s, t = np.array(arcs).T
+        assert curve.affine_arc.total == pytest.approx(TWO_PI * 2.0 ** (1.0 / 3.0), rel=1e-15)
+        assert curve.affine_arc.total == pytest.approx(reference[0], rel=1e-13)
+        assert np.all(np.abs(curve.affine_arc(t) - curve.affine_arc(s) - reference) <= 1e-13 * reference)
 
     def test_flat_points_converge_in_few_rounds(self):
         # the panels next to bump3's three cusps are cut in eighths: 7 rounds,

@@ -214,10 +214,9 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
             assert calls <= 20, name
             if name == "cut_length":
                 cut_length_calls.append(calls)
-    # both deltas read one affine arc table: the first cut_length builds it (the
-    # convexity scale on 17 points, then one round of 32 panels), the second
-    # evaluates no curve point
-    assert cut_length_calls == [2, 0]
+    # the ellipse's affine arc length is the line (ab)^(1/3) s: neither cut_length
+    # evaluates a curve point (a table took 2 calls at the first delta and 0 at the second)
+    assert cut_length_calls == [0, 0]
 
 
 def test_endpoint_balance_forms_checked_in_every_lane(bump3):

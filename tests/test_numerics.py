@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flotilla.curve import Ellipse, det2
 from flotilla.chord import FLOTATION, sweep
-from flotilla.errors import AccuracyError, SolverError
+from flotilla.errors import AccuracyError, DomainError, SolverError
 from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
@@ -158,6 +158,35 @@ def test_trig_interpolant_from_its_coefficients_is_the_same_series():
     probe = np.linspace(-1.0, 8.0, 37)
     for got, want in zip(again.derivatives(probe, (-1, 0, 1, 2)), interp.derivatives(probe, (-1, 0, 1, 2))):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "vector"])
+@pytest.mark.parametrize("n", [32, 33])
+def test_on_grid_matches_derivatives_on_the_grid(n, shape):
+    # one inverse FFT against the table at s_j = j period / n, relative to sum_k |f_k c_k|, for
+    # series from the DC term alone to one that fills the grid (at even n, up to a real Nyquist mode)
+    rng = np.random.default_rng(n)
+    period = 2.0 * math.pi
+    grid = np.arange(n) * (period / n)
+    orders = (0, 1, 2, 3, 4)
+    for m in (1, 2, n // 2, n // 2 + 1):
+        coeffs = rng.standard_normal((m,) + shape) + 1j * rng.standard_normal((m,) + shape)
+        coeffs[0] = coeffs[0].real
+        if 2 * (m - 1) == n:
+            coeffs[-1] = coeffs[-1].real
+        interp = TrigInterpolant.from_coefficients(coeffs, period)
+        for order, got, want in zip(orders, interp.on_grid(n, orders), interp.derivatives(grid, orders)):
+            scale = (interp.omega * np.arange(m)) ** order @ np.abs(coeffs)
+            assert got.shape == want.shape == (n,) + shape
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, order)
+
+
+def test_on_grid_too_coarse_for_the_series_raises():
+    # modes 0..9 fit a grid of 18 points (9 is its Nyquist mode), not one of 17, where 9 would alias to -8
+    interp = TrigInterpolant.from_coefficients(np.ones(10), 2.0 * math.pi)
+    assert interp.on_grid(18, (0,))[0].shape == (18,)
+    with pytest.raises(DomainError, match="17 points"):
+        interp.on_grid(17, (0,))
 
 
 def test_gauss_rule_equals_leggauss():

@@ -58,3 +58,16 @@ def test_stage_times(tmp_path):
     ]
     assert [line.split()[1] for line in result.stdout.splitlines() if line.startswith("check ")] == checks
     assert not list(tmp_path.iterdir())  # the outputs go to a temporary directory
+
+
+def test_stage_times_without_checks(tmp_path):
+    # a run without checks still writes report.json, so its stages are timed too
+    config = tmp_path / "export.json"
+    config.write_text('{"curveSpec": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "deltas": [1.0], "nSamples": 64}')
+    work = tmp_path / "work"
+    work.mkdir()
+    result = run_script("stage_times.py", str(config), "--repeat", "1", cwd=work)
+    assert result.returncode == 0, result.stderr
+    stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    assert stages == ["config", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
+    assert not list(work.iterdir())
