@@ -235,8 +235,8 @@ class TrigInterpolant:
         if len(self.modes) > n // 2 + 1:
             raise DomainError(f"a grid of {n} points cannot hold a series of {len(self.modes)} modes")
         weight = np.where((self.modes == 0) | (2 * self.modes == n), n, 0.5 * n)
-        shape = (-1,) + (1,) * (self.coeffs.ndim - 1)
-        scaled = np.stack([(weight * self._wave**order).reshape(shape) * self.coeffs for order in orders])
+        trailing = [1] * (self.coeffs.ndim - 1)
+        scaled = np.stack([(weight * self._wave**order).reshape(-1, *trailing) * self.coeffs for order in orders])
         return list(np.fft.irfft(scaled, n, axis=1))
 
     def __call__(self, s, order=0):
