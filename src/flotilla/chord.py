@@ -100,17 +100,15 @@ def arc_moments(chords):
     return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
-def _area_fdf(curve, kind, s, at_s, delta_hat=None):
-    """The cap (flotation) or cone (illumination) area of the lanes (s, t) as a function of t.
+def _area_fdf(curve, kind, s, at_s, target):
+    """The residual of the cap (flotation) or cone (illumination) area target over the lanes (s, t), as a function of t.
 
-    The returned callable maps t to the area, its t-derivative and the mask
-    of lanes whose end tangents are parallel (False for a cap, which always
-    exists; the cone area is undefined there). Given ``delta_hat``, a cone's
-    callable maps t instead to the residual and slope of the cone solve
-    (``_silhouette_t``). ``at_s`` starts with gamma(s) and gamma'(s); the
-    moment antiderivative at s is evaluated here once, so a call makes one
-    curve evaluation at t (orders 0 and 1 for a cap, 0 to 2 for a cone) and
-    one moment evaluation, kept with t as the callable's ``last``.
+    The returned callable maps t to a residual and its t-derivative: cap -
+    target and half det(c, gamma'(t)) for a cap, the scaled cone residual of
+    ``_silhouette_t`` for a cone. ``at_s`` starts with gamma(s) and
+    gamma'(s); the moment antiderivative at s is evaluated here once, so a
+    call makes one curve evaluation at t, of orders 0 to 2, and one moment
+    evaluation, kept with t as the callable's ``last`` for the chords.
     """
     origin, moments = curve.moments
     x, d1 = at_s[0] - origin, at_s[1]
@@ -118,34 +116,31 @@ def _area_fdf(curve, kind, s, at_s, delta_hat=None):
     total = area(curve)
 
     def fdf(t):
-        fdf.last = t, curve.derivatives(t, (0, 1) if kind == FLOTATION else (0, 1, 2))
-        y, d2, *dd2 = fdf.last[1]
+        fdf.last = t, curve.derivatives(t, (0, 1, 2))
+        y, d2, dd2 = fdf.last[1]
         y = y - origin
         c = y - x
         q = det2(c, d2)
         cap = 0.5 * (moments(t, -1)[..., 0] - m_s - det2(x, y))
         if kind == FLOTATION:
-            return cap, 0.5 * q, False
-        p, v, dv = det2(d1, c), det2(d1, d2), det2(d1, dd2[0])
-        parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
-        # the cone is the tangent triangle pq / 2v less the cap: f = v (cone - delta_hat),
-        # with delta_hat 0 for the area, and its t-derivative, with p' = v and q' = det(c, gamma''(t))
-        rest = cap if delta_hat is None else cap + delta_hat
-        f, df = 0.5 * p * q - v * rest, 0.5 * p * det2(c, dd2[0]) - dv * rest
+            return cap - target, 0.5 * q
+        p, v, dv = det2(d1, c), det2(d1, d2), det2(d1, dd2)
+        # the cone is the tangent triangle pq / 2v less the cap: f = v (cone - target) and its
+        # t-derivative, with p' = v and q' = det(c, gamma''(t))
+        rest = cap + target
+        f, df = 0.5 * p * q - v * rest, 0.5 * p * det2(c, dd2) - dv * rest
         with np.errstate(divide="ignore", invalid="ignore"):
-            if delta_hat is None:
-                cone = f / v
-                return cone, (df - dv * cone) / v, parallel
-            # f / v is cone - delta_hat near the root, where the triangle is below
-            # area + delta_hat. Once it exceeds twice that, on to the antipode and past
-            # it, where v <= 0, f is divided by |pq| / 4 (area + delta_hat) instead, a
+            # f / v is cone - target near the root, where the triangle is below
+            # area + target. Once it exceeds twice that, on to the antipode and past
+            # it, where v <= 0, f is divided by |pq| / 4 (area + target) instead, a
             # positive scale that keeps f's sign and Newton step (p and q may read
             # negative to rounding next to s)
-            scale = np.maximum(v, np.abs(p * q) / (4.0 * (total + delta_hat)))
+            scale = np.maximum(v, np.abs(p * q) / (4.0 * (total + target)))
             # at a flat point s the tangents stay parallel to rounding for a while
             # after s, less than a quarter turn on, where the cone tends to 0
+            parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
             flat = parallel & (np.sum(d1 * d2, axis=-1) > 0.0)
-            return np.where(flat, -delta_hat, f / scale), df / scale
+            return np.where(flat, -target, f / scale), df / scale
 
     return fdf
 
@@ -154,7 +149,7 @@ def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
     if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
-    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)))(t)[0]
+    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)), 0.0)(t)[0]
 
 
 def _apex(x, y, d1, d2):
@@ -175,20 +170,24 @@ def tangent_intersection(curve, s, t):
 
 
 def cone_area(curve, s, t):
-    """Area of the silhouette region between the two tangent segments and the arc."""
-    cone, _, parallel = _area_fdf(curve, ILLUMINATION, s, curve.derivatives(s, (0, 1)))(t)
-    if np.any(parallel):
-        raise ParallelElementsError("tangent lines are parallel; no apex")
-    return cone
+    """Area of the silhouette region between the two tangent segments and the arc: the tangent triangle less the cap."""
+    x, y = curve.derivative(_pair(s, t), 0)
+    return 0.5 * det2(tangent_intersection(curve, s, t) - x, y - x) - cap_area(curve, s, t)
+
+
+def _jets_at(curve, t, last):
+    """Orders 0 to 2 at t from a solve's last evaluation (u, jets), evaluated again in the lanes where t != u."""
+    u, jets = last
+    moved = t != u
+    if moved.any():
+        for d, new in zip(jets, curve.derivatives(t[moved], (0, 1, 2))):
+            d[moved] = new
+    return jets
 
 
 def _chords(curve, kind, delta, s, t, at_s, last=None):
     """Chords of the lanes (s, t) from orders 0 to 2 at s (``at_s``) and at t, from ``last`` = (u, jets) where u = t."""
-    u, at_t = last or (t, curve.derivatives(t, (0, 1, 2)))
-    fresh = t != u
-    if fresh.any():
-        for d, new in zip(at_t, curve.derivatives(t[fresh], (0, 1, 2))):
-            d[fresh] = new
+    at_t = _jets_at(curve, t, last) if last else curve.derivatives(t, (0, 1, 2))
     jets = tuple(np.stack(pair) for pair in zip(at_s, at_t))
     (x, y), (d1, d2) = jets[:2]
     c = y - x
@@ -223,30 +222,22 @@ def _cone_angle(g):
 
 
 def _flotation_t(curve, s, delta, at_s):
-    """t in (s, s + period) with cap_area(s, t) = delta, for every lane of s.
+    """t in (s, s + period) with cap_area(s, t) = delta for every lane of s, and the solve's last evaluation.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
     so that whole interval brackets every lane. It starts at the root on every
-    ellipse, the chord of the cap angle. ``at_s`` starts with gamma(s) and gamma'(s).
+    ellipse, the chord of the cap angle. ``at_s`` starts with gamma(s) and
+    gamma'(s); the last evaluation is (u, orders 0 to 2 at u).
     """
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     period = curve.period
     tiny = CAP_MARGIN * period
-    cap = _area_fdf(curve, FLOTATION, s, at_s)
-
-    def fdf(t):
-        value, slope, _ = cap(t)
-        return value - delta, slope
-
-    return bracketed_newton(
-        fdf,
-        s + tiny,
-        s + period - tiny,
-        s + period * (_cap_angle(delta / total) / (2.0 * math.pi)),
-        f_tol=1e-12 * total,
-    )
+    fdf = _area_fdf(curve, FLOTATION, s, at_s, delta)
+    start = s + period * (_cap_angle(delta / total) / (2.0 * math.pi))
+    t = bracketed_newton(fdf, s + tiny, s + period - tiny, start, f_tol=1e-12 * total)
+    return t, fdf.last
 
 
 def solve_flotation_chord(curve, s, delta):
@@ -292,10 +283,10 @@ def _solve(curve, kind, delta, s):
     """The chords of area delta from every lane of s, in one lane-wise solve.
 
     Orders 0 to 2 at s are evaluated once, for the t solve and the chords,
-    and a cone solve's latest evaluation at t serves the chords.
+    and the solve's latest evaluation at t serves the chords.
     """
     at_s = curve.derivatives(s, (0, 1, 2))
-    t, last = (_flotation_t(curve, s, delta, at_s), None) if kind == FLOTATION else _silhouette_t(curve, s, delta, at_s)
+    t, last = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta, at_s)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1

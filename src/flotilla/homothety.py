@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _pair
+from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _jets_at, _pair
 from .curve import SampledPeriodic, area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton, signed_cbrt
@@ -310,16 +310,17 @@ CAROUSEL_STARTS = 32
 def _chains(curve, q, delta, starts):
     """Vertices (q + 1, lanes) of the chord chains from every start, (gamma, gamma') there, and d(last vertex)/d(delta).
 
-    Each vertex is evaluated once, and handed to the chord solve that starts there.
+    Each vertex is evaluated once, in the chord solve that ends there, and
+    handed to the solve that starts there.
     """
     ts = [starts]
     at_vertices = [curve.derivatives(starts, (0, 1))]
     dt_ddelta = np.zeros_like(starts)  # the starts do not move with delta
     for _ in range(q):
-        t = _flotation_t(curve, ts[-1], delta, at_vertices[-1])
+        t, last = _flotation_t(curve, ts[-1], delta, at_vertices[-1])
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        (x, d1), (y, d2) = at_vertices[-1], curve.derivatives(t, (0, 1))
+        (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, last)
         c = y - x
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)

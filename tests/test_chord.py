@@ -266,19 +266,16 @@ class TestLaneSweep:
     @pytest.mark.parametrize(
         "body, kind, delta, curve_points, calls",
         [
-            ("ellipse21", FLOTATION, 1.0, 768, 3),
+            ("ellipse21", FLOTATION, 1.0, 512, 2),
             ("ellipse21", ILLUMINATION, 1.0, 512, 2),
-            ("bump3", FLOTATION, 0.8, 2_048, 8),
+            ("bump3", FLOTATION, 0.8, 1_792, 7),
             ("bump3", ILLUMINATION, 0.8, 4_352, 17),
         ],
     )
     def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
-        # orders 0 to 2 at s are evaluated once, for the t solve and the chords:
-        # 1,024 and 2,304 flotation points in as many calls when each of them
-        # evaluated the s side again. The illumination sweeps took 1,280 points
-        # in 5 calls and 7,936 in 31 when a Newton solve for the antipode came first,
-        # and 768 in 3 and 4,608 in 18 when the chords evaluated every t once more
-        # after the cone solve, whose last round had already evaluated it
+        # orders 0 to 2 at s are evaluated once, for the t solve and the chords,
+        # and either solve's last round at t serves the chords: one call more,
+        # of every t, when the chords evaluated t again
         curve = request.getfixturevalue(body)
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
@@ -433,7 +430,7 @@ class TestEllipseStarts:
         solves = _count_solves(monkeypatch)
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t = chord_module._flotation_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
+        t, _ = chord_module._flotation_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
         assert [len(calls) for calls in solves] == [1]
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -487,14 +484,15 @@ class TestEllipseStarts:
         # differ by at most twice that over the area's slope
         total = area(bump3)
         s = np.arange(256) * (bump3.period / 256)
-        solve = chord_module._flotation_t if kind == FLOTATION else lambda *args: chord_module._silhouette_t(*args)[0]
+        solve = chord_module._flotation_t if kind == FLOTATION else chord_module._silhouette_t
         at_s = bump3.derivatives(s, (0, 1))
-        t = solve(bump3, s, 0.8, at_s)
+        t, _ = solve(bump3, s, 0.8, at_s)
         _count_solves(monkeypatch, start=lambda lo, hi: 0.5 * (lo + hi))
-        t_mid = solve(bump3, s, 0.8, at_s)
+        t_mid, _ = solve(bump3, s, 0.8, at_s)
         for u in (t, t_mid):
-            value, slope, _ = chord_module._area_fdf(bump3, kind, s, at_s)(u)
-            assert np.max(np.abs(value - 0.8)) <= 1e-12 * total
+            # near the root either residual is the area less 0.8
+            value, slope = chord_module._area_fdf(bump3, kind, s, at_s, 0.8)(u)
+            assert np.max(np.abs(value)) <= 1e-12 * total
         assert np.all(np.abs(t - t_mid) * np.abs(slope) <= 2e-12 * total)
 
 

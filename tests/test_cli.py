@@ -689,12 +689,12 @@ class TestSubcommands:
         assert (car.vertices, car.lambdas) == (payload["vertices"], payload["lambdas"])
 
     def test_carousel_evaluates_each_chain_vertex_once(self, tmp_path, monkeypatch):
-        # each chain step hands gamma and gamma' at its end to the next step
-        # and to the tangent triangles: the ellipse's convexity and moments are
-        # closed forms and sample no points, the closing chain takes 1 + 3 x 2
-        # (one Newton round and one evaluation per chord end) and the 32-start
-        # diagnostics 32 + 3 x 64.
-        # Evaluating every inner vertex again adds 99, the triangles again 132
+        # each chain step hands gamma and gamma' at its end, from its last
+        # Newton round, to the next step and to the tangent triangles: the
+        # ellipse's convexity and moments are closed forms and sample no points,
+        # the closing chain takes 1 + 3 (one Newton round per chord) and the
+        # 32-start diagnostics 32 + 3 x 32.
+        # Evaluating every vertex again after its solve adds 99
         points = 0
         derivatives = Ellipse.derivatives
 
@@ -706,7 +706,7 @@ class TestSubcommands:
         monkeypatch.setattr(Ellipse, "derivatives", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(tmp_path / "car")]) == EXIT_OK
-        assert points == 7 + 224
+        assert points == 4 + 128
 
     def test_carousel_closure_defect_reported(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

@@ -21,9 +21,7 @@ PACKAGE = ROOT / "src" / "flotilla"
 SCRIPTS = ROOT / "scripts"
 
 KEPT = {
-    "chord.cap_area": "one-chord API; the lane tests compare the sweeps against it",
     "chord.cone_area": "one-chord API; the lane tests compare the sweeps against it",
-    "chord.tangent_intersection": "one-chord API; the lane tests compare the sweep apexes against it",
     "chord.solve_flotation_chord": "one-chord API; the lane tests compare the sweeps against it",
     "chord.solve_silhouette_chord": "one-chord API; the lane tests compare the sweeps against it",
     "curve.AffineFrame": "the frame of AffineImage, which the affine-invariance tests build",
