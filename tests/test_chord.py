@@ -18,7 +18,7 @@ from flotilla.chord import (
     sweep,
     tangent_intersection,
 )
-from flotilla.curve import AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
+from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
 from flotilla.numerics import TrigInterpolant, bracketed_newton
 
@@ -282,24 +282,51 @@ class TestLaneSweep:
         assert len(sweep(curve, kind, delta, 256)) == 256
         assert (counts["curve"], counts["calls"]) == (curve_points, calls)
 
-    def test_chords_reuse_the_last_evaluation_where_it_was_taken_at_t(self, monkeypatch, bump3):
-        # a cone solve's latest evaluation serves the lanes it was taken at; the
+    @pytest.mark.parametrize("step", ["flotation_sweep", "illumination_sweep", "chain_step"])
+    def test_chords_reuse_the_last_evaluation_where_it_was_taken_at_t(self, monkeypatch, bump3, step):
+        # a solve's latest evaluation serves the lanes it was taken at; the
         # others (here every third, as if stopped by the step tolerance) are
-        # evaluated again, and the chords are those of a fresh evaluation
+        # evaluated again, and the chords, or the next vertices of a carousel
+        # chain (homothety._chains), are those of a fresh evaluation
+        kind = ILLUMINATION if step == "illumination_sweep" else FLOTATION
         s = np.arange(64) * (bump3.period / 64)
         at_s = bump3.derivatives(s, (0, 1, 2))
-        t = sweep(bump3, ILLUMINATION, 0.8, 64).t
+        t = sweep(bump3, kind, 0.8, 64).t
         u = t.copy()
         u[::3] += 1e-3
         last = (u, bump3.derivatives(u, (0, 1, 2)))
-        fresh = chord_module._chords(bump3, ILLUMINATION, 0.8, s, t, at_s)
+        fresh = chord_module._chords(bump3, kind, 0.8, s, t, at_s)
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, bump3, counts)
-        reused = chord_module._chords(bump3, ILLUMINATION, 0.8, s, t, at_s, last)
+        if step == "chain_step":
+            ends = chord_module._jets_at(bump3, t, last)
+        else:
+            reused = chord_module._chords(bump3, kind, 0.8, s, t, at_s, last)
+            ends = [reused.ends(k)[1] for k in range(3)]
+            np.testing.assert_array_equal(reused.affine_norm_c, fresh.affine_norm_c)
         assert (counts["calls"], counts["curve"]) == (1, 22)
         for k in range(3):
-            np.testing.assert_array_equal(reused.ends(k), fresh.ends(k))
-        np.testing.assert_array_equal(reused.affine_norm_c, fresh.affine_norm_c)
+            np.testing.assert_array_equal(ends[k], fresh.ends(k)[1])
+
+    @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
+    @pytest.mark.parametrize("body", ["rotated_shifted_ellipse", "bump3", "sampled_64", "reflected_bump3_small"])
+    def test_handed_on_ends_are_a_fresh_evaluation(self, request, body, kind):
+        # the chords take the end at t from the solve's last round, evaluated
+        # again only where t moved after it: bit for bit the curve at t
+        if body == "rotated_shifted_ellipse":
+            curve = ROTATED_ELLIPSE
+        elif body == "sampled_64":
+            u = np.arange(64) * (2.0 * math.pi / 64)
+            r = 1.0 + 0.1 * np.cos(3 * u)
+            curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        elif body == "reflected_bump3_small":
+            reflection = AffineFrame([[0.9, 0.3], [0.2, -1.1]], (0.4, 0.1))
+            curve = AffineImage(request.getfixturevalue("bump3_small"), reflection)
+        else:
+            curve = request.getfixturevalue(body)
+        chords = sweep(curve, kind, 0.1 * area(curve), 256, s0=0.1)
+        for k, d in enumerate(curve.derivatives(chords.t, (0, 1, 2))):
+            np.testing.assert_array_equal(chords.ends(k)[1], d)
 
     def test_sliced_and_replaced_chords_evaluate_nothing(self, monkeypatch, ellipse21):
         # the end jets of orders 0 to 2 are lane data of the chords; sliced and

@@ -324,27 +324,36 @@ class TestCutLength:
 
 def test_endpoint_balance_fails_wherever_cut_length_fails():
     # the cut's s-derivative vanishes exactly where the endpoint balance does
-    # (affine_cut_rate), so a cut that is not constant has an unbalanced chord.
-    # On r = 1 + eps cos ks, bump3's flat points and an affine image, 18 of the
-    # 42 rows fail cut_length and 27 fail endpoint_balance
+    # (affine_cut_rate), so a cut that is not constant has an unbalanced chord,
+    # and endpoint_balance's statistic dominates cut_length's. On the 36 rows
+    # of r = 1 + eps cos ks, 17 fail cut_length and 29 endpoint_balance; with
+    # bump3's flat points and two affine images, one reflecting, 26 and 38 of 48.
+    # The smallest ratio of the two statistics is 17.0, on bump3
     bodies = {
-        f"k={k}, eps={eps:g}": FourierRadial(1.0, [0.0] * (k - 2) + [eps])
+        f"k={k}, eps={eps:g}": FourierRadial(1.0, [0.0] * (k - 1) + [eps])
         for k in range(2, 6)
         for eps in (1e-3, 1e-5, 1e-7)
     }
     bodies["bump3"] = FourierRadial(1.0, (0.0, 0.0, 0.1))
     frame = AffineFrame([[1.3, 0.4], [0.1, 0.8]], (0.2, -0.5))
     bodies["image of k=4, eps=1e-05"] = AffineImage(bodies["k=4, eps=1e-05"], frame)
-    cut_fails, missed = [], []
+    reflection = AffineFrame([[0.9, 0.3], [0.2, -1.1]], (0.4, 0.1))
+    bodies["reflected r = 1 + 0.05 cos 3s"] = AffineImage(FourierRadial(1.0, (0.0, 0.0, 0.05)), reflection)
+    cut_fails, missed, ratios = [], [], []
     for name, curve in bodies.items():
         for f in (0.1, 0.2795, 0.45):
             bundle = SimpleNamespace(chords=sweep(curve, FLOTATION, f * area(curve), 256))
-            if CHECKS["cut_length"](curve, bundle)["status"] == "fail":
+            cut = CHECKS["cut_length"](curve, bundle)
+            balance = CHECKS["endpoint_balance"](curve, bundle)
+            ratios.append(balance["value"] / cut["value"])
+            if cut["status"] == "fail":
                 cut_fails.append((name, f))
-                if CHECKS["endpoint_balance"](curve, bundle)["status"] != "fail":
+                if balance["status"] != "fail":
                     missed.append((name, f))
-    assert ("bump3", 0.2795) in cut_fails and ("image of k=4, eps=1e-05", 0.1) in cut_fails
+    assert len(cut_fails) == 26
+    assert ("bump3", 0.2795) in cut_fails and ("reflected r = 1 + 0.05 cos 3s", 0.1) in cut_fails
     assert missed == []
+    assert min(ratios) >= 10.0
 
 
 class TestAffineSphere:
@@ -468,6 +477,17 @@ class TestCarousel:
         verts = np.array([unit_circle.derivative(t, 0) for t in car.vertices[:4]])
         sides = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
         assert np.max(np.abs(sides - math.sqrt(2.0))) < 1e-9  # square
+
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3"])
+    def test_chain_vertices_are_a_fresh_evaluation(self, request, body):
+        # gamma and gamma' at each vertex after the start come from the last
+        # Newton round of the chord solve that ends there: bit for bit the curve there
+        curve = request.getfixturevalue(body)
+        starts = 0.1 + np.arange(32) * (curve.period / 32)
+        ts, (points, tangents), _ = homothety_module._chains(curve, 3, 0.3 * area(curve), starts)
+        x, d = curve.derivatives(ts, (0, 1))
+        np.testing.assert_array_equal(points, x)
+        np.testing.assert_array_equal(tangents, d)
 
     def test_defect_monotone_in_delta(self, unit_circle):
         deltas = [0.4, 0.5, DELTA, 0.7, 0.8]
