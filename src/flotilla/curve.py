@@ -226,9 +226,6 @@ class SampledPeriodic(ClosedConvexCurve):
         return self._interp.derivatives(s, orders)
 
     def on_grid(self, n, orders):
-        # a grid too coarse to hold the series evaluates it point by point
-        if len(self._interp.modes) > n // 2 + 1:
-            return super().on_grid(n, orders)
         return self._interp.on_grid(n, orders)
 
 

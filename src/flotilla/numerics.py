@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SolverError
+from .errors import AccuracyError, SolverError
 
 # the order-8 Gauss-Legendre rule on [-1, 1] as numpy.polynomial.legendre.leggauss(8) gives it,
 # without importing numpy.polynomial: the upper-half nodes (row 0) and weights (row 1), mirrored
@@ -230,14 +230,15 @@ class TrigInterpolant:
         """The order-th derivatives (orders >= 0) at s_j = j period / n, from one inverse FFT and no table.
 
         irfft takes the half spectrum of a real signal: an interior mode is one
-        half of its Hermitian pair, the DC and Nyquist (k = n/2) ones whole.
+        half of its Hermitian pair, the DC and Nyquist (k = N/2) ones whole. A
+        series of M modes is evaluated on the N = kn points, k = ceil(2 (M - 1) / n),
+        that hold it, and every k-th point kept.
         """
-        if len(self.modes) > n // 2 + 1:
-            raise DomainError(f"a grid of {n} points cannot hold a series of {len(self.modes)} modes")
-        weight = np.where((self.modes == 0) | (2 * self.modes == n), n, 0.5 * n)
+        k = max(1, -(-2 * (len(self.modes) - 1) // n))
+        weight = np.where((self.modes == 0) | (2 * self.modes == k * n), k * n, 0.5 * k * n)
         trailing = [1] * (self.coeffs.ndim - 1)
         scaled = np.stack([(weight * self._wave**order).reshape(-1, *trailing) * self.coeffs for order in orders])
-        return list(np.fft.irfft(scaled, n, axis=1))
+        return list(np.fft.irfft(scaled, k * n, axis=1)[:, ::k])
 
     def __call__(self, s, order=0):
         return self.derivatives(s, (order,))[0]

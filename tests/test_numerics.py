@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flotilla.curve import Ellipse, det2
 from flotilla.chord import FLOTATION, sweep
-from flotilla.errors import AccuracyError, DomainError, SolverError
+from flotilla.errors import AccuracyError, SolverError
 from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
@@ -181,12 +181,22 @@ def test_on_grid_matches_derivatives_on_the_grid(n, shape):
             assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, order)
 
 
-def test_on_grid_too_coarse_for_the_series_raises():
-    # modes 0..9 fit a grid of 18 points (9 is its Nyquist mode), not one of 17, where 9 would alias to -8
-    interp = TrigInterpolant.from_coefficients(np.ones(10), 2.0 * math.pi)
-    assert interp.on_grid(18, (0,))[0].shape == (18,)
-    with pytest.raises(DomainError, match="17 points"):
-        interp.on_grid(17, (0,))
+@pytest.mark.parametrize("n", [16, 17])
+def test_on_grid_too_coarse_for_the_series_evaluates_a_finer_one(n):
+    # modes 0..9 fit a grid of 18 points (9 is its Nyquist mode), not one of 17, where 9 would alias
+    # to -8: that series, and ones of up to 3n + 1 modes, are evaluated on the k-times-finer grid
+    # that holds them and every k-th point kept, to the table at s_j = j period / n
+    rng = np.random.default_rng(n)
+    grid = np.arange(n) * (2.0 * math.pi / n)
+    orders = (0, 1, 2)
+    for m in (10, n // 2 + 2, n, 2 * n, 3 * n + 1):
+        coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        coeffs[0] = coeffs[0].real
+        interp = TrigInterpolant.from_coefficients(coeffs, 2.0 * math.pi)
+        for order, got, want in zip(orders, interp.on_grid(n, orders), interp.derivatives(grid, orders)):
+            scale = (interp.omega * np.arange(m)) ** order @ np.abs(coeffs)
+            assert got.shape == want.shape == (n,)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, order)
 
 
 def test_gauss_rule_equals_leggauss():
