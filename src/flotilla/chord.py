@@ -21,7 +21,7 @@ import numpy as np
 
 from .curve import area, curvature, det2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
-from .numerics import bracketed_newton, convex_newton, signed_cbrt
+from .numerics import bracketed_newton, convex_newton
 
 FLOTATION = "flotation"
 ILLUMINATION = "illumination"
@@ -199,7 +199,7 @@ def _chords(curve, kind, delta, s, t, at_s, last=None):
     z, parallel = _apex(x, y, d1, d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
-        affine_norm = np.where(parallel, np.inf, 2.0 * signed_cbrt(-0.5 * p * q / v))
+        affine_norm = np.where(parallel, np.inf, 2.0 * np.cbrt(-0.5 * p * q / v))
     z = np.where(parallel[:, None], np.nan, z)
     return Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, jets)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .chord import FLOTATION, arc_moments
 from .curve import area, det2, norm2
 from .errors import DomainError
-from .numerics import TrigInterpolant, signed_cbrt
+from .numerics import TrigInterpolant
 
 FLOTATION_BOUNDARY = "flotation_boundary"
 BUOYANCY_CURVE = "buoyancy_curve"
@@ -180,5 +180,5 @@ def omega_identity_residual(chords):
     delta_bar = 1.5 * chords.delta
     lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
     d1, d2 = _spectral_derivatives(_buoyancy_frame(chords)[0], chords, (1, 2))
-    rhs = 0.5 * chords.curve.period * float(np.mean(signed_cbrt(det2(d1, d2))))
+    rhs = 0.5 * chords.curve.period * float(np.mean(np.cbrt(det2(d1, d2))))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

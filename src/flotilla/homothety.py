@@ -14,7 +14,7 @@ import numpy as np
 from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _jets_at, _pair
 from .curve import SampledPeriodic, area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
-from .numerics import bracketed_newton, signed_cbrt
+from .numerics import bracketed_newton
 
 
 class ConstancyReport:
@@ -117,9 +117,7 @@ def chord_cube_report(chords):
     """
     if not chords.apex.all():
         raise ParallelElementsError("a chord has parallel end tangents, so its affine length is infinite")
-    # Python's pow, not numpy's vectorised one, which rounds differently in the last bit
-    values = np.array([a**3 for a in chords.affine_norm_c.tolist()])
-    report = ConstancyReport.from_values(values)
+    report = ConstancyReport.from_values(chords.affine_norm_c**3)
     divisor = (12.0 if chords.kind == FLOTATION else 24.0) * chords.delta
     return report, report.mean / divisor
 
@@ -187,7 +185,7 @@ def affine_cut_rate(chords):
     speed = norm2(chords.ends(1)[0])
     sa = np.sin(chords.alpha)
     sb = np.sin(chords.beta)
-    return speed * sa * (signed_cbrt(kt) / sb - signed_cbrt(ks) / sa)
+    return speed * sa * (np.cbrt(kt) / sb - np.cbrt(ks) / sa)
 
 
 def affine_cut_lengths(chords):

@@ -32,11 +32,6 @@ NEWTON_X_TOL = 1e-15
 NEWTON_MAX_ITER = 100
 
 
-def signed_cbrt(x):
-    """Cube root with sign(x)|x|^(1/3) convention, elementwise."""
-    return np.sign(x) * np.abs(x) ** (1.0 / 3.0)
-
-
 def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
     """Integrate a scalar function over every interval between consecutive edges.
 

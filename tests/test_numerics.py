@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from flotilla.curve import Ellipse, det2
 from flotilla.chord import FLOTATION, sweep
@@ -15,7 +13,6 @@ from flotilla.numerics import (
     TrigInterpolant,
     bracketed_newton,
     panel_quadrature,
-    signed_cbrt,
 )
 
 from oracles import trig_interpolant_exp_outer
@@ -341,15 +338,3 @@ def test_bracketed_newton_scalar_lane_passes_floats():
     root = bracketed_newton(fdf, 0.0, 5.0, np.float64(1.0), f_tol=1e-13)
     assert isinstance(root, float) and abs(root - 2.0) < 1e-14
     assert set(seen) == {float}
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.floats(-1e6, 1e6, allow_nan=False))
-def test_signed_cbrt_cubes_back(x):
-    assert math.isclose(signed_cbrt(x) ** 3, x, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.floats(1e-6, 1e6))
-def test_signed_cbrt_is_odd(x):
-    assert signed_cbrt(-x) == -signed_cbrt(x)
