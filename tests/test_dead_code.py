@@ -195,3 +195,21 @@ def test_kept_knobs_are_current():
     knobs, unset = unset_knobs()
     assert sorted(k for k in KEPT_KNOBS if k not in knobs) == []
     assert sorted(k for k in KEPT_KNOBS if k not in unset) == []
+
+
+def test_every_import_is_used():
+    # a name that an import binds and no code reads; __init__'s imports are its re-exports
+    unused = []
+    for module, path in _sources():
+        if module == "flotilla.__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [
+                    f"{module}: {alias.asname or alias.name.split('.')[0]}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in read
+                ]
+    assert unused == [], "imported in src/flotilla or scripts/ but never read; delete the import"
