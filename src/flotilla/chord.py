@@ -101,7 +101,7 @@ def arc_moments(chords):
 
 
 def _area_fdf(curve, kind, s, at_s, target):
-    """The residual of the cap (flotation) or cone (illumination) area target over the lanes (s, t), as a function of t.
+    """The residual of the cap (flotation) or cone (illumination) area target of the lanes (s, t) as a function of t.
 
     The returned callable maps t to a residual and its t-derivative: cap -
     target and half det(c, gamma'(t)) for a cap, the scaled cone residual of

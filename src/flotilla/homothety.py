@@ -308,8 +308,8 @@ CAROUSEL_STARTS = 32
 def _chains(curve, q, delta, starts):
     """Vertices (q + 1, lanes) of the chord chains from every start, (gamma, gamma') there, and d(last vertex)/d(delta).
 
-    Each vertex is evaluated once, in the chord solve that ends there, and
-    handed to the solve that starts there.
+    Each vertex after the starts is evaluated once, in the last Newton round
+    of the chord solve that ends there, and handed to the solve that starts there.
     """
     ts = [starts]
     at_vertices = [curve.derivatives(starts, (0, 1))]

@@ -226,14 +226,14 @@ class TrigInterpolant:
 
         irfft takes the half spectrum of a real signal: an interior mode is one
         half of its Hermitian pair, the DC and Nyquist (k = N/2) ones whole. A
-        series of M modes is evaluated on the N = kn points, k = ceil(2 (M - 1) / n),
-        that hold it, and every k-th point kept.
+        series of M modes is taken on the grid of N = rn points that holds it,
+        r = ceil(2 (M - 1) / n), and every r-th point kept.
         """
-        k = max(1, -(-2 * (len(self.modes) - 1) // n))
-        weight = np.where((self.modes == 0) | (2 * self.modes == k * n), k * n, 0.5 * k * n)
+        r = max(1, -(-2 * (len(self.modes) - 1) // n))
+        weight = np.where((self.modes == 0) | (2 * self.modes == r * n), r * n, 0.5 * r * n)
         trailing = [1] * (self.coeffs.ndim - 1)
         scaled = np.stack([(weight * self._wave**order).reshape(-1, *trailing) * self.coeffs for order in orders])
-        return list(np.fft.irfft(scaled, k * n, axis=1)[:, ::k])
+        return list(np.fft.irfft(scaled, r * n, axis=1)[:, ::r])
 
     def __call__(self, s, order=0):
         return self.derivatives(s, (order,))[0]
