@@ -274,8 +274,7 @@ class TestLaneSweep:
     )
     def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
         # orders 0 to 2 at s are evaluated once, for the t solve and the chords,
-        # and either solve's last round at t serves the chords: one call more,
-        # of every t, when the chords evaluated t again
+        # and either solve's last round at t serves the chords
         curve = request.getfixturevalue(body)
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)

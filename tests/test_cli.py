@@ -693,8 +693,7 @@ class TestSubcommands:
         # Newton round, to the next step and to the tangent triangles: the
         # ellipse's convexity and moments are closed forms and sample no points,
         # the closing chain takes 1 + 3 (one Newton round per chord) and the
-        # 32-start diagnostics 32 + 3 x 32.
-        # Evaluating every vertex again after its solve adds 99
+        # 32-start diagnostics 32 + 3 x 32
         points = 0
         derivatives = Ellipse.derivatives
 
