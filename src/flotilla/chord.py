@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curve import area, curvature, det2, norm2
+from .curve import area, curvature, det2, dot2, norm2
 from .errors import DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton, convex_newton
 
@@ -139,7 +139,7 @@ def _area_fdf(curve, kind, s, at_s, target):
             # at a flat point s the tangents stay parallel to rounding for a while
             # after s, less than a quarter turn on, where the cone tends to 0
             parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
-            flat = parallel & (np.sum(d1 * d2, axis=-1) > 0.0)
+            flat = parallel & (dot2(d1, d2) > 0.0)
             return np.where(flat, -target, f / scale), df / scale
 
     return fdf
@@ -194,8 +194,8 @@ def _chords(curve, kind, delta, s, t, at_s, last=None):
     p = det2(c, d1)
     q = det2(c, d2)
     v = det2(d1, d2)
-    alpha = np.arctan2(-p, np.sum(c * d1, axis=-1))
-    beta = np.arctan2(q, np.sum(c * d2, axis=-1))
+    alpha = np.arctan2(-p, dot2(c, d1))
+    beta = np.arctan2(q, dot2(c, d2))
     z, parallel = _apex(x, y, d1, d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)

@@ -18,7 +18,7 @@ import numpy as np
 from . import chord, floatgeom, homothety, illumgeom
 from .curve import (
     SampledPeriodic,
-    affine_normal,
+    _affine_normal,
     area,
     curve_from_json,
     det2,
@@ -54,6 +54,8 @@ EXIT_NUMERICAL = 3
 CONFIG_KEYS = ("curveSpec", "deltas", "nSamples", "checks", "outputDir", "deltaHat")
 # figure.svg draws every CHORD_STRIDE-th chord of each flotation sweep
 CHORD_STRIDE = 16
+# the largest nSamples: a sweep holds a few dozen arrays of this many lanes, a few MB each
+MAX_SAMPLES = 65536
 
 
 class ConfigError(Exception):
@@ -98,8 +100,8 @@ def load_config(path):
         output_dir=output_dir,
         delta_hat=raw.get("deltaHat"),
     )
-    if cfg.n_samples < 64:
-        raise ConfigError(f"nSamples must be at least 64, got {cfg.n_samples}")
+    if not 64 <= cfg.n_samples <= MAX_SAMPLES:
+        raise ConfigError(f"nSamples must be between 64 and {MAX_SAMPLES}, got {raw['nSamples']!r}")
     if cfg.delta_hat is not None:
         cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
     return cfg
@@ -311,10 +313,10 @@ def _check_radon(curve, bundle):
 def _check_affine_sphere(curve, bundle):
     n = 128
     grid = (np.arange(n) + 0.5) * (curve.period / n)
-    pts, d1, d2 = curve.derivatives(grid, (0, 1, 2))
+    pts, d1, d2, d3 = curve.derivatives(grid, (0, 1, 2, 3))
     # a flat point of the body (det(g', g'') = 0 up to rounding) has no affine normal line
     live = det2(d1, d2) > 0.0
-    fit = homothety.proper_affine_sphere_residual(pts[live], affine_normal(curve, grid[live]))
+    fit = homothety.proper_affine_sphere_residual(pts[live], _affine_normal(d1[live], d2[live], d3[live]))
     return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / homothety._diameter(pts), 1e-8)
 
 

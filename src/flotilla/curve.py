@@ -32,8 +32,16 @@ def det2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def dot2(u, v):
+    """Planar dot product u_x v_x + u_y v_y, broadcasting over leading axes."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
 def norm2(u):
-    return np.sqrt(np.sum(np.asarray(u, dtype=float) ** 2, axis=-1))
+    u = np.asarray(u, dtype=float)
+    return np.sqrt(u[..., 0] ** 2 + u[..., 1] ** 2)
 
 
 class AffineFrame:
@@ -71,6 +79,10 @@ class ClosedConvexCurve:
     def derivative(self, s, order):
         """The one-order case of ``derivatives``."""
         return self.derivatives(s, (order,))[0]
+
+    def convexity(self, s):
+        """det(gamma'(s), gamma''(s)), positive everywhere on a strongly convex, positively oriented curve."""
+        return det2(*self.derivatives(s, (1, 2)))
 
     def on_grid(self, n, orders):
         """``derivatives`` at the n-point grid s_j = j period / n, which a sampled kind serves by an inverse FFT."""
@@ -192,15 +204,24 @@ class FourierRadial(ClosedConvexCurve):
         n_harmonics = max(len(self.cos_coeffs), len(self.sin_coeffs), 1)
         return max(128, 16 * n_harmonics)
 
-    def derivatives(self, s, orders):
-        s = np.asarray(s, dtype=float)
-        top = max(orders) + 1
-        # r^(j) and the unit vector turned by j quarter turns, for every order j on a leading axis
+    def _radial(self, s, top):
+        """r^(j)(s) for j = 0..top-1 on a leading axis: the j-th derivative of cos and sin is a j quarter turn shift."""
         shift = _QUARTER_TURNS[:top].reshape((top,) + (1,) * s.ndim)
         radial = np.zeros((top,) + s.shape)
         radial[0] = self.r0
         for k, scales, wave in self._terms:
             radial = radial + scales[:top].reshape(shift.shape) * wave(k * s + shift)
+        return radial, shift
+
+    def convexity(self, s):
+        """det(g', g'') = r^2 + 2 r'^2 - r r'' for g = r (cos s, sin s), from r's series alone."""
+        r, r1, r2 = self._radial(np.asarray(s, dtype=float), 3)[0]
+        return r * r + 2.0 * r1 * r1 - r * r2
+
+    def derivatives(self, s, orders):
+        s = np.asarray(s, dtype=float)
+        # r^(j) and the unit vector turned by j quarter turns, for every order j on a leading axis
+        radial, shift = self._radial(s, max(orders) + 1)
         radial = radial[..., None]
         units = np.stack([np.cos(s + shift), np.sin(s + shift)], axis=-1)
         # Leibniz rule on r(s) * (cos s, sin s), summed from zero in the order of j
@@ -289,10 +310,10 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
 
 def _affine_integrand(curve, s0, s1):
     """det(g', g'')^(1/3) on [s0, s1]; DegenerateCurveError where the determinant is below rounding of its scale."""
-    scale = float(det2(*curve.derivatives(np.linspace(s0, s1, 17), (1, 2))).max())
+    scale = float(curve.convexity(np.linspace(s0, s1, 17)).max())
 
     def integrand(u):
-        d = det2(*curve.derivatives(u, (1, 2)))
+        d = curve.convexity(u)
         if np.any(d < -1e-12 * max(scale, 0.0)):
             raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
@@ -317,7 +338,11 @@ def affine_curvature(curve, s):
 
 def affine_normal(curve, s):
     """Second derivative with respect to affine arc length."""
-    d1, d2, d3 = curve.derivatives(s, (1, 2, 3))
+    return _affine_normal(*curve.derivatives(s, (1, 2, 3)))
+
+
+def _affine_normal(d1, d2, d3):
+    """The affine normal from the parameter derivatives of orders 1 to 3."""
     d = det2(d1, d2)
     if np.any(d <= 0.0):
         raise DegenerateCurveError("affine normal requires det(g', g'') > 0")

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .chord import FLOTATION, arc_moments
-from .curve import area, det2, norm2
+from .curve import area, det2, dot2, norm2
 from .errors import DomainError
 from .numerics import TrigInterpolant
 
@@ -144,7 +144,7 @@ def buoyancy_affine_normal_check(chords):
     normal = buoyancy_affine_normal(chords)
     affine_norm_c = chords.affine_norm_c
     w = np.sign(affine_norm_c)[:, None] * (0.5 * (chords.x + chords.y) - chords.z)
-    angle = np.arctan2(np.abs(det2(normal, w)), np.sum(normal * w, axis=-1))
+    angle = np.arctan2(np.abs(det2(normal, w)), dot2(normal, w))
     delta_bar = 1.5 * chords.delta
     expected = 8.0 * delta_bar ** (1.0 / 3.0) / np.abs(affine_norm_c) ** 3 * norm2(w)
     magnitude_err = np.abs(norm2(normal) - expected) / expected

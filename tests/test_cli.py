@@ -26,6 +26,7 @@ from flotilla.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_SAMPLES,
     compute_bundle,
     main,
     parse_args,
@@ -106,14 +107,19 @@ class TestConfig:
             ("chordStride", -3, EXIT_CONFIG),
             ("chordStride", 2.5, EXIT_CONFIG),
             ("nSamples", 64.0, EXIT_OK),
+            # a trillion lanes used to end in numpy's memory error, 1e300 in "Maximum allowed size exceeded"
+            ("nSamples", 1000000000000, EXIT_CONFIG),
+            ("nSamples", 1e300, EXIT_CONFIG),
+            ("nSamples", MAX_SAMPLES + 1, EXIT_CONFIG),
         ],
     )
-    def test_integer_fields_validated_before_any_output(self, tmp_path, field, value, code):
+    def test_integer_fields_validated_before_any_output(self, tmp_path, capsys, field, value, code):
         # nSamples 64.7 used to run as 64; chordStride is no longer a key, so
         # any value of it now fails as an unknown key, still before any output
         cfg = write_config(tmp_path / "c.json", **{field: value})
         assert main(["run", str(cfg)]) == code
         assert (tmp_path / "out").exists() == (code == EXIT_OK)
+        assert code == EXIT_OK or capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key, value",

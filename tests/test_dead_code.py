@@ -28,6 +28,8 @@ KEPT = {
     "curve.AffineImage": "the exact affine image of a body; the affine-invariance tests are built on it",
     "curve.affine_arclength": "the oracle for the affine arc table",
     "curve.affine_curvature": "the acceptance criteria check the constant affine curvature of ellipses",
+    "curve.affine_normal": "the affine normal at given parameters, which the tests check on ellipses and affine images; "
+    "the affine_sphere check forms it by curve._affine_normal from the jets it already holds",
     "homothety.fit_homothety": "the homothety between the flotation and buoyancy points, of the library tour and the acceptance criteria",
     "homothety.petty_condition_report": "the Petty condition itself, whose conic value (ab)^2 criterion 12 checks; "
     "the run checks its reciprocal, petty_ratios, which stays finite at flat points",
