@@ -54,7 +54,7 @@ EXIT_NUMERICAL = 3
 CONFIG_KEYS = ("curveSpec", "deltas", "nSamples", "checks", "outputDir", "deltaHat")
 # figure.svg draws every CHORD_STRIDE-th chord of each flotation sweep
 CHORD_STRIDE = 16
-# the largest nSamples: a sweep holds a few dozen arrays of this many lanes, a few MB each
+# the largest nSamples: a run of the 2:1 ellipse at this size peaks near 200 MB; far larger ones exhaust memory
 MAX_SAMPLES = 65536
 
 

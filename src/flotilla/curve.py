@@ -205,7 +205,7 @@ class FourierRadial(ClosedConvexCurve):
         return max(128, 16 * n_harmonics)
 
     def _radial(self, s, top):
-        """r^(j)(s) for j = 0..top-1 on a leading axis: the j-th derivative of cos and sin is a j quarter turn shift."""
+        """r^(j)(s) for j < top on a leading axis, and the j quarter turns that differentiate cos and sin j times."""
         shift = _QUARTER_TURNS[:top].reshape((top,) + (1,) * s.ndim)
         radial = np.zeros((top,) + s.shape)
         radial[0] = self.r0

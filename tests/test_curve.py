@@ -61,8 +61,8 @@ class TestPlanarPrimitives:
         special = np.array([math.inf, -math.inf, math.nan, 1e30, -1e30, 1e-30, -1e-30, 0.0, -0.0])
         u, v = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape) for _ in range(2))
         for w in (u, v):
-            flat = w.reshape(-1)
-            flat[rng.choice(flat.size, size=min(flat.size, 40), replace=False)] = rng.choice(special, size=min(flat.size, 40))
+            flat, k = w.reshape(-1), min(w.size, 40)
+            flat[rng.choice(w.size, size=k, replace=False)] = rng.choice(special, size=k)
         assert np.array_equal(norm2(u), np.sqrt(np.sum(u**2, axis=-1)), equal_nan=True)
         dot, want = dot2(u, v), np.sum(u * v, axis=-1)
         assert np.array_equal(dot, want, equal_nan=True) and np.array_equal(np.signbit(dot), np.signbit(want))
