@@ -11,10 +11,45 @@ Usage:
 """
 
 import argparse
+import math
+
+import numpy as np
 
 from flotilla.chord import FLOTATION, sweep
-from flotilla.curve import Ellipse, FourierRadial, area
-from flotilla.homothety import hausdorff_distance, intersection_body_polar
+from flotilla.curve import Ellipse, FourierRadial, SampledPeriodic, area, det2
+from flotilla.errors import DomainError
+from flotilla.homothety import _check_symmetric
+
+
+def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
+    """The curve g'/(2 det(g, g')), the polar of the intersection body.
+
+    Only defined for origin-symmetric curves with the origin inside; returned
+    as a sampled curve whose tangent is parallel to the original position
+    vector at matched parameters.
+    """
+    _check_symmetric(curve, np.zeros(2), "the origin")  # the polar is taken about the origin
+    g, d1 = curve.on_grid(n_samples if n_samples is not None else max(2 * curve.resolution, 256), (0, 1))
+    radial = det2(g, d1)
+    if np.any(radial <= 0.0):
+        raise DomainError("origin must be strictly inside the curve")
+    return SampledPeriodic(points=d1 / (2.0 * radial[:, None]))
+
+
+def hausdorff_distance(points_a, points_b) -> float:
+    """Symmetric Hausdorff distance between two (N, 2) point samples."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        raise DomainError("sample sets must be non-empty")
+    # squared distances in row blocks bound the temporary to 256 x len(b) pairs
+    worst_a = 0.0
+    nearest_b = np.full(len(b), math.inf)
+    for block in np.array_split(a, -(-len(a) // 256)):
+        d2 = np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        worst_a = max(worst_a, float(d2.min(axis=1).max()))
+        nearest_b = np.minimum(nearest_b, d2.min(axis=0))
+    return math.sqrt(max(worst_a, float(nearest_b.max())))
 
 
 def main():

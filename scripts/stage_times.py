@@ -2,7 +2,9 @@
 """Print the median in-process wall time of each stage of `flotilla run CONFIG`, over --repeat K runs.
 
 Each run's stages are the `stage_seconds` of its report.json. `config` times cli.load_config, and `rest`
-is what the cmd_run call spends outside every stage.
+is what the cmd_run call spends outside every stage. `compile` times compiling every module of the package
+from source, which a fresh process pays before any stage when no bytecode is cached (as under
+PYTHONDONTWRITEBYTECODE=1); it is not part of `total`.
 """
 
 import argparse
@@ -17,7 +19,17 @@ from time import perf_counter
 from flotilla import cli
 
 
+def compile_seconds():
+    """Wall time of compiling every module of the imported package from its source."""
+    sources = [(path.read_bytes(), str(path)) for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+    start = perf_counter()
+    for source, name in sources:
+        compile(source, name, "exec", dont_inherit=True)
+    return perf_counter() - start
+
+
 def stage_times(config_path, out_dir):
+    compiled = compile_seconds()
     start = perf_counter()
     config = cli.load_config(config_path)
     loaded = perf_counter()
@@ -25,7 +37,8 @@ def stage_times(config_path, out_dir):
     cli.cmd_run(config)
     done = perf_counter()
     stages = json.loads((out_dir / "report.json").read_text())["stage_seconds"]
-    return {"config": loaded - start, **stages, "rest": done - loaded - sum(stages.values()), "total": done - start}
+    rest = done - loaded - sum(stages.values())
+    return {"compile": compiled, "config": loaded - start, **stages, "rest": rest, "total": done - start}
 
 
 def main():

@@ -7,21 +7,10 @@ from .curve import (
     Ellipse,
     FourierRadial,
     SampledPeriodic,
-    affine_arclength,
-    affine_curvature,
-    affine_normal,
     area,
     curve_from_json,
 )
-from .chord import (
-    Chords,
-    cap_area,
-    cone_area,
-    solve_flotation_chord,
-    solve_silhouette_chord,
-    sweep,
-    tangent_intersection,
-)
+from .chord import Chords, sweep
 from .floatgeom import (
     DerivedCurve,
     buoyancy_affine_normal_check,
@@ -47,9 +36,6 @@ from .homothety import (
     duality_pointwise_check,
     endpoint_balance_residual,
     fit_homothety,
-    hausdorff_distance,
-    intersection_body_polar,
-    petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
 )

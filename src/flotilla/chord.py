@@ -15,12 +15,11 @@ and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curve import area, curvature, det2, dot2, norm2
-from .errors import DomainError, ParallelElementsError, SolverError
+from .errors import DomainError, SolverError
 from .numerics import bracketed_newton, convex_newton
 
 FLOTATION = "flotation"
@@ -36,7 +35,6 @@ CAP_MARGIN = 1e-12
 _LANES = ("s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c")
 
 
-@dataclass(eq=False)
 class Chords:
     """The chords of one sweep as arrays, one lane per chord.
 
@@ -51,21 +49,14 @@ class Chords:
     those lanes, jets included, and ``chords[i]`` is the one-lane case.
     """
 
-    curve: object = field(repr=False)
-    kind: str
-    delta: float
-    s: np.ndarray
-    t: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    c: np.ndarray
-    z: np.ndarray
-    apex: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    norm_c: np.ndarray
-    affine_norm_c: np.ndarray
-    jets: tuple = field(repr=False)
+    def __init__(self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, jets):
+        self.curve, self.kind, self.delta, self.s, self.t = curve, kind, delta, s, t
+        self.x, self.y, self.c, self.z, self.apex = x, y, c, z, apex
+        self.alpha, self.beta, self.norm_c, self.affine_norm_c, self.jets = alpha, beta, norm_c, affine_norm_c, jets
+
+    def replace(self, **changes):
+        """A copy with the given fields changed; an unknown field is a TypeError."""
+        return Chords(**{**vars(self), **changes})
 
     def __len__(self):
         return len(self.s)
@@ -74,7 +65,7 @@ class Chords:
         if isinstance(index, (int, np.integer)):
             index = [index]
         jets = tuple(jet[:, index] for jet in self.jets)
-        return replace(self, jets=jets, **{name: getattr(self, name)[index] for name in _LANES})
+        return self.replace(jets=jets, **{name: getattr(self, name)[index] for name in _LANES})
 
     def ends(self, order):
         return self.jets[order]
@@ -145,34 +136,12 @@ def _area_fdf(curve, kind, s, at_s, target):
     return fdf
 
 
-def cap_area(curve, s, t):
-    """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
-    if np.any(np.asarray(t) < s):
-        raise DomainError("cap_area requires s <= t")
-    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)), 0.0)(t)[0]
-
-
 def _apex(x, y, d1, d2):
     """Tangent-line intersection of every lane and the mask of lanes whose tangents are parallel."""
     v = det2(d1, d2)
     parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return x + d1 * (det2(y - x, d2) / v)[..., None], parallel
-
-
-def tangent_intersection(curve, s, t):
-    """Intersection of the tangent lines at gamma(s) and gamma(t)."""
-    (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
-    z, parallel = _apex(x, y, d1, d2)
-    if np.any(parallel):
-        raise ParallelElementsError("tangent lines are parallel; no apex")
-    return z
-
-
-def cone_area(curve, s, t):
-    """Area of the silhouette region between the two tangent segments and the arc: the tangent triangle less the cap."""
-    x, y = curve.derivative(_pair(s, t), 0)
-    return 0.5 * det2(tangent_intersection(curve, s, t) - x, y - x) - cap_area(curve, s, t)
 
 
 def _jets_at(curve, t, last):
@@ -222,7 +191,7 @@ def _cone_angle(g):
 
 
 def _flotation_t(curve, s, delta, at_s):
-    """t in (s, s + period) with cap_area(s, t) = delta for every lane of s, and the solve's last evaluation.
+    """t in (s, s + period) with cap area delta for every lane of s, and the solve's last evaluation.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
     so that whole interval brackets every lane. It starts at the root on every
@@ -240,13 +209,8 @@ def _flotation_t(curve, s, delta, at_s):
     return t, fdf.last
 
 
-def solve_flotation_chord(curve, s, delta):
-    """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
-    return _solve(curve, FLOTATION, delta, np.array([float(s)]))
-
-
 def _silhouette_t(curve, s, delta_hat, at_s):
-    """t in (s, s + period) with cone_area(s, t) = delta_hat for every lane of s, and the solve's last evaluation.
+    """t in (s, s + period) with cone area delta_hat for every lane of s, and the solve's last evaluation.
 
     Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
     with v = det(gamma'(s), gamma'(t)), p = det(gamma'(s), c) and
@@ -267,16 +231,6 @@ def _silhouette_t(curve, s, delta_hat, at_s):
     start = s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi))
     t = bracketed_newton(fdf, s + 1e-9 * period, s + 0.98 * period, start, f_tol=1e-12 * total)
     return t, fdf.last
-
-
-def solve_silhouette_chord(curve, s, delta_hat):
-    """Find t with cone_area(s, t) = delta_hat, as one-lane Chords.
-
-    The cone area grows without bound as t nears the antipode of s, where
-    the end tangents turn parallel; a delta_hat whose chord has no apex to
-    rounding (PARALLEL_TOL) is out of reach and raises SolverError.
-    """
-    return _solve(curve, ILLUMINATION, delta_hat, np.array([float(s)]))
 
 
 def _solve(curve, kind, delta, s):

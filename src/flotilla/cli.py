@@ -137,6 +137,9 @@ def curve_label(spec):
 def resolve_deltas(raw_deltas, total_area):
     out = []
     for d in raw_deltas:
+        extra = [key for key in d if key != "fraction"] if isinstance(d, dict) else []
+        if extra:
+            raise ConfigError(f"unknown key {extra[0]!r} in delta entry {d!r} (allowed: fraction)")
         number = d.get("fraction") if isinstance(d, dict) else d
         if not is_number(number):
             raise ConfigError(f"bad delta entry {d!r}")
@@ -292,7 +295,7 @@ def _check_duality(curve, bundle):
             f"not the dual cone area {dual:.6g}",
         )
     worst, _ = homothety.duality_pointwise_check(bundle.chords, bundle.illum_chords)
-    return _measured("max_pole_mismatch_over_diameter", worst / homothety._diameter(bundle.flotation.points), tol)
+    return _measured("max_relative_pole_mismatch", worst, tol)
 
 
 def _check_petty(curve, bundle):
@@ -432,6 +435,10 @@ def cmd_run(config: RunConfig):
     unknown = [name for name in config.checks if name not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
+    # each check writes one record and one stage time, so a repeated name would sum two times in one stage
+    repeated = [name for i, name in enumerate(config.checks) if name in config.checks[:i]]
+    if repeated:
+        raise ConfigError(f"check {repeated[0]!r} named twice")
     stage_seconds = {}  # wall time of each stage, in the order the stages ran
 
     def timed(stage, call):

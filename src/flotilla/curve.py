@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, SingularFrameError, SingularParametrizationError
-from .numerics import PeriodicAntiderivative, TrigInterpolant, panel_quadrature
+from .numerics import PeriodicAntiderivative, TrigInterpolant
 
 PERIOD = 2.0 * math.pi
 
@@ -292,22 +292,6 @@ def area(curve):
     return 0.5 * curve.period * float(curve.moments[1].mean[0])
 
 
-def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
-    """Integral of det(g', g'')^(1/3) over [s0, s1], by its own adaptive quadrature.
-
-    Curves with isolated flat points give the integrand cube-root cusps,
-    which the adaptive panel quadrature resolves by splitting the panels
-    next to them. Raises DegenerateCurveError if the convexity determinant
-    is negative somewhere on the arc. It never reads ``affine_arc``.
-    """
-    if not (s0 <= s1 <= s0 + curve.period + 1e-9):
-        raise DomainError("require s0 <= s1 <= s0 + period")
-    if s0 == s1:
-        return 0.0
-    edges = np.linspace(s0, s1, 5)
-    return float(panel_quadrature(_affine_integrand(curve, s0, s1), edges, rel_tol=rel_tol, abs_tol=abs_tol).sum())
-
-
 def _affine_integrand(curve, s0, s1):
     """det(g', g'')^(1/3) on [s0, s1]; DegenerateCurveError where the determinant is below rounding of its scale."""
     scale = float(curve.convexity(np.linspace(s0, s1, 17)).max())
@@ -319,26 +303,6 @@ def _affine_integrand(curve, s0, s1):
         return np.clip(d, 0.0, None) ** (1.0 / 3.0)
 
     return integrand
-
-
-def affine_curvature(curve, s):
-    """Affine curvature; constant (ab)^(-2/3) on an ellipse with semi-axes a, b.
-
-    Uses the fourth parameter derivative internally (spectral for sampled
-    curves), since the chain rule to affine arc length needs it.
-    """
-    d1, d2, d3, d4 = curve.derivatives(s, (1, 2, 3, 4))
-    d = det2(d1, d2)
-    if np.any(d <= 0.0):
-        raise DegenerateCurveError("affine curvature requires det(g', g'') > 0")
-    return (4.0 * det2(d2, d3) + det2(d1, d4)) / (3.0 * d ** (5.0 / 3.0)) - (
-        5.0 / 9.0
-    ) * det2(d1, d3) ** 2 / d ** (8.0 / 3.0)
-
-
-def affine_normal(curve, s):
-    """Second derivative with respect to affine arc length."""
-    return _affine_normal(*curve.derivatives(s, (1, 2, 3)))
 
 
 def _affine_normal(d1, d2, d3):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _jets_at, _pair
-from .curve import SampledPeriodic, area, det2, norm2
+from .curve import area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton
 
@@ -140,15 +140,20 @@ def duality_parameters(delta, lam):
 
 
 def duality_pointwise_check(chords, illum_chords):
-    """Max distance between flotation-chord poles and the illumination boundary.
+    """Max relative distance between flotation-chord poles and the illumination boundary.
 
     Matched parametrically: the pole of the flotation chord at s is compared
     with the silhouette apex at the same s; ``illum_chords`` is the
-    illumination sweep at the dual cone area on the same s grid.
+    illumination sweep at the dual cone area on the same s grid. Each
+    distance is over the larger of the pole's distance from its chord's
+    midpoint and the body's diameter: the poles run off to infinity as the
+    cut-off area nears half the body, and their rounding grows with them.
     Returns (max_error, skipped) where skipped counts poles at infinity.
     """
     both = chords.apex & illum_chords.apex
-    err = norm2(chords.z[both] - illum_chords.z[both])
+    z = chords.z[both]
+    reach = norm2(z - 0.5 * (chords.x[both] + chords.y[both]))
+    err = norm2(z - illum_chords.z[both]) / np.maximum(reach, _diameter(chords.x))
     return float(err.max(initial=0.0)), int(np.count_nonzero(~both))
 
 
@@ -177,15 +182,6 @@ def endpoint_balance_residual(chords):
     if np.any(np.abs(value - alt) > 1e-10):
         raise AccuracyError("angle-form and normal-form residuals disagree")
     return value
-
-
-def affine_cut_rate(chords):
-    """Closed-form s-derivative of the affine arc length cut off by the chord."""
-    ks, kt = chords.curvatures()
-    speed = norm2(chords.ends(1)[0])
-    sa = np.sin(chords.alpha)
-    sb = np.sin(chords.beta)
-    return speed * sa * (np.cbrt(kt) / sb - np.cbrt(ks) / sa)
 
 
 def affine_cut_lengths(chords):
@@ -244,14 +240,6 @@ def _centroid(curve):
     return origin + (2.0 / 3.0) * moments.mean[1:] / moments.mean[0]
 
 
-def petty_condition_report(curve) -> ConstancyReport:
-    """Constancy of det(g - c, g')^3 / det(g', g'') about the centroid c, the conic value (ab)^2 on an ellipse.
-
-    It is infinite at flat points; ``petty_ratios`` is the form that stays finite.
-    """
-    return ConstancyReport.from_values(1.0 / petty_ratios(curve))
-
-
 def _check_symmetric(curve, center, name):
     """Reject a curve that is not symmetric about the point ``center``, called ``name`` in the error."""
     n = max(4 * curve.resolution, 512)
@@ -261,21 +249,6 @@ def _check_symmetric(curve, center, name):
     defect = float(np.max(norm2(pts + opposite)))
     if defect > 1e-9 * scale:
         raise DomainError(f"curve is not symmetric about {name} (defect {defect:.3e})")
-
-
-def intersection_body_polar(curve, n_samples=None) -> SampledPeriodic:
-    """The curve g'/(2 det(g, g')), the polar of the intersection body.
-
-    Only defined for origin-symmetric curves with the origin inside; returned
-    as a sampled curve whose tangent is parallel to the original position
-    vector at matched parameters.
-    """
-    _check_symmetric(curve, np.zeros(2), "the origin")  # the polar is taken about the origin
-    g, d1 = curve.on_grid(n_samples if n_samples is not None else max(2 * curve.resolution, 256), (0, 1))
-    radial = det2(g, d1)
-    if np.any(radial <= 0.0):
-        raise DomainError("origin must be strictly inside the curve")
-    return SampledPeriodic(points=d1 / (2.0 * radial[:, None]))
 
 
 def radon_check(curve, n_samples=256) -> float:
@@ -420,19 +393,3 @@ def _closing_chain(curve, p, q, s0):
     if abs(residual) > 1e-10 * curve.period:
         raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
     return float(delta_star), chains[delta_star]
-
-
-def hausdorff_distance(points_a, points_b) -> float:
-    """Symmetric Hausdorff distance between two (N, 2) point samples."""
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    if len(a) == 0 or len(b) == 0:
-        raise DomainError("sample sets must be non-empty")
-    # squared distances in row blocks bound the temporary to 256 x len(b) pairs
-    worst_a = 0.0
-    nearest_b = np.full(len(b), math.inf)
-    for block in np.array_split(a, -(-len(a) // 256)):
-        d2 = np.sum((block[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        worst_a = max(worst_a, float(d2.min(axis=1).max()))
-        nearest_b = np.minimum(nearest_b, d2.min(axis=0))
-    return math.sqrt(max(worst_a, float(nearest_b.max())))

@@ -32,28 +32,11 @@ NEWTON_X_TOL = 1e-15
 NEWTON_MAX_ITER = 100
 
 
-def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
-    """Integrate a scalar function over every interval between consecutive edges.
-
-    Locally adaptive Gauss-Legendre of order 8 with one global error budget
-    for the whole range (Gander & Gautschi, BIT 40, 2000); the given
-    intervals are the first panels, and each round halves the panels above
-    an equal share of the budget (``_adaptive_panels``). Smooth integrands
-    take one round; a cube-root cusp a few dozen.
-
-    ``f`` must map an array of abscissae to an array of values; it sees at
-    most MAX_NODES_PER_CALL of them at a time. Returns one integral per
-    interval.
-    """
-    edges = np.asarray(edges, dtype=float)
-    _, _, owner, value, _, _ = _adaptive_panels(f, edges[:-1], edges[1:], 2, rel_tol, abs_tol)
-    return np.bincount(owner, weights=value, minlength=len(edges) - 1)
-
-
 def _adaptive_panels(f, lo, hi, pieces, rel_tol, abs_tol):
     """Converged panels from the first ones [lo_i, hi_i]: ends, first panel, value, f at the half-panel nodes, rounds.
 
-    A panel's value is the sum over its halves, its error the change from
+    Locally adaptive Gauss-Legendre of order 8 with one global error budget
+    for the whole range (Gander & Gautschi, BIT 40, 2000). A panel's value is the sum over its halves, its error the change from
     the one-panel value. Each round cuts the panels above an equal share of
     the budget in ``pieces`` until the summed errors are within ``rel_tol``
     of the whole or ``abs_tol``, whichever is laxer, and never below rounding.
@@ -126,7 +109,7 @@ _ANTIDERIVATIVE = np.vstack([_G[0] - _G[1], _G[:8] - _G[2:]])
 class PeriodicAntiderivative:
     """F(u), the integral over [0, u] of a periodic f, as a table from one adaptive pass over one period.
 
-    ``panel_quadrature``'s rule from TABLE_FIRST_PANELS uniform panels, each
+    ``_adaptive_panels`` from TABLE_FIRST_PANELS uniform panels, each
     panel above its share of the TABLE_REL_TOL budget cut in TABLE_SPLIT, so a cube-root
     cusp takes a few rounds, not dozens. F(u) is the extended-precision sum
     of the half-panels below u plus the integral of the degree-7 interpolant

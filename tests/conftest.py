@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+# the oracles beside the tests, and the helpers of the scripts they check
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
 from flotilla.curve import Ellipse, FourierRadial
 

@@ -4,9 +4,13 @@ Everything here is computed from first principles (closed-form circle
 geometry, dense Riemann sums, a fixed Gauss-Legendre rule, plain finite
 differences of position samples) and deliberately avoids the package's own
 quadrature and derivative paths.
-The alternate closed forms at the end are the exception: they recompute a
-solved chord's curvatures, closure and cut lengths by a second route through
-the package.
+The alternate closed forms are the exception: they recompute a solved
+chord's curvatures, closure and cut lengths by a second route through the
+package. So is the last section, the package's forms that no run calls: the
+one-chord API, the affine arc length by its own adaptive quadrature, the
+affine curvature and normal at given parameters, the Petty condition and the
+affine cut rate. They are built from the package's kernels and live here, not
+in the package, which every CLI call compiles.
 """
 
 import math
@@ -14,8 +18,11 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from flotilla.chord import FLOTATION, solve_flotation_chord, solve_silhouette_chord, sweep
-from flotilla.curve import affine_arclength, det2
+from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _solve, sweep
+from flotilla.curve import _affine_integrand, _affine_normal, det2, norm2
+from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
+from flotilla.homothety import ConstancyReport, petty_ratios
+from flotilla.numerics import _adaptive_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -352,3 +359,113 @@ def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
     lines.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# -- forms of the package that no run calls ------------------------------------
+
+
+def solve_flotation_chord(curve, s, delta):
+    """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
+    return _solve(curve, FLOTATION, delta, np.array([float(s)]))
+
+
+def solve_silhouette_chord(curve, s, delta_hat):
+    """Find t with cone_area(s, t) = delta_hat, as one-lane Chords.
+
+    The cone area grows without bound as t nears the antipode of s, where
+    the end tangents turn parallel; a delta_hat whose chord has no apex to
+    rounding (PARALLEL_TOL) is out of reach and raises SolverError.
+    """
+    return _solve(curve, ILLUMINATION, delta_hat, np.array([float(s)]))
+
+
+def cap_area(curve, s, t):
+    """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
+    if np.any(np.asarray(t) < s):
+        raise DomainError("cap_area requires s <= t")
+    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)), 0.0)(t)[0]
+
+
+def tangent_intersection(curve, s, t):
+    """Intersection of the tangent lines at gamma(s) and gamma(t)."""
+    (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
+    z, parallel = _apex(x, y, d1, d2)
+    if np.any(parallel):
+        raise ParallelElementsError("tangent lines are parallel; no apex")
+    return z
+
+
+def cone_area(curve, s, t):
+    """Area of the silhouette region between the two tangent segments and the arc: the tangent triangle less the cap."""
+    x, y = curve.derivative(_pair(s, t), 0)
+    return 0.5 * det2(tangent_intersection(curve, s, t) - x, y - x) - cap_area(curve, s, t)
+
+
+def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
+    """Integrate a scalar function over every interval between consecutive edges.
+
+    The package's adaptive order-8 Gauss-Legendre rule (``_adaptive_panels``)
+    with the given intervals as the first panels, each round halving the
+    panels above an equal share of the budget. Smooth integrands take one
+    round; a cube-root cusp a few dozen.
+
+    ``f`` must map an array of abscissae to an array of values; it sees at
+    most MAX_NODES_PER_CALL of them at a time. Returns one integral per
+    interval.
+    """
+    edges = np.asarray(edges, dtype=float)
+    _, _, owner, value, _, _ = _adaptive_panels(f, edges[:-1], edges[1:], 2, rel_tol, abs_tol)
+    return np.bincount(owner, weights=value, minlength=len(edges) - 1)
+
+
+def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
+    """Integral of det(g', g'')^(1/3) over [s0, s1], by its own adaptive quadrature.
+
+    Curves with isolated flat points give the integrand cube-root cusps,
+    which the adaptive panel quadrature resolves by splitting the panels
+    next to them. Raises DegenerateCurveError if the convexity determinant
+    is negative somewhere on the arc. It never reads ``affine_arc``.
+    """
+    if not (s0 <= s1 <= s0 + curve.period + 1e-9):
+        raise DomainError("require s0 <= s1 <= s0 + period")
+    if s0 == s1:
+        return 0.0
+    edges = np.linspace(s0, s1, 5)
+    return float(panel_quadrature(_affine_integrand(curve, s0, s1), edges, rel_tol=rel_tol, abs_tol=abs_tol).sum())
+
+
+def affine_curvature(curve, s):
+    """Affine curvature; constant (ab)^(-2/3) on an ellipse with semi-axes a, b.
+
+    Uses the fourth parameter derivative internally (spectral for sampled
+    curves), since the chain rule to affine arc length needs it.
+    """
+    d1, d2, d3, d4 = curve.derivatives(s, (1, 2, 3, 4))
+    d = det2(d1, d2)
+    if np.any(d <= 0.0):
+        raise DegenerateCurveError("affine curvature requires det(g', g'') > 0")
+    return (4.0 * det2(d2, d3) + det2(d1, d4)) / (3.0 * d ** (5.0 / 3.0)) - (
+        5.0 / 9.0
+    ) * det2(d1, d3) ** 2 / d ** (8.0 / 3.0)
+
+
+def affine_normal(curve, s):
+    """Second derivative with respect to affine arc length."""
+    return _affine_normal(*curve.derivatives(s, (1, 2, 3)))
+
+
+def petty_condition_report(curve):
+    """Constancy of det(g - c, g')^3 / det(g', g'') about the centroid c, the conic value (ab)^2 on an ellipse.
+
+    It is infinite at flat points; ``petty_ratios`` is the form that stays finite.
+    """
+    return ConstancyReport.from_values(1.0 / petty_ratios(curve))
+
+
+def affine_cut_rate(chords):
+    """Closed-form s-derivative of the affine arc length cut off by the chord."""
+    ks, kt = chords.curvatures()
+    speed = norm2(chords.ends(1)[0])
+    sa = np.sin(chords.alpha)
+    sb = np.sin(chords.beta)
+    return speed * sa * (np.cbrt(kt) / sb - np.cbrt(ks) / sa)

@@ -13,13 +13,10 @@ import pytest
 from flotilla.chord import (
     FLOTATION,
     ILLUMINATION,
-    solve_flotation_chord,
     sweep,
 )
 from flotilla.curve import (
     AffineImage,
-    affine_arclength,
-    affine_curvature,
     det2,
     norm2,
 )
@@ -33,20 +30,20 @@ from flotilla.floatgeom import (
 )
 from flotilla.homothety import (
     affine_cut_length_report,
-    affine_cut_rate,
     chord_cube_report,
     duality_parameters,
     endpoint_balance_residual,
     fit_homothety,
-    hausdorff_distance,
-    intersection_body_polar,
-    petty_condition_report,
     radon_check,
     build_carousel,
 )
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
+from limit_convergence import hausdorff_distance, intersection_body_polar
 from oracles import (
+    affine_arclength,
+    affine_curvature,
+    affine_cut_rate,
     circle_buoyancy_kappa,
     circle_cone_area,
     circle_flotation_kappa,
@@ -54,7 +51,10 @@ from oracles import (
     circle_illumination_kappa,
     circle_segment_area,
     fd4_derivative,
+    petty_condition_report,
     random_unimodular_frame,
+    solve_flotation_chord,
+    solve_silhouette_chord,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -121,7 +121,6 @@ def bump3_illum(bump3):
 
 def test_criterion_01_circle_closed_form_curvatures(unit_circle):
     cm_f = solve_flotation_chord(unit_circle, 0.35, DELTA)
-    from flotilla.chord import solve_silhouette_chord
 
     cm_i = solve_silhouette_chord(unit_circle, 0.35, DELTA_HAT)
     values = {
@@ -392,7 +391,6 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
     delta_hat, _ = duality_parameters(delta, lam)
     probes = np.linspace(0.1, TWO_PI, 8, endpoint=False)
 
-    from flotilla.chord import solve_silhouette_chord
 
     base = {}
     for s in probes:

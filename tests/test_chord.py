@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,22 +10,22 @@ from flotilla.chord import (
     FLOTATION,
     ILLUMINATION,
     PARALLEL_TOL,
-    cap_area,
-    cone_area,
-    solve_flotation_chord,
-    solve_silhouette_chord,
     sweep,
-    tangent_intersection,
 )
 from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
 from flotilla.numerics import TrigInterpolant, bracketed_newton
 
 from oracles import (
+    cap_area,
     circle_cone_area,
     circle_segment_area,
+    cone_area,
     random_unimodular_frame,
+    solve_flotation_chord,
+    solve_silhouette_chord,
     sweep_closure_defect,
+    tangent_intersection,
     triangle_area,
 )
 
@@ -339,7 +338,7 @@ class TestLaneSweep:
         for k in range(3):
             np.testing.assert_array_equal(chords[5].ends(k), chords.ends(k)[:, [5]])
         np.testing.assert_array_equal(chords[::16].curvatures(), chords.curvatures()[:, ::16])
-        replaced = dataclasses.replace(chords, alpha=chords.alpha + 0.1)
+        replaced = chords.replace(alpha=chords.alpha + 0.1)
         np.testing.assert_array_equal(replaced.curvatures(), chords.curvatures())
         assert counts["calls"] == 0
 

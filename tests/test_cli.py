@@ -188,6 +188,20 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", deltas=[{"fraction": 0.25}], checks=["chord_cube"])
         assert main(["run", str(cfg)]) == EXIT_OK
 
+    def test_delta_object_with_another_key_rejected_before_any_output(self, tmp_path, capsys):
+        # the extra key used to be dropped, and the run went on at the fraction alone
+        cfg = write_config(tmp_path / "c.json", deltas=[{"fraction": 0.3, "absolute": 2}])
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "config error: unknown key 'absolute'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_check_named_twice_rejected_before_any_output(self, tmp_path, capsys):
+        # it used to write two records, while stage_seconds summed both into one entry
+        cfg = write_config(tmp_path / "c.json", checks=["omega", "chord_cube", "omega"])
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "config error: check 'omega' named twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_delta_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltas=[10.0])
         assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -448,11 +462,23 @@ class TestRun:
             assert main(["run", str(cfg)]) == EXIT_OK
             rec = json.loads((out / "report.json").read_text())["records"][0]
             if name == "dual":
-                assert rec["status"] == "pass" and rec["statistic"] == "max_pole_mismatch_over_diameter"
+                assert rec["status"] == "pass" and rec["statistic"] == "max_relative_pole_mismatch"
                 continue
             assert rec["status"] == "skipped" and rec["value"] is None and rec["pass"]
             assert rec["statistic"] == "duality_not_at_dual_cone_area"
             assert "0.5" in rec["reason"] and f"{dual:.6g}" in rec["reason"]
+
+    @pytest.mark.parametrize("fraction", [0.4999, 0.49999, 0.499999])
+    def test_duality_passes_near_half_the_area(self, tmp_path, fraction):
+        # the poles run off to 1e4-1e6 diameters as f nears 1/2 and their rounding grows with them;
+        # over the diameter of the shrinking flotation curve these valid ellipses read 5e-5, 0.1 and 100
+        cfg = write_config(
+            tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0},
+            deltas=[{"fraction": fraction}], checks=["duality"],
+        )
+        assert main(["run", str(cfg)]) == EXIT_OK
+        rec = json.loads((tmp_path / "out" / "report.json").read_text())["records"][0]
+        assert rec["status"] == "pass" and rec["value"] < 1e-8
 
 
 class TestBodyChecks:

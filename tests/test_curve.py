@@ -1,7 +1,6 @@
-import dataclasses
-import importlib
+import ast
 import math
-import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +16,6 @@ from flotilla.curve import (
     Ellipse,
     FourierRadial,
     SampledPeriodic,
-    affine_arclength,
-    affine_curvature,
-    affine_normal,
     area,
     curvature,
     curve_from_json,
@@ -35,11 +31,14 @@ from flotilla.homothety import (
     fit_homothety,
     proper_affine_sphere_residual,
 )
-from flotilla.numerics import panel_quadrature
 
 from oracles import (
+    affine_arclength,
+    affine_curvature,
+    affine_normal,
     circle_segment_area,
     fourier_radial_derivative,
+    panel_quadrature,
     random_unimodular_frame,
     riemann_area,
     triangle_area,
@@ -554,6 +553,7 @@ SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 # FourierRadial's made it unhashable
 RECORDS = {
     "AffineFrame": lambda: AffineFrame([[1.0, 0.2], [0.0, 1.0]]),
+    "Chords": lambda: sweep(Ellipse(2.0, 1.0), FLOTATION, 1.0, 16),
     "Ellipse": lambda: Ellipse(2.0, 1.0),
     "FourierRadial": lambda: FourierRadial(1.0, (0.0, 0.0, 0.1)),
     "SampledPeriodic": lambda: SampledPeriodic(Ellipse(2.0, 1.0).derivative(np.arange(32) * (TWO_PI / 32), 0)),
@@ -577,9 +577,14 @@ def test_records_compare_by_identity(name):
     assert {a: name}[a] == name
 
 
-def test_chords_is_the_only_dataclass():
-    # the other records are plain classes: each dataclass decoration generates and execs code at import
-    modules = [importlib.import_module(f"flotilla.{info.name}") for info in pkgutil.iter_modules(flotilla.__path__)]
-    classes = [obj for m in modules for obj in vars(m).values() if isinstance(obj, type) and obj.__module__ == m.__name__]
-    assert set(RECORDS) <= {c.__name__ for c in classes}
-    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == ["Chords"]
+def test_no_module_imports_dataclasses():
+    # every record is a plain class: importing dataclasses, and each decoration generating and exec'ing
+    # its methods, cost every CLI call about a millisecond of import
+    importers = []
+    for path in sorted(Path(flotilla.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            importers += [path.name for name in names if name.split(".")[0] == "dataclasses"]
+    assert importers == []

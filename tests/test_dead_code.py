@@ -21,27 +21,15 @@ PACKAGE = ROOT / "src" / "flotilla"
 SCRIPTS = ROOT / "scripts"
 
 KEPT = {
-    "chord.cone_area": "one-chord API; the lane tests compare the sweeps against it",
-    "chord.solve_flotation_chord": "one-chord API; the lane tests compare the sweeps against it",
-    "chord.solve_silhouette_chord": "one-chord API; the lane tests compare the sweeps against it",
     "curve.AffineFrame": "the frame of AffineImage, which the affine-invariance tests build",
     "curve.AffineImage": "the exact affine image of a body; the affine-invariance tests are built on it",
-    "curve.affine_arclength": "the oracle for the affine arc table",
-    "curve.affine_curvature": "the acceptance criteria check the constant affine curvature of ellipses",
-    "curve.affine_normal": "the affine normal at given parameters, which the tests check on ellipses and affine images; "
-    "the affine_sphere check forms it by curve._affine_normal from the jets it already holds",
     "homothety.fit_homothety": "the homothety between the flotation and buoyancy points, of the library tour and the acceptance criteria",
-    "homothety.petty_condition_report": "the Petty condition itself, whose conic value (ab)^2 criterion 12 checks; "
-    "the run checks its reciprocal, petty_ratios, which stays finite at flat points",
-    "homothety.affine_cut_rate": "the closed-form rate of the affine cut length, checked against its finite difference",
 }
 
 KEPT_KNOBS = {
     "chord.sweep.s0": "the tests sweep from shifted starts, where the chord grid misses the body's symmetry axes",
     "cli.main.argv": "the tests and the benchmark call main in process; the console script reads sys.argv",
     "curve.AffineFrame.translation": "the tests build linear frames as well as moved ones",
-    "curve.affine_arclength.rel_tol": "the cut-length oracle of the tests runs at its own tolerance",
-    "curve.affine_arclength.abs_tol": "the cut-length oracle of the tests runs at its own tolerance",
     "homothety.build_carousel.delta": "the tests chain at a given delta, to differentiate the closure defect in it",
     "numerics.TrigInterpolant.__call__.order": "the tests read the interpolant's derivatives and antiderivative",
 }

@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from flotilla.chord import FLOTATION, _chords, solve_flotation_chord, sweep
+from flotilla.chord import FLOTATION, _chords, sweep
 from flotilla.curve import (
     AffineFrame,
     AffineImage,
@@ -12,7 +11,6 @@ from flotilla.curve import (
     Ellipse,
     FourierRadial,
     SampledPeriodic,
-    affine_normal,
     area,
     det2,
     norm2,
@@ -29,6 +27,7 @@ from flotilla.floatgeom import (
 )
 
 from oracles import (
+    affine_normal,
     circle_buoyancy_kappa,
     circle_flotation_kappa,
     circle_segment_area,
@@ -37,6 +36,7 @@ from oracles import (
     fd4_derivative,
     flotation_kappa_cot_form,
     random_unimodular_frame,
+    solve_flotation_chord,
     spectral_fd,
 )
 
@@ -306,7 +306,7 @@ class TestAffineNormalClosedForm:
         s = chords.s
         at_s = curve.derivatives(s, (0, 1, 2))
         shifted = _chords(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
-        for corrupted in (shifted, dataclasses.replace(chords, delta=1.3 * chords.delta)):
+        for corrupted in (shifted, chords.replace(delta=1.3 * chords.delta)):
             angle, mag = buoyancy_affine_normal_check(corrupted)
             assert np.all(angle < 1e-14) and np.all(mag < 1e-14)
 

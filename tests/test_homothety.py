@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 import flotilla.homothety as homothety_module
 from flotilla.cli import CHECKS, compute_bundle
-from flotilla.chord import FLOTATION, ILLUMINATION, solve_flotation_chord, sweep
+from flotilla.chord import FLOTATION, ILLUMINATION, sweep
 from flotilla.curve import (
     AffineFrame,
     AffineImage,
     Ellipse,
     FourierRadial,
     SampledPeriodic,
-    affine_normal,
     area,
     det2,
 )
@@ -25,26 +24,28 @@ from flotilla.homothety import (
     ConstancyReport,
     affine_cut_length_report,
     affine_cut_lengths,
-    affine_cut_rate,
     build_carousel,
     chord_cube_report,
     duality_parameters,
     duality_pointwise_check,
     endpoint_balance_residual,
     fit_homothety,
-    hausdorff_distance,
-    intersection_body_polar,
-    petty_condition_report,
     proper_affine_sphere_residual,
     radon_check,
 )
 
+from limit_convergence import hausdorff_distance, intersection_body_polar
 from oracles import (
+    affine_arclength,
+    affine_cut_rate,
+    affine_normal,
     circle_cone_area,
     circle_segment_area,
     circle_segment_centroid_distance,
     circle_tangent_triangle_area,
     incremental_cut_lengths,
+    petty_condition_report,
+    solve_flotation_chord,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -287,7 +288,6 @@ class TestCutLength:
     def test_mean_cut_fraction_on_bump3(self, bump3):
         # the mean cut over the affine perimeter, both from the curve's table,
         # against 2n - 1 separate integrals over one more for the perimeter
-        from flotilla.curve import affine_arclength
 
         chords = sweep(bump3, FLOTATION, 0.8, 256)
         record = CHECKS["cut_length"](bump3, SimpleNamespace(chords=chords))
@@ -296,7 +296,6 @@ class TestCutLength:
         assert abs(record["mean_cut_fraction"] - reference) <= 1e-10
 
     def test_rate_identity_against_fresh_solve_fd(self, ellipse21, bump3):
-        from flotilla.curve import affine_arclength
 
         h = 1e-4
         cases = [(ellipse21, 1.0, (0.4, 2.2)), (bump3, 0.8, (0.45, 1.9, 2.6, 5.2))]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import ILLUMINATION, _chords, solve_silhouette_chord, sweep
+from flotilla.chord import ILLUMINATION, _chords, sweep
 from flotilla.curve import AffineImage, det2, norm2
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
@@ -14,6 +14,7 @@ from oracles import (
     convex_polygon_contains,
     illumination_kappa_raw,
     random_unimodular_frame,
+    solve_silhouette_chord,
     spectral_fd,
 )
 

@@ -6,7 +6,6 @@ Each transform is compared lane by lane on four curve kinds, including
 sweeps whose chords have parallel end tangents (no apex).
 """
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -29,8 +28,10 @@ from flotilla.floatgeom import (
     kappa_prime_flotation,
     omega_identity_residual,
 )
-from flotilla.homothety import affine_cut_rate, endpoint_balance_residual
+from flotilla.homothety import endpoint_balance_residual
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
+
+from oracles import affine_cut_rate
 
 REL = 1e-13
 
@@ -227,7 +228,7 @@ def test_endpoint_balance_forms_checked_in_every_lane(bump3):
     alpha = chords.alpha.copy()
     alpha[40] += 0.1
     with pytest.raises(AccuracyError):
-        endpoint_balance_residual(dataclasses.replace(chords, alpha=alpha))
+        endpoint_balance_residual(chords.replace(alpha=alpha))
 
 
 def test_indexing_gives_sub_lane_chords(ellipse21):

@@ -12,19 +12,20 @@ import sys
 import numpy as np
 import pytest
 
-from flotilla.chord import (
-    cap_area,
-    cone_area,
-    solve_flotation_chord,
-    solve_silhouette_chord,
-    tangent_intersection,
-)
 from flotilla.cli import compute_bundle
 from flotilla.curve import AffineFrame, AffineImage, ClosedConvexCurve, Ellipse, FourierRadial, SampledPeriodic, area
 from flotilla.floatgeom import buoyancy_point
 from flotilla.illumgeom import illumination_centroid_point
 
-from oracles import quadrature_cap, quadrature_cone
+from oracles import (
+    cap_area,
+    cone_area,
+    quadrature_cap,
+    quadrature_cone,
+    solve_flotation_chord,
+    solve_silhouette_chord,
+    tangent_intersection,
+)
 
 TWO_PI = 2.0 * math.pi
 AREA_TOL = 1e-12
@@ -144,10 +145,11 @@ def test_compute_bundle_uses_no_quadrature(monkeypatch):
         calls += 1
         return quadrature(*args, **kwargs)
 
-    quadrature = sys.modules["flotilla.numerics"].panel_quadrature
+    # the package's one adaptive quadrature kernel; only the affine arc table calls it
+    quadrature = sys.modules["flotilla.numerics"]._adaptive_panels
     for name, module in list(sys.modules.items()):
-        if name.startswith("flotilla") and getattr(module, "panel_quadrature", None) is quadrature:
-            monkeypatch.setattr(module, "panel_quadrature", counting)
+        if name.startswith("flotilla") and getattr(module, "_adaptive_panels", None) is quadrature:
+            monkeypatch.setattr(module, "_adaptive_panels", counting)
     ellipse = compute_bundle(Ellipse(2.0, 1.0), 1.0, 64)
     bump3 = compute_bundle(FourierRadial(1.0, (0.0, 0.0, 0.1)), 0.8, 64, delta_hat_override=0.8)
     assert ellipse.illum_centroid is not None and bump3.illum_centroid is not None

@@ -16,7 +16,6 @@ still passes, so a change that makes the check honest must take it off the list.
 """
 
 import copy
-import dataclasses
 import functools
 
 import numpy as np
@@ -62,7 +61,7 @@ def relabelled_delta_hat(curve, bundle):
     dual = bundle.illum_chords.delta
     illum = chord.sweep(curve, chord.ILLUMINATION, 1.001 * dual, N)
     out = copy.copy(bundle)
-    out.illum_chords = dataclasses.replace(illum, delta=dual)
+    out.illum_chords = illum.replace(delta=dual)
     return curve, out
 
 

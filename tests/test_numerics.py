@@ -12,10 +12,9 @@ from flotilla.numerics import (
     PeriodicAntiderivative,
     TrigInterpolant,
     bracketed_newton,
-    panel_quadrature,
 )
 
-from oracles import trig_interpolant_exp_outer
+from oracles import panel_quadrature, trig_interpolant_exp_outer
 
 
 def test_panel_quadrature_polynomial():

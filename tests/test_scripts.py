@@ -53,7 +53,7 @@ def test_stage_times(tmp_path):
     checks = ["chord_cube", "endpoint_balance", "omega", "dupin", "affine_normal", "cut_length", "duality"]
     checks += ["petty", "radon", "affine_sphere"]
     assert stages == [
-        "config", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
+        "compile", "config", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
         *["check"] * len(checks), "rest", "total",
     ]
     assert [line.split()[1] for line in result.stdout.splitlines() if line.startswith("check ")] == checks
@@ -69,5 +69,5 @@ def test_stage_times_without_checks(tmp_path):
     result = run_script("stage_times.py", str(config), "--repeat", "1", cwd=work)
     assert result.returncode == 0, result.stderr
     stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
-    assert stages == ["config", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
+    assert stages == ["compile", "config", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
     assert not list(work.iterdir())
