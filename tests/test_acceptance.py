@@ -121,7 +121,6 @@ def bump3_illum(bump3):
 
 def test_criterion_01_circle_closed_form_curvatures(unit_circle):
     cm_f = solve_flotation_chord(unit_circle, 0.35, DELTA)
-
     cm_i = solve_silhouette_chord(unit_circle, 0.35, DELTA_HAT)
     values = {
         "kappa1": (flotation_point(cm_f).kappa[0], circle_flotation_kappa(THETA)),
@@ -390,7 +389,6 @@ def test_criterion_13_affine_equivariance_meta_suite(ellipse21):
     _, lam = chord_cube_report(sweep(ellipse21, FLOTATION, delta, 128))
     delta_hat, _ = duality_parameters(delta, lam)
     probes = np.linspace(0.1, TWO_PI, 8, endpoint=False)
-
 
     base = {}
     for s in probes:

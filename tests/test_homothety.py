@@ -288,7 +288,6 @@ class TestCutLength:
     def test_mean_cut_fraction_on_bump3(self, bump3):
         # the mean cut over the affine perimeter, both from the curve's table,
         # against 2n - 1 separate integrals over one more for the perimeter
-
         chords = sweep(bump3, FLOTATION, 0.8, 256)
         record = CHECKS["cut_length"](bump3, SimpleNamespace(chords=chords))
         reference = incremental_cut_lengths(bump3, chords).mean() / affine_arclength(bump3, 0.0, TWO_PI)
@@ -296,7 +295,6 @@ class TestCutLength:
         assert abs(record["mean_cut_fraction"] - reference) <= 1e-10
 
     def test_rate_identity_against_fresh_solve_fd(self, ellipse21, bump3):
-
         h = 1e-4
         cases = [(ellipse21, 1.0, (0.4, 2.2)), (bump3, 0.8, (0.45, 1.9, 2.6, 5.2))]
         for curve, delta, probes in cases:
