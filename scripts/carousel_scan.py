@@ -45,13 +45,12 @@ def main():
     out.parent.mkdir(parents=True, exist_ok=True)
     # the closing area of p/q >= 1/2 lies above half the body
     deltas = np.linspace(0.05 * total, 0.95 * total, args.steps)
-    start = np.array([args.s0])
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta", "closure_defect"])
         for d in deltas:
             # the one chain from s0 is all the defect needs, not build_carousel's 32 starts
-            ts, _, _ = _chains(curve, args.q, float(d), start)
+            ts, _, _ = _chains(curve, args.q, float(d), 1, args.s0)
             defect = float(ts[args.q, 0] - ts[0, 0] - args.p * curve.period)
             writer.writerow([f"{d:.17g}", f"{defect:.17g}"])
 

@@ -12,8 +12,6 @@ for first. By Green's theorem both areas are closed forms in the endpoints
 and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -91,19 +89,19 @@ def arc_moments(chords):
     return origin, chords.x - origin, chords.y - origin, m_t - m_s
 
 
-def _area_fdf(curve, kind, s, at_s, target):
+def _area_fdf(curve, kind, side, target):
     """The residual of the cap (flotation) or cone (illumination) area target of the lanes (s, t) as a function of t.
 
     The returned callable maps t to a residual and its t-derivative: cap -
     target and half det(c, gamma'(t)) for a cap, the scaled cone residual of
-    ``_silhouette_t`` for a cone. ``at_s`` starts with gamma(s) and
-    gamma'(s); the moment antiderivative at s is evaluated here once, so a
-    call makes one curve evaluation at t, of orders 0 to 2, and one moment
-    evaluation, kept with t as the callable's ``last`` for the chords.
+    ``_silhouette_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
+    ``_side``, so a call makes one curve evaluation at t, of orders 0 to 2,
+    and one moment evaluation, kept with t as the callable's ``last`` for
+    the chords.
     """
     origin, moments = curve.moments
+    _, at_s, m_s = side
     x, d1 = at_s[0] - origin, at_s[1]
-    m_s = moments(s, -1)[..., 0]
     total = area(curve)
 
     def fdf(t):
@@ -190,26 +188,26 @@ def _cone_angle(g):
     return convex_newton(lambda x: math.tan(0.5 * x) - 0.5 * x, lambda x: 0.5 * math.tan(0.5 * x) ** 2, y, start)
 
 
-def _flotation_t(curve, s, delta, at_s):
+def _flotation_t(curve, side, delta):
     """t in (s, s + period) with cap area delta for every lane of s, and the solve's last evaluation.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
     so that whole interval brackets every lane. It starts at the root on every
-    ellipse, the chord of the cap angle. ``at_s`` starts with gamma(s) and
-    gamma'(s); the last evaluation is (u, orders 0 to 2 at u).
+    ellipse, the chord of the cap angle. ``side`` is the s side (s, at_s,
+    m(s)) of ``_side``; the last evaluation is (u, orders 0 to 2 at u).
     """
     total = area(curve)
     if not 0.0 < delta < total:
         raise DomainError(f"delta must lie in (0, area) = (0, {total})")
-    period = curve.period
+    s, period = side[0], curve.period
     tiny = CAP_MARGIN * period
-    fdf = _area_fdf(curve, FLOTATION, s, at_s, delta)
+    fdf = _area_fdf(curve, FLOTATION, side, delta)
     start = s + period * (_cap_angle(delta / total) / (2.0 * math.pi))
     t = bracketed_newton(fdf, s + tiny, s + period - tiny, start, f_tol=1e-12 * total)
     return t, fdf.last
 
 
-def _silhouette_t(curve, s, delta_hat, at_s):
+def _silhouette_t(curve, side, delta_hat):
     """t in (s, s + period) with cone area delta_hat for every lane of s, and the solve's last evaluation.
 
     Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
@@ -220,27 +218,53 @@ def _silhouette_t(curve, s, delta_hat, at_s):
     residual is F over a positive scale that is v near the root, where it
     reads cone - delta_hat, so a lane that stops on f_tol has
     |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
-    ellipse, the cone angle's share of the period. ``at_s`` starts with
-    gamma(s) and gamma'(s); the last evaluation is (u, orders 0 to 2 at u).
+    ellipse, the cone angle's share of the period. ``side`` is the s side
+    (s, at_s, m(s)) of ``_side``; the last evaluation is (u, orders 0 to 2 at u).
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
     total = area(curve)
-    period = curve.period
-    fdf = _area_fdf(curve, ILLUMINATION, s, at_s, delta_hat)
+    s, period = side[0], curve.period
+    fdf = _area_fdf(curve, ILLUMINATION, side, delta_hat)
     start = s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi))
     t = bracketed_newton(fdf, s + 1e-9 * period, s + 0.98 * period, start, f_tol=1e-12 * total)
     return t, fdf.last
 
 
-def _solve(curve, kind, delta, s):
-    """The chords of area delta from every lane of s, in one lane-wise solve.
+def _side(curve, s, at_s):
+    """The s side (s, at_s, m(s)) of the chords from the lanes s, for ``_area_fdf``.
 
-    Orders 0 to 2 at s are evaluated once, for the t solve and the chords,
-    and the solve's latest evaluation at t serves the chords.
+    ``at_s`` starts with gamma(s) and gamma'(s); m(s) is the first
+    component of the moment antiderivative at s.
     """
-    at_s = curve.derivatives(s, (0, 1, 2))
-    t, last = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, s, delta, at_s)
+    return s, at_s, curve.moments[1](s, -1)[..., 0]
+
+
+def _grid(curve, n, s0):
+    """The s side of the uniform grid of n chords from s0, with orders 0 to 2 at s, built once per curve.
+
+    Every sweep on the grid shares it: the arrays are kept in the curve's
+    ``sweep_grids`` and are read-only.
+    """
+    key = n, s0
+    if key not in curve.sweep_grids:
+        s = s0 + np.arange(n) * (curve.period / n)
+        s, at_s, m_s = _side(curve, s, tuple(curve.derivatives(s, (0, 1, 2))))
+        for array in (s, *at_s, m_s):
+            array.flags.writeable = False
+        curve.sweep_grids[key] = s, at_s, m_s
+    return curve.sweep_grids[key]
+
+
+def _solve(curve, kind, delta, side):
+    """The chords of area delta from every lane of an s side, in one lane-wise solve.
+
+    The s side (s, orders 0 to 2 at s, m(s)) of ``_side`` or ``_grid`` serves
+    the t solve and the chords, and the solve's latest evaluation at t
+    serves the chords.
+    """
+    s, at_s, _ = side
+    t, last = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, side, delta)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
@@ -262,4 +286,4 @@ def sweep(curve, kind, delta, n_samples, s0=0.0):
         raise DomainError("n_samples must be at least 16")
     if kind not in (FLOTATION, ILLUMINATION):
         raise DomainError(f"unknown chord kind {kind!r}")
-    return _solve(curve, kind, delta, s0 + np.arange(n_samples) * (curve.period / n_samples))
+    return _solve(curve, kind, delta, _grid(curve, n_samples, s0))

@@ -5,8 +5,6 @@ error or an output that cannot be written, 3 numerical failure (solver or
 quadrature did not converge, or a float overflowed).
 """
 
-from __future__ import annotations
-
 import json
 import math
 import sys
@@ -90,6 +88,19 @@ def load_config(path):
         raise ConfigError(f"checks must be a list of check names, got {checks!r}")
     if not isinstance(output_dir, str):
         raise ConfigError(f"outputDir must be a string, got {output_dir!r}")
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
+    # each check writes one record and one stage time, so a repeated name would sum two times in one stage
+    repeated = [name for i, name in enumerate(checks) if name in checks[:i]]
+    if repeated:
+        raise ConfigError(f"check {repeated[0]!r} named twice")
+    for d in deltas:
+        extra = [key for key in d if key != "fraction"] if isinstance(d, dict) else []
+        if extra:
+            raise ConfigError(f"unknown key {extra[0]!r} in delta entry {d!r} (allowed: fraction)")
+        if not is_number(d.get("fraction") if isinstance(d, dict) else d):
+            raise ConfigError(f"bad delta entry {d!r}")
     if "curveSpec" not in raw:
         raise ConfigError("malformed config: missing key 'curveSpec'")
     cfg = RunConfig(
@@ -135,15 +146,10 @@ def curve_label(spec):
 
 
 def resolve_deltas(raw_deltas, total_area):
+    """The cut-off areas of delta entries that load_config has read: a number, or {"fraction": f} of the area."""
     out = []
     for d in raw_deltas:
-        extra = [key for key in d if key != "fraction"] if isinstance(d, dict) else []
-        if extra:
-            raise ConfigError(f"unknown key {extra[0]!r} in delta entry {d!r} (allowed: fraction)")
-        number = d.get("fraction") if isinstance(d, dict) else d
-        if not is_number(number):
-            raise ConfigError(f"bad delta entry {d!r}")
-        value = number * total_area if isinstance(d, dict) else float(number)
+        value = d["fraction"] * total_area if isinstance(d, dict) else float(d)
         if not 0.0 < value < total_area:
             raise ConfigError(f"delta {value} outside (0, area={total_area})")
         out.append(value)
@@ -250,7 +256,7 @@ def _check_endpoint_balance(curve, bundle):
 
 
 def _check_omega(curve, bundle):
-    res = floatgeom.omega_identity_residual(bundle.chords)
+    res = floatgeom._omega_residual(bundle.chords, bundle.buoyancy.points)
     return _measured("omega_identity_rel_residual", res, 1e-6)
 
 
@@ -374,9 +380,11 @@ def _cells(columns):
     return np.array(((row * len(block)) % tuple(block.ravel().tolist())).split("\n")[:-1], dtype=object)
 
 
-def _sweep_rows(chords, families):
-    """The rows of the families sampled at one sweep, whose chord cells are formatted once for all of them."""
-    s = _cells([chords.s])  # both the s and the chord_s cell
+def _sweep_rows(chords, families, s):
+    """The rows of the families sampled at one sweep, whose chord cells are formatted once for all of them.
+
+    ``s`` holds the cells of the sweep's grid, both the s and the chord_s cell.
+    """
     tail = _cells([chords.t, chords.alpha, chords.beta, chords.norm_c, chords.affine_norm_c])
     blocks = []
     for family in families:
@@ -390,12 +398,19 @@ def _sweep_rows(chords, families):
 
 
 def write_curves_csv(path, bundles):
-    """Write every derived family of the bundles to curves.csv, with csv.writer's CRLF row ends."""
+    """Write every derived family of the bundles to curves.csv, with csv.writer's CRLF row ends.
+
+    The s cells of a grid are formatted once for all the sweeps on it.
+    """
+    grids = {}  # the s cells of every grid, by the bytes of its s values
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         for bundle in bundles:
             for chords, families in bundle.sweeps():
-                fh.write(_sweep_rows(chords, families))
+                key = chords.s.tobytes()
+                if key not in grids:
+                    grids[key] = _cells([chords.s])
+                fh.write(_sweep_rows(chords, families, grids[key]))
 
 
 def write_report(path, label, deltas, n_samples, records, stage_seconds):
@@ -432,13 +447,6 @@ def write_figure(path, bundles, chord_stride):
 
 
 def cmd_run(config: RunConfig):
-    unknown = [name for name in config.checks if name not in CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown check {unknown[0]!r} (available: {sorted(CHECKS)})")
-    # each check writes one record and one stage time, so a repeated name would sum two times in one stage
-    repeated = [name for i, name in enumerate(config.checks) if name in config.checks[:i]]
-    if repeated:
-        raise ConfigError(f"check {repeated[0]!r} named twice")
     stage_seconds = {}  # wall time of each stage, in the order the stages ran
 
     def timed(stage, call):

@@ -6,8 +6,6 @@ plain numpy arrays of shape (2,); vectorized calls with an array of parameter
 values return (N, 2).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -107,6 +105,11 @@ class ClosedConvexCurve:
     def affine_arc(self):
         """Affine arc length L(s) from 0 as a table: L(t) - L(s) is that of [s, t], and a query evaluates no curve."""
         return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period)
+
+    @functools.cached_property
+    def sweep_grids(self):
+        """The s side of every sweep grid solved on this curve, by (n, s0), as ``chord._grid`` builds it."""
+        return {}
 
     def _validate(self):
         d1, d2 = self.on_grid(max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution), (1, 2))

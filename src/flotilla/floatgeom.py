@@ -10,8 +10,6 @@ a sweep at once (one curve evaluation at both chord ends); one-lane Chords
 are the single-chord case.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -177,8 +175,13 @@ def omega_identity_residual(chords):
     of det(beta', beta'')^(1/3), with both derivatives taken from the
     interpolant of the sampled buoyancy points; neither side reads the other.
     """
+    return _omega_residual(chords, _buoyancy_frame(chords)[0])
+
+
+def _omega_residual(chords, buoyancy_points):
+    """``omega_identity_residual`` from the buoyancy points the sweep's bundle already holds."""
     delta_bar = 1.5 * chords.delta
     lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
-    d1, d2 = _spectral_derivatives(_buoyancy_frame(chords)[0], chords, (1, 2))
+    d1, d2 = _spectral_derivatives(buoyancy_points, chords, (1, 2))
     rhs = 0.5 * chords.curve.period * float(np.mean(np.cbrt(det2(d1, d2))))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

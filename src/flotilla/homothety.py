@@ -5,13 +5,11 @@ These are the executable verification suites: each operation reduces a sweep
 can threshold.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
 
-from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _jets_at, _pair
+from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _grid, _jets_at, _pair, _side
 from .curve import area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton
@@ -278,17 +276,22 @@ def radon_check(curve, n_samples=256) -> float:
 CAROUSEL_STARTS = 32
 
 
-def _chains(curve, q, delta, starts):
-    """Vertices (q + 1, lanes) of the chord chains from every start, (gamma, gamma') there, and d(last vertex)/d(delta).
+def _chains(curve, q, delta, n, s0):
+    """Vertices (q + 1, n) of the chord chains from n starts, (gamma, gamma') there, and d(last vertex)/d(delta).
 
-    Each vertex after the starts is evaluated once, in the last Newton round
-    of the chord solve that ends there, and handed to the solve that starts there.
+    The starts s0 + k period / n are a sweep grid (``chord._grid``), evaluated
+    once per curve whatever the delta. Each vertex after them is evaluated
+    once, in the last Newton round of the chord solve that ends there, and
+    handed to the solve that starts there.
     """
-    ts = [starts]
-    at_vertices = [curve.derivatives(starts, (0, 1))]
-    dt_ddelta = np.zeros_like(starts)  # the starts do not move with delta
+    side = _grid(curve, n, s0)
+    ts = [side[0]]
+    at_vertices = [side[1][:2]]
+    dt_ddelta = np.zeros(n)  # the starts do not move with delta
     for _ in range(q):
-        t, last = _flotation_t(curve, ts[-1], delta, at_vertices[-1])
+        if len(ts) > 1:
+            side = _side(curve, ts[-1], at_vertices[-1])
+        t, last = _flotation_t(curve, side, delta)
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
         (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, last)
@@ -325,10 +328,10 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     if delta is None:
         delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
-        chain, at_vertices, dt_ddelta = _chains(curve, q, delta, np.array([float(s0)]))
+        chain, at_vertices, dt_ddelta = _chains(curve, q, delta, 1, float(s0))
     period = curve.period
     ts = chain[:, 0]
-    lanes, at_lanes, _ = _chains(curve, q, delta, np.arange(CAROUSEL_STARTS) * (period / CAROUSEL_STARTS))
+    lanes, at_lanes, _ = _chains(curve, q, delta, CAROUSEL_STARTS, 0.0)
     carousel = Carousel(
         p=p,
         q=q,
@@ -371,13 +374,12 @@ def _require_carousel(p, q, s0, period):
 def _closing_chain(curve, p, q, s0):
     """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
     total = area(curve)
-    start = np.array([float(s0)])
     chains = {}  # the chain at every delta tried, so the one at delta* is not solved again
 
     def fdf(d):
         # the closure defect of the chain from s0 and its slope in delta
         if d not in chains:
-            chains[d] = _chains(curve, q, d, start)
+            chains[d] = _chains(curve, q, d, 1, float(s0))
         ts, _, slope = chains[d]
         return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
 

@@ -6,8 +6,6 @@ illumination sweep; the apex of a chord (its pole under the tangential
 polarity) is the sweep's ``Chords.z``, NaN where the end tangents are parallel.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .chord import ILLUMINATION, arc_moments

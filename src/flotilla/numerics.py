@@ -1,7 +1,5 @@
 """Shared numerical kernels: panel quadrature, trigonometric interpolation, root finding."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -1,7 +1,5 @@
 """Minimal SVG writer for curve bundles: layered polylines, chords, legend."""
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import DomainError

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _solve, sweep
+from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _side, _solve, sweep
 from flotilla.curve import _affine_integrand, _affine_normal, det2, norm2
 from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
 from flotilla.homothety import ConstancyReport, petty_ratios
@@ -364,9 +364,14 @@ def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
 # -- forms of the package that no run calls ------------------------------------
 
 
+def side_at(curve, s, orders):
+    """The s side of chords from s (``chord._side``), with the curve's derivatives of the given orders at s."""
+    return _side(curve, s, tuple(curve.derivatives(s, orders)))
+
+
 def solve_flotation_chord(curve, s, delta):
     """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
-    return _solve(curve, FLOTATION, delta, np.array([float(s)]))
+    return _solve(curve, FLOTATION, delta, side_at(curve, np.array([float(s)]), (0, 1, 2)))
 
 
 def solve_silhouette_chord(curve, s, delta_hat):
@@ -376,14 +381,14 @@ def solve_silhouette_chord(curve, s, delta_hat):
     the end tangents turn parallel; a delta_hat whose chord has no apex to
     rounding (PARALLEL_TOL) is out of reach and raises SolverError.
     """
-    return _solve(curve, ILLUMINATION, delta_hat, np.array([float(s)]))
+    return _solve(curve, ILLUMINATION, delta_hat, side_at(curve, np.array([float(s)]), (0, 1, 2)))
 
 
 def cap_area(curve, s, t):
     """Area swept between the chord [gamma(s), gamma(t)] and the arc, s < t."""
     if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
-    return _area_fdf(curve, FLOTATION, s, curve.derivatives(s, (0, 1)), 0.0)(t)[0]
+    return _area_fdf(curve, FLOTATION, side_at(curve, s, (0, 1)), 0.0)(t)[0]
 
 
 def tangent_intersection(curve, s, t):

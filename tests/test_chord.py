@@ -22,6 +22,7 @@ from oracles import (
     circle_segment_area,
     cone_area,
     random_unimodular_frame,
+    side_at,
     solve_flotation_chord,
     solve_silhouette_chord,
     sweep_closure_defect,
@@ -30,6 +31,8 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * math.pi
+# bodies built afresh for tests that count evaluations: a body's sweep grids are kept
+FRESH_BODIES = {"ellipse21": lambda: Ellipse(2.0, 1.0), "bump3": lambda: FourierRadial(1.0, (0.0, 0.0, 0.1))}
 THETA = math.pi / 3
 DELTA = circle_segment_area(THETA)  # 0.614185...
 DELTA_HAT = circle_cone_area(THETA)  # 0.684853...
@@ -271,14 +274,50 @@ class TestLaneSweep:
             ("bump3", ILLUMINATION, 0.8, 4_352, 17),
         ],
     )
-    def test_s_side_evaluated_once_per_sweep(self, request, monkeypatch, body, kind, delta, curve_points, calls):
+    def test_s_side_evaluated_once_per_sweep(self, monkeypatch, body, kind, delta, curve_points, calls):
         # orders 0 to 2 at s are evaluated once, for the t solve and the chords,
-        # and either solve's last round at t serves the chords
-        curve = request.getfixturevalue(body)
+        # and either solve's last round at t serves the chords. The body is
+        # built here: a session fixture's grids may hold an earlier sweep's s side
+        curve = FRESH_BODIES[body]()
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
         assert len(sweep(curve, kind, delta, 256)) == 256
         assert (counts["curve"], counts["calls"]) == (curve_points, calls)
+
+    @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
+    def test_second_sweep_on_a_shared_grid_evaluates_only_t(self, monkeypatch, kind):
+        # the s side of a grid (orders 0 to 2 and the moment antiderivative at s)
+        # is built by the first sweep on it and shared, read-only, by every later
+        # one: on the 2:1 ellipse at n = 256 a later sweep evaluates the curve and
+        # the moment antiderivative only at t, 256 points in 1 call each
+        curve = Ellipse(2.0, 1.0)
+        first = sweep(curve, FLOTATION, 0.5, 256)
+        counts = {"calls": 0, "curve": 0, "moments": 0}
+        _count_evaluations(monkeypatch, curve, counts)
+        second = sweep(curve, kind, 1.0, 256)
+        assert (counts["curve"], counts["calls"], counts["moments"]) == (256, 1, 256)
+        assert second.s is first.s and not second.s.flags.writeable
+        monkeypatch.undo()
+        fresh = sweep(Ellipse(2.0, 1.0), kind, 1.0, 256)
+        for name in ("s", "t", "alpha", "beta", "affine_norm_c"):
+            np.testing.assert_array_equal(getattr(second, name), getattr(fresh, name))
+        for k in range(3):
+            np.testing.assert_array_equal(second.ends(k), fresh.ends(k))
+
+    def test_each_grid_has_its_own_s_side(self):
+        # a grid is keyed by its size and start: other sizes and starts are
+        # their own grids, and a grid of the same size and start is shared
+        curve = Ellipse(2.0, 1.0)
+        grids = [(64, 0.0), (128, 0.0), (64, 0.1), (64, 0.0)]
+        sides = [chord_module._grid(curve, n, s0) for n, s0 in grids]
+        assert sorted(curve.sweep_grids) == [(64, 0.0), (64, 0.1), (128, 0.0)]
+        assert sides[3] is sides[0]
+        for (n, s0), (s, at_s, m_s) in zip(grids, sides):
+            np.testing.assert_array_equal(s, s0 + np.arange(n) * (curve.period / n))
+            for d, expected in zip(at_s, curve.derivatives(s, (0, 1, 2))):
+                np.testing.assert_array_equal(d, expected)
+            np.testing.assert_array_equal(m_s, curve.moments[1](s, -1)[:, 0])
+            assert not any(a.flags.writeable for a in (s, *at_s, m_s))
 
     @pytest.mark.parametrize("step", ["flotation_sweep", "illumination_sweep", "chain_step"])
     def test_chords_reuse_the_last_evaluation_where_it_was_taken_at_t(self, monkeypatch, bump3, step):
@@ -373,9 +412,9 @@ class TestLaneSweep:
         s = np.arange(256) * (curve.period / 256)
         at_s = curve.derivatives(s, (0, 1, 2))
         if solver == "flotation":
-            chord_module._flotation_t(curve, s, 0.8, at_s)
+            chord_module._flotation_t(curve, chord_module._side(curve, s, at_s), 0.8)
         else:
-            chord_module._silhouette_t(curve, s, 0.8, at_s)
+            chord_module._silhouette_t(curve, chord_module._side(curve, s, at_s), 0.8)
         # one Newton solve for either area
         rounds = solves[-1]
         assert len(solves) == 1
@@ -455,7 +494,7 @@ class TestEllipseStarts:
         solves = _count_solves(monkeypatch)
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, _ = chord_module._flotation_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
+        t, _ = chord_module._flotation_t(curve, side_at(curve, s, (0, 1)), fraction * total)
         assert [len(calls) for calls in solves] == [1]
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -465,7 +504,7 @@ class TestEllipseStarts:
         solves = _count_solves(monkeypatch)
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, _ = chord_module._silhouette_t(curve, s, fraction * total, curve.derivatives(s, (0, 1)))
+        t, _ = chord_module._silhouette_t(curve, side_at(curve, s, (0, 1)), fraction * total)
         assert [len(calls) for calls in solves] == [1]
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -510,13 +549,13 @@ class TestEllipseStarts:
         total = area(bump3)
         s = np.arange(256) * (bump3.period / 256)
         solve = chord_module._flotation_t if kind == FLOTATION else chord_module._silhouette_t
-        at_s = bump3.derivatives(s, (0, 1))
-        t, _ = solve(bump3, s, 0.8, at_s)
+        side = side_at(bump3, s, (0, 1))
+        t, _ = solve(bump3, side, 0.8)
         _count_solves(monkeypatch, start=lambda lo, hi: 0.5 * (lo + hi))
-        t_mid, _ = solve(bump3, s, 0.8, at_s)
+        t_mid, _ = solve(bump3, side, 0.8)
         for u in (t, t_mid):
             # near the root either residual is the area less 0.8
-            value, slope = chord_module._area_fdf(bump3, kind, s, at_s, 0.8)(u)
+            value, slope = chord_module._area_fdf(bump3, kind, side, 0.8)(u)
             assert np.max(np.abs(value)) <= 1e-12 * total
         assert np.all(np.abs(t - t_mid) * np.abs(slope) <= 2e-12 * total)
 

@@ -35,6 +35,7 @@ from flotilla.cli import (
 )
 from flotilla.curve import SPEC_KEYS, Ellipse, det2
 from flotilla.homothety import build_carousel
+from flotilla.numerics import TrigInterpolant
 from flotilla.svg import export_svg
 
 from oracles import circle_segment_area, export_svg_per_value
@@ -202,6 +203,25 @@ class TestConfig:
         assert "config error: check 'omega' named twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"checks": ["chord_cube", "nonsense"]}, "unknown check 'nonsense'"),
+            ({"checks": ["omega", "omega"]}, "check 'omega' named twice"),
+            ({"deltas": [{"fraction": 0.3, "extra": 1}]}, "unknown key 'extra' in delta entry"),
+            ({"deltas": ["abc"]}, "bad delta entry 'abc'"),
+        ],
+        ids=["unknown_check", "repeated_check", "delta_extra_key", "delta_string"],
+    )
+    @pytest.mark.parametrize("argv", [["run"], ["carousel", "--q", "3"]], ids=["run", "carousel"])
+    def test_bad_config_rejected_by_every_command(self, tmp_path, capsys, overrides, message, argv):
+        # carousel reads no delta and runs no check, but it used to run these
+        # configs and exit 0; load_config now rejects them for both commands
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main([argv[0], str(cfg), *argv[1:]]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+
     def test_delta_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltas=[10.0])
         assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -250,6 +270,37 @@ class TestConfig:
 
 
 class TestRun:
+    def test_ellipse_config_evaluates_and_formats_its_grid_once(self, tmp_path, monkeypatch):
+        # configs/ellipse.json solves 4 sweeps, flotation and illumination at two
+        # deltas, on one n = 256 grid, whose s side is built once: the curve and the
+        # moment antiderivative are evaluated there once each (4 times each when
+        # every sweep evaluated them), and curves.csv formats its s cells once
+        # (1,024 cells when every sweep formatted them)
+        grid = np.arange(256) * (2.0 * math.pi / 256)
+        at_grid = {"curve": 0, "moments": 0, "cells": 0}
+        derivatives, interpolant, cells = Ellipse.derivatives, TrigInterpolant.derivatives, cli_module._cells
+
+        def on_grid(s):
+            return np.shape(s) == grid.shape and np.array_equal(s, grid)
+
+        def counting_curve(curve, s, orders):
+            at_grid["curve"] += on_grid(s)
+            return derivatives(curve, s, orders)
+
+        def counting_moments(series, s, orders):
+            at_grid["moments"] += on_grid(s)
+            return interpolant(series, s, orders)
+
+        def counting_cells(columns):
+            at_grid["cells"] += sum(np.size(column) for column in columns if on_grid(column))
+            return cells(columns)
+
+        monkeypatch.setattr(Ellipse, "derivatives", counting_curve)
+        monkeypatch.setattr(TrigInterpolant, "derivatives", counting_moments)
+        monkeypatch.setattr(cli_module, "_cells", counting_cells)
+        assert main(["run", str(ROOT / "configs" / "ellipse.json"), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert at_grid == {"curve": 1, "moments": 1, "cells": 256}
+
     def test_ellipse_passes_core_checks(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -600,6 +651,21 @@ class TestCsv:
         assert written == ("\r\n".join(lines) + "\r\n").encode()
         assert b",nan," in written and b",," in written
 
+    def test_each_grid_writes_its_own_s_cells(self, tmp_path):
+        # the s cells are formatted once per grid: bundles on two grids of one
+        # curve (n = 64 and n = 128) write each sweep's own s and chord_s cells
+        curve = Ellipse(2.0, 1.0)
+        bundles = [compute_bundle(curve, 1.0, 64), compute_bundle(curve, 1.0, 128), compute_bundle(curve, 0.5, 64)]
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, bundles)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = expected_rows(bundles)
+        assert len(rows) == len(expected) == 4 * (64 + 128 + 64)
+        for row, orig in zip(rows, expected):
+            assert row["family"] == orig["family"]
+            assert float(row["s"]) == float(row["chord_s"]) == orig["s"]
+
     def test_header_and_column_order(self, tmp_path):
         curve = Ellipse(1.0, 1.0)
         bundle = compute_bundle(curve, DELTA, 64)
@@ -706,10 +772,10 @@ class TestSubcommands:
         solves = 0
         flotation_t = homothety_module._flotation_t
 
-        def counting(curve, s, delta, at_s):
+        def counting(curve, side, delta):
             nonlocal solves
-            solves += np.size(s) == 1
-            return flotation_t(curve, s, delta, at_s)
+            solves += np.size(side[0]) == 1
+            return flotation_t(curve, side, delta)
 
         monkeypatch.setattr(homothety_module, "_flotation_t", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})

@@ -480,8 +480,7 @@ class TestCarousel:
         # gamma and gamma' at each vertex after the start come from the last
         # Newton round of the chord solve that ends there: bit for bit the curve there
         curve = request.getfixturevalue(body)
-        starts = 0.1 + np.arange(32) * (curve.period / 32)
-        ts, (points, tangents), _ = homothety_module._chains(curve, 3, 0.3 * area(curve), starts)
+        ts, (points, tangents), _ = homothety_module._chains(curve, 3, 0.3 * area(curve), 32, 0.1)
         x, d = curve.derivatives(ts, (0, 1))
         np.testing.assert_array_equal(points, x)
         np.testing.assert_array_equal(tangents, d)
@@ -502,9 +501,9 @@ class TestCarousel:
         calls = []
         chains = homothety_module._chains
 
-        def counting(curve, q, delta, starts):
-            calls.append((delta, len(starts)))
-            return chains(curve, q, delta, starts)
+        def counting(curve, q, delta, n, s0):
+            calls.append((delta, n))
+            return chains(curve, q, delta, n, s0)
 
         monkeypatch.setattr(homothety_module, "_chains", counting)
         return calls

@@ -1,11 +1,14 @@
 """The experiment scripts run end to end on small inputs."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import flotilla
+from flotilla.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(flotilla.__file__).resolve().parents[1])
@@ -71,3 +74,39 @@ def test_stage_times_without_checks(tmp_path):
     stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
     assert stages == ["compile", "config", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
     assert not list(work.iterdir())
+
+
+def test_compare_outputs(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "curveSpec": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "deltas": [1.0], "nSamples": 64,
+        "checks": ["chord_cube", "omega"],
+    }))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["run", str(config), "--out", str(out)]) == 0
+    result = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert result.returncode == 0, result.stdout
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["curves.csv: byte-identical", "figure.svg: byte-identical"]
+    # the stage times of two runs differ, and nothing else does
+    assert lines[2] in ("report.json: byte-identical", "report.json: identical apart from stage_seconds")
+
+    # one cell moved by 1e-6 of its value, and one record's value
+    with open(b / "curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][3] = repr(float(rows[5][3]) * (1.0 + 1e-6))
+    with open(b / "curves.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    report = json.loads((b / "report.json").read_text())
+    report["records"][1]["value"] *= 2.0
+    (b / "report.json").write_text(json.dumps(report))
+    (b / "figure.svg").unlink()
+    result = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert lines[0] == "curves.csv: differs"
+    assert lines[1].startswith("  largest relative cell difference 1.000e-06 at row 5, column point_y: ")
+    assert lines[2] == f"figure.svg: only in {a}"
+    assert lines[3] == "report.json: differs"
+    assert lines[4].startswith("  omega: pass ") and len(lines) == 5
