@@ -4,7 +4,8 @@
 Each run's stages are the `stage_seconds` of its report.json. `config` times cli.load_config, and `rest`
 is what the cmd_run call spends outside every stage. `compile` times compiling every module of the package
 from source, which a fresh process pays before any stage when no bytecode is cached (as under
-PYTHONDONTWRITEBYTECODE=1); it is not part of `total`.
+PYTHONDONTWRITEBYTECODE=1); it is not part of `total`. Beside each `compute_bundle[i]` stands the
+`residual_calls` of its sweeps, the residual evaluations of their chord solves, which every run repeats.
 """
 
 import argparse
@@ -36,9 +37,19 @@ def stage_times(config_path, out_dir):
     config.output_dir = str(out_dir)
     cli.cmd_run(config)
     done = perf_counter()
-    stages = json.loads((out_dir / "report.json").read_text())["stage_seconds"]
+    report = json.loads((out_dir / "report.json").read_text())
+    stages = report["stage_seconds"]
     rest = done - loaded - sum(stages.values())
-    return {"compile": compiled, "config": loaded - start, **stages, "rest": rest, "total": done - start}
+    times = {"compile": compiled, "config": loaded - start, **stages, "rest": rest, "total": done - start}
+    return times, report["residual_calls"]
+
+
+def residual_calls_of(stage, calls):
+    """The residual calls of the sweeps of a `compute_bundle[i]` stage, as `flotation[i] N`; empty for other stages."""
+    if not stage.startswith("compute_bundle["):
+        return ""
+    index = stage[len("compute_bundle"):]
+    return ", ".join(f"{sweep} {n}" for sweep, n in calls.items() if sweep.endswith(index))
 
 
 def main():
@@ -49,9 +60,13 @@ def main():
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        runs = [stage_times(args.config, Path(tmp)) for _ in range(args.repeat)]
-    rows = (f"{name:<28} {1e3 * statistics.median(run[name] for run in runs):>10.3f}" for name in runs[0])
-    print(f"median of {args.repeat} runs of {args.config}", f"{'stage':<28} {'ms':>10}", *rows, sep="\n")
+        runs, calls = zip(*(stage_times(args.config, Path(tmp)) for _ in range(args.repeat)))
+    rows = (
+        f"{name:<28} {1e3 * statistics.median(run[name] for run in runs):>10.3f}  {residual_calls_of(name, calls[0])}"
+        for name in runs[0]
+    )
+    header = f"{'stage':<28} {'ms':>10}  residual calls"
+    print(f"median of {args.repeat} runs of {args.config}", header, *(row.rstrip() for row in rows), sep="\n")
 
 
 if __name__ == "__main__":

@@ -43,14 +43,19 @@ class Chords:
     x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
     chord lengths. ``jets`` holds the curve derivatives of orders 0 to 2 at
     both chord ends, from the solve that built the chords; ``ends(k)`` is
-    the k-th, shape (2, lanes, 2). Indexing or slicing gives the chords of
-    those lanes, jets included, and ``chords[i]`` is the one-lane case.
+    the k-th, shape (2, lanes, 2). ``residual_calls`` is the number of
+    residual evaluations that solve made, each over all of its lanes.
+    Indexing or slicing gives the chords of those lanes, jets included, and
+    ``chords[i]`` is the one-lane case.
     """
 
-    def __init__(self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, jets):
+    def __init__(
+        self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, jets, residual_calls
+    ):
         self.curve, self.kind, self.delta, self.s, self.t = curve, kind, delta, s, t
         self.x, self.y, self.c, self.z, self.apex = x, y, c, z, apex
         self.alpha, self.beta, self.norm_c, self.affine_norm_c, self.jets = alpha, beta, norm_c, affine_norm_c, jets
+        self.residual_calls = residual_calls
 
     def replace(self, **changes):
         """A copy with the given fields changed; an unknown field is a TypeError."""
@@ -97,7 +102,7 @@ def _area_fdf(curve, kind, side, target):
     ``_silhouette_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
     ``_side``, so a call makes one curve evaluation at t, of orders 0 to 2,
     and one moment evaluation, kept with t as the callable's ``last`` for
-    the chords.
+    the chords. The callable's ``calls`` counts its calls.
     """
     origin, moments = curve.moments
     _, at_s, m_s = side
@@ -105,6 +110,7 @@ def _area_fdf(curve, kind, side, target):
     total = area(curve)
 
     def fdf(t):
+        fdf.calls += 1
         fdf.last = t, curve.derivatives(t, (0, 1, 2))
         y, d2, dd2 = fdf.last[1]
         y = y - origin
@@ -131,6 +137,7 @@ def _area_fdf(curve, kind, side, target):
             flat = parallel & (dot2(d1, d2) > 0.0)
             return np.where(flat, -target, f / scale), df / scale
 
+    fdf.calls = 0
     return fdf
 
 
@@ -152,9 +159,17 @@ def _jets_at(curve, t, last):
     return jets
 
 
-def _chords(curve, kind, delta, s, t, at_s, last=None):
-    """Chords of the lanes (s, t) from orders 0 to 2 at s (``at_s``) and at t, from ``last`` = (u, jets) where u = t."""
-    at_t = _jets_at(curve, t, last) if last else curve.derivatives(t, (0, 1, 2))
+def _chords(curve, kind, delta, s, t, at_s, residual=None):
+    """Chords of the lanes (s, t) from orders 0 to 2 at s (``at_s``) and at t, and the ``residual`` that solved t.
+
+    The residual's ``last`` evaluation (u, jets) serves t where u = t, and
+    its ``calls`` are the chords' ``residual_calls``. Without one, t is
+    evaluated afresh and no residual was called.
+    """
+    if residual is None:
+        at_t, calls = curve.derivatives(t, (0, 1, 2)), 0
+    else:
+        at_t, calls = _jets_at(curve, t, residual.last), residual.calls
     jets = tuple(np.stack(pair) for pair in zip(at_s, at_t))
     (x, y), (d1, d2) = jets[:2]
     c = y - x
@@ -168,7 +183,7 @@ def _chords(curve, kind, delta, s, t, at_s, last=None):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
         affine_norm = np.where(parallel, np.inf, 2.0 * np.cbrt(-0.5 * p * q / v))
     z = np.where(parallel[:, None], np.nan, z)
-    return Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, jets)
+    return Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, jets, calls)
 
 
 def _cap_angle(f):
@@ -189,12 +204,13 @@ def _cone_angle(g):
 
 
 def _flotation_t(curve, side, delta):
-    """t in (s, s + period) with cap area delta for every lane of s, and the solve's last evaluation.
+    """t in (s, s + period) with cap area delta for every lane of s, and the residual of ``_area_fdf`` it solved.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
-    so that whole interval brackets every lane. It starts at the root on every
-    ellipse, the chord of the cap angle. ``side`` is the s side (s, at_s,
-    m(s)) of ``_side``; the last evaluation is (u, orders 0 to 2 at u).
+    so that whole interval brackets every lane and the residual rises
+    through its root. It starts at the root on every ellipse, the chord of
+    the cap angle. ``side`` is the s side (s, at_s, m(s)) of ``_side``; the
+    residual's ``last`` is (u, orders 0 to 2 at u), its last evaluation.
     """
     total = area(curve)
     if not 0.0 < delta < total:
@@ -204,11 +220,11 @@ def _flotation_t(curve, side, delta):
     fdf = _area_fdf(curve, FLOTATION, side, delta)
     start = s + period * (_cap_angle(delta / total) / (2.0 * math.pi))
     t = bracketed_newton(fdf, s + tiny, s + period - tiny, start, f_tol=1e-12 * total)
-    return t, fdf.last
+    return t, fdf
 
 
 def _silhouette_t(curve, side, delta_hat):
-    """t in (s, s + period) with cone area delta_hat for every lane of s, and the solve's last evaluation.
+    """t in (s, s + period) with cone area delta_hat for every lane of s, and the residual of ``_area_fdf`` it solved.
 
     Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
     with v = det(gamma'(s), gamma'(t)), p = det(gamma'(s), c) and
@@ -219,7 +235,8 @@ def _silhouette_t(curve, side, delta_hat):
     reads cone - delta_hat, so a lane that stops on f_tol has
     |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
     ellipse, the cone angle's share of the period. ``side`` is the s side
-    (s, at_s, m(s)) of ``_side``; the last evaluation is (u, orders 0 to 2 at u).
+    (s, at_s, m(s)) of ``_side``; the residual's ``last`` is (u, orders 0 to 2
+    at u), its last evaluation.
     """
     if delta_hat <= 0.0:
         raise DomainError("delta_hat must be positive")
@@ -228,7 +245,7 @@ def _silhouette_t(curve, side, delta_hat):
     fdf = _area_fdf(curve, ILLUMINATION, side, delta_hat)
     start = s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi))
     t = bracketed_newton(fdf, s + 1e-9 * period, s + 0.98 * period, start, f_tol=1e-12 * total)
-    return t, fdf.last
+    return t, fdf
 
 
 def _side(curve, s, at_s):
@@ -264,12 +281,12 @@ def _solve(curve, kind, delta, side):
     serves the chords.
     """
     s, at_s, _ = side
-    t, last = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, side, delta)
+    t, residual = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, side, delta)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    chords = _chords(curve, kind, delta, s, t, at_s, last)
+    chords = _chords(curve, kind, delta, s, t, at_s, residual)
     if kind == ILLUMINATION and not chords.apex.all():
         i = int(np.argmin(chords.apex))
         raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")

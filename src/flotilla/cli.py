@@ -15,7 +15,6 @@ import numpy as np
 
 from . import chord, floatgeom, homothety, illumgeom
 from .curve import (
-    SampledPeriodic,
     _affine_normal,
     area,
     curve_from_json,
@@ -159,9 +158,9 @@ def resolve_deltas(raw_deltas, total_area):
 
 
 def _constancy_threshold(curve):
-    # spectral kinds carry interpolation noise; analytic kinds do not
-    sampled = isinstance(curve, SampledPeriodic)
-    return 1e-4 if sampled else 1e-6
+    # a body its representation resolves to rounding gets the tight bound; samples whose
+    # interpolant keeps every mode may carry truncation or noise, and get the loose one
+    return 1e-6 if curve.resolved else 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def write_curves_csv(path, bundles):
                 fh.write(_sweep_rows(chords, families, grids[key]))
 
 
-def write_report(path, label, deltas, n_samples, records, stage_seconds):
+def write_report(path, label, deltas, n_samples, records, stage_seconds, residual_calls):
     """Write report.json (shape in report_schema.json); skipped records do not count against ``passed``."""
     payload = {
         "curve": label,
@@ -422,6 +421,7 @@ def write_report(path, label, deltas, n_samples, records, stage_seconds):
         "passed": all(r["status"] != FAIL for r in records),
         "records": records,
         "stage_seconds": stage_seconds,
+        "residual_calls": residual_calls,
     }
     write_json(path, payload)
     return payload
@@ -464,6 +464,12 @@ def cmd_run(config: RunConfig):
         timed(f"compute_bundle[{i}]", lambda: compute_bundle(curve, d, config.n_samples, config.delta_hat))
         for i, d in enumerate(deltas)
     ]
+    # the residual evaluations of every sweep's chord solve, as "flotation[i]" and "illumination[i]" for delta i
+    residual_calls = {
+        f"{chords.kind}[{i}]": chords.residual_calls
+        for i, bundle in enumerate(bundles)
+        for chords, _ in bundle.sweeps()
+    }
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -473,7 +479,9 @@ def cmd_run(config: RunConfig):
 
     # one stage per check, summed over the deltas it runs at
     records = [timed(f"check {name}", lambda: run_checks(curve, label, bundles, name)) for name in config.checks]
-    payload = write_report(out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds)
+    payload = write_report(
+        out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds, residual_calls
+    )
     for rec in records:
         if rec["status"] == SKIPPED:
             print(f"[SKIP] {rec['check']}: {rec['reason']} (delta {rec['delta']:.6g})")

@@ -65,6 +65,8 @@ class ClosedConvexCurve:
     """Base for periodic, positively oriented, strongly convex parametrizations."""
 
     period = PERIOD
+    # whether the representation gives the body to rounding: every analytic kind does
+    resolved = True
 
     @property
     def resolution(self):
@@ -246,6 +248,11 @@ class SampledPeriodic(ClosedConvexCurve):
     def resolution(self):
         return self.points.shape[0]
 
+    @property
+    def resolved(self):
+        """Whether the samples determine the body: their interpolant dropped trailing modes at rounding level."""
+        return len(self._interp.modes) < self.resolution // 2 + 1
+
     def derivatives(self, s, orders):
         return self._interp.derivatives(s, orders)
 
@@ -270,6 +277,10 @@ class AffineImage(ClosedConvexCurve):
     @property
     def resolution(self):
         return self.base.resolution
+
+    @property
+    def resolved(self):
+        return self.base.resolved
 
     def derivatives(self, s, orders):
         s = np.asarray(s, dtype=float)

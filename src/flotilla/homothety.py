@@ -264,8 +264,9 @@ def radon_check(curve, n_samples=256) -> float:
     lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
 
     def fdf(u):
+        # det(gamma'(s), gamma(u) - c) rises through its root on (s, s + period/2): the curve turns counterclockwise
         g, d = curve.derivatives(u, (0, 1))
-        return det2(g - center, d1), det2(d, d1)
+        return det2(d1, g - center), det2(d1, d)
 
     t = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=0.0)
     d1_t = curve.derivative(t, 1)
@@ -291,10 +292,10 @@ def _chains(curve, q, delta, n, s0):
     for _ in range(q):
         if len(ts) > 1:
             side = _side(curve, ts[-1], at_vertices[-1])
-        t, last = _flotation_t(curve, side, delta)
+        t, residual = _flotation_t(curve, side, delta)
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, last)
+        (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, residual.last)
         c = y - x
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
         ts.append(t)

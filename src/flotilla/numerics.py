@@ -221,19 +221,26 @@ class TrigInterpolant:
 
 
 def bracketed_newton(fdf, lo, hi, x0, f_tol):
-    """Safeguarded Newton iteration on independent lanes, each inside its own sign-change bracket.
+    """Safeguarded Newton iteration on independent lanes, each rising through its root inside its bracket.
 
     ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``fdf`` maps
     the array of per-lane abscissae to the per-lane values and slopes
     ``(f, f')`` at them, so one call per round serves both (the ``funcd`` of
-    Numerical Recipes' rtsafe). Each lane keeps its own bracket and falls
-    back to bisection whenever its Newton step leaves the bracket; a lane
-    freezes once |f| <= f_tol (a scalar or one value per lane) or its step is
-    below NEWTON_X_TOL relative to max(1, |x|), and the loop ends when every
-    lane has; after NEWTON_MAX_ITER rounds it raises SolverError. The first
-    call is at the clipped start: if every lane meets f_tol there, the bracket
-    ends are neither evaluated nor checked for a sign change. A 0-d ``x0`` is
-    one lane: ``fdf`` then receives and returns plain floats, and so does the call.
+    Numerical Recipes' rtsafe). Every lane's residual must rise through its
+    root, f(lo) < 0 < f(hi), so the bracket ends are not evaluated up front:
+    an iterate with f < 0 becomes its lane's lo and one with f > 0 its hi.
+    Each lane falls back to bisection whenever its Newton step leaves its
+    bracket; a lane freezes once |f| <= f_tol (a scalar or one value per
+    lane) or its step is below NEWTON_X_TOL relative to max(1, |x|), and the
+    loop ends when every lane has; after NEWTON_MAX_ITER rounds it raises
+    SolverError. The first call is at the clipped start: if every lane meets
+    f_tol there, nothing else is evaluated. A lane that froze on its step off
+    f_tol, without iterates on both sides of its root, has its bracket ends
+    evaluated after the loop (two calls for all such lanes) and must show
+    f(lo) <= 0 <= f(hi), or SolverError names its bracket. So a lane without
+    a root, or whose residual falls, first bisects to a bracket end and then
+    raises. A 0-d ``x0`` is one lane: ``fdf`` then receives and returns plain
+    floats, and so does the call.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     scalar = shape == ()
@@ -242,27 +249,22 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
         value, slope = fdf(float(u[0]) if scalar else u.reshape(shape))
         return np.asarray(value, dtype=float).ravel(), np.asarray(slope, dtype=float).ravel()
 
+    def result(x):
+        return float(x[0]) if scalar else x.reshape(shape)
+
     lo, hi, x0, f_tol = (
         np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0, f_tol)
     )
     x = np.clip(x0, lo, hi)
     fx, d = lanes(x)
     done = np.abs(fx) <= f_tol
-    if not done.all():
-        flo, _ = lanes(lo)
-        fhi, _ = lanes(hi)
-        no_change = (np.sign(flo) == np.sign(fhi)) & (flo != 0.0)
-        if np.any(no_change):
-            i = int(np.argmax(no_change))
-            raise SolverError(f"no sign change on bracket [{lo[i]}, {hi[i]}]")
-        done |= (flo == 0.0) | (fhi == 0.0)
-        x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, x))
+    if done.all():
+        return result(x)
+    lo0, hi0 = lo, hi
     for _ in range(NEWTON_MAX_ITER):
-        if done.all():
-            break
         active = ~done
-        to_lo = active & (np.sign(fx) == np.sign(flo))
-        lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
+        to_lo = active & (fx < 0.0)
+        lo = np.where(to_lo, x, lo)
         hi = np.where(active & ~to_lo, x, hi)
         tol = NEWTON_X_TOL * np.maximum(1.0, np.abs(x))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -277,10 +279,24 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
             break
         fx, d = lanes(x)
         done |= np.abs(fx) <= f_tol
+        if done.all():
+            break
     else:
         worst = float(np.max(np.abs(fx[~done])))
         raise SolverError(f"Newton iteration did not converge (residual {worst:.3e})")
-    return float(x[0]) if scalar else x.reshape(shape)
+    # the lanes that stopped on their step, off f_tol, with no iterate on one side of the root
+    unchecked = ~(np.abs(fx) <= f_tol) & ((lo == lo0) | (hi == hi0))
+    if unchecked.any():
+        f_lo, _ = lanes(lo0)
+        f_hi, _ = lanes(hi0)
+        bad = unchecked & ~((f_lo <= 0.0) & (f_hi >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolverError(
+                f"no sign change on bracket [{lo0[i]}, {hi0[i]}] from f <= 0 to f >= 0 "
+                f"(f = {f_lo[i]:.3e} and {f_hi[i]:.3e} at its ends)"
+            )
+    return result(x)
 
 
 def convex_newton(h, dh, y, x):

@@ -26,14 +26,16 @@ from flotilla.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    FAIL,
     MAX_SAMPLES,
+    PASS,
     compute_bundle,
     main,
     parse_args,
     run_checks,
     write_curves_csv,
 )
-from flotilla.curve import SPEC_KEYS, Ellipse, det2
+from flotilla.curve import SPEC_KEYS, AffineFrame, AffineImage, Ellipse, SampledPeriodic, det2
 from flotilla.homothety import build_carousel
 from flotilla.numerics import TrigInterpolant
 from flotilla.svg import export_svg
@@ -375,6 +377,25 @@ class TestRun:
         assert all(math.isfinite(seconds) and seconds >= 0.0 for seconds in stages.values())
         assert sum(stages.values()) <= wall
 
+    @pytest.mark.parametrize(
+        "name, calls",
+        [
+            ("ellipse", [("flotation[0]", 1), ("illumination[0]", 1), ("flotation[1]", 1), ("illumination[1]", 1)]),
+            ("perturbed_circle", [("flotation[0]", 4), ("illumination[0]", 14)]),
+        ],
+    )
+    def test_report_counts_the_residual_calls_of_each_sweep(self, tmp_path, capsys, name, calls):
+        # deterministic work counter, each call over all 256 lanes: every ellipse start
+        # is a root. bump3 misses them and its bracket ends are never evaluated, so its
+        # sweeps evaluate the curve at 256 (the s side) + 4 x 256 = 1,280 points in 5
+        # calls and 256 + 14 x 256 = 3,840 in 15 (6 and 16 calls when the ends were)
+        config = cli_module.load_config(ROOT / "configs" / f"{name}.json")
+        config.output_dir = str(tmp_path)
+        cli_module.cmd_run(config)
+        report = json.loads((tmp_path / "report.json").read_text())
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert list(report["residual_calls"].items()) == calls
+
     def test_stages_are_called_through_the_module(self, tmp_path, monkeypatch):
         # a wrapper set over a stage's module name, or over CHECKS, sees every call of the run
         calls = []
@@ -421,8 +442,10 @@ class TestRun:
         assert report["deltas"] == [0.4, 0.9]
 
     def test_samples_curve_kind_uses_sampled_threshold(self, tmp_path):
+        # samples with noise keep every mode of their interpolant: the loose threshold
         s = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
-        pts = np.stack([np.cos(s), np.sin(s)], axis=-1).tolist()
+        noise = 1e-8 * np.random.default_rng(1).standard_normal((128, 2))
+        pts = (np.stack([np.cos(s), np.sin(s)], axis=-1) + noise).tolist()
         cfg = write_config(
             tmp_path / "c.json",
             curveSpec={"kind": "samples", "points": pts},
@@ -432,6 +455,52 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["records"][0]["threshold"] == 1e-4
+
+    @pytest.mark.parametrize("noise, kept, threshold", [(0.0, 2, 1e-6), (1e-12, 129, 1e-4), (1e-6, 129, 1e-4)])
+    def test_threshold_follows_the_modes_the_samples_keep(self, noise, kept, threshold):
+        # exact samples of an ellipse keep its 2 modes and resolve it as its formula
+        # does; noise at 1e-12 and above keeps all 129 modes of 256 samples. An
+        # affine image reads its base
+        s = np.arange(256) * (2.0 * math.pi / 256)
+        pts = np.stack([2.0 * np.cos(s), np.sin(s)], axis=-1)
+        curve = SampledPeriodic(pts + noise * np.random.default_rng(2).standard_normal((256, 2)))
+        assert len(curve._interp.modes) == kept
+        assert cli_module._constancy_threshold(curve) == threshold
+        image = AffineImage(curve, AffineFrame([[1.0, 0.5], [0.0, 2.0]], (0.3, -0.2)))
+        assert cli_module._constancy_threshold(image) == threshold
+        assert cli_module._constancy_threshold(Ellipse(2.0, 1.0)) == 1e-6
+
+    @pytest.mark.parametrize(
+        "spec, radius, status",
+        [
+            ({"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 1e-5]}, lambda u: 1.0 + 1e-5 * np.cos(3 * u), FAIL),
+            ({"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}, lambda u: 1.0 + 0.1 * np.cos(3 * u), FAIL),
+            ({"kind": "ellipse", "a": 2.0, "b": 1.0}, None, PASS),
+        ],
+        ids=["r_1e-5_cos3", "bump3", "ellipse21"],
+    )
+    def test_exact_samples_get_the_statuses_of_their_formula(self, tmp_path, capsys, spec, radius, status):
+        # exact samples resolve their body as its formula does, so every check that
+        # reads the constancy threshold gives both the same status and threshold.
+        # r = 1 + 1e-5 cos 3s fails all three at 3e-5, 4e-6 and 4e-5 either way; its
+        # samples passed them all while every samples body got 1e-4
+        u = np.arange(256) * (2.0 * math.pi / 256)
+        points = np.stack([np.cos(u), np.sin(u)], axis=-1) * (radius(u)[:, None] if radius else [2.0, 1.0])
+        records = []
+        for name, curve_spec in (("formula", spec), ("samples", {"kind": "samples", "points": points.tolist()})):
+            cfg = write_config(
+                tmp_path / f"{name}.json",
+                curveSpec=curve_spec,
+                deltas=[{"fraction": 0.2}],
+                nSamples=256,
+                checks=["chord_cube", "cut_length", "petty"],
+                outputDir=str(tmp_path / name),
+            )
+            main(["run", str(cfg)])
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            records.append([(r["check"], r["status"], r["threshold"]) for r in report["records"]])
+        assert records[0] == records[1]
+        assert records[0] == [(check, status, 1e-6) for check in ("chord_cube", "cut_length", "petty")]
 
     def test_inapplicable_checks_are_skipped(self, tmp_path):
         bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}

@@ -169,7 +169,7 @@ class TestChordCube:
 
         sampled = SampledPeriodic(pts)
         report, lam = chord_cube_report(sweep(sampled, FLOTATION, DELTA, 64))
-        assert report.coefficient_of_variation < 1e-4  # sampled-kind threshold
+        assert report.coefficient_of_variation < 1e-6  # exact samples resolve the circle: the analytic threshold
         assert lam == pytest.approx(LAMBDA_CIRCLE, rel=1e-6)
         chords = sweep(sampled, FLOTATION, DELTA, 64)
         r1 = flotation_point(chords).points
@@ -437,6 +437,30 @@ class TestRadon:
     def test_centered_ellipse(self, ellipse21):
         assert radon_check(ellipse21, 64) < 1e-9
 
+    def test_ellipse_start_then_the_fallback_ends(self):
+        # the start, a quarter period on, is every lane's root, but f_tol = 0 lets it
+        # stop on its step only: then the bracket ends are evaluated once each, and
+        # the residual det(g'(s), g(u) - c) reads <= 0 at every low end and >= 0 at
+        # every high end. Orders 0 and 1 are evaluated on the grid, then at u
+        class Recording(Ellipse):
+            def derivatives(self, s, orders):
+                if tuple(orders) == (0, 1):
+                    seen.append(np.array(s))
+                return super().derivatives(s, orders)
+
+        seen = []
+        ellipse = Recording(2.0, 1.0)
+        assert radon_check(ellipse, 64) < 1e-9
+        s = np.arange(64) * (ellipse.period / 64)
+        lo, hi = s + 1e-12, s + ellipse.period / 2.0 - 1e-12
+        assert len(seen) == 4
+        np.testing.assert_array_equal(seen[1], 0.5 * (lo + hi))
+        np.testing.assert_array_equal(seen[2], lo)
+        np.testing.assert_array_equal(seen[3], hi)
+        d1 = ellipse.derivative(s, 1)
+        assert np.all(det2(d1, ellipse.derivative(lo, 0)) <= 0.0)
+        assert np.all(det2(d1, ellipse.derivative(hi, 0)) >= 0.0)
+
     def test_symmetric_non_radon_curve(self, sym_cos4):
         value = radon_check(sym_cos4, 256)
         assert value > 1e-3
@@ -513,7 +537,7 @@ class TestCarousel:
         # the solve ends on an abscissa whose chain it has built, so the
         # final residual check builds no further chain. On an ellipse the
         # start, the cap of chord angle 2 pi / 3, closes: one chain (2 if the
-        # residual check built it again; 7 from the midpoint of the bracket),
+        # residual check built it again; 5 from the midpoint of the bracket),
         # then the chains from every start at delta*
         calls = self._count_chains(monkeypatch)
         delta_star = build_carousel(ellipse21, 1, 3, s0=s0).delta
@@ -521,15 +545,16 @@ class TestCarousel:
         assert calls == [(delta_star, 1), (delta_star, homothety_module.CAROUSEL_STARTS)]
 
     def test_closing_residual_reused_while_the_root_finder_iterates(self, monkeypatch, bump3):
-        # bump3 misses the ellipse start: the start, the two bracket ends and
-        # four Newton rounds, each chain built once (8 if the residual check
-        # built the last one again), then the chains from every start at delta*
+        # bump3 misses the ellipse start: the start and four Newton rounds,
+        # each chain built once (6 if the residual check built the last one
+        # again, 7 when the bracket ends were built first), then the chains
+        # from every start at delta*
         calls = self._count_chains(monkeypatch)
         car = build_carousel(bump3, 1, 3, s0=2.2)
         assert abs(car.closure_defect) < 1e-10
         deltas = [delta for delta, lanes in calls if lanes == 1]
-        assert len(deltas) == len(set(deltas)) == 7
-        assert calls[7:] == [(car.delta, homothety_module.CAROUSEL_STARTS)]
+        assert len(deltas) == len(set(deltas)) == 5
+        assert calls[5:] == [(car.delta, homothety_module.CAROUSEL_STARTS)]
 
     @pytest.mark.parametrize("body, p, q", [("bump3", 1, 3), ("ellipse21", 1, 3), ("unit_circle", 2, 5)])
     def test_closing_chain_matches_solve_then_build(self, request, body, p, q):

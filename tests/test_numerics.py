@@ -232,14 +232,15 @@ def test_bracketed_newton_finds_root():
 
 
 def test_bracketed_newton_accepts_converged_step_at_bracket_end():
-    # sin(pi) rounds to +1.2e-16, so the start becomes the bracket's low end; its
-    # zero-length Newton step must end the iteration instead of falling back to bisection
+    # -sin rises through pi, where it rounds to -1.2e-16, so the start becomes the
+    # bracket's low end; its zero-length Newton step must end the iteration instead of
+    # falling back to bisection
     calls = 0
 
     def fdf(x):
         nonlocal calls
         calls += 1
-        return math.sin(x), math.cos(x)
+        return -math.sin(x), -math.cos(x)
 
     root = bracketed_newton(fdf, 0.1, 6.1, math.pi, f_tol=0.0)
     assert root == pytest.approx(math.pi, abs=1e-15)
@@ -269,8 +270,8 @@ def test_bracketed_newton_lanes_bisect_on_their_own():
     roots = bracketed_newton(fdf, np.zeros(2), np.ones(2), np.array([0.9, 0.9]), f_tol=1e-14)
     assert roots[0] == 0.25
     assert abs(roots[1] - 0.7) < 1e-13
-    # after converging, lane 0 stays at its root while lane 1 keeps bisecting
-    assert all(x[0] == 0.25 for x in seen[3:])
+    # after converging in its first step, lane 0 stays at its root while lane 1 keeps bisecting
+    assert all(x[0] == 0.25 for x in seen[1:])
     assert len(seen) > 10
 
 
@@ -296,7 +297,8 @@ def test_bracketed_newton_start_on_a_root_is_one_call():
 
 
 def test_bracketed_newton_start_off_a_root_needs_a_sign_change():
-    # one lane off its root is enough to evaluate and check every bracket
+    # the lane off its root never sees f < 0: it bisects down to its low end, where
+    # the bracket ends are evaluated and show no rise through a root
     r = np.array([0.25, 0.5])
     with pytest.raises(SolverError, match="no sign change"):
         bracketed_newton(lambda x: ((x - r) ** 2, 2.0 * (x - r)), np.zeros(2), np.ones(2), np.array([0.25, 0.3]),
@@ -304,9 +306,9 @@ def test_bracketed_newton_start_off_a_root_needs_a_sign_change():
 
 
 def test_bracketed_newton_missed_start_is_the_first_round():
-    # a start that misses is evaluated once, then the two bracket ends, then one
-    # call per Newton step from the start: the calls of a solve that evaluated the
-    # ends first and the start in its first round, in another order
+    # a start that misses is evaluated once, then once per Newton step from it; the
+    # rising residual places each iterate on its side of the root, so the bracket
+    # ends are never evaluated
     seen = []
 
     def fdf(x):
@@ -322,8 +324,38 @@ def test_bracketed_newton_missed_start_is_the_first_round():
             break
         x = x_new
         steps.append(x)
-    assert seen == [1.9, 0.0, 2.0, *steps]
+    assert seen == [1.9, *steps]
     assert root == x and len(steps) >= 3
+
+
+def test_bracketed_newton_rejects_a_falling_residual():
+    # 1 - x has its root at 1 in [0, 2] but falls through it: the start's f > 0 makes
+    # it the high end, so the iterates bisect down to 0, where f(0) > 0 gives it away
+    with pytest.raises(SolverError, match=r"no sign change on bracket \[0\.0, 2\.0\]"):
+        bracketed_newton(lambda x: (1.0 - x, -1.0), 0.0, 2.0, 0.5, f_tol=1e-14)
+    # in lanes too, beside a lane that rises
+    with pytest.raises(SolverError, match=r"\[0\.0, 2\.0\]"):
+        bracketed_newton(lambda x: (np.array([x[0] - 1.0, 1.0 - x[1]]), np.array([1.0, -1.0])),
+                         np.zeros(2), np.full(2, 2.0), np.array([0.5, 0.5]), f_tol=1e-14)
+
+
+def test_bracketed_newton_lane_without_a_root_bisects_to_its_end_then_raises():
+    # x - 5 stays negative on [0, 1]: its Newton steps leave the bracket, so the lane
+    # bisects up to 1 within NEWTON_MAX_ITER rounds; then both bracket ends are
+    # evaluated, once each, and the error names the bracket. Lane 0 meets f_tol
+    seen = []
+
+    def fdf(x):
+        seen.append(x.copy())
+        return np.array([x[0] - 0.5, x[1] - 5.0]), np.ones(2)
+
+    lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    with pytest.raises(SolverError, match=r"no sign change on bracket \[0\.0, 1\.0\]"):
+        bracketed_newton(fdf, lo, hi, np.array([0.5, 0.5]), f_tol=1e-14)
+    assert len(seen) <= numerics.NEWTON_MAX_ITER + 3
+    np.testing.assert_array_equal(seen[-2], lo)
+    np.testing.assert_array_equal(seen[-1], hi)
+    assert 1.0 - seen[-3][1] <= 1e-14
 
 
 def test_bracketed_newton_scalar_lane_passes_floats():

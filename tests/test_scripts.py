@@ -63,6 +63,19 @@ def test_stage_times(tmp_path):
     assert not list(tmp_path.iterdir())  # the outputs go to a temporary directory
 
 
+def test_stage_times_prints_the_residual_calls_of_each_sweep(tmp_path):
+    # beside each compute_bundle stage: the residual calls of its sweeps, from report.json
+    config = ROOT / "configs" / "perturbed_circle.json"
+    result = run_script("stage_times.py", str(config), "--repeat", "1", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[1].split() == ["stage", "ms", "residual", "calls"]
+    # the stage in the first 28 columns, its median in the next 10, then two spaces
+    rows = {line[:28].strip(): line[41:] for line in lines[2:]}
+    assert rows["compute_bundle[0]"] == "flotation[0] 4, illumination[0] 14"
+    assert [name for name, calls in rows.items() if calls] == ["compute_bundle[0]"]
+
+
 def test_stage_times_without_checks(tmp_path):
     # a run without checks still writes report.json, so its stages are timed too
     config = tmp_path / "export.json"
