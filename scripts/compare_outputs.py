@@ -4,9 +4,10 @@
 Each file present in either directory is reported as byte-identical or not.
 For a `curves.csv` that differs, the largest relative difference over its
 cells is printed; for a `report.json`, every record whose status or value
-differs, and every other differing key. The `stage_seconds` of a report are
-wall times and are ignored. Exits 0 when every file is identical (a report
-apart from `stage_seconds`), 1 otherwise.
+differs (records are matched by their check, not by position), every check
+that only one report holds, and every other differing key. The
+`stage_seconds` of a report are wall times and are ignored. Exits 0 when
+every file is identical (a report apart from `stage_seconds`), 1 otherwise.
 
 Usage:
     python scripts/compare_outputs.py A B
@@ -55,20 +56,22 @@ def compare_csv(a, b):
 
 
 def compare_report(a, b):
-    """Lines naming every record whose status or value differs, and every other key that differs, but stage_seconds."""
+    """Lines naming every record whose status or value differs, every check only one report holds,
+    and every other key that differs, but stage_seconds; records are matched by their check."""
     report_a, report_b = json.loads(a), json.loads(b)
     lines = []
     for key in sorted((set(report_a) | set(report_b)) - {"stage_seconds", "records"}):
         if report_a.get(key) != report_b.get(key):
             lines.append(f"  {key}: {report_a.get(key)!r} against {report_b.get(key)!r}")
-    records_a, records_b = report_a.get("records", []), report_b.get("records", [])
-    if [r["check"] for r in records_a] != [r["check"] for r in records_b]:
-        lines.append("  the reports hold other checks")
-    for x, y in zip(records_a, records_b):
-        if (x["status"], x["value"]) != (y["status"], y["value"]):
-            lines.append(f"  {x['check']}: {x['status']} {x['value']!r} against {y['status']} {y['value']!r}")
+    records_a, records_b = ({r["check"]: r for r in report.get("records", [])} for report in (report_a, report_b))
+    for check in [*records_a, *(check for check in records_b if check not in records_a)]:
+        x, y = records_a.get(check), records_b.get(check)
+        if x is None or y is None:
+            lines.append(f"  {check}: only in the {'first' if y is None else 'second'} report")
+        elif (x["status"], x["value"]) != (y["status"], y["value"]):
+            lines.append(f"  {check}: {x['status']} {x['value']!r} against {y['status']} {y['value']!r}")
         elif x != y:
-            lines.append(f"  {x['check']}: same status and value, other fields")
+            lines.append(f"  {check}: same status and value, other fields")
     return lines
 
 

@@ -13,7 +13,6 @@ from .curve import (
 from .chord import Chords, sweep
 from .floatgeom import (
     DerivedCurve,
-    buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,
     flotation_point,

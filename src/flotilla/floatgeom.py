@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .chord import FLOTATION, arc_moments
-from .curve import area, det2, dot2, norm2
+from .curve import area, det2
 from .errors import DomainError
 from .numerics import TrigInterpolant
 
@@ -109,45 +109,6 @@ def kappa_prime_buoyancy(chords):
         cot_a = 1.0 / np.tan(chords.alpha)
         cot_b = 1.0 / np.tan(chords.beta)
     return 216.0 * chords.delta**2 * (cot_a - cot_b) / chords.norm_c**6
-
-
-def buoyancy_affine_normal(chords):
-    """Affine normal vector of the buoyancy curve at every lane's sample, in closed form.
-
-    With p = det(c, g'(s)), q = det(c, g'(t)) and the flotation condition
-    t' = -p/q, the buoyancy tangent is -p c / (6 delta) and
-    det(beta', beta'') = -p^3 / (18 delta^2). Its s-derivative cancels every
-    p' term of the affine normal, which leaves dbar^(1/3) (g'(s)/p + g'(t)/q)
-    with dbar = 3 delta / 2.
-    """
-    _require_kind(chords, FLOTATION)
-    d1, d2 = chords.ends(1)
-    p = det2(chords.c, d1)[:, None]
-    q = det2(chords.c, d2)[:, None]
-    return (1.5 * chords.delta) ** (1.0 / 3.0) * (d1 / p + d2 / q)
-
-
-def buoyancy_affine_normal_check(chords):
-    """Angle and relative magnitude error against (8 dbar^(1/3) / ||c||^3)(r1 - z).
-
-    Here r1 is the chord midpoint. Both are NaN in the lanes whose endpoint
-    tangents are parallel, where the apex z does not exist (the check is
-    skipped there). A cap larger than half the body has a negative tangent
-    triangle: the end tangents meet on the far side of the chord, so r1 - z
-    turns by pi and the proposition holds with z - r1 and |c|_aff^3.
-    With the closed-form normal both sides are functions of the chord frame
-    alone, so the check is an identity there: it holds at rounding level for
-    any (s, t, delta), a shifted t or a relabelled delta included.
-    """
-    normal = buoyancy_affine_normal(chords)
-    affine_norm_c = chords.affine_norm_c
-    w = np.sign(affine_norm_c)[:, None] * (0.5 * (chords.x + chords.y) - chords.z)
-    angle = np.arctan2(np.abs(det2(normal, w)), dot2(normal, w))
-    delta_bar = 1.5 * chords.delta
-    expected = 8.0 * delta_bar ** (1.0 / 3.0) / np.abs(affine_norm_c) ** 3 * norm2(w)
-    magnitude_err = np.abs(norm2(normal) - expected) / expected
-    apex = chords.apex
-    return np.where(apex, angle, math.nan), np.where(apex, magnitude_err, math.nan)
 
 
 def _spectral_derivatives(points, chords, orders):

@@ -268,7 +268,10 @@ def radon_check(curve, n_samples=256) -> float:
         g, d = curve.derivatives(u, (0, 1))
         return det2(d1, g - center), det2(d1, d)
 
-    t = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol=0.0)
+    # the residual's rounding: a few eps of |gamma'(s)| max|gamma - c|, up to 5 on the ellipses, as u
+    # reaches 1.5 periods. A start on the root, as on every ellipse, then ends the solve
+    f_tol = 16.0 * np.finfo(float).eps * norm2(d1) * np.max(norm2(g_s - center))
+    t = bracketed_newton(fdf, lo, hi, 0.5 * (lo + hi), f_tol)
     d1_t = curve.derivative(t, 1)
     return float(np.max(np.abs(det2(d1_t, g_s - center)) / (norm2(d1_t) * norm2(g_s - center))))
 

@@ -8,9 +8,11 @@ The alternate closed forms are the exception: they recompute a solved
 chord's curvatures, closure and cut lengths by a second route through the
 package. So is the last section, the package's forms that no run calls: the
 one-chord API, the affine arc length by its own adaptive quadrature, the
-affine curvature and normal at given parameters, the Petty condition and the
-affine cut rate. They are built from the package's kernels and live here, not
-in the package, which every CLI call compiles.
+affine curvature and normal at given parameters, the Petty condition, the
+affine cut rate, and the closed-form affine normal of the buoyancy curve
+with its proposition, an identity in the chord frame. They are built from
+the package's kernels and live here, not in the package, which every CLI
+call compiles.
 """
 
 import math
@@ -19,8 +21,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _side, _solve, sweep
-from flotilla.curve import _affine_integrand, _affine_normal, det2, norm2
+from flotilla.curve import _affine_integrand, _affine_normal, det2, dot2, norm2
 from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
+from flotilla.floatgeom import _require_kind
 from flotilla.homothety import ConstancyReport, petty_ratios
 from flotilla.numerics import _adaptive_panels
 
@@ -474,3 +477,41 @@ def affine_cut_rate(chords):
     sa = np.sin(chords.alpha)
     sb = np.sin(chords.beta)
     return speed * sa * (np.cbrt(kt) / sb - np.cbrt(ks) / sa)
+
+
+def buoyancy_affine_normal(chords):
+    """Affine normal vector of the buoyancy curve at every lane's sample, in closed form.
+
+    With p = det(c, g'(s)), q = det(c, g'(t)) and the flotation condition
+    t' = -p/q, the buoyancy tangent is -p c / (6 delta) and
+    det(beta', beta'') = -p^3 / (18 delta^2). Its s-derivative cancels every
+    p' term of the affine normal, which leaves dbar^(1/3) (g'(s)/p + g'(t)/q)
+    with dbar = 3 delta / 2.
+    """
+    _require_kind(chords, FLOTATION)
+    d1, d2 = chords.ends(1)
+    p = det2(chords.c, d1)[:, None]
+    q = det2(chords.c, d2)[:, None]
+    return (1.5 * chords.delta) ** (1.0 / 3.0) * (d1 / p + d2 / q)
+
+
+def buoyancy_affine_normal_check(chords):
+    """Angle and relative magnitude error against (8 dbar^(1/3) / ||c||^3)(r1 - z).
+
+    Here r1 is the chord midpoint. Both are NaN in the lanes whose endpoint
+    tangents are parallel, where the apex z does not exist. A cap larger than half the body has a negative tangent
+    triangle: the end tangents meet on the far side of the chord, so r1 - z
+    turns by pi and the proposition holds with z - r1 and |c|_aff^3.
+    With the closed-form normal both sides are functions of the chord frame
+    alone, so the check is an identity there: it holds at rounding level for
+    any (s, t, delta), a shifted t or a relabelled delta included.
+    """
+    normal = buoyancy_affine_normal(chords)
+    affine_norm_c = chords.affine_norm_c
+    w = np.sign(affine_norm_c)[:, None] * (0.5 * (chords.x + chords.y) - chords.z)
+    angle = np.arctan2(np.abs(det2(normal, w)), dot2(normal, w))
+    delta_bar = 1.5 * chords.delta
+    expected = 8.0 * delta_bar ** (1.0 / 3.0) / np.abs(affine_norm_c) ** 3 * norm2(w)
+    magnitude_err = np.abs(norm2(normal) - expected) / expected
+    apex = chords.apex
+    return np.where(apex, angle, math.nan), np.where(apex, magnitude_err, math.nan)

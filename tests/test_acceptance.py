@@ -21,7 +21,6 @@ from flotilla.curve import (
     norm2,
 )
 from flotilla.floatgeom import (
-    buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_point,
     kappa_prime_buoyancy,
@@ -44,6 +43,7 @@ from oracles import (
     affine_arclength,
     affine_curvature,
     affine_cut_rate,
+    buoyancy_affine_normal_check,
     circle_buoyancy_kappa,
     circle_cone_area,
     circle_flotation_kappa,

@@ -511,9 +511,8 @@ class TestRun:
             "radon": ("radon", bump3, [0.8]),
             # implied ratio at most 2/3: there is no dual cone area
             "duality": ("duality", ellipse, [{"fraction": 0.999}]),
-            # every half-area chord of a circle is a diameter: no lane has an apex
-            "affine_normal": ("affine_normal", circle, [{"fraction": 0.5}]),
-            # ... so the affine chord length is infinite, with no NaN in the report
+            # every half-area chord of a circle is a diameter: no lane has an apex, so
+            # the affine chord length is infinite, with no NaN in the report
             "chord_cube": ("chord_cube", circle, [{"fraction": 0.5}]),
             # ... and the homothetic regime is undefined, not "not constant"
             "duality_no_apex": ("duality", circle, [{"fraction": 0.5}]),
@@ -528,18 +527,23 @@ class TestRun:
             (rec,) = report["records"]
             assert rec["status"] == "skipped" and rec["value"] is None and rec["reason"]
             assert report["passed"]
-            if spec is circle and check != "affine_normal":
+            if spec is circle:
                 assert "parallel end tangents" in rec["reason"]
 
-    def test_affine_normal_passes_on_caps_larger_than_half_the_body(self, tmp_path):
-        ellipse = {"kind": "ellipse", "a": 2.0, "b": 1.0}
-        deltas = [{"fraction": 0.7}, {"fraction": 0.999}]
-        cfg = write_config(tmp_path / "c.json", curveSpec=ellipse, deltas=deltas, checks=["affine_normal"])
-        assert main(["run", str(cfg)]) == EXIT_OK
-        report = strict_json((tmp_path / "out" / "report.json").read_text())
-        # the record is the worse of the two deltas; an unoriented r1 - z reads an angle of pi at both
-        (rec,) = report["records"]
-        assert rec["status"] == "pass" and rec["value"] < 1e-6 * rec["threshold"]
+    @pytest.mark.parametrize("name, code", [("ellipse", EXIT_OK), ("perturbed_circle", EXIT_CHECK_FAILED)])
+    def test_identities_in_the_chord_frame_are_skipped(self, tmp_path, capsys, name, code):
+        # dupin and affine_normal compare a closed form in the chord frame with itself,
+        # so they read rounding level on any chords: each says so instead of passing
+        assert main(["run", str(ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path)]) == code
+        out = capsys.readouterr().out
+        report = strict_json((tmp_path / "report.json").read_text())
+        records = {r["check"]: r for r in report["records"]}
+        identities = [records[check] for check in ("dupin", "affine_normal") if check in records]
+        assert len(identities) == (2 if name == "ellipse" else 1)
+        for rec in identities:
+            assert rec["status"] == "skipped" and rec["value"] is None and rec["pass"]
+            assert rec["reason"].startswith("an identity in the chord frame")
+            assert f"[SKIP] {rec['check']}: {rec['reason']}" in out
 
     def test_skipped_records_do_not_mask_a_failure(self, tmp_path):
         bump3 = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0.1]}

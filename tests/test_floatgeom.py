@@ -16,8 +16,6 @@ from flotilla.curve import (
     norm2,
 )
 from flotilla.floatgeom import (
-    buoyancy_affine_normal,
-    buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,
     flotation_point,
@@ -28,6 +26,8 @@ from flotilla.floatgeom import (
 
 from oracles import (
     affine_normal,
+    buoyancy_affine_normal,
+    buoyancy_affine_normal_check,
     circle_buoyancy_kappa,
     circle_flotation_kappa,
     circle_segment_area,
@@ -236,7 +236,8 @@ class TestAffineNormalProposition:
     @pytest.mark.parametrize("fraction", [0.7, 0.999])
     def test_caps_larger_than_half_the_body(self, ellipse21, fraction):
         # the end tangents meet on the far side of the chord: the tangent
-        # triangle, and so the affine chord length, is negative
+        # triangle, and so the affine chord length, is negative. An unoriented
+        # r1 - z reads an angle of pi at both fractions
         delta = fraction * area(ellipse21)
         chords = sweep(ellipse21, FLOTATION, delta, 64)
         assert np.all(chords.affine_norm_c < 0.0)
@@ -248,6 +249,11 @@ class TestAffineNormalProposition:
         cm = solve_flotation_chord(unit_circle, 0.0, math.pi / 2)
         angle, mag = buoyancy_affine_normal_check(cm)
         assert math.isnan(angle[0]) and math.isnan(mag[0])
+
+    def test_half_area_circle_has_no_lane_with_an_apex(self, unit_circle):
+        # every half-area chord of a circle is a diameter, so the proposition has no lane to compare
+        angle, mag = buoyancy_affine_normal_check(sweep(unit_circle, FLOTATION, 0.5 * area(unit_circle), 64))
+        assert np.all(np.isnan(angle)) and np.all(np.isnan(mag))
 
 
 def sampled_body():

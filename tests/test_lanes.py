@@ -19,8 +19,6 @@ from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, Sam
 from flotilla.errors import AccuracyError, DomainError
 from flotilla.floatgeom import (
     DerivedCurve,
-    buoyancy_affine_normal,
-    buoyancy_affine_normal_check,
     buoyancy_point,
     flotation_body_area,
     flotation_point,
@@ -31,7 +29,7 @@ from flotilla.floatgeom import (
 from flotilla.homothety import endpoint_balance_residual
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
-from oracles import affine_cut_rate
+from oracles import affine_cut_rate, buoyancy_affine_normal, buoyancy_affine_normal_check
 
 REL = 1e-13
 

@@ -10,9 +10,10 @@ in three ways:
 - a perturbed body, for the identities that hold for every chord of an
   ellipse, as the endpoint balance does.
 
-A check in KNOWN_TAUTOLOGIES cannot fail: what it compares is equal in the
-chord frame for any (s, t, delta). Its row asserts that the corrupted input
-still passes, so a change that makes the check honest must take it off the list.
+``dupin`` and ``affine_normal`` compare closed forms that are equal in the
+chord frame for any (s, t, delta), so no input can fail them: they report
+skipped on both inputs, and every other row passes its valid input and
+fails its corrupted one.
 """
 
 import copy
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from flotilla import chord, floatgeom
-from flotilla.cli import CHECKS, FAIL, PASS, compute_bundle
+from flotilla.cli import CHECKS, FAIL, PASS, SKIPPED, compute_bundle
 from flotilla.curve import Ellipse, FourierRadial
 from flotilla.homothety import build_carousel
 
@@ -31,12 +32,6 @@ ELLIPSE = Ellipse(2.0, 1.0)
 BUMP3 = FourierRadial(1.0, (0.0, 0.0, 0.1))
 # centrally symmetric, so radon applies, but not a Radon curve
 SYM_COS4 = FourierRadial(1.0, (0.0, 0.0, 0.0, 0.05))
-
-KNOWN_TAUTOLOGIES = {
-    "dupin": "every derived tangent is c times a scalar, and the residual is det(tangent, c)",
-    "affine_normal": "the closed-form buoyancy affine normal equals (8 dbar^(1/3) / |c|_aff^3)(r1 - z) for any chord",
-}
-
 
 @functools.cache
 def valid():
@@ -100,11 +95,10 @@ def verdict(name, given):
 
 def test_every_check_has_a_row():
     assert list(ROWS) == [*CHECKS, "carousel"]
-    assert set(KNOWN_TAUTOLOGIES) <= set(CHECKS)
 
 
 @pytest.mark.parametrize("name", list(ROWS))
 def test_verdict_fails_its_corrupted_input(name):
     make_valid, make_corrupted = ROWS[name]
-    assert verdict(name, make_valid()) == PASS
-    assert verdict(name, make_corrupted()) == (PASS if name in KNOWN_TAUTOLOGIES else FAIL)
+    expected = (SKIPPED, SKIPPED) if name in ("dupin", "affine_normal") else (PASS, FAIL)
+    assert (verdict(name, make_valid()), verdict(name, make_corrupted())) == expected

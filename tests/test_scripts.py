@@ -123,3 +123,22 @@ def test_compare_outputs(tmp_path):
     assert lines[2] == f"figure.svg: only in {a}"
     assert lines[3] == "report.json: differs"
     assert lines[4].startswith("  omega: pass ") and len(lines) == 5
+
+
+def test_compare_outputs_matches_records_by_check(tmp_path):
+    # two reports with other check lists: each record is compared with the record of its own
+    # check, never with the one at its position, and a check in one report only is named
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, checks in ((a, ["chord_cube", "omega"]), (b, ["omega", "endpoint_balance"])):
+        config = tmp_path / f"{out.name}.json"
+        config.write_text(json.dumps({
+            "curveSpec": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "deltas": [1.0], "nSamples": 64, "checks": checks,
+        }))
+        assert main(["run", str(config), "--out", str(out)]) == 0
+    result = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[2:] == [
+        "report.json: differs",
+        "  chord_cube: only in the first report",
+        "  endpoint_balance: only in the second report",
+    ]
