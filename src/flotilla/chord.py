@@ -99,7 +99,7 @@ def _area_fdf(curve, kind, side, target):
 
     The returned callable maps t to a residual and its t-derivative: cap -
     target and half det(c, gamma'(t)) for a cap, the scaled cone residual of
-    ``_silhouette_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
+    ``_solve_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
     ``_side``, so a call makes one curve evaluation at t, of orders 0 to 2,
     and one moment evaluation, kept with t as the callable's ``last`` for
     the chords. The callable's ``calls`` counts its calls.
@@ -203,48 +203,35 @@ def _cone_angle(g):
     return convex_newton(lambda x: math.tan(0.5 * x) - 0.5 * x, lambda x: 0.5 * math.tan(0.5 * x) ** 2, y, start)
 
 
-def _flotation_t(curve, side, delta):
-    """t in (s, s + period) with cap area delta for every lane of s, and the residual of ``_area_fdf`` it solved.
+def _solve_t(curve, kind, side, delta):
+    """t in (s, s + period) with cap or cone area delta in every lane of s, and the ``_area_fdf`` residual it solved.
 
     The cap area increases strictly from 0 to the body area on (s, s + period),
     so that whole interval brackets every lane and the residual rises
-    through its root. It starts at the root on every ellipse, the chord of
-    the cap angle. ``side`` is the s side (s, at_s, m(s)) of ``_side``; the
-    residual's ``last`` is (u, orders 0 to 2 at u), its last evaluation.
+    through its root. A cone takes Newton steps on F = v (cone - delta) =
+    pq / 2 - v (cap + delta), with v = det(gamma'(s), gamma'(t)),
+    p = det(gamma'(s), c) and q = det(c, gamma'(t)). F < 0 before the root
+    and F > 0 after it, up to s + period: the cone exceeds delta up to the
+    antipode, and past it v < 0 while p, q > 0. So (s, s + 0.98 period)
+    brackets every lane. F is divided by a positive scale that is v near the
+    root, where the residual reads cone - delta. A lane that stops on f_tol
+    is within 1e-12 area of delta. Both kinds start at the root on every
+    ellipse, the cap or cone angle's share of the period. ``side`` is the s
+    side of ``_side``; the residual's ``last`` is its last evaluation.
     """
     total = area(curve)
-    if not 0.0 < delta < total:
-        raise DomainError(f"delta must lie in (0, area) = (0, {total})")
     s, period = side[0], curve.period
-    tiny = CAP_MARGIN * period
-    fdf = _area_fdf(curve, FLOTATION, side, delta)
-    start = s + period * (_cap_angle(delta / total) / (2.0 * math.pi))
-    t = bracketed_newton(fdf, s + tiny, s + period - tiny, start, f_tol=1e-12 * total)
-    return t, fdf
-
-
-def _silhouette_t(curve, side, delta_hat):
-    """t in (s, s + period) with cone area delta_hat for every lane of s, and the residual of ``_area_fdf`` it solved.
-
-    Newton steps on F = v (cone - delta_hat) = pq / 2 - v (cap + delta_hat),
-    with v = det(gamma'(s), gamma'(t)), p = det(gamma'(s), c) and
-    q = det(c, gamma'(t)). F < 0 before the root and F > 0 after it, up to
-    s + period: the cone exceeds delta_hat up to the antipode, and past it
-    v < 0 while p, q > 0. So (s, s + 0.98 period) brackets every lane. The
-    residual is F over a positive scale that is v near the root, where it
-    reads cone - delta_hat, so a lane that stops on f_tol has
-    |cone - delta_hat| <= 1e-12 area. The solve starts at the root on every
-    ellipse, the cone angle's share of the period. ``side`` is the s side
-    (s, at_s, m(s)) of ``_side``; the residual's ``last`` is (u, orders 0 to 2
-    at u), its last evaluation.
-    """
-    if delta_hat <= 0.0:
-        raise DomainError("delta_hat must be positive")
-    total = area(curve)
-    s, period = side[0], curve.period
-    fdf = _area_fdf(curve, ILLUMINATION, side, delta_hat)
-    start = s + period * (_cone_angle(delta_hat / total) / (2.0 * math.pi))
-    t = bracketed_newton(fdf, s + 1e-9 * period, s + 0.98 * period, start, f_tol=1e-12 * total)
+    if kind == FLOTATION:
+        if not 0.0 < delta < total:
+            raise DomainError(f"delta must lie in (0, area) = (0, {total})")
+        tiny = CAP_MARGIN * period
+        lo, hi, angle = s + tiny, s + period - tiny, _cap_angle(delta / total)
+    else:
+        if delta <= 0.0:
+            raise DomainError("delta_hat must be positive")
+        lo, hi, angle = s + 1e-9 * period, s + 0.98 * period, _cone_angle(delta / total)
+    fdf = _area_fdf(curve, kind, side, delta)
+    t = bracketed_newton(fdf, lo, hi, s + period * (angle / (2.0 * math.pi)), f_tol=1e-12 * total)
     return t, fdf
 
 
@@ -281,7 +268,7 @@ def _solve(curve, kind, delta, side):
     serves the chords.
     """
     s, at_s, _ = side
-    t, residual = (_flotation_t if kind == FLOTATION else _silhouette_t)(curve, side, delta)
+    t, residual = _solve_t(curve, kind, side, delta)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1

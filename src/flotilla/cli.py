@@ -15,6 +15,7 @@ import numpy as np
 
 from . import chord, floatgeom, homothety, illumgeom
 from .curve import (
+    SPEC_KEYS,
     _affine_normal,
     area,
     curve_from_json,
@@ -104,7 +105,7 @@ def load_config(path):
     cfg = RunConfig(
         curve_spec=raw["curveSpec"],
         deltas=deltas,
-        n_samples=_integer(raw.get("nSamples", 512), "nSamples"),
+        n_samples=_n_samples(raw.get("nSamples", 512)),
         checks=checks,
         output_dir=output_dir,
         delta_hat=raw.get("deltaHat"),
@@ -112,30 +113,31 @@ def load_config(path):
     if not 64 <= cfg.n_samples <= MAX_SAMPLES:
         raise ConfigError(f"nSamples must be between 64 and {MAX_SAMPLES}, got {raw['nSamples']!r}")
     if cfg.delta_hat is not None:
-        cfg.delta_hat = _positive_number(cfg.delta_hat, "deltaHat")
+        cfg.delta_hat = _delta_hat(cfg.delta_hat)
     return cfg
 
 
-def _integer(value, name):
+def _n_samples(value):
     """An int, or a float with an integral value such as 64.0; any other value is a ConfigError, never truncated."""
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"nSamples must be an integer, got {value!r}")
     return int(value)
 
 
-def _positive_number(value, name):
+def _delta_hat(value):
     if not is_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"deltaHat must be a number, got {value!r}")
     number = float(value)
     if not (math.isfinite(number) and number > 0.0):
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        raise ConfigError(f"deltaHat must be finite and positive, got {value!r}")
     return number
 
 
 def curve_label(spec):
+    """The spec's kind and every key it sets; a fourier_radial's cos and sin always, samples by their count."""
     kind = spec.get("kind", "?")
     if kind == "ellipse":
-        return f"ellipse(a={spec['a']}, b={spec['b']})"
+        return f"ellipse({', '.join(f'{key}={spec[key]}' for key in SPEC_KEYS[kind] if key in spec)})"
     if kind == "fourier_radial":
         return f"fourier_radial(r0={spec['r0']}, cos={spec.get('cos', [])}, sin={spec.get('sin', [])})"
     if kind == "samples":

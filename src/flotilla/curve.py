@@ -106,7 +106,7 @@ class ClosedConvexCurve:
     @functools.cached_property
     def affine_arc(self):
         """Affine arc length L(s) from 0 as a table: L(t) - L(s) is that of [s, t], and a query evaluates no curve."""
-        return PeriodicAntiderivative(_affine_integrand(self, 0.0, self.period), self.period)
+        return PeriodicAntiderivative(_affine_integrand(self), self.period)
 
     @functools.cached_property
     def sweep_grids(self):
@@ -306,9 +306,9 @@ def area(curve):
     return 0.5 * curve.period * float(curve.moments[1].mean[0])
 
 
-def _affine_integrand(curve, s0, s1):
-    """det(g', g'')^(1/3) on [s0, s1]; DegenerateCurveError where the determinant is below rounding of its scale."""
-    scale = float(curve.convexity(np.linspace(s0, s1, 17)).max())
+def _affine_integrand(curve):
+    """det(g', g'')^(1/3) over one period; DegenerateCurveError where the determinant is below rounding of its scale."""
+    scale = float(curve.convexity(np.linspace(0.0, curve.period, 17)).max())
 
     def integrand(u):
         d = curve.convexity(u)

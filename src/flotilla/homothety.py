@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .chord import CAP_MARGIN, FLOTATION, _apex, _flotation_t, _grid, _jets_at, _pair, _side
+from .chord import CAP_MARGIN, FLOTATION, _apex, _grid, _jets_at, _pair, _side, _solve_t
 from .curve import area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton
@@ -124,17 +124,11 @@ def duality_parameters(delta, lam):
     """Cone area and ratio of the dual illumination pair of a flotation pair.
 
     Solves delta_hat = (3/2) delta lam - delta and 1/lam_hat + 2/lam = 3;
-    the product relation 1/(delta_hat lam_hat) = 2/(delta lam) is asserted.
+    they give delta_hat lam_hat = delta lam / 2 identically.
     """
     if lam <= 2.0 / 3.0:
         raise DomainError("duality requires lam > 2/3 (otherwise lam_hat <= 0)")
-    delta_hat = 1.5 * delta * lam - delta
-    lam_hat = lam / (3.0 * lam - 2.0)
-    lhs = 1.0 / (delta_hat * lam_hat)
-    rhs = 2.0 / (delta * lam)
-    if abs(lhs - rhs) > 1e-9 * abs(rhs):
-        raise AccuracyError("duality parameter relations are inconsistent")
-    return delta_hat, lam_hat
+    return 1.5 * delta * lam - delta, lam / (3.0 * lam - 2.0)
 
 
 def duality_pointwise_check(chords, illum_chords):
@@ -295,7 +289,7 @@ def _chains(curve, q, delta, n, s0):
     for _ in range(q):
         if len(ts) > 1:
             side = _side(curve, ts[-1], at_vertices[-1])
-        t, residual = _flotation_t(curve, side, delta)
+        t, residual = _solve_t(curve, FLOTATION, side, delta)
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
         (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, residual.last)

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: panel quadrature, trigonometric interpolation, root finding."""
+"""Shared numerical kernels: the periodic antiderivative table, trigonometric interpolation, root finding."""
 
 import math
 
@@ -17,7 +17,7 @@ _EPS = np.finfo(float).eps
 _SMALL_TABLE = 64
 
 MAX_PANELS = 8192
-# bounds the integrand's temporaries: a first round over 512 intervals is 12,288 nodes
+# bounds the integrand's temporaries: a round that cuts 100 panels in 8 is 19,200 nodes
 MAX_NODES_PER_CALL = 2048
 # PeriodicAntiderivative: the uniform panels of its first round, the pieces it cuts a panel into
 # (8 builds bump3's table in 7 rounds and 0.63x the time of halving, in 18) and its relative budget
@@ -30,42 +30,43 @@ NEWTON_X_TOL = 1e-15
 NEWTON_MAX_ITER = 100
 
 
-def _adaptive_panels(f, lo, hi, pieces, rel_tol, abs_tol):
-    """Converged panels from the first ones [lo_i, hi_i]: ends, first panel, value, f at the half-panel nodes, rounds.
+def _adaptive_panels(f, period):
+    """Converged panels of one period: their lower and upper ends, f at the half-panel nodes, and the rounds.
 
     Locally adaptive Gauss-Legendre of order 8 with one global error budget
-    for the whole range (Gander & Gautschi, BIT 40, 2000). A panel's value is the sum over its halves, its error the change from
-    the one-panel value. Each round cuts the panels above an equal share of
-    the budget in ``pieces`` until the summed errors are within ``rel_tol``
-    of the whole or ``abs_tol``, whichever is laxer, and never below rounding.
+    (Gander & Gautschi, BIT 40, 2000), from TABLE_FIRST_PANELS uniform
+    panels. A panel's value is the sum over its halves, its error the change
+    from the one-panel value. Each round cuts the panels above an equal share
+    of the budget in TABLE_SPLIT until the summed errors are within
+    TABLE_REL_TOL of the whole, and never below rounding.
     """
-    start, end, n_first = lo[0], hi[-1], len(lo)
-    owner = np.arange(n_first)
+    first = np.linspace(0.0, period, TABLE_FIRST_PANELS + 1)
+    lo, hi = first[:-1], first[1:]
     value, err, nodes = _halved_panels(f, lo, hi)
     rounds = 1
     while True:
         total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
-            raise AccuracyError(f"quadrature on [{start}, {end}]: the integrand is not finite")
+            raise AccuracyError(f"quadrature on [0, {period}]: the integrand is not finite")
         rounding = 50.0 * _EPS * np.abs(value).sum()
-        tol = max(rel_tol * abs(total), abs_tol, rounding)
+        tol = max(TABLE_REL_TOL * abs(total), rounding)
         if err_sum <= tol:
-            return lo, hi, owner, value, nodes, rounds
-        if len(lo) >= n_first + MAX_PANELS:
+            return lo, hi, nodes, rounds
+        if len(lo) >= TABLE_FIRST_PANELS + MAX_PANELS:
             raise AccuracyError(
-                f"quadrature on [{start}, {end}] did not converge below rel_tol={rel_tol} "
+                f"quadrature on [0, {period}] did not converge below rel_tol={TABLE_REL_TOL} "
                 f"within {MAX_PANELS} panel splits (error estimate {err_sum:.3e})"
             )
         split = err > tol / len(err)
         keep = ~split
         # exact ends, and for halves exactly 0.5 * (lo + hi)
-        w = np.arange(pieces + 1) / pieces
+        w = np.arange(TABLE_SPLIT + 1) / TABLE_SPLIT
         cuts = lo[split, None] * (1.0 - w) + hi[split, None] * w
-        new = (cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), np.repeat(owner[split], pieces))
-        new += _halved_panels(f, new[0], new[1])
-        old = lo, hi, owner, value, err, nodes
-        lo, hi, owner, value, err, nodes = (np.concatenate([a[keep], b]) for a, b in zip(old, new))
+        new = (cuts[:, :-1].ravel(), cuts[:, 1:].ravel())
+        new += _halved_panels(f, *new)
+        old = lo, hi, value, err, nodes
+        lo, hi, value, err, nodes = (np.concatenate([a[keep], b]) for a, b in zip(old, new))
         rounds += 1
 
 
@@ -107,16 +108,15 @@ _ANTIDERIVATIVE = np.vstack([_G[0] - _G[1], _G[:8] - _G[2:]])
 class PeriodicAntiderivative:
     """F(u), the integral over [0, u] of a periodic f, as a table from one adaptive pass over one period.
 
-    ``_adaptive_panels`` from TABLE_FIRST_PANELS uniform panels, each
-    panel above its share of the TABLE_REL_TOL budget cut in TABLE_SPLIT, so a cube-root
-    cusp takes a few rounds, not dozens. F(u) is the extended-precision sum
+    ``_adaptive_panels`` cuts each panel above its share of the budget in
+    TABLE_SPLIT, so a cube-root cusp takes a few rounds, not dozens. It is
+    the package's only quadrature. F(u) is the extended-precision sum
     of the half-panels below u plus the integral of the degree-7 interpolant
     of f on the one that holds u; F(u + period) = F(u) + ``total``.
     """
 
     def __init__(self, f, period):
-        first = np.linspace(0.0, period, TABLE_FIRST_PANELS + 1)
-        lo, hi, _, _, nodes, self.rounds = _adaptive_panels(f, first[:-1], first[1:], TABLE_SPLIT, TABLE_REL_TOL, 0.0)
+        lo, hi, nodes, self.rounds = _adaptive_panels(f, period)
         # the panels tile the period, so the sorted half-panel ends are their lower ends, mid-points and the period
         order = np.argsort(lo)
         edges = np.append(np.stack([lo, 0.5 * (lo + hi)], axis=1)[order].ravel(), period)

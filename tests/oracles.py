@@ -1,31 +1,31 @@
 """Independent oracles for the test suite.
 
 Everything here is computed from first principles (closed-form circle
-geometry, dense Riemann sums, a fixed Gauss-Legendre rule, plain finite
-differences of position samples) and deliberately avoids the package's own
-quadrature and derivative paths.
+geometry, dense Riemann sums, a fixed Gauss-Legendre rule, scipy's adaptive
+``quad``, plain finite differences of position samples) and deliberately
+avoids the package's own quadrature and derivative paths.
 The alternate closed forms are the exception: they recompute a solved
 chord's curvatures, closure and cut lengths by a second route through the
 package. So is the last section, the package's forms that no run calls: the
-one-chord API, the affine arc length by its own adaptive quadrature, the
-affine curvature and normal at given parameters, the Petty condition, the
-affine cut rate, and the closed-form affine normal of the buoyancy curve
-with its proposition, an identity in the chord frame. They are built from
-the package's kernels and live here, not in the package, which every CLI
-call compiles.
+one-chord API, the affine curvature and normal at given parameters, the
+Petty condition, the affine cut rate, and the closed-form affine normal of
+the buoyancy curve with its proposition, an identity in the chord frame.
+They are built from the package's kernels and live here, not in the
+package, which every CLI call compiles. The affine arc length sits with
+them, but by ``quad`` on the curve's jets, not by the package's table.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _side, _solve, sweep
-from flotilla.curve import _affine_integrand, _affine_normal, det2, dot2, norm2
+from flotilla.curve import _affine_normal, det2, dot2, norm2
 from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
 from flotilla.floatgeom import _require_kind
 from flotilla.homothety import ConstancyReport, petty_ratios
-from flotilla.numerics import _adaptive_panels
 
 TWO_PI = 2.0 * math.pi
 
@@ -409,37 +409,27 @@ def cone_area(curve, s, t):
     return 0.5 * det2(tangent_intersection(curve, s, t) - x, y - x) - cap_area(curve, s, t)
 
 
-def panel_quadrature(f, edges, rel_tol=1e-12, abs_tol=0.0):
-    """Integrate a scalar function over every interval between consecutive edges.
-
-    The package's adaptive order-8 Gauss-Legendre rule (``_adaptive_panels``)
-    with the given intervals as the first panels, each round halving the
-    panels above an equal share of the budget. Smooth integrands take one
-    round; a cube-root cusp a few dozen.
-
-    ``f`` must map an array of abscissae to an array of values; it sees at
-    most MAX_NODES_PER_CALL of them at a time. Returns one integral per
-    interval.
-    """
-    edges = np.asarray(edges, dtype=float)
-    _, _, owner, value, _, _ = _adaptive_panels(f, edges[:-1], edges[1:], 2, rel_tol, abs_tol)
-    return np.bincount(owner, weights=value, minlength=len(edges) - 1)
-
-
 def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
-    """Integral of det(g', g'')^(1/3) over [s0, s1], by its own adaptive quadrature.
+    """Integral of det(g', g'')^(1/3) over [s0, s1], by scipy's adaptive ``quad``.
 
-    Curves with isolated flat points give the integrand cube-root cusps,
-    which the adaptive panel quadrature resolves by splitting the panels
-    next to them. Raises DegenerateCurveError if the convexity determinant
-    is negative somewhere on the arc. It never reads ``affine_arc``.
+    The integrand takes det2 of the curve's jets at one abscissa at a time.
+    Curves with isolated flat points give it cube-root cusps, which quad
+    resolves by bisecting the subintervals next to them. Raises
+    DegenerateCurveError if the determinant is negative beyond rounding of
+    its scale somewhere on the arc. It never reads ``affine_arc`` and runs
+    none of the package's quadrature.
     """
     if not (s0 <= s1 <= s0 + curve.period + 1e-9):
         raise DomainError("require s0 <= s1 <= s0 + period")
-    if s0 == s1:
-        return 0.0
-    edges = np.linspace(s0, s1, 5)
-    return float(panel_quadrature(_affine_integrand(curve, s0, s1), edges, rel_tol=rel_tol, abs_tol=abs_tol).sum())
+    scale = max(float(det2(*curve.derivatives(np.linspace(s0, s1, 17), (1, 2))).max()), 0.0)
+
+    def integrand(u):
+        d = float(det2(*curve.derivatives(u, (1, 2))))
+        if d < -1e-12 * scale:
+            raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
+        return max(d, 0.0) ** (1.0 / 3.0)
+
+    return quad(integrand, s0, s1, epsabs=abs_tol, epsrel=rel_tol, limit=500)[0]
 
 
 def affine_curvature(curve, s):

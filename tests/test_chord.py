@@ -387,7 +387,7 @@ class TestLaneSweep:
         assert counts["calls"] == 0
 
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_bump3"])
-    @pytest.mark.parametrize("solver", ["flotation", "cone"])
+    @pytest.mark.parametrize("solver", [FLOTATION, ILLUMINATION], ids=["flotation", "cone"])
     def test_one_curve_and_one_moment_evaluation_per_round(self, request, monkeypatch, body, solver):
         # every Newton round of a sweep evaluates the curve once at the lanes'
         # t, all orders it needs together, and the moment antiderivative once
@@ -401,8 +401,7 @@ class TestLaneSweep:
         at_s = curve.derivatives(s, (0, 1, 2))
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
-        solve = chord_module._flotation_t if solver == "flotation" else chord_module._silhouette_t
-        _, residual = solve(curve, chord_module._side(curve, s, at_s), 0.8)
+        _, residual = chord_module._solve_t(curve, solver, chord_module._side(curve, s, at_s), 0.8)
         # on an ellipse the cap and cone starts are the roots: one round, no bracket ends
         rounds = residual.calls
         assert rounds == 1 if body == "ellipse21" else rounds >= 3
@@ -471,7 +470,7 @@ class TestEllipseStarts:
     def test_cap_start_is_the_root(self, curve, fraction):
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, residual = chord_module._flotation_t(curve, side_at(curve, s, (0, 1)), fraction * total)
+        t, residual = chord_module._solve_t(curve, FLOTATION, side_at(curve, s, (0, 1)), fraction * total)
         assert residual.calls == 1
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -480,7 +479,7 @@ class TestEllipseStarts:
     def test_cone_start_is_the_root(self, curve, fraction):
         total = area(curve)
         s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, residual = chord_module._silhouette_t(curve, side_at(curve, s, (0, 1)), fraction * total)
+        t, residual = chord_module._solve_t(curve, ILLUMINATION, side_at(curve, s, (0, 1)), fraction * total)
         assert residual.calls == 1
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -524,11 +523,10 @@ class TestEllipseStarts:
         # differ by at most twice that over the area's slope
         total = area(bump3)
         s = np.arange(256) * (bump3.period / 256)
-        solve = chord_module._flotation_t if kind == FLOTATION else chord_module._silhouette_t
         side = side_at(bump3, s, (0, 1))
-        t, _ = solve(bump3, side, 0.8)
+        t, _ = chord_module._solve_t(bump3, kind, side, 0.8)
         _start_at(monkeypatch, lambda lo, hi: 0.5 * (lo + hi))
-        t_mid, _ = solve(bump3, side, 0.8)
+        t_mid, _ = chord_module._solve_t(bump3, kind, side, 0.8)
         for u in (t, t_mid):
             # near the root either residual is the area less 0.8
             value, slope = chord_module._area_fdf(bump3, kind, side, 0.8)(u)

@@ -272,6 +272,27 @@ class TestConfig:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            (json.loads((ROOT / "configs" / "ellipse.json").read_text())["curveSpec"], "ellipse(a=2.0, b=1.0)"),
+            (
+                json.loads((ROOT / "configs" / "perturbed_circle.json").read_text())["curveSpec"],
+                "fourier_radial(r0=1.0, cos=[0.0, 0.0, 0.1], sin=[])",
+            ),
+            (
+                {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.5, -1.0], "rotation": 0.7},
+                "ellipse(a=2.0, b=1.0, center=[0.5, -1.0], rotation=0.7)",
+            ),
+            ({"kind": "ellipse", "a": 2.0, "b": 1.0, "rotation": 0.7}, "ellipse(a=2.0, b=1.0, rotation=0.7)"),
+            ({"kind": "ellipse", "center": [3, 4], "b": 1.0, "a": 2}, "ellipse(a=2, b=1.0, center=[3, 4])"),
+        ],
+        ids=["ellipse_config", "perturbed_circle_config", "moved_and_rotated", "rotated", "moved"],
+    )
+    def test_curve_label_names_every_key_the_spec_sets(self, spec, label):
+        # a moved or rotated ellipse is another body than the shipped one, and its label says so
+        assert cli_module.curve_label(spec) == label
+
     def test_ellipse_config_evaluates_and_formats_its_grid_once(self, tmp_path, monkeypatch):
         # configs/ellipse.json solves 4 sweeps, flotation and illumination at two
         # deltas, on one n = 256 grid, whose s side is built once: the curve and the
@@ -843,14 +864,14 @@ class TestSubcommands:
         # one chain of 3 single-lane solves, none after (6 when
         # build_carousel solved the chain again)
         solves = 0
-        flotation_t = homothety_module._flotation_t
+        solve_t = homothety_module._solve_t
 
-        def counting(curve, side, delta):
+        def counting(curve, kind, side, delta):
             nonlocal solves
             solves += np.size(side[0]) == 1
-            return flotation_t(curve, side, delta)
+            return solve_t(curve, kind, side, delta)
 
-        monkeypatch.setattr(homothety_module, "_flotation_t", counting)
+        monkeypatch.setattr(homothety_module, "_solve_t", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         out = tmp_path / "car"
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK

@@ -38,7 +38,6 @@ from oracles import (
     affine_normal,
     circle_segment_area,
     fourier_radial_derivative,
-    panel_quadrature,
     random_unimodular_frame,
     riemann_area,
     triangle_area,
@@ -193,7 +192,9 @@ class TestAffineArcTable:
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled"])
     def test_arcs_match_the_direct_quadrature(self, body):
         # L(t) - L(s) against affine_arclength, which never reads the table, on
-        # arcs that start and end anywhere, wrap past the period and cover it
+        # arcs that start and end anywhere, wrap past the period and cover it. The
+        # oracle takes det2 of the jets, where a radial body's table integrates
+        # r^2 + 2 r'^2 - r r''
         if body == "sampled":
             u = np.arange(64) * (TWO_PI / 64)
             r = 1.0 + 0.02 * np.cos(2 * u) + 0.01 * np.sin(3 * u)
@@ -206,18 +207,6 @@ class TestAffineArcTable:
         s, t = np.array(arcs).T
         table = curve.affine_arc
         assert table.total == pytest.approx(reference[0], rel=1e-12)
-        assert np.max(np.abs(table(t) - table(s) - reference)) <= 2e-12 * table.total
-
-    def test_radial_table_matches_the_jet_integrand(self, bump3):
-        # the table integrates r^2 + 2 r'^2 - r r'', as affine_arclength does, so the reference
-        # here integrates det(g', g'')^(1/3) of the jets, the integrand the table used to have
-        def jet_integrand(u):
-            return np.cbrt(np.maximum(det2(*bump3.derivatives(u, (1, 2))), 0.0))
-
-        arcs = [(0.0, TWO_PI), (0.3, 2.9), (1.1, 1.1 + TWO_PI), (5.0, 8.5), (TWO_PI, 9.0), (-1.0, 0.7)]
-        reference = np.array([panel_quadrature(jet_integrand, np.linspace(s, t, 5)).sum() for s, t in arcs])
-        s, t = np.array(arcs).T
-        table = bump3.affine_arc
         assert np.max(np.abs(table(t) - table(s) - reference)) <= 2e-12 * table.total
 
     def test_radial_table_evaluates_no_jets(self):
@@ -242,6 +231,12 @@ class TestAffineArcTable:
         # the panels next to bump3's three cusps are cut in eighths: 7 rounds,
         # where halving took 14
         assert FourierRadial(1.0, (0.0, 0.0, 0.1)).affine_arc.rounds <= 8
+
+    def test_the_oracle_runs_no_package_quadrature(self):
+        # affine_arclength is scipy's quad, so the oracles import nothing from flotilla.numerics
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "scipy.integrate" in modules and "flotilla.numerics" not in modules
 
     def test_non_convex_arc_raises(self, monkeypatch):
         # r = 1 + 0.1 cos 4s is past critical convexity; built without the constructor's check

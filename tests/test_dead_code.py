@@ -6,14 +6,17 @@ import, or as an attribute of an imported module. Imports alone (such as the
 re-exports in ``__init__``) and the tests do not count. The definitions that
 stay without a caller are listed in KEPT, each with the reason.
 
-A knob is a parameter with a default. It counts as set when some call in the
-package or a script, matched by the called name (a constructor by its class
-name), passes it by keyword or by position, or passes *args or **kwargs. A
-knob that no call sets has one value in use and should be a constant; the
-ones that stay are listed in KEPT_KNOBS, each with the reason.
+A knob is a parameter. The calls in the package and the scripts, matched by
+the called name (a constructor by its class name), pass it by keyword or by
+position, or leave it at its default; a call with *args or **kwargs may pass
+anything. A knob has one value in use, and should be a constant, when no
+call sets it away from its default, or when every call passes it the same
+literal or module constant. The ones that stay are listed in KEPT_KNOBS,
+each with the reason.
 """
 
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +34,7 @@ KEPT_KNOBS = {
     "cli.main.argv": "the tests and the benchmark call main in process; the console script reads sys.argv",
     "curve.AffineFrame.translation": "the tests build linear frames as well as moved ones",
     "homothety.build_carousel.delta": "the tests chain at a given delta, to differentiate the closure defect in it",
+    "homothety.radon_check.n_samples": "the CLI checks at 128 samples; the tests check the Radon bodies at 32 to 256",
     "numerics.TrigInterpolant.__call__.order": "the tests read the interpolant's derivatives and antiderivative",
 }
 
@@ -122,7 +126,7 @@ def test_kept_entries_are_current():
 
 
 def _knobs(trees):
-    """knob key -> (called name, positional parameter names after self, parameter) of every defaulted parameter."""
+    """knob key -> (called name, positional parameter names after self, parameter, default or None) of each parameter."""
     knobs = {}
 
     def visit(node, module, prefix, cls):
@@ -132,14 +136,15 @@ def _knobs(trees):
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 positional = [a.arg for a in args.posonlyargs + args.args]
-                defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-                defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
                 bound = positional[1:] if cls and not static else positional
                 init = cls and child.name == "__init__"
                 name = ".".join(prefix + ([] if init else [child.name]))
-                for param in defaulted:
-                    knobs[_key(module, f"{name}.{param}")] = (cls if init else child.name, bound, param)
+                called = cls if init else child.name
+                for param in bound + [a.arg for a in args.kwonlyargs]:
+                    knobs[_key(module, f"{name}.{param}")] = (called, bound, param, defaults.get(param))
                 visit(child, module, prefix + [child.name], None)
 
     for module, tree in trees.items():
@@ -158,33 +163,79 @@ def _calls_by_name(trees):
     return calls
 
 
-def _sets(call, positional, param):
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, param) for k in call.keywords):
+def _passed(call, positional, param, default):
+    """The expression a call passes for the parameter, its default if it passes none, None if *args or **kwargs may."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return None
+    for keyword in call.keywords:
+        if keyword.arg == param:
+            return keyword.value
+    if param in positional and positional.index(param) < len(call.args):
+        return call.args[positional.index(param)]
+    return default
+
+
+def _constant(node):
+    """Whether an expression is a literal or a module constant, an upper-case name."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return getattr(node, "id", getattr(node, "attr", "")).isupper()
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False
+    return True
+
+
+def _one_value(passed, default):
+    """Whether the expressions that the calls pass leave the default alone, or are one literal or module constant."""
+    if default is not None and all(value is default for value in passed):
         return True
-    return param in positional and positional.index(param) < len(call.args)
+    if not passed or any(value is None or not _constant(value) for value in passed):
+        return False
+    return len({ast.dump(value) for value in passed}) == 1
 
 
-def unset_knobs():
-    trees = {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
+def one_value_knobs(trees=None):
+    """Every knob, and the knobs with one value in use, in the given module trees or those of the sources."""
+    trees = trees or {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
     calls = _calls_by_name(trees)
     knobs = _knobs(trees)
-    unset = {key for key, (name, positional, param) in knobs.items()
-             if not any(_sets(call, positional, param) for call in calls.get(name, []))}
-    return knobs, unset
+    fixed = {
+        key
+        for key, (name, positional, param, default) in knobs.items()
+        if _one_value([_passed(call, positional, param, default) for call in calls.get(name, [])], default)
+    }
+    return knobs, fixed
 
 
 def test_every_knob_is_set_somewhere():
-    _, unset = unset_knobs()
-    assert sorted(unset - set(KEPT_KNOBS)) == [], (
-        "a defaulted parameter that no call in src/flotilla or scripts/ sets; make it a constant or add to KEPT_KNOBS"
+    _, fixed = one_value_knobs()
+    assert sorted(fixed - set(KEPT_KNOBS)) == [], (
+        "a parameter with one value in src/flotilla and scripts/; make it a constant or add to KEPT_KNOBS"
     )
 
 
+def test_knob_rule_finds_the_parameters_with_one_value():
+    tree = ast.parse(textwrap.dedent("""
+        def solve(f, tol, pieces=2, scale=1.0, name=None, quiet=False):
+            pass
+
+        def run(x):
+            solve(x, 1e-9, 8, scale=x)
+            solve(x, TOL, pieces=8, name=NAME)
+    """))
+    # f and scale take a variable, tol two values and name its default or NAME;
+    # every call cuts in 8 pieces, and none sets quiet
+    knobs, fixed = one_value_knobs({"flotilla.demo": tree})
+    assert sorted(fixed) == ["demo.solve.pieces", "demo.solve.quiet"]
+    assert len(knobs) == 7
+
+
 def test_kept_knobs_are_current():
-    # an entry whose parameter gains a setter, or is gone, leaves the list
-    knobs, unset = unset_knobs()
+    # an entry whose parameter gains a second value, or is gone, leaves the list
+    knobs, fixed = one_value_knobs()
     assert sorted(k for k in KEPT_KNOBS if k not in knobs) == []
-    assert sorted(k for k in KEPT_KNOBS if k not in unset) == []
+    assert sorted(k for k in KEPT_KNOBS if k not in fixed) == []
 
 
 def test_every_import_is_used():

@@ -193,6 +193,13 @@ class TestDuality:
         assert 1.0 / (delta_hat * lam_hat) == pytest.approx(2.0 / (DELTA * LAMBDA_CIRCLE), rel=1e-9)
         assert 1.0 / lam_hat + 2.0 / LAMBDA_CIRCLE == pytest.approx(3.0, rel=1e-12)
 
+    @settings(deadline=None, max_examples=50)
+    @given(delta=st.floats(1e-6, 1e6), lam=st.floats(0.67, 1e3))
+    def test_product_relation_holds_identically(self, delta, lam):
+        # delta_hat lam_hat = (3 lam / 2 - 1) delta lam / (3 lam - 2) = delta lam / 2
+        delta_hat, lam_hat = duality_parameters(delta, lam)
+        assert delta_hat * lam_hat == pytest.approx(0.5 * delta * lam, rel=1e-12)
+
     def test_ratio_one_degenerates_to_half(self):
         delta_hat, lam_hat = duality_parameters(0.8, 1.0)
         assert delta_hat == pytest.approx(0.4, rel=1e-14)

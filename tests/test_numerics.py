@@ -3,86 +3,68 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.curve import Ellipse, det2
-from flotilla.chord import FLOTATION, sweep
 from flotilla.errors import AccuracyError, SolverError
 from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
+    TABLE_FIRST_PANELS,
+    TABLE_SPLIT,
     PeriodicAntiderivative,
     TrigInterpolant,
     bracketed_newton,
 )
 
-from oracles import panel_quadrature, trig_interpolant_exp_outer
+from oracles import trig_interpolant_exp_outer
 
 
-def test_panel_quadrature_polynomial():
-    val = panel_quadrature(lambda x: x**3 - 2 * x, [0.0, 2.0])[0]
-    assert abs(val - 0.0) < 1e-14
+def test_periodic_antiderivative_is_exact_on_polynomials():
+    # the degree-7 interpolant of every half-panel holds a degree-7 polynomial,
+    # whose error estimate is rounding: one round, and F to rounding everywhere
+    def primitive(u):
+        return u**8 / 8.0 - 2.0 * u**5 + u
 
-
-def test_panel_quadrature_empty_interval():
-    assert panel_quadrature(np.sin, [1.0, 1.0])[0] == 0.0
-
-
-def test_panel_quadrature_cube_root_cusp():
-    exact = 0.75 * ((2.0 / 3.0) ** (4.0 / 3.0) + (1.0 / 3.0) ** (4.0 / 3.0))
-    val = panel_quadrature(lambda x: np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0), [0.0, 1.0])[0]
-    assert abs(val - exact) < 1e-12
-
-
-def test_panel_quadrature_per_interval_values():
-    # one global budget over all intervals; one of them ends on the cusp
-    def primitive(x):
-        return 0.75 * np.sign(x - 1.0 / 3.0) * np.abs(x - 1.0 / 3.0) ** (4.0 / 3.0)
-
-    edges = np.array([0.0, 0.1, 1.0 / 3.0, 0.4, 0.9, 1.0])
-    sizes = []
-
-    def f(x):
-        sizes.append(x.size)
-        return np.abs(x - 1.0 / 3.0) ** (1.0 / 3.0)
-
-    values = panel_quadrature(f, edges)
-    assert values.shape == (5,)
-    assert np.max(np.abs(values - np.diff(primitive(edges)))) < 1e-12
-    assert max(sizes) <= MAX_NODES_PER_CALL
-
-
-def test_panel_quadrature_node_blocks():
-    sizes = []
-
-    def f(x):
-        sizes.append(x.size)
-        return np.cos(x)
-
-    values = panel_quadrature(f, np.linspace(0.0, 3.0, 513))
-    assert abs(values.sum() - math.sin(3.0)) < 1e-13
-    # 512 panels, each whole and in halves: 12,288 abscissae in blocks
-    assert sum(sizes) == 512 * 3 * 8 and max(sizes) <= MAX_NODES_PER_CALL
-
-
-def test_panel_quadrature_divergent_integrand_raises():
-    with np.errstate(over="ignore", divide="ignore"):
-        with pytest.raises(AccuracyError):
-            panel_quadrature(lambda x: 1.0 / x**2, [-1.0, 1.0])
-
-
-def test_panel_quadrature_smooth_cap_takes_one_call():
-    # smooth integrands converge in the first round: panels and halves from one call
-    curve = Ellipse(2.0, 1.0)
-    chords = sweep(curve, FLOTATION, 1.0, 64)
     calls = 0
-    for s, t, x in zip(chords.s, chords.t, chords.x):
 
-        def integrand(u, x=x):
-            nonlocal calls
-            calls += 1
-            return det2(curve.derivative(u, 0) - x, curve.derivative(u, 1))
+    def f(u):
+        nonlocal calls
+        calls += 1
+        return u**7 - 10.0 * u**4 + 1.0
 
-        panel_quadrature(integrand, [s, t], rel_tol=1e-13)
-    assert calls <= len(chords)
+    table = PeriodicAntiderivative(f, 2.0)
+    u = np.linspace(0.0, 2.0, 1001)
+    assert (table.rounds, calls) == (1, 1)
+    assert table.total == pytest.approx(primitive(2.0), rel=1e-14)
+    assert np.max(np.abs(table(u) - primitive(u))) <= 1e-14 * np.max(np.abs(primitive(u)))
+
+
+def test_periodic_antiderivative_smooth_integrand_takes_one_round():
+    # the first round's 32 panels, each whole and in halves, are 768 nodes in one call
+    sizes = []
+
+    def f(u):
+        sizes.append(u.size)
+        return 1.0 + 0.5 * np.cos(3.0 * u)
+
+    table = PeriodicAntiderivative(f, 2.0 * math.pi)
+    assert (table.rounds, sizes) == (1, [TABLE_FIRST_PANELS * 3 * 8])
+    u = np.linspace(-1.0, 8.0, 1001)
+    assert np.max(np.abs(table(u) - (u + np.sin(3.0 * u) / 6.0))) <= 1e-14 * table.total
+
+
+def test_periodic_antiderivative_node_blocks():
+    # 40 turns outrun the first round's 32 panels: each is cut in TABLE_SPLIT, and
+    # the second round's 6,144 nodes go to f in blocks
+    sizes = []
+
+    def f(u):
+        sizes.append(u.size)
+        return 1.0 + np.cos(40.0 * u)
+
+    table = PeriodicAntiderivative(f, 2.0 * math.pi)
+    u = np.linspace(0.0, 2.0 * math.pi, 1001)
+    assert np.max(np.abs(table(u) - (u + np.sin(40.0 * u) / 40.0))) <= 1e-14 * table.total
+    assert sizes == [TABLE_FIRST_PANELS * 3 * 8] + [MAX_NODES_PER_CALL] * 3
+    assert sum(sizes[1:]) == TABLE_FIRST_PANELS * TABLE_SPLIT * 3 * 8
 
 
 def test_periodic_antiderivative_across_a_cusp():
