@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from flotilla.curve import area, curve_from_json
-from flotilla.homothety import _chains, build_carousel
+from flotilla.chord import chains
+from flotilla.curve import PERIOD, area, curve_from_json
+from flotilla.homothety import build_carousel
 
 DEFAULT_CURVE = {"kind": "fourier_radial", "r0": 1.0, "cos": [0.0, 0.0, 0.1]}
 
@@ -50,8 +51,8 @@ def main():
         writer.writerow(["delta", "closure_defect"])
         for d in deltas:
             # the one chain from s0 is all the defect needs, not build_carousel's 32 starts
-            ts, _, _ = _chains(curve, args.q, float(d), 1, args.s0)
-            defect = float(ts[args.q, 0] - ts[0, 0] - args.p * curve.period)
+            ts, _, _ = chains(curve, args.q, float(d), 1, args.s0)
+            defect = float(ts[args.q, 0] - ts[0, 0] - args.p * PERIOD)
             writer.writerow([f"{d:.17g}", f"{defect:.17g}"])
 
     delta_star = car.delta

@@ -1,7 +1,7 @@
 """Equal-area chord maps: cut-off caps (flotation) and silhouette cones (illumination).
 
 A chord is the pair (s, t) of boundary parameters with t kept unwrapped in
-(s, s + period). The implicit function t(s) is defined by holding the cap or
+(s, s + PERIOD). The implicit function t(s) is defined by holding the cap or
 cone area fixed and is solved by safeguarded Newton iteration with analytic
 area derivatives. Every function here takes arrays of lanes (s, t): a sweep
 solves all of its chords in one lane-wise iteration, each lane inside its own
@@ -10,13 +10,15 @@ one such solve too, on the cone area times det(gamma'(s), gamma'(t)), which
 stays smooth where the end tangents turn parallel, so no antipode is solved
 for first. By Green's theorem both areas are closed forms in the endpoints
 and the curve's moment antiderivative (``ClosedConvexCurve.moments``).
+Chains of flotation chords, each starting where the last ended, are the
+carousels' (``chains``).
 """
 
 import math
 
 import numpy as np
 
-from .curve import area, curvature, det2, dot2, norm2
+from .curve import PERIOD, area, curvature, det2, dot2, norm2
 from .errors import DomainError, SolverError
 from .numerics import bracketed_newton, convex_newton
 
@@ -25,7 +27,7 @@ ILLUMINATION = "illumination"
 
 # tangents at the endpoints are treated as parallel below this relative determinant
 PARALLEL_TOL = 1e-10
-# a cap's chord (s, t) is solved for t in (s + m, s + period - m), with m = CAP_MARGIN period
+# a cap's chord (s, t) is solved for t in (s + m, s + PERIOD - m), with m = CAP_MARGIN PERIOD
 CAP_MARGIN = 1e-12
 
 
@@ -101,8 +103,8 @@ def _area_fdf(curve, kind, side, target):
     target and half det(c, gamma'(t)) for a cap, the scaled cone residual of
     ``_solve_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
     ``_side``, so a call makes one curve evaluation at t, of orders 0 to 2,
-    and one moment evaluation, kept with t as the callable's ``last`` for
-    the chords. The callable's ``calls`` counts its calls.
+    and one moment evaluation; the callable keeps the evaluation with t as
+    its ``last``, for ``_solve_t``, and counts its ``calls``.
     """
     origin, moments = curve.moments
     _, at_s, m_s = side
@@ -149,27 +151,8 @@ def _apex(x, y, d1, d2):
         return x + d1 * (det2(y - x, d2) / v)[..., None], parallel
 
 
-def _jets_at(curve, t, last):
-    """Orders 0 to 2 at t from a solve's last evaluation (u, jets), evaluated again in the lanes where t != u."""
-    u, jets = last
-    moved = t != u
-    if moved.any():
-        for d, new in zip(jets, curve.derivatives(t[moved], (0, 1, 2))):
-            d[moved] = new
-    return jets
-
-
-def _chords(curve, kind, delta, s, t, at_s, residual=None):
-    """Chords of the lanes (s, t) from orders 0 to 2 at s (``at_s``) and at t, and the ``residual`` that solved t.
-
-    The residual's ``last`` evaluation (u, jets) serves t where u = t, and
-    its ``calls`` are the chords' ``residual_calls``. Without one, t is
-    evaluated afresh and no residual was called.
-    """
-    if residual is None:
-        at_t, calls = curve.derivatives(t, (0, 1, 2)), 0
-    else:
-        at_t, calls = _jets_at(curve, t, residual.last), residual.calls
+def _chords(curve, kind, delta, s, t, at_s, at_t, calls):
+    """Chords of the lanes (s, t) from orders 0 to 2 at s and at t, and the residual ``calls`` that solved t."""
     jets = tuple(np.stack(pair) for pair in zip(at_s, at_t))
     (x, y), (d1, d2) = jets[:2]
     c = y - x
@@ -204,35 +187,41 @@ def _cone_angle(g):
 
 
 def _solve_t(curve, kind, side, delta):
-    """t in (s, s + period) with cap or cone area delta in every lane of s, and the ``_area_fdf`` residual it solved.
+    """t in (s, s + PERIOD) with cap or cone area delta in every lane of s, orders 0 to 2 at t, and the residual calls.
 
-    The cap area increases strictly from 0 to the body area on (s, s + period),
+    The cap area increases strictly from 0 to the body area on (s, s + PERIOD),
     so that whole interval brackets every lane and the residual rises
     through its root. A cone takes Newton steps on F = v (cone - delta) =
     pq / 2 - v (cap + delta), with v = det(gamma'(s), gamma'(t)),
     p = det(gamma'(s), c) and q = det(c, gamma'(t)). F < 0 before the root
-    and F > 0 after it, up to s + period: the cone exceeds delta up to the
-    antipode, and past it v < 0 while p, q > 0. So (s, s + 0.98 period)
+    and F > 0 after it, up to s + PERIOD: the cone exceeds delta up to the
+    antipode, and past it v < 0 while p, q > 0. So (s, s + 0.98 PERIOD)
     brackets every lane. F is divided by a positive scale that is v near the
     root, where the residual reads cone - delta. A lane that stops on f_tol
     is within 1e-12 area of delta. Both kinds start at the root on every
     ellipse, the cap or cone angle's share of the period. ``side`` is the s
-    side of ``_side``; the residual's ``last`` is its last evaluation.
+    side of ``_side``. The orders at t are the last residual evaluation's,
+    evaluated again only in the lanes whose t moved after it.
     """
     total = area(curve)
-    s, period = side[0], curve.period
+    s = side[0]
     if kind == FLOTATION:
         if not 0.0 < delta < total:
             raise DomainError(f"delta must lie in (0, area) = (0, {total})")
-        tiny = CAP_MARGIN * period
-        lo, hi, angle = s + tiny, s + period - tiny, _cap_angle(delta / total)
+        tiny = CAP_MARGIN * PERIOD
+        lo, hi, angle = s + tiny, s + PERIOD - tiny, _cap_angle(delta / total)
     else:
         if delta <= 0.0:
             raise DomainError("delta_hat must be positive")
-        lo, hi, angle = s + 1e-9 * period, s + 0.98 * period, _cone_angle(delta / total)
+        lo, hi, angle = s + 1e-9 * PERIOD, s + 0.98 * PERIOD, _cone_angle(delta / total)
     fdf = _area_fdf(curve, kind, side, delta)
-    t = bracketed_newton(fdf, lo, hi, s + period * (angle / (2.0 * math.pi)), f_tol=1e-12 * total)
-    return t, fdf
+    t = bracketed_newton(fdf, lo, hi, s + PERIOD * (angle / (2.0 * math.pi)), f_tol=1e-12 * total)
+    u, at_t = fdf.last
+    moved = t != u
+    if moved.any():
+        for d, new in zip(at_t, curve.derivatives(t[moved], (0, 1, 2))):
+            d[moved] = new
+    return t, at_t, fdf.calls
 
 
 def _side(curve, s, at_s):
@@ -252,7 +241,7 @@ def _grid(curve, n, s0):
     """
     key = n, s0
     if key not in curve.sweep_grids:
-        s = s0 + np.arange(n) * (curve.period / n)
+        s = s0 + np.arange(n) * (PERIOD / n)
         s, at_s, m_s = _side(curve, s, tuple(curve.derivatives(s, (0, 1, 2))))
         for array in (s, *at_s, m_s):
             array.flags.writeable = False
@@ -264,16 +253,15 @@ def _solve(curve, kind, delta, side):
     """The chords of area delta from every lane of an s side, in one lane-wise solve.
 
     The s side (s, orders 0 to 2 at s, m(s)) of ``_side`` or ``_grid`` serves
-    the t solve and the chords, and the solve's latest evaluation at t
-    serves the chords.
+    the t solve and the chords, and the t solve's orders at t serve the chords.
     """
     s, at_s, _ = side
-    t, residual = _solve_t(curve, kind, side, delta)
+    t, at_t, calls = _solve_t(curve, kind, side, delta)
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    chords = _chords(curve, kind, delta, s, t, at_s, residual)
+    chords = _chords(curve, kind, delta, s, t, at_s, at_t, calls)
     if kind == ILLUMINATION and not chords.apex.all():
         i = int(np.argmin(chords.apex))
         raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")
@@ -291,3 +279,29 @@ def sweep(curve, kind, delta, n_samples, s0=0.0):
     if kind not in (FLOTATION, ILLUMINATION):
         raise DomainError(f"unknown chord kind {kind!r}")
     return _solve(curve, kind, delta, _grid(curve, n_samples, s0))
+
+
+def chains(curve, q, delta, n, s0):
+    """Vertices (q + 1, n) of the flotation chord chains from n starts, (gamma, gamma') there, and d(t_q)/d(delta).
+
+    Each chord starts where the last ended. The starts s0 + k PERIOD / n are
+    a sweep grid (``_grid``), evaluated once per curve whatever the delta.
+    Each vertex after them is evaluated once, in the last Newton round of the
+    chord solve that ends there, and handed to the solve that starts there.
+    """
+    side = _grid(curve, n, s0)
+    ts = [side[0]]
+    at_vertices = [side[1][:2]]
+    dt_ddelta = np.zeros(n)  # the starts do not move with delta
+    for _ in range(q):
+        if len(ts) > 1:
+            side = _side(curve, ts[-1], at_vertices[-1])
+        t, (y, d2, _), _ = _solve_t(curve, FLOTATION, side, delta)
+        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
+        # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
+        x, d1 = at_vertices[-1]
+        c = y - x
+        dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
+        ts.append(t)
+        at_vertices.append((y, d2))
+    return np.array(ts), tuple(np.array(v) for v in zip(*at_vertices)), dt_ddelta

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import chord, floatgeom, homothety, illumgeom
 from .curve import (
+    PERIOD,
     SPEC_KEYS,
     _affine_normal,
     area,
@@ -317,7 +318,7 @@ def _check_radon(curve, bundle):
 
 def _check_affine_sphere(curve, bundle):
     n = 128
-    grid = (np.arange(n) + 0.5) * (curve.period / n)
+    grid = (np.arange(n) + 0.5) * (PERIOD / n)
     pts, d1, d2, d3 = curve.derivatives(grid, (0, 1, 2, 3))
     # a flat point of the body (det(g', g'') = 0 up to rounding) has no affine normal line
     live = det2(d1, d2) > 0.0
@@ -517,7 +518,7 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         f"closure defect {car.closure_defect:.3e}"
     )
     # closing from s0 but not from every start is a negative result, not bad input
-    if car.closure_defect_max > 1e-8 * curve.period:
+    if car.closure_defect_max > 1e-8 * PERIOD:
         print(f"[FAIL] carousel does not close from every start: max |defect| = {car.closure_defect_max:.3e}")
         return EXIT_CHECK_FAILED
     return EXIT_OK

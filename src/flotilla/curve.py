@@ -1,9 +1,9 @@
 """Smooth closed convex plane curves and their Euclidean/affine invariants.
 
-All curve kinds share the parameter interval [0, 2*pi) and expose exact (or
-spectrally accurate) derivatives up to fourth order. Points and vectors are
-plain numpy arrays of shape (2,); vectorized calls with an array of parameter
-values return (N, 2).
+All curve kinds share the parameter interval [0, PERIOD), PERIOD = 2*pi, and
+expose exact (or spectrally accurate) derivatives up to fourth order. Points
+and vectors are plain numpy arrays of shape (2,); vectorized calls with an
+array of parameter values return (N, 2).
 """
 
 import functools
@@ -13,9 +13,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateCurveError, DomainError, SingularFrameError, SingularParametrizationError
-from .numerics import PeriodicAntiderivative, TrigInterpolant
-
-PERIOD = 2.0 * math.pi
+from .numerics import PERIOD, PeriodicAntiderivative, TrigInterpolant, bracketed_newton
 
 _MIN_CONVEXITY_SAMPLES = 512
 
@@ -64,7 +62,6 @@ class AffineFrame:
 class ClosedConvexCurve:
     """Base for periodic, positively oriented, strongly convex parametrizations."""
 
-    period = PERIOD
     # whether the representation gives the body to rounding: every analytic kind does
     resolved = True
 
@@ -85,8 +82,8 @@ class ClosedConvexCurve:
         return det2(*self.derivatives(s, (1, 2)))
 
     def on_grid(self, n, orders):
-        """``derivatives`` at the n-point grid s_j = j period / n, which a sampled kind serves by an inverse FFT."""
-        return self.derivatives(np.arange(n) * (self.period / n), orders)
+        """``derivatives`` at the n-point grid s_j = j PERIOD / n, which a sampled kind serves by an inverse FFT."""
+        return self.derivatives(np.arange(n) * (PERIOD / n), orders)
 
     @functools.cached_property
     def moments(self):
@@ -101,12 +98,13 @@ class ClosedConvexCurve:
         origin = points.mean(axis=0)
         g = points - origin
         w = det2(g, d1)
-        return origin, TrigInterpolant(np.column_stack([w, g * w[:, None]]), self.period)
+        return origin, TrigInterpolant(np.column_stack([w, g * w[:, None]]))
 
     @functools.cached_property
     def affine_arc(self):
         """Affine arc length L(s) from 0 as a table: L(t) - L(s) is that of [s, t], and a query evaluates no curve."""
-        return PeriodicAntiderivative(_affine_integrand(self), self.period)
+        # the constructors certify det >= -1e-12 of its maximum, so only rounding at a flat point is clipped
+        return PeriodicAntiderivative(lambda u: np.clip(self.convexity(u), 0.0, None) ** (1.0 / 3.0))
 
     @functools.cached_property
     def sweep_grids(self):
@@ -114,18 +112,41 @@ class ClosedConvexCurve:
         return {}
 
     def _validate(self):
-        d1, d2 = self.on_grid(max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution), (1, 2))
+        """Reject a curve whose det(g', g'') dips below -1e-12 of its maximum anywhere, not only on a grid.
+
+        det is a trigonometric polynomial of degree at most ``resolution``, so
+        the grid of n >= 4 resolution points resolves it, and a dip between
+        the points lies next to a local minimum of the grid (the last point of
+        a level run). Each one is polished by Newton on the derivative
+        det(g', g''') within a grid step, whose slope is det(g'', g''') +
+        det(g', g''''), until |det'| <= 1e-12 max det, where det is within
+        2 step 1e-12 max det of the minimum. A grid det within 1e-12 of its
+        maximum everywhere, as rounding leaves a circle's samples or an
+        ellipse's affine image, cannot dip between the points.
+        """
+        n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
+        d1, d2 = self.on_grid(n, (1, 2))
         if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise DomainError("curve parameters must be finite")
         speed = norm2(d1)
         if np.any(speed <= 0.0):
             raise SingularParametrizationError("curve has a singular point on the sample grid")
         convexity = det2(d1, d2)
+        low, high = convexity.min(), convexity.max()
+        if 0.0 < 1e-12 * high < high - low:
+            step = PERIOD / n
+            s = step * np.nonzero((convexity <= np.roll(convexity, 1)) & (convexity < np.roll(convexity, -1)))[0]
+
+            def fdf(u):
+                d1, d2, d3, d4 = self.derivatives(u, (1, 2, 3, 4))
+                return det2(d1, d3), det2(d2, d3) + det2(d1, d4)
+
+            low = min(low, self.convexity(bracketed_newton(fdf, s - step, s + step, s, 1e-12 * high)).min())
         # tolerate roundoff at isolated flat points; reject genuine overshoot
-        if convexity.min() <= -1e-12 * convexity.max() or convexity.max() <= 0.0:
+        if low <= -1e-12 * high or high <= 0.0:
             raise DegenerateCurveError(
                 "det(gamma', gamma'') must be positive everywhere "
-                f"(min {convexity.min():.3e}); curve is not strongly convex "
+                f"(min {low:.3e}); curve is not strongly convex "
                 "or not positively oriented"
             )
 
@@ -133,8 +154,8 @@ class ClosedConvexCurve:
 class LinearArc:
     """L(u) = rate u, the affine arc length of a curve whose det(g', g'') is constant; ``total`` is one period's."""
 
-    def __init__(self, rate, period):
-        self.rate, self.total = rate, rate * period
+    def __init__(self, rate):
+        self.rate, self.total = rate, rate * PERIOD
 
     def __call__(self, u):
         return self.rate * np.asarray(u, dtype=float)
@@ -171,12 +192,12 @@ class Ellipse(ClosedConvexCurve):
         ab = self.a * self.b
         (a00, a01), (a10, a11) = self._jets[0] * ab
         modes = [[ab, 0.0, 0.0], [0.0, complex(a00, -a01), complex(a10, -a11)]]
-        return self.center, TrigInterpolant.from_coefficients(modes, self.period)
+        return self.center, TrigInterpolant.from_coefficients(modes)
 
     @functools.cached_property
     def affine_arc(self):
         """det(g', g'') = ab everywhere, so L(s) = (ab)^(1/3) s: a line, with no table and no curve evaluation."""
-        return LinearArc((self.a * self.b) ** (1.0 / 3.0), self.period)
+        return LinearArc((self.a * self.b) ** (1.0 / 3.0))
 
     def derivatives(self, s, orders):
         unit = np.stack([np.cos(s), np.sin(s)], axis=-1)
@@ -241,7 +262,7 @@ class SampledPeriodic(ClosedConvexCurve):
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 16:
             raise DomainError("expected at least 16 sample points of shape (N, 2)")
-        self._interp = TrigInterpolant(self.points, PERIOD)
+        self._interp = TrigInterpolant(self.points)
         self._validate()
 
     @property
@@ -263,7 +284,7 @@ class SampledPeriodic(ClosedConvexCurve):
 class AffineImage(ClosedConvexCurve):
     """Pointwise affine image of a base curve under an AffineFrame, keeping its parametrization.
 
-    For orientation-reversing maps the parameter is reflected (s -> period - s)
+    For orientation-reversing maps the parameter is reflected (s -> PERIOD - s)
     so the image stays positively oriented.
     """
 
@@ -284,7 +305,7 @@ class AffineImage(ClosedConvexCurve):
 
     def derivatives(self, s, orders):
         s = np.asarray(s, dtype=float)
-        base = self.base.derivatives((self.period - s) if self._reversed else s, orders)
+        base = self.base.derivatives((PERIOD - s) if self._reversed else s, orders)
         out = [self.frame.apply_vector(-d if self._reversed and k % 2 == 1 else d) for d, k in zip(base, orders)]
         return [d + self.frame.translation if k == 0 else d for d, k in zip(out, orders)]
 
@@ -303,20 +324,7 @@ def curvature(d1, d2):
 
 def area(curve):
     """Enclosed area (1/2) * integral of det(gamma, gamma') over one period."""
-    return 0.5 * curve.period * float(curve.moments[1].mean[0])
-
-
-def _affine_integrand(curve):
-    """det(g', g'')^(1/3) over one period; DegenerateCurveError where the determinant is below rounding of its scale."""
-    scale = float(curve.convexity(np.linspace(0.0, curve.period, 17)).max())
-
-    def integrand(u):
-        d = curve.convexity(u)
-        if np.any(d < -1e-12 * max(scale, 0.0)):
-            raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
-        return np.clip(d, 0.0, None) ** (1.0 / 3.0)
-
-    return integrand
+    return 0.5 * PERIOD * float(curve.moments[1].mean[0])
 
 
 def _affine_normal(d1, d2, d3):

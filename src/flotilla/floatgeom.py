@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .chord import FLOTATION, arc_moments
-from .curve import area, det2
+from .curve import PERIOD, area, det2
 from .errors import DomainError
 from .numerics import TrigInterpolant
 
@@ -113,7 +113,7 @@ def kappa_prime_buoyancy(chords):
 
 def _spectral_derivatives(points, chords, orders):
     """Derivatives in s of a family sampled on the sweep's uniform grid, from its trigonometric interpolant."""
-    return TrigInterpolant(points, chords.curve.period).on_grid(len(points), orders)
+    return TrigInterpolant(points).on_grid(len(points), orders)
 
 
 def flotation_body_area(chords):
@@ -126,7 +126,7 @@ def flotation_body_area(chords):
     _require_kind(chords, FLOTATION)
     points = 0.5 * (chords.x + chords.y)
     (d1,) = _spectral_derivatives(points, chords, (1,))
-    return 0.5 * chords.curve.period * float(np.mean(det2(points, d1)))
+    return 0.5 * PERIOD * float(np.mean(det2(points, d1)))
 
 
 def omega_identity_residual(chords):
@@ -144,5 +144,5 @@ def _omega_residual(chords, buoyancy_points):
     delta_bar = 1.5 * chords.delta
     lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
     d1, d2 = _spectral_derivatives(buoyancy_points, chords, (1, 2))
-    rhs = 0.5 * chords.curve.period * float(np.mean(np.cbrt(det2(d1, d2))))
+    rhs = 0.5 * PERIOD * float(np.mean(np.cbrt(det2(d1, d2))))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from .chord import CAP_MARGIN, FLOTATION, _apex, _grid, _jets_at, _pair, _side, _solve_t
-from .curve import area, det2, norm2
+from .chord import CAP_MARGIN, FLOTATION, _apex, _pair, chains
+from .curve import PERIOD, area, det2, norm2
 from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
 from .numerics import bracketed_newton
 
@@ -52,8 +52,8 @@ class Carousel:
     """A chain of q equal-area chords from s0, and how the chains at its delta close from every start.
 
     ``defect_slope`` is d(closure_defect)/d(delta), accumulated along the chain.
-    ``closure_defect_max`` is the worst |t_q - t_0 - p period| of the chains
-    from the starts k period / CAROUSEL_STARTS. For q = 3 only, ``lambdas``
+    ``closure_defect_max`` is the worst |t_q - t_0 - p PERIOD| of the chains
+    from the starts k PERIOD / CAROUSEL_STARTS. For q = 3 only, ``lambdas``
     are the tangent-triangle side ratios of the chain from s0, and the
     triangles from the starts give ``lambda_report``, ``centroid_drift_max``,
     ``lambda_product_max_dev`` and ``medial_residual_max``; these stay empty
@@ -235,8 +235,8 @@ def _centroid(curve):
 def _check_symmetric(curve, center, name):
     """Reject a curve that is not symmetric about the point ``center``, called ``name`` in the error."""
     n = max(4 * curve.resolution, 512)
-    grid = np.arange(n) * (curve.period / n)
-    pts, opposite = curve.derivative(_pair(grid, grid + curve.period / 2.0), 0) - center
+    grid = np.arange(n) * (PERIOD / n)
+    pts, opposite = curve.derivative(_pair(grid, grid + PERIOD / 2.0), 0) - center
     scale = float(np.max(norm2(pts)))
     defect = float(np.max(norm2(pts + opposite)))
     if defect > 1e-9 * scale:
@@ -247,18 +247,18 @@ def radon_check(curve, n_samples=256) -> float:
     """Max angular defect of the tangent/radial involution about the centroid c.
 
     For each s the parameter t with gamma(t) - c parallel to gamma'(s) is
-    found in (s, s + period/2); the residual is |det(gamma'(t), gamma(s) - c)|
+    found in (s, s + PERIOD/2); the residual is |det(gamma'(t), gamma(s) - c)|
     normalized. Zero characterizes Radon curves (bodies homothetic to their
     polar intersection body), wherever the body sits.
     """
     center = _centroid(curve)
     _check_symmetric(curve, center, "its centroid")
-    s = np.arange(n_samples) * (curve.period / n_samples)
+    s = np.arange(n_samples) * (PERIOD / n_samples)
     g_s, d1 = curve.on_grid(n_samples, (0, 1))
-    lo, hi = s + 1e-12, s + curve.period / 2.0 - 1e-12
+    lo, hi = s + 1e-12, s + PERIOD / 2.0 - 1e-12
 
     def fdf(u):
-        # det(gamma'(s), gamma(u) - c) rises through its root on (s, s + period/2): the curve turns counterclockwise
+        # det(gamma'(s), gamma(u) - c) rises through its root on (s, s + PERIOD/2): the curve turns counterclockwise
         g, d = curve.derivatives(u, (0, 1))
         return det2(d1, g - center), det2(d1, d)
 
@@ -270,41 +270,15 @@ def radon_check(curve, n_samples=256) -> float:
     return float(np.max(np.abs(det2(d1_t, g_s - center)) / (norm2(d1_t) * norm2(g_s - center))))
 
 
-# the closure of every carousel is checked from the starts k period / CAROUSEL_STARTS
+# the closure of every carousel is checked from the starts k PERIOD / CAROUSEL_STARTS
 CAROUSEL_STARTS = 32
-
-
-def _chains(curve, q, delta, n, s0):
-    """Vertices (q + 1, n) of the chord chains from n starts, (gamma, gamma') there, and d(last vertex)/d(delta).
-
-    The starts s0 + k period / n are a sweep grid (``chord._grid``), evaluated
-    once per curve whatever the delta. Each vertex after them is evaluated
-    once, in the last Newton round of the chord solve that ends there, and
-    handed to the solve that starts there.
-    """
-    side = _grid(curve, n, s0)
-    ts = [side[0]]
-    at_vertices = [side[1][:2]]
-    dt_ddelta = np.zeros(n)  # the starts do not move with delta
-    for _ in range(q):
-        if len(ts) > 1:
-            side = _side(curve, ts[-1], at_vertices[-1])
-        t, residual = _solve_t(curve, FLOTATION, side, delta)
-        # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
-        # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        (x, d1), (y, d2, _) = at_vertices[-1], _jets_at(curve, t, residual.last)
-        c = y - x
-        dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
-        ts.append(t)
-        at_vertices.append((y, d2))
-    return np.array(ts), tuple(np.array(v) for v in zip(*at_vertices)), dt_ddelta
 
 
 def _tangent_triangles(x, d):
     """Chord vertices of 3-chair chains and the tangent-triangle vertices after and before each.
 
     The vertex opposite chain vertex i is the apex of the tangents at vertices
-    i + 1 and i + 2 (mod 3), from gamma and gamma' at the vertices as ``_chains``
+    i + 1 and i + 2 (mod 3), from gamma and gamma' at the vertices as ``chord.chains``
     gives them. Returns three (3, lanes, 2) point arrays and the degenerate lanes.
     """
     apex, parallel = _apex(x[[1, 2, 0]], x[[2, 0, 1]], d[[1, 2, 0]], d[[2, 0, 1]])
@@ -322,23 +296,22 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     ``delta``, the chain from s0 is the one the root finder solved at the
     delta where the carousel from s0 closes.
     """
-    _require_carousel(p, q, s0, curve.period)
+    _require_carousel(p, q, s0)
     if delta is None:
         delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
-        chain, at_vertices, dt_ddelta = _chains(curve, q, delta, 1, float(s0))
-    period = curve.period
+        chain, at_vertices, dt_ddelta = chains(curve, q, delta, 1, float(s0))
     ts = chain[:, 0]
-    lanes, at_lanes, _ = _chains(curve, q, delta, CAROUSEL_STARTS, 0.0)
+    lanes, at_lanes, _ = chains(curve, q, delta, CAROUSEL_STARTS, 0.0)
     carousel = Carousel(
         p=p,
         q=q,
         delta=delta,
         s0=float(s0),
         vertices=ts.tolist(),
-        closure_defect=float(ts[q] - ts[0] - p * period),
+        closure_defect=float(ts[q] - ts[0] - p * PERIOD),
         defect_slope=float(dt_ddelta[0]),
-        closure_defect_max=float(np.max(np.abs(lanes[q] - lanes[0] - p * period))),
+        closure_defect_max=float(np.max(np.abs(lanes[q] - lanes[0] - p * PERIOD))),
     )
     if q == 3:
         v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
@@ -355,7 +328,7 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     return carousel
 
 
-def _require_carousel(p, q, s0, period):
+def _require_carousel(p, q, s0):
     """Reject a chair count q, winding p or start s0 that no carousel has, or whose chords cannot be solved."""
     if q < 2:
         raise DomainError("carousel needs at least 2 chairs")
@@ -365,21 +338,22 @@ def _require_carousel(p, q, s0, period):
         raise DomainError(f"p/q = {p}/{q} is not in lowest terms")
     if not math.isfinite(s0):
         raise DomainError(f"the start s0 must be finite, got {s0}")
-    if s0 + CAP_MARGIN * period == s0:  # the first chord's bracket would start at s0 itself
+    if s0 + CAP_MARGIN * PERIOD == s0:  # the first chord's bracket would start at s0 itself
         raise DomainError(f"the start s0 = {s0:g} is too far from 0: s0 + {CAP_MARGIN:g} period rounds to s0")
 
 
 def _closing_chain(curve, p, q, s0):
     """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
     total = area(curve)
-    chains = {}  # the chain at every delta tried, so the one at delta* is not solved again
+    tried = {}  # the chain at every delta tried, so the one at delta* is not solved again
 
     def fdf(d):
-        # the closure defect of the chain from s0 and its slope in delta
-        if d not in chains:
-            chains[d] = _chains(curve, q, d, 1, float(s0))
-        ts, _, slope = chains[d]
-        return float(ts[q, 0] - ts[0, 0] - p * curve.period), float(slope[0])
+        # the closure defect of the chain from s0 and its slope in delta, in the one lane d
+        d = float(d[0])
+        if d not in tried:
+            tried[d] = chains(curve, q, d, 1, float(s0))
+        ts, _, slope = tried[d]
+        return ts[q] - ts[0] - p * PERIOD, slope
 
     # the defect increases with delta, as every vertex does, so the whole range
     # of cut-off areas brackets it. Every ellipse closes at the cap of chord
@@ -388,8 +362,8 @@ def _closing_chain(curve, p, q, s0):
     lo, hi = 1e-9 * total, (1.0 - 1e-9) * total
     theta = 2.0 * math.pi * p / q
     delta0 = total * (theta - math.sin(theta)) / (2.0 * math.pi)
-    delta_star = bracketed_newton(fdf, lo, hi, delta0, f_tol=1e-14 * curve.period)
-    residual = fdf(delta_star)[0]
-    if abs(residual) > 1e-10 * curve.period:
-        raise SolverError(f"carousel closure only reached |defect| = {abs(residual):.3e}")
-    return float(delta_star), chains[delta_star]
+    delta_star = float(bracketed_newton(fdf, lo, hi, [delta0], f_tol=1e-14 * PERIOD)[0])
+    defect = abs(fdf([delta_star])[0][0])
+    if defect > 1e-10 * PERIOD:
+        raise SolverError(f"carousel closure only reached |defect| = {defect:.3e}")
+    return delta_star, tried[delta_star]

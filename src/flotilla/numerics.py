@@ -29,8 +29,11 @@ TABLE_REL_TOL = 1e-12
 NEWTON_X_TOL = 1e-15
 NEWTON_MAX_ITER = 100
 
+# the parameter interval of every periodic function here: the curves, their interpolants and tables
+PERIOD = 2.0 * math.pi
 
-def _adaptive_panels(f, period):
+
+def _adaptive_panels(f):
     """Converged panels of one period: their lower and upper ends, f at the half-panel nodes, and the rounds.
 
     Locally adaptive Gauss-Legendre of order 8 with one global error budget
@@ -40,7 +43,7 @@ def _adaptive_panels(f, period):
     of the budget in TABLE_SPLIT until the summed errors are within
     TABLE_REL_TOL of the whole, and never below rounding.
     """
-    first = np.linspace(0.0, period, TABLE_FIRST_PANELS + 1)
+    first = np.linspace(0.0, PERIOD, TABLE_FIRST_PANELS + 1)
     lo, hi = first[:-1], first[1:]
     value, err, nodes = _halved_panels(f, lo, hi)
     rounds = 1
@@ -48,14 +51,14 @@ def _adaptive_panels(f, period):
         total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
-            raise AccuracyError(f"quadrature on [0, {period}]: the integrand is not finite")
+            raise AccuracyError(f"quadrature on [0, {PERIOD}]: the integrand is not finite")
         rounding = 50.0 * _EPS * np.abs(value).sum()
         tol = max(TABLE_REL_TOL * abs(total), rounding)
         if err_sum <= tol:
             return lo, hi, nodes, rounds
         if len(lo) >= TABLE_FIRST_PANELS + MAX_PANELS:
             raise AccuracyError(
-                f"quadrature on [0, {period}] did not converge below rel_tol={TABLE_REL_TOL} "
+                f"quadrature on [0, {PERIOD}] did not converge below rel_tol={TABLE_REL_TOL} "
                 f"within {MAX_PANELS} panel splits (error estimate {err_sum:.3e})"
             )
         split = err > tol / len(err)
@@ -106,21 +109,26 @@ _ANTIDERIVATIVE = np.vstack([_G[0] - _G[1], _G[:8] - _G[2:]])
 
 
 class PeriodicAntiderivative:
-    """F(u), the integral over [0, u] of a periodic f, as a table from one adaptive pass over one period.
+    """F(u), the integral over [0, u] of a PERIOD-periodic f, as a table from one adaptive pass over one period.
 
     ``_adaptive_panels`` cuts each panel above its share of the budget in
     TABLE_SPLIT, so a cube-root cusp takes a few rounds, not dozens. It is
     the package's only quadrature. F(u) is the extended-precision sum
     of the half-panels below u plus the integral of the degree-7 interpolant
-    of f on the one that holds u; F(u + period) = F(u) + ``total``.
+    of f on the one that holds u; F(u + PERIOD) = F(u) + ``total``. The
+    TABLE_REL_TOL budget bounds the panel sums, and so F at the half-panel
+    ends and ``total``. It does not bound F inside a half-panel, which is
+    only as good as the interpolant there: f = 1 + cos 20u converges in one
+    round with an exact total, and F is off by 1.0e-10 relative between the
+    ends.
     """
 
-    def __init__(self, f, period):
-        lo, hi, nodes, self.rounds = _adaptive_panels(f, period)
+    def __init__(self, f):
+        lo, hi, nodes, self.rounds = _adaptive_panels(f)
         # the panels tile the period, so the sorted half-panel ends are their lower ends, mid-points and the period
         order = np.argsort(lo)
-        edges = np.append(np.stack([lo, 0.5 * (lo + hi)], axis=1)[order].ravel(), period)
-        self.period, self._lo, values = period, edges[:-1], nodes[order].reshape(-1, 8)
+        edges = np.append(np.stack([lo, 0.5 * (lo + hi)], axis=1)[order].ravel(), PERIOD)
+        self._lo, values = edges[:-1], nodes[order].reshape(-1, 8)
         self._center, self._half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         self._coeffs = (values @ _ANTIDERIVATIVE.T) * self._half[:, None]
         self._below = np.concatenate([[0.0], np.cumsum((values @ _GAUSS_WEIGHTS) * self._half, dtype=np.longdouble)])
@@ -128,8 +136,8 @@ class PeriodicAntiderivative:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        turns = np.floor(u / self.period)
-        r = u - turns * self.period
+        turns = np.floor(u / PERIOD)
+        r = u - turns * PERIOD
         i = np.clip(np.searchsorted(self._lo, r, side="right") - 1, 0, len(self._lo) - 1)
         x = np.clip((r - self._center[i]) / self._half[i], -1.0, 1.0)
         inside = np.einsum("...m,m...->...", self._coeffs[i], _legendre(x))
@@ -147,7 +155,7 @@ class TrigInterpolant:
     ``from_coefficients`` builds it from a series already known in closed form.
     """
 
-    def __init__(self, samples, period):
+    def __init__(self, samples):
         samples = np.asarray(samples, dtype=float)
         n = samples.shape[0]
         coeffs = np.fft.rfft(samples, axis=0) / n
@@ -159,27 +167,26 @@ class TrigInterpolant:
         coeffs = coeffs * weights.reshape(-1, *([1] * (samples.ndim - 1)))
         size = np.abs(coeffs).reshape(coeffs.shape[0], -1).max(axis=1)
         kept = np.nonzero(size > 64.0 * _EPS * size.max())[0]
-        self._setup(coeffs[: kept[-1] + 1 if len(kept) else 1], period)
+        self._setup(coeffs[: kept[-1] + 1 if len(kept) else 1])
 
     @classmethod
-    def from_coefficients(cls, coeffs, period):
-        """The series Re sum_k coeffs[k] e^(ik omega s) itself, with coeffs[0] real: no samples, no FFT."""
+    def from_coefficients(cls, coeffs):
+        """The series Re sum_k coeffs[k] e^(iks) itself, with coeffs[0] real: no samples, no FFT."""
         self = cls.__new__(cls)
-        self._setup(np.asarray(coeffs, dtype=complex), period)
+        self._setup(np.asarray(coeffs, dtype=complex))
         return self
 
-    def _setup(self, coeffs, period):
+    def _setup(self, coeffs):
         self.coeffs = coeffs
         self.modes = np.arange(self.coeffs.shape[0])
         self.mean = self.coeffs[0].real
-        self.omega = 2.0 * np.pi / period
-        self._wave = 1j * self.omega * self.modes
+        self._wave = 1j * self.modes
         self._real = {}
 
     def _coefficients(self, order):
         """Re(f_k c_k) and -Im(f_k c_k) interleaved by mode, f the order's factor: the table's float view times them."""
         if order not in self._real:
-            # antiderivative: c_k / (i k omega) for k >= 1; the mean term gives mean * s
+            # antiderivative: c_k / (i k) for k >= 1; the mean term gives mean * s
             f = np.concatenate([[0.0], 1.0 / self._wave[1:]]) if order == -1 else self._wave**order
             c = f.reshape(-1, *([1] * (self.coeffs.ndim - 1))) * self.coeffs
             self._real[order] = np.stack([c.real, -c.imag], axis=1).reshape(2 * len(c), *c.shape[1:])
@@ -188,7 +195,7 @@ class TrigInterpolant:
     def derivatives(self, s, orders):
         """The order-th derivatives (-1: antiderivative) at s, one array per order, from one table.
 
-        The table e^(ik omega s) is one exp and a cumulative product along
+        The table e^(iks) is one exp and a cumulative product along
         the mode axis, and each order costs one real matrix product with it.
         """
         s = np.asarray(s, dtype=float)
@@ -197,13 +204,13 @@ class TrigInterpolant:
         else:
             table = np.empty(s.shape + self.modes.shape, dtype=complex)
             table[..., 0] = 1.0
-            table[..., 1:] = np.exp(1j * self.omega * s)[..., None]
+            table[..., 1:] = np.exp(1j * s)[..., None]
             np.cumprod(table, axis=-1, out=table)
         out = [table.view(float) @ self._coefficients(order) for order in orders]
         return [v + np.multiply.outer(s, self.mean) if k == -1 else v for v, k in zip(out, orders)]
 
     def on_grid(self, n, orders):
-        """The order-th derivatives (orders >= 0) at s_j = j period / n, from one inverse FFT and no table.
+        """The order-th derivatives (orders >= 0) at s_j = j PERIOD / n, from one inverse FFT and no table.
 
         irfft takes the half spectrum of a real signal: an interior mode is one
         half of its Hermitian pair, the DC and Nyquist (k = N/2) ones whole. A
@@ -223,43 +230,29 @@ class TrigInterpolant:
 def bracketed_newton(fdf, lo, hi, x0, f_tol):
     """Safeguarded Newton iteration on independent lanes, each rising through its root inside its bracket.
 
-    ``lo``, ``hi`` and ``x0`` broadcast to one array of lanes; ``fdf`` maps
-    the array of per-lane abscissae to the per-lane values and slopes
-    ``(f, f')`` at them, so one call per round serves both (the ``funcd`` of
-    Numerical Recipes' rtsafe). Every lane's residual must rise through its
-    root, f(lo) < 0 < f(hi), so the bracket ends are not evaluated up front:
-    an iterate with f < 0 becomes its lane's lo and one with f > 0 its hi.
-    Each lane falls back to bisection whenever its Newton step leaves its
-    bracket; a lane freezes once |f| <= f_tol (a scalar or one value per
-    lane) or its step is below NEWTON_X_TOL relative to max(1, |x|), and the
-    loop ends when every lane has; after NEWTON_MAX_ITER rounds it raises
-    SolverError. The first call is at the clipped start: if every lane meets
-    f_tol there, nothing else is evaluated. A lane that froze on its step off
-    f_tol, without iterates on both sides of its root, has its bracket ends
-    evaluated after the loop (two calls for all such lanes) and must show
-    f(lo) <= 0 <= f(hi), or SolverError names its bracket. So a lane without
-    a root, or whose residual falls, first bisects to a bracket end and then
-    raises. A 0-d ``x0`` is one lane: ``fdf`` then receives and returns plain
-    floats, and so does the call.
+    ``lo``, ``hi``, ``x0`` and ``f_tol`` broadcast to one flat array of
+    lanes; ``fdf`` maps the array of per-lane abscissae to the per-lane
+    values and slopes ``(f, f')`` at them, so one call per round serves both
+    (the ``funcd`` of Numerical Recipes' rtsafe). Every lane's residual must
+    rise through its root, f(lo) < 0 < f(hi), so the bracket ends are not
+    evaluated up front: an iterate with f < 0 becomes its lane's lo and one
+    with f > 0 its hi. Each lane falls back to bisection whenever its Newton
+    step leaves its bracket; a lane freezes once |f| <= f_tol or its step is
+    below NEWTON_X_TOL relative to max(1, |x|), and the loop ends when every
+    lane has; after NEWTON_MAX_ITER rounds it raises SolverError. The first
+    call is at the clipped start: if every lane meets f_tol there, nothing
+    else is evaluated. A lane that froze on its step off f_tol, without
+    iterates on both sides of its root, has its bracket ends evaluated after
+    the loop (two calls for all such lanes) and must show f(lo) <= 0 <=
+    f(hi), or SolverError names its bracket. So a lane without a root, or
+    whose residual falls, first bisects to a bracket end and then raises.
     """
-    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
-    scalar = shape == ()
-
-    def lanes(u):
-        value, slope = fdf(float(u[0]) if scalar else u.reshape(shape))
-        return np.asarray(value, dtype=float).ravel(), np.asarray(slope, dtype=float).ravel()
-
-    def result(x):
-        return float(x[0]) if scalar else x.reshape(shape)
-
-    lo, hi, x0, f_tol = (
-        np.array(np.broadcast_to(np.asarray(v, dtype=float), shape)).ravel() for v in (lo, hi, x0, f_tol)
-    )
+    lo, hi, x0, f_tol = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, x0, f_tol))
     x = np.clip(x0, lo, hi)
-    fx, d = lanes(x)
+    fx, d = fdf(x)
     done = np.abs(fx) <= f_tol
     if done.all():
-        return result(x)
+        return x
     lo0, hi0 = lo, hi
     for _ in range(NEWTON_MAX_ITER):
         active = ~done
@@ -277,7 +270,7 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
         x = np.where(active, x_new, x)
         if done.all():
             break
-        fx, d = lanes(x)
+        fx, d = fdf(x)
         done |= np.abs(fx) <= f_tol
         if done.all():
             break
@@ -287,8 +280,8 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
     # the lanes that stopped on their step, off f_tol, with no iterate on one side of the root
     unchecked = ~(np.abs(fx) <= f_tol) & ((lo == lo0) | (hi == hi0))
     if unchecked.any():
-        f_lo, _ = lanes(lo0)
-        f_hi, _ = lanes(hi0)
+        f_lo, _ = fdf(lo0)
+        f_hi, _ = fdf(hi0)
         bad = unchecked & ~((f_lo <= 0.0) & (f_hi >= 0.0))
         if bad.any():
             i = int(np.argmax(bad))
@@ -296,7 +289,7 @@ def bracketed_newton(fdf, lo, hi, x0, f_tol):
                 f"no sign change on bracket [{lo0[i]}, {hi0[i]}] from f <= 0 to f >= 0 "
                 f"(f = {f_lo[i]:.3e} and {f_hi[i]:.3e} at its ends)"
             )
-    return result(x)
+    return x
 
 
 def convex_newton(h, dh, y, x):

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _pair, _side, _solve, sweep
-from flotilla.curve import _affine_normal, det2, dot2, norm2
+from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _chords, _pair, _side, _solve, sweep
+from flotilla.curve import PERIOD, _affine_normal, det2, dot2, norm2
 from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
 from flotilla.floatgeom import _require_kind
 from flotilla.homothety import ConstancyReport, petty_ratios
@@ -239,8 +239,8 @@ def sweep_closure_defect(curve, kind, delta, n_samples, s0=0.0):
     """Signed defect t(s0 + period) - t(s0) - period after one continuation loop."""
     chords = sweep(curve, kind, delta, n_samples, s0=s0)
     solve = solve_flotation_chord if kind == FLOTATION else solve_silhouette_chord
-    final = solve(curve, s0 + curve.period, delta)
-    return final.t[0] - chords.t[0] - curve.period
+    final = solve(curve, s0 + PERIOD, delta)
+    return final.t[0] - chords.t[0] - PERIOD
 
 
 def incremental_cut_lengths(curve, chords, rel_tol=1e-12):
@@ -304,7 +304,7 @@ def trig_interpolant_exp_outer(interpolant, s, order):
     antiderivative 1 / (i k omega) with the mean term mean * s.
     """
     s = np.asarray(s, dtype=float)
-    wave = 1j * interpolant.omega * np.arange(interpolant.coeffs.shape[0])
+    wave = 1j * np.arange(interpolant.coeffs.shape[0])
     factor = np.concatenate([[0.0], 1.0 / wave[1:]]) if order == -1 else wave**order
     out = ((np.exp(np.multiply.outer(s, wave)) * factor) @ interpolant.coeffs).real
     return out + np.multiply.outer(s, interpolant.mean) if order == -1 else out
@@ -372,6 +372,11 @@ def side_at(curve, s, orders):
     return _side(curve, s, tuple(curve.derivatives(s, orders)))
 
 
+def chords_at(curve, kind, delta, s, t, at_s):
+    """The chords of given lanes (s, t), with orders 0 to 2 at s (``at_s``) and t evaluated afresh, and no solve."""
+    return _chords(curve, kind, delta, s, t, at_s, curve.derivatives(t, (0, 1, 2)), 0)
+
+
 def solve_flotation_chord(curve, s, delta):
     """Find t with cap_area(s, t) = delta and assemble the chord frame, as one-lane Chords."""
     return _solve(curve, FLOTATION, delta, side_at(curve, np.array([float(s)]), (0, 1, 2)))
@@ -419,7 +424,7 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
     its scale somewhere on the arc. It never reads ``affine_arc`` and runs
     none of the package's quadrature.
     """
-    if not (s0 <= s1 <= s0 + curve.period + 1e-9):
+    if not (s0 <= s1 <= s0 + PERIOD + 1e-9):
         raise DomainError("require s0 <= s1 <= s0 + period")
     scale = max(float(det2(*curve.derivatives(np.linspace(s0, s1, 17), (1, 2))).max()), 0.0)
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from flotilla.chord import (
     PARALLEL_TOL,
     sweep,
 )
-from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
+from flotilla.curve import PERIOD, AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
 from flotilla.errors import DomainError, ParallelElementsError, SolverError
 from flotilla.numerics import TrigInterpolant, bracketed_newton
 
@@ -316,39 +315,43 @@ class TestLaneSweep:
         assert sorted(curve.sweep_grids) == [(64, 0.0), (64, 0.1), (128, 0.0)]
         assert sides[3] is sides[0]
         for (n, s0), (s, at_s, m_s) in zip(grids, sides):
-            np.testing.assert_array_equal(s, s0 + np.arange(n) * (curve.period / n))
+            np.testing.assert_array_equal(s, s0 + np.arange(n) * (PERIOD / n))
             for d, expected in zip(at_s, curve.derivatives(s, (0, 1, 2))):
                 np.testing.assert_array_equal(d, expected)
             np.testing.assert_array_equal(m_s, curve.moments[1](s, -1)[:, 0])
             assert not any(a.flags.writeable for a in (s, *at_s, m_s))
 
     @pytest.mark.parametrize("step", ["flotation_sweep", "illumination_sweep", "chain_step"])
-    def test_chords_reuse_the_last_evaluation_where_it_was_taken_at_t(self, monkeypatch, bump3, step):
+    def test_orders_at_t_reuse_the_last_evaluation_where_it_was_taken(self, monkeypatch, bump3, step):
         # a solve's latest evaluation serves the lanes it was taken at; the
         # others (here every third, as if stopped by the step tolerance) are
         # evaluated again, and the chords, or the next vertices of a carousel
-        # chain (homothety._chains), are those of a fresh evaluation
+        # chain (chord.chains), are those of a fresh evaluation
         kind = ILLUMINATION if step == "illumination_sweep" else FLOTATION
-        s = np.arange(64) * (bump3.period / 64)
-        at_s = bump3.derivatives(s, (0, 1, 2))
-        t = sweep(bump3, kind, 0.8, 64).t
-        u = t.copy()
-        u[::3] += 1e-3
-        last = (u, bump3.derivatives(u, (0, 1, 2)))
-        residual = SimpleNamespace(last=last, calls=7)
-        fresh = chord_module._chords(bump3, kind, 0.8, s, t, at_s)
+        fresh = sweep(bump3, kind, 0.8, 64)
+        at_t = bump3.derivatives(fresh.t, (0, 1, 2))
         counts = {"calls": 0, "curve": 0, "moments": 0}
+
+        def solve_then_step_off(fdf, lo, hi, x0, f_tol):
+            t = bracketed_newton(fdf, lo, hi, x0, f_tol)
+            u = t.copy()
+            u[::3] += 1e-3
+            fdf(u)
+            counts.update(calls=0, curve=0, moments=0)
+            return t
+
         _count_evaluations(monkeypatch, bump3, counts)
+        monkeypatch.setattr(chord_module, "bracketed_newton", solve_then_step_off)
         if step == "chain_step":
-            ends = chord_module._jets_at(bump3, t, last)
+            _, (points, tangents), _ = chord_module.chains(bump3, 1, 0.8, 64, 0.0)
+            ends = [points[1], tangents[1]]
         else:
-            reused = chord_module._chords(bump3, kind, 0.8, s, t, at_s, residual)
-            ends = [reused.ends(k)[1] for k in range(3)]
-            np.testing.assert_array_equal(reused.affine_norm_c, fresh.affine_norm_c)
-            assert (reused.residual_calls, fresh.residual_calls) == (7, 0)
+            chords = sweep(bump3, kind, 0.8, 64)
+            ends = [chords.ends(k)[1] for k in range(3)]
+            assert chords.residual_calls == fresh.residual_calls + 1
         assert (counts["calls"], counts["curve"]) == (1, 22)
-        for k in range(3):
-            np.testing.assert_array_equal(ends[k], fresh.ends(k)[1])
+        for got, want in zip(ends, at_t):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
     @pytest.mark.parametrize("body", ["rotated_shifted_ellipse", "bump3", "sampled_64", "reflected_bump3_small"])
@@ -397,13 +400,12 @@ class TestLaneSweep:
             curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
         else:
             curve = request.getfixturevalue(body)
-        s = np.arange(256) * (curve.period / 256)
+        s = np.arange(256) * (PERIOD / 256)
         at_s = curve.derivatives(s, (0, 1, 2))
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
-        _, residual = chord_module._solve_t(curve, solver, chord_module._side(curve, s, at_s), 0.8)
+        _, _, rounds = chord_module._solve_t(curve, solver, chord_module._side(curve, s, at_s), 0.8)
         # on an ellipse the cap and cone starts are the roots: one round, no bracket ends
-        rounds = residual.calls
         assert rounds == 1 if body == "ellipse21" else rounds >= 3
         # one curve evaluation of all 256 lanes per round and none besides
         assert (counts["calls"], counts["curve"]) == (rounds, 256 * rounds)
@@ -413,7 +415,7 @@ class TestLaneSweep:
     def test_flat_point_lanes_match_one_lane_solves(self, bump3):
         # lanes whose tangent is still parallel at s + 1e-9 period: next to the
         # flat points the cone residual must read -delta_hat, not +inf
-        period = bump3.period
+        period = PERIOD
         chords = sweep(bump3, ILLUMINATION, 0.8, 256)
         s = chords.s
         d1, d2 = bump3.derivative(s, 1), bump3.derivative(s + 1e-9 * period, 1)
@@ -428,7 +430,7 @@ class TestLaneSweep:
         # phi with 2 sin(phi) = PARALLEL_TOL |g'(s)|^2 to first order, and
         # area (tan(phi/2) - phi/2) / pi; it differs by lane, so a delta_hat
         # between the smallest and the largest is out of reach in some lanes only
-        s = np.arange(16) * (ellipse21.period / 16)
+        s = np.arange(16) * (PERIOD / 16)
         phi = math.pi - 0.5 * PARALLEL_TOL * norm2(ellipse21.derivative(s, 1)) ** 2
         top = area(ellipse21) * (np.tan(0.5 * phi) - 0.5 * phi) / math.pi
         assert top.max() > 1.2 * top.min()
@@ -469,18 +471,18 @@ class TestEllipseStarts:
     @pytest.mark.parametrize("fraction", [1e-6, 0.1955, 0.3, 0.5, 0.9])
     def test_cap_start_is_the_root(self, curve, fraction):
         total = area(curve)
-        s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, residual = chord_module._solve_t(curve, FLOTATION, side_at(curve, s, (0, 1)), fraction * total)
-        assert residual.calls == 1
+        s = 0.1 + np.arange(64) * (PERIOD / 64)
+        t, _, calls = chord_module._solve_t(curve, FLOTATION, side_at(curve, s, (0, 1)), fraction * total)
+        assert calls == 1
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
     @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
     @pytest.mark.parametrize("fraction", [0.1, 0.8, 5.0])
     def test_cone_start_is_the_root(self, curve, fraction):
         total = area(curve)
-        s = 0.1 + np.arange(64) * (curve.period / 64)
-        t, residual = chord_module._solve_t(curve, ILLUMINATION, side_at(curve, s, (0, 1)), fraction * total)
-        assert residual.calls == 1
+        s = 0.1 + np.arange(64) * (PERIOD / 64)
+        t, _, calls = chord_module._solve_t(curve, ILLUMINATION, side_at(curve, s, (0, 1)), fraction * total)
+        assert calls == 1
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
     @pytest.mark.parametrize("curve", [Ellipse(2.0, 1.0), ROTATED_ELLIPSE], ids=["axes", "rotated_shifted"])
@@ -522,11 +524,11 @@ class TestEllipseStarts:
         # chords, each area within 1e-12 of the body's of delta, so the two t
         # differ by at most twice that over the area's slope
         total = area(bump3)
-        s = np.arange(256) * (bump3.period / 256)
+        s = np.arange(256) * (PERIOD / 256)
         side = side_at(bump3, s, (0, 1))
-        t, _ = chord_module._solve_t(bump3, kind, side, 0.8)
+        t, _, _ = chord_module._solve_t(bump3, kind, side, 0.8)
         _start_at(monkeypatch, lambda lo, hi: 0.5 * (lo + hi))
-        t_mid, _ = chord_module._solve_t(bump3, kind, side, 0.8)
+        t_mid, _, _ = chord_module._solve_t(bump3, kind, side, 0.8)
         for u in (t, t_mid):
             # near the root either residual is the area less 0.8
             value, slope = chord_module._area_fdf(bump3, kind, side, 0.8)(u)

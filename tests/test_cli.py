@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import flotilla
+from flotilla import chord as chord_module
 from flotilla import cli as cli_module
-from flotilla import homothety as homothety_module
 from flotilla.cli import (
     BODY_CHECKS,
     CHECKS,
@@ -262,6 +262,20 @@ class TestConfig:
         spec = {"kind": "fourier_radial", "r0": 1, "cos": [0, 0, 0.2]}
         cfg = write_config(tmp_path / "c.json", curveSpec=spec)
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [["run"], ["carousel", "--q", "3"]], ids=["run", "carousel"])
+    def test_dip_between_grid_points_is_bad_input(self, tmp_path, capsys, argv):
+        # r = 1 + eps cos(5s - 0.3) at eps = (1 + 1e-5) / 26 dips to det(g', g'') = -9.6e-6 between
+        # the points of the constructor's grid. Both commands used to run it and exit 1, and run
+        # exited 2 only when cut_length's table happened to sample the dip
+        eps = (1.0 + 1e-5) / 26.0
+        spec = {"kind": "fourier_radial", "r0": 1.0, "cos": [0, 0, 0, 0, eps * math.cos(0.3)],
+                "sin": [0, 0, 0, 0, eps * math.sin(0.3)]}
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec, deltas=[{"fraction": 0.25}], nSamples=256)
+        out = tmp_path / "out"
+        assert main([argv[0], str(cfg), "--out", str(out), *argv[1:]]) == EXIT_CONFIG
+        assert "not strongly convex" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_singular_point_is_bad_input(self, tmp_path, capsys):
         # a zero tangent on the sample grid used to exit 3, as a numerical failure
@@ -864,14 +878,14 @@ class TestSubcommands:
         # one chain of 3 single-lane solves, none after (6 when
         # build_carousel solved the chain again)
         solves = 0
-        solve_t = homothety_module._solve_t
+        solve_t = chord_module._solve_t
 
         def counting(curve, kind, side, delta):
             nonlocal solves
             solves += np.size(side[0]) == 1
             return solve_t(curve, kind, side, delta)
 
-        monkeypatch.setattr(homothety_module, "_solve_t", counting)
+        monkeypatch.setattr(chord_module, "_solve_t", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         out = tmp_path / "car"
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK

@@ -1,5 +1,7 @@
 import ast
+import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flotilla
-from flotilla.chord import FLOTATION, _chords, sweep
+from flotilla.chord import FLOTATION, sweep
 from flotilla.cli import RunConfig, compute_bundle
 from flotilla.curve import (
+    PERIOD,
     AffineFrame,
     AffineImage,
     Ellipse,
@@ -36,6 +39,7 @@ from oracles import (
     affine_arclength,
     affine_curvature,
     affine_normal,
+    chords_at,
     circle_segment_area,
     fourier_radial_derivative,
     random_unimodular_frame,
@@ -106,7 +110,7 @@ class TestOnGrid:
         }[kind]
         orders = (0, 1, 2, 3, 4)
         for n in (64, 512):
-            grid = np.arange(n) * (curve.period / n)
+            grid = np.arange(n) * (PERIOD / n)
             for got, want in zip(curve.on_grid(n, orders), curve.derivatives(grid, orders)):
                 assert np.array_equal(got, want)
 
@@ -119,7 +123,7 @@ class TestOnGrid:
         assert len(curve._interp.modes) == 22
         orders = (0, 1, 2)
         for n in (16, 64, 1024):
-            grid = np.arange(n) * (curve.period / n)
+            grid = np.arange(n) * (PERIOD / n)
             for got, want in zip(curve.on_grid(n, orders), curve.derivatives(grid, orders)):
                 assert got.shape == want.shape == (n, 2)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -189,20 +193,27 @@ class TestAffineArclength:
 
 
 class TestAffineArcTable:
-    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled"])
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled", "cos24"])
     def test_arcs_match_the_direct_quadrature(self, body):
         # L(t) - L(s) against affine_arclength, which never reads the table, on
         # arcs that start and end anywhere, wrap past the period and cover it. The
         # oracle takes det2 of the jets, where a radial body's table integrates
-        # r^2 + 2 r'^2 - r r''
+        # r^2 + 2 r'^2 - r r''. The table's budget bounds its panel sums, not L
+        # inside a half-panel (1.0e-10 relative off on 1 + cos 20u), so 64 more
+        # arcs end at points off the panel ends
         if body == "sampled":
             u = np.arange(64) * (TWO_PI / 64)
             r = 1.0 + 0.02 * np.cos(2 * u) + 0.01 * np.sin(3 * u)
             curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        elif body == "cos24":  # near its convexity bound 1/577
+            curve = FourierRadial(1.0, (0.0,) * 23 + (0.0017,))
         else:
             curve = Ellipse(2.0, 1.0) if body == "ellipse21" else FourierRadial(1.0, (0.0, 0.0, 0.1))
+        ends = (np.arange(65) + 0.5 * (math.sqrt(5.0) - 1.0)) * (TWO_PI / 64)
         arcs = [(0.0, TWO_PI), (0.3, 2.9), (1.1, 1.1 + TWO_PI), (5.0, 8.5), (TWO_PI, 9.0), (-1.0, 0.7)]
-        reference = np.array([affine_arclength(curve, s, t) for s, t in arcs])
+        arcs += list(zip(ends[:-1], ends[1:]))
+        # an absolute 1e-13 lets quad stop at its rounding on the short arcs over bump3's cusps
+        reference = np.array([affine_arclength(curve, s, t, abs_tol=1e-13) for s, t in arcs])
         assert "affine_arc" not in vars(curve)
         s, t = np.array(arcs).T
         table = curve.affine_arc
@@ -239,10 +250,9 @@ class TestAffineArcTable:
         assert "scipy.integrate" in modules and "flotilla.numerics" not in modules
 
     def test_non_convex_arc_raises(self, monkeypatch):
-        # r = 1 + 0.1 cos 4s is past critical convexity; built without the constructor's check
+        # r = 1 + 0.1 cos 4s is past critical convexity; built without the constructor's check,
+        # which is the table's (it trusts the constructor's certificate), the oracle finds its dip
         monkeypatch.setattr(FourierRadial, "_validate", lambda self: None)
-        with pytest.raises(DegenerateCurveError):
-            FourierRadial(1.0, (0.0, 0.0, 0.0, 0.1)).affine_arc
         with pytest.raises(DegenerateCurveError):
             affine_arclength(FourierRadial(1.0, (0.0, 0.0, 0.0, 0.1)), 0.0, TWO_PI)
 
@@ -291,7 +301,8 @@ def circle_chord(theta, frame=None):
     circle = Ellipse(1.0, 1.0)
     curve = circle if frame is None else AffineImage(circle, frame)
     s = np.array([-theta])
-    return _chords(curve, FLOTATION, circle_segment_area(theta), s, np.array([theta]), curve.derivatives(s, (0, 1, 2)))
+    at_s = curve.derivatives(s, (0, 1, 2))
+    return chords_at(curve, FLOTATION, circle_segment_area(theta), s, np.array([theta]), at_s)
 
 
 class TestAffineDistance:
@@ -322,7 +333,7 @@ class TestAffineDistance:
         # a diameter: the end tangents are parallel, so there is no tangent triangle
         s = np.array([0.0])
         at_s = unit_circle.derivatives(s, (0, 1, 2))
-        chords = _chords(unit_circle, FLOTATION, math.pi / 2, s, np.array([math.pi]), at_s)
+        chords = chords_at(unit_circle, FLOTATION, math.pi / 2, s, np.array([math.pi]), at_s)
         assert not chords.apex[0]
         assert np.all(np.isnan(chords.z[0]))
         assert chords.affine_norm_c[0] == math.inf
@@ -375,6 +386,45 @@ class TestValidation:
     def test_nonconvex_fourier_rejected(self):
         with pytest.raises(DegenerateCurveError):
             FourierRadial(1.0, (0.0, 0.0, 0.0, 0.1))
+
+    @settings(deadline=None, max_examples=40)
+    @given(phase=st.floats(0.0, TWO_PI), log_rho=st.floats(-9.0, -2.0))
+    def test_a_dip_between_grid_points_is_rejected(self, phase, log_rho):
+        # r = 1 + eps cos(5s - phase) is convex up to eps = 1/26. Past it, at eps = (1 + rho) / 26,
+        # det(g', g'') = 1 + 27 eps c + 50 eps^2 - 24 eps^2 c^2, c = cos(5s - phase), reads
+        # (1 - eps)(1 - 26 eps) = -(1 - eps) rho at c = -1, between the grid points for most
+        # phases, and min/max det is -(1 - eps) rho / ((1 + eps)(1 + 26 eps)). The sampled grid
+        # used to accept rho up to 1e-5, with min/max det at -4.6e-6
+        rho = 10.0**log_rho
+        eps = (1.0 + rho) / 26.0
+        assert -(1.0 - eps) * rho / ((1.0 + eps) * (1.0 + 26.0 * eps)) < -1e-12
+        with pytest.raises(DegenerateCurveError) as rejected:
+            FourierRadial(1.0, (0.0,) * 4 + (eps * math.cos(phase),), (0.0,) * 4 + (eps * math.sin(phase),))
+        # the minimum the error names is the polished one, not a grid sample's
+        reported = float(re.search(r"\(min (\S+)\)", str(rejected.value)).group(1))
+        assert reported == pytest.approx(-(1.0 - eps) * rho, rel=2e-3)
+
+    @pytest.mark.parametrize(
+        "body", ["bump3", "bump3_small", "ellipse_config", "bump3_config", "run_sampled_seed1", "circle_samples64"]
+    )
+    def test_convex_bodies_are_accepted(self, monkeypatch, body):
+        # bump3 touches det = 0 at three flat points, off the grid at s = pi/3 and 5 pi/3; the
+        # samples of a circle hold det constant to rounding, with no minimum to polish
+        root = Path(__file__).resolve().parent.parent
+        if body in ("bump3", "bump3_small"):
+            FourierRadial(1.0, (0.0, 0.0, 0.1 if body == "bump3" else 0.05))
+        elif body == "circle_samples64":
+            sampled_circle(64)
+        else:
+            if body == "run_sampled_seed1":
+                monkeypatch.syspath_prepend(str(root / "perfbench"))
+                import workloads
+
+                config = json.loads(workloads.sampled_config(1))
+            else:
+                name = "ellipse" if body == "ellipse_config" else "perturbed_circle"
+                config = json.loads((root / "configs" / f"{name}.json").read_text())
+            curve_from_json(config["curveSpec"])
 
     def test_clockwise_samples_rejected(self):
         s = np.arange(64) * (TWO_PI / 64)

@@ -1,10 +1,17 @@
-"""Every module-level function and class in src/flotilla and scripts/ has a caller, and every knob a setter.
+"""Every function, class, method and property in src/flotilla and scripts/ has a caller, and every knob a setter.
 
-A definition counts as used when code in the package or a script refers to
-it outside the definition's own body: by name in its module, through an
-import, or as an attribute of an imported module. Imports alone (such as the
-re-exports in ``__init__``) and the tests do not count. The definitions that
-stay without a caller are listed in KEPT, each with the reason.
+A module-level definition counts as used when code in the package or a
+script refers to it outside the definition's own body: by name in its
+module, through an import, or as an attribute of an imported module. A
+method or property of a module-level class counts as used when code there
+reads an attribute of its name outside its own body. Imports alone (such as
+the re-exports in ``__init__``) and the tests do not count. The definitions
+that stay without a caller are listed in KEPT, each with the reason.
+
+A private name (one underscore) of a flotilla module that another module of
+the package or a script reads, through ``from .m import _x`` or as ``m._x``,
+couples the two modules' internals. Each such read is listed in
+CROSS_MODULE_PRIVATES, with the reason it is not public.
 
 A knob is a parameter. The calls in the package and the scripts, matched by
 the called name (a constructor by its class name), pass it by keyword or by
@@ -25,8 +32,21 @@ SCRIPTS = ROOT / "scripts"
 
 KEPT = {
     "curve.AffineFrame": "the frame of AffineImage, which the affine-invariance tests build",
+    "curve.AffineFrame.apply": "maps points by the frame, as the affine-invariance tests map a body's derived points",
     "curve.AffineImage": "the exact affine image of a body; the affine-invariance tests are built on it",
+    "homothety.HomothetyFit.is_translation": "says which of fit_homothety's two modes holds, where the ratio is 1",
     "homothety.fit_homothety": "the homothety between the flotation and buoyancy points, of the library tour and the acceptance criteria",
+}
+
+# "reader: module._name" -> why the reader takes the other module's private name
+CROSS_MODULE_PRIVATES = {
+    "cli: curve._affine_normal": "affine_sphere takes the affine normals of the jets it has already evaluated",
+    "cli: floatgeom._omega_residual": "omega reads the buoyancy points its bundle holds, which the public form rebuilds",
+    "cli: homothety._diameter": "affine_sphere scales its rms distance by the hull diameter of homothety's fits",
+    "homothety: chord._apex": "a carousel's tangent triangles are the apexes of its chords' end tangents",
+    "homothety: chord._pair": "radon's symmetry test evaluates s and s + PERIOD / 2 as the two ends of chords",
+    "illumgeom: floatgeom._require_kind": "the illumination transforms reject the other kind of sweep as the flotation ones do",
+    "scripts.limit_convergence: homothety._check_symmetric": "the polar intersection body is defined for bodies symmetric about their centroid, as radon is",
 }
 
 KEPT_KNOBS = {
@@ -85,8 +105,12 @@ def _resolve(node, imports, module, defined):
     return None
 
 
+def _trees():
+    return {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
+
+
 def definitions_and_references():
-    trees = {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
+    trees = _trees()
     package_imports = _imports(trees["flotilla.__init__"], {})
     defined = {
         (module, stmt.name)
@@ -111,18 +135,103 @@ def _key(module, name):
     return f"{module.removeprefix('flotilla.')}.{name}"
 
 
+def methods_and_readers(trees=None):
+    """Key -> whether code reads it, for every method and property (dunders aside) of a module-level class.
+
+    A read is an attribute load of the method's name anywhere in the trees,
+    outside the method's own body.
+    """
+    trees = trees or _trees()
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    methods = {}
+    for module, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("__"):
+                    own = {id(node) for node in ast.walk(method)}
+                    read = any(id(node) not in own for node in reads.get(method.name, []))
+                    key = _key(module, f"{cls.name}.{method.name}")
+                    methods[key] = methods.get(key, False) or read
+    return methods
+
+
+def cross_module_privates(trees=None):
+    """Every "reader: module._name" where a module reads another flotilla module's private name."""
+    trees = trees or _trees()
+    package_imports = _imports(trees["flotilla.__init__"], {})
+    found = set()
+    for module, tree in trees.items():
+        imports = _imports(tree, package_imports)
+        targets = [target for target in imports.values() if target[0] == "symbol"]
+        attributes = (node for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        targets += [_resolve(node, imports, module, set()) for node in attributes]
+        for target in targets:
+            if target and target[0] == "symbol" and target[1] != module:
+                name = target[2]
+                if name.startswith("_") and not name.startswith("__"):
+                    found.add(f"{module.removeprefix('flotilla.')}: {_key(*target[1:])}")
+    return found
+
+
 def test_every_definition_has_a_caller():
     defined, referenced = definitions_and_references()
     unused = sorted(_key(*d) for d in defined if d not in referenced and _key(*d) not in KEPT)
+    unused += sorted(key for key, read in methods_and_readers().items() if not read and key not in KEPT)
     assert unused == [], "defined in src/flotilla or scripts/ but never referenced there; delete them or add to KEPT"
 
 
 def test_kept_entries_are_current():
     # an entry that gains a caller, or whose definition is gone, leaves the list
     defined, referenced = definitions_and_references()
-    keys = {_key(*d): d for d in defined}
+    keys = {_key(*d): d in referenced for d in defined}
+    keys.update(methods_and_readers())
     assert sorted(k for k in KEPT if k not in keys) == []
-    assert sorted(k for k in KEPT if keys[k] in referenced) == []
+    assert sorted(k for k in KEPT if keys[k]) == []
+
+
+def test_method_rule_counts_reads_outside_the_method():
+    tree = ast.parse(textwrap.dedent("""
+        class Fit:
+            def ratio(self):
+                return self.ratio()
+
+            @property
+            def center(self):
+                return 0.0
+
+            def spread(self):
+                return self.center
+
+            def __len__(self):
+                return 1
+    """))
+    # ratio reads only itself, and spread has no reader; a dunder is read by syntax
+    assert methods_and_readers({"flotilla.demo": tree}) == {
+        "demo.Fit.ratio": False, "demo.Fit.center": True, "demo.Fit.spread": False,
+    }
+
+
+def test_every_cross_module_private_is_listed():
+    found = cross_module_privates()
+    assert sorted(found - set(CROSS_MODULE_PRIVATES)) == [], (
+        "a module reads another flotilla module's private name; make it public or add it to CROSS_MODULE_PRIVATES"
+    )
+    # an entry whose read is gone leaves the table
+    assert sorted(set(CROSS_MODULE_PRIVATES) - found) == []
+
+
+def test_cross_module_rule_finds_both_forms():
+    trees = {
+        "flotilla.__init__": ast.parse(""),
+        "flotilla.solve": ast.parse("def _step():\n    pass\n"),
+        "flotilla.fit": ast.parse("from .solve import _step\n\ndef run():\n    return _step()\n"),
+        "scripts.scan": ast.parse("import flotilla.solve as solve\n\nsolve._step()\nsolve.__file__\n"),
+    }
+    assert cross_module_privates(trees) == {"fit: solve._step", "scripts.scan: solve._step"}
 
 
 def _knobs(trees):
@@ -197,7 +306,7 @@ def _one_value(passed, default):
 
 def one_value_knobs(trees=None):
     """Every knob, and the knobs with one value in use, in the given module trees or those of the sources."""
-    trees = trees or {module: ast.parse(path.read_text(), str(path)) for module, path in _sources()}
+    trees = trees or _trees()
     calls = _calls_by_name(trees)
     knobs = _knobs(trees)
     fixed = {

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import FLOTATION, _chords, sweep
+from flotilla.chord import FLOTATION, sweep
 from flotilla.curve import (
     AffineFrame,
     AffineImage,
@@ -28,6 +28,7 @@ from oracles import (
     affine_normal,
     buoyancy_affine_normal,
     buoyancy_affine_normal_check,
+    chords_at,
     circle_buoyancy_kappa,
     circle_flotation_kappa,
     circle_segment_area,
@@ -212,7 +213,7 @@ class TestOmegaIdentity:
         assert omega_identity_residual(chords) < 1e-12
         s = chords.s
         at_s = curve.derivatives(s, (0, 1, 2))
-        shifted = _chords(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
+        shifted = chords_at(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
         assert omega_identity_residual(shifted) > 1e-6  # the check's threshold
 
 
@@ -311,7 +312,7 @@ class TestAffineNormalClosedForm:
         chords = sweep(curve, FLOTATION, 0.8, 256)
         s = chords.s
         at_s = curve.derivatives(s, (0, 1, 2))
-        shifted = _chords(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
+        shifted = chords_at(curve, FLOTATION, chords.delta, s, chords.t + 1e-2 * np.sin(3.0 * s), at_s)
         for corrupted in (shifted, chords.replace(delta=1.3 * chords.delta)):
             angle, mag = buoyancy_affine_normal_check(corrupted)
             assert np.all(angle < 1e-14) and np.all(mag < 1e-14)

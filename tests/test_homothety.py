@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import flotilla.homothety as homothety_module
 from flotilla.cli import CHECKS, compute_bundle
-from flotilla.chord import FLOTATION, ILLUMINATION, sweep
+from flotilla.chord import FLOTATION, ILLUMINATION, chains, sweep
 from flotilla.curve import (
+    PERIOD,
     AffineFrame,
     AffineImage,
     Ellipse,
@@ -458,8 +459,8 @@ class TestRadon:
         seen = []
         ellipse = Recording(2.0, 1.0)
         assert radon_check(ellipse, 64) < 1e-9
-        s = np.arange(64) * (ellipse.period / 64)
-        lo, hi = s + 1e-12, s + ellipse.period / 2.0 - 1e-12
+        s = np.arange(64) * (PERIOD / 64)
+        lo, hi = s + 1e-12, s + PERIOD / 2.0 - 1e-12
         assert len(seen) == 2
         np.testing.assert_array_equal(seen[1], 0.5 * (lo + hi))
         d1 = ellipse.derivative(s, 1)
@@ -509,7 +510,7 @@ class TestCarousel:
         # gamma and gamma' at each vertex after the start come from the last
         # Newton round of the chord solve that ends there: bit for bit the curve there
         curve = request.getfixturevalue(body)
-        ts, (points, tangents), _ = homothety_module._chains(curve, 3, 0.3 * area(curve), 32, 0.1)
+        ts, (points, tangents), _ = chains(curve, 3, 0.3 * area(curve), 32, 0.1)
         x, d = curve.derivatives(ts, (0, 1))
         np.testing.assert_array_equal(points, x)
         np.testing.assert_array_equal(tangents, d)
@@ -528,13 +529,11 @@ class TestCarousel:
     def _count_chains(monkeypatch):
         """(delta, number of starts) of every chain build_carousel makes."""
         calls = []
-        chains = homothety_module._chains
-
         def counting(curve, q, delta, n, s0):
             calls.append((delta, n))
             return chains(curve, q, delta, n, s0)
 
-        monkeypatch.setattr(homothety_module, "_chains", counting)
+        monkeypatch.setattr(homothety_module, "chains", counting)
         return calls
 
     @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
@@ -655,7 +654,7 @@ class TestCarousel:
         car = build_carousel(curve, p, q, s0=0.7)
         theta = TWO_PI * p / q
         assert car.delta == pytest.approx(area(curve) * (theta - math.sin(theta)) / TWO_PI, rel=1e-12)
-        assert car.closure_defect_max <= 1e-8 * curve.period
+        assert car.closure_defect_max <= 1e-8 * PERIOD
         assert (car.lambda_report is not None) == (q == 3)
 
     def test_two_chairs_close_at_half_the_area_from_every_start(self, bump3):

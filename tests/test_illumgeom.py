@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from flotilla.chord import ILLUMINATION, _chords, sweep
+from flotilla.chord import ILLUMINATION, sweep
 from flotilla.curve import AffineImage, det2, norm2
 from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
 from oracles import (
+    chords_at,
     circle_cone_area,
     circle_cone_centroid_distance,
     circle_illumination_centroid_kappa,
@@ -128,14 +129,14 @@ class TestPolarity:
     def test_pole_of_symmetric_circle_chord(self, unit_circle):
         s = np.array([-THETA])
         at_s = unit_circle.derivatives(s, (0, 1, 2))
-        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([THETA]), at_s)
+        chords = chords_at(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([THETA]), at_s)
         assert np.allclose(chords.z[0], [1.0 / math.cos(THETA), 0.0], atol=1e-12)
         assert chords.apex[0]
 
     def test_diametral_chord_pole_at_infinity(self, unit_circle):
         s = np.array([0.0])
         at_s = unit_circle.derivatives(s, (0, 1, 2))
-        chords = _chords(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([math.pi]), at_s)
+        chords = chords_at(unit_circle, ILLUMINATION, DELTA_HAT, s, np.array([math.pi]), at_s)
         assert not chords.apex[0]
         assert np.all(np.isnan(chords.z[0]))
         # both end tangents are vertical

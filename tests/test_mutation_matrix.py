@@ -24,8 +24,10 @@ import pytest
 
 from flotilla import chord, floatgeom
 from flotilla.cli import CHECKS, FAIL, PASS, SKIPPED, compute_bundle
-from flotilla.curve import Ellipse, FourierRadial
+from flotilla.curve import PERIOD, Ellipse, FourierRadial
 from flotilla.homothety import build_carousel
+
+from oracles import chords_at
 
 N = 128
 ELLIPSE = Ellipse(2.0, 1.0)
@@ -45,7 +47,7 @@ def shifted(curve, bundle):
     """
     s, old = bundle.chords.s, bundle.chords
     t = old.t + 1e-2 * np.sin(3.0 * s)
-    moved = chord._chords(curve, chord.FLOTATION, old.delta, s, t, curve.derivatives(s, (0, 1, 2)))
+    moved = chords_at(curve, chord.FLOTATION, old.delta, s, t, curve.derivatives(s, (0, 1, 2)))
     out = copy.copy(bundle)
     out.chords, out.flotation, out.buoyancy = moved, floatgeom.flotation_point(moved), floatgeom.buoyancy_point(moved)
     return curve, out
@@ -88,7 +90,7 @@ ROWS = {
 
 def verdict(name, given):
     if name == "carousel":  # as `flotilla carousel` judges it: closed from every start to 1e-8 period
-        closed = build_carousel(ELLIPSE, 1, 3, delta=given).closure_defect_max <= 1e-8 * ELLIPSE.period
+        closed = build_carousel(ELLIPSE, 1, 3, delta=given).closure_defect_max <= 1e-8 * PERIOD
         return PASS if closed else FAIL
     return CHECKS[name](*given)["status"]
 

@@ -7,6 +7,7 @@ from flotilla.errors import AccuracyError, SolverError
 from flotilla import numerics
 from flotilla.numerics import (
     MAX_NODES_PER_CALL,
+    PERIOD,
     TABLE_FIRST_PANELS,
     TABLE_SPLIT,
     PeriodicAntiderivative,
@@ -30,10 +31,10 @@ def test_periodic_antiderivative_is_exact_on_polynomials():
         calls += 1
         return u**7 - 10.0 * u**4 + 1.0
 
-    table = PeriodicAntiderivative(f, 2.0)
-    u = np.linspace(0.0, 2.0, 1001)
+    table = PeriodicAntiderivative(f)
+    u = np.linspace(0.0, PERIOD, 1001)
     assert (table.rounds, calls) == (1, 1)
-    assert table.total == pytest.approx(primitive(2.0), rel=1e-14)
+    assert table.total == pytest.approx(primitive(PERIOD), rel=1e-14)
     assert np.max(np.abs(table(u) - primitive(u))) <= 1e-14 * np.max(np.abs(primitive(u)))
 
 
@@ -45,7 +46,7 @@ def test_periodic_antiderivative_smooth_integrand_takes_one_round():
         sizes.append(u.size)
         return 1.0 + 0.5 * np.cos(3.0 * u)
 
-    table = PeriodicAntiderivative(f, 2.0 * math.pi)
+    table = PeriodicAntiderivative(f)
     assert (table.rounds, sizes) == (1, [TABLE_FIRST_PANELS * 3 * 8])
     u = np.linspace(-1.0, 8.0, 1001)
     assert np.max(np.abs(table(u) - (u + np.sin(3.0 * u) / 6.0))) <= 1e-14 * table.total
@@ -60,7 +61,7 @@ def test_periodic_antiderivative_node_blocks():
         sizes.append(u.size)
         return 1.0 + np.cos(40.0 * u)
 
-    table = PeriodicAntiderivative(f, 2.0 * math.pi)
+    table = PeriodicAntiderivative(f)
     u = np.linspace(0.0, 2.0 * math.pi, 1001)
     assert np.max(np.abs(table(u) - (u + np.sin(40.0 * u) / 40.0))) <= 1e-14 * table.total
     assert sizes == [TABLE_FIRST_PANELS * 3 * 8] + [MAX_NODES_PER_CALL] * 3
@@ -73,7 +74,7 @@ def test_periodic_antiderivative_across_a_cusp():
     def primitive(u):
         return 0.75 * (np.sign(u - 1.0) * np.abs(u - 1.0) ** (4.0 / 3.0) + 1.0)
 
-    table = PeriodicAntiderivative(lambda u: np.abs(u - 1.0) ** (1.0 / 3.0), 2.0 * math.pi)
+    table = PeriodicAntiderivative(lambda u: np.abs(u - 1.0) ** (1.0 / 3.0))
     assert table.total == pytest.approx(primitive(2.0 * math.pi), rel=1e-12)
     u = np.linspace(0.0, 2.0 * math.pi, 1001)
     assert np.max(np.abs(table(u) - primitive(u))) <= 1e-12 * table.total
@@ -84,14 +85,14 @@ def test_periodic_antiderivative_across_a_cusp():
 def test_periodic_antiderivative_divergent_integrand_raises():
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(AccuracyError):
-            PeriodicAntiderivative(lambda x: 1.0 / (x - 1.0) ** 2, 2.0 * math.pi)
+            PeriodicAntiderivative(lambda x: 1.0 / (x - 1.0) ** 2)
 
 
 def test_spectral_derivative_matches_analytic():
     n = 128
     s = np.arange(n) * (2 * np.pi / n)
     vals = np.sin(3 * s) + 0.5 * np.cos(5 * s)
-    d = TrigInterpolant(vals, 2 * np.pi)(s, 1)
+    d = TrigInterpolant(vals)(s, 1)
     expected = 3 * np.cos(3 * s) - 2.5 * np.sin(5 * s)
     assert np.max(np.abs(d - expected)) < 1e-11
 
@@ -100,7 +101,7 @@ def test_trig_interpolant_reproduces_samples_and_derivatives():
     n = 64
     s = np.arange(n) * (2 * np.pi / n)
     samples = np.cos(2 * s)
-    interp = TrigInterpolant(samples, 2 * np.pi)
+    interp = TrigInterpolant(samples)
     probe = np.array([0.1, 1.7, 4.4])
     assert np.max(np.abs(interp(probe) - np.cos(2 * probe))) < 1e-12
     assert np.max(np.abs(interp(probe, order=1) + 2 * np.sin(2 * probe))) < 1e-11
@@ -111,7 +112,7 @@ def test_trig_interpolant_antiderivative_matches_analytic():
     n = 32
     s = np.arange(n) * (2 * np.pi / n)
     samples = np.stack([1.0 + np.cos(2 * s) + 0.5 * np.sin(3 * s), np.sin(s)], axis=-1)
-    interp = TrigInterpolant(samples, 2 * np.pi)
+    interp = TrigInterpolant(samples)
     probe = np.array([0.0, 0.7, 2.9, 6.0, 9.5])
     exact = np.stack(
         [probe + 0.5 * np.sin(2 * probe) - np.cos(3 * probe) / 6.0, -np.cos(probe)], axis=-1
@@ -123,7 +124,7 @@ def test_trig_interpolant_antiderivative_matches_analytic():
 def test_trig_interpolant_drops_rounding_level_modes():
     n = 256
     s = np.arange(n) * (2 * np.pi / n)
-    interp = TrigInterpolant(np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1), 2 * np.pi)
+    interp = TrigInterpolant(np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1))
     assert len(interp.modes) == 3
     assert np.max(np.abs(interp(s) - np.stack([np.cos(2 * s), 3.0 + np.sin(s)], axis=-1))) < 1e-14
 
@@ -131,8 +132,8 @@ def test_trig_interpolant_drops_rounding_level_modes():
 def test_trig_interpolant_from_its_coefficients_is_the_same_series():
     n = 64
     s = np.arange(n) * (2 * np.pi / n)
-    interp = TrigInterpolant(np.stack([np.cos(3 * s) + 0.5 * np.sin(s), np.exp(np.sin(s))], axis=-1), 2 * np.pi)
-    again = TrigInterpolant.from_coefficients(interp.coeffs, 2 * np.pi)
+    interp = TrigInterpolant(np.stack([np.cos(3 * s) + 0.5 * np.sin(s), np.exp(np.sin(s))], axis=-1))
+    again = TrigInterpolant.from_coefficients(interp.coeffs)
     probe = np.linspace(-1.0, 8.0, 37)
     for got, want in zip(again.derivatives(probe, (-1, 0, 1, 2)), interp.derivatives(probe, (-1, 0, 1, 2))):
         assert np.array_equal(got, want)
@@ -141,20 +142,19 @@ def test_trig_interpolant_from_its_coefficients_is_the_same_series():
 @pytest.mark.parametrize("shape", [(), (2,)], ids=["scalar", "vector"])
 @pytest.mark.parametrize("n", [32, 33])
 def test_on_grid_matches_derivatives_on_the_grid(n, shape):
-    # one inverse FFT against the table at s_j = j period / n, relative to sum_k |f_k c_k|, for
+    # one inverse FFT against the table at s_j = j PERIOD / n, relative to sum_k |f_k c_k|, for
     # series from the DC term alone to one that fills the grid (at even n, up to a real Nyquist mode)
     rng = np.random.default_rng(n)
-    period = 2.0 * math.pi
-    grid = np.arange(n) * (period / n)
+    grid = np.arange(n) * (PERIOD / n)
     orders = (0, 1, 2, 3, 4)
     for m in (1, 2, n // 2, n // 2 + 1):
         coeffs = rng.standard_normal((m,) + shape) + 1j * rng.standard_normal((m,) + shape)
         coeffs[0] = coeffs[0].real
         if 2 * (m - 1) == n:
             coeffs[-1] = coeffs[-1].real
-        interp = TrigInterpolant.from_coefficients(coeffs, period)
+        interp = TrigInterpolant.from_coefficients(coeffs)
         for order, got, want in zip(orders, interp.on_grid(n, orders), interp.derivatives(grid, orders)):
-            scale = (interp.omega * np.arange(m)) ** order @ np.abs(coeffs)
+            scale = np.arange(m) ** order @ np.abs(coeffs)
             assert got.shape == want.shape == (n,) + shape
             assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, order)
 
@@ -163,16 +163,16 @@ def test_on_grid_matches_derivatives_on_the_grid(n, shape):
 def test_on_grid_too_coarse_for_the_series_evaluates_a_finer_one(n):
     # modes 0..9 fit a grid of 18 points (9 is its Nyquist mode), not one of 17, where 9 would alias
     # to -8: that series, and ones of up to 3n + 1 modes, are evaluated on the k-times-finer grid
-    # that holds them and every k-th point kept, to the table at s_j = j period / n
+    # that holds them and every k-th point kept, to the table at s_j = j PERIOD / n
     rng = np.random.default_rng(n)
-    grid = np.arange(n) * (2.0 * math.pi / n)
+    grid = np.arange(n) * (PERIOD / n)
     orders = (0, 1, 2)
     for m in (10, n // 2 + 2, n, 2 * n, 3 * n + 1):
         coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         coeffs[0] = coeffs[0].real
-        interp = TrigInterpolant.from_coefficients(coeffs, 2.0 * math.pi)
+        interp = TrigInterpolant.from_coefficients(coeffs)
         for order, got, want in zip(orders, interp.on_grid(n, orders), interp.derivatives(grid, orders)):
-            scale = (interp.omega * np.arange(m)) ** order @ np.abs(coeffs)
+            scale = np.arange(m) ** order @ np.abs(coeffs)
             assert got.shape == want.shape == (n,)
             assert np.all(np.abs(got - want) <= 1e-13 * scale), (m, order)
 
@@ -189,18 +189,17 @@ def test_gauss_rule_equals_leggauss():
     ids=["129-modes", "17-modes-one-exp", "17-modes-product"],
 )
 def test_trig_table_matches_exp_of_outer_product(n_samples, n_points):
-    # the table e^(ik omega s) is one exp and a cumulative product (or, up to
+    # the table e^(iks) is one exp and a cumulative product (or, up to
     # _SMALL_TABLE entries, one exp of the outer product); both must match
     # the old per-entry exp to its own argument-rounding level, about
-    # 2.7e-13 at |k omega s| = 2400, relative to sum_k |f_k c_k|
+    # 2.7e-13 at |k s| = 2400, relative to sum_k |f_k c_k|
     rng = np.random.default_rng(81)
-    period = 2.0 * math.pi
-    interp = TrigInterpolant(rng.standard_normal((n_samples, 2)), period)
+    interp = TrigInterpolant(rng.standard_normal((n_samples, 2)))
     modes = len(interp.modes)
     assert modes == n_samples // 2 + 1
-    s = np.linspace(-2.0 * period, 3.0 * period, n_points)
+    s = np.linspace(-2.0 * PERIOD, 3.0 * PERIOD, n_points)
     assert (n_points * modes <= numerics._SMALL_TABLE) == (n_points == 3)
-    wave = interp.omega * np.arange(modes)
+    wave = np.arange(modes)
     for order in range(-1, 5):
         factor = np.concatenate([[0.0], 1.0 / wave[1:]]) if order == -1 else wave**order
         scale = factor @ np.abs(interp.coeffs)
@@ -209,8 +208,8 @@ def test_trig_table_matches_exp_of_outer_product(n_samples, n_points):
 
 
 def test_bracketed_newton_finds_root():
-    root = bracketed_newton(lambda x: (x**2 - 2.0, 2 * x), 0.0, 2.0, 1.9, f_tol=1e-14)
-    assert abs(root - math.sqrt(2)) < 1e-12
+    root = bracketed_newton(lambda x: (x**2 - 2.0, 2 * x), 0.0, 2.0, [1.9], f_tol=1e-14)
+    assert root.shape == (1,) and abs(root[0] - math.sqrt(2)) < 1e-12
 
 
 def test_bracketed_newton_accepts_converged_step_at_bracket_end():
@@ -222,16 +221,16 @@ def test_bracketed_newton_accepts_converged_step_at_bracket_end():
     def fdf(x):
         nonlocal calls
         calls += 1
-        return -math.sin(x), -math.cos(x)
+        return -np.sin(x), -np.cos(x)
 
-    root = bracketed_newton(fdf, 0.1, 6.1, math.pi, f_tol=0.0)
-    assert root == pytest.approx(math.pi, abs=1e-15)
+    root = bracketed_newton(fdf, 0.1, 6.1, [math.pi], f_tol=0.0)
+    assert root[0] == pytest.approx(math.pi, abs=1e-15)
     assert calls <= 4
 
 
 def test_bracketed_newton_requires_sign_change():
     with pytest.raises(SolverError):
-        bracketed_newton(lambda x: (x**2 + 1, 2 * x), -1.0, 1.0, 0.5, f_tol=1e-12)
+        bracketed_newton(lambda x: (x**2 + 1, 2 * x), -1.0, 1.0, [0.5], f_tol=1e-12)
 
 
 def test_bracketed_newton_solves_independent_lanes():
@@ -294,10 +293,10 @@ def test_bracketed_newton_missed_start_is_the_first_round():
     seen = []
 
     def fdf(x):
-        seen.append(x)
+        seen.append(float(x[0]))
         return x * x - 2.0, 2.0 * x
 
-    root = bracketed_newton(fdf, 0.0, 2.0, 1.9, f_tol=1e-14)
+    root = bracketed_newton(fdf, 0.0, 2.0, [1.9], f_tol=1e-14)
     steps = []
     x = 1.9
     while abs(x * x - 2.0) > 1e-14:
@@ -307,14 +306,14 @@ def test_bracketed_newton_missed_start_is_the_first_round():
         x = x_new
         steps.append(x)
     assert seen == [1.9, *steps]
-    assert root == x and len(steps) >= 3
+    assert root[0] == x and len(steps) >= 3
 
 
 def test_bracketed_newton_rejects_a_falling_residual():
     # 1 - x has its root at 1 in [0, 2] but falls through it: the start's f > 0 makes
     # it the high end, so the iterates bisect down to 0, where f(0) > 0 gives it away
     with pytest.raises(SolverError, match=r"no sign change on bracket \[0\.0, 2\.0\]"):
-        bracketed_newton(lambda x: (1.0 - x, -1.0), 0.0, 2.0, 0.5, f_tol=1e-14)
+        bracketed_newton(lambda x: (1.0 - x, -1.0), 0.0, 2.0, [0.5], f_tol=1e-14)
     # in lanes too, beside a lane that rises
     with pytest.raises(SolverError, match=r"\[0\.0, 2\.0\]"):
         bracketed_newton(lambda x: (np.array([x[0] - 1.0, 1.0 - x[1]]), np.array([1.0, -1.0])),
@@ -339,15 +338,3 @@ def test_bracketed_newton_lane_without_a_root_bisects_to_its_end_then_raises():
     np.testing.assert_array_equal(seen[-1], hi)
     assert 1.0 - seen[-3][1] <= 1e-14
 
-
-def test_bracketed_newton_scalar_lane_passes_floats():
-    # a 0-d start is one lane: fdf sees plain floats, the result is a float
-    seen = []
-
-    def fdf(x):
-        seen.append(type(x))
-        return x**3 - 8.0, 3 * x**2
-
-    root = bracketed_newton(fdf, 0.0, 5.0, np.float64(1.0), f_tol=1e-13)
-    assert isinstance(root, float) and abs(root - 2.0) < 1e-14
-    assert set(seen) == {float}
