@@ -40,7 +40,7 @@ def main():
         delta_hat, lam_hat = duality_parameters(args.delta, lam)
         print(f"dual cone area        : {delta_hat:.12f}")
         print(f"dual ratio            : {lam_hat:.12f}")
-    omega = omega_identity_residual(bundle.chords)
+    omega = omega_identity_residual(bundle.chords, bundle.buoyancy.points)
     print(f"area-deficit identity : residual {omega:.3e}")
     print(f"wrote {out/'curves.csv'} and {out/'figure.svg'}")
 

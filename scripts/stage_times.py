@@ -2,9 +2,10 @@
 """Print the median in-process wall time of each stage of `flotilla run CONFIG`, over --repeat K runs.
 
 Each run's stages are the `stage_seconds` of its report.json. `config` times cli.load_config, and `rest`
-is what the cmd_run call spends outside every stage. `compile` times compiling every module of the package
-from source, which a fresh process pays before any stage when no bytecode is cached (as under
-PYTHONDONTWRITEBYTECODE=1); it is not part of `total`. Beside each `compute_bundle[i]` stands the
+is what the cmd_run call spends outside every stage. `compile` times `import flotilla, flotilla.cli` in a
+fresh interpreter, after numpy, from a copy of the package's source with no cached bytecode: what a fresh
+process pays before any stage when no bytecode is cached (as under PYTHONDONTWRITEBYTECODE=1), compiling
+included; it is not part of `total`. Beside each `compute_bundle[i]` stands the
 `residual_calls` of its sweeps, the residual evaluations of their chord solves, which every run repeats.
 """
 
@@ -12,21 +13,35 @@ import argparse
 import contextlib
 import io
 import json
+import shutil
 import statistics
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 from flotilla import cli
 
+# run with -B, so it writes no bytecode either; argv[1] is the directory that holds the package copy
+IMPORT_CHILD = """
+import sys
+from time import perf_counter
+import numpy
+sys.path.insert(0, sys.argv[1])
+start = perf_counter()
+import flotilla, flotilla.cli
+print(perf_counter() - start)
+"""
+
 
 def compile_seconds():
-    """Wall time of compiling every module of the imported package from its source."""
-    sources = [(path.read_bytes(), str(path)) for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
-    start = perf_counter()
-    for source, name in sources:
-        compile(source, name, "exec", dont_inherit=True)
-    return perf_counter() - start
+    """Wall time of importing the package and its CLI after numpy, in a fresh interpreter that finds no bytecode."""
+    with tempfile.TemporaryDirectory() as tmp:
+        package = Path(cli.__file__).parent
+        shutil.copytree(package, Path(tmp) / "flotilla", ignore=shutil.ignore_patterns("__pycache__"))
+        child = subprocess.run([sys.executable, "-B", "-c", IMPORT_CHILD, tmp], capture_output=True, text=True, check=True)
+    return float(child.stdout)
 
 
 def stage_times(config_path, out_dir):

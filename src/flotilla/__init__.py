@@ -16,19 +16,18 @@ from .floatgeom import (
     buoyancy_point,
     flotation_body_area,
     flotation_point,
+    illumination_centroid_point,
+    illumination_point,
     kappa_prime_buoyancy,
     kappa_prime_flotation,
     omega_identity_residual,
-)
-from .illumgeom import (
-    illumination_centroid_point,
-    illumination_point,
 )
 from .homothety import (
     Carousel,
     ConstancyReport,
     HomothetyFit,
     affine_cut_length_report,
+    affine_sphere_residual,
     build_carousel,
     chord_cube_report,
     duality_parameters,

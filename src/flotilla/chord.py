@@ -29,6 +29,10 @@ ILLUMINATION = "illumination"
 PARALLEL_TOL = 1e-10
 # a cap's chord (s, t) is solved for t in (s + m, s + PERIOD - m), with m = CAP_MARGIN PERIOD
 CAP_MARGIN = 1e-12
+# a run's cut-off areas, and the carousels' closing ones, lie in [MIN_CUT_FRACTION, 1 - MIN_CUT_FRACTION] times
+# the body area: nearer 0 or the whole body the identities' rounding floor grows like f^(-2/3), and on the 2:1
+# ellipse it passes the endpoint_balance and omega thresholds by f = 1e-12
+MIN_CUT_FRACTION = 1e-9
 
 
 # the fields of Chords with one entry per lane

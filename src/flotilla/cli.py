@@ -13,16 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chord, floatgeom, homothety, illumgeom
-from .curve import (
-    PERIOD,
-    SPEC_KEYS,
-    _affine_normal,
-    area,
-    curve_from_json,
-    det2,
-    is_number,
-)
+from . import chord, floatgeom, homothety
+from .curve import PERIOD, SPEC_KEYS, area, curve_from_json, is_number
 from .errors import DomainError, FlotillaError
 from .svg import export_svg
 
@@ -147,12 +139,20 @@ def curve_label(spec):
 
 
 def resolve_deltas(raw_deltas, total_area):
-    """The cut-off areas of delta entries that load_config has read: a number, or {"fraction": f} of the area."""
+    """The cut-off areas of delta entries that load_config has read: a number, or {"fraction": f} of the area.
+
+    An area nearer 0 or the whole body than chord.MIN_CUT_FRACTION of it is an error.
+    """
+    floor = chord.MIN_CUT_FRACTION
+    lo, hi = floor * total_area, (1.0 - floor) * total_area
     out = []
     for d in raw_deltas:
         value = d["fraction"] * total_area if isinstance(d, dict) else float(d)
-        if not 0.0 < value < total_area:
-            raise ConfigError(f"delta {value} outside (0, area={total_area})")
+        if not lo <= value <= hi:
+            raise ConfigError(
+                f"delta {value} outside [{floor:g}, 1 - {floor:g}] x area = [{lo}, {hi}]: "
+                "nearer 0 or the whole area, the rounding floor of the identities passes their thresholds"
+            )
         out.append(value)
     if not out:
         raise ConfigError("no deltas given")
@@ -213,8 +213,8 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
         delta_hat, _ = homothety.duality_parameters(delta, lam)
     if delta_hat is not None:
         bundle.illum_chords = chord.sweep(curve, chord.ILLUMINATION, delta_hat, n_samples)
-        bundle.illumination = illumgeom.illumination_point(bundle.illum_chords)
-        bundle.illum_centroid = illumgeom.illumination_centroid_point(bundle.illum_chords)
+        bundle.illumination = floatgeom.illumination_point(bundle.illum_chords)
+        bundle.illum_centroid = floatgeom.illumination_centroid_point(bundle.illum_chords)
     return bundle
 
 
@@ -251,7 +251,7 @@ def _check_endpoint_balance(curve, bundle):
 
 
 def _check_omega(curve, bundle):
-    res = floatgeom._omega_residual(bundle.chords, bundle.buoyancy.points)
+    res = floatgeom.omega_identity_residual(bundle.chords, bundle.buoyancy.points)
     return _measured("omega_identity_rel_residual", res, 1e-6)
 
 
@@ -317,13 +317,7 @@ def _check_radon(curve, bundle):
 
 
 def _check_affine_sphere(curve, bundle):
-    n = 128
-    grid = (np.arange(n) + 0.5) * (PERIOD / n)
-    pts, d1, d2, d3 = curve.derivatives(grid, (0, 1, 2, 3))
-    # a flat point of the body (det(g', g'') = 0 up to rounding) has no affine normal line
-    live = det2(d1, d2) > 0.0
-    fit = homothety.proper_affine_sphere_residual(pts[live], _affine_normal(d1[live], d2[live], d3[live]))
-    return _measured("affine_normal_concurrency_rms_over_diameter", fit.rms_distance / homothety._diameter(pts), 1e-8)
+    return _measured("affine_normal_concurrency_rms_over_diameter", homothety.affine_sphere_residual(curve), 1e-8)
 
 
 CHECKS = {

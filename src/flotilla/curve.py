@@ -322,12 +322,7 @@ def curvature(d1, d2):
     return det2(d1, d2) / speed**3
 
 
-def area(curve):
-    """Enclosed area (1/2) * integral of det(gamma, gamma') over one period."""
-    return 0.5 * PERIOD * float(curve.moments[1].mean[0])
-
-
-def _affine_normal(d1, d2, d3):
+def affine_normal(d1, d2, d3):
     """The affine normal from the parameter derivatives of orders 1 to 3."""
     d = det2(d1, d2)
     if np.any(d <= 0.0):
@@ -335,6 +330,11 @@ def _affine_normal(d1, d2, d3):
     d = np.asarray(d)[..., None]
     dd = np.asarray(det2(d1, d3))[..., None]
     return d2 * d ** (-2.0 / 3.0) - (d1 * dd) * d ** (-5.0 / 3.0) / 3.0
+
+
+def area(curve):
+    """Enclosed area (1/2) * integral of det(gamma, gamma') over one period."""
+    return 0.5 * PERIOD * float(curve.moments[1].mean[0])
 
 
 # ---------------------------------------------------------------------------

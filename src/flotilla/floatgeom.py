@@ -1,4 +1,4 @@
-"""Flotation boundary and buoyancy (cap-centroid) curve of a convex body.
+"""The derived families: flotation boundary, buoyancy (cap-centroid) curve, illumination boundary, its centroid curve.
 
 Every construction here is a pointwise transform of solved chords; the
 tangents and curvatures are closed forms in the endpoint data, so a sweep of
@@ -7,14 +7,18 @@ differentiation. Only the omega identity differentiates sampled points (the
 flotation and buoyancy families, spectrally), so that neither of its sides
 is built from the other's chord data. Each transform runs on all chords of
 a sweep at once (one curve evaluation at both chord ends); one-lane Chords
-are the single-chord case.
+are the single-chord case. The flotation families take a flotation sweep and
+the illumination families an illumination sweep. The illumination boundary is
+traced by the apex of the silhouette cone, and its centroid curve by the
+cone's centroid; the apex of a chord (its pole under the tangential polarity)
+is the sweep's ``Chords.z``, NaN where the end tangents are parallel.
 """
 
 import math
 
 import numpy as np
 
-from .chord import FLOTATION, arc_moments
+from .chord import FLOTATION, ILLUMINATION, arc_moments
 from .curve import PERIOD, area, det2
 from .errors import DomainError
 from .numerics import TrigInterpolant
@@ -66,8 +70,8 @@ def flotation_point(chords):
     )
 
 
-def _buoyancy_frame(chords):
-    """Cap centroid, tangent and curvature of every lane."""
+def buoyancy_point(chords):
+    """Centroid of the cut-off cap with tangent, curvature and kappa' closed forms."""
     _require_kind(chords, FLOTATION)
     delta = chords.delta
     origin, x, y, dm = arc_moments(chords)
@@ -75,12 +79,8 @@ def _buoyancy_frame(chords):
     moment = dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
     p = det2(chords.c, chords.ends(1)[0])
     tangent = chords.c * (-p / (6.0 * delta))[:, None]
-    return origin + moment / delta, tangent, 12.0 * delta / chords.norm_c**3
-
-
-def buoyancy_point(chords):
-    """Centroid of the cut-off cap with tangent, curvature and kappa' closed forms."""
-    return DerivedCurve(BUOYANCY_CURVE, *_buoyancy_frame(chords), kappa_prime_buoyancy(chords))
+    kappa = 12.0 * delta / chords.norm_c**3
+    return DerivedCurve(BUOYANCY_CURVE, origin + moment / delta, tangent, kappa, kappa_prime_buoyancy(chords))
 
 
 def kappa_prime_flotation(chords):
@@ -111,7 +111,7 @@ def kappa_prime_buoyancy(chords):
     return 216.0 * chords.delta**2 * (cot_a - cot_b) / chords.norm_c**6
 
 
-def _spectral_derivatives(points, chords, orders):
+def _spectral_derivatives(points, orders):
     """Derivatives in s of a family sampled on the sweep's uniform grid, from its trigonometric interpolant."""
     return TrigInterpolant(points).on_grid(len(points), orders)
 
@@ -125,24 +125,58 @@ def flotation_body_area(chords):
     """
     _require_kind(chords, FLOTATION)
     points = 0.5 * (chords.x + chords.y)
-    (d1,) = _spectral_derivatives(points, chords, (1,))
+    (d1,) = _spectral_derivatives(points, (1,))
     return 0.5 * PERIOD * float(np.mean(det2(points, d1)))
 
 
-def omega_identity_residual(chords):
+def omega_identity_residual(chords, buoyancy_points):
     """Relative residual of (Vol K - Vol F_delta)/dbar^(2/3) = Omega(buoyancy)/2 on a flotation sweep.
 
+    ``buoyancy_points`` are the sweep's buoyancy points, ``buoyancy_point(chords).points``.
     Omega, the affine perimeter of the buoyancy curve, is the closed integral
     of det(beta', beta'')^(1/3), with both derivatives taken from the
     interpolant of the sampled buoyancy points; neither side reads the other.
     """
-    return _omega_residual(chords, _buoyancy_frame(chords)[0])
-
-
-def _omega_residual(chords, buoyancy_points):
-    """``omega_identity_residual`` from the buoyancy points the sweep's bundle already holds."""
     delta_bar = 1.5 * chords.delta
     lhs = (area(chords.curve) - flotation_body_area(chords)) / delta_bar ** (2.0 / 3.0)
-    d1, d2 = _spectral_derivatives(buoyancy_points, chords, (1, 2))
+    d1, d2 = _spectral_derivatives(buoyancy_points, (1, 2))
     rhs = 0.5 * PERIOD * float(np.mean(np.cbrt(det2(d1, d2))))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
+def _silhouette_frame(chords):
+    """Determinants p, q, v and w_s and the sum sin^3(a)/k(s) + sin^3(b)/k(t) of every lane."""
+    (d1, d2), dd1 = chords.ends(1), chords.ends(2)[0]
+    c = chords.c
+    ks, kt = chords.curvatures()
+    with np.errstate(divide="ignore"):  # infinite at a flat end point
+        sines = np.sin(chords.alpha) ** 3 / ks + np.sin(chords.beta) ** 3 / kt
+    return det2(c, d1), det2(c, d2), det2(d1, d2), det2(d1, dd1), sines
+
+
+def illumination_point(chords):
+    """Apex parametrization of the illumination boundary with its curvature."""
+    _require_kind(chords, ILLUMINATION)
+    p, q, v, w_s, sines = _silhouette_frame(chords)
+    tangent = chords.c * (-q * w_s / (p * v))[:, None]
+    kappa = 4.0 * sines / chords.affine_norm_c**3
+    return DerivedCurve(ILLUMINATION_BOUNDARY, chords.z, tangent, kappa)
+
+
+def illumination_centroid_point(chords):
+    """Centroid of the silhouette cone with tangent and curvature closed forms."""
+    _require_kind(chords, ILLUMINATION)
+    delta_hat = chords.delta
+    origin, x, y, dm = arc_moments(chords)
+    z = chords.z - origin
+    # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
+    moment = -(dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
+    _, q, v, w_s, sines = _silhouette_frame(chords)
+    tangent = chords.c * (q**2 * w_s / (6.0 * delta_hat * v**2))[:, None]
+    kappa = 96.0 * delta_hat * sines / chords.affine_norm_c**6
+    return DerivedCurve(ILLUMINATION_CENTROID, origin + moment / delta_hat, tangent, kappa)
+
+
+def _segment_moment(a, b):
+    """Integral of p det(p, dp) along the segment from a to b."""
+    return det2(a, b)[..., None] * (a + b) / 2.0

@@ -22,7 +22,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _chords, _pair, _side, _solve, sweep
-from flotilla.curve import PERIOD, _affine_normal, det2, dot2, norm2
+from flotilla.curve import PERIOD, det2, dot2, norm2
+from flotilla.curve import affine_normal as affine_normal_of_jets
 from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
 from flotilla.floatgeom import _require_kind
 from flotilla.homothety import ConstancyReport, petty_ratios
@@ -454,7 +455,7 @@ def affine_curvature(curve, s):
 
 def affine_normal(curve, s):
     """Second derivative with respect to affine arc length."""
-    return _affine_normal(*curve.derivatives(s, (1, 2, 3)))
+    return affine_normal_of_jets(*curve.derivatives(s, (1, 2, 3)))
 
 
 def petty_condition_report(curve):

@@ -23,6 +23,8 @@ from flotilla.curve import (
 from flotilla.floatgeom import (
     buoyancy_point,
     flotation_point,
+    illumination_centroid_point,
+    illumination_point,
     kappa_prime_buoyancy,
     kappa_prime_flotation,
     omega_identity_residual,
@@ -36,7 +38,6 @@ from flotilla.homothety import (
     radon_check,
     build_carousel,
 )
-from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
 from limit_convergence import hausdorff_distance, intersection_body_polar
 from oracles import (
@@ -213,7 +214,8 @@ def test_criterion_05_omega_identity(unit_circle, ellipse21, bump3_small):
     worst = 0.0
     for curve in (unit_circle, ellipse21, bump3_small):
         for delta in (0.3, 0.8):
-            worst = max(worst, omega_identity_residual(sweep(curve, FLOTATION, delta, 256)))
+            chords = sweep(curve, FLOTATION, delta, 256)
+            worst = max(worst, omega_identity_residual(chords, buoyancy_point(chords).points))
     _report(5, worst < 1e-6, f"flotation-deficit / buoyancy-affine-length identity residual {worst:.3e}")
 
 

@@ -43,6 +43,7 @@ from flotilla.svg import export_svg
 from oracles import circle_segment_area, export_svg_per_value
 
 DELTA = circle_segment_area(math.pi / 3)
+ELLIPSE21 = {"kind": "ellipse", "a": 2.0, "b": 1.0}
 # every p/q in lowest terms with q <= 8
 LOWEST_TERMS = [(p, q) for q in range(2, 9) for p in range(1, q) if math.gcd(p, q) == 1]
 ROOT = Path(__file__).resolve().parents[1]
@@ -227,6 +228,22 @@ class TestConfig:
     def test_delta_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", deltas=[10.0])
         assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fraction", [1e-12, 1.0 - 1e-12])
+    def test_extreme_cut_fraction_rejected_before_any_output(self, tmp_path, capsys, fraction):
+        # the 2:1 ellipse used to exit 1 here: endpoint_balance read 1.1e-8 to 1.4e-8 and omega 2e-5
+        cfg = write_config(tmp_path / "c.json", curveSpec=ELLIPSE21, deltas=[{"fraction": fraction}], nSamples=256)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "rounding floor" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("fraction", [1e-9, 1.0 - 1e-9])
+    def test_cut_fraction_at_the_bound_passes_every_check(self, tmp_path, fraction):
+        checks = sorted(cli_module.CHECKS)
+        cfg = write_config(
+            tmp_path / "c.json", curveSpec=ELLIPSE21, deltas=[{"fraction": fraction}], nSamples=256, checks=checks
+        )
+        assert main(["run", str(cfg)]) == EXIT_OK
 
     def test_curve_spec_missing_key(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2})

@@ -20,6 +20,10 @@ anything. A knob has one value in use, and should be a constant, when no
 call sets it away from its default, or when every call passes it the same
 literal or module constant. The ones that stay are listed in KEPT_KNOBS,
 each with the reason.
+
+A parameter, self and cls aside, should also be read: a function whose body
+never loads its name takes a value only to drop it. The ones that stay are
+listed in UNREAD_PARAMETERS, each with the reason.
 """
 
 import ast
@@ -40,12 +44,8 @@ KEPT = {
 
 # "reader: module._name" -> why the reader takes the other module's private name
 CROSS_MODULE_PRIVATES = {
-    "cli: curve._affine_normal": "affine_sphere takes the affine normals of the jets it has already evaluated",
-    "cli: floatgeom._omega_residual": "omega reads the buoyancy points its bundle holds, which the public form rebuilds",
-    "cli: homothety._diameter": "affine_sphere scales its rms distance by the hull diameter of homothety's fits",
     "homothety: chord._apex": "a carousel's tangent triangles are the apexes of its chords' end tangents",
     "homothety: chord._pair": "radon's symmetry test evaluates s and s + PERIOD / 2 as the two ends of chords",
-    "illumgeom: floatgeom._require_kind": "the illumination transforms reject the other kind of sweep as the flotation ones do",
     "scripts.limit_convergence: homothety._check_symmetric": "the polar intersection body is defined for bodies symmetric about their centroid, as radon is",
 }
 
@@ -56,6 +56,25 @@ KEPT_KNOBS = {
     "homothety.build_carousel.delta": "the tests chain at a given delta, to differentiate the closure defect in it",
     "homothety.radon_check.n_samples": "the CLI checks at 128 samples; the tests check the Radon bodies at 32 to 256",
     "numerics.TrigInterpolant.__call__.order": "the tests read the interpolant's derivatives and antiderivative",
+}
+
+# every check is called as check(curve, bundle), whatever it reads of the two
+CHECK_SIGNATURE = "run_checks calls every entry of CHECKS with the same arguments (curve, bundle)"
+
+# "module.function.parameter" -> why the function takes a parameter its body never reads
+UNREAD_PARAMETERS = {
+    "cli._check_affine_normal.bundle": CHECK_SIGNATURE,
+    "cli._check_affine_normal.curve": CHECK_SIGNATURE,
+    "cli._check_affine_sphere.bundle": CHECK_SIGNATURE,
+    "cli._check_duality.curve": CHECK_SIGNATURE,
+    "cli._check_dupin.bundle": CHECK_SIGNATURE,
+    "cli._check_dupin.curve": CHECK_SIGNATURE,
+    "cli._check_endpoint_balance.curve": CHECK_SIGNATURE,
+    "cli._check_omega.curve": CHECK_SIGNATURE,
+    "cli._check_petty.bundle": CHECK_SIGNATURE,
+    "cli._check_radon.bundle": CHECK_SIGNATURE,
+    "curve.ClosedConvexCurve.derivatives.orders": "the abstract evaluator; every curve kind overrides it with this signature",
+    "curve.ClosedConvexCurve.derivatives.s": "the abstract evaluator; every curve kind overrides it with this signature",
 }
 
 
@@ -234,30 +253,39 @@ def test_cross_module_rule_finds_both_forms():
     assert cross_module_privates(trees) == {"fit: solve._step", "scripts.scan: solve._step"}
 
 
-def _knobs(trees):
-    """knob key -> (called name, positional parameter names after self, parameter, default or None) of each parameter."""
-    knobs = {}
+def _functions(trees):
+    """(module, dotted name, called name, parameters after self or cls, def node) of every function and method.
+
+    An ``__init__`` is named and called by its class's name; a function nested in another is named after it.
+    """
 
     def visit(node, module, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, module, prefix + [child.name], child.name)
+                yield from visit(child, module, prefix + [child.name], child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = child.args
-                positional = [a.arg for a in args.posonlyargs + args.args]
-                defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
-                defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+                positional = [a.arg for a in child.args.posonlyargs + child.args.args]
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
                 bound = positional[1:] if cls and not static else positional
                 init = cls and child.name == "__init__"
                 name = ".".join(prefix + ([] if init else [child.name]))
-                called = cls if init else child.name
-                for param in bound + [a.arg for a in args.kwonlyargs]:
-                    knobs[_key(module, f"{name}.{param}")] = (called, bound, param, defaults.get(param))
-                visit(child, module, prefix + [child.name], None)
+                yield module, name, cls if init else child.name, bound, child
+                yield from visit(child, module, prefix + [child.name], None)
 
     for module, tree in trees.items():
-        visit(tree, module, [], None)
+        yield from visit(tree, module, [], None)
+
+
+def _knobs(trees):
+    """knob key -> (called name, positional parameter names after self, parameter, default or None) of each parameter."""
+    knobs = {}
+    for module, name, called, bound, node in _functions(trees):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+        for param in bound + [a.arg for a in args.kwonlyargs]:
+            knobs[_key(module, f"{name}.{param}")] = (called, bound, param, defaults.get(param))
     return knobs
 
 
@@ -363,3 +391,53 @@ def test_every_import_is_used():
                     if (alias.asname or alias.name.split(".")[0]) not in read
                 ]
     assert unused == [], "imported in src/flotilla or scripts/ but never read; delete the import"
+
+
+def unread_parameters(trees=None):
+    """Every "module.function.parameter" that its function's body never reads, self and cls aside."""
+    found = set()
+    for module, name, _, bound, node in _functions(trees or _trees()):
+        args = node.args
+        params = bound + [a.arg for a in args.kwonlyargs] + [a.arg for a in (args.vararg, args.kwarg) if a]
+        body = ast.Module(node.body, [])
+        read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.update(_key(module, f"{name}.{param}") for param in params if param not in read)
+    return found
+
+
+def test_every_parameter_is_read():
+    found = unread_parameters()
+    assert sorted(found - set(UNREAD_PARAMETERS)) == [], (
+        "a parameter that its function's body never reads; delete it or add it to UNREAD_PARAMETERS"
+    )
+
+
+def test_unread_parameters_are_current():
+    # an entry whose parameter gains a reader, or is gone, leaves the table
+    assert sorted(set(UNREAD_PARAMETERS) - unread_parameters()) == []
+
+
+def test_parameter_rule_finds_the_unread_parameters():
+    tree = ast.parse(textwrap.dedent("""
+        def solve(f, points, chords, *rest, scale=1.0, **options):
+            def step(u):
+                return f(u) * scale
+            return step(points)
+
+        class Fit:
+            def ratio(self, other):
+                return 1.0
+
+            @classmethod
+            def build(cls, values):
+                return cls(values)
+
+            @staticmethod
+            def spread(values):
+                return 0.0
+    """))
+    # a read in a nested function counts; self and cls are not parameters; a static method has neither
+    assert unread_parameters({"flotilla.demo": tree}) == {
+        "demo.solve.chords", "demo.solve.rest", "demo.solve.options", "demo.Fit.ratio.other",
+        "demo.Fit.spread.values",
+    }

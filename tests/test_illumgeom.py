@@ -5,7 +5,7 @@ import pytest
 
 from flotilla.chord import ILLUMINATION, sweep
 from flotilla.curve import AffineImage, det2, norm2
-from flotilla.illumgeom import illumination_centroid_point, illumination_point
+from flotilla.floatgeom import illumination_centroid_point, illumination_point
 
 from oracles import (
     chords_at,

@@ -22,12 +22,13 @@ from flotilla.floatgeom import (
     buoyancy_point,
     flotation_body_area,
     flotation_point,
+    illumination_centroid_point,
+    illumination_point,
     kappa_prime_buoyancy,
     kappa_prime_flotation,
     omega_identity_residual,
 )
 from flotilla.homothety import endpoint_balance_residual
-from flotilla.illumgeom import illumination_centroid_point, illumination_point
 
 from oracles import affine_cut_rate, buoyancy_affine_normal, buoyancy_affine_normal_check
 
@@ -174,10 +175,12 @@ def test_illumination_samples_match_one_lane(sweeps):
 def test_mixed_chords_rejected(ellipse21):
     # a flotation transform reads delta as a cap area; an illumination sweep's delta is a cone area
     illum = sweep(ellipse21, ILLUMINATION, 1.0, 16)
-    transforms = (flotation_point, buoyancy_point, buoyancy_affine_normal, flotation_body_area, omega_identity_residual)
+    transforms = (flotation_point, buoyancy_point, buoyancy_affine_normal, flotation_body_area)
     for transform in transforms:
         with pytest.raises(DomainError):
             transform(illum)
+    with pytest.raises(DomainError):
+        omega_identity_residual(illum, illum.x)
 
 
 def test_curve_calls_per_bundle_and_check(monkeypatch):

@@ -13,8 +13,7 @@ import pytest
 
 from flotilla.cli import compute_bundle
 from flotilla.curve import AffineFrame, AffineImage, ClosedConvexCurve, Ellipse, FourierRadial, SampledPeriodic, area
-from flotilla.floatgeom import buoyancy_point
-from flotilla.illumgeom import illumination_centroid_point
+from flotilla.floatgeom import buoyancy_point, illumination_centroid_point
 
 from oracles import (
     cap_area,
