@@ -1,8 +1,9 @@
 """Command-line front end: config ingestion, sweeps, verification runner, exporters.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage/config
-error or an output that cannot be written, 3 numerical failure (solver or
-quadrature did not converge, or a float overflowed).
+error (ConfigError), bad input (errors.DomainError) or an output that cannot
+be written, 3 numerical failure (errors.SolverError: a solver or quadrature
+did not converge; or a float overflowed).
 """
 
 import json
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import chord, floatgeom, homothety
 from .curve import PERIOD, SPEC_KEYS, area, curve_from_json, is_number
-from .errors import DomainError, FlotillaError
+from .errors import DomainError
 from .svg import export_svg
 
 CSV_COLUMNS = [
@@ -221,10 +222,10 @@ def compute_bundle(curve, delta, n_samples, delta_hat_override=None):
 # ---------------------------------------------------------------------------
 # verification checks
 #
-# Each check returns the statistic's name, its value and threshold, and a
-# status: "fail" when the value reaches the threshold, "skipped" (value None,
-# with a reason) when the check does not apply to the body or the run, or
-# cannot fail on any input.
+# Each check takes one DeltaBundle, the body as its chords' curve, and returns
+# the statistic's name, its value and threshold, and a status: "fail" when the
+# value reaches the threshold, "skipped" (value None, with a reason) when the
+# check does not apply to the body or the run, or cannot fail on any input.
 
 PASS, FAIL, SKIPPED = "pass", "fail", "skipped"
 
@@ -238,19 +239,19 @@ def _skipped(statistic, threshold, reason):
     return {"statistic": statistic, "value": None, "threshold": float(threshold), "status": SKIPPED, "reason": reason}
 
 
-def _check_chord_cube(curve, bundle):
-    tol = _constancy_threshold(curve)
+def _check_chord_cube(bundle):
+    tol = _constancy_threshold(bundle.chords.curve)
     if bundle.chord_cube_stats is None:
         return _skipped("cv_affine_chord_cubed", tol, NO_APEX_REASON)
     return _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
 
 
-def _check_endpoint_balance(curve, bundle):
+def _check_endpoint_balance(bundle):
     worst = float(np.max(np.abs(homothety.endpoint_balance_residual(bundle.chords))))
     return _measured("max_abs_endpoint_balance_residual", worst, 1e-8)
 
 
-def _check_omega(curve, bundle):
+def _check_omega(bundle):
     res = floatgeom.omega_identity_residual(bundle.chords, bundle.buoyancy.points)
     return _measured("omega_identity_rel_residual", res, 1e-6)
 
@@ -260,26 +261,27 @@ def _check_omega(curve, bundle):
 IDENTITY_REASON = "an identity in the chord frame, which no chords can fail: "
 
 
-def _check_dupin(curve, bundle):
+def _check_dupin(bundle):
     reason = IDENTITY_REASON + "every derived tangent is c times a scalar in closed form"
     return _skipped("max_tangency_residual", 1e-9, reason)
 
 
-def _check_affine_normal(curve, bundle):
+def _check_affine_normal(bundle):
     reason = IDENTITY_REASON + (
         "the closed-form buoyancy affine normal equals (8 dbar^(1/3)/|c|_aff^3)(r1 - z) for every chord"
     )
     return _skipped("worst_affine_normal_ratio", 1.0, reason)
 
 
-def _check_cut_length(curve, bundle):
+def _check_cut_length(bundle):
+    curve = bundle.chords.curve
     rep = homothety.affine_cut_length_report(bundle.chords)
     record = _measured("cv_affine_cut_length", rep.coefficient_of_variation, _constancy_threshold(curve))
     # the paper's one-third hypothesis: the mean cut over the affine perimeter
     return {**record, "mean_cut_fraction": rep.mean / curve.affine_arc.total}
 
 
-def _check_duality(curve, bundle):
+def _check_duality(bundle):
     tol = 1e-6
     if not bundle.homothetic:
         reason = NO_APEX_REASON if bundle.chord_cube_stats is None else "the cubed affine chord length is not constant"
@@ -301,23 +303,25 @@ def _check_duality(curve, bundle):
     return _measured("max_relative_pole_mismatch", worst, tol)
 
 
-def _check_petty(curve, bundle):
+def _check_petty(bundle):
+    curve = bundle.chords.curve
     # the reciprocal form, finite at flat points where the condition itself is infinite
     report = homothety.ConstancyReport.from_values(homothety.petty_ratios(curve))
     return _measured("cv_petty_condition", report.coefficient_of_variation, _constancy_threshold(curve))
 
 
-def _check_radon(curve, bundle):
+def _check_radon(bundle):
     tol = 1e-9
     try:
-        worst = homothety.radon_check(curve, n_samples=128)
+        worst = homothety.radon_check(bundle.chords.curve, n_samples=128)
     except DomainError as exc:
         return _skipped("radon_requires_central_symmetry", tol, str(exc))
     return _measured("max_radon_residual", worst, tol)
 
 
-def _check_affine_sphere(curve, bundle):
-    return _measured("affine_normal_concurrency_rms_over_diameter", homothety.affine_sphere_residual(curve), 1e-8)
+def _check_affine_sphere(bundle):
+    residual = homothety.affine_sphere_residual(bundle.chords.curve)
+    return _measured("affine_normal_concurrency_rms_over_diameter", residual, 1e-8)
 
 
 CHECKS = {
@@ -346,7 +350,7 @@ def _severity(entry):
     return (_SEVERITY[entry["status"]], entry["value"] / max(entry["threshold"], 1e-300))
 
 
-def run_checks(curve, label, bundles, name):
+def run_checks(label, bundles, name):
     """The record of one check, aggregated worst-case over deltas.
 
     ``pass`` is false only for a failed check; a skipped record says why in
@@ -354,7 +358,7 @@ def run_checks(curve, label, bundles, name):
     """
     entries = []
     for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
-        result = CHECKS[name](curve, bundle)
+        result = CHECKS[name](bundle)
         record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
         entries.append({**record, "pass": result["status"] != FAIL})
     return max(entries, key=_severity)
@@ -470,7 +474,7 @@ def cmd_run(config: RunConfig):
     timed("write_figure", lambda: write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE))
 
     # one stage per check, summed over the deltas it runs at
-    records = [timed(f"check {name}", lambda: run_checks(curve, label, bundles, name)) for name in config.checks]
+    records = [timed(f"check {name}", lambda: run_checks(label, bundles, name)) for name in config.checks]
     payload = write_report(
         out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds, residual_calls
     )
@@ -559,9 +563,9 @@ def parse_args(argv):
             raise ConfigError(f"{command}: unknown option {name!r} (options: {', '.join(spec)})")
         if not eq:
             value = next(words, None)
-            # a value may start with one dash, as a negative number does
-            if value is None or value.startswith("--"):
-                raise ConfigError(f"{command}: option {name!r} needs a value")
+        # a value may start with one dash, as a negative number does; an empty one is no value
+        if not value or not eq and value.startswith("--"):
+            raise ConfigError(f"{command}: option {name!r} needs a value")
         kind = spec[name][0]
         try:
             values[name] = kind(value)
@@ -588,7 +592,7 @@ def main(argv=None):
     try:
         config = load_config(config_path)
         out = options.pop("out")
-        if out:
+        if out is not None:
             config.output_dir = out
         # a float overflow is a numerical failure, not a warning and an inf in the outputs
         with np.errstate(over="raise"):
@@ -604,7 +608,7 @@ def main(argv=None):
     except OSError as exc:  # the output directory or a file in it cannot be made
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FlotillaError, ArithmeticError) as exc:  # FloatingPointError, OverflowError of a float power
+    except ArithmeticError as exc:  # SolverError, and the FloatingPointError or OverflowError of a float
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

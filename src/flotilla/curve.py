@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import DegenerateCurveError, DomainError, SingularFrameError, SingularParametrizationError
+from .errors import DomainError
 from .numerics import PERIOD, PeriodicAntiderivative, TrigInterpolant, bracketed_newton
 
 _MIN_CONVEXITY_SAMPLES = 512
@@ -112,7 +112,7 @@ class ClosedConvexCurve:
         return {}
 
     def _validate(self):
-        """Reject a curve whose det(g', g'') dips below -1e-12 of its maximum anywhere, not only on a grid.
+        """Raise DomainError if det(g', g'') dips below -1e-12 of its maximum anywhere, not only on a grid.
 
         det is a trigonometric polynomial of degree at most ``resolution``, so
         the grid of n >= 4 resolution points resolves it, and a dip between
@@ -130,7 +130,7 @@ class ClosedConvexCurve:
             raise DomainError("curve parameters must be finite")
         speed = norm2(d1)
         if np.any(speed <= 0.0):
-            raise SingularParametrizationError("curve has a singular point on the sample grid")
+            raise DomainError("curve has a singular point on the sample grid")
         convexity = det2(d1, d2)
         low, high = convexity.min(), convexity.max()
         if 0.0 < 1e-12 * high < high - low:
@@ -144,7 +144,7 @@ class ClosedConvexCurve:
             low = min(low, self.convexity(bracketed_newton(fdf, s - step, s + step, s, 1e-12 * high)).min())
         # tolerate roundoff at isolated flat points; reject genuine overshoot
         if low <= -1e-12 * high or high <= 0.0:
-            raise DegenerateCurveError(
+            raise DomainError(
                 "det(gamma', gamma'') must be positive everywhere "
                 f"(min {low:.3e}); curve is not strongly convex "
                 "or not positively oriented"
@@ -291,7 +291,7 @@ class AffineImage(ClosedConvexCurve):
     def __init__(self, base, frame):
         self.base, self.frame = base, frame
         if self.frame.determinant == 0.0:
-            raise SingularFrameError("affine frame must be invertible")
+            raise DomainError("affine frame must be invertible")
         self._reversed = self.frame.determinant < 0.0
         self._validate()
 
@@ -318,7 +318,7 @@ def curvature(d1, d2):
     """Oriented curvature from the first and second parameter derivatives."""
     speed = norm2(d1)
     if np.any(speed == 0.0):
-        raise SingularParametrizationError("zero tangent vector")
+        raise DomainError("zero tangent vector")
     return det2(d1, d2) / speed**3
 
 
@@ -326,7 +326,7 @@ def affine_normal(d1, d2, d3):
     """The affine normal from the parameter derivatives of orders 1 to 3."""
     d = det2(d1, d2)
     if np.any(d <= 0.0):
-        raise DegenerateCurveError("affine normal requires det(g', g'') > 0")
+        raise DomainError("affine normal requires det(g', g'') > 0")
     d = np.asarray(d)[..., None]
     dd = np.asarray(det2(d1, d3))[..., None]
     return d2 * d ** (-2.0 / 3.0) - (d1 * dd) * d ** (-5.0 / 3.0) / 3.0

@@ -11,7 +11,7 @@ import numpy as np
 
 from .chord import CAP_MARGIN, FLOTATION, MIN_CUT_FRACTION, _apex, _pair, chains
 from .curve import PERIOD, affine_normal, area, det2, norm2
-from .errors import AccuracyError, DomainError, ParallelElementsError, SolverError
+from .errors import DomainError, SolverError
 from .numerics import bracketed_newton
 
 
@@ -111,10 +111,10 @@ def chord_cube_report(chords):
 
     The implied homothety ratio is mean(||c||^3) / (12 delta) for flotation
     and mean(||c||^3) / (24 delta_hat) for illumination. Raises
-    ParallelElementsError if a chord has parallel end tangents.
+    DomainError if a chord has parallel end tangents.
     """
     if not chords.apex.all():
-        raise ParallelElementsError("a chord has parallel end tangents, so its affine length is infinite")
+        raise DomainError("a chord has parallel end tangents, so its affine length is infinite")
     report = ConstancyReport.from_values(chords.affine_norm_c**3)
     divisor = (12.0 if chords.kind == FLOTATION else 24.0) * chords.delta
     return report, report.mean / divisor
@@ -161,8 +161,8 @@ def endpoint_balance_residual(chords):
     This is the condition sin^3(alpha)/k(s) = sin^3(beta)/k(t) multiplied by
     k(s) k(t), so it stays finite where a curvature vanishes; the value lies
     in [-2, 2]. Also evaluated through the translation-invariant
-    normal-component form; the two must agree to 1e-10 in every lane or an
-    AccuracyError is raised.
+    normal-component form; the two must agree to 1e-10 in every lane or a
+    SolverError is raised.
     """
     ks, kt = chords.curvatures()
     value = _normalised_difference(np.sin(chords.alpha) ** 3 * kt, np.sin(chords.beta) ** 3 * ks)
@@ -172,7 +172,7 @@ def endpoint_balance_residual(chords):
     c = chords.c
     alt = _normalised_difference((det2(d1, c) / norm2(d1)) ** 3 * kt, -((det2(d2, c) / norm2(d2)) ** 3) * ks)
     if np.any(np.abs(value - alt) > 1e-10):
-        raise AccuracyError("angle-form and normal-form residuals disagree")
+        raise SolverError("angle-form and normal-form residuals disagree")
     return value
 
 

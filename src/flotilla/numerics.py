@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, SolverError
+from .errors import SolverError
 
 # the order-8 Gauss-Legendre rule on [-1, 1] as numpy.polynomial.legendre.leggauss(8) gives it,
 # without importing numpy.polynomial: the upper-half nodes (row 0) and weights (row 1), mirrored
@@ -41,7 +41,8 @@ def _adaptive_panels(f):
     panels. A panel's value is the sum over its halves, its error the change
     from the one-panel value. Each round cuts the panels above an equal share
     of the budget in TABLE_SPLIT until the summed errors are within
-    TABLE_REL_TOL of the whole, and never below rounding.
+    TABLE_REL_TOL of the whole, and never below rounding. A non-finite
+    integrand, or a budget not met within MAX_PANELS splits, is a SolverError.
     """
     first = np.linspace(0.0, PERIOD, TABLE_FIRST_PANELS + 1)
     lo, hi = first[:-1], first[1:]
@@ -51,13 +52,13 @@ def _adaptive_panels(f):
         total = value.sum()
         err_sum = err.sum()
         if not math.isfinite(err_sum):
-            raise AccuracyError(f"quadrature on [0, {PERIOD}]: the integrand is not finite")
+            raise SolverError(f"quadrature on [0, {PERIOD}]: the integrand is not finite")
         rounding = 50.0 * _EPS * np.abs(value).sum()
         tol = max(TABLE_REL_TOL * abs(total), rounding)
         if err_sum <= tol:
             return lo, hi, nodes, rounds
         if len(lo) >= TABLE_FIRST_PANELS + MAX_PANELS:
-            raise AccuracyError(
+            raise SolverError(
                 f"quadrature on [0, {PERIOD}] did not converge below rel_tol={TABLE_REL_TOL} "
                 f"within {MAX_PANELS} panel splits (error estimate {err_sum:.3e})"
             )

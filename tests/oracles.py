@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _chords, _pair, _side, _solve, sweep
 from flotilla.curve import PERIOD, det2, dot2, norm2
 from flotilla.curve import affine_normal as affine_normal_of_jets
-from flotilla.errors import DegenerateCurveError, DomainError, ParallelElementsError
+from flotilla.errors import DomainError
 from flotilla.floatgeom import _require_kind
 from flotilla.homothety import ConstancyReport, petty_ratios
 
@@ -405,7 +405,7 @@ def tangent_intersection(curve, s, t):
     (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
     z, parallel = _apex(x, y, d1, d2)
     if np.any(parallel):
-        raise ParallelElementsError("tangent lines are parallel; no apex")
+        raise DomainError("tangent lines are parallel; no apex")
     return z
 
 
@@ -421,7 +421,7 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
     The integrand takes det2 of the curve's jets at one abscissa at a time.
     Curves with isolated flat points give it cube-root cusps, which quad
     resolves by bisecting the subintervals next to them. Raises
-    DegenerateCurveError if the determinant is negative beyond rounding of
+    DomainError if the determinant is negative beyond rounding of
     its scale somewhere on the arc. It never reads ``affine_arc`` and runs
     none of the package's quadrature.
     """
@@ -432,7 +432,7 @@ def affine_arclength(curve, s0, s1, rel_tol=1e-12, abs_tol=0.0):
     def integrand(u):
         d = float(det2(*curve.derivatives(u, (1, 2))))
         if d < -1e-12 * scale:
-            raise DegenerateCurveError("non-convex sub-arc: det(g', g'') <= 0")
+            raise DomainError("non-convex sub-arc: det(g', g'') <= 0")
         return max(d, 0.0) ** (1.0 / 3.0)
 
     return quad(integrand, s0, s1, epsabs=abs_tol, epsrel=rel_tol, limit=500)[0]
@@ -447,7 +447,7 @@ def affine_curvature(curve, s):
     d1, d2, d3, d4 = curve.derivatives(s, (1, 2, 3, 4))
     d = det2(d1, d2)
     if np.any(d <= 0.0):
-        raise DegenerateCurveError("affine curvature requires det(g', g'') > 0")
+        raise DomainError("affine curvature requires det(g', g'') > 0")
     return (4.0 * det2(d2, d3) + det2(d1, d4)) / (3.0 * d ** (5.0 / 3.0)) - (
         5.0 / 9.0
     ) * det2(d1, d3) ** 2 / d ** (8.0 / 3.0)

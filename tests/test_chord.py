@@ -13,7 +13,7 @@ from flotilla.chord import (
     sweep,
 )
 from flotilla.curve import PERIOD, AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, det2, norm2
-from flotilla.errors import DomainError, ParallelElementsError, SolverError
+from flotilla.errors import DomainError, SolverError
 from flotilla.numerics import TrigInterpolant, bracketed_newton
 
 from oracles import (
@@ -65,7 +65,7 @@ class TestConeArea:
         assert total == pytest.approx(triangle_area(x, y, z), rel=1e-10)
 
     def test_parallel_tangents_no_apex(self, unit_circle):
-        with pytest.raises(ParallelElementsError):
+        with pytest.raises(DomainError, match="tangent lines are parallel"):
             cone_area(unit_circle, 0.0, math.pi)
 
 

@@ -666,7 +666,7 @@ class TestBodyChecks:
         names = list(CHECKS)
         with monkeypatch.context() as m:
             m.setattr(cli_module, "BODY_CHECKS", ())
-            per_delta = [run_checks(curve, "e", bundles, name) for name in names]
+            per_delta = [run_checks("e", bundles, name) for name in names]
         calls = dict.fromkeys(names, 0)
         for name in names:
 
@@ -675,7 +675,7 @@ class TestBodyChecks:
                 return _check(*args)
 
             monkeypatch.setitem(CHECKS, name, counting)
-        records = [run_checks(curve, "e", bundles, name) for name in names]
+        records = [run_checks("e", bundles, name) for name in names]
         assert records == per_delta
         assert calls == {name: 1 if name in BODY_CHECKS else 2 for name in names}
         assert set(BODY_CHECKS) == {"petty", "radon", "affine_sphere"}
@@ -1053,6 +1053,11 @@ class TestSubcommands:
             (["run", "{cfg}", "--q", "3"], EXIT_CONFIG, "'--q'"),
             (["carousel", "{cfg}", "--q", "3", "--ou", "{out}"], EXIT_CONFIG, "'--ou'"),
             (["run", "{cfg}", "--out"], EXIT_CONFIG, "'--out'"),
+            # an empty value is no value, not a fallback to the config's outputDir
+            (["run", "{cfg}", "--out="], EXIT_CONFIG, "'--out' needs a value"),
+            (["run", "{cfg}", "--out", ""], EXIT_CONFIG, "'--out' needs a value"),
+            (["carousel", "{cfg}", "--q", "3", "--out="], EXIT_CONFIG, "'--out' needs a value"),
+            (["carousel", "{cfg}", "--out", "", "--q", "3"], EXIT_CONFIG, "'--out' needs a value"),
             (["carousel", "{cfg}", "--q", "--p", "1"], EXIT_CONFIG, "'--q'"),
             (["carousel", "{cfg}", "--q", "x"], EXIT_CONFIG, "'x'"),
             (["carousel", "{cfg}", "--q", "3.0"], EXIT_CONFIG, "'3.0'"),

@@ -24,6 +24,11 @@ each with the reason.
 A parameter, self and cls aside, should also be read: a function whose body
 never loads its name takes a value only to drop it. The ones that stay are
 listed in UNREAD_PARAMETERS, each with the reason.
+
+A run ends in one of two failures besides a failed check: errors.py's
+DomainError (bad input, exit 2) and SolverError (a numerical failure, exit
+3). Every raise in src/flotilla names one of them, cli's ConfigError, or the
+abstract evaluator's NotImplementedError, in RAISABLE.
 """
 
 import ast
@@ -58,23 +63,21 @@ KEPT_KNOBS = {
     "numerics.TrigInterpolant.__call__.order": "the tests read the interpolant's derivatives and antiderivative",
 }
 
-# every check is called as check(curve, bundle), whatever it reads of the two
-CHECK_SIGNATURE = "run_checks calls every entry of CHECKS with the same arguments (curve, bundle)"
-
 # "module.function.parameter" -> why the function takes a parameter its body never reads
 UNREAD_PARAMETERS = {
-    "cli._check_affine_normal.bundle": CHECK_SIGNATURE,
-    "cli._check_affine_normal.curve": CHECK_SIGNATURE,
-    "cli._check_affine_sphere.bundle": CHECK_SIGNATURE,
-    "cli._check_duality.curve": CHECK_SIGNATURE,
-    "cli._check_dupin.bundle": CHECK_SIGNATURE,
-    "cli._check_dupin.curve": CHECK_SIGNATURE,
-    "cli._check_endpoint_balance.curve": CHECK_SIGNATURE,
-    "cli._check_omega.curve": CHECK_SIGNATURE,
-    "cli._check_petty.bundle": CHECK_SIGNATURE,
-    "cli._check_radon.bundle": CHECK_SIGNATURE,
+    "cli._check_affine_normal.bundle": "run_checks calls every entry of CHECKS with its bundle; this one always skips",
+    "cli._check_dupin.bundle": "run_checks calls every entry of CHECKS with its bundle; this one always skips",
     "curve.ClosedConvexCurve.derivatives.orders": "the abstract evaluator; every curve kind overrides it with this signature",
     "curve.ClosedConvexCurve.derivatives.s": "the abstract evaluator; every curve kind overrides it with this signature",
+}
+
+
+# the exceptions a raise in src/flotilla may name -> what it means
+RAISABLE = {
+    "DomainError": "bad input: the command line exits 2",
+    "SolverError": "a numerical failure: the command line exits 3",
+    "ConfigError": "cli's usage or config error: the command line exits 2",
+    "NotImplementedError": "the abstract evaluator, ClosedConvexCurve.derivatives",
 }
 
 
@@ -440,4 +443,50 @@ def test_parameter_rule_finds_the_unread_parameters():
     assert unread_parameters({"flotilla.demo": tree}) == {
         "demo.solve.chords", "demo.solve.rest", "demo.solve.options", "demo.Fit.ratio.other",
         "demo.Fit.spread.values",
+    }
+
+
+def raised_names(trees=None):
+    """Every "module: name" of a raise in the package trees, by the name it calls or raises; a bare raise is none."""
+    found = set()
+    for module, tree in (trees or _trees()).items():
+        if not module.startswith("flotilla."):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                found.add(f"{module.removeprefix('flotilla.')}: {name}")
+    return found
+
+
+def test_every_raise_is_one_of_the_exit_code_failures():
+    stray = sorted(key for key in raised_names() if key.split(": ")[1] not in RAISABLE)
+    assert stray == [], "raise DomainError for bad input and SolverError for a numerical failure"
+
+
+def test_errors_defines_one_class_per_failure_exit_code():
+    from flotilla import errors
+
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == ["DomainError", "SolverError"]
+    assert errors.DomainError.__bases__ == (ValueError,)
+    assert errors.SolverError.__bases__ == (ArithmeticError,)
+
+
+def test_raise_rule_finds_every_named_exception():
+    tree = ast.parse(textwrap.dedent("""
+        def solve(x):
+            try:
+                return step(x)
+            except KeyError as exc:
+                raise exc
+            except TypeError:
+                raise
+            if x < 0:
+                raise errors.DomainError("negative")
+            raise ValueError
+    """))
+    assert raised_names({"flotilla.demo": tree, "scripts.scan": ast.parse("raise OSError")}) == {
+        "demo: exc", "demo: DomainError", "demo: ValueError",
     }

@@ -22,7 +22,7 @@ from flotilla.curve import (
     curve_from_json,
     det2,
 )
-from flotilla.errors import DomainError, ParallelElementsError
+from flotilla.errors import DomainError
 from flotilla.floatgeom import buoyancy_point, flotation_point
 from flotilla.homothety import (
     ConstancyReport,
@@ -69,7 +69,7 @@ def dual_sweeps(curve, delta, n_samples):
 
     Out of the homothetic regime the bundle has no illumination sweep; the
     dual cone area then comes from the mean implied ratio, and the chord cube
-    raises ParallelElementsError where a chord has no apex.
+    raises DomainError where a chord has no apex.
     """
     bundle = compute_bundle(curve, delta, n_samples)
     if bundle.illum_chords is None:
@@ -232,9 +232,9 @@ class TestDuality:
     def test_no_apex_lanes_raise(self, unit_circle):
         # every half-area chord of a circle is a diameter: the affine chord
         # length is infinite, so there is no mean and no implied ratio
-        with pytest.raises(ParallelElementsError):
+        with pytest.raises(DomainError, match="parallel end tangents"):
             chord_cube_report(sweep(unit_circle, FLOTATION, math.pi / 2, 64))
-        with pytest.raises(ParallelElementsError):
+        with pytest.raises(DomainError, match="parallel end tangents"):
             duality_pointwise_check(*dual_sweeps(unit_circle, math.pi / 2, 64))
 
     def test_pointwise_out_of_regime_is_informative(self, bump3):
@@ -302,7 +302,7 @@ class TestCutLength:
         # the mean cut over the affine perimeter, both from the curve's table,
         # against 2n - 1 separate integrals over one more for the perimeter
         chords = sweep(bump3, FLOTATION, 0.8, 256)
-        record = CHECKS["cut_length"](bump3, SimpleNamespace(chords=chords))
+        record = CHECKS["cut_length"](SimpleNamespace(chords=chords))
         reference = incremental_cut_lengths(bump3, chords).mean() / affine_arclength(bump3, 0.0, TWO_PI)
         assert record["mean_cut_fraction"] == pytest.approx(0.3706, abs=1e-4)
         assert abs(record["mean_cut_fraction"] - reference) <= 1e-10
@@ -353,8 +353,8 @@ def test_endpoint_balance_fails_wherever_cut_length_fails():
     for name, curve in bodies.items():
         for f in (0.1, 0.2795, 0.45):
             bundle = SimpleNamespace(chords=sweep(curve, FLOTATION, f * area(curve), 256))
-            cut = CHECKS["cut_length"](curve, bundle)
-            balance = CHECKS["endpoint_balance"](curve, bundle)
+            cut = CHECKS["cut_length"](bundle)
+            balance = CHECKS["endpoint_balance"](bundle)
             ratios.append(balance["value"] / cut["value"])
             if cut["status"] == "fail":
                 cut_fails.append((name, f))

@@ -16,7 +16,7 @@ import pytest
 from flotilla.chord import FLOTATION, ILLUMINATION, sweep
 from flotilla.cli import CHECKS, compute_bundle, resolve_deltas
 from flotilla.curve import AffineFrame, AffineImage, Ellipse, FourierRadial, SampledPeriodic, area, curve_from_json
-from flotilla.errors import AccuracyError, DomainError
+from flotilla.errors import DomainError, SolverError
 from flotilla.floatgeom import (
     DerivedCurve,
     buoyancy_point,
@@ -212,7 +212,7 @@ def test_curve_calls_per_bundle_and_check(monkeypatch):
         assert calls <= 5
         for name in config["checks"]:
             calls = 0
-            CHECKS[name](curve, bundle)
+            CHECKS[name](bundle)
             assert calls <= 20, name
             if name == "cut_length":
                 cut_length_calls.append(calls)
@@ -228,7 +228,7 @@ def test_endpoint_balance_forms_checked_in_every_lane(bump3):
     assert np.all(np.isfinite(endpoint_balance_residual(chords)))
     alpha = chords.alpha.copy()
     alpha[40] += 0.1
-    with pytest.raises(AccuracyError):
+    with pytest.raises(SolverError, match="residuals disagree"):
         endpoint_balance_residual(chords.replace(alpha=alpha))
 
 
