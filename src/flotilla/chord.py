@@ -36,7 +36,9 @@ MIN_CUT_FRACTION = 1e-9
 
 
 # the fields of Chords with one entry per lane
-_LANES = ("s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c")
+_LANES = (
+    "s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c", "p", "q", "v", "ks", "kt", "dm",
+)
 
 
 class Chords:
@@ -47,21 +49,28 @@ class Chords:
     the lanes where they are parallel (``apex`` False there). ``alpha`` and
     ``beta`` are the interior angles between the chord and the tangents at
     x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
-    chord lengths. ``jets`` holds the curve derivatives of orders 0 to 2 at
-    both chord ends, from the solve that built the chords; ``ends(k)`` is
-    the k-th, shape (2, lanes, 2). ``residual_calls`` is the number of
-    residual evaluations that solve made, each over all of its lanes.
-    Indexing or slicing gives the chords of those lanes, jets included, and
-    ``chords[i]`` is the one-lane case.
+    chord lengths. ``p``, ``q`` and ``v`` are the end determinants
+    det(c, gamma'(s)), det(c, gamma'(t)) and det(gamma'(s), gamma'(t)), and
+    ``ks`` and ``kt`` the curvatures at x and y. ``dm`` is the increment over
+    the arc [s, t] of the curve's moment antiderivative (``curve.moments``):
+    the integral of [w, (gamma - o) w], w = det(gamma - o, gamma'), about its
+    origin o, shape (lanes, 3). ``jets`` holds the curve derivatives of
+    orders 0 to 2 at both chord ends, ``jets[k]`` of shape (2, lanes, 2).
+    All of them come from the evaluations of the solve that built the chords.
+    ``residual_calls`` is the number of residual evaluations that solve
+    made, each over all of its lanes. Indexing or slicing gives the chords
+    of those lanes, jets included, and ``chords[i]`` is the one-lane case.
     """
 
     def __init__(
-        self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, jets, residual_calls
+        self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, p, q, v, ks, kt, dm,
+        jets, residual_calls,
     ):
         self.curve, self.kind, self.delta, self.s, self.t = curve, kind, delta, s, t
         self.x, self.y, self.c, self.z, self.apex = x, y, c, z, apex
-        self.alpha, self.beta, self.norm_c, self.affine_norm_c, self.jets = alpha, beta, norm_c, affine_norm_c, jets
-        self.residual_calls = residual_calls
+        self.alpha, self.beta, self.norm_c, self.affine_norm_c = alpha, beta, norm_c, affine_norm_c
+        self.p, self.q, self.v, self.ks, self.kt, self.dm = p, q, v, ks, kt, dm
+        self.jets, self.residual_calls = jets, residual_calls
 
     def replace(self, **changes):
         """A copy with the given fields changed; an unknown field is a TypeError."""
@@ -76,65 +85,43 @@ class Chords:
         jets = tuple(jet[:, index] for jet in self.jets)
         return self.replace(jets=jets, **{name: getattr(self, name)[index] for name in _LANES})
 
-    def ends(self, order):
-        return self.jets[order]
-
-    def curvatures(self):
-        """Euclidean curvature at both chord ends, shape (2, lanes)."""
-        return curvature(self.ends(1), self.ends(2))
-
-
-def _pair(s, t):
-    """Chord end parameters stacked on a leading axis of length 2."""
-    return np.stack(np.broadcast_arrays(np.asarray(s, dtype=float), t))
-
-
-def arc_moments(chords):
-    """Moment origin o, chord ends x - o and y - o, and the moment increment over every arc [s, t].
-
-    The increment is the integral over [s, t] of [w, (gamma - o) w] with
-    w = det(gamma - o, gamma'), from the curve's moment antiderivative.
-    """
-    origin, moments = chords.curve.moments
-    m_s, m_t = moments(_pair(chords.s, chords.t), -1)
-    return origin, chords.x - origin, chords.y - origin, m_t - m_s
-
 
 def _area_fdf(curve, kind, side, target):
     """The residual of the cap (flotation) or cone (illumination) area target of the lanes (s, t) as a function of t.
 
     The returned callable maps t to a residual and its t-derivative: cap -
     target and half det(c, gamma'(t)) for a cap, the scaled cone residual of
-    ``_solve_t`` for a cone. ``side`` is the s side (s, at_s, m(s)) of
-    ``_side``, so a call makes one curve evaluation at t, of orders 0 to 2,
-    and one moment evaluation; the callable keeps the evaluation with t as
-    its ``last``, for ``_solve_t``, and counts its ``calls``.
+    ``_solve_t`` for a cone. ``side`` is the s side (s, orders 0 to 2 at s,
+    moment antiderivative row at s) of ``_grid`` or of a solve, so a call
+    makes one curve evaluation at t, of orders 0 to 2, and one moment
+    evaluation; the callable keeps t with both evaluations as its ``last``,
+    for ``_solve_t``, and counts its ``calls``.
     """
     origin, moments = curve.moments
     _, at_s, m_s = side
-    x, d1 = at_s[0] - origin, at_s[1]
+    x, d1, m_s = at_s[0] - origin, at_s[1], m_s[..., 0]
     total = area(curve)
 
     def fdf(t):
         fdf.calls += 1
-        fdf.last = t, curve.derivatives(t, (0, 1, 2))
-        y, d2, dd2 = fdf.last[1]
+        fdf.last = t, curve.derivatives(t, (0, 1, 2)), moments(t, -1)
+        (y, d2, dd2), m_t = fdf.last[1:]
         y = y - origin
         c = y - x
         q = det2(c, d2)
-        cap = 0.5 * (moments(t, -1)[..., 0] - m_s - det2(x, y))
+        cap = 0.5 * (m_t[..., 0] - m_s - det2(x, y))
         if kind == FLOTATION:
             return cap - target, 0.5 * q
-        p, v, dv = det2(d1, c), det2(d1, d2), det2(d1, dd2)
-        # the cone is the tangent triangle pq / 2v less the cap: f = v (cone - target) and its
-        # t-derivative, with p' = v and q' = det(c, gamma''(t))
+        p, v, dv = det2(c, d1), det2(d1, d2), det2(d1, dd2)
+        # the cone is the tangent triangle -pq / 2v less the cap: f = v (cone - target) and its
+        # t-derivative, with p' = -v and q' = det(c, gamma''(t))
         rest = cap + target
-        f, df = 0.5 * p * q - v * rest, 0.5 * p * det2(c, dd2) - dv * rest
+        f, df = -0.5 * p * q - v * rest, -0.5 * p * det2(c, dd2) - dv * rest
         with np.errstate(divide="ignore", invalid="ignore"):
             # f / v is cone - target near the root, where the triangle is below
             # area + target. Once it exceeds twice that, on to the antipode and past
             # it, where v <= 0, f is divided by |pq| / 4 (area + target) instead, a
-            # positive scale that keeps f's sign and Newton step (p and q may read
+            # positive scale that keeps f's sign and Newton step (-p and q may read
             # negative to rounding next to s)
             scale = np.maximum(v, np.abs(p * q) / (4.0 * (total + target)))
             # at a flat point s the tangents stay parallel to rounding for a while
@@ -155,14 +142,16 @@ def _apex(x, y, d1, d2):
         return x + d1 * (det2(y - x, d2) / v)[..., None], parallel
 
 
-def _chords(curve, kind, delta, s, t, at_s, at_t, calls):
-    """Chords of the lanes (s, t) from orders 0 to 2 at s and at t, and the residual ``calls`` that solved t."""
+def _chords(curve, kind, delta, s_side, t_side, calls):
+    """Chords of the lanes (s, t) from their s and t sides, as ``_solve_t`` takes and gives them, and its ``calls``."""
+    (s, at_s, m_s), (t, at_t, m_t) = s_side, t_side
     jets = tuple(np.stack(pair) for pair in zip(at_s, at_t))
     (x, y), (d1, d2) = jets[:2]
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
     v = det2(d1, d2)
+    ks, kt = curvature(jets[1], jets[2])
     alpha = np.arctan2(-p, dot2(c, d1))
     beta = np.arctan2(q, dot2(c, d2))
     z, parallel = _apex(x, y, d1, d2)
@@ -170,7 +159,10 @@ def _chords(curve, kind, delta, s, t, at_s, at_t, calls):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
         affine_norm = np.where(parallel, np.inf, 2.0 * np.cbrt(-0.5 * p * q / v))
     z = np.where(parallel[:, None], np.nan, z)
-    return Chords(curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, jets, calls)
+    return Chords(
+        curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, p, q, v, ks, kt, m_t - m_s,
+        jets, calls,
+    )
 
 
 def _cap_angle(f):
@@ -191,21 +183,22 @@ def _cone_angle(g):
 
 
 def _solve_t(curve, kind, side, delta):
-    """t in (s, s + PERIOD) with cap or cone area delta in every lane of s, orders 0 to 2 at t, and the residual calls.
+    """The t side of the chords of cap or cone area delta from every lane of the s side, and the residual calls.
 
     The cap area increases strictly from 0 to the body area on (s, s + PERIOD),
     so that whole interval brackets every lane and the residual rises
     through its root. A cone takes Newton steps on F = v (cone - delta) =
-    pq / 2 - v (cap + delta), with v = det(gamma'(s), gamma'(t)),
-    p = det(gamma'(s), c) and q = det(c, gamma'(t)). F < 0 before the root
-    and F > 0 after it, up to s + PERIOD: the cone exceeds delta up to the
-    antipode, and past it v < 0 while p, q > 0. So (s, s + 0.98 PERIOD)
-    brackets every lane. F is divided by a positive scale that is v near the
-    root, where the residual reads cone - delta. A lane that stops on f_tol
-    is within 1e-12 area of delta. Both kinds start at the root on every
-    ellipse, the cap or cone angle's share of the period. ``side`` is the s
-    side of ``_side``. The orders at t are the last residual evaluation's,
-    evaluated again only in the lanes whose t moved after it.
+    -pq / 2 - v (cap + delta), with v = det(gamma'(s), gamma'(t)),
+    p = det(c, gamma'(s)) and q = det(c, gamma'(t)), as in ``Chords``. F < 0
+    before the root and F > 0 after it, up to s + PERIOD: the cone exceeds
+    delta up to the antipode, and past it v < 0 while p < 0 < q. So
+    (s, s + 0.98 PERIOD) brackets every lane. F is divided by a positive
+    scale that is v near the root, where the residual reads cone - delta. A
+    lane that stops on f_tol is within 1e-12 area of delta. Both kinds start
+    at the root on every ellipse, the cap or cone angle's share of the
+    period. A side is (parameters, orders 0 to 2 there, moment row there).
+    The t side's evaluations are the last residual call's, evaluated again
+    only in the lanes whose t moved after it.
     """
     total = area(curve)
     s = side[0]
@@ -220,25 +213,17 @@ def _solve_t(curve, kind, side, delta):
         lo, hi, angle = s + 1e-9 * PERIOD, s + 0.98 * PERIOD, _cone_angle(delta / total)
     fdf = _area_fdf(curve, kind, side, delta)
     t = bracketed_newton(fdf, lo, hi, s + PERIOD * (angle / (2.0 * math.pi)), f_tol=1e-12 * total)
-    u, at_t = fdf.last
+    u, at_t, m_t = fdf.last
     moved = t != u
     if moved.any():
-        for d, new in zip(at_t, curve.derivatives(t[moved], (0, 1, 2))):
+        fresh = (*curve.derivatives(t[moved], (0, 1, 2)), curve.moments[1](t[moved], -1))
+        for d, new in zip((*at_t, m_t), fresh):
             d[moved] = new
-    return t, at_t, fdf.calls
-
-
-def _side(curve, s, at_s):
-    """The s side (s, at_s, m(s)) of the chords from the lanes s, for ``_area_fdf``.
-
-    ``at_s`` starts with gamma(s) and gamma'(s); m(s) is the first
-    component of the moment antiderivative at s.
-    """
-    return s, at_s, curve.moments[1](s, -1)[..., 0]
+    return (t, at_t, m_t), fdf.calls
 
 
 def _grid(curve, n, s0):
-    """The s side of the uniform grid of n chords from s0, with orders 0 to 2 at s, built once per curve.
+    """The s side of the uniform grid of n chords from s0 (s, orders 0 to 2 and moment row at s), built once per curve.
 
     Every sweep on the grid shares it: the arrays are kept in the curve's
     ``sweep_grids`` and are read-only.
@@ -246,7 +231,7 @@ def _grid(curve, n, s0):
     key = n, s0
     if key not in curve.sweep_grids:
         s = s0 + np.arange(n) * (PERIOD / n)
-        s, at_s, m_s = _side(curve, s, tuple(curve.derivatives(s, (0, 1, 2))))
+        at_s, m_s = tuple(curve.derivatives(s, (0, 1, 2))), curve.moments[1](s, -1)
         for array in (s, *at_s, m_s):
             array.flags.writeable = False
         curve.sweep_grids[key] = s, at_s, m_s
@@ -256,16 +241,16 @@ def _grid(curve, n, s0):
 def _solve(curve, kind, delta, side):
     """The chords of area delta from every lane of an s side, in one lane-wise solve.
 
-    The s side (s, orders 0 to 2 at s, m(s)) of ``_side`` or ``_grid`` serves
-    the t solve and the chords, and the t solve's orders at t serve the chords.
+    The s side (s, orders 0 to 2 and the moment row at s) of ``_grid``
+    serves the t solve and the chords, and the t solve's t side serves the chords.
     """
-    s, at_s, _ = side
-    t, at_t, calls = _solve_t(curve, kind, side, delta)
+    t_side, calls = _solve_t(curve, kind, side, delta)
+    s, t = side[0], t_side[0]
     lost = np.nonzero(np.diff(t) <= 0.0)[0]
     if len(lost):
         i = lost[0] + 1
         raise SolverError(f"chord continuation lost monotonicity at s={s[i]} (t={t[i]} after {t[i - 1]})")
-    chords = _chords(curve, kind, delta, s, t, at_s, at_t, calls)
+    chords = _chords(curve, kind, delta, side, t_side, calls)
     if kind == ILLUMINATION and not chords.apex.all():
         i = int(np.argmin(chords.apex))
         raise SolverError(f"delta_hat={delta} not reachable at s={s[i]} before the end tangents turn parallel")
@@ -291,21 +276,18 @@ def chains(curve, q, delta, n, s0):
     Each chord starts where the last ended. The starts s0 + k PERIOD / n are
     a sweep grid (``_grid``), evaluated once per curve whatever the delta.
     Each vertex after them is evaluated once, in the last Newton round of the
-    chord solve that ends there, and handed to the solve that starts there.
+    chord solve that ends there, and its t side is the s side of the solve
+    that starts there.
     """
-    side = _grid(curve, n, s0)
-    ts = [side[0]]
-    at_vertices = [side[1][:2]]
+    sides = [_grid(curve, n, s0)]
     dt_ddelta = np.zeros(n)  # the starts do not move with delta
     for _ in range(q):
-        if len(ts) > 1:
-            side = _side(curve, ts[-1], at_vertices[-1])
-        t, (y, d2, _), _ = _solve_t(curve, FLOTATION, side, delta)
+        side, _ = _solve_t(curve, FLOTATION, sides[-1], delta)
         # differentiate cap_area(t_i, t_{i+1}) = delta along the chain: with
         # c = gamma(t) - gamma(s), d cap = (det(c, gamma'(t)) dt - det(c, gamma'(s)) ds) / 2
-        x, d1 = at_vertices[-1]
+        (x, d1), (y, d2) = sides[-1][1][:2], side[1][:2]
         c = y - x
         dt_ddelta = (2.0 - det2(c, d1) * dt_ddelta) / det2(c, d2)
-        ts.append(t)
-        at_vertices.append((y, d2))
-    return np.array(ts), tuple(np.array(v) for v in zip(*at_vertices)), dt_ddelta
+        sides.append(side)
+    vertices = tuple(np.array([side[1][k] for side in sides]) for k in (0, 1))
+    return np.array([side[0] for side in sides]), vertices, dt_ddelta

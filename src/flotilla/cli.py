@@ -47,6 +47,9 @@ CONFIG_KEYS = ("curveSpec", "deltas", "nSamples", "checks", "outputDir", "deltaH
 CHORD_STRIDE = 16
 # the largest nSamples: a run of the 2:1 ellipse at this size peaks near 200 MB; far larger ones exhaust memory
 MAX_SAMPLES = 65536
+# a deltaHat lies in [MIN_CONE_FRACTION, MAX_CONE_FRACTION] times the body area: towards either end the illumination
+# sweep's rounding grows, and on the 2:1 ellipse its chord cube's CV passes 1e-6 near 3e-22 and 2e9 of the area
+MIN_CONE_FRACTION, MAX_CONE_FRACTION = 1e-18, 1e6
 
 
 class ConfigError(Exception):
@@ -125,6 +128,17 @@ def _delta_hat(value):
     if not (math.isfinite(number) and number > 0.0):
         raise ConfigError(f"deltaHat must be finite and positive, got {value!r}")
     return number
+
+
+def bound_delta_hat(delta_hat, total_area):
+    """The config's deltaHat, or None; one outside [MIN_CONE_FRACTION, MAX_CONE_FRACTION] x area is an error."""
+    lo, hi = MIN_CONE_FRACTION * total_area, MAX_CONE_FRACTION * total_area
+    if delta_hat is not None and not lo <= delta_hat <= hi:
+        raise ConfigError(
+            f"deltaHat {delta_hat} outside [{MIN_CONE_FRACTION:g}, {MAX_CONE_FRACTION:g}] x area = [{lo}, {hi}]: "
+            "beyond them the illumination sweep's rounding grows towards the identities' thresholds"
+        )
+    return delta_hat
 
 
 def curve_label(spec):
@@ -456,8 +470,9 @@ def cmd_run(config: RunConfig):
     label = curve_label(config.curve_spec)
     total = timed("curve", lambda: area(curve))
     deltas = timed("curve", lambda: resolve_deltas(config.deltas, total))
+    delta_hat = timed("curve", lambda: bound_delta_hat(config.delta_hat, total))
     bundles = [
-        timed(f"compute_bundle[{i}]", lambda: compute_bundle(curve, d, config.n_samples, config.delta_hat))
+        timed(f"compute_bundle[{i}]", lambda: compute_bundle(curve, d, config.n_samples, delta_hat))
         for i, d in enumerate(deltas)
     ]
     # the residual evaluations of every sweep's chord solve, as "flotation[i]" and "illumination[i]" for delta i

@@ -112,7 +112,7 @@ class ClosedConvexCurve:
         return {}
 
     def _validate(self):
-        """Raise DomainError if det(g', g'') dips below -1e-12 of its maximum anywhere, not only on a grid.
+        """Raise DomainError unless det(g', g'') exceeds -1e-12 of its maximum everywhere and the tangent turns once.
 
         det is a trigonometric polynomial of degree at most ``resolution``, so
         the grid of n >= 4 resolution points resolves it, and a dip between
@@ -122,7 +122,10 @@ class ClosedConvexCurve:
         det(g', g''''), until |det'| <= 1e-12 max det, where det is within
         2 step 1e-12 max det of the minimum. A grid det within 1e-12 of its
         maximum everywhere, as rounding leaves a circle's samples or an
-        ellipse's affine image, cannot dip between the points.
+        ellipse's affine image, cannot dip between the points. With det > 0 the
+        tangent only turns forward, and its steps between grid points, each
+        under pi, sum to 2 pi times its number of turns: samples that wind
+        round k times pass the pointwise test and turn 2 pi k.
         """
         n = max(_MIN_CONVEXITY_SAMPLES, 4 * self.resolution)
         d1, d2 = self.on_grid(n, (1, 2))
@@ -149,6 +152,10 @@ class ClosedConvexCurve:
                 f"(min {low:.3e}); curve is not strongly convex "
                 "or not positively oriented"
             )
+        ahead = np.roll(d1, -1, axis=0)
+        turns = round(float(np.sum(np.arctan2(det2(d1, ahead), dot2(d1, ahead)))) / PERIOD)
+        if turns != 1:
+            raise DomainError(f"the curve winds {turns} times: its tangent must turn once round a convex body")
 
 
 class LinearArc:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .chord import FLOTATION, ILLUMINATION, arc_moments
+from .chord import FLOTATION, ILLUMINATION
 from .curve import PERIOD, area, det2
 from .errors import DomainError
 from .numerics import TrigInterpolant
@@ -56,9 +56,7 @@ def flotation_point(chords):
     vanishes and the curvature and kappa' are reported as NaN.
     """
     _require_kind(chords, FLOTATION)
-    c = chords.c
-    d1, d2 = chords.ends(1)
-    tangent = c * (det2(d1, d2) / (2.0 * det2(c, d2)))[:, None]
+    tangent = chords.c * (chords.v / (2.0 * chords.q))[:, None]
     kappa = chords.affine_norm_c**3 / chords.norm_c**3
     apex = chords.apex
     return DerivedCurve(
@@ -74,11 +72,11 @@ def buoyancy_point(chords):
     """Centroid of the cut-off cap with tangent, curvature and kappa' closed forms."""
     _require_kind(chords, FLOTATION)
     delta = chords.delta
-    origin, x, y, dm = arc_moments(chords)
+    origin = chords.curve.moments[0]
+    x, y = chords.x - origin, chords.y - origin
     # first moment about o: the arc's share plus the closing chord from y to x
-    moment = dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
-    p = det2(chords.c, chords.ends(1)[0])
-    tangent = chords.c * (-p / (6.0 * delta))[:, None]
+    moment = chords.dm[:, 1:] / 3.0 - det2(x, y)[:, None] * (x + y) / 6.0
+    tangent = chords.c * (-chords.p / (6.0 * delta))[:, None]
     kappa = 12.0 * delta / chords.norm_c**3
     return DerivedCurve(BUOYANCY_CURVE, origin + moment / delta, tangent, kappa, kappa_prime_buoyancy(chords))
 
@@ -90,8 +88,7 @@ def kappa_prime_flotation(chords):
     form with the reciprocal fractions fails the finite-difference oracle on
     non-homothetic bodies (both forms vanish together in the homothetic case).
     """
-    alpha, beta, norm_c = chords.alpha, chords.beta, chords.norm_c
-    ks, kt = chords.curvatures()
+    alpha, beta, norm_c, ks, kt = chords.alpha, chords.beta, chords.norm_c, chords.ks, chords.kt
     with np.errstate(divide="ignore", invalid="ignore"):
         cot_a = 1.0 / np.tan(alpha)
         cot_b = 1.0 / np.tan(beta)
@@ -144,22 +141,18 @@ def omega_identity_residual(chords, buoyancy_points):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
-def _silhouette_frame(chords):
-    """Determinants p, q, v and w_s and the sum sin^3(a)/k(s) + sin^3(b)/k(t) of every lane."""
-    (d1, d2), dd1 = chords.ends(1), chords.ends(2)[0]
-    c = chords.c
-    ks, kt = chords.curvatures()
-    with np.errstate(divide="ignore"):  # infinite at a flat end point
-        sines = np.sin(chords.alpha) ** 3 / ks + np.sin(chords.beta) ** 3 / kt
-    return det2(c, d1), det2(c, d2), det2(d1, d2), det2(d1, dd1), sines
+def _sines(chords):
+    """The sum sin^3(a)/k(s) + sin^3(b)/k(t) of every lane, infinite at a flat end point."""
+    with np.errstate(divide="ignore"):
+        return np.sin(chords.alpha) ** 3 / chords.ks + np.sin(chords.beta) ** 3 / chords.kt
 
 
 def illumination_point(chords):
     """Apex parametrization of the illumination boundary with its curvature."""
     _require_kind(chords, ILLUMINATION)
-    p, q, v, w_s, sines = _silhouette_frame(chords)
-    tangent = chords.c * (-q * w_s / (p * v))[:, None]
-    kappa = 4.0 * sines / chords.affine_norm_c**3
+    w_s = det2(chords.jets[1][0], chords.jets[2][0])
+    tangent = chords.c * (-chords.q * w_s / (chords.p * chords.v))[:, None]
+    kappa = 4.0 * _sines(chords) / chords.affine_norm_c**3
     return DerivedCurve(ILLUMINATION_BOUNDARY, chords.z, tangent, kappa)
 
 
@@ -167,13 +160,13 @@ def illumination_centroid_point(chords):
     """Centroid of the silhouette cone with tangent and curvature closed forms."""
     _require_kind(chords, ILLUMINATION)
     delta_hat = chords.delta
-    origin, x, y, dm = arc_moments(chords)
-    z = chords.z - origin
+    origin = chords.curve.moments[0]
+    x, y, z = chords.x - origin, chords.y - origin, chords.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
-    moment = -(dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
-    _, q, v, w_s, sines = _silhouette_frame(chords)
-    tangent = chords.c * (q**2 * w_s / (6.0 * delta_hat * v**2))[:, None]
-    kappa = 96.0 * delta_hat * sines / chords.affine_norm_c**6
+    moment = -(chords.dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
+    w_s = det2(chords.jets[1][0], chords.jets[2][0])
+    tangent = chords.c * (chords.q**2 * w_s / (6.0 * delta_hat * chords.v**2))[:, None]
+    kappa = 96.0 * delta_hat * _sines(chords) / chords.affine_norm_c**6
     return DerivedCurve(ILLUMINATION_CENTROID, origin + moment / delta_hat, tangent, kappa)
 
 

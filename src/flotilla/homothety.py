@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .chord import CAP_MARGIN, FLOTATION, MIN_CUT_FRACTION, _apex, _pair, chains
+from .chord import CAP_MARGIN, FLOTATION, MIN_CUT_FRACTION, _apex, chains
 from .curve import PERIOD, affine_normal, area, det2, norm2
 from .errors import DomainError, SolverError
 from .numerics import bracketed_newton
@@ -164,13 +164,12 @@ def endpoint_balance_residual(chords):
     normal-component form; the two must agree to 1e-10 in every lane or a
     SolverError is raised.
     """
-    ks, kt = chords.curvatures()
+    ks, kt = chords.ks, chords.kt
     value = _normalised_difference(np.sin(chords.alpha) ** 3 * kt, np.sin(chords.beta) ** 3 * ks)
     # independent form: cubed normal components of the chord at both endpoints
     # (the common factor |c|^3 cancels in the ratio)
-    d1, d2 = chords.ends(1)
-    c = chords.c
-    alt = _normalised_difference((det2(d1, c) / norm2(d1)) ** 3 * kt, -((det2(d2, c) / norm2(d2)) ** 3) * ks)
+    speed_s, speed_t = norm2(chords.jets[1])
+    alt = _normalised_difference((-chords.p / speed_s) ** 3 * kt, -((-chords.q / speed_t) ** 3) * ks)
     if np.any(np.abs(value - alt) > 1e-10):
         raise SolverError("angle-form and normal-form residuals disagree")
     return value
@@ -250,7 +249,7 @@ def _check_symmetric(curve, center, name):
     """Reject a curve that is not symmetric about the point ``center``, called ``name`` in the error."""
     n = max(4 * curve.resolution, 512)
     grid = np.arange(n) * (PERIOD / n)
-    pts, opposite = curve.derivative(_pair(grid, grid + PERIOD / 2.0), 0) - center
+    pts, opposite = curve.derivative(np.stack([grid, grid + PERIOD / 2.0]), 0) - center
     scale = float(np.max(norm2(pts)))
     defect = float(np.max(norm2(pts + opposite)))
     if defect > 1e-9 * scale:

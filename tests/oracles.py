@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _chords, _pair, _side, _solve, sweep
+from flotilla.chord import FLOTATION, ILLUMINATION, _apex, _area_fdf, _chords, _solve, sweep
 from flotilla.curve import PERIOD, det2, dot2, norm2
 from flotilla.curve import affine_normal as affine_normal_of_jets
 from flotilla.errors import DomainError
@@ -369,13 +369,15 @@ def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
 
 
 def side_at(curve, s, orders):
-    """The s side of chords from s (``chord._side``), with the curve's derivatives of the given orders at s."""
-    return _side(curve, s, tuple(curve.derivatives(s, orders)))
+    """The s side of chords from s, as ``chord._grid`` builds it, with the curve's derivatives of the given orders."""
+    return s, tuple(curve.derivatives(s, orders)), curve.moments[1](s, -1)
 
 
 def chords_at(curve, kind, delta, s, t, at_s):
     """The chords of given lanes (s, t), with orders 0 to 2 at s (``at_s``) and t evaluated afresh, and no solve."""
-    return _chords(curve, kind, delta, s, t, at_s, curve.derivatives(t, (0, 1, 2)), 0)
+    moments = curve.moments[1]
+    t_side = t, curve.derivatives(t, (0, 1, 2)), moments(t, -1)
+    return _chords(curve, kind, delta, (s, at_s, moments(s, -1)), t_side, 0)
 
 
 def solve_flotation_chord(curve, s, delta):
@@ -398,6 +400,11 @@ def cap_area(curve, s, t):
     if np.any(np.asarray(t) < s):
         raise DomainError("cap_area requires s <= t")
     return _area_fdf(curve, FLOTATION, side_at(curve, s, (0, 1)), 0.0)(t)[0]
+
+
+def _pair(s, t):
+    """Chord end parameters stacked on a leading axis of length 2."""
+    return np.stack(np.broadcast_arrays(np.asarray(s, dtype=float), t))
 
 
 def tangent_intersection(curve, s, t):
@@ -468,8 +475,8 @@ def petty_condition_report(curve):
 
 def affine_cut_rate(chords):
     """Closed-form s-derivative of the affine arc length cut off by the chord."""
-    ks, kt = chords.curvatures()
-    speed = norm2(chords.ends(1)[0])
+    ks, kt = chords.ks, chords.kt
+    speed = norm2(chords.jets[1][0])
     sa = np.sin(chords.alpha)
     sb = np.sin(chords.beta)
     return speed * sa * (np.cbrt(kt) / sb - np.cbrt(ks) / sa)
@@ -485,10 +492,8 @@ def buoyancy_affine_normal(chords):
     with dbar = 3 delta / 2.
     """
     _require_kind(chords, FLOTATION)
-    d1, d2 = chords.ends(1)
-    p = det2(chords.c, d1)[:, None]
-    q = det2(chords.c, d2)[:, None]
-    return (1.5 * chords.delta) ** (1.0 / 3.0) * (d1 / p + d2 / q)
+    d1, d2 = chords.jets[1]
+    return (1.5 * chords.delta) ** (1.0 / 3.0) * (d1 / chords.p[:, None] + d2 / chords.q[:, None])
 
 
 def buoyancy_affine_normal_check(chords):

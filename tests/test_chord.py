@@ -304,7 +304,7 @@ class TestLaneSweep:
         for name in ("s", "t", "alpha", "beta", "affine_norm_c"):
             np.testing.assert_array_equal(getattr(second, name), getattr(fresh, name))
         for k in range(3):
-            np.testing.assert_array_equal(second.ends(k), fresh.ends(k))
+            np.testing.assert_array_equal(second.jets[k], fresh.jets[k])
 
     def test_each_grid_has_its_own_s_side(self):
         # a grid is keyed by its size and start: other sizes and starts are
@@ -318,15 +318,15 @@ class TestLaneSweep:
             np.testing.assert_array_equal(s, s0 + np.arange(n) * (PERIOD / n))
             for d, expected in zip(at_s, curve.derivatives(s, (0, 1, 2))):
                 np.testing.assert_array_equal(d, expected)
-            np.testing.assert_array_equal(m_s, curve.moments[1](s, -1)[:, 0])
+            np.testing.assert_array_equal(m_s, curve.moments[1](s, -1))
             assert not any(a.flags.writeable for a in (s, *at_s, m_s))
 
     @pytest.mark.parametrize("step", ["flotation_sweep", "illumination_sweep", "chain_step"])
     def test_orders_at_t_reuse_the_last_evaluation_where_it_was_taken(self, monkeypatch, bump3, step):
         # a solve's latest evaluation serves the lanes it was taken at; the
         # others (here every third, as if stopped by the step tolerance) are
-        # evaluated again, and the chords, or the next vertices of a carousel
-        # chain (chord.chains), are those of a fresh evaluation
+        # evaluated again, curve and moments, and the chords, or the next
+        # vertices of a carousel chain (chord.chains), are those of a fresh evaluation
         kind = ILLUMINATION if step == "illumination_sweep" else FLOTATION
         fresh = sweep(bump3, kind, 0.8, 64)
         at_t = bump3.derivatives(fresh.t, (0, 1, 2))
@@ -347,11 +347,14 @@ class TestLaneSweep:
             ends = [points[1], tangents[1]]
         else:
             chords = sweep(bump3, kind, 0.8, 64)
-            ends = [chords.ends(k)[1] for k in range(3)]
+            ends = [chords.jets[k][1] for k in range(3)]
             assert chords.residual_calls == fresh.residual_calls + 1
-        assert (counts["calls"], counts["curve"]) == (1, 22)
+        assert (counts["calls"], counts["curve"], counts["moments"]) == (1, 22, 22)
         for got, want in zip(ends, at_t):
             np.testing.assert_array_equal(got, want)
+        if step != "chain_step":
+            m_s, m_t = bump3.moments[1](np.stack([chords.s, chords.t]), -1)
+            assert np.all(np.abs(chords.dm - (m_t - m_s)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(m_t), axis=0))
 
     @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
     @pytest.mark.parametrize("body", ["rotated_shifted_ellipse", "bump3", "sampled_64", "reflected_bump3_small"])
@@ -371,23 +374,52 @@ class TestLaneSweep:
             curve = request.getfixturevalue(body)
         chords = sweep(curve, kind, 0.1 * area(curve), 256, s0=0.1)
         for k, d in enumerate(curve.derivatives(chords.t, (0, 1, 2))):
-            np.testing.assert_array_equal(chords.ends(k)[1], d)
+            np.testing.assert_array_equal(chords.jets[k][1], d)
+
+    @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
+    @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_64"])
+    def test_fields_match_their_definitions(self, request, body, kind):
+        # p, q, v, the end curvatures and the arc moments come from the solve's
+        # own evaluations; each is its definition from the jets and a fresh
+        # evaluation of the moment antiderivative at both ends, to a few ulps
+        if body == "sampled_64":
+            u = np.arange(64) * (2.0 * math.pi / 64)
+            r = 1.0 + 0.1 * np.cos(3 * u)
+            curve = SampledPeriodic(np.stack([r * np.cos(u), r * np.sin(u)], axis=-1))
+        else:
+            curve = request.getfixturevalue(body)
+        chords = sweep(curve, kind, 0.1 * area(curve), 256, s0=0.1)
+        (x, y), (d1, d2), (dd1, dd2) = chords.jets
+        c = y - x
+        eps = 4.0 * np.finfo(float).eps
+        for got, u, w in ((chords.p, c, d1), (chords.q, c, d2), (chords.v, d1, d2)):
+            np.testing.assert_allclose(got, det2(u, w), rtol=0.0, atol=eps * np.max(norm2(u) * norm2(w)))
+        for got, d, dd in ((chords.ks, d1, dd1), (chords.kt, d2, dd2)):
+            scale = np.max(norm2(dd) / norm2(d) ** 2)
+            np.testing.assert_allclose(got, det2(d, dd) / norm2(d) ** 3, rtol=0.0, atol=eps * scale)
+        m_s, m_t = curve.moments[1](np.stack([chords.s, chords.t]), -1)
+        scale = np.max(np.abs([m_s, m_t]), axis=(0, 1))
+        assert chords.dm.shape == (256, 3)
+        assert np.all(np.abs(chords.dm - (m_t - m_s)) <= eps * scale)
 
     def test_sliced_and_replaced_chords_evaluate_nothing(self, monkeypatch, ellipse21):
-        # the end jets of orders 0 to 2 are lane data of the chords; sliced and
-        # replaced chords used to evaluate them again, one call for each
+        # the end jets of orders 0 to 2, the end determinants and curvatures and
+        # the arc moments are lane data of the chords; sliced and replaced chords
+        # used to evaluate the jets again, one call for each
         chords = sweep(ellipse21, FLOTATION, 1.0, 64)
         ends = np.stack([chords.s, chords.t])
         for k in range(3):
-            np.testing.assert_array_equal(chords.ends(k), ellipse21.derivative(ends, k))
+            np.testing.assert_array_equal(chords.jets[k], ellipse21.derivative(ends, k))
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, ellipse21, counts)
         for k in range(3):
-            np.testing.assert_array_equal(chords[5].ends(k), chords.ends(k)[:, [5]])
-        np.testing.assert_array_equal(chords[::16].curvatures(), chords.curvatures()[:, ::16])
+            np.testing.assert_array_equal(chords[5].jets[k], chords.jets[k][:, [5]])
         replaced = chords.replace(alpha=chords.alpha + 0.1)
-        np.testing.assert_array_equal(replaced.curvatures(), chords.curvatures())
-        assert counts["calls"] == 0
+        for name in ("p", "q", "v", "ks", "kt", "dm"):
+            np.testing.assert_array_equal(getattr(chords[::16], name), getattr(chords, name)[::16])
+            np.testing.assert_array_equal(getattr(replaced, name), getattr(chords, name))
+        assert chords[5].dm.shape == (1, 3)
+        assert counts["calls"] == counts["moments"] == 0
 
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_bump3"])
     @pytest.mark.parametrize("solver", [FLOTATION, ILLUMINATION], ids=["flotation", "cone"])
@@ -404,7 +436,7 @@ class TestLaneSweep:
         at_s = curve.derivatives(s, (0, 1, 2))
         counts = {"calls": 0, "curve": 0, "moments": 0}
         _count_evaluations(monkeypatch, curve, counts)
-        _, _, rounds = chord_module._solve_t(curve, solver, chord_module._side(curve, s, at_s), 0.8)
+        _, rounds = chord_module._solve_t(curve, solver, (s, at_s, curve.moments[1](s, -1)), 0.8)
         # on an ellipse the cap and cone starts are the roots: one round, no bracket ends
         assert rounds == 1 if body == "ellipse21" else rounds >= 3
         # one curve evaluation of all 256 lanes per round and none besides
@@ -472,7 +504,7 @@ class TestEllipseStarts:
     def test_cap_start_is_the_root(self, curve, fraction):
         total = area(curve)
         s = 0.1 + np.arange(64) * (PERIOD / 64)
-        t, _, calls = chord_module._solve_t(curve, FLOTATION, side_at(curve, s, (0, 1)), fraction * total)
+        (t, _, _), calls = chord_module._solve_t(curve, FLOTATION, side_at(curve, s, (0, 1)), fraction * total)
         assert calls == 1
         assert np.max(np.abs(cap_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -481,7 +513,7 @@ class TestEllipseStarts:
     def test_cone_start_is_the_root(self, curve, fraction):
         total = area(curve)
         s = 0.1 + np.arange(64) * (PERIOD / 64)
-        t, _, calls = chord_module._solve_t(curve, ILLUMINATION, side_at(curve, s, (0, 1)), fraction * total)
+        (t, _, _), calls = chord_module._solve_t(curve, ILLUMINATION, side_at(curve, s, (0, 1)), fraction * total)
         assert calls == 1
         assert np.max(np.abs(cone_area(curve, s, t) - fraction * total)) <= 1e-12 * total
 
@@ -526,9 +558,9 @@ class TestEllipseStarts:
         total = area(bump3)
         s = np.arange(256) * (PERIOD / 256)
         side = side_at(bump3, s, (0, 1))
-        t, _, _ = chord_module._solve_t(bump3, kind, side, 0.8)
+        t = chord_module._solve_t(bump3, kind, side, 0.8)[0][0]
         _start_at(monkeypatch, lambda lo, hi: 0.5 * (lo + hi))
-        t_mid, _, _ = chord_module._solve_t(bump3, kind, side, 0.8)
+        t_mid = chord_module._solve_t(bump3, kind, side, 0.8)[0][0]
         for u in (t, t_mid):
             # near the root either residual is the area less 0.8
             value, slope = chord_module._area_fdf(bump3, kind, side, 0.8)(u)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -27,7 +28,9 @@ from flotilla.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     FAIL,
+    MAX_CONE_FRACTION,
     MAX_SAMPLES,
+    MIN_CONE_FRACTION,
     PASS,
     compute_bundle,
     main,
@@ -237,6 +240,27 @@ class TestConfig:
         assert "rounding floor" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("delta_hat", [1e-300, 1e-20, 1e7 * 2.0 * math.pi, 1e300])
+    def test_extreme_delta_hat_rejected_before_any_output(self, tmp_path, capsys, delta_hat):
+        # on the 2:1 ellipse, of area 2 pi, 1e-300 used to exit 0 with two divide-by-zero warnings and
+        # nan and inf cells, and 1e300 to exit 3 on an overflow; at 1e-20 the chord cube's CV read 3e-7
+        cfg = write_config(tmp_path / "c.json", curveSpec=ELLIPSE21, deltaHat=delta_hat, nSamples=256)
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: deltaHat") and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("fraction", [MIN_CONE_FRACTION, MAX_CONE_FRACTION])
+    def test_delta_hat_at_the_bound_runs_clean(self, tmp_path, fraction):
+        cfg = write_config(tmp_path / "c.json", curveSpec=ELLIPSE21, deltaHat=fraction * 2.0 * math.pi, nSamples=256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg)]) == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "out" / "curves.csv").open()))
+        illumination = [row for row in rows if row["family"] == "illumination_boundary"]
+        assert len(illumination) == 256
+        assert all(math.isfinite(float(value)) for row in illumination for value in list(row.values())[1:] if value)
+
     @pytest.mark.parametrize("fraction", [1e-9, 1.0 - 1e-9])
     def test_cut_fraction_at_the_bound_passes_every_check(self, tmp_path, fraction):
         checks = sorted(cli_module.CHECKS)
@@ -293,6 +317,18 @@ class TestConfig:
         assert main([argv[0], str(cfg), "--out", str(out), *argv[1:]]) == EXIT_CONFIG
         assert "not strongly convex" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("turns", [2, 4])
+    def test_wound_samples_are_bad_input(self, tmp_path, capsys, turns):
+        # 16 samples going round a regular polygon `turns` times: det(g', g'') > 0 everywhere,
+        # and both used to exit 0 with area 2 pi turns
+        angles = 2.0 * math.pi * turns * np.arange(16) / 16
+        corners = np.stack([np.cos(angles), np.sin(angles)], axis=-1).tolist()
+        cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "samples", "points": corners})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"winds {turns} times" in err and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
 
     def test_singular_point_is_bad_input(self, tmp_path, capsys):
         # a zero tangent on the sample grid used to exit 3, as a numerical failure

@@ -50,7 +50,6 @@ KEPT = {
 # "reader: module._name" -> why the reader takes the other module's private name
 CROSS_MODULE_PRIVATES = {
     "homothety: chord._apex": "a carousel's tangent triangles are the apexes of its chords' end tangents",
-    "homothety: chord._pair": "radon's symmetry test evaluates s and s + PERIOD / 2 as the two ends of chords",
     "scripts.limit_convergence: homothety._check_symmetric": "the polar intersection body is defined for bodies symmetric about their centroid, as radon is",
 }
 

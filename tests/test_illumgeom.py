@@ -140,4 +140,4 @@ class TestPolarity:
         assert not chords.apex[0]
         assert np.all(np.isnan(chords.z[0]))
         # both end tangents are vertical
-        assert np.allclose(chords.ends(1)[:, 0, 0], 0.0, atol=1e-12)
+        assert np.allclose(chords.jets[1][:, 0, 0], 0.0, atol=1e-12)

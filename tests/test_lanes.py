@@ -240,6 +240,8 @@ def test_indexing_gives_sub_lane_chords(ellipse21):
         np.testing.assert_array_equal(sub.t, chords.t[lanes])
         np.testing.assert_array_equal(sub.z, chords.z[lanes])
         np.testing.assert_array_equal(sub.affine_norm_c, chords.affine_norm_c[lanes])
+        for name in ("p", "q", "v", "ks", "kt", "dm"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(chords, name)[lanes])
     assert len(list(chords)) == 32
     with pytest.raises(IndexError):
         chords[32]
