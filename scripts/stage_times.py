@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the median in-process wall time of each stage of `flotilla run CONFIG`, over --repeat K runs.
+"""Print the median in-process wall time of each stage of `flotilla run CONFIG`, or of `flotilla carousel CONFIG
+--q Q [--p P] [--s0 S]`, over --repeat K runs.
 
 Each run's stages are the `stage_seconds` of its report.json. `config` times cli.load_config, and `rest`
 is what the cmd_run call spends outside every stage. `compile` times `import flotilla, flotilla.cli` in a
@@ -7,6 +8,10 @@ fresh interpreter, after numpy, from a copy of the package's source with no cach
 process pays before any stage when no bytecode is cached (as under PYTHONDONTWRITEBYTECODE=1), compiling
 included; it is not part of `total`. Beside each `compute_bundle[i]` stands the
 `residual_calls` of its sweeps, the residual evaluations of their chord solves, which every run repeats.
+
+A carousel's stages are the three calls of `cli.cmd_carousel`, each timed here: `curve` builds the body,
+`build_carousel` solves the closing cut-off area and the chains from every start, and `write_json` writes
+carousel.json. Beside `build_carousel` stands the carousel's `chain_solves`, its `chord.chains` calls.
 """
 
 import argparse
@@ -21,7 +26,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from flotilla import cli
+from flotilla import cli, homothety
+from flotilla.curve import curve_from_json
 
 # run with -B, so it writes no bytecode either; argv[1] is the directory that holds the package copy
 IMPORT_CHILD = """
@@ -59,6 +65,19 @@ def stage_times(config_path, out_dir):
     return times, report["residual_calls"]
 
 
+def carousel_stage_times(config_path, q, p, s0, out_dir):
+    """The wall time of each stage of one carousel command, and the carousel's chain solves."""
+    config = cli.load_config(config_path)
+    start = perf_counter()
+    curve = curve_from_json(config.curve_spec)
+    built = perf_counter()
+    car = homothety.build_carousel(curve, p, q, s0=s0)
+    solved = perf_counter()
+    cli.write_json(out_dir / "carousel.json", cli.carousel_payload(cli.curve_label(config.curve_spec), car))
+    times = {"curve": built - start, "build_carousel": solved - built, "write_json": perf_counter() - solved}
+    return times, {"build_carousel": str(car.chain_solves)}
+
+
 def residual_calls_of(stage, calls):
     """The residual calls of the sweeps of a `compute_bundle[i]` stage, as `flotation[i] N`; empty for other stages."""
     if not stage.startswith("compute_bundle["):
@@ -69,19 +88,34 @@ def residual_calls_of(stage, calls):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("command", nargs="?", choices=["carousel"], help="time `flotilla carousel` instead of `run`")
     parser.add_argument("config")
+    parser.add_argument("--q", type=int, help="the carousel's chairs (carousel only, required there)")
+    parser.add_argument("--p", type=int, default=1, help="the carousel's turns (default 1)")
+    parser.add_argument("--s0", type=float, default=0.0, help="the carousel's start (default 0)")
     parser.add_argument("--repeat", type=int, default=7, help="runs to take the median over (default 7)")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if (args.command is None) != (args.q is None):
+        parser.error("--q goes with carousel, and carousel needs --q")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        runs, calls = zip(*(stage_times(args.config, Path(tmp)) for _ in range(args.repeat)))
+        if args.command:
+            title, column = f"carousel {args.config} --q {args.q} --p {args.p} --s0 {args.s0!r}", "chain solves"
+            runs, counts = zip(*(
+                carousel_stage_times(args.config, args.q, args.p, args.s0, Path(tmp)) for _ in range(args.repeat)
+            ))
+            counts = counts[0]
+        else:
+            title, column = args.config, "residual calls"
+            runs, calls = zip(*(stage_times(args.config, Path(tmp)) for _ in range(args.repeat)))
+            counts = {name: residual_calls_of(name, calls[0]) for name in runs[0]}
     rows = (
-        f"{name:<28} {1e3 * statistics.median(run[name] for run in runs):>10.3f}  {residual_calls_of(name, calls[0])}"
+        f"{name:<28} {1e3 * statistics.median(run[name] for run in runs):>10.3f}  {counts.get(name, '')}"
         for name in runs[0]
     )
-    header = f"{'stage':<28} {'ms':>10}  residual calls"
-    print(f"median of {args.repeat} runs of {args.config}", header, *(row.rstrip() for row in rows), sep="\n")
+    header = f"{'stage':<28} {'ms':>10}  {column}"
+    print(f"median of {args.repeat} runs of {title}", header, *(row.rstrip() for row in rows), sep="\n")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,8 @@ MIN_CUT_FRACTION = 1e-9
 
 # the fields of Chords with one entry per lane
 _LANES = (
-    "s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c", "p", "q", "v", "ks", "kt", "dm",
+    "s", "t", "x", "y", "c", "z", "apex", "alpha", "beta", "norm_c", "affine_norm_c", "p", "q", "v", "ws", "ks", "kt",
+    "dm",
 )
 
 
@@ -50,9 +51,10 @@ class Chords:
     ``beta`` are the interior angles between the chord and the tangents at
     x and y; ``norm_c`` and ``affine_norm_c`` are the Euclidean and affine
     chord lengths. ``p``, ``q`` and ``v`` are the end determinants
-    det(c, gamma'(s)), det(c, gamma'(t)) and det(gamma'(s), gamma'(t)), and
-    ``ks`` and ``kt`` the curvatures at x and y. ``dm`` is the increment over
-    the arc [s, t] of the curve's moment antiderivative (``curve.moments``):
+    det(c, gamma'(s)), det(c, gamma'(t)) and det(gamma'(s), gamma'(t)), ``ws``
+    is det(gamma'(s), gamma''(s)), the numerator of ``ks``, and ``ks`` and
+    ``kt`` are the curvatures at x and y. ``dm`` is the increment over the
+    arc [s, t] of the curve's moment antiderivative (``curve.moments``):
     the integral of [w, (gamma - o) w], w = det(gamma - o, gamma'), about its
     origin o, shape (lanes, 3). ``jets`` holds the curve derivatives of
     orders 0 to 2 at both chord ends, ``jets[k]`` of shape (2, lanes, 2).
@@ -63,13 +65,13 @@ class Chords:
     """
 
     def __init__(
-        self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, p, q, v, ks, kt, dm,
-        jets, residual_calls,
+        self, curve, kind, delta, s, t, x, y, c, z, apex, alpha, beta, norm_c, affine_norm_c, p, q, v, ws, ks, kt,
+        dm, jets, residual_calls,
     ):
         self.curve, self.kind, self.delta, self.s, self.t = curve, kind, delta, s, t
         self.x, self.y, self.c, self.z, self.apex = x, y, c, z, apex
         self.alpha, self.beta, self.norm_c, self.affine_norm_c = alpha, beta, norm_c, affine_norm_c
-        self.p, self.q, self.v, self.ks, self.kt, self.dm = p, q, v, ks, kt, dm
+        self.p, self.q, self.v, self.ws, self.ks, self.kt, self.dm = p, q, v, ws, ks, kt, dm
         self.jets, self.residual_calls = jets, residual_calls
 
     def replace(self, **changes):
@@ -135,11 +137,11 @@ def _area_fdf(curve, kind, side, target):
 
 
 def _apex(x, y, d1, d2):
-    """Tangent-line intersection of every lane and the mask of lanes whose tangents are parallel."""
+    """Tangent-line intersection of every lane, the mask of lanes whose tangents are parallel, and v = det(d1, d2)."""
     v = det2(d1, d2)
     parallel = np.abs(v) <= PARALLEL_TOL * norm2(d1) * norm2(d2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return x + d1 * (det2(y - x, d2) / v)[..., None], parallel
+        return x + d1 * (det2(y - x, d2) / v)[..., None], parallel, v
 
 
 def _chords(curve, kind, delta, s_side, t_side, calls):
@@ -150,18 +152,18 @@ def _chords(curve, kind, delta, s_side, t_side, calls):
     c = y - x
     p = det2(c, d1)
     q = det2(c, d2)
-    v = det2(d1, d2)
-    ks, kt = curvature(jets[1], jets[2])
+    w = det2(jets[1], jets[2])  # det(gamma', gamma''), the curvatures' numerators at both ends
+    ks, kt = curvature(jets[1], jets[2], w)
     alpha = np.arctan2(-p, dot2(c, d1))
     beta = np.arctan2(q, dot2(c, d2))
-    z, parallel = _apex(x, y, d1, d2)
+    z, parallel, v = _apex(x, y, d1, d2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # signed tangent-triangle area; affine chord length is 2 T^(1/3)
         affine_norm = np.where(parallel, np.inf, 2.0 * np.cbrt(-0.5 * p * q / v))
     z = np.where(parallel[:, None], np.nan, z)
     return Chords(
-        curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, p, q, v, ks, kt, m_t - m_s,
-        jets, calls,
+        curve, kind, delta, s, t, x, y, c, z, ~parallel, alpha, beta, norm2(c), affine_norm, p, q, v, w[0], ks, kt,
+        m_t - m_s, jets, calls,
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chord, floatgeom, homothety
 from .curve import PERIOD, SPEC_KEYS, area, curve_from_json, is_number
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .svg import export_svg
 
 CSV_COLUMNS = [
@@ -438,8 +438,11 @@ def write_report(path, label, deltas, n_samples, records, stage_seconds, residua
 
 
 def write_json(path, payload):
-    """Write payload as strict indented JSON, serialised first: a NaN or infinity raises and leaves no file."""
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Write payload as strict indented JSON, serialised first: a NaN or infinity is a SolverError, with no file."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # json's reason names the value: "Out of range float values are not JSON compliant: nan"
+        raise SolverError(f"{Path(path).name} would hold a non-finite number ({exc})") from None
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -504,14 +507,12 @@ def cmd_run(config: RunConfig):
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_carousel(config: RunConfig, q, p, s0):
-    curve = curve_from_json(config.curve_spec)
-    label = curve_label(config.curve_spec)
-    car = homothety.build_carousel(curve, p, q, s0=s0)  # at the delta* where it closes
+def carousel_payload(label, car):
+    """The carousel.json record of a carousel built for the curve called ``label``."""
     payload = {
         "curve": label,
-        "p": p,
-        "q": q,
+        "p": car.p,
+        "q": car.q,
         "delta_star": car.delta,
         "closure_defect": car.closure_defect,
         "vertices": car.vertices,
@@ -523,13 +524,17 @@ def cmd_carousel(config: RunConfig, q, p, s0):
         payload["lambda_product_max_dev"] = car.lambda_product_max_dev
         payload["medial_residual_max"] = car.medial_residual_max
     payload["closure_defect_max"] = car.closure_defect_max
+    payload["chain_solves"] = car.chain_solves
+    return payload
+
+
+def cmd_carousel(config: RunConfig, q, p, s0):
+    curve = curve_from_json(config.curve_spec)
+    car = homothety.build_carousel(curve, p, q, s0=s0)  # at the delta* where it closes
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "carousel.json", payload)
-    print(
-        f"carousel p/q={p}/{q}: delta* = {car.delta:.12g}, "
-        f"closure defect {car.closure_defect:.3e}"
-    )
+    write_json(out_dir / "carousel.json", carousel_payload(curve_label(config.curve_spec), car))
+    print(f"carousel p/q={p}/{q}: delta* = {car.delta:.12g}, closure defect {car.closure_defect:.3e}")
     # closing from s0 but not from every start is a negative result, not bad input
     if car.closure_defect_max > 1e-8 * PERIOD:
         print(f"[FAIL] carousel does not close from every start: max |defect| = {car.closure_defect_max:.3e}")

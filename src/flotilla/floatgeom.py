@@ -150,8 +150,7 @@ def _sines(chords):
 def illumination_point(chords):
     """Apex parametrization of the illumination boundary with its curvature."""
     _require_kind(chords, ILLUMINATION)
-    w_s = det2(chords.jets[1][0], chords.jets[2][0])
-    tangent = chords.c * (-chords.q * w_s / (chords.p * chords.v))[:, None]
+    tangent = chords.c * (-chords.q * chords.ws / (chords.p * chords.v))[:, None]
     kappa = 4.0 * _sines(chords) / chords.affine_norm_c**3
     return DerivedCurve(ILLUMINATION_BOUNDARY, chords.z, tangent, kappa)
 
@@ -164,8 +163,7 @@ def illumination_centroid_point(chords):
     x, y, z = chords.x - origin, chords.y - origin, chords.z - origin
     # first moment about o: the arc traversed backwards, then the tangent segments x -> z -> y
     moment = -(chords.dm[:, 1:] + _segment_moment(y, z) + _segment_moment(z, x)) / 3.0
-    w_s = det2(chords.jets[1][0], chords.jets[2][0])
-    tangent = chords.c * (chords.q**2 * w_s / (6.0 * delta_hat * chords.v**2))[:, None]
+    tangent = chords.c * (chords.q**2 * chords.ws / (6.0 * delta_hat * chords.v**2))[:, None]
     kappa = 96.0 * delta_hat * _sines(chords) / chords.affine_norm_c**6
     return DerivedCurve(ILLUMINATION_CENTROID, origin + moment / delta_hat, tangent, kappa)
 

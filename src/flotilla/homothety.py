@@ -49,21 +49,24 @@ class HomothetyFit:
 
 
 class Carousel:
-    """A chain of q equal-area chords from s0, and how the chains at its delta close from every start.
+    """The chains of q equal-area chords from the CAROUSEL_STARTS starts s0 + k PERIOD / CAROUSEL_STARTS at one delta.
 
-    ``defect_slope`` is d(closure_defect)/d(delta), accumulated along the chain.
-    ``closure_defect_max`` is the worst |t_q - t_0 - p PERIOD| of the chains
-    from the starts k PERIOD / CAROUSEL_STARTS. For q = 3 only, ``lambdas``
-    are the tangent-triangle side ratios of the chain from s0, and the
-    triangles from the starts give ``lambda_report``, ``centroid_drift_max``,
-    ``lambda_product_max_dev`` and ``medial_residual_max``; these stay empty
-    where a tangent triangle degenerates, far from closure.
+    ``vertices``, ``closure_defect`` and ``defect_slope`` (d(closure_defect)/d(delta),
+    accumulated along the chain) are the chain from s0, lane 0 of the starts.
+    ``closure_defect_max`` is the worst |t_q - t_0 - p PERIOD| over the starts.
+    For q = 3 only, ``lambdas`` are the tangent-triangle side ratios of the
+    chain from s0, and the triangles from the starts give ``lambda_report``,
+    ``centroid_drift_max``, ``lambda_product_max_dev`` and
+    ``medial_residual_max``; these stay empty where a tangent triangle
+    degenerates, far from closure. ``chain_solves`` counts the ``chord.chains``
+    calls that built the carousel: 1 at a given delta, one per delta tried
+    when the closing delta is solved for.
     """
 
-    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max):
+    def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max, chain_solves):
         self.p, self.q, self.delta, self.s0 = p, q, delta, s0
         self.vertices, self.closure_defect, self.defect_slope = vertices, closure_defect, defect_slope
-        self.closure_defect_max = closure_defect_max
+        self.closure_defect_max, self.chain_solves = closure_defect_max, chain_solves
         self.lambdas = []
         self.lambda_report = self.centroid_drift_max = None
         self.lambda_product_max_dev = self.medial_residual_max = None
@@ -283,7 +286,7 @@ def radon_check(curve, n_samples=256) -> float:
     return float(np.max(np.abs(det2(d1_t, g_s - center)) / (norm2(d1_t) * norm2(g_s - center))))
 
 
-# the closure of every carousel is checked from the starts k PERIOD / CAROUSEL_STARTS
+# every carousel is chained from the starts s0 + k PERIOD / CAROUSEL_STARTS, the chain from s0 first
 CAROUSEL_STARTS = 32
 
 
@@ -294,43 +297,42 @@ def _tangent_triangles(x, d):
     i + 1 and i + 2 (mod 3), from gamma and gamma' at the vertices as ``chord.chains``
     gives them. Returns three (3, lanes, 2) point arrays and the degenerate lanes.
     """
-    apex, parallel = _apex(x[[1, 2, 0]], x[[2, 0, 1]], d[[1, 2, 0]], d[[2, 0, 1]])
+    apex, parallel, _ = _apex(x[[1, 2, 0]], x[[2, 0, 1]], d[[1, 2, 0]], d[[2, 0, 1]])
     return x[:3], apex[[1, 2, 0]], apex[[2, 0, 1]], parallel.any(axis=0)
 
 
 def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
-    """Chain q equal-area chords from s0, and from every one of CAROUSEL_STARTS starts at the same delta.
+    """Chain q equal-area chords from each of the CAROUSEL_STARTS starts from s0, all at one delta.
 
     The closure defects measure periodicity. For q = 3 the side ratios of
     the circumscribed tangent triangles are reported (all equal to 1 exactly
     when the chain is a closing carousel of an ellipse-like configuration),
     with the drift of the chord-triangle centroid and how far the chord
     vertices sit from the tangent-triangle side midpoints. With no
-    ``delta``, the chain from s0 is the one the root finder solved at the
-    delta where the carousel from s0 closes.
+    ``delta``, the chains are the ones the root finder solved at the delta
+    where the carousel from s0 closes, so no chain is solved twice.
     """
     _require_carousel(p, q, s0)
     if delta is None:
-        delta, (chain, at_vertices, dt_ddelta) = _closing_chain(curve, p, q, s0)
+        delta, (lanes, at_lanes, dt_ddelta), solves = _closing_chain(curve, p, q, s0)
     else:  # the chord solve rejects a delta outside (0, area)
-        chain, at_vertices, dt_ddelta = chains(curve, q, delta, 1, float(s0))
-    ts = chain[:, 0]
-    lanes, at_lanes, _ = chains(curve, q, delta, CAROUSEL_STARTS, 0.0)
+        (lanes, at_lanes, dt_ddelta), solves = chains(curve, q, delta, CAROUSEL_STARTS, float(s0)), 1
+    defects = lanes[q] - lanes[0] - p * PERIOD
     carousel = Carousel(
         p=p,
         q=q,
         delta=delta,
         s0=float(s0),
-        vertices=ts.tolist(),
-        closure_defect=float(ts[q] - ts[0] - p * PERIOD),
+        vertices=lanes[:, 0].tolist(),
+        closure_defect=float(defects[0]),
         defect_slope=float(dt_ddelta[0]),
-        closure_defect_max=float(np.max(np.abs(lanes[q] - lanes[0] - p * PERIOD))),
+        closure_defect_max=float(np.max(np.abs(defects))),
+        chain_solves=solves,
     )
     if q == 3:
-        v, ahead, behind, degenerate = _tangent_triangles(*at_vertices)
-        if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
-            carousel.lambdas = (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
         v, ahead, behind, degenerate = _tangent_triangles(*at_lanes)
+        if not degenerate[0]:  # no ratios where the tangent triangle degenerates, far from closure
+            carousel.lambdas = (norm2(ahead[:, 0] - v[:, 0]) / norm2(v[:, 0] - behind[:, 0])).tolist()
         if not degenerate.any():
             lambdas = norm2(ahead - v) / norm2(v - behind)
             centroids = v.mean(axis=0)
@@ -356,17 +358,17 @@ def _require_carousel(p, q, s0):
 
 
 def _closing_chain(curve, p, q, s0):
-    """Cut-off area delta* at which the p/q carousel from s0 closes, and its chain there."""
+    """The area delta* where the p/q carousel from s0 closes, the chains from every start there, and the chain calls."""
     total = area(curve)
-    tried = {}  # the chain at every delta tried, so the one at delta* is not solved again
+    tried = {}  # the chains at every delta tried, so the ones at delta* are not solved again
 
     def fdf(d):
-        # the closure defect of the chain from s0 and its slope in delta, in the one lane d
+        # the closure defect of the chain from s0, lane 0 of the starts, and its slope in delta
         d = float(d[0])
         if d not in tried:
-            tried[d] = chains(curve, q, d, 1, float(s0))
+            tried[d] = chains(curve, q, d, CAROUSEL_STARTS, float(s0))
         ts, _, slope = tried[d]
-        return ts[q] - ts[0] - p * PERIOD, slope
+        return ts[q, :1] - ts[0, :1] - p * PERIOD, slope[:1]
 
     # the defect increases with delta, as every vertex does, so the whole range
     # of cut-off areas brackets it. Every ellipse closes at the cap of chord
@@ -379,4 +381,4 @@ def _closing_chain(curve, p, q, s0):
     defect = abs(fdf([delta_star])[0][0])
     if defect > 1e-10 * PERIOD:
         raise SolverError(f"carousel closure only reached |defect| = {defect:.3e}")
-    return delta_star, tried[delta_star]
+    return delta_star, tried[delta_star], len(tried)

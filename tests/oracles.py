@@ -410,7 +410,7 @@ def _pair(s, t):
 def tangent_intersection(curve, s, t):
     """Intersection of the tangent lines at gamma(s) and gamma(t)."""
     (x, y), (d1, d2) = curve.derivatives(_pair(s, t), (0, 1))
-    z, parallel = _apex(x, y, d1, d2)
+    z, parallel, _ = _apex(x, y, d1, d2)
     if np.any(parallel):
         raise DomainError("tangent lines are parallel; no apex")
     return z

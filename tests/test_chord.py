@@ -379,7 +379,7 @@ class TestLaneSweep:
     @pytest.mark.parametrize("kind", [FLOTATION, ILLUMINATION])
     @pytest.mark.parametrize("body", ["ellipse21", "bump3", "sampled_64"])
     def test_fields_match_their_definitions(self, request, body, kind):
-        # p, q, v, the end curvatures and the arc moments come from the solve's
+        # p, q, v, ws, the end curvatures and the arc moments come from the solve's
         # own evaluations; each is its definition from the jets and a fresh
         # evaluation of the moment antiderivative at both ends, to a few ulps
         if body == "sampled_64":
@@ -392,7 +392,7 @@ class TestLaneSweep:
         (x, y), (d1, d2), (dd1, dd2) = chords.jets
         c = y - x
         eps = 4.0 * np.finfo(float).eps
-        for got, u, w in ((chords.p, c, d1), (chords.q, c, d2), (chords.v, d1, d2)):
+        for got, u, w in ((chords.p, c, d1), (chords.q, c, d2), (chords.v, d1, d2), (chords.ws, d1, dd1)):
             np.testing.assert_allclose(got, det2(u, w), rtol=0.0, atol=eps * np.max(norm2(u) * norm2(w)))
         for got, d, dd in ((chords.ks, d1, dd1), (chords.kt, d2, dd2)):
             scale = np.max(norm2(dd) / norm2(d) ** 2)

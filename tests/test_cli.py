@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import flotilla
-from flotilla import chord as chord_module
 from flotilla import cli as cli_module
 from flotilla.cli import (
     BODY_CHECKS,
@@ -39,6 +38,7 @@ from flotilla.cli import (
     write_curves_csv,
 )
 from flotilla.curve import SPEC_KEYS, AffineFrame, AffineImage, Ellipse, SampledPeriodic, det2
+from flotilla.errors import SolverError
 from flotilla.homothety import build_carousel
 from flotilla.numerics import TrigInterpolant
 from flotilla.svg import export_svg
@@ -925,34 +925,25 @@ class TestSubcommands:
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["lambda_product_max_dev"] < 1e-8
 
-    def test_carousel_reuses_the_solved_chain(self, tmp_path, monkeypatch):
-        # build_carousel takes the chain from s0 that its root finder
-        # solved at delta*: on the ellipse the closing start is delta*, so
-        # one chain of 3 single-lane solves, none after (6 when
-        # build_carousel solved the chain again)
-        solves = 0
-        solve_t = chord_module._solve_t
-
-        def counting(curve, kind, side, delta):
-            nonlocal solves
-            solves += np.size(side[0]) == 1
-            return solve_t(curve, kind, side, delta)
-
-        monkeypatch.setattr(chord_module, "_solve_t", counting)
+    def test_carousel_reuses_the_solved_chain(self, tmp_path):
+        # build_carousel takes the chains from every start that its root
+        # finder solved at delta*, the one from s0 as lane 0: on the ellipse
+        # the closing start is delta*, so one chain solve, none after (2 when
+        # build_carousel solved the chains from the starts again)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         out = tmp_path / "car"
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK
-        assert solves == 3
         payload = json.loads((out / "carousel.json").read_text())
-        car = build_carousel(Ellipse(2.0, 1.0), 1, 3, payload["delta_star"])  # the chain solved afresh
+        assert payload["chain_solves"] == 1
+        car = build_carousel(Ellipse(2.0, 1.0), 1, 3, payload["delta_star"])  # the chains solved afresh
         assert (car.vertices, car.lambdas) == (payload["vertices"], payload["lambdas"])
 
     def test_carousel_evaluates_each_chain_vertex_once(self, tmp_path, monkeypatch):
         # each chain step hands gamma and gamma' at its end, from its last
         # Newton round, to the next step and to the tangent triangles: the
         # ellipse's convexity and moments are closed forms and sample no points,
-        # the closing chain takes 1 + 3 (one Newton round per chord) and the
-        # 32-start diagnostics 32 + 3 x 32
+        # and the chains from the 32 starts, the one from s0 among them, take
+        # 32 + 3 x 32 (one Newton round per chord)
         points = 0
         derivatives = Ellipse.derivatives
 
@@ -964,7 +955,7 @@ class TestSubcommands:
         monkeypatch.setattr(Ellipse, "derivatives", counting)
         cfg = write_config(tmp_path / "c.json", curveSpec={"kind": "ellipse", "a": 2.0, "b": 1.0})
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(tmp_path / "car")]) == EXIT_OK
-        assert points == 4 + 128
+        assert points == 128
 
     def test_carousel_closure_defect_reported(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -972,6 +963,14 @@ class TestSubcommands:
         assert main(["carousel", str(cfg), "--q", "3", "--out", str(out)]) == EXIT_OK
         payload = json.loads((out / "carousel.json").read_text())
         assert payload["closure_defect_max"] < 1e-8 * 2 * math.pi
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_payload_is_a_numerical_failure(self, tmp_path, value):
+        # json's own ValueError reached main as a traceback; a SolverError exits 3 in one line
+        path = tmp_path / "carousel.json"
+        with pytest.raises(SolverError, match="^carousel.json would hold a non-finite number .*JSON compliant"):
+            cli_module.write_json(path, {"lambdas": [1.0, value]})
+        assert not path.exists()
 
     def test_carousel_not_closing_everywhere_fails_check(self, tmp_path):
         # bump3 closes from s0 = 0 only: a negative result (exit 1), not a config error

@@ -21,6 +21,7 @@ from flotilla.curve import (
     area,
     curve_from_json,
     det2,
+    norm2,
 )
 from flotilla.errors import DomainError
 from flotilla.floatgeom import buoyancy_point, flotation_point
@@ -545,40 +546,38 @@ class TestCarousel:
         delta_star = build_carousel(ellipse21, 1, 3).delta
         assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
 
-    @staticmethod
-    def _count_chains(monkeypatch):
-        """(delta, number of starts) of every chain build_carousel makes."""
-        calls = []
-        def counting(curve, q, delta, n, s0):
-            calls.append((delta, n))
-            return chains(curve, q, delta, n, s0)
-
-        monkeypatch.setattr(homothety_module, "chains", counting)
-        return calls
-
     @pytest.mark.parametrize("s0", [1.0, 2.2, 4.0])
-    def test_closing_residual_reused(self, monkeypatch, ellipse21, s0):
-        # the solve ends on an abscissa whose chain it has built, so the
-        # final residual check builds no further chain. On an ellipse the
-        # start, the cap of chord angle 2 pi / 3, closes: one chain (2 if the
-        # residual check built it again; 5 from the midpoint of the bracket),
-        # then the chains from every start at delta*
-        calls = self._count_chains(monkeypatch)
-        delta_star = build_carousel(ellipse21, 1, 3, s0=s0).delta
-        assert delta_star == pytest.approx(2.0 * DELTA, abs=2e-9)
-        assert calls == [(delta_star, 1), (delta_star, homothety_module.CAROUSEL_STARTS)]
+    def test_closing_residual_reused(self, ellipse21, s0):
+        # the solve ends on an abscissa whose chains it has built, so neither
+        # the final residual check nor the diagnostics build any further. On
+        # an ellipse the start, the cap of chord angle 2 pi / 3, closes: one
+        # chain solve (2 if the residual check built it again, 3 if the
+        # diagnostics did; 5 from the midpoint of the bracket)
+        car = build_carousel(ellipse21, 1, 3, s0=s0)
+        assert car.delta == pytest.approx(2.0 * DELTA, abs=2e-9)
+        assert car.chain_solves == 1
 
-    def test_closing_residual_reused_while_the_root_finder_iterates(self, monkeypatch, bump3):
+    def test_closing_residual_reused_while_the_root_finder_iterates(self, bump3):
         # bump3 misses the ellipse start: the start and four Newton rounds,
         # each chain built once (6 if the residual check built the last one
-        # again, 7 when the bracket ends were built first), then the chains
-        # from every start at delta*
-        calls = self._count_chains(monkeypatch)
+        # again, 7 when the bracket ends were built first), and none after
         car = build_carousel(bump3, 1, 3, s0=2.2)
         assert abs(car.closure_defect) < 1e-10
-        deltas = [delta for delta, lanes in calls if lanes == 1]
-        assert len(deltas) == len(set(deltas)) == 5
-        assert calls[5:] == [(car.delta, homothety_module.CAROUSEL_STARTS)]
+        assert car.chain_solves == 5
+
+    def test_given_delta_is_one_chain_solve(self, bump3):
+        assert build_carousel(bump3, 1, 3, 0.6, s0=0.3).chain_solves == 1
+
+    @pytest.mark.parametrize("body, s0", [("ellipse21", 0.0), ("bump3", 1.3)])
+    def test_chain_from_s0_is_lane_0_of_the_closure_chains(self, request, body, s0):
+        curve = request.getfixturevalue(body)
+        car = build_carousel(curve, 1, 3, s0=s0)
+        ts, at_vertices, dt_ddelta = chains(curve, 3, car.delta, homothety_module.CAROUSEL_STARTS, s0)
+        assert car.vertices == ts[:, 0].tolist() and car.vertices[0] == s0
+        assert car.closure_defect == ts[3, 0] - ts[0, 0] - PERIOD and car.defect_slope == dt_ddelta[0]
+        assert car.closure_defect_max == np.max(np.abs(ts[3] - ts[0] - PERIOD))
+        v, ahead, behind, _ = homothety_module._tangent_triangles(*(a[:, :1] for a in at_vertices))
+        assert car.lambdas == (norm2(ahead - v) / norm2(v - behind))[:, 0].tolist()
 
     @pytest.mark.parametrize("body, p, q", [("bump3", 1, 3), ("ellipse21", 1, 3), ("unit_circle", 2, 5)])
     def test_closing_chain_matches_solve_then_build(self, request, body, p, q):
@@ -649,15 +648,17 @@ class TestCarousel:
         assert car.defect_slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-8)
 
     def test_diagnostics_lanes_match_single_chains(self, bump3):
-        # the carousel closes from s0 = 0 but not from other starts
-        car = build_carousel(bump3, 1, 3)
+        # the carousel closes from s0 but not from the other starts s0 + k period / n
         n = homothety_module.CAROUSEL_STARTS
-        chains = [build_carousel(bump3, 1, 3, car.delta, s0=s0) for s0 in np.arange(n) * (TWO_PI / n)]
-        assert car.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)
-        assert car.closure_defect_max > 1e-2
-        lambdas = [lam for c in chains for lam in c.lambdas]
-        assert car.lambda_report.mean == pytest.approx(np.mean(lambdas), rel=1e-12)
-        assert car.lambda_report.coefficient_of_variation == pytest.approx(np.std(lambdas) / np.mean(lambdas), rel=1e-9)
+        for s0 in (0.0, 1.3):
+            car = build_carousel(bump3, 1, 3, s0=s0)
+            chains = [build_carousel(bump3, 1, 3, car.delta, s0=s) for s in s0 + np.arange(n) * (TWO_PI / n)]
+            assert car.closure_defect_max == pytest.approx(max(abs(c.closure_defect) for c in chains), rel=1e-9)
+            assert car.closure_defect_max > 1e-2
+            lambdas = [lam for c in chains for lam in c.lambdas]
+            assert car.lambda_report.mean == pytest.approx(np.mean(lambdas), rel=1e-12)
+            cv = np.std(lambdas) / np.mean(lambdas)
+            assert car.lambda_report.coefficient_of_variation == pytest.approx(cv, rel=1e-9)
 
     def test_wrong_delta_does_not_close(self, unit_circle):
         car = build_carousel(unit_circle, 1, 3, 0.5)
