@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print the median in-process wall time of each stage of `flotilla run CONFIG`, or of `flotilla carousel CONFIG
---q Q [--p P] [--s0 S]`, over --repeat K runs.
+--q Q [--s0 S]` (one turn, p = 1), over --repeat K runs.
 
 Each run's stages are the `stage_seconds` of its report.json. `config` times cli.load_config, and `rest`
 is what the cmd_run call spends outside every stage. `compile` times `import flotilla, flotilla.cli` in a
@@ -65,13 +65,13 @@ def stage_times(config_path, out_dir):
     return times, report["residual_calls"]
 
 
-def carousel_stage_times(config_path, q, p, s0, out_dir):
+def carousel_stage_times(config_path, q, s0, out_dir):
     """The wall time of each stage of one carousel command, and the carousel's chain solves."""
     config = cli.load_config(config_path)
     start = perf_counter()
     curve = curve_from_json(config.curve_spec)
     built = perf_counter()
-    car = homothety.build_carousel(curve, p, q, s0=s0)
+    car = homothety.build_carousel(curve, 1, q, s0=s0)
     solved = perf_counter()
     cli.write_json(out_dir / "carousel.json", cli.carousel_payload(cli.curve_label(config.curve_spec), car))
     times = {"curve": built - start, "build_carousel": solved - built, "write_json": perf_counter() - solved}
@@ -91,7 +91,6 @@ def main():
     parser.add_argument("command", nargs="?", choices=["carousel"], help="time `flotilla carousel` instead of `run`")
     parser.add_argument("config")
     parser.add_argument("--q", type=int, help="the carousel's chairs (carousel only, required there)")
-    parser.add_argument("--p", type=int, default=1, help="the carousel's turns (default 1)")
     parser.add_argument("--s0", type=float, default=0.0, help="the carousel's start (default 0)")
     parser.add_argument("--repeat", type=int, default=7, help="runs to take the median over (default 7)")
     args = parser.parse_args()
@@ -101,9 +100,9 @@ def main():
         parser.error("--q goes with carousel, and carousel needs --q")
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         if args.command:
-            title, column = f"carousel {args.config} --q {args.q} --p {args.p} --s0 {args.s0!r}", "chain solves"
+            title, column = f"carousel {args.config} --q {args.q} --s0 {args.s0!r}", "chain solves"
             runs, counts = zip(*(
-                carousel_stage_times(args.config, args.q, args.p, args.s0, Path(tmp)) for _ in range(args.repeat)
+                carousel_stage_times(args.config, args.q, args.s0, Path(tmp)) for _ in range(args.repeat)
             ))
             counts = counts[0]
         else:

@@ -153,7 +153,7 @@ def _chords(curve, kind, delta, s_side, t_side, calls):
     p = det2(c, d1)
     q = det2(c, d2)
     w = det2(jets[1], jets[2])  # det(gamma', gamma''), the curvatures' numerators at both ends
-    ks, kt = curvature(jets[1], jets[2], w)
+    ks, kt = curvature(jets[1], w)
     alpha = np.arctan2(-p, dot2(c, d1))
     beta = np.arctan2(q, dot2(c, d2))
     z, parallel, v = _apex(x, y, d1, d2)

@@ -321,12 +321,12 @@ class AffineImage(ClosedConvexCurve):
 # operations
 
 
-def curvature(d1, d2, w=None):
-    """Oriented curvature det(d1, d2) / |d1|^3 from the parameter derivatives d1 and d2, or d1 and w = det(d1, d2)."""
+def curvature(d1, w):
+    """Oriented curvature w / |d1|^3 from the first parameter derivative d1 and w = det(d1, d2), d2 the second."""
     speed = norm2(d1)
     if np.any(speed == 0.0):
         raise DomainError("zero tangent vector")
-    return (det2(d1, d2) if w is None else w) / speed**3
+    return w / speed**3
 
 
 def affine_normal(d1, d2, d3):

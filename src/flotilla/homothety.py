@@ -59,8 +59,7 @@ class Carousel:
     ``centroid_drift_max``, ``lambda_product_max_dev`` and
     ``medial_residual_max``; these stay empty where a tangent triangle
     degenerates, far from closure. ``chain_solves`` counts the ``chord.chains``
-    calls that built the carousel: 1 at a given delta, one per delta tried
-    when the closing delta is solved for.
+    calls that built it: 1 at a given delta and on an ellipse (``_closing_chain``).
     """
 
     def __init__(self, p, q, delta, s0, vertices, closure_defect, defect_slope, closure_defect_max, chain_solves):
@@ -309,8 +308,7 @@ def build_carousel(curve, p, q, delta=None, s0=0.0) -> Carousel:
     when the chain is a closing carousel of an ellipse-like configuration),
     with the drift of the chord-triangle centroid and how far the chord
     vertices sit from the tangent-triangle side midpoints. With no
-    ``delta``, the chains are the ones the root finder solved at the delta
-    where the carousel from s0 closes, so no chain is solved twice.
+    ``delta``, the chains are the closing solve's (``_closing_chain``).
     """
     _require_carousel(p, q, s0)
     if delta is None:
@@ -363,10 +361,11 @@ def _closing_chain(curve, p, q, s0):
     tried = {}  # the chains at every delta tried, so the ones at delta* are not solved again
 
     def fdf(d):
-        # the closure defect of the chain from s0, lane 0 of the starts, and its slope in delta
+        # the closure defect of the chain from s0, lane 0, and its slope in delta. The
+        # first delta tried, where every ellipse closes, chains every start; the rest s0 alone
         d = float(d[0])
         if d not in tried:
-            tried[d] = chains(curve, q, d, CAROUSEL_STARTS, float(s0))
+            tried[d] = chains(curve, q, d, 1 if tried else CAROUSEL_STARTS, float(s0))
         ts, _, slope = tried[d]
         return ts[q, :1] - ts[0, :1] - p * PERIOD, slope[:1]
 
@@ -381,4 +380,7 @@ def _closing_chain(curve, p, q, s0):
     defect = abs(fdf([delta_star])[0][0])
     if defect > 1e-10 * PERIOD:
         raise SolverError(f"carousel closure only reached |defect| = {defect:.3e}")
-    return delta_star, tried[delta_star], len(tried)
+    closing, solves = tried[delta_star], len(tried)
+    if closing[0].shape[1] == 1:  # the root is not the first delta tried: chain every start there once
+        closing, solves = chains(curve, q, delta_star, CAROUSEL_STARTS, float(s0)), solves + 1
+    return delta_star, closing, solves

@@ -129,19 +129,24 @@ class TestOnGrid:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _curvature(curve, s):
+    d1, d2 = curve.derivatives(s, (1, 2))
+    return curvature(d1, det2(d1, d2))
+
+
 class TestEuclideanCurvature:
-    """``curvature`` of the first and second derivatives."""
+    """``curvature`` of the first derivative and det(first, second)."""
 
     def test_unit_circle(self, unit_circle):
-        assert curvature(*unit_circle.derivatives(1.234, (1, 2))) == pytest.approx(1.0, rel=1e-14)
+        assert _curvature(unit_circle, 1.234) == pytest.approx(1.0, rel=1e-14)
 
     def test_scaling(self):
         big = Ellipse(3.0, 3.0)
-        assert curvature(*big.derivatives(0.5, (1, 2))) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert _curvature(big, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_ellipse_axis_point(self, ellipse21):
         # analytic: ab / (a^2 sin^2 + b^2 cos^2)^(3/2) at s = 0
-        assert curvature(*ellipse21.derivatives(0.0, (1, 2))) == pytest.approx(2.0, rel=1e-14)
+        assert _curvature(ellipse21, 0.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_matches_position_finite_differences(self, ellipse21):
         h = 1e-4
@@ -150,7 +155,7 @@ class TestEuclideanCurvature:
             d1 = (pts[0] - 8 * pts[1] + 8 * pts[3] - pts[4]) / (12 * h)
             d2 = (-pts[0] + 16 * pts[1] - 30 * pts[2] + 16 * pts[3] - pts[4]) / (12 * h**2)
             fd = (d1[0] * d2[1] - d1[1] * d2[0]) / np.linalg.norm(d1) ** 3
-            assert fd == pytest.approx(curvature(*ellipse21.derivatives(s, (1, 2))), rel=1e-6)
+            assert fd == pytest.approx(_curvature(ellipse21, s), rel=1e-6)
 
 
 class TestArea:

@@ -552,21 +552,19 @@ class TestCarousel:
         # the final residual check nor the diagnostics build any further. On
         # an ellipse the start, the cap of chord angle 2 pi / 3, closes: one
         # chain solve (2 if the residual check built it again, 3 if the
-        # diagnostics did; 5 from the midpoint of the bracket)
+        # diagnostics did; 6 from the midpoint of the bracket)
         car = build_carousel(ellipse21, 1, 3, s0=s0)
         assert car.delta == pytest.approx(2.0 * DELTA, abs=2e-9)
         assert car.chain_solves == 1
 
     def test_closing_residual_reused_while_the_root_finder_iterates(self, bump3):
-        # bump3 misses the ellipse start: the start and four Newton rounds,
-        # each chain built once (6 if the residual check built the last one
-        # again, 7 when the bracket ends were built first), and none after
+        # bump3 misses the ellipse start: the start, chained from every start,
+        # and four Newton rounds from s0, each chain built once (7 if the
+        # residual check built the last one again, 8 when the bracket ends
+        # were built first), then the chains from every start at delta*
         car = build_carousel(bump3, 1, 3, s0=2.2)
         assert abs(car.closure_defect) < 1e-10
-        assert car.chain_solves == 5
-
-    def test_given_delta_is_one_chain_solve(self, bump3):
-        assert build_carousel(bump3, 1, 3, 0.6, s0=0.3).chain_solves == 1
+        assert car.chain_solves == 6
 
     @pytest.mark.parametrize("body, s0", [("ellipse21", 0.0), ("bump3", 1.3)])
     def test_chain_from_s0_is_lane_0_of_the_closure_chains(self, request, body, s0):

@@ -90,17 +90,17 @@ def test_stage_times_without_checks(tmp_path):
 
 
 def test_stage_times_of_a_carousel(tmp_path):
-    # the three stages of `flotilla carousel`, and beside build_carousel its chain solves: 5 on bump3
+    # the three stages of `flotilla carousel`, and beside build_carousel its chain solves: 6 on bump3
     # from s0 = 2.2, where the closing-area solve misses its start
     config = ROOT / "configs" / "perturbed_circle.json"
     argv = ["carousel", str(config), "--q", "3", "--s0", "2.2", "--repeat", "2"]
     result = run_script("stage_times.py", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == f"median of 2 runs of carousel {config} --q 3 --p 1 --s0 2.2"
+    assert lines[0] == f"median of 2 runs of carousel {config} --q 3 --s0 2.2"
     assert lines[1].split() == ["stage", "ms", "chain", "solves"]
     rows = {line[:28].strip(): line[41:] for line in lines[2:]}
-    assert rows == {"curve": "", "build_carousel": "5", "write_json": ""}
+    assert rows == {"curve": "", "build_carousel": "6", "write_json": ""}
     assert all(float(line[28:39]) > 0.0 for line in lines[2:])
     assert not list(tmp_path.iterdir())
     # --q goes with carousel only
