@@ -3,11 +3,12 @@
 
 Each file present in either directory is reported as byte-identical or not.
 For a `curves.csv` that differs, the largest relative difference over its
-cells is printed; for a `report.json`, every record whose status or value
-differs (records are matched by their check, not by position), every check
-that only one report holds, and every other differing key. The
-`stage_seconds` of a report are wall times and are ignored. Exits 0 when
-every file is identical (a report apart from `stage_seconds`), 1 otherwise.
+cells is printed; for a JSON record (`report.json`, `carousel.json`), every
+key that differs, and in a report every check record whose status or value
+differs (matched by their check, not by position) and every check that only
+one report holds. The `stage_seconds` of a record are wall times and are
+ignored. Exits 0 when every file is identical (a JSON record apart from
+`stage_seconds`), 1 otherwise.
 
 Usage:
     python scripts/compare_outputs.py A B
@@ -55,9 +56,9 @@ def compare_csv(a, b):
     return [f"  largest relative cell difference {worst:.3e} at row {row}, column {column}: {cell_a} against {cell_b}"]
 
 
-def compare_report(a, b):
-    """Lines naming every record whose status or value differs, every check only one report holds,
-    and every other key that differs, but stage_seconds; records are matched by their check."""
+def compare_json(a, b):
+    """Lines naming every key of two JSON records that differs, but stage_seconds, and in reports every
+    check record whose status or value differs and every check only one holds; matched by their check."""
     report_a, report_b = json.loads(a), json.loads(b)
     lines = []
     for key in sorted((set(report_a) | set(report_b)) - {"stage_seconds", "records"}):
@@ -89,8 +90,8 @@ def compare(dir_a, dir_b):
         if a == b:
             lines.append(f"{name}: byte-identical")
             continue
-        if name == "report.json":
-            detail = compare_report(a, b)
+        if name.endswith(".json"):
+            detail = compare_json(a, b)
             if not detail:
                 lines.append(f"{name}: identical apart from stage_seconds")
                 continue

@@ -422,21 +422,6 @@ def write_curves_csv(path, bundles):
                 fh.write(_sweep_rows(chords, families, grids[key]))
 
 
-def write_report(path, label, deltas, n_samples, records, stage_seconds, residual_calls):
-    """Write report.json (shape in report_schema.json); skipped records do not count against ``passed``."""
-    payload = {
-        "curve": label,
-        "deltas": [float(d) for d in deltas],
-        "n_samples": int(n_samples),
-        "passed": all(r["status"] != FAIL for r in records),
-        "records": records,
-        "stage_seconds": stage_seconds,
-        "residual_calls": residual_calls,
-    }
-    write_json(path, payload)
-    return payload
-
-
 def write_json(path, payload):
     """Write payload as strict indented JSON, serialised first: a NaN or infinity is a SolverError, with no file."""
     try:
@@ -459,16 +444,19 @@ def write_figure(path, bundles, chord_stride):
 # commands
 
 
-def cmd_run(config: RunConfig):
-    stage_seconds = {}  # wall time of each stage, in the order the stages ran
+class StageTimer(dict):
+    """The wall time of each stage of a command, in seconds from time.perf_counter, in the order the stages ran."""
 
-    def timed(stage, call):
+    def __call__(self, stage, call):
         # each stage is called by its module name, so a wrapper set over that name sees the call
         start = time.perf_counter()
         result = call()
-        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + time.perf_counter() - start
+        self[stage] = self.get(stage, 0.0) + time.perf_counter() - start
         return result
 
+
+def cmd_run(config: RunConfig):
+    timed = StageTimer()
     curve = timed("curve", lambda: curve_from_json(config.curve_spec))
     label = curve_label(config.curve_spec)
     total = timed("curve", lambda: area(curve))
@@ -493,9 +481,17 @@ def cmd_run(config: RunConfig):
 
     # one stage per check, summed over the deltas it runs at
     records = [timed(f"check {name}", lambda: run_checks(label, bundles, name)) for name in config.checks]
-    payload = write_report(
-        out_dir / "report.json", label, deltas, config.n_samples, records, stage_seconds, residual_calls
-    )
+    # report.json has the shape of report_schema.json; skipped records do not count against passed
+    passed = all(r["status"] != FAIL for r in records)
+    write_json(out_dir / "report.json", {
+        "curve": label,
+        "deltas": [float(d) for d in deltas],
+        "n_samples": int(config.n_samples),
+        "passed": passed,
+        "records": records,
+        "stage_seconds": timed,
+        "residual_calls": residual_calls,
+    })
     for rec in records:
         if rec["status"] == SKIPPED:
             print(f"[SKIP] {rec['check']}: {rec['reason']} (delta {rec['delta']:.6g})")
@@ -504,13 +500,15 @@ def cmd_run(config: RunConfig):
             f"[{rec['status'].upper()}] {rec['check']}: {rec['statistic']} = {rec['value']:.6g} "
             f"(threshold {rec['threshold']:.3g}, delta {rec['delta']:.6g})"
         )
-    return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def carousel_payload(label, car):
-    """The carousel.json record of a carousel built for the curve called ``label``."""
+def cmd_carousel(config: RunConfig, q, p, s0):
+    timed = StageTimer()
+    curve = timed("curve", lambda: curve_from_json(config.curve_spec))
+    car = timed("build_carousel", lambda: homothety.build_carousel(curve, p, q, s0=s0))  # at the delta* where it closes
     payload = {
-        "curve": label,
+        "curve": curve_label(config.curve_spec),
         "p": car.p,
         "q": car.q,
         "delta_star": car.delta,
@@ -525,15 +523,10 @@ def carousel_payload(label, car):
         payload["medial_residual_max"] = car.medial_residual_max
     payload["closure_defect_max"] = car.closure_defect_max
     payload["chain_solves"] = car.chain_solves
-    return payload
-
-
-def cmd_carousel(config: RunConfig, q, p, s0):
-    curve = curve_from_json(config.curve_spec)
-    car = homothety.build_carousel(curve, p, q, s0=s0)  # at the delta* where it closes
+    payload["stage_seconds"] = timed
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "carousel.json", carousel_payload(curve_label(config.curve_spec), car))
+    write_json(out_dir / "carousel.json", payload)
     print(f"carousel p/q={p}/{q}: delta* = {car.delta:.12g}, closure defect {car.closure_defect:.3e}")
     # closing from s0 but not from every start is a negative result, not bad input
     if car.closure_defect_max > 1e-8 * PERIOD:

@@ -982,6 +982,17 @@ class TestSubcommands:
         assert abs(payload["closure_defect"]) < 1e-10
         assert payload["closure_defect_max"] > 1e-8 * 2 * math.pi
 
+    @pytest.mark.parametrize("spec, s0, code", [(ELLIPSE21, "0", EXIT_OK), (BUMP3, "2.2", EXIT_CHECK_FAILED)])
+    def test_carousel_records_its_stage_times(self, tmp_path, spec, s0, code):
+        # the wall time of its two stages, in the order they ran; bump3 from s0 = 2.2
+        # does not close from every start (exit 1) and still writes them
+        cfg = write_config(tmp_path / "c.json", curveSpec=spec)
+        out = tmp_path / "car"
+        assert main(["carousel", str(cfg), "--q", "3", "--s0", s0, "--out", str(out)]) == code
+        stages = json.loads((out / "carousel.json").read_text())["stage_seconds"]
+        assert list(stages) == ["curve", "build_carousel"]
+        assert all(seconds >= 0.0 for seconds in stages.values())
+
     @pytest.mark.parametrize(
         "spec",
         [{"kind": "ellipse", "a": 2.0, "b": 1.0}, {"kind": "ellipse", "a": 2.0, "b": 1.0, "center": [0.2, -0.1], "rotation": 0.4}],

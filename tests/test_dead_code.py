@@ -55,7 +55,6 @@ CROSS_MODULE_PRIVATES = {
 
 KEPT_KNOBS = {
     "chord.sweep.s0": "the tests sweep from shifted starts, where the chord grid misses the body's symmetry axes",
-    "cli.main.argv": "the tests and the benchmark call main in process; the console script reads sys.argv",
     "curve.AffineFrame.translation": "the tests build linear frames as well as moved ones",
     "homothety.build_carousel.delta": "the tests chain at a given delta, to differentiate the closure defect in it",
     "homothety.radon_check.n_samples": "the CLI checks at 128 samples; the tests check the Radon bodies at 32 to 256",

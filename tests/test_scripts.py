@@ -17,7 +17,8 @@ SRC = str(Path(flotilla.__file__).resolve().parents[1])
 def run_script(name, *args, cwd):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        # a numpy warning fails a script's run, as pyproject's filterwarnings fails a test's
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -49,31 +50,34 @@ def test_limit_convergence(tmp_path):
 
 
 
+def stage_rows(stdout):
+    """{stage: median ms} of stage_times.py's table, between its two header lines and its counter line."""
+    return {line[:28].strip(): float(line[28:]) for line in stdout.splitlines()[2:-1]}
+
+
 def test_stage_times(tmp_path):
-    result = run_script("stage_times.py", str(ROOT / "configs" / "ellipse.json"), "--repeat", "2", cwd=tmp_path)
+    config = ROOT / "configs" / "ellipse.json"
+    result = run_script("stage_times.py", "--repeat", "2", "run", str(config), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
+    lines = result.stdout.splitlines()
+    assert lines[:2] == [f"median of 2 runs of flotilla run {config}", f"{'stage':<28} {'ms':>10}"]
     checks = ["chord_cube", "endpoint_balance", "omega", "dupin", "affine_normal", "cut_length", "duality"]
     checks += ["petty", "radon", "affine_sphere"]
-    assert stages == [
-        "compile", "config", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
-        *["check"] * len(checks), "rest", "total",
+    assert list(stage_rows(result.stdout)) == [
+        "compile", "curve", "compute_bundle[0]", "compute_bundle[1]", "write_curves_csv", "write_figure",
+        *(f"check {check}" for check in checks), "rest", "total",
     ]
-    assert [line.split()[1] for line in result.stdout.splitlines() if line.startswith("check ")] == checks
+    calls = {"flotation[0]": 1, "illumination[0]": 1, "flotation[1]": 1, "illumination[1]": 1}
+    assert lines[-1] == f"residual_calls {json.dumps(calls)}"
     assert not list(tmp_path.iterdir())  # the outputs go to a temporary directory
 
 
 def test_stage_times_prints_the_residual_calls_of_each_sweep(tmp_path):
-    # beside each compute_bundle stage: the residual calls of its sweeps, from report.json
+    # the counter line is report.json's residual_calls, which no two runs differ in
     config = ROOT / "configs" / "perturbed_circle.json"
-    result = run_script("stage_times.py", str(config), "--repeat", "1", cwd=tmp_path)
+    result = run_script("stage_times.py", "--repeat", "1", "run", str(config), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[1].split() == ["stage", "ms", "residual", "calls"]
-    # the stage in the first 28 columns, its median in the next 10, then two spaces
-    rows = {line[:28].strip(): line[41:] for line in lines[2:]}
-    assert rows["compute_bundle[0]"] == "flotation[0] 4, illumination[0] 14"
-    assert [name for name, calls in rows.items() if calls] == ["compute_bundle[0]"]
+    assert result.stdout.splitlines()[-1] == 'residual_calls {"flotation[0]": 4, "illumination[0]": 14}'
 
 
 def test_stage_times_without_checks(tmp_path):
@@ -82,31 +86,38 @@ def test_stage_times_without_checks(tmp_path):
     config.write_text('{"curveSpec": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "deltas": [1.0], "nSamples": 64}')
     work = tmp_path / "work"
     work.mkdir()
-    result = run_script("stage_times.py", str(config), "--repeat", "1", cwd=work)
+    result = run_script("stage_times.py", "--repeat", "1", "run", str(config), cwd=work)
     assert result.returncode == 0, result.stderr
-    stages = [line.split()[0] for line in result.stdout.splitlines()[2:]]
-    assert stages == ["compile", "config", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
+    stages = stage_rows(result.stdout)
+    assert list(stages) == ["compile", "curve", "compute_bundle[0]", "write_curves_csv", "write_figure", "rest", "total"]
     assert not list(work.iterdir())
 
 
 def test_stage_times_of_a_carousel(tmp_path):
-    # the three stages of `flotilla carousel`, and beside build_carousel its chain solves: 6 on bump3
-    # from s0 = 2.2, where the closing-area solve misses its start
+    # the stages of carousel.json, and its chain solves: 6 on bump3 from s0 = 2.2, where the
+    # closing-area solve misses its start; the carousel fails its check (exit 1) and is timed
     config = ROOT / "configs" / "perturbed_circle.json"
-    argv = ["carousel", str(config), "--q", "3", "--s0", "2.2", "--repeat", "2"]
+    argv = ["--repeat", "2", "carousel", str(config), "--q", "3", "--s0", "2.2"]
     result = run_script("stage_times.py", *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == f"median of 2 runs of carousel {config} --q 3 --s0 2.2"
-    assert lines[1].split() == ["stage", "ms", "chain", "solves"]
-    rows = {line[:28].strip(): line[41:] for line in lines[2:]}
-    assert rows == {"curve": "", "build_carousel": "6", "write_json": ""}
-    assert all(float(line[28:39]) > 0.0 for line in lines[2:])
+    assert lines[0] == f"median of 2 runs of flotilla carousel {config} --q 3 --s0 2.2"
+    stages = stage_rows(result.stdout)
+    assert list(stages) == ["compile", "curve", "build_carousel", "rest", "total"]
+    assert all(ms > 0.0 for ms in stages.values())
+    assert lines[-1] == "chain_solves 6"
     assert not list(tmp_path.iterdir())
-    # --q goes with carousel only
-    for argv in (["carousel", str(config)], [str(config), "--q", "3"]):
-        result = run_script("stage_times.py", *argv, cwd=tmp_path)
-        assert result.returncode == 2 and "--q goes with carousel" in result.stderr
+
+
+def test_stage_times_stops_at_a_usage_error(tmp_path):
+    # the CLI's own message and exit code, before any row; nothing is left behind
+    config = ROOT / "configs" / "ellipse.json"
+    result = run_script("stage_times.py", "carousel", str(config), cwd=tmp_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.splitlines()[:2] == [
+        "usage error: carousel: missing option '--q'", "usage: flotilla run CONFIG [--out DIR]",
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 def test_compare_outputs(tmp_path):
@@ -162,3 +173,20 @@ def test_compare_outputs_matches_records_by_check(tmp_path):
         "  chord_cube: only in the first report",
         "  endpoint_balance: only in the second report",
     ]
+
+
+def test_compare_outputs_on_carousels(tmp_path):
+    # two runs of one carousel differ in their stage times only; any other key is named
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["carousel", str(ROOT / "configs" / "ellipse.json"), "--q", "3", "--out", str(out)]) == 0
+    result = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert result.returncode == 0, result.stdout
+    assert result.stdout.splitlines() == ["carousel.json: identical apart from stage_seconds"]
+
+    payload = json.loads((b / "carousel.json").read_text())
+    payload["chain_solves"] = 2
+    (b / "carousel.json").write_text(json.dumps(payload))
+    result = run_script("compare_outputs.py", str(a), str(b), cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.splitlines() == ["carousel.json: differs", "  chain_solves: 1 against 2"]
