@@ -43,8 +43,6 @@ EXIT_NUMERICAL = 3
 
 # the config keys load_config reads; any other key is a ConfigError
 CONFIG_KEYS = ("curveSpec", "deltas", "nSamples", "checks", "outputDir", "deltaHat")
-# figure.svg draws every CHORD_STRIDE-th chord of each flotation sweep
-CHORD_STRIDE = 16
 # the largest nSamples: a run of the 2:1 ellipse at this size peaks near 200 MB; far larger ones exhaust memory
 MAX_SAMPLES = 65536
 # a deltaHat lies in [MIN_CONE_FRACTION, MAX_CONE_FRACTION] times the body area: towards either end the illumination
@@ -257,7 +255,9 @@ def _check_chord_cube(bundle):
     tol = _constancy_threshold(bundle.chords.curve)
     if bundle.chord_cube_stats is None:
         return _skipped("cv_affine_chord_cubed", tol, NO_APEX_REASON)
-    return _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
+    record = _measured("cv_affine_chord_cubed", bundle.chord_cube_stats.coefficient_of_variation, tol)
+    # the implied homothety ratio lambda = mean |c|_aff^3 / (12 delta); the dual ratio is lambda / (3 lambda - 2)
+    return {**record, "implied_lambda": bundle.implied_lambda}
 
 
 def _check_endpoint_balance(bundle):
@@ -364,17 +364,16 @@ def _severity(entry):
     return (_SEVERITY[entry["status"]], entry["value"] / max(entry["threshold"], 1e-300))
 
 
-def run_checks(label, bundles, name):
+def run_checks(bundles, name):
     """The record of one check, aggregated worst-case over deltas.
 
-    ``pass`` is false only for a failed check; a skipped record says why in
-    ``reason``. A check in BODY_CHECKS runs on the first bundle only.
+    A skipped record says why in ``reason``. A check in BODY_CHECKS runs on
+    the first bundle only.
     """
-    entries = []
-    for bundle in bundles[:1] if name in BODY_CHECKS else bundles:
-        result = CHECKS[name](bundle)
-        record = {"check": name, "curve": label, "delta": bundle.chords.delta, **result}
-        entries.append({**record, "pass": result["status"] != FAIL})
+    entries = [
+        {"check": name, "delta": bundle.chords.delta, **CHECKS[name](bundle)}
+        for bundle in (bundles[:1] if name in BODY_CHECKS else bundles)
+    ]
     return max(entries, key=_severity)
 
 
@@ -432,12 +431,12 @@ def write_json(path, payload):
         fh.write(text)
 
 
-def write_figure(path, bundles, chord_stride):
+def write_figure(path, bundles):
     # the body is drawn through gamma at the first sweep's chord starts, its uniform grid
     curves = [{"label": "body", "points": bundles[0].chords.x}]
     for bundle in bundles:
         curves += [{"label": f.family, "points": f.points} for _, families in bundle.sweeps() for f in families]
-    export_svg(curves, path, chords=[b.chords for b in bundles], chord_stride=chord_stride)
+    export_svg(curves, path, chords=[b.chords for b in bundles])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,6 @@ class StageTimer(dict):
 def cmd_run(config: RunConfig):
     timed = StageTimer()
     curve = timed("curve", lambda: curve_from_json(config.curve_spec))
-    label = curve_label(config.curve_spec)
     total = timed("curve", lambda: area(curve))
     deltas = timed("curve", lambda: resolve_deltas(config.deltas, total))
     delta_hat = timed("curve", lambda: bound_delta_hat(config.delta_hat, total))
@@ -477,15 +475,18 @@ def cmd_run(config: RunConfig):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     timed("write_curves_csv", lambda: write_curves_csv(out_dir / "curves.csv", bundles))
-    timed("write_figure", lambda: write_figure(out_dir / "figure.svg", bundles, CHORD_STRIDE))
+    timed("write_figure", lambda: write_figure(out_dir / "figure.svg", bundles))
 
     # one stage per check, summed over the deltas it runs at
-    records = [timed(f"check {name}", lambda: run_checks(label, bundles, name)) for name in config.checks]
+    records = [timed(f"check {name}", lambda: run_checks(bundles, name)) for name in config.checks]
     # report.json has the shape of report_schema.json; skipped records do not count against passed
     passed = all(r["status"] != FAIL for r in records)
     write_json(out_dir / "report.json", {
-        "curve": label,
+        "curve": curve_label(config.curve_spec),
+        "body": {"area": total},
         "deltas": [float(d) for d in deltas],
+        # the cone area of each delta's illumination sweep, None where the run has none
+        "delta_hats": [None if b.illum_chords is None else b.illum_chords.delta for b in bundles],
         "n_samples": int(config.n_samples),
         "passed": passed,
         "records": records,
@@ -607,8 +608,8 @@ def main(argv=None):
         out = options.pop("out")
         if out is not None:
             config.output_dir = out
-        # a float overflow is a numerical failure, not a warning and an inf in the outputs
-        with np.errstate(over="raise"):
+        # an overflow, division by zero or NaN is a numerical failure; cells non-finite by design are made under ignore
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             if command == "run":
                 return cmd_run(config)
             return cmd_carousel(config, **options)

@@ -14,6 +14,8 @@ _PALETTE = {
 _FALLBACK_COLORS = ["#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22"]
 
 MARGIN_FRACTION = 0.05
+# the figure draws every CHORD_STRIDE-th chord of the concatenated sweeps
+CHORD_STRIDE = 16
 # width and height of the drawing in pixels
 SIZE = 640
 
@@ -44,12 +46,12 @@ def figure_bounds(curves, chords=None):
     return float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1])
 
 
-def export_svg(curves, path, chords=None, chord_stride=0):
+def export_svg(curves, path, chords=None):
     """Write the curve families to a single SVG file.
 
     ``curves`` is a list of {"label": str, "points": (N, 2) array}; the
     chords of the optional sweeps (a list of Chords) are drawn as segments
-    every ``chord_stride`` chords of their concatenation (0 = omit).
+    every CHORD_STRIDE chords of their concatenation.
     The viewBox is the data bounding box plus a 5% margin, equal aspect
     (y axis flipped into screen coordinates).
     """
@@ -68,10 +70,10 @@ def export_svg(curves, path, chords=None, chord_stride=0):
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}" '
         'preserveAspectRatio="xMidYMid meet">\n'
     ]
-    if chord_stride > 0:
+    if chords:
         starts, ends = _chord_ends(chords)
         line = f'<line x1="%.8g" y1="%.8g" x2="%.8g" y2="%.8g" stroke="#bbbbbb" stroke-width="{_fmt(0.5 * stroke)}"/>\n'
-        parts.append(_screen_block(line, np.stack([starts[::chord_stride], ends[::chord_stride]], axis=1)))
+        parts.append(_screen_block(line, np.stack([starts[::CHORD_STRIDE], ends[::CHORD_STRIDE]], axis=1)))
     fallback = iter(_FALLBACK_COLORS * 8)
     legend = []
     for c in curves:

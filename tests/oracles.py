@@ -314,13 +314,13 @@ def trig_interpolant_exp_outer(interpolant, s, order):
 # -- SVG writer, one format call per value ------------------------------------
 
 
-def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
+def export_svg_per_value(curves, path, chords=None, size=640):
     """flotilla.svg.export_svg as it was written before the block formatting.
 
     Every coordinate went through its own f"{x:.8g}" on a numpy scalar, and
     the lines were joined with "\n" at the end.
     """
-    from flotilla.svg import _FALLBACK_COLORS, _PALETTE, MARGIN_FRACTION, _chord_ends, figure_bounds
+    from flotilla.svg import _FALLBACK_COLORS, _PALETTE, CHORD_STRIDE, MARGIN_FRACTION, _chord_ends, figure_bounds
 
     def fmt(x):
         return f"{x:.8g}"
@@ -340,9 +340,9 @@ def export_svg_per_value(curves, path, chords=None, chord_stride=0, size=640):
         f'viewBox="{fmt(vx)} {fmt(vy)} {fmt(vw)} {fmt(vh)}" '
         'preserveAspectRatio="xMidYMid meet">',
     ]
-    if chord_stride > 0:
+    if chords:
         starts, ends = _chord_ends(chords)
-        for a, b in zip(flip(starts[::chord_stride]), flip(ends[::chord_stride])):
+        for a, b in zip(flip(starts[::CHORD_STRIDE]), flip(ends[::CHORD_STRIDE])):
             lines.append(
                 f'<line x1="{fmt(a[0])}" y1="{fmt(a[1])}" x2="{fmt(b[0])}" y2="{fmt(b[1])}" '
                 f'stroke="#bbbbbb" stroke-width="{fmt(0.5 * stroke)}"/>'

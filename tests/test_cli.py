@@ -39,11 +39,11 @@ from flotilla.cli import (
 )
 from flotilla.curve import SPEC_KEYS, AffineFrame, AffineImage, Ellipse, SampledPeriodic, det2
 from flotilla.errors import SolverError
-from flotilla.homothety import build_carousel
+from flotilla.homothety import build_carousel, duality_parameters
 from flotilla.numerics import TrigInterpolant
-from flotilla.svg import export_svg
+from flotilla.svg import CHORD_STRIDE, export_svg
 
-from oracles import circle_segment_area, export_svg_per_value
+from oracles import circle_segment_area, circle_tangent_triangle_area, export_svg_per_value
 
 DELTA = circle_segment_area(math.pi / 3)
 ELLIPSE21 = {"kind": "ellipse", "a": 2.0, "b": 1.0}
@@ -501,6 +501,60 @@ class TestRun:
             "write_curves_csv", "write_figure", "omega", "omega",
         ]
 
+    def test_report_records_the_body_area_and_the_dual_cone_areas(self, tmp_path, capsys):
+        # each delta's illumination sweep runs at the dual cone area (3/2) delta lambda - delta
+        assert main(["run", str(ROOT / "configs" / "ellipse.json"), "--out", str(tmp_path)]) == EXIT_OK
+        report = strict_json((tmp_path / "report.json").read_text())
+        assert report["body"]["area"] == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0.0)
+        lambdas = [compute_bundle(Ellipse(2.0, 1.0), d, 256).implied_lambda for d in report["deltas"]]
+        assert report["delta_hats"] == [duality_parameters(d, lam)[0] for d, lam in zip(report["deltas"], lambdas)]
+        assert report["delta_hats"] == pytest.approx([0.96689, 3.43694], rel=1e-5)
+
+    @pytest.mark.parametrize("config, delta_hats", [("perturbed_circle", [0.8]), ("sampled", [None])])
+    def test_report_records_an_override_or_no_dual_cone_area(self, tmp_path, capsys, monkeypatch, config, delta_hats):
+        # bump3 sweeps at its deltaHat override; the benchmark's seed-1 sampled body is
+        # not homothetic, so it has no illumination sweep
+        if config == "sampled":
+            monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+            import workloads
+
+            path = tmp_path / "sampled.json"
+            path.write_text(workloads.sampled_config(1))
+        else:
+            path = ROOT / "configs" / f"{config}.json"
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert strict_json((tmp_path / "out" / "report.json").read_text())["delta_hats"] == delta_hats
+
+    def test_chord_cube_record_states_the_implied_ratio(self, tmp_path):
+        # every flotation chord of the unit circle at half-angle theta has the tangent
+        # triangle T(theta), and lambda = mean |c|^3_aff / (12 delta) = 2 T / (3 delta)
+        cfg = write_config(tmp_path / "c.json", checks=["chord_cube"])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        (rec,) = report["records"]
+        expected = 2.0 * circle_tangent_triangle_area(math.pi / 3) / (3.0 * DELTA)
+        assert rec["implied_lambda"] == pytest.approx(expected, rel=1e-12)
+        assert report["body"]["area"] == pytest.approx(math.pi, rel=1e-15, abs=0.0)
+        assert report["delta_hats"] == [duality_parameters(DELTA, rec["implied_lambda"])[0]]
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-100])
+    def test_tiny_ellipse_is_a_numerical_failure_without_a_warning(self, tmp_path, capsys, scale):
+        # the 2:1 ellipse scaled by 1e-60 divided by a sixth power that underflowed to 0, printed
+        # numpy warnings and wrote non-finite curves.csv cells before report.json exited 3
+        config = json.loads((ROOT / "configs" / "ellipse.json").read_text())
+        config["curveSpec"] = {"kind": "ellipse", "a": 2.0 * scale, "b": scale}
+        config["deltas"] = [1.0 * scale**2, {"fraction": 0.3}]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_cut_length_record_states_the_one_third_hypothesis(self, tmp_path):
         # at the 3-chair carousel's area every chord of the 2:1 ellipse spans an
         # eccentric angle of 2 pi / 3, so it cuts off a third of the affine perimeter
@@ -629,7 +683,7 @@ class TestRun:
         identities = [records[check] for check in ("dupin", "affine_normal") if check in records]
         assert len(identities) == (2 if name == "ellipse" else 1)
         for rec in identities:
-            assert rec["status"] == "skipped" and rec["value"] is None and rec["pass"]
+            assert rec["status"] == "skipped" and rec["value"] is None
             assert rec["reason"].startswith("an identity in the chord frame")
             assert f"[SKIP] {rec['check']}: {rec['reason']}" in out
 
@@ -645,7 +699,9 @@ class TestRun:
         cfg = write_config(tmp_path / "c.json", checks=["chord_cube", "omega"])
         assert main(["run", str(cfg)]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert all(r["status"] == "pass" and r["pass"] and "reason" not in r for r in report["records"])
+        assert all(r["status"] == "pass" and "reason" not in r for r in report["records"])
+        # each record states its verdict once, and the report its curve
+        assert not [key for r in report["records"] for key in ("pass", "curve") if key in r]
 
     def test_duality_check_is_informative_out_of_regime(self, tmp_path):
         cfg = write_config(
@@ -658,7 +714,7 @@ class TestRun:
         assert main(["run", str(cfg)]) == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         rec = report["records"][0]
-        assert rec["pass"] and rec["statistic"] == "duality_not_in_homothetic_regime"
+        assert rec["statistic"] == "duality_not_in_homothetic_regime"
         assert rec["status"] == "skipped" and rec["value"] is None
 
     def test_duality_skipped_when_delta_hat_is_not_the_dual_area(self, tmp_path):
@@ -676,7 +732,7 @@ class TestRun:
             if name == "dual":
                 assert rec["status"] == "pass" and rec["statistic"] == "max_relative_pole_mismatch"
                 continue
-            assert rec["status"] == "skipped" and rec["value"] is None and rec["pass"]
+            assert rec["status"] == "skipped" and rec["value"] is None
             assert rec["statistic"] == "duality_not_at_dual_cone_area"
             assert "0.5" in rec["reason"] and f"{dual:.6g}" in rec["reason"]
 
@@ -702,7 +758,7 @@ class TestBodyChecks:
         names = list(CHECKS)
         with monkeypatch.context() as m:
             m.setattr(cli_module, "BODY_CHECKS", ())
-            per_delta = [run_checks("e", bundles, name) for name in names]
+            per_delta = [run_checks(bundles, name) for name in names]
         calls = dict.fromkeys(names, 0)
         for name in names:
 
@@ -711,7 +767,7 @@ class TestBodyChecks:
                 return _check(*args)
 
             monkeypatch.setitem(CHECKS, name, counting)
-        records = [run_checks("e", bundles, name) for name in names]
+        records = [run_checks(bundles, name) for name in names]
         assert records == per_delta
         assert calls == {name: 1 if name in BODY_CHECKS else 2 for name in names}
         assert set(BODY_CHECKS) == {"petty", "radon", "affine_sphere"}
@@ -867,33 +923,34 @@ class TestSvg:
     def test_circle_bundle_renders_five_closed_curves(self, tmp_path):
         curves, chords = self._bundle_curves()
         path = tmp_path / "fig.svg"
-        export_svg(curves, path, chords=chords, chord_stride=8)
+        export_svg(curves, path, chords=chords)
         root = ET.parse(path).getroot()
         polygons = [el for el in root.iter() if el.tag.endswith("polygon")]
         lines = [el for el in root.iter() if el.tag.endswith("line")]
         texts = [el for el in root.iter() if el.tag.endswith("text")]
         assert len(polygons) == 5
-        assert len(lines) == 8  # 64 chords at stride 8
+        assert len(lines) == 64 // CHORD_STRIDE == 4
         assert len(texts) == 5  # legend entry per curve
 
-    @pytest.mark.parametrize("chord_stride", [8, 0])
-    def test_bytes_match_per_value_formatting(self, tmp_path, chord_stride):
+    @pytest.mark.parametrize("with_chords", [True, False], ids=["chords", "no_chords"])
+    def test_bytes_match_per_value_formatting(self, tmp_path, with_chords):
         # the body sample at s = 0 lies on y = 0, so "-0" appears after the
         # flip; a curve with a NaN point gives "nan" coordinates throughout
         curves, chords = self._bundle_curves()
+        chords = chords if with_chords else None
         assert curves[0]["points"][0, 1] == 0.0
         for extra in ([], [{"label": "extra", "points": [[0.5, np.nan], [0.25, -0.5]]}]):
-            export_svg(curves + extra, tmp_path / "fig.svg", chords=chords, chord_stride=chord_stride)
-            export_svg_per_value(curves + extra, tmp_path / "ref.svg", chords=chords, chord_stride=chord_stride)
+            export_svg(curves + extra, tmp_path / "fig.svg", chords=chords)
+            export_svg_per_value(curves + extra, tmp_path / "ref.svg", chords=chords)
             written = (tmp_path / "fig.svg").read_bytes()
             assert written == (tmp_path / "ref.svg").read_bytes()
             assert b",-0 " in written
             assert (b"nan" in written) == bool(extra)
 
-    def test_zero_stride_omits_chords(self, tmp_path):
-        curves, chords = self._bundle_curves()
+    def test_no_chords_draws_no_lines(self, tmp_path):
+        curves, _ = self._bundle_curves()
         path = tmp_path / "fig.svg"
-        export_svg(curves, path, chords=chords, chord_stride=0)
+        export_svg(curves, path, chords=None)
         root = ET.parse(path).getroot()
         assert not [el for el in root.iter() if el.tag.endswith("line")]
 

@@ -3,10 +3,12 @@
 A script that times or counts the package's work by overwriting a module's
 functions, or the entries of ``cli.CHECKS``, loses its stage without an error
 when the package renames it. A script that calls ``cli.load_config``,
-``cli.cmd_run`` or ``cli.cmd_carousel`` itself, or copies a command's steps,
-times something other than what the command line runs. Each command reports
-what it did itself (the ``stage_seconds`` of report.json and carousel.json),
-so the scripts call ``cli.main`` and read that instead.
+``cli.cmd_run`` or ``cli.cmd_carousel`` itself, or copies a command's steps
+(``compute_bundle``, ``write_curves_csv``, ``write_figure``, ``run_checks``),
+times or renders something other than what the command line runs. Each
+command reports what it did itself (the ``stage_seconds`` of report.json and
+carousel.json, and the run's areas and ratios in report.json), so the
+scripts call ``cli.main`` and read that instead.
 """
 
 import ast
@@ -17,7 +19,10 @@ CHECKS = ("symbol", "flotilla.cli", "CHECKS")
 # the dict methods that change a mapping in place
 MUTATORS = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__")
 # the steps of cli.main that a script must not call itself
-COMMAND_STEPS = [("symbol", "flotilla.cli", name) for name in ("load_config", "cmd_run", "cmd_carousel")]
+COMMAND_STEPS = [
+    ("symbol", "flotilla.cli", name)
+    for name in ("load_config", "cmd_run", "cmd_carousel", "compute_bundle", "write_curves_csv", "write_figure", "run_checks")
+]
 
 
 def _patches(tree):
@@ -59,7 +64,7 @@ def test_the_guard_sees_each_kind_of_patch():
     patches = """
 from flotilla import cli
 import flotilla.curve as curve
-from flotilla.cli import CHECKS, load_config
+from flotilla.cli import CHECKS, load_config, write_figure
 cli.write_json = None
 curve.area += 1
 setattr(cli, "compute_bundle", None)
@@ -69,8 +74,12 @@ del cli.CHECKS["radon"]
 config = load_config("c.json")
 cli.cmd_run(config)
 code = cli.cmd_carousel(config, q=3, p=1, s0=0.0)
+bundle = cli.compute_bundle(curve.Ellipse(2.0, 1.0), 1.0, 64)
+cli.write_curves_csv("curves.csv", [bundle])
+write_figure("figure.svg", [bundle])
+record = cli.run_checks([bundle], "omega")
 """
-    assert _patches(ast.parse(patches)) == [5, 6, 7, 8, 9, 10, 11, 12, 13]
+    assert _patches(ast.parse(patches)) == list(range(5, 18))
     # attributes of objects the package returns are not the package's, and cli.main runs a command whole
     plain = "from flotilla import cli\nconfig = cli.RunConfig({}, [])\nconfig.output_dir = 'out'\ncli.main(['run', 'c.json'])\n"
     assert _patches(ast.parse(plain)) == []

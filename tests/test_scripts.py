@@ -23,14 +23,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_demo_bundle(tmp_path):
-    out = tmp_path / "demo"
-    result = run_script("demo_bundle.py", "--samples", "64", "--out", str(out), cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert "body area             : 6.283185307" in result.stdout
-    assert (out / "curves.csv").exists() and (out / "figure.svg").exists()
-
-
 def test_carousel_scan(tmp_path):
     # 2/3 closes above half the area: the scan's defect changes sign there
     out = tmp_path / "scan.csv"
